@@ -1219,13 +1219,12 @@ let run_layout_search () =
 (* ------------------------------------------------------------------ *)
 (* Code-layout subsystem (lib/codelayout): the same search engine over a
    second substrate — basic blocks with CFG-edge affinities, bins are
-   I-cache lines. Three gates in one section: (1) the portfolio's best
+   I-cache lines. Two gates in one section: (1) the portfolio's best
    never scores below greedy or declaration order on the shared
-   objective, (2) the searched block order STRICTLY reduces simulated
-   I-cache misses on the built-in trap workload, and (3) the flat
-   kernel's instruction-fetch side stays byte-identical to the boxed
-   reference under both layouts. Exit non-zero on any failure — the
-   runtest-code wiring doubles as the subsystem's soundness check. *)
+   objective, and (2) the searched block order STRICTLY reduces simulated
+   I-cache misses on the built-in trap workload. Exit non-zero on any
+   failure — the runtest-code wiring doubles as the subsystem's soundness
+   check. *)
 
 let run_code_layout () =
   section "code_layout: block-affinity search vs declaration order";
@@ -1276,24 +1275,14 @@ let run_code_layout () =
       b g decl_score;
     exit 1
   end;
-  (* Simulator confirmation, each layout run on both backends: the flat
-     kernel's fetch path is on the line here, not just the objective. *)
+  (* Simulator confirmation: the flat kernel's fetch path is on the line
+     here, not just the objective. *)
   let cpus = 4 in
-  let run backend code_layout = Ctrap.run_sim ~backend ~cpus ?code_layout () in
   let best_order = pf.Codelayout.best.Codelayout.order in
-  let base_flat = run Coherence.Flat None in
-  let base_ref = run Coherence.Reference None in
-  let opt_flat = run Coherence.Flat (Some best_order) in
-  let opt_ref = run Coherence.Reference (Some best_order) in
-  let backend_identical = base_flat = base_ref && opt_flat = opt_ref in
-  if not backend_identical then begin
-    Printf.eprintf
-      "code_layout: flat kernel diverges from reference on the fetch path\n";
-    exit 1
-  end;
-  Printf.printf "sim (%d cpus, %d-line x %dB I-cache), flat = reference: %s\n"
-    cpus Ctrap.icache.Coherence.i_lines Ctrap.icache.Coherence.i_line_size
-    (if backend_identical then "yes" else "NO");
+  let base_flat = Ctrap.run_sim ~cpus () in
+  let opt_flat = Ctrap.run_sim ~cpus ~code_layout:best_order () in
+  Printf.printf "sim (%d cpus, %d-line x %dB I-cache):\n" cpus
+    Ctrap.icache.Coherence.i_lines Ctrap.icache.Coherence.i_line_size;
   let row label (r : Machine.result) =
     Printf.printf
       "  %-12s imisses %8d / %8d fetches (%5.1f%%), istall %9d, makespan %9d\n%!"
@@ -1357,35 +1346,60 @@ let run_code_layout () =
             ("declaration", sim_row base_flat);
             ("best", sim_row opt_flat);
           ] );
-      ("backend_identical", Json.Bool backend_identical);
       ("sim_confirmed", Json.Bool confirmed);
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Flat memory-system kernel vs the boxed reference implementation. Three
-   checks in one section: (1) result identity — full Machine.result records
-   (makespan, per-CPU cycles, stats, samples, trace events) must be equal
-   across protocols and topologies, including a >62-CPU machine that
-   exercises the multi-word sharer masks; (2) parallel fan-out over
-   Exec.Pool stays byte-identical for pool sizes 1/2/4; (3) throughput of
-   both backends on the SDET workload (accesses/s, misses/s by class).
-   Exits non-zero on any mismatch, so the runtest-obs wiring doubles as a
-   kernel-vs-oracle differential check. *)
+(* The flat memory-system kernel against its spec, plus its throughput.
+   Checks in one section: (1) identity — SDET access traces recorded
+   across protocols and topologies (including a >62-CPU machine that
+   exercises the multi-word sharer masks) replay through the kernel and
+   through the pure spec with identical per-access latencies and final
+   per-CPU statistics; (2) parallel fan-out over Exec.Pool stays
+   byte-identical for pool sizes 1/2/4; (3) kernel throughput on the SDET
+   trace (accesses/s, misses/s by class), reported but not gated; (4) the
+   same identity and throughput under the multi-level hierarchy, and the
+   NUMA-trap demo. Exits non-zero on any mismatch, so the runtest-obs
+   wiring doubles as a kernel-vs-spec differential check. *)
 
 let run_sim_scale () =
-  section "sim_scale: flat memory-system kernel vs boxed reference";
+  section "sim_scale: flat memory-system kernel vs its spec";
   let module Machine = Slo_sim.Machine in
   let module Coherence = Slo_sim.Coherence in
+  let module Spec = Slo_sim.Spec in
   let module Sim_stats = Slo_sim.Sim_stats in
   let base ~cpus = Sdet.default_config (Topology.superdome ~cpus ()) in
+  (* Replay a recorded trace through a fresh kernel and a fresh spec side
+     by side: identical iff every access costs the same and the final
+     per-CPU statistics agree. *)
+  let spec_identical ?hierarchy (cfg : Sdet.config) trace =
+    let k =
+      Coherence.create cfg.Sdet.topology ~line_size:Kernel.line_size
+        ~cache_capacity:cfg.Sdet.cache_lines ~protocol:cfg.Sdet.protocol
+        ?hierarchy ()
+    and s =
+      Spec.create cfg.Sdet.topology ~line_size:Kernel.line_size
+        ~cache_capacity:cfg.Sdet.cache_lines ~protocol:cfg.Sdet.protocol
+        ?hierarchy ()
+    in
+    Array.for_all
+      (fun (ev : Machine.trace_event) ->
+        let cpu = ev.Machine.t_cpu and addr = ev.Machine.t_addr in
+        let size = ev.Machine.t_size and is_write = ev.Machine.t_is_write in
+        Coherence.access k ~cpu ~addr ~size ~is_write
+        = Spec.access s ~cpu ~addr ~size ~is_write)
+      trace
+    && List.for_all
+         (fun cpu -> Coherence.stats k ~cpu = Spec.stats s ~cpu)
+         (List.init (Topology.num_cpus cfg.Sdet.topology) Fun.id)
+  in
   (* 1. Identity across protocols / topologies. Superdome-64 exceeds the
      62-bit mask word, so the kernel's multi-word fallback is on the line
      here, not just in the unit tests. *)
   let identity_cases =
     [
       ( "superdome16 MESI sampled+traced",
-        { (base ~cpus:16) with Sdet.reps = 8; sample_period = Some 500;
-          trace = true } );
+        { (base ~cpus:16) with Sdet.reps = 8; sample_period = Some 500 } );
       ( "superdome64 MOESI multi-word masks",
         { (base ~cpus:64) with Sdet.reps = 4;
           protocol = Slo_sim.Coherence.Moesi } );
@@ -1399,25 +1413,22 @@ let run_sim_scale () =
   let identity_rows =
     List.map
       (fun (name, cfg) ->
-        let r_ref = Sdet.run_once { cfg with Sdet.backend = Coherence.Reference } in
-        let r_flat = Sdet.run_once { cfg with Sdet.backend = Coherence.Flat } in
-        let identical = r_flat = r_ref in
+        let r = Sdet.run_once { cfg with Sdet.trace = true } in
+        let identical = spec_identical cfg (Array.of_list r.Machine.trace) in
         let accesses =
-          r_flat.Machine.stats.Sim_stats.loads
-          + r_flat.Machine.stats.Sim_stats.stores
+          r.Machine.stats.Sim_stats.loads + r.Machine.stats.Sim_stats.stores
         in
-        Printf.printf "%-36s %12d %10d %10s\n%!" name r_flat.Machine.makespan
+        Printf.printf "%-36s %12d %10d %10s\n%!" name r.Machine.makespan
           accesses
           (if identical then "yes" else "NO");
         if not identical then begin
-          Printf.eprintf
-            "sim_scale: kernel diverges from reference on %s\n" name;
+          Printf.eprintf "sim_scale: kernel diverges from the spec on %s\n" name;
           exit 1
         end;
         Json.Obj
           [
             ("case", Json.Str name);
-            ("makespan", Json.Int r_flat.Machine.makespan);
+            ("makespan", Json.Int r.Machine.makespan);
             ("accesses", Json.Int accesses);
             ("identical", Json.Bool identical);
           ])
@@ -1448,10 +1459,9 @@ let run_sim_scale () =
     exit 1
   end;
   (* 3. Memory-system throughput: record SDET's access trace once, then
-     replay it through each backend's Coherence directly. This isolates
-     what the kernel rewrote — the interpreter around it is shared by both
-     backends and would only dilute the comparison. End-to-end simulation
-     wall time is reported alongside as context. *)
+     replay it through the kernel directly, isolating the memory system
+     from the interpreter around it. End-to-end simulation wall time is
+     reported alongside as context. Both are information, not gates. *)
   let cpus = if !quick then 16 else 32 in
   let reps = if !quick then 12 else 30 in
   let runs = if !quick then 4 else 8 in
@@ -1462,53 +1472,46 @@ let run_sim_scale () =
       (Sdet.run_once { cfg with Sdet.trace = true }).Machine.trace
   in
   let n_trace = Array.length trace in
-  (* Each wall number is the best of three timed attempts: the replays are
-     deterministic, so the attempts differ only by machine noise and the
-     min is the honest throughput — the ratio gates below must not flake
-     on a descheduled attempt. *)
-  let replay ?hierarchy backend =
-    let attempt () =
-      let coh =
-        Coherence.create cfg.Sdet.topology ~line_size:Kernel.line_size
-          ~cache_capacity:cfg.Sdet.cache_lines ~protocol:cfg.Sdet.protocol
-          ?hierarchy ~backend ()
-      in
-      let t0 = Obs.now () in
-      for _rep = 1 to replays do
-        Array.iter
-          (fun (ev : Machine.trace_event) ->
-            ignore
-              (Coherence.access coh ~cpu:ev.Machine.t_cpu
-                 ~addr:ev.Machine.t_addr ~size:ev.Machine.t_size
-                 ~is_write:ev.Machine.t_is_write))
-          trace
-      done;
-      (Coherence.total_stats coh, Obs.now () -. t0)
+  let replay ?hierarchy () =
+    let coh =
+      Coherence.create cfg.Sdet.topology ~line_size:Kernel.line_size
+        ~cache_capacity:cfg.Sdet.cache_lines ~protocol:cfg.Sdet.protocol
+        ?hierarchy ()
     in
-    let stats, w1 = attempt () in
-    let _, w2 = attempt () in
-    let _, w3 = attempt () in
-    (stats, min w1 (min w2 w3))
+    let t0 = Obs.now () in
+    for _rep = 1 to replays do
+      Array.iter
+        (fun (ev : Machine.trace_event) ->
+          ignore
+            (Coherence.access coh ~cpu:ev.Machine.t_cpu
+               ~addr:ev.Machine.t_addr ~size:ev.Machine.t_size
+               ~is_write:ev.Machine.t_is_write))
+        trace
+    done;
+    (Coherence.total_stats coh, Obs.now () -. t0)
   in
-  let ref_totals, ref_wall = replay Coherence.Reference in
-  let flat_totals, flat_wall = replay Coherence.Flat in
-  if flat_totals <> ref_totals then begin
-    Printf.eprintf "sim_scale: replay statistics diverge between backends\n";
+  let identical = spec_identical cfg trace in
+  Printf.printf
+    "trace replay: %d SDET accesses x %d replays (%d CPUs, %d reps); kernel = \
+     spec: %s\n"
+    n_trace replays cpus reps
+    (if identical then "yes" else "NO");
+  if not identical then begin
+    Printf.eprintf "sim_scale: kernel replay diverges from the spec replay\n";
     exit 1
   end;
+  let flat_totals, flat_wall = replay () in
   (* End-to-end simulation wall time (interpreter + memory system). *)
-  let sim_wall backend =
+  let sim_wall =
     let t0 = Obs.now () in
     List.iter
-      (fun seed -> ignore (Sdet.run_once { cfg with Sdet.backend; seed }))
+      (fun seed -> ignore (Sdet.run_once { cfg with Sdet.seed }))
       (List.init runs (fun i -> cfg.Sdet.seed + i));
     Obs.now () -. t0
   in
-  let ref_sim_wall = sim_wall Coherence.Reference in
-  let flat_sim_wall = sim_wall Coherence.Flat in
   let accesses st = st.Sim_stats.loads + st.Sim_stats.stores in
   let per_s wall n = if wall > 0.0 then float_of_int n /. wall else 0.0 in
-  let backend_json st wall =
+  let kernel_json st wall =
     Json.Obj
       [
         ("wall_s", Json.Float wall);
@@ -1526,86 +1529,42 @@ let run_sim_scale () =
       ]
   in
   let flat_rate = per_s flat_wall (accesses flat_totals) in
-  let ref_rate = per_s ref_wall (accesses ref_totals) in
-  let speedup = if ref_rate > 0.0 then flat_rate /. ref_rate else 0.0 in
-  let sim_speedup =
-    if flat_sim_wall > 0.0 then ref_sim_wall /. flat_sim_wall else 0.0
-  in
-  Printf.printf
-    "trace replay: %d SDET accesses x %d replays (%d CPUs, %d reps)\n" n_trace
-    replays cpus reps;
-  Printf.printf "%-10s %12s %14s %14s\n" "backend" "wall (s)" "accesses/s"
-    "misses/s";
   let print_row name st wall =
-    let misses =
-      st.Sim_stats.cold_misses + st.Sim_stats.capacity_misses
-      + st.Sim_stats.true_sharing_misses + st.Sim_stats.false_sharing_misses
-    in
     Printf.printf "%-10s %12.4f %14.0f %14.0f\n%!" name wall
       (per_s wall (accesses st))
-      (per_s wall misses)
+      (per_s wall (Sim_stats.misses st))
   in
-  print_row "reference" ref_totals ref_wall;
+  Printf.printf "%-10s %12s %14s %14s\n" "" "wall (s)" "accesses/s" "misses/s";
   print_row "kernel" flat_totals flat_wall;
-  Printf.printf "memory-system speedup: %.2fx accesses/s%s\n" speedup
-    (if speedup < 2.0 then "  (below the 2x target)" else "");
-  Printf.printf
-    "end-to-end simulation: reference %.4fs, kernel %.4fs (%.2fx) over %d runs\n%!"
-    ref_sim_wall flat_sim_wall sim_speedup runs;
+  Printf.printf "end-to-end simulation: %.4fs over %d runs\n%!" sim_wall runs;
   if Obs.counter "sim.kernel.runs" = 0 then begin
     Printf.eprintf "sim_scale: sim.kernel.* obs counters never moved\n";
     exit 1
   end;
-  (* 4. Multi-level hierarchy: the same trace replayed with private L1s
-     and per-cell victim LLCs in front of the coherent caches. Three
-     gates: the backends stay identical, the flat kernel keeps a >= 3x
-     throughput lead over the boxed reference, and the hierarchy
-     machinery costs the flat kernel at most 30% of its single-level
-     throughput. *)
+  (* 4. Multi-level hierarchy: the same trace with private L1s and
+     per-cell victim LLCs in front of the coherent caches. Gated on
+     kernel = spec identity; the throughput relative to the single-level
+     kernel is reported as information. *)
   let module Ntrap = Slo_workload.Ntrap in
   let hier_geometry = Ntrap.hierarchy in
-  let hier_ref_totals, hier_ref_wall =
-    replay ~hierarchy:hier_geometry Coherence.Reference
-  in
-  let hier_flat_totals, hier_flat_wall =
-    replay ~hierarchy:hier_geometry Coherence.Flat
-  in
-  if hier_flat_totals <> hier_ref_totals then begin
+  let hier_identical = spec_identical ~hierarchy:hier_geometry cfg trace in
+  if not hier_identical then begin
     Printf.eprintf
-      "sim_scale: multi-level replay statistics diverge between backends\n";
+      "sim_scale: multi-level kernel replay diverges from the spec replay\n";
     exit 1
   end;
+  let hier_flat_totals, hier_flat_wall = replay ~hierarchy:hier_geometry () in
   let hier_flat_rate = per_s hier_flat_wall (accesses hier_flat_totals) in
-  let hier_ref_rate = per_s hier_ref_wall (accesses hier_ref_totals) in
-  let hier_speedup =
-    if hier_ref_rate > 0.0 then hier_flat_rate /. hier_ref_rate else 0.0
-  in
   let single_level_ratio =
     if flat_rate > 0.0 then hier_flat_rate /. flat_rate else 0.0
   in
   Printf.printf
-    "multi-level replay (L1 %d lines, LLC %d lines per cell):\n"
+    "multi-level replay (L1 %d lines, LLC %d lines per cell); kernel = spec: \
+     yes\n"
     hier_geometry.Coherence.h_l1_lines hier_geometry.Coherence.h_llc_lines;
-  print_row "reference" hier_ref_totals hier_ref_wall;
   print_row "kernel" hier_flat_totals hier_flat_wall;
-  Printf.printf
-    "multi-level speedup: %.2fx accesses/s (gate: >= 3x); %.2fx of \
-     single-level kernel throughput (gate: >= 0.7x)\n%!"
-    hier_speedup single_level_ratio;
-  if hier_speedup < 3.0 then begin
-    Printf.eprintf
-      "sim_scale: multi-level kernel throughput %.2fx reference — below \
-       the 3x gate\n"
-      hier_speedup;
-    exit 1
-  end;
-  if single_level_ratio < 0.7 then begin
-    Printf.eprintf
-      "sim_scale: hierarchy costs the kernel %.0f%% of its single-level \
-       throughput — above the 30%% regression gate\n"
-      ((1.0 -. single_level_ratio) *. 100.0);
-    exit 1
-  end;
+  Printf.printf "multi-level throughput: %.2fx of the single-level kernel\n%!"
+    single_level_ratio;
   (* 5. The NUMA trap demo: the hierarchy-aware objective must strictly
      beat the distance-blind one in simulated cycles on the 128-CPU
      Superdome, and must not lose on the 4-CPU bus (where the two
@@ -1658,30 +1617,23 @@ let run_sim_scale () =
       ("trace_accesses", Json.Int n_trace);
       ("replays", Json.Int replays);
       ("identity", Json.List identity_rows);
-      ("identical", Json.Bool true);
+      ("identical", Json.Bool identical);
       ( "pool",
         Json.Obj
           [
             ("sizes", Json.List (List.map (fun n -> Json.Int n) pool_sizes));
             ("identical", Json.Bool pool_ok);
           ] );
-      ("kernel", backend_json flat_totals flat_wall);
-      ("reference", backend_json ref_totals ref_wall);
-      ("speedup_x", Json.Float speedup);
+      ("kernel", kernel_json flat_totals flat_wall);
       ( "sim_end_to_end",
-        Json.Obj
-          [
-            ("reference_wall_s", Json.Float ref_sim_wall);
-            ("kernel_wall_s", Json.Float flat_sim_wall);
-            ("speedup_x", Json.Float sim_speedup);
-          ] );
+        Json.Obj [ ("kernel_wall_s", Json.Float sim_wall) ] );
       ("kernel_runs_counter", Json.Int (Obs.counter "sim.kernel.runs"));
       ( "hierarchy",
         Json.Obj
           [
             ("l1_lines", Json.Int hier_geometry.Coherence.h_l1_lines);
             ("llc_lines", Json.Int hier_geometry.Coherence.h_llc_lines);
-            ("identical", Json.Bool true);
+            ("identical", Json.Bool hier_identical);
             ( "hits",
               Json.Obj
                 [
@@ -1692,9 +1644,7 @@ let run_sim_scale () =
                   ( "llc_remote",
                     Json.Int hier_flat_totals.Sim_stats.llc_remote_hits );
                 ] );
-            ("kernel", backend_json hier_flat_totals hier_flat_wall);
-            ("reference", backend_json hier_ref_totals hier_ref_wall);
-            ("speedup_x", Json.Float hier_speedup);
+            ("kernel", kernel_json hier_flat_totals hier_flat_wall);
             ("single_level_ratio", Json.Float single_level_ratio);
             ( "demo",
               Json.Obj [ demo_superdome; demo_bus ] );
@@ -1706,9 +1656,9 @@ let run_model_check () =
   section "model_check: exhaustive small-config coherence verification";
   let module Mc = Slo_sim.Modelcheck in
   Printf.printf
-    "breadth-first over every interleaving; both backends + trace oracle \
+    "breadth-first over every interleaving; kernel = spec + trace oracle \
      checked on every edge\n";
-  Printf.printf "%-24s %8s %8s %8s %6s %9s %8s %9s\n" "config" "states" "pinned"
+  Printf.printf "%-36s %8s %8s %8s %6s %9s %8s %9s\n" "config" "states" "pinned"
     "edges" "depth" "frontier" "oracle" "wall (s)";
   let drift = ref false in
   let rows =
@@ -1726,7 +1676,7 @@ let run_model_check () =
         let wall = Obs.now () -. t0 in
         let ok = r.Mc.r_states = pin in
         if not ok then drift := true;
-        Printf.printf "%-24s %8d %8d %8d %6d %9d %8d %9.3f%s\n%!"
+        Printf.printf "%-36s %8d %8d %8d %6d %9d %8d %9.3f%s\n%!"
           (Mc.config_name cfg) r.Mc.r_states pin r.Mc.r_transitions
           r.Mc.r_max_depth r.Mc.r_max_frontier r.Mc.r_oracle_traces wall
           (if ok then "" else "  DRIFT");

@@ -992,9 +992,9 @@ let verify_cmd =
   let run () =
     Printf.printf
       "exhaustive coherence verification: every interleaving of every \
-       pinned small config,\nboth backends + trace oracle checked on every \
+       pinned small config,\nkernel = spec + trace oracle checked on every \
        transition\n";
-    Printf.printf "%-24s %8s %8s %8s %6s %8s\n" "config" "states" "pinned"
+    Printf.printf "%-36s %8s %8s %8s %6s %8s\n" "config" "states" "pinned"
       "edges" "depth" "oracle";
     let ok =
       List.fold_left
@@ -1002,13 +1002,13 @@ let verify_cmd =
           match Mc.run cfg with
           | r ->
             let pinned = r.Mc.r_states = pin in
-            Printf.printf "%-24s %8d %8d %8d %6d %8d%s\n%!"
+            Printf.printf "%-36s %8d %8d %8d %6d %8d%s\n%!"
               (Mc.config_name cfg) r.Mc.r_states pin r.Mc.r_transitions
               r.Mc.r_max_depth r.Mc.r_oracle_traces
               (if pinned then "" else "  DRIFT");
             ok && pinned
           | exception Mc.Violation { vmsg; vtrace } ->
-            Printf.printf "%-24s VIOLATION: %s\n" (Mc.config_name cfg) vmsg;
+            Printf.printf "%-36s VIOLATION: %s\n" (Mc.config_name cfg) vmsg;
             List.iter
               (fun { Mc.v_cpu; v_line; v_off; v_write } ->
                 Printf.printf "  %s cpu %d line %d off %d\n"

@@ -1,122 +1,6 @@
-type state = Modified | Owned | Exclusive | Shared
-
-(* One set: an intrusive doubly-linked LRU list over hash-table entries.
-   [head] is the most recently used entry, [tail] the eviction victim. *)
-type node = {
-  line : int;
-  mutable st : state;
-  mutable prev : node option;
-  mutable next : node option;
-}
-
-type set_ = {
-  mutable head : node option;
-  mutable tail : node option;
-  mutable fill : int;
-}
-
-type t = {
-  cap : int;
-  nways : int;
-  nsets : int;
-  tbl : (int, node) Hashtbl.t;  (* line -> node, across all sets *)
-  sets : set_ array;
-}
-
-let create ~capacity ?ways () =
-  if capacity <= 0 then invalid_arg "Cache.create: capacity <= 0";
-  let nways = match ways with Some w -> w | None -> capacity in
-  if nways <= 0 then invalid_arg "Cache.create: ways <= 0";
-  if capacity mod nways <> 0 then
-    invalid_arg "Cache.create: ways must divide capacity";
-  let nsets = capacity / nways in
-  {
-    cap = capacity;
-    nways;
-    nsets;
-    tbl = Hashtbl.create (min capacity 4096);
-    sets = Array.init nsets (fun _ -> { head = None; tail = None; fill = 0 });
-  }
-
-let capacity t = t.cap
-let ways t = t.nways
-let size t = Hashtbl.length t.tbl
-
-let set_of t line = t.sets.(line mod t.nsets)
-
-let unlink set node =
-  (match node.prev with
-  | Some p -> p.next <- node.next
-  | None -> set.head <- node.next);
-  (match node.next with
-  | Some n -> n.prev <- node.prev
-  | None -> set.tail <- node.prev);
-  node.prev <- None;
-  node.next <- None;
-  set.fill <- set.fill - 1
-
-let push_front set node =
-  node.next <- set.head;
-  node.prev <- None;
-  (match set.head with
-  | Some h -> h.prev <- Some node
-  | None -> set.tail <- Some node);
-  set.head <- Some node;
-  set.fill <- set.fill + 1
-
-let state t line =
-  match Hashtbl.find_opt t.tbl line with Some n -> Some n.st | None -> None
-
-let touch t line =
-  match Hashtbl.find_opt t.tbl line with
-  | None -> ()
-  | Some n ->
-    let set = set_of t line in
-    unlink set n;
-    push_front set n
-
-let set_state t line st =
-  match Hashtbl.find_opt t.tbl line with
-  | None -> invalid_arg (Printf.sprintf "Cache.set_state: line %d absent" line)
-  | Some n ->
-    (* Touch inline: going through [touch] would re-find the node we
-       already hold, doubling the hash lookups on a hot coherence path. *)
-    n.st <- st;
-    let set = set_of t line in
-    unlink set n;
-    push_front set n
-
-let remove t line =
-  match Hashtbl.find_opt t.tbl line with
-  | None -> ()
-  | Some n ->
-    unlink (set_of t line) n;
-    Hashtbl.remove t.tbl line
-
-(* remove/insert hold the lookup count at the stdlib floor: one find to
-   locate (or rule out) the node, one keyed write. Only set_state had a
-   redundant re-find (fixed above). *)
-let insert t line st =
-  if Hashtbl.mem t.tbl line then
-    invalid_arg (Printf.sprintf "Cache.insert: line %d already resident" line);
-  let set = set_of t line in
-  let victim =
-    if set.fill >= t.nways then
-      match set.tail with
-      | Some v ->
-        unlink set v;
-        Hashtbl.remove t.tbl v.line;
-        Some (v.line, v.st)
-      | None -> None
-    else None
-  in
-  let node = { line; st; prev = None; next = None } in
-  Hashtbl.replace t.tbl line node;
-  push_front set node;
-  victim
-
-(* Sorted so reports and snapshots never depend on Hashtbl seed/order. *)
-let iter t f =
-  Hashtbl.fold (fun line node acc -> (line, node.st) :: acc) t.tbl []
-  |> List.sort compare
-  |> List.iter (fun (line, st) -> f line st)
+(** The coherence state of a resident cache line; absence is Invalid. *)
+type state =
+  | Modified
+  | Owned  (** dirty but shared — MOESI only *)
+  | Exclusive
+  | Shared

@@ -1,713 +1,1235 @@
+(* Flat, allocation-free memory-system kernel. Its oracle is the pure
+   declarative spec in spec.ml: the differential suites in
+   test/test_simkern.ml and the exhaustive model checker (modelcheck.ml)
+   hold the two to identical latencies, stats, cache states, directory
+   views and L1/LLC residency. A protocol change lands in both. *)
+
 type protocol = Mesi | Moesi
-type backend = Flat | Reference
 
-type icache = Memkern.icache = {
-  i_lines : int;
-  i_ways : int option;
-  i_line_size : int;
-}
+(* Cache-line states, packed into the low 2 bits of a slot word. *)
+let st_m = 0 (* Modified *)
+let st_o = 1 (* Owned (MOESI only) *)
+let st_e = 2 (* Exclusive *)
+let st_s = 3 (* Shared *)
 
-type hierarchy = Memkern.hierarchy = {
+let state_of_code c =
+  if c = st_m then Cache.Modified
+  else if c = st_o then Cache.Owned
+  else if c = st_e then Cache.Exclusive
+  else Cache.Shared
+
+(* Sharer sets are bitmasks over 62-bit words: OCaml's native int has 63
+   usable bits and keeping to 62 leaves every mask word non-negative, so
+   machines up to 62 CPUs run on single-word arithmetic and larger ones
+   (the Superdome's 128) take the same code over (cpus + 61) / 62 words. *)
+let bpw = 62
+
+(* Index of the (single) set bit of [b]. Sharer masks are sparse and only
+   walked on misses, so a plain shift loop beats a de Bruijn table here. *)
+let bit_index b =
+  let rec go i p = if p = b then i else go (i + 1) (p lsl 1) in
+  go 0 1
+
+(* Instruction-cache geometry. The I-cache is private per CPU and
+   coherence-free (code is read-only), so it needs none of the directory
+   machinery below — just packed slots and LRU chains. *)
+type icache = { i_lines : int; i_ways : int option; i_line_size : int }
+
+(* Multi-level hierarchy geometry: a private per-CPU L1 residency filter
+   in front of the coherent L2 below, plus one shared victim LLC per
+   topology cell. Line size is inherited from the L2. *)
+type hierarchy = {
   h_l1_lines : int;
   h_l1_ways : int option;
   h_llc_lines : int;
   h_llc_ways : int option;
 }
 
-(* The boxed reference implementation. It is the semantic spec: readable
-   OCaml over Hashtbl/list structures, kept as the differential oracle the
-   flat kernel (memkern.ml) is tested against. Protocol changes must land
-   in both in lock-step — the QCheck2 suites will catch a divergence. *)
-module Ref = struct
-  type dir_entry = {
-    mutable owner : int option;  (* CPU holding the line in M, E or O *)
-    mutable sharers : int list;  (* CPUs holding the line in S, sorted *)
-  }
+(* Flat residency-only caches: the same packed-slot + array-index LRU
+   representation as the coherent caches, minus states (a slot word is
+   just the line index; -1 = empty) and minus the directory. One [ic]
+   serves [nunits] units — per-CPU for the I-cache and the L1 filter,
+   per-cell for the shared LLC. *)
+type ic = {
+  ic_lsize : int;
+  ic_nsets : int;
+  ic_nways : int;
+  ic_scan : bool; (* narrow sets: look lines up by scanning the set block *)
+  ic_slots : int array;
+  ic_nxt : int array;
+  ic_prv : int array;
+  ic_head : int array;
+  ic_tail : int array;
+  ic_fill : int array;
+  ic_free : int array;
+  ic_where : Flat_tab.t array; (* per unit: line -> slot index; hashed mode *)
+}
 
-  (* The boxed instruction-cache side: one coherence-free Cache per CPU
-     (state is irrelevant for code; lines are inserted Shared and victims
-     are simply dropped — nothing is dirty and there is no directory). *)
-  type ref_icache = { icaches : Cache.t array; ic_lsize : int }
+(* Sets of at most this many ways are probed by scanning their slot words
+   directly instead of through the per-unit hash table: a handful of
+   contiguous int compares beats a multiply + probe chain, and eviction
+   churn stops paying the table's backward-shift deletes. The tiny L1
+   filters (and direct-mapped I-caches) live on the access fast path, so
+   this is where the multi-level throughput gate is won. *)
+let scan_ways_max = 16
 
-  (* The boxed multi-level side: a residency-only Cache per CPU for the
-     L1 filter and one per cell for the victim LLC (state is irrelevant in
-     both — lines are inserted Shared; the L2 below owns the coherence
-     state, and an LLC line by construction has no cached copy at all). *)
-  type ref_hier = {
-    l1s : Cache.t array;
-    llcs : Cache.t array;
-    r_ncells : int;
-    r_cellof : int array;
-  }
-
-  type t = {
-    topo : Topology.t;
-    lsize : int;
-    proto : protocol;
-    caches : Cache.t array;
-    ic : ref_icache option;
-    hx : ref_hier option;
-    directory : (int, dir_entry) Hashtbl.t;
-    touched : (int, unit) Hashtbl.t;  (* lines ever accessed, for cold misses *)
-    inv_hints : (int, (int * (int * int)) list) Hashtbl.t;
-        (* line -> (cpu, byte interval (off, len)) of the write that
-           invalidated each cpu's copy. Keyed by line so that when the
-           line's last cached copy disappears the whole hint set can be
-           dropped — a hint outliving the sharing episode would misclassify
-           a much-later capacity miss as a sharing miss. *)
-    stats : Sim_stats.t array;
-  }
-
-  let make_ic ~ncpus { i_lines; i_ways; i_line_size } =
-    if i_line_size <= 0 then
-      invalid_arg "Coherence.create: icache line_size <= 0";
-    if i_lines <= 0 then invalid_arg "Coherence.create: icache lines <= 0";
+let make_rc ~what ~nunits ~lines ~ways ~line_size =
+  let bad fmt = Printf.ksprintf invalid_arg ("Coherence.create: " ^^ fmt) in
+  if line_size <= 0 then bad "%s line_size <= 0" what;
+  if lines <= 0 then bad "%s lines <= 0" what;
+  let nways = match ways with Some w -> w | None -> lines in
+  if nways <= 0 then bad "%s ways <= 0" what;
+  if lines mod nways <> 0 then bad "%s ways must divide capacity" what;
+  let nsets = lines / nways in
+  let nslots = nunits * lines in
+  let ic =
     {
-      icaches =
-        Array.init ncpus (fun _ ->
-            Cache.create ~capacity:i_lines ?ways:i_ways ());
-      ic_lsize = i_line_size;
+      ic_lsize = line_size;
+      ic_nsets = nsets;
+      ic_nways = nways;
+      ic_scan = nways <= scan_ways_max;
+      ic_slots = Array.make nslots (-1);
+      ic_nxt = Array.make nslots (-1);
+      ic_prv = Array.make nslots (-1);
+      ic_head = Array.make (nunits * nsets) (-1);
+      ic_tail = Array.make (nunits * nsets) (-1);
+      ic_fill = Array.make (nunits * nsets) 0;
+      ic_free = Array.make (nunits * nsets) (-1);
+      ic_where =
+        Array.init nunits (fun _ ->
+            Flat_tab.create ~capacity:(min (2 * lines) 8192) ());
     }
+  in
+  for sb = 0 to (nunits * nsets) - 1 do
+    let base = sb * nways in
+    for w = 0 to nways - 1 do
+      ic.ic_nxt.(base + w) <- (if w = nways - 1 then -1 else base + w + 1)
+    done;
+    ic.ic_free.(sb) <- base
+  done;
+  ic
 
-  let make_hier topo ~ncpus h =
-    if h.h_l1_lines <= 0 then invalid_arg "Coherence.create: L1 lines <= 0";
-    if h.h_llc_lines <= 0 then invalid_arg "Coherence.create: LLC lines <= 0";
-    let ncells = Topology.num_cells topo in
-    {
-      l1s =
-        Array.init ncpus (fun _ ->
-            Cache.create ~capacity:h.h_l1_lines ?ways:h.h_l1_ways ());
-      llcs =
-        Array.init ncells (fun _ ->
-            Cache.create ~capacity:h.h_llc_lines ?ways:h.h_llc_ways ());
-      r_ncells = ncells;
-      r_cellof = Array.init ncpus (Topology.cell_of topo);
-    }
+let make_ic ~ncpus { i_lines; i_ways; i_line_size } =
+  make_rc ~what:"icache" ~nunits:ncpus ~lines:i_lines ~ways:i_ways
+    ~line_size:i_line_size
 
-  let create topo ~line_size ~cache_capacity ?ways ?icache ?hierarchy ~protocol
-      () =
-    if line_size <= 0 then invalid_arg "Coherence.create: line_size <= 0";
-    if cache_capacity <= 0 then
-      invalid_arg "Coherence.create: cache_capacity <= 0";
-    let n = Topology.num_cpus topo in
+(* ---------- residency-cache primitives (no states, no directory) ---------- *)
+
+(* Fully-associative units (the common L1 shape) have one set, and
+   [mod 1] would still cost a hardware divide on the per-access path. *)
+let ic_sb ic u line =
+  if ic.ic_nsets = 1 then u else (u * ic.ic_nsets) + (line mod ic.ic_nsets)
+
+(* Slot of [line] in unit [u], or -1. Scan mode walks the set's LRU chain
+   MRU-first: hits are temporally clustered at the front (the head alone
+   absorbs most of them), and a miss only traverses the live fill, never
+   the free slots. Hashed mode probes the per-unit table. *)
+let ic_find ic u line =
+  if ic.ic_scan then begin
+    let sb = ic_sb ic u line in
+    let s = ref ic.ic_head.(sb) in
+    while !s >= 0 && ic.ic_slots.(!s) <> line do
+      s := ic.ic_nxt.(!s)
+    done;
+    !s
+  end
+  else Flat_tab.find ic.ic_where.(u) line ~default:(-1)
+
+let ic_unlink ic sb s =
+  let p = ic.ic_prv.(s) and n = ic.ic_nxt.(s) in
+  if p >= 0 then ic.ic_nxt.(p) <- n else ic.ic_head.(sb) <- n;
+  if n >= 0 then ic.ic_prv.(n) <- p else ic.ic_tail.(sb) <- p;
+  ic.ic_prv.(s) <- -1;
+  ic.ic_nxt.(s) <- -1;
+  ic.ic_fill.(sb) <- ic.ic_fill.(sb) - 1
+
+let ic_push_front ic sb s =
+  let h = ic.ic_head.(sb) in
+  ic.ic_nxt.(s) <- h;
+  ic.ic_prv.(s) <- -1;
+  if h >= 0 then ic.ic_prv.(h) <- s else ic.ic_tail.(sb) <- s;
+  ic.ic_head.(sb) <- s;
+  ic.ic_fill.(sb) <- ic.ic_fill.(sb) + 1
+
+(* Miss path: evict the set's LRU tail if full (residency caches never
+   write back — the coherent level below owns the data), place the line,
+   mark MRU. Returns the evicted line, or -1 if the set had room. *)
+let ic_insert ic u line =
+  let sb = ic_sb ic u line in
+  if ic.ic_fill.(sb) >= ic.ic_nways then begin
+    let v = ic.ic_tail.(sb) in
+    let vline = ic.ic_slots.(v) in
+    ic_unlink ic sb v;
+    ic.ic_slots.(v) <- line;
+    ic_push_front ic sb v;
+    if not ic.ic_scan then begin
+      Flat_tab.remove ic.ic_where.(u) vline;
+      Flat_tab.set ic.ic_where.(u) line v
+    end;
+    vline
+  end
+  else begin
+    let s = ic.ic_free.(sb) in
+    ic.ic_free.(sb) <- ic.ic_nxt.(s);
+    ic.ic_slots.(s) <- line;
+    ic_push_front ic sb s;
+    if not ic.ic_scan then Flat_tab.set ic.ic_where.(u) line s;
+    -1
+  end
+
+let ic_resident ic u line = ic_find ic u line >= 0
+
+(* Mark MRU with the slot already in hand; already-MRU lines are left
+   alone (an LRU move of the head is observationally a no-op). *)
+let ic_touch_slot ic u line s =
+  let sb = ic_sb ic u line in
+  if ic.ic_head.(sb) <> s then begin
+    ic_unlink ic sb s;
+    ic_push_front ic sb s
+  end
+
+(* Drop a line (no-op when absent). *)
+let ic_remove ic u line =
+  let s = ic_find ic u line in
+  if s >= 0 then begin
+    let sb = ic_sb ic u line in
+    ic_unlink ic sb s;
+    ic.ic_slots.(s) <- -1;
+    ic.ic_nxt.(s) <- ic.ic_free.(sb);
+    ic.ic_free.(sb) <- s;
+    if not ic.ic_scan then Flat_tab.remove ic.ic_where.(u) line
+  end
+
+(* Iterate unit [u]'s resident (line, slot) pairs in either mode. *)
+let ic_iter_unit ic u f =
+  if ic.ic_scan then begin
+    let base = u * ic.ic_nsets * ic.ic_nways in
+    for s = base to base + (ic.ic_nsets * ic.ic_nways) - 1 do
+      if ic.ic_slots.(s) >= 0 then f ic.ic_slots.(s) s
+    done
+  end
+  else Flat_tab.iter ic.ic_where.(u) f
+
+(* Hierarchy state: the L1 filter is unit-per-CPU, the victim LLC is
+   unit-per-cell, and [h_where] indexes the (at most one, by exclusivity)
+   cell holding each LLC-resident line so the memory path probes in O(1). *)
+type hier = {
+  hl1 : ic;
+  hllc : ic;
+  ncells : int;
+  cellof : int array; (* cpu -> cell *)
+  h_where : Flat_tab.t; (* line -> holding cell *)
+}
+
+type t = {
+  topo : Topology.t;
+  lsize : int;
+  moesi : bool;
+  ncpus : int;
+  nsets : int;
+  nways : int;
+  (* Caches: slot index s = ((cpu * nsets) + set) * nways + way. slots.(s)
+     packs [line lsl 2 lor state]; -1 = empty. nxt/prv link the slots of a
+     set into a true-LRU chain (head = MRU, tail = victim); empty slots are
+     chained through nxt from free_head. head/tail/fill/free_head are
+     indexed by sb = cpu * nsets + set. *)
+  slots : int array;
+  nxt : int array;
+  prv : int array;
+  head : int array;
+  tail : int array;
+  fill : int array;
+  free_head : int array;
+  where : Flat_tab.t array; (* per CPU: line -> slot index *)
+  (* Directory: line -> pool entry index; entries are rows of the parallel
+     growable arrays below. owner.(e) = CPU holding M/E/O, or -1. sharers
+     and hintm hold nwords mask words per entry: the S-state holders and
+     the CPUs with a pending invalidation hint on the line. *)
+  dir : Flat_tab.t;
+  nwords : int;
+  mutable owner : int array;
+  mutable sharers : int array;
+  mutable hintm : int array;
+  mutable nentries : int;
+  mutable freelist : int array;
+  mutable nfree : int;
+  (* Classifier state: hints is (line * ncpus + cpu) -> packed interval
+     (off * (lsize + 1) + size); touched is line -> 1. *)
+  hints : Flat_tab.t;
+  touched : Flat_tab.t;
+  stats : Sim_stats.t array;
+  (* Scratch for invalidate_others: victim count and max invalidation
+     latency of the last call (returning a tuple would allocate). *)
+  mutable iv_count : int;
+  mutable iv_lat : int;
+  (* Kernel health, surfaced as sim.kernel.* observability counters. *)
+  mutable dir_live : int;
+  mutable dir_peak : int;
+  mutable hint_drops : int;
+  mutable llc_fills : int;
+  ic : ic option;
+  hx : hier option;
+}
+
+let create topo ~line_size ~cache_capacity ?ways ?icache ?hierarchy
+    ?(protocol = Mesi) () =
+  if line_size <= 0 then invalid_arg "Coherence.create: line_size <= 0";
+  if cache_capacity <= 0 then
+    invalid_arg "Coherence.create: cache_capacity <= 0";
+  let nways = match ways with Some w -> w | None -> cache_capacity in
+  if nways <= 0 then invalid_arg "Coherence.create: ways <= 0";
+  if cache_capacity mod nways <> 0 then
+    invalid_arg "Coherence.create: ways must divide capacity";
+  let nsets = cache_capacity / nways in
+  let ncpus = Topology.num_cpus topo in
+  let nwords = (ncpus + bpw - 1) / bpw in
+  let nslots = ncpus * cache_capacity in
+  let hx =
+    Option.map
+      (fun h ->
+        let ncells = Topology.num_cells topo in
+        {
+          hl1 =
+            make_rc ~what:"L1" ~nunits:ncpus ~lines:h.h_l1_lines
+              ~ways:h.h_l1_ways ~line_size;
+          hllc =
+            make_rc ~what:"LLC" ~nunits:ncells ~lines:h.h_llc_lines
+              ~ways:h.h_llc_ways ~line_size;
+          ncells;
+          cellof = Array.init ncpus (Topology.cell_of topo);
+          h_where = Flat_tab.create ~capacity:4096 ();
+        })
+      hierarchy
+  in
+  let t =
     {
       topo;
       lsize = line_size;
-      proto = protocol;
-      caches = Array.init n (fun _ -> Cache.create ~capacity:cache_capacity ?ways ());
-      ic = Option.map (make_ic ~ncpus:n) icache;
-      hx = Option.map (make_hier topo ~ncpus:n) hierarchy;
-      directory = Hashtbl.create 4096;
-      touched = Hashtbl.create 4096;
-      inv_hints = Hashtbl.create 256;
-      stats = Array.init n (fun _ -> Sim_stats.create ());
+      moesi = protocol = Moesi;
+      ncpus;
+      nsets;
+      nways;
+      slots = Array.make nslots (-1);
+      nxt = Array.make nslots (-1);
+      prv = Array.make nslots (-1);
+      head = Array.make (ncpus * nsets) (-1);
+      tail = Array.make (ncpus * nsets) (-1);
+      fill = Array.make (ncpus * nsets) 0;
+      free_head = Array.make (ncpus * nsets) (-1);
+      where =
+        Array.init ncpus (fun _ ->
+            Flat_tab.create ~capacity:(min (2 * cache_capacity) 8192) ());
+      dir = Flat_tab.create ~capacity:4096 ();
+      nwords;
+      owner = Array.make 64 (-1);
+      sharers = Array.make (64 * nwords) 0;
+      hintm = Array.make (64 * nwords) 0;
+      nentries = 0;
+      freelist = Array.make 64 0;
+      nfree = 0;
+      hints = Flat_tab.create ~capacity:1024 ();
+      touched = Flat_tab.create ~capacity:4096 ();
+      stats = Array.init ncpus (fun _ -> Sim_stats.create ());
+      iv_count = 0;
+      iv_lat = 0;
+      dir_live = 0;
+      dir_peak = 0;
+      hint_drops = 0;
+      llc_fills = 0;
+      ic = Option.map (make_ic ~ncpus) icache;
+      hx;
     }
+  in
+  (* Chain every way of every set onto its free list. *)
+  for sb = 0 to (ncpus * nsets) - 1 do
+    let base = sb * nways in
+    for w = 0 to nways - 1 do
+      t.nxt.(base + w) <- (if w = nways - 1 then -1 else base + w + 1)
+    done;
+    t.free_head.(sb) <- base
+  done;
+  t
 
-  let dir_entry t line =
-    match Hashtbl.find_opt t.directory line with
-    | Some e -> e
-    | None ->
-      let e = { owner = None; sharers = [] } in
-      Hashtbl.replace t.directory line e;
+let line_size t = t.lsize
+let topology t = t.topo
+let protocol t = if t.moesi then Moesi else Mesi
+
+(* ---------- cache primitives ---------- *)
+
+let sb_of t cpu line = (cpu * t.nsets) + (line mod t.nsets)
+
+(* Slot of [line] in [cpu]'s cache, or -1. *)
+let cache_slot t cpu line = Flat_tab.find t.where.(cpu) line ~default:(-1)
+
+let cache_state_code t cpu line =
+  let s = cache_slot t cpu line in
+  if s < 0 then -1 else t.slots.(s) land 3
+
+let unlink t sb s =
+  let p = t.prv.(s) and n = t.nxt.(s) in
+  if p >= 0 then t.nxt.(p) <- n else t.head.(sb) <- n;
+  if n >= 0 then t.prv.(n) <- p else t.tail.(sb) <- p;
+  t.prv.(s) <- -1;
+  t.nxt.(s) <- -1;
+  t.fill.(sb) <- t.fill.(sb) - 1
+
+let push_front t sb s =
+  let h = t.head.(sb) in
+  t.nxt.(s) <- h;
+  t.prv.(s) <- -1;
+  if h >= 0 then t.prv.(h) <- s else t.tail.(sb) <- s;
+  t.head.(sb) <- s;
+  t.fill.(sb) <- t.fill.(sb) + 1
+
+let free_push t sb s =
+  t.slots.(s) <- -1;
+  t.nxt.(s) <- t.free_head.(sb);
+  t.free_head.(sb) <- s
+
+let free_pop t sb =
+  let s = t.free_head.(sb) in
+  t.free_head.(sb) <- t.nxt.(s);
+  s
+
+(* Mark MRU with the slot already in hand. Already-MRU slots stay put:
+   moving the head is observationally a no-op, and repeat hits on one
+   line are the common case. *)
+let touch_slot t sb s =
+  if t.head.(sb) <> s then begin
+    unlink t sb s;
+    push_front t sb s
+  end
+
+(* Update the state bits and mark MRU, in one table lookup. *)
+let cache_set_state t cpu line code =
+  let s = cache_slot t cpu line in
+  if s < 0 then
+    invalid_arg (Printf.sprintf "Coherence.set_state: line %d absent" line);
+  t.slots.(s) <- t.slots.(s) land lnot 3 lor code;
+  touch_slot t (sb_of t cpu line) s
+
+(* Drop a line (no-op when absent). Removing a line from the
+   L2 back-invalidates the CPU's L1 filter: the L1 is strictly inclusive,
+   so an L1 copy may never outlive its L2 line. *)
+let cache_remove t cpu line =
+  let s = cache_slot t cpu line in
+  if s >= 0 then begin
+    let sb = sb_of t cpu line in
+    unlink t sb s;
+    free_push t sb s;
+    Flat_tab.remove t.where.(cpu) line;
+    match t.hx with Some h -> ic_remove h.hl1 cpu line | None -> ()
+  end
+
+(* ---------- directory entry pool ---------- *)
+
+let dir_find t line = Flat_tab.find t.dir line ~default:(-1)
+
+let alloc_entry t =
+  let e =
+    if t.nfree > 0 then begin
+      t.nfree <- t.nfree - 1;
+      t.freelist.(t.nfree)
+    end
+    else begin
+      (if t.nentries >= Array.length t.owner then begin
+         let cap = 2 * Array.length t.owner in
+         let ow = Array.make cap (-1) in
+         Array.blit t.owner 0 ow 0 t.nentries;
+         t.owner <- ow;
+         let sh = Array.make (cap * t.nwords) 0 in
+         Array.blit t.sharers 0 sh 0 (t.nentries * t.nwords);
+         t.sharers <- sh;
+         let hm = Array.make (cap * t.nwords) 0 in
+         Array.blit t.hintm 0 hm 0 (t.nentries * t.nwords);
+         t.hintm <- hm
+       end);
+      let e = t.nentries in
+      t.nentries <- t.nentries + 1;
       e
+    end
+  in
+  t.owner.(e) <- -1;
+  for w = 0 to t.nwords - 1 do
+    t.sharers.((e * t.nwords) + w) <- 0;
+    t.hintm.((e * t.nwords) + w) <- 0
+  done;
+  t.dir_live <- t.dir_live + 1;
+  if t.dir_live > t.dir_peak then t.dir_peak <- t.dir_live;
+  e
 
-  let add_sharer e cpu =
-    if not (List.mem cpu e.sharers) then
-      e.sharers <- List.sort compare (cpu :: e.sharers)
+(* Find or create. *)
+let dir_entry t line =
+  let e = dir_find t line in
+  if e >= 0 then e
+  else begin
+    let e = alloc_entry t in
+    Flat_tab.set t.dir line e;
+    e
+  end
 
-  let remove_sharer e cpu = e.sharers <- List.filter (fun c -> c <> cpu) e.sharers
+let rec drop_hints_word t line w m =
+  if m <> 0 then begin
+    let b = m land -m in
+    let cpu = (w * bpw) + bit_index b in
+    Flat_tab.remove t.hints ((line * t.ncpus) + cpu);
+    t.hint_drops <- t.hint_drops + 1;
+    drop_hints_word t line w (m land (m - 1))
+  end
 
-  let hint_set t ~cpu ~line interval =
-    let prev =
-      match Hashtbl.find_opt t.inv_hints line with Some l -> l | None -> []
-    in
-    Hashtbl.replace t.inv_hints line ((cpu, interval) :: List.remove_assoc cpu prev)
+(* The line's last cached copy is gone: the sharing episode is over, so any
+   pending invalidation hints are stale — a later miss on the line is a
+   capacity (or cold) miss, not a sharing miss. Dropping them here is the
+   fix for the classifier-staleness bug (see the regression test). *)
+let remove_entry t line e =
+  for w = 0 to t.nwords - 1 do
+    let idx = (e * t.nwords) + w in
+    drop_hints_word t line w t.hintm.(idx);
+    t.hintm.(idx) <- 0;
+    t.sharers.(idx) <- 0
+  done;
+  t.owner.(e) <- -1;
+  (if t.nfree >= Array.length t.freelist then begin
+     let fl = Array.make (2 * Array.length t.freelist) 0 in
+     Array.blit t.freelist 0 fl 0 t.nfree;
+     t.freelist <- fl
+   end);
+  t.freelist.(t.nfree) <- e;
+  t.nfree <- t.nfree + 1;
+  Flat_tab.remove t.dir line;
+  t.dir_live <- t.dir_live - 1
 
-  let hint_find t ~cpu ~line =
-    match Hashtbl.find_opt t.inv_hints line with
-    | None -> None
-    | Some l -> List.assoc_opt cpu l
+let add_sharer t e cpu =
+  let i = (e * t.nwords) + (cpu / bpw) in
+  t.sharers.(i) <- t.sharers.(i) lor (1 lsl (cpu mod bpw))
 
-  let hint_consume t ~cpu ~line =
-    match Hashtbl.find_opt t.inv_hints line with
-    | None -> ()
-    | Some l -> (
-      match List.remove_assoc cpu l with
-      | [] -> Hashtbl.remove t.inv_hints line
-      | rest -> Hashtbl.replace t.inv_hints line rest)
+let remove_sharer t e cpu =
+  let i = (e * t.nwords) + (cpu / bpw) in
+  t.sharers.(i) <- t.sharers.(i) land lnot (1 lsl (cpu mod bpw))
 
-  let count_writeback t cpu =
-    t.stats.(cpu).Sim_stats.writebacks <- t.stats.(cpu).Sim_stats.writebacks + 1
+let sharer_mem t e cpu =
+  t.sharers.((e * t.nwords) + (cpu / bpw)) land (1 lsl (cpu mod bpw)) <> 0
 
-  let l1_resident h cpu line = Cache.state h.l1s.(cpu) line <> None
+let sharers_empty t e =
+  let rec go w = w >= t.nwords || (t.sharers.((e * t.nwords) + w) = 0 && go (w + 1)) in
+  go 0
 
-  (* Touch if resident, insert (possibly evicting silently) otherwise. *)
-  let l1_promote h cpu line =
-    match Cache.state h.l1s.(cpu) line with
-    | Some _ -> Cache.touch h.l1s.(cpu) line
-    | None -> ignore (Cache.insert h.l1s.(cpu) line Cache.Shared)
+let clear_sharers t e =
+  for w = 0 to t.nwords - 1 do
+    t.sharers.((e * t.nwords) + w) <- 0
+  done
 
-  (* Remove a line from a CPU's L2, back-invalidating its inclusive L1. *)
-  let l2_remove t cpu line =
-    Cache.remove t.caches.(cpu) line;
-    match t.hx with Some h -> Cache.remove h.l1s.(cpu) line | None -> ()
+(* ---------- classifier state ---------- *)
 
-  (* Cell whose victim LLC holds [line], or -1. Exclusivity guarantees at
-     most one holder, so scan order cannot change the answer. *)
-  let llc_find h line =
-    let rec go c =
-      if c >= h.r_ncells then -1
-      else if Cache.state h.llcs.(c) line <> None then c
-      else go (c + 1)
-    in
-    go 0
+let set_hint t e line cpu off size =
+  Flat_tab.set t.hints ((line * t.ncpus) + cpu) ((off * (t.lsize + 1)) + size);
+  let i = (e * t.nwords) + (cpu / bpw) in
+  t.hintm.(i) <- t.hintm.(i) lor (1 lsl (cpu mod bpw))
 
-  (* Keep the directory consistent when a cache evicts a victim line. Dirty
-     victims (M or O) write back. When the last cached copy goes, the
-     directory entry is dropped — and with it any pending invalidation
-     hints: the sharing episode is over, so a later miss on the line is a
-     capacity (or cold) miss, not a sharing miss. *)
-  let note_eviction t cpu (victim_line, victim_state) =
-    let e = dir_entry t victim_line in
-    (match victim_state with
-    | Cache.Modified | Cache.Owned ->
-      count_writeback t cpu;
-      if e.owner = Some cpu then e.owner <- None
-    | Cache.Exclusive -> if e.owner = Some cpu then e.owner <- None
-    | Cache.Shared -> remove_sharer e cpu);
-    if e.owner = None && e.sharers = [] then begin
-      Hashtbl.remove t.directory victim_line;
-      Hashtbl.remove t.inv_hints victim_line
+let count_writeback t cpu =
+  t.stats.(cpu).Sim_stats.writebacks <- t.stats.(cpu).Sim_stats.writebacks + 1
+
+(* ---------- victim LLC (exclusive of the L2 layer) ----------
+
+   A line enters a cell's LLC only at the moment its last L2 copy dies
+   (the directory entry is removed), and is consumed again by the next L2
+   fill. So an LLC-resident line has, by construction, no cached copy and
+   no directory entry anywhere: it can never be stale and never needs
+   invalidation traffic. Exclusivity also means at most one cell holds a
+   line, which is what lets [h_where] be a single line -> cell index. *)
+
+let llc_fill t h ~cell ~line =
+  let v = ic_insert h.hllc cell line in
+  if v >= 0 then Flat_tab.remove h.h_where v;
+  Flat_tab.set h.h_where line cell;
+  t.llc_fills <- t.llc_fills + 1
+
+let llc_consume h ~cell ~line =
+  ic_remove h.hllc cell line;
+  Flat_tab.remove h.h_where line
+
+(* Reconcile an evicted victim with the directory: dirty victims write
+   back, and the entry dies with the line's last cached copy. *)
+let note_eviction t cpu vline vst =
+  let e = dir_entry t vline in
+  (if vst = st_m || vst = st_o then begin
+     count_writeback t cpu;
+     if t.owner.(e) = cpu then t.owner.(e) <- -1
+   end
+   else if vst = st_e then begin
+     if t.owner.(e) = cpu then t.owner.(e) <- -1
+   end
+   else remove_sharer t e cpu);
+  if t.owner.(e) = -1 && sharers_empty t e then remove_entry t vline e
+
+(* Evict the set's LRU tail if full, place the new line, then
+   reconcile the victim with the directory. Under the multi-level
+   hierarchy the victim also leaves this CPU's L1 (inclusion), drops into
+   the evicting CPU's cell LLC if its last cached copy just died, and the
+   new line is promoted into the L1 filter. *)
+let insert_line t cpu line code =
+  let sb = sb_of t cpu line in
+  (if t.fill.(sb) >= t.nways then begin
+     let v = t.tail.(sb) in
+     let w = t.slots.(v) in
+     let vline = w asr 2 in
+     unlink t sb v;
+     Flat_tab.remove t.where.(cpu) vline;
+     free_push t sb v;
+     let s = free_pop t sb in
+     t.slots.(s) <- (line lsl 2) lor code;
+     push_front t sb s;
+     Flat_tab.set t.where.(cpu) line s;
+     note_eviction t cpu vline (w land 3);
+     match t.hx with
+     | Some h ->
+       ic_remove h.hl1 cpu vline;
+       if dir_find t vline < 0 then llc_fill t h ~cell:h.cellof.(cpu) ~line:vline
+     | None -> ()
+   end
+   else begin
+     let s = free_pop t sb in
+     t.slots.(s) <- (line lsl 2) lor code;
+     push_front t sb s;
+     Flat_tab.set t.where.(cpu) line s
+   end);
+  (* The new line was just absent from the L2, so by inclusion it cannot
+     be L1-resident: promote is a plain insert, no lookup needed. *)
+  match t.hx with
+  | Some h -> ignore (ic_insert h.hl1 cpu line : int)
+  | None -> ()
+
+(* Walk one sharer-mask word invalidating everyone but the writer,
+   accumulating victim count and worst invalidation latency into the
+   scratch fields (Topology.invalidation_latency, without building the
+   holder list). *)
+let rec invalidate_word t e line writer off size w m =
+  if m <> 0 then begin
+    let s = (w * bpw) + bit_index (m land -m) in
+    if s <> writer then begin
+      cache_remove t s line;
+      set_hint t e line s off size;
+      t.iv_count <- t.iv_count + 1;
+      t.iv_lat <- max t.iv_lat (Topology.transfer_latency t.topo ~src:writer ~dst:s)
+    end;
+    invalidate_word t e line writer off size w (m land (m - 1))
+  end
+
+(* Invalidate every copy but the writer's, recording the writer's byte
+   interval as each victim's hint; results land in iv_count / iv_lat. *)
+let invalidate_others t ~line ~writer ~off ~size =
+  let e = dir_entry t line in
+  t.iv_count <- 0;
+  t.iv_lat <- 0;
+  let o = t.owner.(e) in
+  if o >= 0 && o <> writer then begin
+    let c = cache_state_code t o line in
+    if c = st_m || c = st_o then count_writeback t o;
+    cache_remove t o line;
+    set_hint t e line o off size;
+    t.iv_count <- t.iv_count + 1;
+    t.iv_lat <- max t.iv_lat (Topology.transfer_latency t.topo ~src:writer ~dst:o);
+    t.owner.(e) <- -1
+  end;
+  for w = 0 to t.nwords - 1 do
+    invalidate_word t e line writer off size w t.sharers.((e * t.nwords) + w)
+  done;
+  (* e.sharers <- List.filter (fun s -> s = writer) e.sharers *)
+  let ww = writer / bpw in
+  for w = 0 to t.nwords - 1 do
+    let idx = (e * t.nwords) + w in
+    t.sharers.(idx) <-
+      t.sharers.(idx) land (if w = ww then 1 lsl (writer mod bpw) else 0)
+  done
+
+(* Classify a miss as cold, capacity, or true/false sharing by the pending
+   hint, clearing the entry's hint bit when the hint is consumed so the
+   hint mask stays exact. *)
+let classify_miss t ~cpu ~line ~off ~size =
+  let st = t.stats.(cpu) in
+  (* [touched] only advances here: a hit means the line is cached, and a
+     line only enters a cache through a miss that already ran this
+     classifier — so the per-access set in [access] would be redundant. *)
+  if Flat_tab.find t.touched line ~default:0 = 0 then begin
+    Flat_tab.set t.touched line 1;
+    st.Sim_stats.cold_misses <- st.Sim_stats.cold_misses + 1
+  end
+  else begin
+    let key = (line * t.ncpus) + cpu in
+    let h = Flat_tab.find t.hints key ~default:(-1) in
+    if h >= 0 then begin
+      Flat_tab.remove t.hints key;
+      let e = dir_find t line in
+      if e >= 0 then begin
+        let i = (e * t.nwords) + (cpu / bpw) in
+        t.hintm.(i) <- t.hintm.(i) land lnot (1 lsl (cpu mod bpw))
+      end;
+      let w_off = h / (t.lsize + 1) and w_len = h mod (t.lsize + 1) in
+      let overlap = off < w_off + w_len && w_off < off + size in
+      if overlap then
+        st.Sim_stats.true_sharing_misses <- st.Sim_stats.true_sharing_misses + 1
+      else
+        st.Sim_stats.false_sharing_misses <- st.Sim_stats.false_sharing_misses + 1
+    end
+    else st.Sim_stats.capacity_misses <- st.Sim_stats.capacity_misses + 1
+  end
+
+(* Nearest sharer: min transfer latency from any sharer to [cpu]. *)
+let rec nearest_word t cpu best w m =
+  if m = 0 then best
+  else
+    let s = (w * bpw) + bit_index (m land -m) in
+    let d = Topology.transfer_latency t.topo ~src:s ~dst:cpu in
+    nearest_word t cpu (min best d) w (m land (m - 1))
+
+let nearest_sharer t e cpu =
+  let rec go w best =
+    if w >= t.nwords then best
+    else go (w + 1) (nearest_word t cpu best w t.sharers.((e * t.nwords) + w))
+  in
+  go 0 max_int
+
+let lat t = Topology.latencies t.topo
+
+(* Memory-arm fetch: no L2 anywhere holds the line, so probe the victim
+   LLCs before going to memory. An LLC hit consumes the copy (the line
+   re-enters an L2, so the exclusive LLC must give it up) and costs the
+   topological distance to the holding cell, capped at the memory latency
+   — memory can always serve in parallel with a farther remote cell. *)
+let memory_fetch t ~cpu ~line =
+  match t.hx with
+  | None -> Topology.memory_latency t.topo
+  | Some h ->
+    let cell = Flat_tab.find h.h_where line ~default:(-1) in
+    if cell < 0 then Topology.memory_latency t.topo
+    else begin
+      llc_consume h ~cell ~line;
+      let st = t.stats.(cpu) in
+      (if cell = h.cellof.(cpu) then
+         st.Sim_stats.llc_local_hits <- st.Sim_stats.llc_local_hits + 1
+       else st.Sim_stats.llc_remote_hits <- st.Sim_stats.llc_remote_hits + 1);
+      min
+        (Topology.llc_hit_latency t.topo ~cpu ~cell)
+        (Topology.memory_latency t.topo)
     end
 
-  (* Mirror of Memkern.insert_line: under the hierarchy the victim leaves
-     this CPU's L1 (inclusion), drops into the CPU's cell LLC if its last
-     cached copy just died, and the new line is promoted into the L1. *)
-  let insert_line t cpu line st =
-    (match Cache.insert t.caches.(cpu) line st with
-    | None -> ()
-    | Some ((vline, _) as victim) -> (
-      note_eviction t cpu victim;
-      match t.hx with
-      | Some h ->
-        Cache.remove h.l1s.(cpu) vline;
-        if not (Hashtbl.mem t.directory vline) then
-          ignore (Cache.insert h.llcs.(h.r_cellof.(cpu)) vline Cache.Shared)
-      | None -> ()));
-    match t.hx with Some h -> l1_promote h cpu line | None -> ()
-
-  (* Invalidate every other copy of [line]; record the writer's byte
-     interval so the next miss by an invalidated CPU can be classified.
-     Returns the holders that were invalidated. *)
-  let invalidate_others t ~line ~writer ~interval =
-    let e = dir_entry t line in
-    let victims = ref [] in
-    (match e.owner with
-    | Some o when o <> writer ->
-      (match Cache.state t.caches.(o) line with
-      | Some (Cache.Modified | Cache.Owned) -> count_writeback t o
-      | Some (Cache.Exclusive | Cache.Shared) | None -> ());
-      l2_remove t o line;
-      hint_set t ~cpu:o ~line interval;
-      victims := o :: !victims;
-      e.owner <- None
-    | _ -> ());
-    List.iter
-      (fun s ->
-        if s <> writer then begin
-          l2_remove t s line;
-          hint_set t ~cpu:s ~line interval;
-          victims := s :: !victims
-        end)
-      e.sharers;
-    e.sharers <- List.filter (fun s -> s = writer) e.sharers;
-    !victims
-
-  let classify_miss t ~cpu ~line ~off ~size =
+(* Cost of an access served by the private L2: l2_hit under the hierarchy
+   (the L1 was missed), the flat l1_hit cost otherwise. Also promotes the
+   line into the L1 filter so the next access hits there. [l1s] is the
+   line's L1 slot if the caller already looked it up (-1 when absent or
+   no hierarchy), so the promote never re-probes. *)
+let l2_hit_cost t cpu line ~l1s =
+  match t.hx with
+  | Some h ->
     let st = t.stats.(cpu) in
-    if not (Hashtbl.mem t.touched line) then
-      st.Sim_stats.cold_misses <- st.Sim_stats.cold_misses + 1
-    else
-      match hint_find t ~cpu ~line with
-      | Some (w_off, w_len) ->
-        hint_consume t ~cpu ~line;
-        let overlap = off < w_off + w_len && w_off < off + size in
-        if overlap then
-          st.Sim_stats.true_sharing_misses <- st.Sim_stats.true_sharing_misses + 1
-        else
-          st.Sim_stats.false_sharing_misses <-
-            st.Sim_stats.false_sharing_misses + 1
-      | None -> st.Sim_stats.capacity_misses <- st.Sim_stats.capacity_misses + 1
+    st.Sim_stats.l2_hits <- st.Sim_stats.l2_hits + 1;
+    if l1s >= 0 then ic_touch_slot h.hl1 cpu line l1s
+    else ignore (ic_insert h.hl1 cpu line : int);
+    Topology.l2_hit_latency t.topo
+  | None -> (lat t).Topology.l1_hit
 
-  let lat t = Topology.latencies t.topo
+(* ---------- protocol ---------- *)
 
-  (* Mirror of Memkern.memory_fetch: no L2 anywhere holds the line, so
-     probe the victim LLCs before memory; a hit consumes the copy and
-     costs the distance to the holding cell, capped at memory latency. *)
-  let memory_fetch t ~cpu ~line =
-    match t.hx with
-    | None -> Topology.memory_latency t.topo
-    | Some h ->
-      let cell = llc_find h line in
-      if cell < 0 then Topology.memory_latency t.topo
-      else begin
-        Cache.remove h.llcs.(cell) line;
-        let st = t.stats.(cpu) in
-        (if cell = h.r_cellof.(cpu) then
-           st.Sim_stats.llc_local_hits <- st.Sim_stats.llc_local_hits + 1
-         else st.Sim_stats.llc_remote_hits <- st.Sim_stats.llc_remote_hits + 1);
-        min
-          (Topology.llc_hit_latency t.topo ~cpu ~cell)
-          (Topology.memory_latency t.topo)
-      end
-
-  (* Mirror of Memkern.l2_hit_cost. *)
-  let l2_hit_cost t cpu line =
-    match t.hx with
-    | Some h ->
-      let st = t.stats.(cpu) in
-      st.Sim_stats.l2_hits <- st.Sim_stats.l2_hits + 1;
-      l1_promote h cpu line;
-      Topology.l2_hit_latency t.topo
-    | None -> (lat t).Topology.l1_hit
-
-  let read t ~cpu ~line ~off ~size =
-    let cache = t.caches.(cpu) in
-    let st = t.stats.(cpu) in
-    match t.hx with
-    | Some h when l1_resident h cpu line ->
-      (* L1 filter hit: inclusion guarantees a readable L2 copy, so the
-         access completes entirely in the private L1 (mirror of
-         Memkern.read's L1 arm; the L2 LRU is deliberately untouched). *)
-      Cache.touch h.l1s.(cpu) line;
+let read t ~cpu ~line ~off ~size =
+  let st = t.stats.(cpu) in
+  let l1s = match t.hx with Some h -> ic_find h.hl1 cpu line | None -> -1 in
+  if l1s >= 0 then begin
+    (* L1 filter hit: inclusion guarantees an L2 copy in some readable
+       state, so the access completes entirely in the private L1. The L2
+       LRU is deliberately not touched — a real L1 shields it. *)
+    (match t.hx with
+    | Some h -> ic_touch_slot h.hl1 cpu line l1s
+    | None -> assert false);
+    st.Sim_stats.hits <- st.Sim_stats.hits + 1;
+    st.Sim_stats.l1_hits <- st.Sim_stats.l1_hits + 1;
+    (lat t).Topology.l1_hit
+  end
+  else begin
+    let s = cache_slot t cpu line in
+    if s >= 0 then begin
+      touch_slot t (sb_of t cpu line) s;
       st.Sim_stats.hits <- st.Sim_stats.hits + 1;
-      st.Sim_stats.l1_hits <- st.Sim_stats.l1_hits + 1;
-      (lat t).Topology.l1_hit
-    | _ -> (
-    match Cache.state cache line with
-    | Some _ ->
-      Cache.touch cache line;
-      st.Sim_stats.hits <- st.Sim_stats.hits + 1;
-      l2_hit_cost t cpu line
-    | None ->
+      l2_hit_cost t cpu line ~l1s
+    end
+    else begin
       classify_miss t ~cpu ~line ~off ~size;
       let e = dir_entry t line in
       let latency =
-        match e.owner with
-        | Some o ->
+        let o = t.owner.(e) in
+        if o >= 0 then begin
           (* Owner supplies the data cache-to-cache. MESI: M downgrades to S
              with a writeback; MOESI: M downgrades to O, deferring the
              writeback; E downgrades to S (clean); O stays O. *)
-          (match Cache.state t.caches.(o) line with
-          | Some Cache.Modified -> (
-            match t.proto with
-            | Mesi ->
+          let c = cache_state_code t o line in
+          if c = st_m then
+            if not t.moesi then begin
               count_writeback t o;
-              Cache.set_state t.caches.(o) line Cache.Shared;
-              e.owner <- None;
-              add_sharer e o
-            | Moesi -> Cache.set_state t.caches.(o) line Cache.Owned)
-          | Some Cache.Exclusive ->
-            Cache.set_state t.caches.(o) line Cache.Shared;
-            e.owner <- None;
-            add_sharer e o
-          | Some Cache.Owned -> ()
-          | Some Cache.Shared | None ->
+              cache_set_state t o line st_s;
+              t.owner.(e) <- -1;
+              add_sharer t e o
+            end
+            else cache_set_state t o line st_o
+          else if c = st_e then begin
+            cache_set_state t o line st_s;
+            t.owner.(e) <- -1;
+            add_sharer t e o
+          end
+          else if c = st_o then ()
+          else
             (* Directory said owner but cache disagrees: repair. *)
-            e.owner <- None);
-          add_sharer e cpu;
+            t.owner.(e) <- -1;
+          add_sharer t e cpu;
           Topology.transfer_latency t.topo ~src:o ~dst:cpu
-        | None ->
-          if e.sharers <> [] then begin
-            let nearest =
-              List.fold_left
-                (fun acc s ->
-                  let d = Topology.transfer_latency t.topo ~src:s ~dst:cpu in
-                  min acc d)
-                max_int e.sharers
-            in
-            add_sharer e cpu;
-            nearest
-          end
-          else begin
-            (* No cached copy anywhere: LLC probe or memory fetch, Exclusive. *)
-            e.owner <- Some cpu;
-            memory_fetch t ~cpu ~line
-          end
+        end
+        else if not (sharers_empty t e) then begin
+          let nearest = nearest_sharer t e cpu in
+          add_sharer t e cpu;
+          nearest
+        end
+        else begin
+          (* No cached copy anywhere: LLC probe or memory fetch, Exclusive. *)
+          t.owner.(e) <- cpu;
+          memory_fetch t ~cpu ~line
+        end
       in
-      let state = if e.owner = Some cpu then Cache.Exclusive else Cache.Shared in
-      insert_line t cpu line state;
-      latency)
+      let code = if t.owner.(e) = cpu then st_e else st_s in
+      insert_line t cpu line code;
+      latency
+    end
+  end
 
-  let write t ~cpu ~line ~off ~size =
-    let cache = t.caches.(cpu) in
-    let st = t.stats.(cpu) in
-    let interval = (off, size) in
-    match t.hx with
-    | Some h when l1_resident h cpu line && Cache.state cache line = Some Cache.Modified
-      ->
-      (* The only write the L1 filter can absorb alone: the line is
-         already Modified, so no directory action or state change is
-         needed (mirror of Memkern.write's L1 arm). *)
-      Cache.touch h.l1s.(cpu) line;
-      st.Sim_stats.hits <- st.Sim_stats.hits + 1;
-      st.Sim_stats.l1_hits <- st.Sim_stats.l1_hits + 1;
-      (lat t).Topology.l1_hit
-    | _ -> (
-    match Cache.state cache line with
-    | Some Cache.Modified ->
-      Cache.touch cache line;
-      st.Sim_stats.hits <- st.Sim_stats.hits + 1;
-      l2_hit_cost t cpu line
-    | Some Cache.Exclusive ->
-      (* Silent E->M upgrade. *)
-      Cache.set_state cache line Cache.Modified;
-      let e = dir_entry t line in
-      e.owner <- Some cpu;
-      st.Sim_stats.hits <- st.Sim_stats.hits + 1;
-      l2_hit_cost t cpu line
-    | Some (Cache.Shared | Cache.Owned) ->
-      (* Upgrade: invalidate every other copy; we already have the data. *)
-      st.Sim_stats.hits <- st.Sim_stats.hits + 1;
-      st.Sim_stats.upgrades <- st.Sim_stats.upgrades + 1;
-      let victims = invalidate_others t ~line ~writer:cpu ~interval in
-      st.Sim_stats.invalidations <-
-        st.Sim_stats.invalidations + List.length victims;
-      let e = dir_entry t line in
-      remove_sharer e cpu;
-      e.owner <- Some cpu;
-      e.sharers <- [];
-      Cache.set_state cache line Cache.Modified;
-      let inv_lat =
-        Topology.invalidation_latency t.topo ~writer:cpu ~holders:victims
-      in
-      max (l2_hit_cost t cpu line) inv_lat
-    | None ->
+let write t ~cpu ~line ~off ~size =
+  let st = t.stats.(cpu) in
+  let l1s = match t.hx with Some h -> ic_find h.hl1 cpu line | None -> -1 in
+  let s = cache_slot t cpu line in
+  if l1s >= 0 && s >= 0 && t.slots.(s) land 3 = st_m then begin
+    (* The only write the L1 filter can absorb alone: the line is already
+       Modified, so no directory action or state change is needed. Every
+       other L1-resident write (E silent upgrade, S/O upgrade) must reach
+       the L2, where the coherence state lives. *)
+    (match t.hx with
+    | Some h -> ic_touch_slot h.hl1 cpu line l1s
+    | None -> assert false);
+    st.Sim_stats.hits <- st.Sim_stats.hits + 1;
+    st.Sim_stats.l1_hits <- st.Sim_stats.l1_hits + 1;
+    (lat t).Topology.l1_hit
+  end
+  else begin
+    if s >= 0 then begin
+      let c = t.slots.(s) land 3 in
+      if c = st_m then begin
+        touch_slot t (sb_of t cpu line) s;
+        st.Sim_stats.hits <- st.Sim_stats.hits + 1;
+        l2_hit_cost t cpu line ~l1s
+      end
+      else if c = st_e then begin
+        (* Silent E->M upgrade. *)
+        t.slots.(s) <- t.slots.(s) land lnot 3 lor st_m;
+        touch_slot t (sb_of t cpu line) s;
+        let e = dir_entry t line in
+        t.owner.(e) <- cpu;
+        st.Sim_stats.hits <- st.Sim_stats.hits + 1;
+        l2_hit_cost t cpu line ~l1s
+      end
+      else begin
+        (* S or O. Upgrade: invalidate every other copy; we have the data. *)
+        st.Sim_stats.hits <- st.Sim_stats.hits + 1;
+        st.Sim_stats.upgrades <- st.Sim_stats.upgrades + 1;
+        invalidate_others t ~line ~writer:cpu ~off ~size;
+        st.Sim_stats.invalidations <- st.Sim_stats.invalidations + t.iv_count;
+        let e = dir_entry t line in
+        t.owner.(e) <- cpu;
+        clear_sharers t e;
+        (* invalidate_others can't evict this CPU's copy, so slot s stands. *)
+        t.slots.(s) <- t.slots.(s) land lnot 3 lor st_m;
+        touch_slot t (sb_of t cpu line) s;
+        max (l2_hit_cost t cpu line ~l1s) t.iv_lat
+      end
+    end
+    else begin
       classify_miss t ~cpu ~line ~off ~size;
       let e = dir_entry t line in
       let fetch_latency =
-        match e.owner with
-        | Some o -> Topology.transfer_latency t.topo ~src:o ~dst:cpu
-        | None ->
-          if e.sharers <> [] then
-            (* Data can come from a sharer; invalidations proceed in
-               parallel; pay the farther of the two below. *)
-            List.fold_left
-              (fun acc s ->
-                min acc (Topology.transfer_latency t.topo ~src:s ~dst:cpu))
-              max_int e.sharers
-          else memory_fetch t ~cpu ~line
+        let o = t.owner.(e) in
+        if o >= 0 then Topology.transfer_latency t.topo ~src:o ~dst:cpu
+        else if not (sharers_empty t e) then
+          (* Data can come from a sharer; invalidations proceed in parallel;
+             pay the farther of the two below. *)
+          nearest_sharer t e cpu
+        else memory_fetch t ~cpu ~line
       in
-      let victims = invalidate_others t ~line ~writer:cpu ~interval in
-      st.Sim_stats.invalidations <-
-        st.Sim_stats.invalidations + List.length victims;
-      let inv_lat =
-        Topology.invalidation_latency t.topo ~writer:cpu ~holders:victims
-      in
+      invalidate_others t ~line ~writer:cpu ~off ~size;
+      st.Sim_stats.invalidations <- st.Sim_stats.invalidations + t.iv_count;
+      let inv_lat = t.iv_lat in
       let e = dir_entry t line in
-      e.owner <- Some cpu;
-      e.sharers <- [];
-      insert_line t cpu line Cache.Modified;
-      max fetch_latency inv_lat)
-
-  let access t ~cpu ~addr ~size ~is_write =
-    if cpu < 0 || cpu >= Array.length t.caches then
-      invalid_arg (Printf.sprintf "Coherence.access: cpu %d out of range" cpu);
-    if size <= 0 then invalid_arg "Coherence.access: size <= 0";
-    let line = addr / t.lsize in
-    let off = addr mod t.lsize in
-    if off + size > t.lsize then
-      invalid_arg
-        (Printf.sprintf
-           "Coherence.access: access at %d size %d straddles a %d-byte line"
-           addr size t.lsize);
-    let st = t.stats.(cpu) in
-    if is_write then st.Sim_stats.stores <- st.Sim_stats.stores + 1
-    else st.Sim_stats.loads <- st.Sim_stats.loads + 1;
-    let latency =
-      if is_write then write t ~cpu ~line ~off ~size
-      else read t ~cpu ~line ~off ~size
-    in
-    Hashtbl.replace t.touched line ();
-    st.Sim_stats.stall_cycles <- st.Sim_stats.stall_cycles + latency;
-    latency
-
-  let holders t ~line =
-    match Hashtbl.find_opt t.directory line with
-    | None -> []
-    | Some e ->
-      let base = e.sharers in
-      let all = match e.owner with Some o -> o :: base | None -> base in
-      List.sort_uniq compare all
-
-  (* Mirror of Memkern.ifetch: fetch every I-cache line overlapping
-     [addr, addr + size). Hits cost l1_hit, misses a memory fetch; the
-     evicted victim (if any) is simply dropped — code is never dirty. *)
-  let ifetch t ~cpu ~addr ~size =
-    match t.ic with
-    | None -> invalid_arg "Coherence.ifetch: no instruction cache configured"
-    | Some ic ->
-      if cpu < 0 || cpu >= Array.length t.caches then
-        invalid_arg (Printf.sprintf "Coherence.ifetch: cpu %d out of range" cpu);
-      if size <= 0 then invalid_arg "Coherence.ifetch: size <= 0";
-      if addr < 0 then invalid_arg "Coherence.ifetch: addr < 0";
-      let st = t.stats.(cpu) in
-      let cache = ic.icaches.(cpu) in
-      let first = addr / ic.ic_lsize and last = (addr + size - 1) / ic.ic_lsize in
-      let total = ref 0 in
-      for line = first to last do
-        st.Sim_stats.ifetches <- st.Sim_stats.ifetches + 1;
-        match Cache.state cache line with
-        | Some _ ->
-          Cache.touch cache line;
-          total := !total + (lat t).Topology.l1_hit
-        | None ->
-          st.Sim_stats.imisses <- st.Sim_stats.imisses + 1;
-          ignore (Cache.insert cache line Cache.Shared);
-          total := !total + Topology.memory_latency t.topo
-      done;
-      st.Sim_stats.istall_cycles <- st.Sim_stats.istall_cycles + !total;
-      !total
-
-  let icache_resident t ~cpu ~line =
-    match t.ic with
-    | None -> false
-    | Some ic -> Cache.state ic.icaches.(cpu) line <> None
-
-  let l1_resident_at t ~cpu ~line =
-    match t.hx with None -> false | Some h -> l1_resident h cpu line
-
-  let llc_cell t ~line =
-    match t.hx with
-    | None -> None
-    | Some h ->
-      let c = llc_find h line in
-      if c < 0 then None else Some c
-
-  let check_invariants t =
-    let fail fmt = Format.kasprintf invalid_arg fmt in
-    let state_name = function
-      | None -> "nothing"
-      | Some Cache.Shared -> "S"
-      | Some Cache.Modified -> "M"
-      | Some Cache.Exclusive -> "E"
-      | Some Cache.Owned -> "O"
-    in
-    (* Directory -> caches *)
-    Hashtbl.iter
-      (fun line e ->
-        (match e.owner with
-        | Some o ->
-          (match Cache.state t.caches.(o) line with
-          | Some (Cache.Modified | Cache.Exclusive) ->
-            if e.sharers <> [] then
-              fail "Coherence invariant: line %d has M/E owner %d and sharers"
-                line o
-          | Some Cache.Owned ->
-            if t.proto = Mesi then
-              fail "Coherence invariant: Owned state under MESI (line %d)" line
-          | other ->
-            fail "Coherence invariant: owner %d of line %d holds %s" o line
-              (state_name other));
-          if List.mem o e.sharers then
-            fail "Coherence invariant: owner %d of line %d is also a sharer" o
-              line
-        | None -> ());
-        List.iter
-          (fun s ->
-            match Cache.state t.caches.(s) line with
-            | Some Cache.Shared -> ()
-            | other ->
-              fail "Coherence invariant: sharer %d of line %d holds %s" s line
-                (state_name other))
-          e.sharers)
-      t.directory;
-    (* Caches -> directory *)
-    Array.iteri
-      (fun cpu cache ->
-        Cache.iter cache (fun line st ->
-            let e =
-              match Hashtbl.find_opt t.directory line with
-              | Some e -> e
-              | None ->
-                fail "Coherence invariant: line %d cached but not in directory"
-                  line
-            in
-            match st with
-            | Cache.Modified | Cache.Exclusive | Cache.Owned ->
-              if e.owner <> Some cpu then
-                fail
-                  "Coherence invariant: cpu %d holds line %d in %s but is not \
-                   owner"
-                  cpu line (state_name (Some st))
-            | Cache.Shared ->
-              if not (List.mem cpu e.sharers) then
-                fail
-                  "Coherence invariant: cpu %d holds line %d in S but is not a \
-                   sharer"
-                  cpu line))
-      t.caches;
-    (* Hints -> directory: a hint must not outlive its line's directory
-       entry (the staleness fix). *)
-    Hashtbl.iter
-      (fun line hints ->
-        if hints = [] then
-          fail "Coherence invariant: empty hint list kept for line %d" line;
-        if not (Hashtbl.mem t.directory line) then
-          fail "Coherence invariant: invalidation hint outlives line %d" line)
-      t.inv_hints;
-    (* Hierarchy: L1 inclusion, LLC exclusivity and single-cell residency. *)
-    match t.hx with
-    | None -> ()
-    | Some h ->
-      Array.iteri
-        (fun cpu l1 ->
-          Cache.iter l1 (fun line _ ->
-              if Cache.state t.caches.(cpu) line = None then
-                fail "Coherence invariant: L1 line %d of cpu %d not in L2" line
-                  cpu))
-        h.l1s;
-      let seen = Hashtbl.create 64 in
-      Array.iteri
-        (fun cell llc ->
-          Cache.iter llc (fun line _ ->
-              if Hashtbl.mem t.directory line then
-                fail
-                  "Coherence invariant: LLC line %d coexists with a directory \
-                   entry"
-                  line;
-              if Hashtbl.mem seen line then
-                fail "Coherence invariant: LLC line %d resident in two cells"
-                  line;
-              Hashtbl.replace seen line cell))
-        h.llcs
-end
-
-(* Dispatcher: the flat kernel is the default everyone rides (Machine,
-   slayout, bench, Trace_oracle); the boxed reference stays addressable for
-   differential tests and as the bench sim_scale baseline. *)
-type t = Flat_k of Memkern.t | Ref_k of Ref.t
-
-let create topo ~line_size ~cache_capacity ?ways ?icache ?hierarchy
-    ?(protocol = Mesi) ?(backend = Flat) () =
-  match backend with
-  | Flat ->
-    Flat_k
-      (Memkern.create topo ~line_size ~cache_capacity ?ways ?icache ?hierarchy
-         ~moesi:(protocol = Moesi) ())
-  | Reference ->
-    Ref_k
-      (Ref.create topo ~line_size ~cache_capacity ?ways ?icache ?hierarchy
-         ~protocol ())
-
-let backend = function Flat_k _ -> Flat | Ref_k _ -> Reference
-
-let line_size = function
-  | Flat_k k -> Memkern.line_size k
-  | Ref_k r -> r.Ref.lsize
-
-let topology = function
-  | Flat_k k -> Memkern.topology k
-  | Ref_k r -> r.Ref.topo
-
-let protocol = function
-  | Flat_k k -> if Memkern.moesi k then Moesi else Mesi
-  | Ref_k r -> r.Ref.proto
+      t.owner.(e) <- cpu;
+      clear_sharers t e;
+      insert_line t cpu line st_m;
+      max fetch_latency inv_lat
+    end
+  end
 
 let access t ~cpu ~addr ~size ~is_write =
-  match t with
-  | Flat_k k -> Memkern.access k ~cpu ~addr ~size ~is_write
-  | Ref_k r -> Ref.access r ~cpu ~addr ~size ~is_write
+  if cpu < 0 || cpu >= t.ncpus then
+    invalid_arg (Printf.sprintf "Coherence.access: cpu %d out of range" cpu);
+  if size <= 0 then invalid_arg "Coherence.access: size <= 0";
+  if addr < 0 then invalid_arg "Coherence.access: addr < 0";
+  let line = addr / t.lsize in
+  let off = addr mod t.lsize in
+  if off + size > t.lsize then
+    invalid_arg
+      (Printf.sprintf
+         "Coherence.access: access at %d size %d straddles a %d-byte line" addr
+         size t.lsize);
+  let st = t.stats.(cpu) in
+  if is_write then st.Sim_stats.stores <- st.Sim_stats.stores + 1
+  else st.Sim_stats.loads <- st.Sim_stats.loads + 1;
+  let latency =
+    if is_write then write t ~cpu ~line ~off ~size
+    else read t ~cpu ~line ~off ~size
+  in
+  st.Sim_stats.stall_cycles <- st.Sim_stats.stall_cycles + latency;
+  latency
 
-let has_icache = function
-  | Flat_k k -> Memkern.has_icache k
-  | Ref_k r -> r.Ref.ic <> None
+(* ---------- instruction fetch ---------- *)
 
-let icache_line_size = function
-  | Flat_k k -> Memkern.icache_line_size k
-  | Ref_k r -> (
-    match r.Ref.ic with
-    | None -> invalid_arg "Coherence.icache_line_size: no instruction cache"
-    | Some ic -> ic.Ref.ic_lsize)
+let has_icache t = t.ic <> None
 
+let icache_line_size t =
+  match t.ic with
+  | None -> invalid_arg "Coherence.icache_line_size: no instruction cache"
+  | Some ic -> ic.ic_lsize
+
+(* Fetch the instruction bytes [addr, addr + size): every I-cache line the
+   range overlaps is fetched, line by line. Hits cost l1_hit, misses a
+   memory fetch; there is no cache-to-cache path (code is read-only and
+   clean everywhere, so memory is always as close as any peer). *)
 let ifetch t ~cpu ~addr ~size =
-  match t with
-  | Flat_k k -> Memkern.ifetch k ~cpu ~addr ~size
-  | Ref_k r -> Ref.ifetch r ~cpu ~addr ~size
+  match t.ic with
+  | None -> invalid_arg "Coherence.ifetch: no instruction cache configured"
+  | Some ic ->
+    if cpu < 0 || cpu >= t.ncpus then
+      invalid_arg (Printf.sprintf "Coherence.ifetch: cpu %d out of range" cpu);
+    if size <= 0 then invalid_arg "Coherence.ifetch: size <= 0";
+    if addr < 0 then invalid_arg "Coherence.ifetch: addr < 0";
+    let st = t.stats.(cpu) in
+    let first = addr / ic.ic_lsize and last = (addr + size - 1) / ic.ic_lsize in
+    let total = ref 0 in
+    for line = first to last do
+      st.Sim_stats.ifetches <- st.Sim_stats.ifetches + 1;
+      let s = ic_find ic cpu line in
+      if s >= 0 then begin
+        ic_touch_slot ic cpu line s;
+        total := !total + (lat t).Topology.l1_hit
+      end
+      else begin
+        st.Sim_stats.imisses <- st.Sim_stats.imisses + 1;
+        ignore (ic_insert ic cpu line : int);
+        total := !total + Topology.memory_latency t.topo
+      end
+    done;
+    st.Sim_stats.istall_cycles <- st.Sim_stats.istall_cycles + !total;
+    !total
 
 let icache_resident t ~cpu ~line =
-  match t with
-  | Flat_k k -> Memkern.icache_resident k ~cpu ~line
-  | Ref_k r -> Ref.icache_resident r ~cpu ~line
+  match t.ic with
+  | None -> false
+  | Some ic -> ic_resident ic cpu line
 
-let has_hierarchy = function
-  | Flat_k k -> Memkern.has_hierarchy k
-  | Ref_k r -> r.Ref.hx <> None
+let stats t ~cpu = t.stats.(cpu)
+let total_stats t = Sim_stats.sum (Array.to_list t.stats)
 
-let l1_resident t ~cpu ~line =
-  match t with
-  | Flat_k k -> Memkern.l1_resident k ~cpu ~line
-  | Ref_k r -> Ref.l1_resident_at r ~cpu ~line
-
-let llc_cell t ~line =
-  match t with
-  | Flat_k k -> Memkern.llc_cell k ~line
-  | Ref_k r -> Ref.llc_cell r ~line
-
-let num_cells = function
-  | Flat_k k -> Memkern.num_cells k
-  | Ref_k r -> (
-    match r.Ref.hx with None -> 1 | Some h -> h.Ref.r_ncells)
-
-let stats t ~cpu =
-  match t with
-  | Flat_k k -> Memkern.stats k ~cpu
-  | Ref_k r -> r.Ref.stats.(cpu)
-
-let total_stats = function
-  | Flat_k k -> Memkern.total_stats k
-  | Ref_k r -> Sim_stats.sum (Array.to_list r.Ref.stats)
-
-let holders t ~line =
-  match t with
-  | Flat_k k -> Memkern.holders k ~line
-  | Ref_k r -> Ref.holders r ~line
+(* ---------- introspection (cold paths; allocation is fine here) ---------- *)
 
 let owner t ~line =
-  match t with
-  | Flat_k k -> Memkern.owner k ~line
-  | Ref_k r -> (
-    match Hashtbl.find_opt r.Ref.directory line with
-    | None -> None
-    | Some e -> e.Ref.owner)
+  let e = dir_find t line in
+  if e < 0 then None
+  else
+    let o = t.owner.(e) in
+    if o < 0 then None else Some o
+
+let fold_mask_cpus t base f init =
+  (* fold over the set bits of the nwords-word mask starting at [base] *)
+  let acc = ref init in
+  for w = 0 to t.nwords - 1 do
+    let m = ref t.sharers.(base + w) in
+    while !m <> 0 do
+      acc := f !acc ((w * bpw) + bit_index (!m land - !m));
+      m := !m land (!m - 1)
+    done
+  done;
+  !acc
 
 let sharers t ~line =
-  match t with
-  | Flat_k k -> Memkern.sharers k ~line
-  | Ref_k r -> (
-    match Hashtbl.find_opt r.Ref.directory line with
-    | None -> []
-    | Some e -> e.Ref.sharers)
+  let e = dir_find t line in
+  if e < 0 then []
+  else List.rev (fold_mask_cpus t (e * t.nwords) (fun acc c -> c :: acc) [])
+
+let holders t ~line =
+  let e = dir_find t line in
+  if e < 0 then []
+  else
+    let base = sharers t ~line in
+    let all = match owner t ~line with Some o -> o :: base | None -> base in
+    List.sort_uniq compare all
 
 let cache_state t ~cpu ~line =
-  match t with
-  | Flat_k k -> Memkern.cache_state k ~cpu ~line
-  | Ref_k r -> Cache.state r.Ref.caches.(cpu) line
+  let c = cache_state_code t cpu line in
+  if c < 0 then None else Some (state_of_code c)
 
 let inv_hint t ~cpu ~line =
-  match t with
-  | Flat_k k -> Memkern.inv_hint k ~cpu ~line
-  | Ref_k r -> Ref.hint_find r ~cpu ~line
+  let h = Flat_tab.find t.hints ((line * t.ncpus) + cpu) ~default:(-1) in
+  if h < 0 then None else Some (h / (t.lsize + 1), h mod (t.lsize + 1))
 
-let touched t ~line =
-  match t with
-  | Flat_k k -> Memkern.touched k ~line
-  | Ref_k r -> Hashtbl.mem r.Ref.touched line
+let touched t ~line = Flat_tab.find t.touched line ~default:0 <> 0
 
-let check_invariants = function
-  | Flat_k k -> Memkern.check_invariants k
-  | Ref_k r -> Ref.check_invariants r
+let has_hierarchy t = t.hx <> None
 
-let kstats = function
-  | Flat_k k -> Some (Memkern.kstats k)
-  | Ref_k _ -> None
+let l1_resident t ~cpu ~line =
+  match t.hx with None -> false | Some h -> ic_resident h.hl1 cpu line
+
+let llc_cell t ~line =
+  match t.hx with
+  | None -> None
+  | Some h ->
+    let c = Flat_tab.find h.h_where line ~default:(-1) in
+    if c < 0 then None else Some c
+
+let num_cells t = match t.hx with None -> 1 | Some h -> h.ncells
+
+type kstats = {
+  k_dir_live : int;
+  k_dir_peak : int;
+  k_hint_drops : int;
+  k_probe_steps : int;
+  k_llc_fills : int;
+}
+
+let kstats t =
+  let rc_probes ic =
+    Array.fold_left (fun acc w -> acc + Flat_tab.probe_steps w) 0 ic.ic_where
+  in
+  let probes =
+    Array.fold_left (fun acc w -> acc + Flat_tab.probe_steps w) 0 t.where
+    + Flat_tab.probe_steps t.dir
+    + Flat_tab.probe_steps t.hints
+    + Flat_tab.probe_steps t.touched
+    + (match t.hx with
+      | None -> 0
+      | Some h ->
+        rc_probes h.hl1 + rc_probes h.hllc + Flat_tab.probe_steps h.h_where)
+  in
+  {
+    k_dir_live = t.dir_live;
+    k_dir_peak = t.dir_peak;
+    k_hint_drops = t.hint_drops;
+    k_probe_steps = probes;
+    k_llc_fills = t.llc_fills;
+  }
+
+(* ---------- invariants ---------- *)
+
+let check_invariants t =
+  let fail fmt = Format.kasprintf invalid_arg fmt in
+  let state_name c =
+    if c < 0 then "nothing"
+    else
+      match state_of_code c with
+      | Cache.Modified -> "M"
+      | Cache.Owned -> "O"
+      | Cache.Exclusive -> "E"
+      | Cache.Shared -> "S"
+  in
+  (* Directory -> caches *)
+  Flat_tab.iter t.dir (fun line e ->
+      let o = t.owner.(e) in
+      (if o >= 0 then begin
+         (match cache_state_code t o line with
+         | c when c = st_m || c = st_e ->
+           if not (sharers_empty t e) then
+             fail "Coherence invariant: line %d has M/E owner %d and sharers"
+               line o
+         | c when c = st_o ->
+           if not t.moesi then
+             fail "Coherence invariant: Owned state under MESI (line %d)" line
+         | c ->
+           fail "Coherence invariant: owner %d of line %d holds %s" o line
+             (state_name c));
+         if sharer_mem t e o then
+           fail "Coherence invariant: owner %d of line %d is in the sharer mask"
+             o line
+       end);
+      ignore
+        (fold_mask_cpus t (e * t.nwords)
+           (fun () s ->
+             if cache_state_code t s line <> st_s then
+               fail "Coherence invariant: sharer %d of line %d holds %s" s line
+                 (state_name (cache_state_code t s line)))
+           ());
+      (* hint mask bits <-> hint table entries *)
+      for w = 0 to t.nwords - 1 do
+        let m = ref t.hintm.((e * t.nwords) + w) in
+        while !m <> 0 do
+          let cpu = (w * bpw) + bit_index (!m land - !m) in
+          if not (Flat_tab.mem t.hints ((line * t.ncpus) + cpu)) then
+            fail "Coherence invariant: hint bit for cpu %d line %d has no hint"
+              cpu line;
+          m := !m land (!m - 1)
+        done
+      done);
+  (* Caches -> directory, plus representation invariants *)
+  for cpu = 0 to t.ncpus - 1 do
+    Flat_tab.iter t.where.(cpu) (fun line s ->
+        let w = t.slots.(s) in
+        if w < 0 || w asr 2 <> line then
+          fail "Coherence invariant: cpu %d slot %d word disagrees with line %d"
+            cpu s line;
+        if s / (t.nsets * t.nways) <> cpu then
+          fail "Coherence invariant: line %d of cpu %d stored in foreign slot %d"
+            line cpu s;
+        if s / t.nways mod t.nsets <> line mod t.nsets then
+          fail "Coherence invariant: line %d of cpu %d stored in wrong set" line
+            cpu;
+        let e = dir_find t line in
+        if e < 0 then
+          fail "Coherence invariant: line %d cached but not in directory" line;
+        let c = w land 3 in
+        if c = st_m || c = st_e || c = st_o then begin
+          if t.owner.(e) <> cpu then
+            fail "Coherence invariant: cpu %d holds line %d in %s but is not owner"
+              cpu line (state_name c)
+        end
+        else if not (sharer_mem t e cpu) then
+          fail "Coherence invariant: cpu %d holds line %d in S but is not a sharer"
+            cpu line);
+    (* LRU chains: fill slots + free slots account for every way, links are
+       mutually consistent, chained slots belong to the where table. *)
+    for set = 0 to t.nsets - 1 do
+      let sb = (cpu * t.nsets) + set in
+      let n = ref 0 in
+      let s = ref t.head.(sb) in
+      let prev = ref (-1) in
+      while !s >= 0 do
+        incr n;
+        if !n > t.nways then fail "Coherence invariant: LRU chain longer than ways";
+        if t.prv.(!s) <> !prev then
+          fail "Coherence invariant: LRU back-link broken at slot %d" !s;
+        let line = t.slots.(!s) asr 2 in
+        if Flat_tab.find t.where.(cpu) line ~default:(-1) <> !s then
+          fail "Coherence invariant: chained slot %d not in where table" !s;
+        prev := !s;
+        s := t.nxt.(!s)
+      done;
+      if t.tail.(sb) <> !prev then
+        fail "Coherence invariant: LRU tail mismatch in set %d of cpu %d" set cpu;
+      if !n <> t.fill.(sb) then
+        fail "Coherence invariant: fill %d but %d chained slots (cpu %d set %d)"
+          t.fill.(sb) !n cpu set;
+      let fr = ref 0 in
+      let s = ref t.free_head.(sb) in
+      while !s >= 0 do
+        incr fr;
+        if !fr > t.nways then fail "Coherence invariant: free chain cycle";
+        if t.slots.(!s) <> -1 then
+          fail "Coherence invariant: free slot %d holds a line" !s;
+        s := t.nxt.(!s)
+      done;
+      if !n + !fr <> t.nways then
+        fail "Coherence invariant: %d live + %d free slots != %d ways" !n !fr
+          t.nways
+    done
+  done;
+  (* Hint table -> directory: every pending hint belongs to a live entry
+     with the matching mask bit (the staleness fix keeps this exact). *)
+  Flat_tab.iter t.hints (fun key _ ->
+      let line = key / t.ncpus and cpu = key mod t.ncpus in
+      let e = dir_find t line in
+      if e < 0 then
+        fail "Coherence invariant: hint for cpu %d on dead line %d" cpu line;
+      if t.hintm.((e * t.nwords) + (cpu / bpw)) land (1 lsl (cpu mod bpw)) = 0
+      then fail "Coherence invariant: hint for cpu %d line %d not in hint mask"
+          cpu line);
+  (* Residency-cache representation (I-cache, L1 filter, victim LLC): LRU
+     chains and fill counts agree, chained slots belong to the where
+     table, live + free slots account for every way of every set. *)
+  let check_rc what ic nunits =
+    for u = 0 to nunits - 1 do
+      ic_iter_unit ic u (fun line s ->
+          if ic.ic_slots.(s) <> line then
+            fail "Coherence invariant: %s slot %d disagrees with line %d" what s
+              line;
+          if s / (ic.ic_nsets * ic.ic_nways) <> u then
+            fail "Coherence invariant: %s line %d of unit %d in foreign slot"
+              what line u;
+          if s / ic.ic_nways mod ic.ic_nsets <> line mod ic.ic_nsets then
+            fail "Coherence invariant: %s line %d of unit %d in wrong set" what
+              line u);
+      for set = 0 to ic.ic_nsets - 1 do
+        let sb = (u * ic.ic_nsets) + set in
+        let n = ref 0 in
+        let s = ref ic.ic_head.(sb) in
+        let prev = ref (-1) in
+        while !s >= 0 do
+          incr n;
+          if !n > ic.ic_nways then
+            fail "Coherence invariant: %s LRU chain longer than ways" what;
+          if ic.ic_prv.(!s) <> !prev then
+            fail "Coherence invariant: %s LRU back-link broken at slot %d" what
+              !s;
+          if ic_find ic u ic.ic_slots.(!s) <> !s then
+            fail "Coherence invariant: chained %s slot %d not in table" what !s;
+          prev := !s;
+          s := ic.ic_nxt.(!s)
+        done;
+        if ic.ic_tail.(sb) <> !prev then
+          fail "Coherence invariant: %s LRU tail mismatch (unit %d set %d)" what
+            u set;
+        if !n <> ic.ic_fill.(sb) then
+          fail "Coherence invariant: %s fill %d but %d chained (unit %d)" what
+            ic.ic_fill.(sb) !n u;
+        let fr = ref 0 in
+        let s = ref ic.ic_free.(sb) in
+        while !s >= 0 do
+          incr fr;
+          if !fr > ic.ic_nways then
+            fail "Coherence invariant: %s free chain cycle" what;
+          if ic.ic_slots.(!s) <> -1 then
+            fail "Coherence invariant: free %s slot %d holds a line" what !s;
+          s := ic.ic_nxt.(!s)
+        done;
+        if !n + !fr <> ic.ic_nways then
+          fail "Coherence invariant: %d live + %d free %s slots != %d ways" !n
+            !fr what ic.ic_nways
+      done
+    done
+  in
+  (match t.ic with None -> () | Some ic -> check_rc "icache" ic t.ncpus);
+  match t.hx with
+  | None -> ()
+  | Some h ->
+    check_rc "L1" h.hl1 t.ncpus;
+    check_rc "LLC" h.hllc h.ncells;
+    (* L1 inclusion: every L1-resident line has a live L2 copy. *)
+    for cpu = 0 to t.ncpus - 1 do
+      ic_iter_unit h.hl1 cpu (fun line _ ->
+          if cache_slot t cpu line < 0 then
+            fail "Coherence invariant: L1 line %d of cpu %d not in L2" line cpu)
+    done;
+    (* LLC exclusivity: a resident line has no directory entry (so it can
+       never be stale), and the line -> cell index matches residency
+       exactly in both directions. *)
+    for cell = 0 to h.ncells - 1 do
+      ic_iter_unit h.hllc cell (fun line _ ->
+          if dir_find t line >= 0 then
+            fail
+              "Coherence invariant: LLC line %d coexists with a directory entry"
+              line;
+          if Flat_tab.find h.h_where line ~default:(-1) <> cell then
+            fail "Coherence invariant: LLC line %d not indexed to cell %d" line
+              cell)
+    done;
+    Flat_tab.iter h.h_where (fun line cell ->
+        if cell < 0 || cell >= h.ncells then
+          fail "Coherence invariant: llc index cell %d out of range" cell;
+        if not (ic_resident h.hllc cell line) then
+          fail "Coherence invariant: llc index points at absent line %d" line)

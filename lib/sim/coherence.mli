@@ -1,4 +1,5 @@
-(** Cache-coherence controller over all CPUs of a machine.
+(** Cache-coherence controller over all CPUs of a machine: the flat,
+    allocation-free memory-system kernel every simulation rides.
 
     Two invalidation-based protocols are implemented (the paper's machines
     use MESI-family protocols; §1 cites MESI, MSI, MOSI, MOESI):
@@ -32,31 +33,30 @@
     evicted its pending hints are dropped, so a much-later re-fetch counts
     as a capacity miss rather than a stale sharing miss.
 
-    Two interchangeable implementations sit behind this interface:
+    Representation: caches are one int array of packed
+    [line lsl 2 lor state] words indexed by [(cpu, set, way)], with
+    true-LRU order kept as array-index chains; directory entries live in a
+    pool of parallel int arrays with sharer sets as bitmasks over 62-bit
+    words (multi-word past 62 CPUs); invalidation hints and the touched
+    set are {!Flat_tab}s under packed int keys. The access path allocates
+    nothing.
 
-    - {!Flat} (default): the flat, allocation-free kernel ({!Memkern}) —
-      packed int-array caches, bitmask sharer sets, open-addressing side
-      tables. This is what {!Machine} (and so slayout, bench and the trace
-      oracle) rides.
-    - {!Reference}: the boxed Hashtbl/list implementation, kept as the
-      readable spec and differential oracle. The QCheck2 suites drive
-      random traces through both and demand identical statistics,
-      latencies and holder sets. *)
+    The oracle is {!Spec}, a pure declarative transcription of the same
+    protocol with the directory derived from cache states. The QCheck2
+    differential suites replay random traces through both and demand
+    identical latencies, statistics, cache states, directory views and
+    L1/LLC residency; {!Modelcheck} does the same exhaustively on small
+    configurations. *)
 
 type protocol = Mesi | Moesi
-
-type backend =
-  | Flat  (** flat allocation-free kernel, {!Memkern} *)
-  | Reference  (** boxed oracle implementation *)
 
 type t
 
 (** Instruction-cache geometry for the optional fetch side (the code-layout
     subsystem). I-caches are private per CPU and coherence-free: code is
     read-only, so there are no states, no directory and no writebacks —
-    just presence and true LRU. Both backends implement it and the
-    differential suites compare them. *)
-type icache = Memkern.icache = {
+    just presence and true LRU. *)
+type icache = {
   i_lines : int;  (** per-CPU capacity in I-cache lines *)
   i_ways : int option;  (** associativity; [None] = fully associative *)
   i_line_size : int;  (** I-cache line size in bytes *)
@@ -65,13 +65,17 @@ type icache = Memkern.icache = {
 (** Multi-level hierarchy geometry. When given, every CPU gets a private
     L1 residency filter in front of its coherent cache (which becomes the
     L2), and every topology cell ({!Topology.num_cells}) gets a shared
-    victim LLC holding lines whose last L2 copy died. L1 hits cost
-    [l1_hit]; L1-miss/L2-hits cost [l2_hit]; an L2 miss with no cached
-    copy anywhere probes the LLCs and pays the topological distance to the
-    holding cell (capped at memory latency) — the asymmetric local/remote
-    cliff the paper's Superdome results hinge on. Both backends implement
-    it and the differential suites compare them level by level. *)
-type hierarchy = Memkern.hierarchy = {
+    victim LLC. The L1 is strictly inclusive in the L2 (back-invalidated
+    whenever a line leaves the L2); the LLC is exclusive of the whole L2
+    layer — a line enters the evicting CPU's cell LLC only when its last
+    L2 copy dies, and is consumed again by the next L2 fill anywhere, so
+    an LLC line can never be stale and at most one cell holds any line.
+    L1 hits cost [l1_hit]; L1-miss/L2-hits cost [l2_hit]; an L2 miss with
+    no cached copy anywhere probes the LLCs and pays the topological
+    distance to the holding cell, capped at memory latency — the
+    asymmetric local/remote cliff the paper's Superdome results hinge on.
+    Line size is the data [line_size]. *)
+type hierarchy = {
   h_l1_lines : int;  (** per-CPU L1 capacity in lines *)
   h_l1_ways : int option;  (** L1 associativity; [None] = fully assoc. *)
   h_llc_lines : int;  (** per-cell LLC capacity in lines *)
@@ -86,27 +90,26 @@ val create :
   ?icache:icache ->
   ?hierarchy:hierarchy ->
   ?protocol:protocol ->
-  ?backend:backend ->
   unit ->
   t
-(** [ways] defaults to fully associative; [protocol] to {!Mesi}; [backend]
-    to {!Flat}; [icache] to absent (no instruction side is simulated);
-    [hierarchy] to absent (a single private cache level per CPU).
+(** [ways] defaults to fully associative; [protocol] to {!Mesi}; [icache]
+    to absent (no instruction side is simulated); [hierarchy] to absent (a
+    single private cache level per CPU).
     @raise Invalid_argument on non-positive sizes or invalid
     associativity (for the data cache, the I-cache or the hierarchy). *)
 
 val line_size : t -> int
 val topology : t -> Topology.t
 val protocol : t -> protocol
-val backend : t -> backend
 
 val access : t -> cpu:int -> addr:int -> size:int -> is_write:bool -> int
 (** Perform one access of [size] bytes at byte address [addr] by [cpu];
     returns its latency in cycles. Accesses must not straddle a line
     boundary (the layout engine never produces such accesses for properly
     aligned fields; arrays are accessed element-wise).
-    @raise Invalid_argument if the access straddles a line or [cpu] is out
-    of range. *)
+    @raise Invalid_argument if [cpu] is out of range, [size <= 0],
+    [addr < 0], or the access straddles a line — before any statistic is
+    counted. *)
 
 val has_icache : t -> bool
 
@@ -125,14 +128,13 @@ val ifetch : t -> cpu:int -> addr:int -> size:int -> int
 
 val icache_resident : t -> cpu:int -> line:int -> bool
 (** Whether the I-cache line is resident in [cpu]'s I-cache (false when no
-    I-cache is configured). Introspection for the differential tests. *)
+    I-cache is configured). *)
 
 val has_hierarchy : t -> bool
 
 val l1_resident : t -> cpu:int -> line:int -> bool
 (** Whether the line is resident in [cpu]'s private L1 filter (false when
-    no hierarchy is configured). Introspection for the differential
-    tests. *)
+    no hierarchy is configured). *)
 
 val llc_cell : t -> line:int -> int option
 (** The cell whose victim LLC holds the line — at most one by the LLC
@@ -145,20 +147,22 @@ val stats : t -> cpu:int -> Sim_stats.t
 val total_stats : t -> Sim_stats.t
 
 val check_invariants : t -> unit
-(** Protocol invariants, used by property tests: at most one M/E/O holder
-    per line; an M/E holder excludes sharers; the owner is never in the
-    sharer set; every sharer holds S; MESI never produces Owned; every
-    cached line is directory-tracked consistently; no invalidation hint
-    outlives its line's directory entry. The {!Flat} backend additionally
-    checks its representation (LRU chains, slot tables, free lists).
+(** Protocol invariants: the owner holds M/E/O (O only under MOESI), an
+    M/E owner excludes sharers, the owner is never in the sharer mask,
+    every sharer holds S, every cached line is directory-tracked, and no
+    invalidation hint outlives its line's directory entry. Plus the
+    representation invariants: LRU chains and fill counts agree, the
+    line→slot tables agree with the slot words, and free chains account
+    for every way. Under the multi-level hierarchy, additionally: L1
+    inclusion (every L1 line has a live L2 copy) and LLC exclusivity (no
+    LLC line has a directory entry; the line→cell index is exact).
     @raise Invalid_argument describing the violated invariant. *)
 
 val holders : t -> line:int -> int list
 (** CPUs currently holding the line (any state), sorted. *)
 
 val owner : t -> line:int -> int option
-(** The directory's M/E/O owner of the line, if any (introspection for the
-    invariant property tests). *)
+(** The directory's M/E/O owner of the line, if any. *)
 
 val sharers : t -> line:int -> int list
 (** The directory's sharer set for the line, ascending. *)
@@ -169,13 +173,26 @@ val cache_state : t -> cpu:int -> line:int -> Cache.state option
 val inv_hint : t -> cpu:int -> line:int -> (int * int) option
 (** The pending invalidation hint recorded against [cpu] for [line] — the
     byte interval [(off, len)] of the write that invalidated that CPU's
-    copy, or [None]. Drives the model checker's classifier conformance
-    checks; mirrors the classifier state of both backends. *)
+    copy, or [None] if its next miss on the line would not be a sharing
+    miss. *)
 
 val touched : t -> line:int -> bool
 (** Whether the line has ever been accessed anywhere (the cold-miss
     classifier state). *)
 
-val kstats : t -> Memkern.kstats option
-(** Kernel-health numbers ([Some] only for the {!Flat} backend) — feeds
-    the [sim.kernel.*] observability counters. *)
+(** Kernel-health numbers behind the [sim.kernel.*] observability
+    counters; cumulative since [create]. *)
+type kstats = {
+  k_dir_live : int;  (** directory entries currently allocated *)
+  k_dir_peak : int;  (** high-water mark of live directory entries *)
+  k_hint_drops : int;
+      (** stale invalidation hints dropped because the last cached copy of
+          their line was evicted (the sharing episode ended) *)
+  k_probe_steps : int;
+      (** cumulative {!Flat_tab} probe steps beyond the home slot *)
+  k_llc_fills : int;
+      (** lines dropped into a cell LLC on last-copy eviction (0 unless
+          the multi-level hierarchy is simulated) *)
+}
+
+val kstats : t -> kstats

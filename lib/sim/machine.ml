@@ -19,7 +19,6 @@ type config = {
   load_base : int;
   store_base : int;
   trace : bool;
-  backend : Coherence.backend;
   icache : Coherence.icache option;
   hierarchy : Coherence.hierarchy option;
 }
@@ -36,7 +35,7 @@ let default_config topology =
   { topology; line_size = 128; cache_lines = 4096; cache_ways = None;
     protocol = Coherence.Mesi; sample_period = None; seed = 42;
     load_base = 2; store_base = 8; trace = false;
-    backend = Coherence.Flat; icache = None; hierarchy = None }
+    icache = None; hierarchy = None }
 
 let call_overhead = 5
 
@@ -229,7 +228,7 @@ let create config program =
       Coherence.create config.topology ~line_size:config.line_size
         ~cache_capacity:config.cache_lines ?ways:config.cache_ways
         ?icache:config.icache ?hierarchy:config.hierarchy
-        ~protocol:config.protocol ~backend:config.backend ();
+        ~protocol:config.protocol ();
     memory = Flat_tab.create ~capacity:4096 ();
     layouts;
     arena_next = 0;
@@ -850,24 +849,22 @@ let run t =
     Obs.incr ~by:stats.Sim_stats.llc_local_hits "sim.llc.local_hits";
     Obs.incr ~by:stats.Sim_stats.llc_remote_hits "sim.llc.remote_hits"
   end;
-  (match Coherence.kstats t.coherence with
-  | Some k ->
-    Obs.incr "sim.kernel.runs";
-    Obs.incr
-      ~by:(stats.Sim_stats.loads + stats.Sim_stats.stores)
-      "sim.kernel.accesses";
-    Obs.incr ~by:k.Memkern.k_hint_drops "sim.kernel.hint_drops";
-    Obs.incr ~by:k.Memkern.k_probe_steps "sim.kernel.probe_steps";
-    if t.config.hierarchy <> None then
-      Obs.incr ~by:k.Memkern.k_llc_fills "sim.kernel.llc_fills";
-    let peak = float_of_int k.Memkern.k_dir_peak in
-    let prev =
-      match Obs.gauge "sim.kernel.dir_peak_entries" with
-      | Some g -> g
-      | None -> 0.0
-    in
-    Obs.set_gauge "sim.kernel.dir_peak_entries" (Float.max prev peak)
-  | None -> Obs.incr "sim.reference.runs");
+  let k = Coherence.kstats t.coherence in
+  Obs.incr "sim.kernel.runs";
+  Obs.incr
+    ~by:(stats.Sim_stats.loads + stats.Sim_stats.stores)
+    "sim.kernel.accesses";
+  Obs.incr ~by:k.Coherence.k_hint_drops "sim.kernel.hint_drops";
+  Obs.incr ~by:k.Coherence.k_probe_steps "sim.kernel.probe_steps";
+  if t.config.hierarchy <> None then
+    Obs.incr ~by:k.Coherence.k_llc_fills "sim.kernel.llc_fills";
+  let peak = float_of_int k.Coherence.k_dir_peak in
+  let prev =
+    match Obs.gauge "sim.kernel.dir_peak_entries" with
+    | Some g -> g
+    | None -> 0.0
+  in
+  Obs.set_gauge "sim.kernel.dir_peak_entries" (Float.max prev peak);
   {
     makespan;
     cpu_cycles;

@@ -33,10 +33,6 @@ type config = {
           that costs real time is also what lets the PMU sampler observe
           write-heavy code in proportion to its cost. *)
   trace : bool;  (** record the full memory-access trace (expensive) *)
-  backend : Coherence.backend;
-      (** memory-system implementation: the flat allocation-free kernel
-          (default) or the boxed reference oracle — bit-identical results,
-          different speed *)
   icache : Coherence.icache option;
       (** simulate the instruction-fetch side: every block entry
           (invocation start, goto, branch, call — not return) fetches the
@@ -65,7 +61,7 @@ type trace_event = {
 
 val default_config : Topology.t -> config
 (** line_size 128, 4096 fully-associative lines, MESI, no sampling,
-    seed 42, load_base 2, store_base 8, flat kernel backend, no I-cache,
+    seed 42, load_base 2, store_base 8, no I-cache,
     no multi-level hierarchy. *)
 
 val call_overhead : int

@@ -1,21 +1,17 @@
 (* Exhaustive small-config model checker for the coherence kernel.
 
-   Three implementations of the protocol exist once this module is in the
-   picture: the flat kernel (memkern.ml), the boxed reference
-   (coherence.ml's Ref) — and the pure spec below, a third transcription
-   over plain int arrays with the directory *derived* from the cache-state
-   vector instead of stored. Deriving the directory makes several protocol
-   invariants true by construction in the spec, so any backend whose
-   directory drifts from its caches shows up as an introspection mismatch
-   rather than being silently mirrored.
+   The oracle is the pure spec (spec.ml). Its directory is derived from
+   the cache states instead of stored, so several protocol invariants hold
+   there by construction, and a kernel whose directory drifts from its
+   caches shows up as an introspection mismatch rather than being silently
+   mirrored.
 
-   The explorer is plain breadth-first search over canonical packed states;
-   each edge replays the (minimal, BFS-tree) witness prefix on both real
-   backends from scratch and demands latency, per-CPU statistics, cache
-   states, directory view, classifier hints and touched bits all agree
-   with the spec. Witness replay per edge is quadratic in depth, but the
-   accepted configs are tiny (<= 62 bits of state) so whole suites run in
-   well under a second each. *)
+   The explorer is plain breadth-first search over canonical packed spec
+   states; each edge replays the (minimal, BFS-tree) witness prefix on the
+   kernel from scratch and demands latency, per-CPU statistics, cache
+   states, directory view, classifier hints, touched bits and L1/LLC
+   residency all agree with the spec. Witness replay per edge is quadratic
+   in depth, but the accepted configs are tiny (<= 62 bits of state). *)
 
 type topo_kind = Bus | Superdome
 
@@ -28,10 +24,12 @@ type config = {
   mc_ways : int;
   mc_offsets : int list;
   mc_line_size : int;
+  mc_hierarchy : Coherence.hierarchy option;
 }
 
 let config ?(protocol = Coherence.Mesi) ?(topo = Bus) ?(cpus = 2) ?(lines = 2)
-    ?(capacity = 2) ?(ways = 2) ?(offsets = [ 0; 8 ]) ?(line_size = 128) () =
+    ?(capacity = 2) ?(ways = 2) ?(offsets = [ 0; 8 ]) ?(line_size = 128)
+    ?hierarchy () =
   {
     mc_protocol = protocol;
     mc_topo = topo;
@@ -41,19 +39,29 @@ let config ?(protocol = Coherence.Mesi) ?(topo = Bus) ?(cpus = 2) ?(lines = 2)
     mc_ways = ways;
     mc_offsets = offsets;
     mc_line_size = line_size;
+    mc_hierarchy = hierarchy;
   }
 
+let ways_of lines = Option.value ~default:lines
+
 let config_name c =
-  Printf.sprintf "%s/%s/k%d/m%d/c%dw%d"
+  Printf.sprintf "%s/%s/k%d/m%d/c%dw%d%s"
     (match c.mc_protocol with Coherence.Mesi -> "mesi" | Coherence.Moesi -> "moesi")
     (match c.mc_topo with Bus -> "bus" | Superdome -> "sdome")
     c.mc_cpus c.mc_lines c.mc_capacity c.mc_ways
+    (match c.mc_hierarchy with
+    | None -> ""
+    | Some h ->
+      Printf.sprintf "/L1c%dw%d/LLCc%dw%d" h.Coherence.h_l1_lines
+        (ways_of h.Coherence.h_l1_lines h.Coherence.h_l1_ways)
+        h.Coherence.h_llc_lines
+        (ways_of h.Coherence.h_llc_lines h.Coherence.h_llc_ways))
 
 type step = { v_cpu : int; v_line : int; v_off : int; v_write : bool }
 
 exception Violation of { vmsg : string; vtrace : step list }
 
-type mutation = Read_keeps_modified | Skip_last_invalidation
+type mutation = Spec.mutation = Read_keeps_modified | Skip_last_invalidation
 
 type report = {
   r_states : int;
@@ -68,240 +76,28 @@ type report = {
    sharing split. *)
 let acc_size = 8
 
-(* ---------- the pure spec ---------- *)
+let make_topo cfg =
+  match cfg.mc_topo with
+  | Bus -> Topology.bus ~cpus:cfg.mc_cpus ()
+  | Superdome -> Topology.superdome ~cpus:cfg.mc_cpus ()
 
-(* Cache-state codes; 0 must be Invalid so fresh arrays start empty. *)
-let ci = 0
+let fresh_spec ?mutate cfg topo =
+  Spec.create topo ~line_size:cfg.mc_line_size ~cache_capacity:cfg.mc_capacity
+    ~ways:cfg.mc_ways ?hierarchy:cfg.mc_hierarchy ~protocol:cfg.mc_protocol
+    ?mutate ()
 
-let cm = 1
+let addr_of cfg s = (s.v_line * cfg.mc_line_size) + s.v_off
 
-let co = 2
+let spec_step cfg sp s =
+  Spec.access sp ~cpu:s.v_cpu ~addr:(addr_of cfg s) ~size:acc_size
+    ~is_write:s.v_write
 
-let ce = 3
-
-let cs = 4
-
-type spec = {
-  sc : int array;  (* cpu * m + line -> state code *)
-  sh : int array;  (* cpu * m + line -> packed hint off*(lsize+1)+len, or -1 *)
-  sto : bool array;  (* line -> ever touched *)
-  sst : Sim_stats.t array;
-}
-
-let spec_create cfg =
-  let n = cfg.mc_cpus * cfg.mc_lines in
-  {
-    sc = Array.make n ci;
-    sh = Array.make n (-1);
-    sto = Array.make cfg.mc_lines false;
-    sst = Array.init cfg.mc_cpus (fun _ -> Sim_stats.create ());
-  }
-
-let copy_stats (s : Sim_stats.t) =
-  let c = Sim_stats.create () in
-  Sim_stats.add_into c s;
-  c
-
-let spec_copy sp =
-  {
-    sc = Array.copy sp.sc;
-    sh = Array.copy sp.sh;
-    sto = Array.copy sp.sto;
-    sst = Array.map copy_stats sp.sst;
-  }
-
-let idx cfg cpu line = (cpu * cfg.mc_lines) + line
-
-let owner_of cfg sp line =
-  let o = ref (-1) in
-  for cpu = 0 to cfg.mc_cpus - 1 do
-    let c = sp.sc.(idx cfg cpu line) in
-    if c = cm || c = co || c = ce then o := cpu
-  done;
-  !o
-
-let sharers_of cfg sp line =
-  let acc = ref [] in
-  for cpu = cfg.mc_cpus - 1 downto 0 do
-    if sp.sc.(idx cfg cpu line) = cs then acc := cpu :: !acc
-  done;
-  !acc
-
-let holders_of cfg sp line =
-  let acc = ref [] in
-  for cpu = cfg.mc_cpus - 1 downto 0 do
-    if sp.sc.(idx cfg cpu line) <> ci then acc := cpu :: !acc
-  done;
-  !acc
-
-let spec_wb sp cpu =
-  sp.sst.(cpu).Sim_stats.writebacks <- sp.sst.(cpu).Sim_stats.writebacks + 1
-
-let drop_hints cfg sp line =
-  for cpu = 0 to cfg.mc_cpus - 1 do
-    sp.sh.(idx cfg cpu line) <- -1
-  done
-
-(* Mirror of Coherence.Ref.insert_line + note_eviction. The config
-   validation guarantees the victim (if any) is deterministic: either the
-   geometry never fills a set, or ways = 1 and the set's only occupant is
-   the victim. *)
-let spec_insert cfg sp cpu line st =
-  let nsets = cfg.mc_capacity / cfg.mc_ways in
-  let set = line mod nsets in
-  let occupants = ref [] in
-  for l = cfg.mc_lines - 1 downto 0 do
-    if sp.sc.(idx cfg cpu l) <> ci && l mod nsets = set then
-      occupants := l :: !occupants
-  done;
-  (if List.length !occupants >= cfg.mc_ways then begin
-     assert (cfg.mc_ways = 1);
-     let victim = List.hd !occupants in
-     let vcode = sp.sc.(idx cfg cpu victim) in
-     if vcode = cm || vcode = co then spec_wb sp cpu;
-     sp.sc.(idx cfg cpu victim) <- ci;
-     if holders_of cfg sp victim = [] then drop_hints cfg sp victim
-   end);
-  sp.sc.(idx cfg cpu line) <- st
-
-let spec_classify cfg sp ~cpu ~line ~off =
-  let st = sp.sst.(cpu) in
-  if not sp.sto.(line) then
-    st.Sim_stats.cold_misses <- st.Sim_stats.cold_misses + 1
-  else
-    let h = sp.sh.(idx cfg cpu line) in
-    if h >= 0 then begin
-      sp.sh.(idx cfg cpu line) <- -1;
-      let w_off = h / (cfg.mc_line_size + 1)
-      and w_len = h mod (cfg.mc_line_size + 1) in
-      if off < w_off + w_len && w_off < off + acc_size then
-        st.Sim_stats.true_sharing_misses <- st.Sim_stats.true_sharing_misses + 1
-      else
-        st.Sim_stats.false_sharing_misses <-
-          st.Sim_stats.false_sharing_misses + 1
-    end
-    else st.Sim_stats.capacity_misses <- st.Sim_stats.capacity_misses + 1
-
-(* Mirror of Coherence.Ref.invalidate_others. Under [Skip_last_invalidation]
-   the highest-numbered would-be victim keeps its copy — the bug the
-   mutation tests prove the checker catches. *)
-let spec_invalidate ?mutate cfg sp ~line ~writer ~hint =
-  let ow = owner_of cfg sp line in
-  let candidates =
-    (if ow >= 0 && ow <> writer then [ ow ] else [])
-    @ List.filter (fun s -> s <> writer) (sharers_of cfg sp line)
-  in
-  let skipped =
-    match mutate with
-    | Some Skip_last_invalidation when candidates <> [] ->
-      List.fold_left max (-1) candidates
-    | _ -> -1
-  in
-  List.filter_map
-    (fun v ->
-      if v = skipped then None
-      else begin
-        let vcode = sp.sc.(idx cfg v line) in
-        if vcode = cm || vcode = co then spec_wb sp v;
-        sp.sc.(idx cfg v line) <- ci;
-        sp.sh.(idx cfg v line) <- hint;
-        Some v
-      end)
-    candidates
-
-let spec_read ?mutate cfg topo sp ~cpu ~line ~off =
-  let st = sp.sst.(cpu) in
-  let l1 = (Topology.latencies topo).Topology.l1_hit in
-  if sp.sc.(idx cfg cpu line) <> ci then begin
-    st.Sim_stats.hits <- st.Sim_stats.hits + 1;
-    l1
-  end
-  else begin
-    spec_classify cfg sp ~cpu ~line ~off;
-    let ow = owner_of cfg sp line in
-    let shs = sharers_of cfg sp line in
-    let latency, st_new =
-      if ow >= 0 then begin
-        (match sp.sc.(idx cfg ow line) with
-        | c when c = cm -> (
-          match mutate with
-          | Some Read_keeps_modified -> ()  (* forget the downgrade *)
-          | _ ->
-            if cfg.mc_protocol = Coherence.Mesi then begin
-              spec_wb sp ow;
-              sp.sc.(idx cfg ow line) <- cs
-            end
-            else sp.sc.(idx cfg ow line) <- co)
-        | c when c = ce -> sp.sc.(idx cfg ow line) <- cs
-        | c when c = co -> ()
-        | _ -> assert false);
-        (Topology.transfer_latency topo ~src:ow ~dst:cpu, cs)
-      end
-      else if shs <> [] then
-        ( List.fold_left
-            (fun acc s ->
-              min acc (Topology.transfer_latency topo ~src:s ~dst:cpu))
-            max_int shs,
-          cs )
-      else (Topology.memory_latency topo, ce)
-    in
-    spec_insert cfg sp cpu line st_new;
-    latency
-  end
-
-let spec_write ?mutate cfg topo sp ~cpu ~line ~off =
-  let st = sp.sst.(cpu) in
-  let l1 = (Topology.latencies topo).Topology.l1_hit in
-  let hint = (off * (cfg.mc_line_size + 1)) + acc_size in
-  let c = sp.sc.(idx cfg cpu line) in
-  if c = cm then begin
-    st.Sim_stats.hits <- st.Sim_stats.hits + 1;
-    l1
-  end
-  else if c = ce then begin
-    sp.sc.(idx cfg cpu line) <- cm;
-    st.Sim_stats.hits <- st.Sim_stats.hits + 1;
-    l1
-  end
-  else if c = cs || c = co then begin
-    st.Sim_stats.hits <- st.Sim_stats.hits + 1;
-    st.Sim_stats.upgrades <- st.Sim_stats.upgrades + 1;
-    let victims = spec_invalidate ?mutate cfg sp ~line ~writer:cpu ~hint in
-    st.Sim_stats.invalidations <-
-      st.Sim_stats.invalidations + List.length victims;
-    sp.sc.(idx cfg cpu line) <- cm;
-    max l1 (Topology.invalidation_latency topo ~writer:cpu ~holders:victims)
-  end
-  else begin
-    spec_classify cfg sp ~cpu ~line ~off;
-    let ow = owner_of cfg sp line in
-    let shs = sharers_of cfg sp line in
-    let fetch =
-      if ow >= 0 then Topology.transfer_latency topo ~src:ow ~dst:cpu
-      else if shs <> [] then
-        List.fold_left
-          (fun acc s -> min acc (Topology.transfer_latency topo ~src:s ~dst:cpu))
-          max_int shs
-      else Topology.memory_latency topo
-    in
-    let victims = spec_invalidate ?mutate cfg sp ~line ~writer:cpu ~hint in
-    st.Sim_stats.invalidations <-
-      st.Sim_stats.invalidations + List.length victims;
-    spec_insert cfg sp cpu line cm;
-    max fetch (Topology.invalidation_latency topo ~writer:cpu ~holders:victims)
-  end
-
-let spec_access ?mutate cfg topo sp { v_cpu; v_line; v_off; v_write } =
-  let st = sp.sst.(v_cpu) in
-  if v_write then st.Sim_stats.stores <- st.Sim_stats.stores + 1
-  else st.Sim_stats.loads <- st.Sim_stats.loads + 1;
-  let lat =
-    if v_write then spec_write ?mutate cfg topo sp ~cpu:v_cpu ~line:v_line ~off:v_off
-    else spec_read ?mutate cfg topo sp ~cpu:v_cpu ~line:v_line ~off:v_off
-  in
-  sp.sto.(v_line) <- true;
-  st.Sim_stats.stall_cycles <- st.Sim_stats.stall_cycles + lat;
-  lat
+let state_name = function
+  | None -> "I"
+  | Some Cache.Modified -> "M"
+  | Some Cache.Owned -> "O"
+  | Some Cache.Exclusive -> "E"
+  | Some Cache.Shared -> "S"
 
 (* Global protocol invariants over a spec state. [last] is the step that
    produced the state, for the write postcondition ("no stale dirty copy
@@ -312,39 +108,48 @@ let spec_check cfg sp ~last =
   for line = 0 to cfg.mc_lines - 1 do
     let owners = ref [] and resident = ref 0 in
     for cpu = 0 to cfg.mc_cpus - 1 do
-      let c = sp.sc.(idx cfg cpu line) in
-      if c <> ci then incr resident;
-      if c = cm || c = co || c = ce then owners := cpu :: !owners;
-      if c = co && cfg.mc_protocol = Coherence.Mesi then
-        fail "line %d: cpu %d holds Owned under MESI" line cpu
+      let c = Spec.cache_state sp ~cpu ~line in
+      if c <> None then incr resident;
+      (match c with
+      | Some (Cache.Modified | Cache.Owned | Cache.Exclusive) ->
+        owners := cpu :: !owners
+      | Some Cache.Shared | None -> ());
+      if c = Some Cache.Owned && cfg.mc_protocol = Coherence.Mesi then
+        fail "line %d: cpu %d holds Owned under MESI" line cpu;
+      if Spec.l1_resident sp ~cpu ~line && c = None then
+        fail "line %d: cpu %d holds it in L1 but not in L2" line cpu
     done;
     (match !owners with
     | [] | [ _ ] -> ()
     | l -> fail "line %d: multiple M/E/O holders (%d)" line (List.length l));
     (match !owners with
-    | [ o ] ->
-      let c = sp.sc.(idx cfg o line) in
-      if (c = cm || c = ce) && !resident > 1 then
+    | [ o ] -> (
+      match Spec.cache_state sp ~cpu:o ~line with
+      | Some (Cache.Modified | Cache.Exclusive) as c when !resident > 1 ->
         fail "line %d: cpu %d holds %s but other copies exist" line o
-          (if c = cm then "M" else "E")
+          (state_name c)
+      | _ -> ())
     | _ -> ());
     let live = !resident > 0 in
     for cpu = 0 to cfg.mc_cpus - 1 do
-      if sp.sh.(idx cfg cpu line) >= 0 then begin
+      if Spec.inv_hint sp ~cpu ~line <> None then begin
         if not live then
           fail "line %d: hint for cpu %d outlives the directory entry" line cpu;
-        if not sp.sto.(line) then
+        if not (Spec.touched sp ~line) then
           fail "line %d: hint for cpu %d on an untouched line" line cpu
       end
     done;
-    if live && not sp.sto.(line) then fail "line %d: cached but untouched" line
+    if live && not (Spec.touched sp ~line) then
+      fail "line %d: cached but untouched" line;
+    if live && Spec.llc_cell sp ~line <> None then
+      fail "line %d: in a cell LLC while cached" line
   done;
   (match last with
   | Some { v_cpu; v_line; v_write = true; _ } ->
-    if sp.sc.(idx cfg v_cpu v_line) <> cm then
+    if Spec.cache_state sp ~cpu:v_cpu ~line:v_line <> Some Cache.Modified then
       fail "after write: cpu %d does not hold line %d in M" v_cpu v_line;
     for cpu = 0 to cfg.mc_cpus - 1 do
-      if cpu <> v_cpu && sp.sc.(idx cfg cpu v_line) <> ci then
+      if cpu <> v_cpu && Spec.cache_state sp ~cpu ~line:v_line <> None then
         fail "after write by cpu %d: stale copy of line %d at cpu %d" v_cpu
           v_line cpu
     done
@@ -361,37 +166,58 @@ let off_index cfg off =
   in
   go 0 cfg.mc_offsets
 
-(* 5 bits per (cpu, line): 3 for the state code, 2 for the pending-hint
-   code (0 = none, 1 + offset index otherwise); then 1 bit per line for
-   touched. Config validation keeps the total <= 62 bits. *)
+let state_code = function
+  | None -> 0
+  | Some Cache.Modified -> 1
+  | Some Cache.Owned -> 2
+  | Some Cache.Exclusive -> 3
+  | Some Cache.Shared -> 4
+
+(* Bits to encode 0..n. *)
+let bits_for n =
+  let rec go b = if 1 lsl b > n then b else go (b + 1) in
+  go 0
+
+(* Per (cpu, line): 3 bits of state code, 2 of pending-hint code (0 =
+   none, 1 + offset index otherwise) and, under the hierarchy, 1 of L1
+   residency; per line: 1 touched bit and, under the hierarchy, the LLC
+   cell code (0 = none, 1 + cell). LRU recency is not packed: validation
+   only admits geometries where it is unobservable. *)
+let layout_bits cfg =
+  match cfg.mc_hierarchy with
+  | None -> (5, 1)
+  | Some _ -> (6, 1 + bits_for (Topology.num_cells (make_topo cfg)))
+
 let pack cfg sp =
+  let hier = cfg.mc_hierarchy <> None in
+  let _, line_bits = layout_bits cfg in
   let acc = ref 0 in
+  let push bits v = acc := (!acc lsl bits) lor v in
   for cpu = 0 to cfg.mc_cpus - 1 do
     for line = 0 to cfg.mc_lines - 1 do
-      let i = idx cfg cpu line in
-      let h = sp.sh.(i) in
-      let hc = if h < 0 then 0 else 1 + off_index cfg (h / (cfg.mc_line_size + 1)) in
-      acc := (!acc lsl 5) lor (sp.sc.(i) lsl 2) lor hc
+      push 3 (state_code (Spec.cache_state sp ~cpu ~line));
+      push 2
+        (match Spec.inv_hint sp ~cpu ~line with
+        | None -> 0
+        | Some (off, _) -> 1 + off_index cfg off);
+      if hier then push 1 (Bool.to_int (Spec.l1_resident sp ~cpu ~line))
     done
   done;
   for line = 0 to cfg.mc_lines - 1 do
-    acc := (!acc lsl 1) lor if sp.sto.(line) then 1 else 0
+    push 1 (Bool.to_int (Spec.touched sp ~line));
+    if hier then
+      push (line_bits - 1)
+        (match Spec.llc_cell sp ~line with None -> 0 | Some c -> 1 + c)
   done;
   !acc
 
 (* ---------- config validation ---------- *)
 
-let evict_free cfg =
-  let nsets = cfg.mc_capacity / cfg.mc_ways in
-  let ok = ref true in
-  for s = 0 to nsets - 1 do
-    let n = ref 0 in
-    for l = 0 to cfg.mc_lines - 1 do
-      if l mod nsets = s then incr n
-    done;
-    if !n > cfg.mc_ways then ok := false
-  done;
-  !ok
+(* Whether [lines] model lines fit a level without any eviction: the
+   fullest set holds ceil(lines / sets) of them. *)
+let evict_free ~capacity ~ways lines =
+  let sets = capacity / ways in
+  (lines + sets - 1) / sets <= ways
 
 let validate cfg =
   let fail fmt = Format.kasprintf invalid_arg fmt in
@@ -412,28 +238,38 @@ let validate cfg =
       if o < 0 || o + acc_size > cfg.mc_line_size then
         fail "Modelcheck: offset %d out of line" o)
     cfg.mc_offsets;
-  if (not (evict_free cfg)) && cfg.mc_ways <> 1 then
-    fail
-      "Modelcheck: geometry makes LRU choice observable (need ways = 1 or \
-       an eviction-free cache)";
-  let bits = (cfg.mc_cpus * cfg.mc_lines * 5) + cfg.mc_lines in
+  let deterministic what ~capacity ~ways =
+    if ways <> 1 && not (evict_free ~capacity ~ways cfg.mc_lines) then
+      fail
+        "Modelcheck: %s geometry makes LRU choice observable (need ways = 1 \
+         or an eviction-free cache)"
+        what
+  in
+  deterministic "cache" ~capacity:cfg.mc_capacity ~ways:cfg.mc_ways;
+  (match cfg.mc_hierarchy with
+  | None -> ()
+  | Some h ->
+    let level what lines ways =
+      let ways = ways_of lines ways in
+      if lines < 1 || ways < 1 || lines mod ways <> 0 then
+        fail "Modelcheck: bad %s geometry" what;
+      deterministic what ~capacity:lines ~ways
+    in
+    level "L1" h.Coherence.h_l1_lines h.Coherence.h_l1_ways;
+    level "LLC" h.Coherence.h_llc_lines h.Coherence.h_llc_ways);
+  let per_pair, per_line = layout_bits cfg in
+  let bits = (cfg.mc_cpus * cfg.mc_lines * per_pair) + (cfg.mc_lines * per_line) in
   if bits > 62 then fail "Modelcheck: %d bits of packed state (max 62)" bits
-
-let make_topo cfg =
-  match cfg.mc_topo with
-  | Bus -> Topology.bus ~cpus:cfg.mc_cpus ()
-  | Superdome -> Topology.superdome ~cpus:cfg.mc_cpus ()
 
 (* ---------- trace replay (spec only; drives shrinking and tests) ---------- *)
 
 let spec_violation ?mutate cfg trace =
   validate cfg;
-  let topo = make_topo cfg in
-  let sp = spec_create cfg in
+  let sp = fresh_spec ?mutate cfg (make_topo cfg) in
   let rec go = function
     | [] -> None
     | s :: tl -> (
-      ignore (spec_access ?mutate cfg topo sp s);
+      ignore (spec_step cfg sp s);
       match spec_check cfg sp ~last:(Some s) with
       | Some _ as v -> v
       | None -> go tl)
@@ -455,130 +291,76 @@ let shrink ~still_fails trace =
   in
   pass trace
 
-(* ---------- backend conformance ---------- *)
+(* ---------- kernel conformance ---------- *)
 
-let state_code = function
-  | None -> ci
-  | Some Cache.Modified -> cm
-  | Some Cache.Owned -> co
-  | Some Cache.Exclusive -> ce
-  | Some Cache.Shared -> cs
-
-let stats_diff name (a : Sim_stats.t) (b : Sim_stats.t) =
-  let fields =
-    [
-      ("loads", a.loads, b.loads);
-      ("stores", a.stores, b.stores);
-      ("hits", a.hits, b.hits);
-      ("cold", a.cold_misses, b.cold_misses);
-      ("capacity", a.capacity_misses, b.capacity_misses);
-      ("true_fs", a.true_sharing_misses, b.true_sharing_misses);
-      ("false_fs", a.false_sharing_misses, b.false_sharing_misses);
-      ("upgrades", a.upgrades, b.upgrades);
-      ("invalidations", a.invalidations, b.invalidations);
-      ("writebacks", a.writebacks, b.writebacks);
-      ("stall", a.stall_cycles, b.stall_cycles);
-    ]
-  in
-  List.fold_left
-    (fun acc (f, x, y) ->
-      match acc with
-      | Some _ -> acc
-      | None ->
-        if x <> y then
-          Some (Printf.sprintf "%s: %s spec=%d backend=%d" name f x y)
-        else None)
-    None fields
-
-let backend_name = function Coherence.Flat -> "flat" | Coherence.Reference -> "ref"
-
-(* Replay [trace] on one backend from scratch and compare the end state
-   (and the last access's latency) against the spec. *)
-let conform cfg topo backend trace sp expected_lat =
+(* Replay [trace] on a fresh kernel and compare its end state (and the
+   last access's latency, unless [expected_lat] is negative) against the
+   spec. *)
+let conform cfg topo trace sp expected_lat =
   let c =
     Coherence.create topo ~line_size:cfg.mc_line_size
       ~cache_capacity:cfg.mc_capacity ~ways:cfg.mc_ways
-      ~protocol:cfg.mc_protocol ~backend ()
+      ?hierarchy:cfg.mc_hierarchy ~protocol:cfg.mc_protocol ()
   in
-  let b = backend_name backend in
   let last_lat = ref (-1) in
   List.iter
-    (fun { v_cpu; v_line; v_off; v_write } ->
+    (fun s ->
       last_lat :=
-        Coherence.access c ~cpu:v_cpu
-          ~addr:((v_line * cfg.mc_line_size) + v_off)
-          ~size:acc_size ~is_write:v_write)
+        Coherence.access c ~cpu:s.v_cpu ~addr:(addr_of cfg s) ~size:acc_size
+          ~is_write:s.v_write)
     trace;
   let result = ref None in
-  let put m = if !result = None then result := Some m in
+  let put fmt =
+    Format.kasprintf (fun m -> if !result = None then result := Some m) fmt
+  in
   if expected_lat >= 0 && !last_lat <> expected_lat then
-    put
-      (Printf.sprintf "%s: latency %d, spec charged %d for this transition" b
-         !last_lat expected_lat);
-  (try Coherence.check_invariants c
-   with Invalid_argument m -> put (Printf.sprintf "%s: %s" b m));
+    put "kernel latency %d, spec charged %d for this transition" !last_lat
+      expected_lat;
+  (try Coherence.check_invariants c with Invalid_argument m -> put "%s" m);
   for cpu = 0 to cfg.mc_cpus - 1 do
-    (match stats_diff (Printf.sprintf "%s cpu %d" b cpu) sp.sst.(cpu)
-             (Coherence.stats c ~cpu)
-     with
-    | Some m -> put m
-    | None -> ());
+    if Coherence.stats c ~cpu <> Spec.stats sp ~cpu then
+      put "cpu %d stats: kernel %a, spec %a" cpu Sim_stats.pp
+        (Coherence.stats c ~cpu) Sim_stats.pp (Spec.stats sp ~cpu);
     for line = 0 to cfg.mc_lines - 1 do
-      let want = sp.sc.(idx cfg cpu line) in
-      let got = state_code (Coherence.cache_state c ~cpu ~line) in
-      if want <> got then
-        put
-          (Printf.sprintf "%s: cpu %d line %d cache state code %d, spec %d" b
-             cpu line got want);
-      let wanth = sp.sh.(idx cfg cpu line) in
-      let goth =
-        match Coherence.inv_hint c ~cpu ~line with
-        | None -> -1
-        | Some (off, len) -> (off * (cfg.mc_line_size + 1)) + len
-      in
-      if wanth <> goth then
-        put
-          (Printf.sprintf "%s: cpu %d line %d hint %d, spec %d" b cpu line goth
-             wanth)
+      let got = Coherence.cache_state c ~cpu ~line
+      and want = Spec.cache_state sp ~cpu ~line in
+      if got <> want then
+        put "cpu %d line %d: kernel state %s, spec %s" cpu line
+          (state_name got) (state_name want);
+      if Coherence.inv_hint c ~cpu ~line <> Spec.inv_hint sp ~cpu ~line then
+        put "cpu %d line %d: hint disagrees with spec" cpu line;
+      if Coherence.l1_resident c ~cpu ~line <> Spec.l1_resident sp ~cpu ~line
+      then put "cpu %d line %d: L1 residency disagrees with spec" cpu line
     done
   done;
   for line = 0 to cfg.mc_lines - 1 do
-    let want_owner = owner_of cfg sp line in
-    let got_owner = match Coherence.owner c ~line with None -> -1 | Some o -> o in
-    if want_owner <> got_owner then
-      put
-        (Printf.sprintf "%s: line %d directory owner %d, spec %d" b line
-           got_owner want_owner);
-    if Coherence.sharers c ~line <> sharers_of cfg sp line then
-      put (Printf.sprintf "%s: line %d sharer set disagrees with spec" b line);
-    if Coherence.holders c ~line <> holders_of cfg sp line then
-      put (Printf.sprintf "%s: line %d holder set disagrees with spec" b line);
-    if Coherence.touched c ~line <> sp.sto.(line) then
-      put (Printf.sprintf "%s: line %d touched bit disagrees with spec" b line)
+    if Coherence.owner c ~line <> Spec.owner sp ~line then
+      put "line %d: directory owner disagrees with spec" line;
+    if Coherence.sharers c ~line <> Spec.sharers sp ~line then
+      put "line %d: sharer set disagrees with spec" line;
+    if Coherence.holders c ~line <> Spec.holders sp ~line then
+      put "line %d: holder set disagrees with spec" line;
+    if Coherence.touched c ~line <> Spec.touched sp ~line then
+      put "line %d: touched bit disagrees with spec" line;
+    if Coherence.llc_cell c ~line <> Spec.llc_cell sp ~line then
+      put "line %d: LLC cell disagrees with spec" line
   done;
   !result
-
-(* Full per-edge check on both backends; [None] latency means "end state
-   only" (used for the initial state). *)
-let conform_both cfg topo trace sp expected_lat =
-  match conform cfg topo Coherence.Flat trace sp expected_lat with
-  | Some _ as v -> v
-  | None -> conform cfg topo Coherence.Reference trace sp expected_lat
 
 (* Replay a whole trace doing spec + conformance checks at every step —
    the predicate the shrinker uses for conformance violations, so the
    minimized witness still demonstrates a real disagreement. *)
 let trace_violation cfg topo trace =
-  let sp = spec_create cfg in
+  let sp = fresh_spec cfg topo in
   let rec go done_rev = function
     | [] -> None
     | s :: tl -> (
-      let lat = spec_access cfg topo sp s in
+      let lat = spec_step cfg sp s in
       let done_rev = s :: done_rev in
       match spec_check cfg sp ~last:(Some s) with
       | Some _ as v -> v
       | None -> (
-        match conform_both cfg topo (List.rev done_rev) sp lat with
+        match conform cfg topo (List.rev done_rev) sp lat with
         | Some _ as v -> v
         | None -> go done_rev tl))
   in
@@ -597,18 +379,23 @@ let oracle_agrees cfg trace sp =
   in
   let events =
     List.mapi
-      (fun i { v_cpu; v_line; v_off; v_write } ->
+      (fun i s ->
         {
-          Machine.t_cpu = v_cpu;
+          Machine.t_cpu = s.v_cpu;
           t_itc = i;
-          t_addr = (v_line * cfg.mc_line_size) + v_off;
+          t_addr = addr_of cfg s;
           t_size = acc_size;
-          t_is_write = v_write;
+          t_is_write = s.v_write;
         })
       trace
   in
   let o = Trace_oracle.analyze ~resolve ~line_size:cfg.mc_line_size events in
-  let sum f = Array.fold_left (fun acc s -> acc + f s) 0 sp.sst in
+  let sum f =
+    List.fold_left
+      (fun acc cpu -> acc + f (Spec.stats sp ~cpu))
+      0
+      (List.init cfg.mc_cpus Fun.id)
+  in
   let want_t = sum (fun s -> s.Sim_stats.true_sharing_misses)
   and want_f = sum (fun s -> s.Sim_stats.false_sharing_misses) in
   let got_t = Trace_oracle.total_true_sharing o
@@ -622,7 +409,7 @@ let oracle_agrees cfg trace sp =
 
 (* ---------- exploration ---------- *)
 
-type node = { n_parent : int; n_action : int; n_depth : int; n_spec : spec }
+type node = { n_parent : int; n_action : int; n_depth : int; n_spec : Spec.t }
 
 let run ?mutate ?(max_states = 200_000) cfg =
   validate cfg;
@@ -640,8 +427,11 @@ let run ?mutate ?(max_states = 200_000) cfg =
         let cpu = i / cfg.mc_lines in
         { v_cpu = cpu; v_line = line; v_off = offs.(oi); v_write = w = 1 })
   in
-  let check_backends = mutate = None in
-  let oracle_on = check_backends && evict_free cfg in
+  let check_kernel = mutate = None in
+  let oracle_on =
+    check_kernel
+    && evict_free ~capacity:cfg.mc_capacity ~ways:cfg.mc_ways cfg.mc_lines
+  in
   let nodes : (int, node) Hashtbl.t = Hashtbl.create 1024 in
   let visited = Flat_tab.create ~capacity:1024 () in
   let queue = Queue.create () in
@@ -688,13 +478,14 @@ let run ?mutate ?(max_states = 200_000) cfg =
     end
   in
   let transitions = ref 0 in
-  add_state (-1) (-1) (spec_create cfg);
+  let initial = fresh_spec ?mutate cfg topo in
   (* The initial state: nothing cached, nothing touched — still worth one
-     conformance pass so a backend with dirty create-time state fails. *)
-  (if check_backends then
-     match conform_both cfg topo [] (spec_create cfg) (-1) with
+     conformance pass so a kernel with dirty create-time state fails. *)
+  (if check_kernel then
+     match conform cfg topo [] initial (-1) with
      | Some msg -> violate 0 None msg
      | None -> ());
+  add_state (-1) (-1) initial;
   while not (Queue.is_empty queue) do
     let id = Queue.pop queue in
     let n = Hashtbl.find nodes id in
@@ -707,13 +498,13 @@ let run ?mutate ?(max_states = 200_000) cfg =
      end);
     for a = 0 to nact - 1 do
       incr transitions;
-      let sp = spec_copy n.n_spec in
-      let lat = spec_access ?mutate cfg topo sp actions.(a) in
+      let sp = Spec.copy n.n_spec in
+      let lat = spec_step cfg sp actions.(a) in
       (match spec_check cfg sp ~last:(Some actions.(a)) with
       | Some msg -> violate id (Some actions.(a)) msg
       | None -> ());
-      (if check_backends then
-         match conform_both cfg topo (prefix @ [ actions.(a) ]) sp lat with
+      (if check_kernel then
+         match conform cfg topo (prefix @ [ actions.(a) ]) sp lat with
          | Some msg -> violate id (Some actions.(a)) msg
          | None -> ());
       add_state id a sp
@@ -736,9 +527,17 @@ let run ?mutate ?(max_states = 200_000) cfg =
 (* ---------- the pinned suite ---------- *)
 
 (* Exact reachable-state counts per configuration, measured once and pinned:
-   a protocol change in memkern.ml/coherence.ml that alters the reachable
-   set shows up as a count drift here even if it violates no invariant. *)
+   a protocol change that alters the reachable set shows up as a count
+   drift here even if it violates no invariant. *)
 let standard_suite =
+  let direct_mapped_levels =
+    {
+      Coherence.h_l1_lines = 1;
+      h_l1_ways = Some 1;
+      h_llc_lines = 1;
+      h_llc_ways = Some 1;
+    }
+  in
   [
     (* eviction-free, fully associative: lines evolve independently (the
        counts are perfect squares of the per-line state count) *)
@@ -754,4 +553,13 @@ let standard_suite =
        eviction, directory-entry death and hint dropping *)
     (config ~protocol:Coherence.Mesi ~capacity:1 ~ways:1 (), 69);
     (config ~protocol:Coherence.Moesi ~capacity:1 ~ways:1 (), 85);
+    (* the multi-level hierarchy, direct-mapped at every level: L1
+       filtering and back-invalidation, victim-LLC fill on directory-entry
+       death and consumption on refetch *)
+    ( config ~protocol:Coherence.Mesi ~lines:3 ~ways:1 ~offsets:[ 0 ]
+        ~hierarchy:direct_mapped_levels (),
+      988 );
+    ( config ~protocol:Coherence.Moesi ~lines:3 ~ways:1 ~offsets:[ 0 ]
+        ~hierarchy:direct_mapped_levels (),
+      1838 );
   ]

@@ -15,7 +15,7 @@
     Keys must be non-negative (the sentinel for an empty slot is -1);
     values are arbitrary ints. Iteration order is the internal slot order —
     deterministic for a fixed operation history, but {e not} sorted;
-    callers that need canonical output sort, as {!Cache.iter} does. *)
+    callers that need canonical output sort. *)
 
 type t
 

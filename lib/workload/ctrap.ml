@@ -83,15 +83,10 @@ let profile () =
 let icache =
   { Slo_sim.Coherence.i_lines = 16; i_ways = None; i_line_size = 64 }
 
-let run_sim ?backend ?(cpus = 4) ?code_layout () =
+let run_sim ?(cpus = 4) ?code_layout () =
   let topology = Topology.bus ~cpus () in
   let base = Machine.default_config topology in
-  let cfg =
-    { base with
-      Machine.seed = 13;
-      backend = Option.value backend ~default:base.Machine.backend;
-      icache = Some icache }
-  in
+  let cfg = { base with Machine.seed = 13; icache = Some icache } in
   let m = Machine.create cfg (program ()) in
   (match code_layout with
   | Some order -> Machine.set_code_layout m order

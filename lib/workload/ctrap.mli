@@ -39,7 +39,6 @@ val icache : Slo_sim.Coherence.icache
     and declaration-order hot footprints. *)
 
 val run_sim :
-  ?backend:Slo_sim.Coherence.backend ->
   ?cpus:int ->
   ?code_layout:(string * int) list ->
   unit ->
@@ -47,5 +46,4 @@ val run_sim :
 (** Run the trap mix on the simulator with {!icache} configured,
     optionally under a block-order override; compare
     [stats.Sim_stats.imisses] across layouts. Deterministic for fixed
-    arguments; [backend] (default flat kernel) lets differential checks
-    replay the identical run on the boxed reference. *)
+    arguments. *)

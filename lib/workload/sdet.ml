@@ -12,7 +12,6 @@ type config = {
   sample_period : int option;
   seed : int;
   trace : bool;
-  backend : Slo_sim.Coherence.backend;
   icache : Slo_sim.Coherence.icache option;
   code_layout : (string * int) list option;
 }
@@ -27,7 +26,6 @@ let default_config topology =
     sample_period = None;
     seed = 1;
     trace = false;
-    backend = Slo_sim.Coherence.Flat;
     icache = None;
     code_layout = None;
   }
@@ -57,7 +55,6 @@ let build_and_run cfg =
         load_base = 2;
         store_base = 8;
         trace = cfg.trace;
-        backend = cfg.backend;
         icache = cfg.icache;
         hierarchy = None;
       }

@@ -35,9 +35,6 @@ type config = {
   sample_period : int option;
   seed : int;
   trace : bool;  (** record the memory trace (for the trace oracle) *)
-  backend : Slo_sim.Coherence.backend;
-      (** memory-system implementation (default {!Slo_sim.Coherence.Flat};
-          [Reference] is the boxed oracle, for differential benchmarks) *)
   icache : Slo_sim.Coherence.icache option;
       (** simulate the instruction-fetch side (default [None]: off, and
           the run is byte-identical to the fetch-free model) *)

@@ -9,13 +9,17 @@ module Obs = Slo_obs.Obs
 
 let check_int = Alcotest.(check int)
 
-(* The tentpole assertion: every standard config explores cleanly on both
-   backends and lands exactly on its pinned state count. Any semantic
-   drift in memkern.ml/coherence.ml fails here loudly. *)
+(* Each standard config explored once, shared by the tests below. *)
+let standard_reports =
+  lazy (List.map (fun (cfg, pin) -> (cfg, pin, Mc.run cfg)) Mc.standard_suite)
+
+(* The tentpole assertion: every standard config explores cleanly with the
+   kernel conforming to the spec on every edge, and lands exactly on its
+   pinned state count. Any semantic drift in the protocol fails here
+   loudly. *)
 let test_standard_suite () =
   List.iter
-    (fun (cfg, pin) ->
-      let r = Mc.run cfg in
+    (fun (cfg, pin, r) ->
       check_int
         (Printf.sprintf "%s: pinned state count" (Mc.config_name cfg))
         pin r.Mc.r_states;
@@ -31,7 +35,7 @@ let test_standard_suite () =
            (Mc.config_name cfg))
         true
         (r.Mc.r_max_depth >= 3 && r.Mc.r_max_frontier > 1))
-    Mc.standard_suite
+    (Lazy.force standard_reports)
 
 let test_suite_has_enough_configs () =
   Alcotest.(check bool)
@@ -46,7 +50,9 @@ let test_suite_has_enough_configs () =
     (has (fun c -> c.Mc.mc_topo = Mc.Superdome));
   Alcotest.(check bool) "has k=3" true (has (fun c -> c.Mc.mc_cpus = 3));
   Alcotest.(check bool) "has evicting config" true
-    (has (fun c -> c.Mc.mc_capacity < c.Mc.mc_lines))
+    (has (fun c -> c.Mc.mc_capacity < c.Mc.mc_lines));
+  Alcotest.(check bool) "has multi-level hierarchy" true
+    (has (fun c -> c.Mc.mc_hierarchy <> None))
 
 (* The oracle cross-check must actually run: on eviction-free configs
    every non-initial state's witness trace is replayed through
@@ -54,8 +60,7 @@ let test_suite_has_enough_configs () =
    legitimately differs and the cross-check is off. *)
 let test_oracle_coverage () =
   List.iter
-    (fun (cfg, _) ->
-      let r = Mc.run cfg in
+    (fun (cfg, _, r) ->
       if cfg.Mc.mc_capacity >= cfg.Mc.mc_lines then
         check_int
           (Printf.sprintf "%s: oracle checked every witness"
@@ -65,7 +70,7 @@ let test_oracle_coverage () =
         check_int
           (Printf.sprintf "%s: oracle off under eviction" (Mc.config_name cfg))
           0 r.Mc.r_oracle_traces)
-    Mc.standard_suite
+    (Lazy.force standard_reports)
 
 (* The mutation net: a deliberately broken protocol table must be caught,
    and the reported counterexample must be 1-minimal. *)
@@ -114,6 +119,17 @@ let test_validation () =
   Alcotest.(check bool) "LRU-observable geometry rejected" true
     (raises (Mc.config ~lines:2 ~capacity:2 ~ways:2 ~cpus:2 ()
              |> fun c -> { c with Mc.mc_lines = 3 }));
+  Alcotest.(check bool) "LRU-observable L1 geometry rejected" true
+    (raises
+       (Mc.config ~lines:3 ~ways:1
+          ~hierarchy:
+            {
+              Coherence.h_l1_lines = 2;
+              h_l1_ways = None;
+              h_llc_lines = 1;
+              h_llc_ways = None;
+            }
+          ()));
   Alcotest.(check bool) "oversized packed state rejected" true
     (raises (Mc.config ~cpus:8 ~lines:2 ~capacity:2 ~ways:1 ()));
   Alcotest.(check bool) "offset past line end rejected" true

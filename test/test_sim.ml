@@ -176,42 +176,49 @@ let prop_llc_local_cheapest =
       else this = lat.Topology.cross_crossbar)
 
 (* ------------------------------------------------------------------ *)
-(* Cache *)
+(* Cache: one CPU's private cache level, observed through the kernel *)
+
+let one_cpu_cache ?ways capacity =
+  Coherence.create (Topology.bus ~cpus:2 ()) ~line_size:128
+    ~cache_capacity:capacity ?ways ()
+
+let use_line ?(cpu = 0) c line ~w =
+  ignore (Coherence.access c ~cpu ~addr:(line * 128) ~size:8 ~is_write:w)
 
 let test_cache_insert_lookup () =
-  let c = Cache.create ~capacity:4 () in
-  Alcotest.(check (option reject)) "empty" None
-    (Option.map (fun _ -> ()) (Cache.state c 1));
-  ignore (Cache.insert c 1 Cache.Shared);
-  Alcotest.(check bool) "present" true (Cache.state c 1 = Some Cache.Shared);
-  Cache.set_state c 1 Cache.Modified;
-  Alcotest.(check bool) "state changed" true (Cache.state c 1 = Some Cache.Modified)
+  let c = one_cpu_cache 4 in
+  Alcotest.(check bool) "empty" true (Coherence.cache_state c ~cpu:0 ~line:1 = None);
+  use_line c 1 ~w:false;
+  Alcotest.(check bool) "present" true
+    (Coherence.cache_state c ~cpu:0 ~line:1 = Some Cache.Exclusive);
+  use_line c 1 ~w:true;
+  Alcotest.(check bool) "state changed" true
+    (Coherence.cache_state c ~cpu:0 ~line:1 = Some Cache.Modified)
 
 let test_cache_lru_eviction () =
-  let c = Cache.create ~capacity:2 () in
-  ignore (Cache.insert c 1 Cache.Shared);
-  ignore (Cache.insert c 2 Cache.Shared);
-  (* touch 1 so 2 becomes the victim *)
-  Cache.touch c 1;
-  (match Cache.insert c 3 Cache.Shared with
-  | Some (victim, _) -> check_int "LRU victim" 2 victim
-  | None -> Alcotest.fail "expected eviction");
-  Alcotest.(check bool) "1 still present" true (Cache.state c 1 <> None);
-  Alcotest.(check bool) "2 evicted" true (Cache.state c 2 = None)
+  let c = one_cpu_cache 2 in
+  use_line c 1 ~w:false;
+  use_line c 2 ~w:false;
+  (* a hit on 1 makes 2 the victim *)
+  use_line c 1 ~w:false;
+  use_line c 3 ~w:false;
+  Alcotest.(check bool) "1 still present" true
+    (Coherence.cache_state c ~cpu:0 ~line:1 <> None);
+  Alcotest.(check bool) "2 evicted" true
+    (Coherence.cache_state c ~cpu:0 ~line:2 = None)
 
 let test_cache_remove_and_errors () =
-  let c = Cache.create ~capacity:2 () in
-  ignore (Cache.insert c 5 Cache.Exclusive);
-  Cache.remove c 5;
-  Alcotest.(check bool) "removed" true (Cache.state c 5 = None);
-  Cache.remove c 5 (* no-op *);
-  (match Cache.set_state c 5 Cache.Shared with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "set_state on absent line");
-  ignore (Cache.insert c 5 Cache.Shared);
-  match Cache.insert c 5 Cache.Shared with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "double insert"
+  let c = one_cpu_cache 2 in
+  use_line c 5 ~w:false;
+  (* a remote write invalidates the copy *)
+  use_line ~cpu:1 c 5 ~w:true;
+  Alcotest.(check bool) "removed" true (Coherence.cache_state c ~cpu:0 ~line:5 = None);
+  List.iter
+    (fun (label, capacity, ways) ->
+      match one_cpu_cache ?ways capacity with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "%s accepted" label)
+    [ ("zero capacity", 0, None); ("zero ways", 2, Some 0) ]
 
 (* ------------------------------------------------------------------ *)
 (* Coherence protocol scenarios *)
@@ -305,6 +312,28 @@ let test_straddle_rejected () =
   match Coherence.access c ~cpu:0 ~addr:124 ~size:8 ~is_write:false with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "accepted line-straddling access"
+
+(* Negative addresses are rejected up front by name, before any statistic
+   is counted — by the kernel and the spec alike. *)
+let test_negative_address_rejected () =
+  let c = mk_coherence () in
+  List.iter
+    (fun addr ->
+      match Coherence.access c ~cpu:0 ~addr ~size:8 ~is_write:false with
+      | exception Invalid_argument m ->
+        Alcotest.(check string) "named error" "Coherence.access: addr < 0" m
+      | _ -> Alcotest.failf "accepted address %d" addr)
+    [ -8; -200 ];
+  check_int "nothing counted" 0 (Coherence.total_stats c).Sim_stats.loads;
+  Alcotest.(check bool) "line 0 untouched" false (Coherence.touched c ~line:0);
+  let s =
+    Slo_sim.Spec.create (Topology.superdome ~cpus:4 ()) ~line_size:128
+      ~cache_capacity:64 ()
+  in
+  match Slo_sim.Spec.access s ~cpu:0 ~addr:(-8) ~size:8 ~is_write:false with
+  | exception Invalid_argument _ ->
+    check_int "spec counted nothing" 0 (Slo_sim.Spec.stats s ~cpu:0).Sim_stats.loads
+  | _ -> Alcotest.fail "spec accepted a negative address"
 
 let prop_coherence_invariants =
   QCheck2.Test.make ~name:"MESI invariants hold under random access traces"
@@ -532,6 +561,8 @@ let suites =
         Alcotest.test_case "miss classification" `Quick test_miss_classification;
         Alcotest.test_case "writebacks" `Quick test_writeback_counting;
         Alcotest.test_case "straddle rejected" `Quick test_straddle_rejected;
+        Alcotest.test_case "negative address rejected" `Quick
+          test_negative_address_rejected;
       ] );
     ( "sim.machine",
       [
@@ -636,18 +667,15 @@ let test_set_associative_conflicts () =
   (* 4 lines, 2 ways -> 2 sets. Lines 0 and 2 map to set 0; a third
      conflicting line evicts the LRU way even though the cache is not
      full. *)
-  let c = Cache.create ~capacity:4 ~ways:2 () in
-  ignore (Cache.insert c 0 Cache.Shared);
-  ignore (Cache.insert c 2 Cache.Shared);
-  ignore (Cache.insert c 1 Cache.Shared);
-  (match Cache.insert c 4 Cache.Shared with
-  | Some (victim, _) -> check_int "conflict evicts set-0 LRU" 0 victim
-  | None -> Alcotest.fail "expected conflict eviction");
-  check_int "cache not full" 4 (Cache.capacity c);
-  check_int "three resident" 3 (Cache.size c)
+  let c = one_cpu_cache ~ways:2 4 in
+  List.iter (fun line -> use_line c line ~w:false) [ 0; 2; 1; 4 ];
+  let resident line = Coherence.cache_state c ~cpu:0 ~line <> None in
+  Alcotest.(check bool) "conflict evicts set-0 LRU" false (resident 0);
+  check_int "three resident" 3
+    (List.length (List.filter resident [ 0; 1; 2; 4 ]))
 
 let test_ways_validation () =
-  match Cache.create ~capacity:4 ~ways:3 () with
+  match one_cpu_cache ~ways:3 4 with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "accepted ways not dividing capacity"
 

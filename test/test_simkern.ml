@@ -1,11 +1,13 @@
 (* Tests for the flat memory-system kernel: Flat_tab model checking, the
-   kernel-vs-reference differential oracle, coherence-invariant properties
-   over the introspection API, the hint-staleness regression, and the
-   cache determinism pins. *)
+   kernel-vs-spec differential oracle, coherence-invariant properties over
+   the introspection API, hand-written scenarios (hint staleness, LRU
+   recency rules, I-cache, hierarchy) run on both the kernel and the spec,
+   and machine-level trace replays through the spec. *)
 
 module Topology = Slo_sim.Topology
 module Cache = Slo_sim.Cache
 module Coherence = Slo_sim.Coherence
+module Spec = Slo_sim.Spec
 module Flat_tab = Slo_sim.Flat_tab
 module Sim_stats = Slo_sim.Sim_stats
 module Machine = Slo_sim.Machine
@@ -73,8 +75,8 @@ let test_flat_tab_grow_and_shift () =
 
 (* ------------------------------------------------------------------ *)
 (* Differential oracle: the flat kernel must be indistinguishable from
-   the boxed reference — per-access latencies, per-CPU statistics,
-   directory contents, cache states — across protocols, topologies and
+   the pure spec — per-access latencies, per-CPU statistics, directory
+   contents, cache states — across protocols, topologies and
    associativities. *)
 
 let topologies =
@@ -97,47 +99,59 @@ let trace_gen =
        let* w = bool in
        return (cpu, line, off, w)))
 
-let run_both ~topology ~protocol ~ways trace =
-  let mk backend =
-    Coherence.create topology ~line_size:128 ~cache_capacity:8 ?ways ~protocol
-      ~backend ()
+(* Replay [trace] through a fresh kernel and a fresh spec of the same
+   geometry, demanding identical latencies on every access, then compare
+   the end states: per-CPU stats, the directory view and cache states,
+   and (under the hierarchy) L1 residency and LLC placement. *)
+let run_both ?hierarchy ~topology ~protocol ~ways trace =
+  let k =
+    Coherence.create topology ~line_size:128 ~cache_capacity:8 ?ways
+      ?hierarchy ~protocol ()
+  and s =
+    Spec.create topology ~line_size:128 ~cache_capacity:8 ?ways ?hierarchy
+      ~protocol ()
   in
-  let flat = mk Coherence.Flat and refr = mk Coherence.Reference in
   let cpus = Topology.num_cpus topology in
   List.iter
     (fun (cpu, line, off, w) ->
       let cpu = cpu mod cpus and addr = (line * 128) + (off * 8) in
-      let lf = Coherence.access flat ~cpu ~addr ~size:8 ~is_write:w in
-      let lr = Coherence.access refr ~cpu ~addr ~size:8 ~is_write:w in
-      if lf <> lr then
-        Alcotest.failf "latency diverged: flat %d vs reference %d" lf lr)
+      let a = Coherence.access k ~cpu ~addr ~size:8 ~is_write:w in
+      let b = Spec.access s ~cpu ~addr ~size:8 ~is_write:w in
+      if a <> b then
+        Alcotest.failf "latency diverged (cpu %d line %d w %b): kernel %d vs spec %d"
+          cpu line w a b)
     trace;
-  Coherence.check_invariants flat;
-  Coherence.check_invariants refr;
+  Coherence.check_invariants k;
   for cpu = 0 to cpus - 1 do
-    if Coherence.stats flat ~cpu <> Coherence.stats refr ~cpu then
+    (* Sim_stats equality covers the per-level counters too: l1/l2 hits
+       and local/remote LLC hits diverge structurally, not just in sums. *)
+    if Coherence.stats k ~cpu <> Spec.stats s ~cpu then
       Alcotest.failf "per-cpu stats diverged on cpu %d" cpu
   done;
   for line = 0 to lines_in_play - 1 do
-    if Coherence.holders flat ~line <> Coherence.holders refr ~line then
+    if Coherence.holders k ~line <> Spec.holders s ~line then
       Alcotest.failf "holders diverged on line %d" line;
-    if Coherence.owner flat ~line <> Coherence.owner refr ~line then
+    if Coherence.owner k ~line <> Spec.owner s ~line then
       Alcotest.failf "owner diverged on line %d" line;
-    if Coherence.sharers flat ~line <> Coherence.sharers refr ~line then
+    if Coherence.sharers k ~line <> Spec.sharers s ~line then
       Alcotest.failf "sharers diverged on line %d" line;
+    if Coherence.llc_cell k ~line <> Spec.llc_cell s ~line then
+      Alcotest.failf "LLC placement diverged on line %d" line;
     for cpu = 0 to cpus - 1 do
-      if
-        Coherence.cache_state flat ~cpu ~line
-        <> Coherence.cache_state refr ~cpu ~line
-      then Alcotest.failf "cache state diverged: cpu %d line %d" cpu line
+      if Coherence.cache_state k ~cpu ~line <> Spec.cache_state s ~cpu ~line
+      then Alcotest.failf "cache state diverged: cpu %d line %d" cpu line;
+      if Coherence.inv_hint k ~cpu ~line <> Spec.inv_hint s ~cpu ~line then
+        Alcotest.failf "hint diverged: cpu %d line %d" cpu line;
+      if Coherence.l1_resident k ~cpu ~line <> Spec.l1_resident s ~cpu ~line
+      then Alcotest.failf "L1 residency diverged: cpu %d line %d" cpu line
     done
   done
 
 let prop_differential =
   QCheck2.Test.make
     ~name:
-      "flat kernel == boxed reference (latencies, stats, directory) across \
-       protocols x topologies x associativities" ~count:25 trace_gen
+      "flat kernel == spec (latencies, stats, directory) across protocols x \
+       topologies x associativities" ~count:25 trace_gen
     (fun trace ->
       List.iter
         (fun (_, topology) ->
@@ -160,11 +174,11 @@ let prop_directory_invariants =
        Owned" ~count:60 trace_gen
     (fun trace ->
       List.iter
-        (fun (protocol, backend) ->
+        (fun protocol ->
           let topology = Topology.superdome ~cpus:8 () in
           let c =
             Coherence.create topology ~line_size:128 ~cache_capacity:8
-              ~protocol ~backend ()
+              ~protocol ()
           in
           List.iter
             (fun (cpu, line, off, w) ->
@@ -200,13 +214,55 @@ let prop_directory_invariants =
                     line
               done
           done)
-        [
-          (Coherence.Mesi, Coherence.Flat);
-          (Coherence.Mesi, Coherence.Reference);
-          (Coherence.Moesi, Coherence.Flat);
-          (Coherence.Moesi, Coherence.Reference);
-        ];
+        [ Coherence.Mesi; Coherence.Moesi ];
       true)
+
+(* ------------------------------------------------------------------ *)
+(* Hand-written scenarios run on both implementations: the kernel and the
+   spec expose the same creation and observation API. *)
+
+module type IMPL = sig
+  type t
+
+  val create :
+    Topology.t ->
+    line_size:int ->
+    cache_capacity:int ->
+    ?ways:int ->
+    ?icache:Coherence.icache ->
+    ?hierarchy:Coherence.hierarchy ->
+    ?protocol:Coherence.protocol ->
+    unit ->
+    t
+
+  val access : t -> cpu:int -> addr:int -> size:int -> is_write:bool -> int
+  val ifetch : t -> cpu:int -> addr:int -> size:int -> int
+  val stats : t -> cpu:int -> Sim_stats.t
+  val holders : t -> line:int -> int list
+  val has_icache : t -> bool
+  val icache_line_size : t -> int
+  val icache_resident : t -> cpu:int -> line:int -> bool
+  val has_hierarchy : t -> bool
+  val num_cells : t -> int
+  val l1_resident : t -> cpu:int -> line:int -> bool
+  val llc_cell : t -> line:int -> int option
+  val check_invariants : t -> unit
+end
+
+module Kernel : IMPL = Coherence
+
+module Oracle : IMPL = struct
+  include Spec
+
+  let create topo ~line_size ~cache_capacity ?ways ?icache ?hierarchy
+      ?protocol () =
+    Spec.create topo ~line_size ~cache_capacity ?ways ?icache ?hierarchy
+      ?protocol ()
+
+  (* The spec stores no directory to drift from its caches; its protocol
+     invariants are checked exhaustively by the model checker. *)
+  let check_invariants _ = ()
+end
 
 (* ------------------------------------------------------------------ *)
 (* Hint staleness regression.
@@ -217,15 +273,13 @@ let prop_directory_invariants =
    consulted the stale hint and was misclassified as a sharing miss. The
    fix drops a line's hints when its directory entry is removed, so the
    re-fetch counts as a capacity miss. This scenario fails on the pre-fix
-   code in both backends (it reported false_sharing = 1, capacity = 0). *)
+   code (it reported false_sharing = 1, capacity = 0). *)
 
-let test_hint_staleness backend () =
+let test_hint_staleness (module M : IMPL) () =
   let c =
-    Coherence.create
-      (Topology.bus ~cpus:2 ())
-      ~line_size:128 ~cache_capacity:2 ~backend ()
+    M.create (Topology.bus ~cpus:2 ()) ~line_size:128 ~cache_capacity:2 ()
   in
-  let access cpu addr w = ignore (Coherence.access c ~cpu ~addr ~size:8 ~is_write:w) in
+  let access cpu addr w = ignore (M.access c ~cpu ~addr ~size:8 ~is_write:w) in
   access 0 0 false;
   (* cpu1 writes bytes 8..15 of line 0: cpu0 invalidated, hint recorded *)
   access 1 8 true;
@@ -233,65 +287,37 @@ let test_hint_staleness backend () =
      last cached copy is gone, so the sharing episode is over *)
   access 1 128 false;
   access 1 256 false;
-  Alcotest.(check (list int)) "no copies left" [] (Coherence.holders c ~line:0);
+  Alcotest.(check (list int)) "no copies left" [] (M.holders c ~line:0);
   (* cpu0 re-reads bytes 0..7 — disjoint from the hint interval, so the
      stale hint would classify this as a false-sharing miss *)
   access 0 0 false;
-  let st = Coherence.stats c ~cpu:0 in
+  let st = M.stats c ~cpu:0 in
   check_int "capacity miss" 1 st.Sim_stats.capacity_misses;
   check_int "no false sharing" 0 st.Sim_stats.false_sharing_misses;
   check_int "no true sharing" 0 st.Sim_stats.true_sharing_misses;
-  Coherence.check_invariants c
+  M.check_invariants c
 
-let test_hint_live_episode backend () =
+let test_hint_live_episode (module M : IMPL) () =
   (* Sanity check that the fix did not over-drop: while the episode is
      live the hint still classifies the next miss. *)
   let c =
-    Coherence.create
-      (Topology.bus ~cpus:2 ())
-      ~line_size:128 ~cache_capacity:4 ~backend ()
+    M.create (Topology.bus ~cpus:2 ()) ~line_size:128 ~cache_capacity:4 ()
   in
-  let access cpu addr w = ignore (Coherence.access c ~cpu ~addr ~size:8 ~is_write:w) in
+  let access cpu addr w = ignore (M.access c ~cpu ~addr ~size:8 ~is_write:w) in
   access 0 0 false;
   access 1 8 true;
   access 0 0 false;
-  check_int "false sharing" 1
-    (Coherence.stats c ~cpu:0).Sim_stats.false_sharing_misses;
+  check_int "false sharing" 1 (M.stats c ~cpu:0).Sim_stats.false_sharing_misses;
   access 1 0 true;
   access 0 0 false;
-  check_int "true sharing" 1
-    (Coherence.stats c ~cpu:0).Sim_stats.true_sharing_misses
+  check_int "true sharing" 1 (M.stats c ~cpu:0).Sim_stats.true_sharing_misses
 
 (* ------------------------------------------------------------------ *)
-(* Cache determinism pins *)
-
-let test_cache_iter_sorted () =
-  let c = Cache.create ~capacity:16 () in
-  List.iter
-    (fun l -> ignore (Cache.insert c l Cache.Shared))
-    [ 9; 3; 12; 1; 7; 0; 15 ];
-  let seen = ref [] in
-  Cache.iter c (fun line _ -> seen := line :: !seen);
-  Alcotest.(check (list int))
-    "ascending line order" [ 0; 1; 3; 7; 9; 12; 15 ]
-    (List.rev !seen)
-
-let test_set_state_touches_lru () =
-  (* set_state must refresh recency (it reaches the node in one lookup
-     now): after touching line 1 via set_state, line 2 is the LRU victim. *)
-  let c = Cache.create ~capacity:2 () in
-  ignore (Cache.insert c 1 Cache.Shared);
-  ignore (Cache.insert c 2 Cache.Shared);
-  Cache.set_state c 1 Cache.Modified;
-  match Cache.insert c 3 Cache.Shared with
-  | Some (victim, Cache.Shared) -> check_int "victim is line 2" 2 victim
-  | Some (_, _) -> Alcotest.fail "victim had wrong state"
-  | None -> Alcotest.fail "expected eviction"
-
-(* ------------------------------------------------------------------ *)
-(* Machine-level end-to-end identity: full results (makespan, per-CPU
-   cycles, stats, samples, trace) must be structurally equal across
-   backends even with sampling and tracing enabled. *)
+(* Machine-level: replaying a run's recorded data and fetch traces through
+   the spec must reproduce the machine's per-CPU statistics exactly. The
+   data side and the I-cache never interact, so the two traces replay one
+   after the other. [src] has no globals, so the data trace holds every
+   access the machine made. *)
 
 let src =
   {|
@@ -309,36 +335,118 @@ void reader(struct S *s, int n) {
 }
 |}
 
-let test_machine_backend_identity () =
-  let program = Typecheck.check (Parser.parse_program ~file:"t.mc" src) in
-  let run backend =
-    let topology = Topology.superdome ~cpus:4 () in
-    let m =
-      Machine.create
-        {
-          (Machine.default_config topology) with
-          Machine.cache_lines = 16;
-          sample_period = Some 50;
-          trace = true;
-          seed = 11;
-          backend;
-        }
-        program
-    in
-    let s = Machine.alloc m ~struct_name:"S" in
-    for cpu = 0 to 3 do
-      Machine.add_thread m ~cpu
-        ~work:
-          [
-            ( (if cpu mod 2 = 0 then "writer" else "reader"),
-              [ Machine.Ainst s; Machine.Aint 40 ] );
-          ]
-    done;
-    Machine.run m
+let check_spec_replay label (cfg : Machine.config) (r : Machine.result) =
+  let s =
+    Spec.create cfg.Machine.topology ~line_size:cfg.Machine.line_size
+      ~cache_capacity:cfg.Machine.cache_lines ?ways:cfg.Machine.cache_ways
+      ?icache:cfg.Machine.icache ?hierarchy:cfg.Machine.hierarchy
+      ~protocol:cfg.Machine.protocol ()
   in
-  let r_flat = run Coherence.Flat and r_ref = run Coherence.Reference in
-  Alcotest.(check bool) "whole results identical" true (r_flat = r_ref);
-  Alcotest.(check bool) "trace non-empty" true (r_flat.Machine.trace <> [])
+  List.iter
+    (fun (ev : Machine.trace_event) ->
+      ignore
+        (Spec.access s ~cpu:ev.Machine.t_cpu ~addr:ev.Machine.t_addr
+           ~size:ev.Machine.t_size ~is_write:ev.Machine.t_is_write))
+    r.Machine.trace;
+  List.iter
+    (fun (ev : Machine.trace_event) ->
+      ignore
+        (Spec.ifetch s ~cpu:ev.Machine.t_cpu ~addr:ev.Machine.t_addr
+           ~size:ev.Machine.t_size))
+    r.Machine.fetch_trace;
+  Array.iteri
+    (fun cpu st ->
+      if st <> Spec.stats s ~cpu then
+        Alcotest.failf "%s: spec replay diverges from the machine on cpu %d" label
+          cpu)
+    r.Machine.per_cpu_stats
+
+let run_src_machine ?code_layout ?icache ?sample_period () =
+  let program = Typecheck.check (Parser.parse_program ~file:"t.mc" src) in
+  let cfg =
+    {
+      (Machine.default_config (Topology.superdome ~cpus:4 ())) with
+      Machine.cache_lines = 16;
+      icache;
+      sample_period;
+      trace = true;
+      seed = 11;
+    }
+  in
+  let m = Machine.create cfg program in
+  (match code_layout with
+  | Some order -> Machine.set_code_layout m order
+  | None -> ());
+  let s = Machine.alloc m ~struct_name:"S" in
+  for cpu = 0 to 3 do
+    Machine.add_thread m ~cpu
+      ~work:
+        [
+          ( (if cpu mod 2 = 0 then "writer" else "reader"),
+            [ Machine.Ainst s; Machine.Aint 40 ] );
+        ]
+  done;
+  (cfg, Machine.run m)
+
+let test_machine_spec_replay () =
+  let cfg, r = run_src_machine ~sample_period:50 () in
+  Alcotest.(check bool) "trace non-empty" true (r.Machine.trace <> []);
+  check_spec_replay "data-only run" cfg r
+
+(* ------------------------------------------------------------------ *)
+(* LRU recency rules the spec states and the kernel must share. *)
+
+(* A remote read downgrading the owner's copy refreshes its recency. *)
+let test_downgrade_refreshes_lru (module M : IMPL) () =
+  let c = M.create (Topology.bus ~cpus:2 ()) ~line_size:128 ~cache_capacity:2 () in
+  let read cpu line = ignore (M.access c ~cpu ~addr:(line * 128) ~size:8 ~is_write:false) in
+  read 0 1;
+  read 0 2;
+  (* cpu 0's E copy of line 1 drops to S and becomes most recently used *)
+  read 1 1;
+  read 0 3;
+  Alcotest.(check (list int)) "line 1 kept" [ 0; 1 ] (M.holders c ~line:1);
+  Alcotest.(check (list int)) "line 2 was the LRU victim" [] (M.holders c ~line:2)
+
+(* An Owned copy supplying a remote read is not touched. *)
+let test_owned_supplier_keeps_lru (module M : IMPL) () =
+  let c =
+    M.create (Topology.bus ~cpus:3 ()) ~line_size:128 ~cache_capacity:2
+      ~protocol:Coherence.Moesi ()
+  in
+  let acc cpu line w = ignore (M.access c ~cpu ~addr:(line * 128) ~size:8 ~is_write:w) in
+  acc 0 0 true;
+  acc 0 1 false;
+  (* M -> O on the first remote read (a state change: touched) *)
+  acc 1 0 false;
+  acc 0 1 false;
+  (* O stays O on the second: not touched, so line 0 stays the LRU *)
+  acc 2 0 false;
+  acc 0 2 false;
+  Alcotest.(check (list int)) "line 0 evicted from cpu 0" [ 1; 2 ]
+    (M.holders c ~line:0);
+  Alcotest.(check (list int)) "line 1 kept" [ 0 ] (M.holders c ~line:1)
+
+(* An L1 hit is absorbed by the L1: the L2's recency order is unchanged. *)
+let test_l1_hit_leaves_l2_lru (module M : IMPL) () =
+  let c =
+    M.create (Topology.bus ~cpus:2 ()) ~line_size:128 ~cache_capacity:3
+      ~hierarchy:
+        { Coherence.h_l1_lines = 2; h_l1_ways = None; h_llc_lines = 1; h_llc_ways = None }
+      ()
+  in
+  let read line = ignore (M.access c ~cpu:0 ~addr:(line * 128) ~size:8 ~is_write:false) in
+  List.iter read [ 0; 1; 2 ];
+  (* L1 hit on line 1; then an L2 hit on line 0 (evicted from the L1) *)
+  read 1;
+  Alcotest.(check int) "L1 hit counted" 1 (M.stats c ~cpu:0).Sim_stats.l1_hits;
+  read 0;
+  (* the L2 order is 0, 2, 1: line 1 is its victim, not line 2 *)
+  read 3;
+  Alcotest.(check (list int)) "line 1 evicted" [] (M.holders c ~line:1);
+  Alcotest.(check (list int)) "line 2 kept" [ 0 ] (M.holders c ~line:2);
+  Alcotest.(check (option int)) "dead victim parked in the LLC" (Some 0)
+    (M.llc_cell c ~line:1)
 
 (* Backward-shift deletion across the wrap-around boundary. With the
    minimum capacity (8 slots, mask 7) and the kernel's Fibonacci hash,
@@ -375,144 +483,136 @@ let test_flat_tab_wraparound_delete () =
   check_int "key 11 still findable" 110 (Flat_tab.find t 11 ~default:(-1));
   check_int "two survivors" 2 (Flat_tab.length t)
 
-let both_step fl rf ~cpu ~addr ~is_write =
-  let a = Coherence.access fl ~cpu ~addr ~size:8 ~is_write in
-  let b = Coherence.access rf ~cpu ~addr ~size:8 ~is_write in
+let both_step k s ~cpu ~addr ~is_write =
+  let a = Coherence.access k ~cpu ~addr ~size:8 ~is_write in
+  let b = Spec.access s ~cpu ~addr ~size:8 ~is_write in
   check_int (Printf.sprintf "latency identical (cpu %d addr %d)" cpu addr) a b
+
+(* The spec's directory view of [line] must match the kernel's. *)
+let views_agree k s ~line =
+  Alcotest.(check (list int)) "spec sharers" (Coherence.sharers k ~line)
+    (Spec.sharers s ~line);
+  Alcotest.(check (option int)) "spec owner" (Coherence.owner k ~line)
+    (Spec.owner s ~line)
 
 (* Sharer masks wider than one 62-bit word: CPUs 60 and 61 sit in bits
    60/61 of word 0 (the word boundary), 62 and 63 in bits 0/1 of word 1.
    The 128-CPU Superdome forces the multi-word mask path in the flat
-   kernel; the boxed reference is the oracle throughout. *)
+   kernel; the spec is the oracle throughout. *)
 let test_multiword_sharer_mask () =
   let topo = Topology.superdome () in
-  let mk backend =
-    Coherence.create topo ~line_size:128 ~cache_capacity:4 ~backend ()
-  in
-  let fl = mk Coherence.Flat and rf = mk Coherence.Reference in
+  let k = Coherence.create topo ~line_size:128 ~cache_capacity:4 ()
+  and s = Spec.create topo ~line_size:128 ~cache_capacity:4 () in
   List.iter
-    (fun cpu -> both_step fl rf ~cpu ~addr:0 ~is_write:false)
+    (fun cpu -> both_step k s ~cpu ~addr:0 ~is_write:false)
     [ 61; 60; 62; 63 ];
-  List.iter
-    (fun c ->
-      Alcotest.(check (list int))
-        "sharer set spans the word boundary" [ 60; 61; 62; 63 ]
-        (Coherence.sharers c ~line:0);
-      Alcotest.(check (option int)) "no owner" None (Coherence.owner c ~line:0))
-    [ fl; rf ];
+  Alcotest.(check (list int))
+    "sharer set spans the word boundary" [ 60; 61; 62; 63 ]
+    (Coherence.sharers k ~line:0);
+  Alcotest.(check (option int)) "no owner" None (Coherence.owner k ~line:0);
+  views_agree k s ~line:0;
   (* A write from word 0 must invalidate holders in both words at once. *)
-  both_step fl rf ~cpu:0 ~addr:8 ~is_write:true;
-  List.iter
-    (fun c ->
-      Alcotest.(check (list int)) "writer is the sole holder" [ 0 ]
-        (Coherence.holders c ~line:0);
-      check_int "all four copies invalidated" 4
-        (Coherence.stats c ~cpu:0).Sim_stats.invalidations;
-      Alcotest.(check (option (pair int int)))
-        "hint recorded across the word boundary" (Some (8, 8))
-        (Coherence.inv_hint c ~cpu:63 ~line:0))
-    [ fl; rf ];
+  both_step k s ~cpu:0 ~addr:8 ~is_write:true;
+  Alcotest.(check (list int)) "writer is the sole holder" [ 0 ]
+    (Coherence.holders k ~line:0);
+  check_int "all four copies invalidated" 4
+    (Coherence.stats k ~cpu:0).Sim_stats.invalidations;
+  Alcotest.(check (option (pair int int)))
+    "hint recorded across the word boundary" (Some (8, 8))
+    (Coherence.inv_hint k ~cpu:63 ~line:0);
+  views_agree k s ~line:0;
+  Alcotest.(check (option (pair int int)))
+    "spec hint" (Coherence.inv_hint k ~cpu:63 ~line:0)
+    (Spec.inv_hint s ~cpu:63 ~line:0);
   (* The invalidated high-word CPU classifies its next miss off the hint:
      disjoint byte intervals = false sharing. *)
-  both_step fl rf ~cpu:63 ~addr:0 ~is_write:false;
-  List.iter
-    (fun c ->
-      check_int "false-sharing miss classified in word 1" 1
-        (Coherence.stats c ~cpu:63).Sim_stats.false_sharing_misses)
-    [ fl; rf ]
+  both_step k s ~cpu:63 ~addr:0 ~is_write:false;
+  check_int "false-sharing miss classified in word 1" 1
+    (Coherence.stats k ~cpu:63).Sim_stats.false_sharing_misses;
+  Alcotest.(check bool) "spec stats agree" true
+    (Coherence.stats k ~cpu:63 = Spec.stats s ~cpu:63)
 
 (* Evicting the last sharer (a word-1 CPU) must kill the directory entry:
    holders goes empty, and a later re-fetch is a capacity miss, not a
    stale sharing miss. *)
 let test_clear_last_sharer_kills_entry () =
   let topo = Topology.superdome () in
-  let mk backend =
-    Coherence.create topo ~line_size:128 ~cache_capacity:2 ~ways:1 ~backend ()
-  in
-  let fl = mk Coherence.Flat and rf = mk Coherence.Reference in
-  both_step fl rf ~cpu:62 ~addr:0 ~is_write:false;
-  both_step fl rf ~cpu:63 ~addr:0 ~is_write:false;
+  let k = Coherence.create topo ~line_size:128 ~cache_capacity:2 ~ways:1 ()
+  and s = Spec.create topo ~line_size:128 ~cache_capacity:2 ~ways:1 () in
+  both_step k s ~cpu:62 ~addr:0 ~is_write:false;
+  both_step k s ~cpu:63 ~addr:0 ~is_write:false;
   (* Line 2 maps to the same set as line 0 (2 sets, 1 way): each fetch
      evicts the CPU's copy of line 0, clearing its word-1 sharer bit. *)
-  both_step fl rf ~cpu:62 ~addr:256 ~is_write:false;
-  List.iter
-    (fun c ->
-      Alcotest.(check (list int)) "one sharer left" [ 63 ]
-        (Coherence.holders c ~line:0))
-    [ fl; rf ];
-  both_step fl rf ~cpu:63 ~addr:256 ~is_write:false;
-  List.iter
-    (fun c ->
-      Alcotest.(check (list int)) "entry dead: no holders" []
-        (Coherence.holders c ~line:0);
-      Alcotest.(check (option int)) "entry dead: no owner" None
-        (Coherence.owner c ~line:0))
-    [ fl; rf ];
-  both_step fl rf ~cpu:63 ~addr:0 ~is_write:false;
-  List.iter
-    (fun c ->
-      (* Every miss by CPU 63 on an already-touched line is a capacity
-         miss (its line-0 join, the line-2 fetch, and this re-fetch); the
-         point is that none became a stale sharing miss. *)
-      let st = Coherence.stats c ~cpu:63 in
-      check_int "re-fetch is a capacity miss" 3 st.Sim_stats.capacity_misses;
-      check_int "no stale sharing classification" 0
-        (st.Sim_stats.true_sharing_misses + st.Sim_stats.false_sharing_misses))
-    [ fl; rf ]
+  both_step k s ~cpu:62 ~addr:256 ~is_write:false;
+  Alcotest.(check (list int)) "one sharer left" [ 63 ]
+    (Coherence.holders k ~line:0);
+  views_agree k s ~line:0;
+  both_step k s ~cpu:63 ~addr:256 ~is_write:false;
+  Alcotest.(check (list int)) "entry dead: no holders" []
+    (Coherence.holders k ~line:0);
+  Alcotest.(check (option int)) "entry dead: no owner" None
+    (Coherence.owner k ~line:0);
+  views_agree k s ~line:0;
+  both_step k s ~cpu:63 ~addr:0 ~is_write:false;
+  (* Every miss by CPU 63 on an already-touched line is a capacity miss
+     (its line-0 join, the line-2 fetch, and this re-fetch); the point is
+     that none became a stale sharing miss. *)
+  let st = Coherence.stats k ~cpu:63 in
+  check_int "re-fetch is a capacity miss" 3 st.Sim_stats.capacity_misses;
+  check_int "no stale sharing classification" 0
+    (st.Sim_stats.true_sharing_misses + st.Sim_stats.false_sharing_misses);
+  Alcotest.(check bool) "spec stats agree" true (st = Spec.stats s ~cpu:63)
 
 (* ------------------------------------------------------------------ *)
 (* Instruction-fetch side. The I-cache is private and coherence-free, but
-   the flat kernel and the boxed reference must still agree to the bit —
-   on per-line fetch latencies, the ifetch counters, and residency — with
-   data traffic interleaved so neither side can bleed into the other. *)
+   the flat kernel and the spec must still agree to the bit — on per-line
+   fetch latencies, the ifetch counters, and residency — with data traffic
+   interleaved so neither side can bleed into the other. *)
 
 let icfg = { Coherence.i_lines = 4; i_ways = None; i_line_size = 64 }
 
-let test_ifetch_unconfigured backend () =
+let test_ifetch_unconfigured (module M : IMPL) () =
   let c =
-    Coherence.create (Topology.bus ~cpus:2 ()) ~line_size:128 ~cache_capacity:4
-      ~backend ()
+    M.create (Topology.bus ~cpus:2 ()) ~line_size:128 ~cache_capacity:4 ()
   in
-  Alcotest.(check bool) "no icache" false (Coherence.has_icache c);
-  match Coherence.ifetch c ~cpu:0 ~addr:0 ~size:4 with
+  Alcotest.(check bool) "no icache" false (M.has_icache c);
+  match M.ifetch c ~cpu:0 ~addr:0 ~size:4 with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "ifetch accepted without an icache"
 
-let test_ifetch_line_walk backend () =
+let test_ifetch_line_walk (module M : IMPL) () =
   let c =
-    Coherence.create (Topology.bus ~cpus:2 ()) ~line_size:128 ~cache_capacity:4
-      ~icache:icfg ~backend ()
+    M.create (Topology.bus ~cpus:2 ()) ~line_size:128 ~cache_capacity:4
+      ~icache:icfg ()
   in
-  Alcotest.(check bool) "icache on" true (Coherence.has_icache c);
-  check_int "line size" 64 (Coherence.icache_line_size c);
+  Alcotest.(check bool) "icache on" true (M.has_icache c);
+  check_int "line size" 64 (M.icache_line_size c);
   (* 8 bytes at offset 60 span I-lines 0 and 1: two fetches, two misses *)
-  let cold = Coherence.ifetch c ~cpu:0 ~addr:60 ~size:8 in
-  let st () = Coherence.stats c ~cpu:0 in
+  let cold = M.ifetch c ~cpu:0 ~addr:60 ~size:8 in
+  let st () = M.stats c ~cpu:0 in
   check_int "two line fetches" 2 (st ()).Sim_stats.ifetches;
   check_int "two cold misses" 2 (st ()).Sim_stats.imisses;
   check_int "stall cycles accumulate" cold (st ()).Sim_stats.istall_cycles;
-  Alcotest.(check bool) "line 0 resident" true
-    (Coherence.icache_resident c ~cpu:0 ~line:0);
-  Alcotest.(check bool) "line 1 resident" true
-    (Coherence.icache_resident c ~cpu:0 ~line:1);
+  Alcotest.(check bool) "line 0 resident" true (M.icache_resident c ~cpu:0 ~line:0);
+  Alcotest.(check bool) "line 1 resident" true (M.icache_resident c ~cpu:0 ~line:1);
   Alcotest.(check bool) "private: not on the other cpu" false
-    (Coherence.icache_resident c ~cpu:1 ~line:0);
-  let warm = Coherence.ifetch c ~cpu:0 ~addr:60 ~size:8 in
+    (M.icache_resident c ~cpu:1 ~line:0);
+  let warm = M.ifetch c ~cpu:0 ~addr:60 ~size:8 in
   Alcotest.(check bool) "warm refetch is cheaper" true (warm < cold);
   check_int "no new misses" 2 (st ()).Sim_stats.imisses;
   check_int "data side untouched" 0 ((st ()).Sim_stats.loads + (st ()).Sim_stats.stores)
 
-let test_icache_lru backend () =
+let test_icache_lru (module M : IMPL) () =
   let c =
-    Coherence.create (Topology.bus ~cpus:2 ()) ~line_size:128 ~cache_capacity:4
-      ~icache:icfg ~backend ()
+    M.create (Topology.bus ~cpus:2 ()) ~line_size:128 ~cache_capacity:4
+      ~icache:icfg ()
   in
-  let fetch l = ignore (Coherence.ifetch c ~cpu:0 ~addr:(l * 64) ~size:4) in
+  let fetch l = ignore (M.ifetch c ~cpu:0 ~addr:(l * 64) ~size:4) in
   List.iter fetch [ 0; 1; 2; 3 ];
   (* touch 0: line 1 becomes the LRU victim of the capacity-busting fetch *)
   fetch 0;
   fetch 4;
-  let res l = Coherence.icache_resident c ~cpu:0 ~line:l in
+  let res l = M.icache_resident c ~cpu:0 ~line:l in
   Alcotest.(check bool) "LRU line 1 evicted" false (res 1);
   List.iter
     (fun l ->
@@ -539,49 +639,50 @@ let mixed_gen =
 let prop_icache_differential =
   QCheck2.Test.make
     ~name:
-      "ifetch: flat == reference (latencies, stats, residency) with \
-       interleaved data traffic across protocols x topologies" ~count:25
+      "ifetch: flat == spec (latencies, stats, residency) with interleaved \
+       data traffic across protocols x topologies" ~count:25
     mixed_gen
     (fun ops ->
       List.iter
         (fun (_, topology) ->
           List.iter
             (fun protocol ->
-              let mk backend =
+              let k =
                 Coherence.create topology ~line_size:128 ~cache_capacity:8
-                  ~icache:icfg ~protocol ~backend ()
+                  ~icache:icfg ~protocol ()
+              and s =
+                Spec.create topology ~line_size:128 ~cache_capacity:8
+                  ~icache:icfg ~protocol ()
               in
-              let fl = mk Coherence.Flat and rf = mk Coherence.Reference in
               let cpus = Topology.num_cpus topology in
               List.iter
                 (function
                   | Data (cpu, line, off, w) ->
                     let cpu = cpu mod cpus
                     and addr = (line * 128) + (off * 8) in
-                    let a = Coherence.access fl ~cpu ~addr ~size:8 ~is_write:w in
-                    let b = Coherence.access rf ~cpu ~addr ~size:8 ~is_write:w in
+                    let a = Coherence.access k ~cpu ~addr ~size:8 ~is_write:w in
+                    let b = Spec.access s ~cpu ~addr ~size:8 ~is_write:w in
                     if a <> b then
-                      Alcotest.failf "data latency diverged: flat %d vs ref %d"
+                      Alcotest.failf "data latency diverged: kernel %d vs spec %d"
                         a b
                   | Fetch (cpu, addr, size) ->
                     let cpu = cpu mod cpus in
-                    let a = Coherence.ifetch fl ~cpu ~addr ~size in
-                    let b = Coherence.ifetch rf ~cpu ~addr ~size in
+                    let a = Coherence.ifetch k ~cpu ~addr ~size in
+                    let b = Spec.ifetch s ~cpu ~addr ~size in
                     if a <> b then
                       Alcotest.failf
                         "fetch latency diverged (cpu %d addr %d size %d): \
-                         flat %d vs ref %d"
+                         kernel %d vs spec %d"
                         cpu addr size a b)
                 ops;
-              Coherence.check_invariants fl;
-              Coherence.check_invariants rf;
+              Coherence.check_invariants k;
               for cpu = 0 to cpus - 1 do
-                if Coherence.stats fl ~cpu <> Coherence.stats rf ~cpu then
+                if Coherence.stats k ~cpu <> Spec.stats s ~cpu then
                   Alcotest.failf "per-cpu stats diverged on cpu %d" cpu;
                 for line = 0 to 18 do
                   if
-                    Coherence.icache_resident fl ~cpu ~line
-                    <> Coherence.icache_resident rf ~cpu ~line
+                    Coherence.icache_resident k ~cpu ~line
+                    <> Spec.icache_resident s ~cpu ~line
                   then
                     Alcotest.failf "icache residency diverged: cpu %d line %d"
                       cpu line
@@ -591,52 +692,21 @@ let prop_icache_differential =
         topologies;
       true)
 
-(* Machine-level: with the instruction side on and tracing enabled, the
-   whole result — fetch trace included — must stay backend-identical. *)
+(* Machine-level with the instruction side on: the spec replay of the
+   data and fetch traces reproduces the machine's per-CPU statistics,
+   under the declaration-order code layout and a permuted one. *)
 let machine_icache =
   { Coherence.i_lines = 4; i_ways = Some 2; i_line_size = 32 }
 
-let run_src_machine ?code_layout backend =
-  let program = Typecheck.check (Parser.parse_program ~file:"t.mc" src) in
-  let topology = Topology.superdome ~cpus:4 () in
-  let m =
-    Machine.create
-      {
-        (Machine.default_config topology) with
-        Machine.cache_lines = 16;
-        icache = Some machine_icache;
-        trace = true;
-        seed = 11;
-        backend;
-      }
-      program
-  in
-  (match code_layout with
-  | Some order -> Machine.set_code_layout m order
-  | None -> ());
-  let s = Machine.alloc m ~struct_name:"S" in
-  for cpu = 0 to 3 do
-    Machine.add_thread m ~cpu
-      ~work:
-        [
-          ( (if cpu mod 2 = 0 then "writer" else "reader"),
-            [ Machine.Ainst s; Machine.Aint 40 ] );
-        ]
-  done;
-  Machine.run m
-
-let test_machine_fetch_identity () =
-  let r_flat = run_src_machine Coherence.Flat
-  and r_ref = run_src_machine Coherence.Reference in
-  Alcotest.(check bool) "whole results identical (incl. fetch trace)" true
-    (r_flat = r_ref);
+let test_machine_fetch_replay () =
+  let cfg, r = run_src_machine ~icache:machine_icache () in
   Alcotest.(check bool) "fetch trace non-empty" true
-    (r_flat.Machine.fetch_trace <> []);
+    (r.Machine.fetch_trace <> []);
   Alcotest.(check bool) "fetches counted" true
-    (r_flat.Machine.stats.Sim_stats.ifetches > 0);
+    (r.Machine.stats.Sim_stats.ifetches > 0);
   Alcotest.(check bool) "misses counted" true
-    (r_flat.Machine.stats.Sim_stats.imisses > 0);
-  (* a permuted layout must stay backend-identical too *)
+    (r.Machine.stats.Sim_stats.imisses > 0);
+  check_spec_replay "declaration layout" cfg r;
   let program = Typecheck.check (Parser.parse_program ~file:"t.mc" src) in
   let order =
     List.rev_map
@@ -646,10 +716,10 @@ let test_machine_fetch_identity () =
             (Machine.default_config (Topology.bus ~cpus:2 ()))
             program))
   in
-  let p_flat = run_src_machine ~code_layout:order Coherence.Flat
-  and p_ref = run_src_machine ~code_layout:order Coherence.Reference in
-  Alcotest.(check bool) "permuted layout identical across backends" true
-    (p_flat = p_ref)
+  let cfg, p = run_src_machine ~icache:machine_icache ~code_layout:order () in
+  Alcotest.(check bool) "permutation moved the fetches" true
+    (p.Machine.fetch_trace <> r.Machine.fetch_trace);
+  check_spec_replay "permuted layout" cfg p
 
 let test_set_code_layout_validation () =
   let program = Typecheck.check (Parser.parse_program ~file:"t.mc" src) in
@@ -686,29 +756,22 @@ let test_set_code_layout_validation () =
       Machine.set_code_layout m all)
 
 let test_kstats_exposure () =
-  let mk backend =
-    Coherence.create
-      (Topology.bus ~cpus:2 ())
-      ~line_size:128 ~cache_capacity:4 ~backend ()
+  let c =
+    Coherence.create (Topology.bus ~cpus:2 ()) ~line_size:128 ~cache_capacity:4 ()
   in
-  let flat = mk Coherence.Flat in
-  ignore (Coherence.access flat ~cpu:0 ~addr:0 ~size:8 ~is_write:true);
-  (match Coherence.kstats flat with
-  | Some k ->
-      Alcotest.(check bool) "dir_live tracked" true (k.Slo_sim.Memkern.k_dir_live >= 1);
-      Alcotest.(check bool) "peak >= live" true
-        (k.Slo_sim.Memkern.k_dir_peak >= k.Slo_sim.Memkern.k_dir_live)
-  | None -> Alcotest.fail "Flat backend must expose kstats");
-  match Coherence.kstats (mk Coherence.Reference) with
-  | None -> ()
-  | Some _ -> Alcotest.fail "Reference backend must not expose kstats"
+  ignore (Coherence.access c ~cpu:0 ~addr:0 ~size:8 ~is_write:true);
+  let k = Coherence.kstats c in
+  Alcotest.(check bool) "dir_live tracked" true (k.Coherence.k_dir_live >= 1);
+  Alcotest.(check bool) "peak >= live" true
+    (k.Coherence.k_dir_peak >= k.Coherence.k_dir_live)
 
 (* ------------------------------------------------------------------ *)
 (* Multi-level hierarchy. The L1 filter, the coherent L2 and the per-cell
-   victim LLCs must behave identically in the flat kernel and the boxed
-   reference — per-access latencies, the per-level hit counters, L1
-   residency and LLC placement — across protocols, topologies, and
-   associativities at every level. *)
+   victim LLCs must behave identically in the flat kernel and the spec —
+   per-access latencies, the per-level hit counters, L1 residency and LLC
+   placement — across protocols, topologies, and associativities at every
+   level. Exhaustive interleavings of a direct-mapped multi-level config
+   are pinned in Modelcheck.standard_suite. *)
 
 let hier_variants =
   [
@@ -720,55 +783,10 @@ let hier_variants =
       { Coherence.h_l1_lines = 4; h_l1_ways = None; h_llc_lines = 8; h_llc_ways = None } );
   ]
 
-let run_both_hier ~topology ~protocol ~ways ~hierarchy trace =
-  let mk backend =
-    Coherence.create topology ~line_size:128 ~cache_capacity:8 ?ways ~hierarchy
-      ~protocol ~backend ()
-  in
-  let fl = mk Coherence.Flat and rf = mk Coherence.Reference in
-  let cpus = Topology.num_cpus topology in
-  if Coherence.num_cells fl <> Coherence.num_cells rf then
-    Alcotest.failf "cell count diverged";
-  List.iter
-    (fun (cpu, line, off, w) ->
-      let cpu = cpu mod cpus and addr = (line * 128) + (off * 8) in
-      let a = Coherence.access fl ~cpu ~addr ~size:8 ~is_write:w in
-      let b = Coherence.access rf ~cpu ~addr ~size:8 ~is_write:w in
-      if a <> b then
-        Alcotest.failf "hier latency diverged (cpu %d line %d w %b): %d vs %d"
-          cpu line w a b)
-    trace;
-  Coherence.check_invariants fl;
-  Coherence.check_invariants rf;
-  for cpu = 0 to cpus - 1 do
-    (* Sim_stats equality covers the per-level counters: l1/l2 hits and
-       local/remote LLC hits diverge structurally, not just in sums. *)
-    if Coherence.stats fl ~cpu <> Coherence.stats rf ~cpu then
-      Alcotest.failf "per-cpu stats diverged on cpu %d" cpu
-  done;
-  for line = 0 to lines_in_play - 1 do
-    if Coherence.holders fl ~line <> Coherence.holders rf ~line then
-      Alcotest.failf "holders diverged on line %d" line;
-    if Coherence.owner fl ~line <> Coherence.owner rf ~line then
-      Alcotest.failf "owner diverged on line %d" line;
-    if Coherence.llc_cell fl ~line <> Coherence.llc_cell rf ~line then
-      Alcotest.failf "LLC placement diverged on line %d" line;
-    for cpu = 0 to cpus - 1 do
-      if
-        Coherence.cache_state fl ~cpu ~line
-        <> Coherence.cache_state rf ~cpu ~line
-      then Alcotest.failf "cache state diverged: cpu %d line %d" cpu line;
-      if
-        Coherence.l1_resident fl ~cpu ~line
-        <> Coherence.l1_resident rf ~cpu ~line
-      then Alcotest.failf "L1 residency diverged: cpu %d line %d" cpu line
-    done
-  done
-
 let prop_hier_differential =
   QCheck2.Test.make
     ~name:
-      "hierarchy: flat == reference (per-level latencies, counters, L1/LLC \
+      "hierarchy: flat == spec (per-level latencies, counters, L1/LLC \
        residency) across protocols x topologies x associativities" ~count:25
     trace_gen
     (fun trace ->
@@ -780,7 +798,7 @@ let prop_hier_differential =
                 (fun (_, ways) ->
                   List.iter
                     (fun (_, hierarchy) ->
-                      run_both_hier ~topology ~protocol ~ways ~hierarchy trace)
+                      run_both ~hierarchy ~topology ~protocol ~ways trace)
                     hier_variants)
                 assoc_variants)
             [ Coherence.Mesi; Coherence.Moesi ])
@@ -791,47 +809,46 @@ let prop_hier_differential =
    {0..7} and {8..15}). Walks one access sequence through L1 hit, L2 hit,
    victim-LLC fill, local and remote LLC hits, and the L1 write fast
    path, asserting the exact latency and counter at every step. *)
-let test_hier_level_walk backend () =
+let test_hier_level_walk (module M : IMPL) () =
   let topo = Topology.superdome ~cpus:16 () in
   let c =
-    Coherence.create topo ~line_size:128 ~cache_capacity:2 ~ways:1
+    M.create topo ~line_size:128 ~cache_capacity:2 ~ways:1
       ~hierarchy:
         { Coherence.h_l1_lines = 1; h_l1_ways = Some 1; h_llc_lines = 4; h_llc_ways = None }
-      ~backend ()
+      ()
   in
-  Alcotest.(check bool) "hierarchy on" true (Coherence.has_hierarchy c);
-  check_int "two cells" 2 (Coherence.num_cells c);
-  let access cpu line w = Coherence.access c ~cpu ~addr:(line * 128) ~size:8 ~is_write:w in
-  let st cpu = Coherence.stats c ~cpu in
+  Alcotest.(check bool) "hierarchy on" true (M.has_hierarchy c);
+  check_int "two cells" 2 (M.num_cells c);
+  let access cpu line w = M.access c ~cpu ~addr:(line * 128) ~size:8 ~is_write:w in
+  let st cpu = M.stats c ~cpu in
   (* cold miss straight to memory *)
   check_int "cold miss costs memory" 300 (access 0 0 false);
   (* L1 hit: the line was promoted on the fill *)
   check_int "L1 hit costs 1" 1 (access 0 0 false);
   check_int "l1_hits counted" 1 (st 0).Sim_stats.l1_hits;
-  Alcotest.(check bool) "L1 resident" true (Coherence.l1_resident c ~cpu:0 ~line:0);
+  Alcotest.(check bool) "L1 resident" true (M.l1_resident c ~cpu:0 ~line:0);
   (* a second line displaces the 1-line L1 but not the L2 *)
   check_int "second cold miss" 300 (access 0 1 false);
-  Alcotest.(check bool) "L1 displaced" false (Coherence.l1_resident c ~cpu:0 ~line:0);
+  Alcotest.(check bool) "L1 displaced" false (M.l1_resident c ~cpu:0 ~line:0);
   check_int "L1-miss L2-hit costs l2_hit" 10 (access 0 0 false);
   check_int "l2_hits counted" 1 (st 0).Sim_stats.l2_hits;
   (* line 2 conflicts with line 0 (2 sets, 1 way): the dead victim drops
      into cell 0's LLC *)
   check_int "conflict miss" 300 (access 0 2 false);
   Alcotest.(check (option int)) "victim parked in cell 0" (Some 0)
-    (Coherence.llc_cell c ~line:0);
+    (M.llc_cell c ~line:0);
   (* a CPU in the other cell re-fetches it: remote LLC hit, capped at
      memory latency (the crossbar is farther than local memory) *)
   check_int "remote LLC hit capped at memory" 300 (access 8 0 false);
   check_int "remote LLC hit counted" 1 (st 8).Sim_stats.llc_remote_hits;
-  Alcotest.(check (option int)) "LLC copy consumed" None
-    (Coherence.llc_cell c ~line:0);
+  Alcotest.(check (option int)) "LLC copy consumed" None (M.llc_cell c ~line:0);
   (* park a line in cell 1's LLC and take the local hit: an intra-cell
      transfer (200) beats memory (300). Lines 5 and 7 are untouched, so
      both fills go to memory and the victim's directory entry is dead. *)
   check_int "cold miss in cell 1" 300 (access 8 5 false);
   check_int "conflict evicts line 5 to cell 1's LLC" 300 (access 8 7 false);
   Alcotest.(check (option int)) "victim parked in cell 1" (Some 1)
-    (Coherence.llc_cell c ~line:5);
+    (M.llc_cell c ~line:5);
   check_int "local LLC hit costs same_cell" 200 (access 8 5 false);
   check_int "local LLC hit counted" 1 (st 8).Sim_stats.llc_local_hits;
   (* E -> M silent upgrade is an L2 hit (it must reach the directory),
@@ -840,12 +857,12 @@ let test_hier_level_walk backend () =
   check_int "upgrade counted as L2 hit" 1 (st 8).Sim_stats.l2_hits;
   check_int "M write through L1 costs 1" 1 (access 8 0 true);
   check_int "fast path counted as L1 hit" 1 (st 8).Sim_stats.l1_hits;
-  Coherence.check_invariants c
+  M.check_invariants c
 
-let test_hier_validation backend () =
+let test_hier_validation (module M : IMPL) () =
   let mk hierarchy =
-    Coherence.create (Topology.bus ~cpus:2 ()) ~line_size:128 ~cache_capacity:4
-      ~hierarchy ~backend ()
+    M.create (Topology.bus ~cpus:2 ()) ~line_size:128 ~cache_capacity:4
+      ~hierarchy ()
   in
   let expect_invalid label h =
     match mk h with
@@ -861,111 +878,14 @@ let test_hier_validation backend () =
   let c =
     mk { Coherence.h_l1_lines = 2; h_l1_ways = None; h_llc_lines = 4; h_llc_ways = None }
   in
-  Alcotest.(check bool) "valid geometry accepted" true (Coherence.has_hierarchy c)
+  Alcotest.(check bool) "valid geometry accepted" true (M.has_hierarchy c)
 
-(* Exhaustive interleaving check (the Modelcheck analog for the
-   hierarchy): breadth-first exploration of every reachable state of a
-   2-CPU x 3-line multi-level config whose geometry is fully
-   deterministic (direct-mapped at every level), comparing the flat
-   kernel against the boxed reference on every edge and pinning the
-   reachable-state count against drift. *)
-
-let hier_mc_lines = 3
-let hier_mc_cpus = 2
-
-let hier_mc_mk protocol backend =
-  Coherence.create
-    (Topology.bus ~cpus:hier_mc_cpus ())
-    ~line_size:128 ~cache_capacity:2 ~ways:1
-    ~hierarchy:
-      { Coherence.h_l1_lines = 1; h_l1_ways = Some 1; h_llc_lines = 1; h_llc_ways = Some 1 }
-    ~protocol ~backend ()
-
-(* Canonical observable state: with every level direct-mapped there is no
-   hidden replacement state, so the introspection API determines future
-   behavior completely. *)
-let hier_mc_key c =
-  let buf = Buffer.create 64 in
-  for line = 0 to hier_mc_lines - 1 do
-    Buffer.add_string buf
-      (Printf.sprintf "o%s;s%s;t%b;l%s|"
-         (match Coherence.owner c ~line with None -> "-" | Some o -> string_of_int o)
-         (String.concat "," (List.map string_of_int (Coherence.sharers c ~line)))
-         (Coherence.touched c ~line)
-         (match Coherence.llc_cell c ~line with None -> "-" | Some cl -> string_of_int cl));
-    for cpu = 0 to hier_mc_cpus - 1 do
-      Buffer.add_string buf
-        (Printf.sprintf "c%s;r%b;h%s|"
-           (match Coherence.cache_state c ~cpu ~line with
-           | None -> "-"
-           | Some Cache.Modified -> "M"
-           | Some Cache.Exclusive -> "E"
-           | Some Cache.Shared -> "S"
-           | Some Cache.Owned -> "O")
-           (Coherence.l1_resident c ~cpu ~line)
-           (match Coherence.inv_hint c ~cpu ~line with
-           | None -> "-"
-           | Some (off, len) -> Printf.sprintf "%d.%d" off len))
-    done
-  done;
-  Buffer.contents buf
-
-let test_hier_exhaustive protocol pinned () =
-  let alphabet =
-    List.concat_map
-      (fun cpu ->
-        List.concat_map
-          (fun line -> [ (cpu, line, false); (cpu, line, true) ])
-          (List.init hier_mc_lines Fun.id))
-      (List.init hier_mc_cpus Fun.id)
-  in
-  (* Replay a trace on fresh instances of both backends, checking latency
-     identity on every access; return the pair for inspection. *)
-  let replay trace =
-    let fl = hier_mc_mk protocol Coherence.Flat
-    and rf = hier_mc_mk protocol Coherence.Reference in
-    List.iter
-      (fun (cpu, line, w) ->
-        let a = Coherence.access fl ~cpu ~addr:(line * 128) ~size:8 ~is_write:w in
-        let b = Coherence.access rf ~cpu ~addr:(line * 128) ~size:8 ~is_write:w in
-        if a <> b then
-          Alcotest.failf "latency diverged (cpu %d line %d w %b): %d vs %d"
-            cpu line w a b)
-      trace;
-    (fl, rf)
-  in
-  let visited = Hashtbl.create 1024 in
-  let frontier = Queue.create () in
-  let visit trace =
-    let fl, rf = replay trace in
-    let k = hier_mc_key fl in
-    if hier_mc_key rf <> k then
-      Alcotest.failf "observable state diverged after %d steps"
-        (List.length trace);
-    if not (Hashtbl.mem visited k) then begin
-      Hashtbl.replace visited k ();
-      Coherence.check_invariants fl;
-      Coherence.check_invariants rf;
-      for cpu = 0 to hier_mc_cpus - 1 do
-        if Coherence.stats fl ~cpu <> Coherence.stats rf ~cpu then
-          Alcotest.failf "stats diverged on cpu %d after %d steps" cpu
-            (List.length trace)
-      done;
-      Queue.add trace frontier
-    end
-  in
-  visit [];
-  while not (Queue.is_empty frontier) do
-    let trace = Queue.pop frontier in
-    List.iter (fun op -> visit (trace @ [ op ])) alphabet
-  done;
-  check_int "pinned reachable-state count" pinned (Hashtbl.length visited)
-
-(* Reachable-state pins for the exhaustive multi-level configs. Any
-   semantic drift in the hierarchy (L1 filtering, LLC fill/consume, the
-   directory interplay) changes these counts and fails loudly. *)
-let hier_mc_pin_mesi = 988
-let hier_mc_pin_moesi = 1838
+(* Each hand-written scenario, once per implementation. *)
+let on_both name f =
+  [
+    Alcotest.test_case (name ^ " (flat)") `Quick (f (module Kernel : IMPL));
+    Alcotest.test_case (name ^ " (spec)") `Quick (f (module Oracle : IMPL));
+  ]
 
 let suites =
   [
@@ -988,66 +908,32 @@ let suites =
     ( "sim.kernel.invariants",
       [ QCheck_alcotest.to_alcotest prop_directory_invariants ] );
     ( "sim.kernel.hints",
-      [
-        Alcotest.test_case "stale hint dropped with episode (flat)" `Quick
-          (test_hint_staleness Coherence.Flat);
-        Alcotest.test_case "stale hint dropped with episode (reference)" `Quick
-          (test_hint_staleness Coherence.Reference);
-        Alcotest.test_case "live hint still classifies (flat)" `Quick
-          (test_hint_live_episode Coherence.Flat);
-        Alcotest.test_case "live hint still classifies (reference)" `Quick
-          (test_hint_live_episode Coherence.Reference);
-      ] );
+      on_both "stale hint dropped with episode" test_hint_staleness
+      @ on_both "live hint still classifies" test_hint_live_episode );
     ( "sim.kernel.cache",
-      [
-        Alcotest.test_case "iter is sorted by line" `Quick test_cache_iter_sorted;
-        Alcotest.test_case "set_state refreshes LRU" `Quick
-          test_set_state_touches_lru;
-      ] );
+      on_both "remote-read downgrade refreshes LRU" test_downgrade_refreshes_lru
+      @ on_both "Owned supplier keeps its LRU position"
+          test_owned_supplier_keeps_lru
+      @ on_both "L1 hit leaves the L2 LRU alone" test_l1_hit_leaves_l2_lru );
     ( "sim.kernel.machine",
       [
-        Alcotest.test_case "end-to-end backend identity" `Quick
-          test_machine_backend_identity;
+        Alcotest.test_case "machine trace replays exactly through the spec"
+          `Quick test_machine_spec_replay;
         Alcotest.test_case "kstats exposure" `Quick test_kstats_exposure;
       ] );
     ( "sim.kernel.icache",
-      [
-        Alcotest.test_case "ifetch without an icache is rejected (flat)" `Quick
-          (test_ifetch_unconfigured Coherence.Flat);
-        Alcotest.test_case "ifetch without an icache is rejected (reference)"
-          `Quick
-          (test_ifetch_unconfigured Coherence.Reference);
-        Alcotest.test_case "line walk, counters, privacy (flat)" `Quick
-          (test_ifetch_line_walk Coherence.Flat);
-        Alcotest.test_case "line walk, counters, privacy (reference)" `Quick
-          (test_ifetch_line_walk Coherence.Reference);
-        Alcotest.test_case "true-LRU replacement (flat)" `Quick
-          (test_icache_lru Coherence.Flat);
-        Alcotest.test_case "true-LRU replacement (reference)" `Quick
-          (test_icache_lru Coherence.Reference);
-        QCheck_alcotest.to_alcotest prop_icache_differential;
-        Alcotest.test_case "machine fetch-trace backend identity" `Quick
-          test_machine_fetch_identity;
-        Alcotest.test_case "set_code_layout validation" `Quick
-          test_set_code_layout_validation;
-      ] );
+      on_both "ifetch without an icache is rejected" test_ifetch_unconfigured
+      @ on_both "line walk, counters, privacy" test_ifetch_line_walk
+      @ on_both "true-LRU replacement" test_icache_lru
+      @ [
+          QCheck_alcotest.to_alcotest prop_icache_differential;
+          Alcotest.test_case "machine fetch trace replays exactly through the spec"
+            `Quick test_machine_fetch_replay;
+          Alcotest.test_case "set_code_layout validation" `Quick
+            test_set_code_layout_validation;
+        ] );
     ( "sim.kernel.hierarchy",
-      [
-        QCheck_alcotest.to_alcotest prop_hier_differential;
-        Alcotest.test_case "per-level latency walk on two cells (flat)" `Quick
-          (test_hier_level_walk Coherence.Flat);
-        Alcotest.test_case "per-level latency walk on two cells (reference)"
-          `Quick
-          (test_hier_level_walk Coherence.Reference);
-        Alcotest.test_case "geometry validation (flat)" `Quick
-          (test_hier_validation Coherence.Flat);
-        Alcotest.test_case "geometry validation (reference)" `Quick
-          (test_hier_validation Coherence.Reference);
-        Alcotest.test_case "exhaustive interleavings, pinned states (MESI)"
-          `Quick
-          (test_hier_exhaustive Coherence.Mesi hier_mc_pin_mesi);
-        Alcotest.test_case "exhaustive interleavings, pinned states (MOESI)"
-          `Quick
-          (test_hier_exhaustive Coherence.Moesi hier_mc_pin_moesi);
-      ] );
+      QCheck_alcotest.to_alcotest prop_hier_differential
+      :: on_both "per-level latency walk on two cells" test_hier_level_walk
+      @ on_both "geometry validation" test_hier_validation );
   ]
