@@ -6,9 +6,10 @@
    Usage:
      dune exec bench/main.exe              # everything (a few minutes)
      dune exec bench/main.exe -- fig8      # one section
-     dune exec bench/main.exe -- quick     # smaller machines / fewer runs
+     dune exec bench/main.exe -- --quick   # smaller machines / fewer runs
      dune exec bench/main.exe -- --jobs 4  # parallel simulator runs
      dune exec bench/main.exe -- --json b.json   # JSON artifacts + manifest
+     dune exec bench/main.exe -- --help    # sections and options
 
    --jobs N (or SLO_JOBS=N; default Domain.recommended_domain_count) fans
    independent simulator runs and per-struct analyses across a domain
@@ -39,7 +40,7 @@ module Obs = Slo_obs.Obs
 module Json = Slo_obs.Json
 
 let quick = ref false
-let jobs = ref 0 (* 0 = SLO_JOBS / Domain.recommended_domain_count *)
+let jobs = ref 0 (* 0 = Domain.recommended_domain_count *)
 let json_path = ref None (* --json PATH: manifest path; artifacts go next to it *)
 
 let runs () = if !quick then 3 else 10
@@ -638,6 +639,7 @@ let run_micro () =
   let samples = Collect.samples () in
   let params = Collect.calibrated_params in
   let flg_a = Collect.flg ~params ~counts ~samples ~struct_name:"A" () in
+  let store = Sample_store.of_samples samples in
   let tests =
     [
       Test.make ~name:"parse+typecheck kernel.mc"
@@ -651,7 +653,7 @@ let run_micro () =
         (Staged.stage (fun () ->
              ignore
                (Code_concurrency.compute ~interval:params.Pipeline.cc_interval
-                  samples)));
+                  store)));
       Test.make ~name:"greedy clustering (struct A)"
         (Staged.stage (fun () -> ignore (Cluster.run flg_a ~line_size:128)));
       Test.make ~name:"FLG build (struct A)"
@@ -771,82 +773,21 @@ let run_smoke () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Streaming CC ingestion at scale: persist one collection run, stream it
-   back through Persist.iter_samples_file -> Code_concurrency.compute_stream
-   at several pool sizes, and check every streamed map against the
-   in-memory compute over the same samples. Exits non-zero on divergence,
-   so the runtest-obs wiring doubles as a determinism check. *)
+(* Columnar CC ingestion at scale: generate a store far bigger than any
+   collection run, persist it in both formats, and race the two ingestion
+   paths file -> in-memory store. The text baseline parses every line
+   (store_of_samples_file); the binary path is load_samples_bin — mmap
+   plus one validation scan — so the ratio isolates the format itself
+   (everything downstream of the store is shared). Then the binner's flat
+   histogram races the Hashtbl feeder it replaced, and the full
+   Code_concurrency.compute at pool sizes 1/2/4 must reproduce the serial
+   of_interval fold over that one binner exactly. Any divergence exits
+   non-zero, so the runtest-col wiring doubles as the columnar-determinism
+   check. *)
 
 let run_cc_scale () =
-  section "cc_scale: streaming, sharded CodeConcurrency ingestion";
+  section "cc_scale: columnar CodeConcurrency ingestion";
   let module Persist = Slo_persist.Persist in
-  let samples = Collect.samples () in
-  let n_samples = List.length samples in
-  let interval = Collect.calibrated_params.Pipeline.cc_interval in
-  let reference = Code_concurrency.compute ~interval samples in
-  let path = Filename.temp_file "slo_cc_scale" ".samples" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-  @@ fun () ->
-  Persist.save_samples ~path samples;
-  let job_list = List.sort_uniq compare [ 1; 2; max 1 (effective_jobs ()) ] in
-  Printf.printf "%d samples, interval %d, streamed from disk\n" n_samples
-    interval;
-  Printf.printf "%-6s %12s %14s %10s\n" "jobs" "wall (s)" "samples/s"
-    "identical";
-  let rows =
-    List.map
-      (fun jobs ->
-        let stream pool =
-          let t0 = Obs.now () in
-          let cm =
-            Code_concurrency.compute_stream ?pool ~interval (fun f ->
-                Persist.iter_samples_file ~path f)
-          in
-          (cm, Obs.now () -. t0)
-        in
-        let cm, wall =
-          if jobs <= 1 then stream None
-          else Pool.with_pool ~domains:jobs (fun p -> stream (Some p))
-        in
-        let identical =
-          Code_concurrency.pairs cm = Code_concurrency.pairs reference
-        in
-        let rate = if wall > 0.0 then float_of_int n_samples /. wall else 0.0 in
-        Printf.printf "%-6d %12.4f %14.0f %10s\n%!" jobs wall rate
-          (if identical then "yes" else "NO");
-        if not identical then begin
-          Printf.eprintf
-            "cc_scale: streamed map diverges from in-memory compute at \
-             jobs=%d\n"
-            jobs;
-          exit 1
-        end;
-        Json.Obj
-          [
-            ("jobs", Json.Int jobs);
-            ("wall_s", Json.Float wall);
-            ("samples_per_s", Json.Float rate);
-            ("identical", Json.Bool identical);
-          ])
-      job_list
-  in
-  let peak =
-    match Obs.gauge "cc.table.peak_entries" with
-    | Some g -> int_of_float g
-    | None -> 0
-  in
-  Printf.printf "peak interval-table entries: %d\n%!" peak;
-  (* --- Columnar ingestion at scale: generate a store far bigger than any
-     collection run, persist it in both formats, and race the two
-     ingestion paths file -> in-memory store. The text baseline parses
-     every line (store_of_samples_file); the binary path is
-     load_samples_bin — mmap plus one validation scan — so the ratio
-     isolates the format itself (everything downstream of the store is
-     shared). Then the full columnar CC (compute_store) at pool sizes
-     1/2/4 must reproduce the in-memory list path's map exactly — any
-     divergence exits non-zero, so the runtest-col wiring doubles as the
-     columnar-determinism check. *)
   let n_col = if !quick then 200_000 else 10_000_000 in
   let col_cpus = 16 and col_lines = 24 in
   let col_interval = 32_768 in
@@ -880,7 +821,7 @@ let run_cc_scale () =
   in
   let bin_bytes = file_bytes bin_path and txt_bytes = file_bytes txt_path in
   Printf.printf
-    "\ncolumnar: %d generated samples, interval %d (%d cpus, %d lines)\n"
+    "columnar: %d generated samples, interval %d (%d cpus, %d lines)\n"
     n_col col_interval col_cpus col_lines;
   Printf.printf "  binary store %d bytes, text %d bytes\n%!" bin_bytes
     txt_bytes;
@@ -917,46 +858,6 @@ let run_cc_scale () =
   Printf.printf "  binary vs text ingestion: %.2fx samples/s%s\n%!"
     col_speedup
     (if col_speedup < 3.0 then "  (below the 3x target)" else "");
-  (* Columnar CC vs the in-memory list path, at pool sizes 1/2/4. *)
-  let col_reference =
-    Code_concurrency.compute ~interval:col_interval
-      (Sample_store.to_samples mstore)
-  in
-  let col_ref_pairs = Code_concurrency.pairs col_reference in
-  let col_rows =
-    List.map
-      (fun jobs ->
-        let compute pool =
-          let t0 = Obs.now () in
-          let cm =
-            Code_concurrency.compute_store ?pool ~interval:col_interval mstore
-          in
-          (cm, Obs.now () -. t0)
-        in
-        let cm, wall =
-          if jobs <= 1 then compute None
-          else Pool.with_pool ~domains:jobs (fun p -> compute (Some p))
-        in
-        let identical = Code_concurrency.pairs cm = col_ref_pairs in
-        Printf.printf "  pool %-3d %12.4f %14.0f %14.0f   %s\n%!" jobs wall
-          (rate n_col wall) (rate bin_bytes wall)
-          (if identical then "identical" else "MISMATCH");
-        if not identical then begin
-          Printf.eprintf
-            "cc_scale: columnar CC diverges from the list path at pool=%d\n"
-            jobs;
-          exit 1
-        end;
-        Json.Obj
-          [
-            ("jobs", Json.Int jobs);
-            ("wall_s", Json.Float wall);
-            ("samples_per_s", Json.Float (rate n_col wall));
-            ("bytes_per_s", Json.Float (rate bin_bytes wall));
-            ("identical", Json.Bool identical);
-          ])
-      [ 1; 2; 4 ]
-  in
   (* --- Binner ingestion hot path: the flat open-addressing histogram
      (Flat_tab) vs the (int, int ref) Hashtbl-per-interval feeder it
      replaced, inlined here as the baseline. Same store, same packed
@@ -1021,12 +922,59 @@ let run_cc_scale () =
       "cc_scale: flat binner diverges from the Hashtbl reference feeder\n";
     exit 1
   end;
+  (* Columnar CC at pool sizes 1/2/4 vs the serial of_interval fold over
+     the one binner fed above. *)
+  let col_ref_pairs =
+    Sample.binned flat_binner
+    |> List.fold_left
+         (fun acc tbl ->
+           Code_concurrency.merge acc (Code_concurrency.of_interval tbl))
+         (Code_concurrency.create ())
+    |> Code_concurrency.pairs
+  in
+  let peak = Sample.peak_entries flat_binner in
+  Printf.printf
+    "\ncolumnar CC (store -> map), peak interval-table entries %d:\n" peak;
+  Printf.printf "  %-8s %12s %14s %14s\n" "pool" "wall (s)" "samples/s"
+    "bytes/s";
+  let col_rows =
+    List.map
+      (fun jobs ->
+        let compute pool =
+          let t0 = Obs.now () in
+          let cm =
+            Code_concurrency.compute ?pool ~interval:col_interval mstore
+          in
+          (cm, Obs.now () -. t0)
+        in
+        let cm, wall =
+          if jobs <= 1 then compute None
+          else Pool.with_pool ~domains:jobs (fun p -> compute (Some p))
+        in
+        let identical = Code_concurrency.pairs cm = col_ref_pairs in
+        Printf.printf "  pool %-3d %12.4f %14.0f %14.0f   %s\n%!" jobs wall
+          (rate n_col wall) (rate bin_bytes wall)
+          (if identical then "identical" else "MISMATCH");
+        if not identical then begin
+          Printf.eprintf
+            "cc_scale: columnar CC diverges from the of_interval fold at \
+             pool=%d\n"
+            jobs;
+          exit 1
+        end;
+        Json.Obj
+          [
+            ("jobs", Json.Int jobs);
+            ("wall_s", Json.Float wall);
+            ("samples_per_s", Json.Float (rate n_col wall));
+            ("bytes_per_s", Json.Float (rate bin_bytes wall));
+            ("identical", Json.Bool identical);
+          ])
+      [ 1; 2; 4 ]
+  in
   Json.Obj
     [
-      ("n_samples", Json.Int n_samples);
-      ("interval", Json.Int interval);
       ("peak_table_entries", Json.Int peak);
-      ("rows", Json.List rows);
       ( "binner",
         Json.Obj
           [
@@ -2000,66 +1948,66 @@ let run_section (name, f) =
   let data = f () in
   write_artifact ~section:name ~wall:(Obs.now () -. t0) data
 
-let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  (* --jobs N, --jobs=N, or SLO_JOBS=N in the environment; --json PATH *)
-  let rec parse_opts acc = function
-    | [] -> List.rev acc
-    | "--jobs" :: n :: rest -> (
-      match int_of_string_opt n with
-      | Some j when j >= 1 ->
-        jobs := j;
-        parse_opts acc rest
-      | Some _ | None ->
-        Printf.eprintf "--jobs expects a positive integer, got %S\n" n;
-        exit 1)
-    | a :: rest when String.length a > 7 && String.sub a 0 7 = "--jobs=" -> (
-      let n = String.sub a 7 (String.length a - 7) in
-      match int_of_string_opt n with
-      | Some j when j >= 1 ->
-        jobs := j;
-        parse_opts acc rest
-      | Some _ | None ->
-        Printf.eprintf "--jobs expects a positive integer, got %S\n" n;
-        exit 1)
-    | "--json" :: p :: rest ->
-      json_path := Some p;
-      parse_opts acc rest
-    | [ "--json" ] ->
-      Printf.eprintf "--json expects a path\n";
-      exit 1
-    | a :: rest when String.length a > 7 && String.sub a 0 7 = "--json=" ->
-      json_path := Some (String.sub a 7 (String.length a - 7));
-      parse_opts acc rest
-    | a :: rest -> parse_opts (a :: acc) rest
-  in
-  let args = parse_opts [] args in
-  let args =
-    List.filter
-      (fun a ->
-        if a = "quick" || a = "--quick" then begin
-          quick := true;
-          false
-        end
-        else true)
-      args
-  in
+let main quick_mode jobs_opt json sections =
+  quick := quick_mode;
+  Option.iter (fun j -> jobs := j) jobs_opt;
+  json_path := json;
   Printf.printf
     "Structure Layout Optimization for Multithreaded Programs (CGO 2007)\n";
   Printf.printf "benchmark harness%s, %d job%s\n%!"
     (if !quick then " (quick mode)" else "")
     (effective_jobs ())
     (if effective_jobs () = 1 then "" else "s");
-  (match args with
-  | [] -> List.iter run_section all_sections
-  | names ->
-    List.iter
-      (fun name ->
-        match List.assoc_opt name all_sections with
-        | Some f -> run_section (name, f)
-        | None ->
-          Printf.eprintf "unknown section %S; available: %s\n" name
-            (String.concat ", " (List.map fst all_sections));
-          exit 1)
-      names);
+  List.iter run_section (match sections with [] -> all_sections | l -> l);
   write_manifest ()
+
+(* An unknown section name is a command-line error: Cmdliner lists the
+   valid sections and exits with its cli-error status (124), like
+   slayout's unknown subcommands. *)
+let () =
+  let open Cmdliner in
+  let positive =
+    let parse s =
+      match int_of_string_opt s with
+      | Some j when j >= 1 -> Ok j
+      | Some _ | None ->
+        Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+    in
+    Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+  in
+  let quick_arg =
+    Arg.(
+      value & flag
+      & info [ "quick" ] ~doc:"smaller machines and fewer runs per section")
+  in
+  let jobs_arg =
+    Arg.(
+      value
+      & opt (some positive) None
+      & info [ "jobs" ] ~docv:"N"
+          ~env:(Cmd.Env.info "SLO_JOBS")
+          ~doc:
+            "worker domains for independent simulator runs and per-struct \
+             analyses (default: the recommended domain count). Results are \
+             identical for every N.")
+  in
+  let json_arg =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "json" ] ~docv:"PATH"
+          ~doc:
+            "write a manifest to $(docv) and one BENCH_<section>.json \
+             artifact per section beside it")
+  in
+  let sections_arg =
+    Arg.(
+      value
+      & pos_all (enum (List.map (fun ((n, _) as s) -> (n, s)) all_sections)) []
+      & info [] ~docv:"SECTION" ~doc:"sections to run (default: all)")
+  in
+  exit
+    (Cmd.eval
+       (Cmd.v
+          (Cmd.info "main" ~doc:"paper figures, ablations and scale checks")
+          Term.(const main $ quick_arg $ jobs_arg $ json_arg $ sections_arg)))

@@ -336,23 +336,17 @@ let analyze ?inline ?profile_file ?samples_file ?samples_bin_file ?pool
     { Pipeline.default_params with
       Pipeline.k1; k2; cc_interval = interval; line_size }
   in
+  (* Stored samples become a columnar store — the binary file maps in
+     with O(1) syscalls, the text file parses into 16 B/sample columns —
+     and pool workers bin index ranges of the shared columns. *)
+  let stored store =
+    ([], Some (Pipeline.concurrency_map_store ?pool ~params store))
+  in
   let samples, cm =
     match (samples_bin_file, samples_file) with
-    | Some path, _ ->
-      (* Columnar ingestion: the binary store maps in with O(1) syscalls
-         and pool workers bin index ranges of the shared columns. *)
-      ( [],
-        Some
-          (Pipeline.concurrency_map_store ?pool ~params
-             (Slo_persist.Persist.load_samples_bin ~path)) )
+    | Some path, _ -> stored (Slo_persist.Persist.load_samples_bin ~path)
     | None, Some path ->
-      (* Streaming ingestion: bin samples straight off the file and shard
-         the per-interval CC computation across the pool — the sample list
-         is never materialized. *)
-      ( [],
-        Some
-          (Pipeline.concurrency_map ?pool ~params (fun f ->
-               Slo_persist.Persist.iter_samples_file ~path f)) )
+      stored (Slo_persist.Persist.store_of_samples_file ~path)
     | None, None ->
       ( generic_samples ?topology ?hierarchy ?on_result program ~cpus ~period
           ~reps:(rounds * 8) ~int_arg,

@@ -98,23 +98,22 @@ let of_interval tbl =
 
 let merge_into dst src = Hashtbl.iter (fun (l1, l2) v -> add dst l1 l2 v) src.tbl
 
-(* Deterministic chunking: consecutive runs of [n] tables, in order. The
-   chunk boundaries depend only on the input list, never on the pool, so
-   the partial maps — and, merge being associative and commutative, their
-   reduction — are identical for every worker count. *)
-let chunks_of n xs =
+(* Deterministic chunking: consecutive runs of [chunk] tables, in order.
+   The chunk boundaries depend only on the input list, never on the pool,
+   so the partial maps — and, merge being associative and commutative,
+   their reduction — are identical for every worker count. *)
+let chunk = 32
+
+let chunks xs =
   let rec go acc cur k = function
     | [] -> List.rev (match cur with [] -> acc | _ -> List.rev cur :: acc)
     | x :: rest ->
-      if k + 1 = n then go (List.rev (x :: cur) :: acc) [] 0 rest
+      if k + 1 = chunk then go (List.rev (x :: cur) :: acc) [] 0 rest
       else go acc (x :: cur) (k + 1) rest
   in
   go [] [] 0 xs
 
-let default_chunk = 32
-
-let compute_tables ?pool ?(chunk = default_chunk) tables =
-  if chunk <= 0 then invalid_arg "Code_concurrency.compute_tables: chunk <= 0";
+let of_tables ?pool tables =
   Obs.incr ~by:(List.length tables) "cc.intervals";
   Obs.incr
     ~by:(List.fold_left (fun acc tbl -> acc + Sample.total_samples tbl) 0 tables)
@@ -132,42 +131,28 @@ let compute_tables ?pool ?(chunk = default_chunk) tables =
         List.iter (cc_of_interval t) tbls;
         t
       in
-      let chunks = chunks_of chunk tables in
       let parts =
         match pool with
-        | None -> List.map compute_chunk chunks
-        | Some pool -> Slo_exec.Pool.map pool compute_chunk chunks
+        | None -> List.map compute_chunk (chunks tables)
+        | Some pool -> Slo_exec.Pool.map pool compute_chunk (chunks tables)
       in
       let acc = create () in
       List.iter (merge_into acc) parts;
       acc)
 
-let compute ~interval samples = compute_tables (Sample.bin ~interval samples)
+(* Index ranges of [bin_range] consecutive samples: [0,r), [r,2r), ...
+   Like [chunks], the boundaries depend only on the store length, never on
+   the pool, and absorbing the per-range binners is a pointwise histogram
+   sum — commutative — so the binned tables are identical for every pool
+   size. *)
+let bin_range = 1 lsl 16
 
-let compute_stream ?pool ?chunk ~interval iter =
-  let tables =
-    Obs.time "cc.ingest_s" (fun () ->
-        let b = Sample.binner ~interval in
-        iter (Sample.feed b);
-        Sample.binned b)
-  in
-  compute_tables ?pool ?chunk tables
-
-(* Index ranges of [range] consecutive samples: [0,range), [range,2*range),
-   ... Like [chunks_of], the boundaries depend only on the store length,
-   never on the pool, and absorbing the per-range binners is a pointwise
-   histogram sum — commutative — so the binned tables are identical for
-   every pool size and range width. *)
-let default_bin_range = 1 lsl 16
-
-let compute_store ?pool ?chunk ?(range = default_bin_range) ~interval store =
-  if range <= 0 then invalid_arg "Code_concurrency.compute_store: range <= 0";
-  if interval <= 0 then
-    invalid_arg "Code_concurrency.compute_store: interval <= 0";
+let compute ?pool ~interval store =
+  if interval <= 0 then invalid_arg "Code_concurrency.compute: interval <= 0";
   let n = Sample_store.length store in
   let tables =
     Obs.time "cc.ingest_s" (fun () ->
-        let bin_range (lo, hi) =
+        let bin (lo, hi) =
           let b = Sample.binner ~interval in
           for i = lo to hi - 1 do
             Sample.feed_raw b ~cpu:(Sample_store.cpu store i)
@@ -177,12 +162,13 @@ let compute_store ?pool ?chunk ?(range = default_bin_range) ~interval store =
           b
         in
         let rec ranges lo =
-          if lo >= n then [] else (lo, min n (lo + range)) :: ranges (lo + range)
+          if lo >= n then []
+          else (lo, min n (lo + bin_range)) :: ranges (lo + bin_range)
         in
         let parts =
           match pool with
-          | None -> List.map bin_range (ranges 0)
-          | Some pool -> Slo_exec.Pool.map pool bin_range (ranges 0)
+          | None -> List.map bin (ranges 0)
+          | Some pool -> Slo_exec.Pool.map pool bin (ranges 0)
         in
         match parts with
         | [] -> []
@@ -190,7 +176,7 @@ let compute_store ?pool ?chunk ?(range = default_bin_range) ~interval store =
           List.iter (Sample.absorb b0) rest;
           Sample.binned b0)
   in
-  compute_tables ?pool ?chunk tables
+  of_tables ?pool tables
 
 let pairs t =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.tbl []

@@ -16,21 +16,22 @@
     values remains associative and commutative, which the sharded reduce
     below depends on.
 
-    {b Scaling.} Intervals are independent, so the map decomposes as a
-    merge of per-interval maps: {!compute_tables} splits the interval list
-    into deterministic chunks, computes each chunk's partial map (on an
-    {!Slo_exec.Pool} when given), and reduces with the pointwise-sum
-    {!merge}. Results are identical for every pool size and chunk size
-    (test_concurrency's shard suite pins this). {!compute_stream} feeds a
-    sample {e producer} through {!Sample.binner} first, so a persisted
-    profile is ingested line by line without ever materializing the sample
-    list.
+    {b Scaling.} {!compute} is the one way samples enter: it takes a
+    columnar {!Sample_store}, hands pool workers fixed index ranges of the
+    shared columns to bin (zero copies), absorbs the per-range binners,
+    then computes the interval tables in fixed chunks of consecutive
+    intervals as independent partial maps and reduces them with the
+    pointwise-sum {!merge}. Intervals are independent, so the result is
+    identical for every pool size (test_concurrency's shard and store
+    suites pin this against a definitional brute-force oracle). Lists
+    and sample producers reach it through {!Sample_store.of_samples} and
+    {!Sample_store.of_iter}, text and binary files through the persist
+    layer's store loaders.
 
-    {b Observability.} {!compute_tables} (and everything routed through
-    it) records counters [cc.intervals] / [cc.samples], gauge
-    [cc.table.peak_entries] and histograms [cc.compute_s] /
-    [cc.ingest_s] into {!Slo_obs.Obs.default}; write-only, so
-    instrumented runs stay byte-identical. *)
+    {b Observability.} {!compute} records counters [cc.intervals] /
+    [cc.samples], gauge [cc.table.peak_entries] and histograms
+    [cc.compute_s] / [cc.ingest_s] into {!Slo_obs.Obs.default};
+    write-only, so instrumented runs stay byte-identical. *)
 
 type t
 (** A concurrency map. *)
@@ -38,50 +39,15 @@ type t
 val create : unit -> t
 (** The empty map ([cc] is 0 everywhere) — the unit of {!merge}. *)
 
-val compute : interval:int -> Sample.t list -> t
-(** Bin samples and accumulate CC over all intervals.
+val compute : ?pool:Slo_exec.Pool.t -> interval:int -> Sample_store.t -> t
+(** Bin the store into intervals of [interval] ticks and accumulate CC
+    over all of them, on [pool]'s domains when given. Equals the merge of
+    {!of_interval} over the binned tables, for every pool size.
     @raise Invalid_argument if [interval <= 0]. *)
 
 val of_interval : Sample.interval_table -> t
-(** CC of a single interval; [compute] is the merge of [of_interval] over
-    the binned tables. *)
-
-val compute_tables :
-  ?pool:Slo_exec.Pool.t -> ?chunk:int -> Sample.interval_table list -> t
-(** Accumulate CC over pre-binned interval tables. With [pool], chunks of
-    [chunk] (default 32) consecutive tables are computed as independent
-    partial maps across the pool's domains and merged; the result is
-    identical to the serial path for every pool and chunk size.
-    @raise Invalid_argument if [chunk <= 0]. *)
-
-val compute_stream :
-  ?pool:Slo_exec.Pool.t ->
-  ?chunk:int ->
-  interval:int ->
-  ((Sample.t -> unit) -> unit) ->
-  t
-(** [compute_stream ~interval iter] drains the sample producer [iter]
-    through a {!Sample.binner} and then runs {!compute_tables}: streaming
-    ingestion plus sharded computation, without a sample list. Equals
-    [compute ~interval samples] whenever [iter] produces [samples] in any
-    order and chunking. @raise Invalid_argument if [interval <= 0]. *)
-
-val compute_store :
-  ?pool:Slo_exec.Pool.t ->
-  ?chunk:int ->
-  ?range:int ->
-  interval:int ->
-  Sample_store.t ->
-  t
-(** The columnar ingestion path: bin a {!Sample_store} by handing pool
-    workers index {e ranges} into the shared columns ([range] samples per
-    task, default 65536) — zero copies, no materialized sample list —
-    absorb the per-range binners (pointwise histogram sum), then run
-    {!compute_tables} over the merged interval tables. Equals
-    [compute ~interval (Sample_store.to_samples store)] for every pool,
-    range and chunk size; `bench cc_scale` exits non-zero if the two paths
-    ever diverge. @raise Invalid_argument if [interval <= 0] or
-    [range <= 0]. *)
+(** CC of a single interval — what the serve window memoizes and merges
+    with {!merge_scaled}. *)
 
 val cc : t -> int -> int -> int
 (** [cc t l1 l2] — symmetric; 0 when never concurrent. *)

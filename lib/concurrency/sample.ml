@@ -14,7 +14,11 @@ let id_bits = 31
 let check_id what v =
   if v < 0 || v > max_id then
     invalid_arg
-      (Printf.sprintf "Sample.%s out of range (0..%d): %d" what max_id v)
+      (Printf.sprintf "Sample: %s out of range (0..%d): %d" what max_id v)
+
+let check_ids ~cpu ~line =
+  check_id "cpu" cpu;
+  check_id "line" line
 
 let pack ~cpu ~line = (cpu lsl id_bits) lor line
 let key_cpu k = k lsr id_bits
@@ -122,8 +126,7 @@ let table_of_idx b idx =
     tbl
 
 let feed_raw b ~cpu ~itc ~line =
-  check_id "feed: cpu" cpu;
-  check_id "feed: line" line;
+  check_ids ~cpu ~line;
   let tbl = table_of_idx b (floor_div itc b.b_interval) in
   ignore (Flat_tab.add tbl.freqs (pack ~cpu ~line) 1);
   tbl.total <- tbl.total + 1;
@@ -135,8 +138,7 @@ let feed b s = feed_raw b ~cpu:s.cpu ~itc:s.itc ~line:s.line
 let feed_n b ~cpu ~itc ~line ~count =
   if count < 0 then invalid_arg "Sample.feed_n: negative count";
   if count > 0 then begin
-    check_id "feed: cpu" cpu;
-    check_id "feed: line" line;
+    check_ids ~cpu ~line;
     let tbl = table_of_idx b (floor_div itc b.b_interval) in
     ignore (Flat_tab.add tbl.freqs (pack ~cpu ~line) count);
     tbl.total <- tbl.total + count;
@@ -206,14 +208,3 @@ let binned_idx b =
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let binned b = List.map snd (binned_idx b)
-
-let bin ~interval samples =
-  if interval <= 0 then invalid_arg "Sample.bin: interval <= 0";
-  let b = binner ~interval in
-  List.iter (feed b) samples;
-  binned b
-
-let fold_binned ~interval iter ~init ~f =
-  let b = binner ~interval in
-  iter (feed b);
-  List.fold_left f init (binned b)

@@ -6,15 +6,13 @@
     which start synchronized at 0. Code locations are source lines, as in
     the paper's concurrency map.
 
-    [bin] divides time into fixed-size intervals and produces, for each
-    interval, the frequency table F_I(P, L): how many samples interval I
-    holds for CPU P at line L.
-
-    {b Streaming.} Profiles need not fit in a list: a {!binner} consumes
-    samples one at a time ({!feed}) and aggregates them into interval
-    tables keyed by the absolute interval index (floor of itc / interval),
-    so the resulting tables — and everything computed from them — are
-    independent of how the sample stream was chunked or buffered. An
+    A {!binner} divides time into fixed-size intervals and produces, for
+    each interval, the frequency table F_I(P, L): how many samples
+    interval I holds for CPU P at line L. It consumes samples one at a
+    time ({!feed}) and aggregates them into interval tables keyed by the
+    absolute interval index (floor of itc / interval), so the resulting
+    tables — and everything computed from them — are independent of how
+    the sample stream was chunked or buffered. An
     interval table is a histogram, not a sample list; its size is bounded
     by the number of distinct (cpu, line) pairs, not by the profile
     length.
@@ -33,6 +31,11 @@ type t = { cpu : int; itc : int; line : int }
 
 val max_id : int
 (** Upper bound (inclusive, [2^31 - 1]) on [cpu] and [line]. *)
+
+val check_ids : cpu:int -> line:int -> unit
+(** The identifier check every feeding path applies.
+    @raise Invalid_argument naming the field if [cpu] or [line] is
+    outside [0 .. max_id]. *)
 
 val floor_div : int -> int -> int
 (** Exact floor division for any int numerator and positive denominator —
@@ -66,22 +69,16 @@ val entries : interval_table -> int
 
 val total_samples : interval_table -> int
 
-val bin : interval:int -> t list -> interval_table list
-(** [bin ~interval samples] groups samples into intervals of [interval]
-    ticks (floor-division indexing, so negative timestamps land in
-    negative bins rather than sharing bin 0 with early positive samples);
-    empty intervals are omitted and the tables come back in ascending
-    interval order. @raise Invalid_argument if [interval <= 0]. *)
-
-(** {1 Streaming ingestion} *)
+(** {1 Binning} *)
 
 type binner
-(** An incremental sample accumulator. [bin ~interval s] is
-    [binner ~interval] + {!feed} for every sample + {!binned}, and feeding
-    the same samples in any chunking yields the same tables. *)
+(** An incremental sample accumulator: feeding the same samples in any
+    order and chunking yields the same tables. *)
 
 val binner : interval:int -> binner
-(** @raise Invalid_argument if [interval <= 0]. *)
+(** Tables are indexed by floor division ({!floor_div}), so negative
+    timestamps land in negative bins rather than sharing bin 0 with early
+    positive samples. @raise Invalid_argument if [interval <= 0]. *)
 
 val interval : binner -> int
 (** The interval length this binner was created with. *)
@@ -107,7 +104,7 @@ val absorb : binner -> binner -> unit
     (pointwise histogram sum, per interval). Feeding a sample stream
     through several binners over disjoint chunks and absorbing them — in
     any order — yields exactly the tables of one binner fed the whole
-    stream, which is what lets {!Code_concurrency.compute_store} bin index
+    stream, which is what lets {!Code_concurrency.compute} bin index
     ranges of a columnar store in parallel. [src] is left untouched.
     @raise Invalid_argument if the two binners' intervals differ. *)
 
@@ -128,20 +125,10 @@ val peak_entries : binner -> int
     sample was fed) — the high-water mark streaming ingestion reports. *)
 
 val binned : binner -> interval_table list
-(** The accumulated tables in ascending interval order. *)
+(** The accumulated tables in ascending interval order; empty intervals
+    are omitted. *)
 
 val binned_idx : binner -> (int * interval_table) list
 (** The accumulated tables with their absolute interval indices, in
     ascending index order — what windowed consumers (the serve daemon's
     retirement watermark, snapshots) key on. *)
-
-val fold_binned :
-  interval:int ->
-  ((t -> unit) -> unit) ->
-  init:'a ->
-  f:('a -> interval_table -> 'a) ->
-  'a
-(** [fold_binned ~interval iter ~init ~f] drains the sample producer
-    [iter] through a fresh binner and folds [f] over the resulting tables
-    in ascending interval order — the whole sample stream is never
-    materialized. @raise Invalid_argument if [interval <= 0]. *)

@@ -83,15 +83,8 @@ let grow_to (type a b) (arr : (a, b, c_layout) Array1.t) cap : (a, b, c_layout) 
   Array1.blit arr (Array1.sub bigger 0 (Array1.dim arr));
   bigger
 
-let check_id what v =
-  if v < 0 || v > Sample.max_id then
-    invalid_arg
-      (Printf.sprintf "Sample_store.%s out of range (0..%d): %d" what
-         Sample.max_id v)
-
 let append b ~cpu ~itc ~line =
-  check_id "append: cpu" cpu;
-  check_id "append: line" line;
+  Sample.check_ids ~cpu ~line;
   if b.b_len = Array1.dim b.b_cpu then begin
     let cap = 2 * b.b_len in
     b.b_cpu <- grow_to b.b_cpu cap;
@@ -115,6 +108,11 @@ let build b =
     ~itc:(Array1.sub b.b_itc 0 b.b_len)
     ~line:(Array1.sub b.b_line 0 b.b_len)
     ()
+
+let of_iter iter =
+  let b = builder () in
+  iter (append_sample b);
+  build b
 
 let of_samples samples =
   let b = builder ~capacity:(max 1 (List.length samples)) () in

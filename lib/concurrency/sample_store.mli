@@ -12,9 +12,13 @@
     {b Invariant.} Every element satisfies [0 <= cpu, line <= ]
     {!Sample.max_id} and [itc] fits a 63-bit OCaml int. Constructors
     validate ({!of_columns} scans mapped columns once; {!append} checks
-    per call) and raise [Invalid_argument] otherwise, so consumers — the
-    columnar binning path in {!Code_concurrency.compute_store} — never
-    re-check. *)
+    per call) and raise [Invalid_argument] otherwise.
+
+    This is the one in-memory form {!Code_concurrency.compute} accepts:
+    lists arrive through {!of_samples}, text files through
+    {!Slo_persist.Persist.store_of_samples_file} (16 bytes per sample, no
+    boxed list), binary files through
+    {!Slo_persist.Persist.load_samples_bin}. *)
 
 type i32 = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
 type i64 = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
@@ -50,7 +54,7 @@ val of_samples : Sample.t list -> t
 
 type builder
 (** Amortized-doubling columnar accumulator: how a store is built when the
-    sample count is not known up front (text-to-binary conversion, sample
+    sample count is not known up front (text files, sample producers,
     generators). *)
 
 val builder : ?capacity:int -> unit -> builder
@@ -64,3 +68,8 @@ val built : builder -> int
 
 val build : builder -> t
 (** The accumulated store. O(1): the store aliases the builder's storage. *)
+
+val of_iter : ((Sample.t -> unit) -> unit) -> t
+(** The store a sample producer fills, in production order: a fresh
+    {!builder}, [iter] applied to {!append_sample}, then {!build}.
+    @raise Invalid_argument if a sample is out of range. *)

@@ -2,6 +2,7 @@ module Ast = Slo_ir.Ast
 module Field = Slo_layout.Field
 module Affinity_graph = Slo_affinity.Affinity_graph
 module Code_concurrency = Slo_concurrency.Code_concurrency
+module Sample_store = Slo_concurrency.Sample_store
 module Fmf = Slo_concurrency.Fmf
 module Cycle_loss = Slo_concurrency.Cycle_loss
 module Obs = Slo_obs.Obs
@@ -49,7 +50,8 @@ let analyze ?(params = default_params) ?cm ~program ~counts ~samples
             match cm with
             | Some cm -> cm
             | None ->
-              Code_concurrency.compute ~interval:params.cc_interval samples
+              Code_concurrency.compute ~interval:params.cc_interval
+                (Sample_store.of_samples samples)
           in
           let fmf = Fmf.of_program program in
           Some (Cycle_loss.compute ~cm ~fmf ~struct_name))
@@ -64,13 +66,11 @@ let analyze ?(params = default_params) ?cm ~program ~counts ~samples
     [ ("struct", Json.Str struct_name); ("s", Json.Float dur) ];
   flg
 
-let concurrency_map ?pool ?chunk ?(params = default_params) iter =
-  Code_concurrency.compute_stream ?pool ?chunk ~interval:params.cc_interval
-    iter
+let concurrency_map_store ?pool ?(params = default_params) store =
+  Code_concurrency.compute ?pool ~interval:params.cc_interval store
 
-let concurrency_map_store ?pool ?chunk ?range ?(params = default_params) store =
-  Code_concurrency.compute_store ?pool ?chunk ?range
-    ~interval:params.cc_interval store
+let concurrency_map ?pool ?params iter =
+  concurrency_map_store ?pool ?params (Sample_store.of_iter iter)
 
 let analyze_all ?params ?pool ?cm ~program ~counts ~samples ~struct_names () =
   let run name =

@@ -32,31 +32,24 @@ val default_params : params
 (** k1 = 1.0, k2 = 1.0, line_size = 128, cc_interval = 20_000,
     require_read = false, top_positive = 20. *)
 
-val concurrency_map :
-  ?pool:Slo_exec.Pool.t ->
-  ?chunk:int ->
-  ?params:params ->
-  ((Slo_concurrency.Sample.t -> unit) -> unit) ->
-  Slo_concurrency.Code_concurrency.t
-(** Streaming, sharded CC ingestion: drain a sample producer (e.g.
-    {!Slo_persist.Persist.iter_samples_file} partially applied to a path)
-    through interval binning and fan the per-interval CC computation
-    across [pool] in deterministic chunks. The map is identical for every
-    pool and chunk size; pass it to [analyze]/[analyze_all] via [?cm] to
-    compute CC once per profile instead of once per struct. *)
-
 val concurrency_map_store :
   ?pool:Slo_exec.Pool.t ->
-  ?chunk:int ->
-  ?range:int ->
   ?params:params ->
   Slo_concurrency.Sample_store.t ->
   Slo_concurrency.Code_concurrency.t
-(** {!concurrency_map} over a columnar {!Slo_concurrency.Sample_store}
-    (e.g. one mapped by {!Slo_persist.Persist.load_samples_bin}): pool
-    workers bin index ranges of the shared columns directly, so ingestion
-    parallelizes and nothing is copied. Same map as [concurrency_map] on
-    the equivalent producer, for every pool/range/chunk size. *)
+(** The profile's concurrency map: {!Slo_concurrency.Code_concurrency.compute}
+    at [params.cc_interval], fanned across [pool] (identical for every
+    pool size). Pass it to [analyze]/[analyze_all] via [?cm] to compute CC
+    once per profile instead of once per struct. *)
+
+val concurrency_map :
+  ?pool:Slo_exec.Pool.t ->
+  ?params:params ->
+  ((Slo_concurrency.Sample.t -> unit) -> unit) ->
+  Slo_concurrency.Code_concurrency.t
+(** {!concurrency_map_store} over the store a sample producer fills (e.g.
+    {!Slo_persist.Persist.iter_samples_file} partially applied to a path,
+    or [fun f -> List.iter f samples]). *)
 
 val analyze :
   ?params:params ->
@@ -68,8 +61,9 @@ val analyze :
   unit ->
   Flg.t
 (** Build the FLG for one struct. With [cm], the precomputed concurrency
-    map is used and [samples] is ignored (pass [[]]); otherwise an empty
-    [samples] list yields a locality-only FLG (no CycleLoss). *)
+    map is used and [samples] is ignored (pass [[]]); otherwise the
+    samples go through {!Slo_concurrency.Sample_store.of_samples} into
+    CC, and an empty list yields a locality-only FLG (no CycleLoss). *)
 
 val analyze_all :
   ?params:params ->

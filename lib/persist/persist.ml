@@ -222,23 +222,12 @@ let counts_of_string s =
 
 let samples_header = "slo-samples 1"
 
-let samples_to_string samples =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf (samples_header ^ "\n");
-  List.iter
-    (fun (s : Sample.t) ->
-      Buffer.add_string buf
-        (Printf.sprintf "%d %d %d\n" s.Sample.cpu s.Sample.itc s.Sample.line))
-    samples;
-  Buffer.contents buf
-
 (* One pass over a producer of raw lines. This is the single parser both
    the in-memory and the file paths share: the file path hands it
-   [input_line], so a profile is ingested record by record and the full
-   sample list never has to exist (see Code_concurrency.compute_stream). *)
-let fold_sample_lines next ~init ~f =
+   [input_line], so a profile is ingested record by record straight into
+   a columnar store and the boxed sample list never has to exist. *)
+let iter_sample_lines next f =
   let saw_header = ref false in
-  let acc = ref init in
   let ln = ref 0 in
   let rec go () =
     match next () with
@@ -254,43 +243,29 @@ let fold_sample_lines next ~init ~f =
          match split_ws line with
          | [ cpu; itc; l ] ->
            (* cpu and line are identifiers (bounded by Sample.max_id); itc
-              is a signed timestamp — Sample.bin floor-divides it correctly
+              is a signed timestamp — the binner floor-divides it correctly
               either way *)
-           acc :=
-             f !acc
-               { Sample.cpu = id_field !ln cpu; itc = int_field !ln itc;
-                 line = id_field !ln l }
+           f
+             { Sample.cpu = id_field !ln cpu; itc = int_field !ln itc;
+               line = id_field !ln l }
          | _ -> fail !ln "expected '<cpu> <itc> <line>', found %S" line);
       go ()
   in
   go ();
-  if not !saw_header then fail 1 "empty samples file";
-  !acc
-
-let fold_samples_string s ~init ~f =
-  let rem = ref (String.split_on_char '\n' s) in
-  let next () =
-    match !rem with
-    | [] -> None
-    | l :: tl ->
-      rem := tl;
-      Some l
-  in
-  fold_sample_lines next ~init ~f
+  if not !saw_header then fail 1 "empty samples file"
 
 let samples_of_string s =
-  List.rev (fold_samples_string s ~init:[] ~f:(fun acc smp -> smp :: acc))
+  let acc = ref [] in
+  iter_sample_lines
+    (Seq.to_dispenser (List.to_seq (String.split_on_char '\n' s)))
+    (fun smp -> acc := smp :: !acc);
+  List.rev !acc
 
-let fold_samples_file ~path ~init ~f =
+let iter_samples_file ~path f =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let next () = try Some (input_line ic) with End_of_file -> None in
-      fold_sample_lines next ~init ~f)
-
-let iter_samples_file ~path f =
-  fold_samples_file ~path ~init:() ~f:(fun () smp -> f smp)
+    (fun () -> iter_sample_lines (fun () -> In_channel.input_line ic) f)
 
 (* ------------------------------------------------------------------ *)
 (* Binary columnar samples: "slo-samples-bin 1".
@@ -429,10 +404,7 @@ let load_samples_bin ~path =
         with Invalid_argument m -> bin_fail "%s: %s" path m
       end)
 
-let store_of_samples_file ~path =
-  let b = Sample_store.builder () in
-  iter_samples_file ~path (Sample_store.append_sample b);
-  Sample_store.build b
+let store_of_samples_file ~path = Sample_store.of_iter (iter_samples_file ~path)
 
 let save_store_text ~path store =
   atomic_write ~path (fun oc ->
@@ -678,7 +650,5 @@ let read_file path =
 
 let save_counts ~path counts = write_file path (counts_to_string counts)
 let load_counts ~path = counts_of_string (read_file path)
-let save_samples ~path samples = write_file path (samples_to_string samples)
-
-let load_samples ~path =
-  List.rev (fold_samples_file ~path ~init:[] ~f:(fun acc smp -> smp :: acc))
+let save_samples ~path samples =
+  save_store_text ~path (Sample_store.of_samples samples)

@@ -68,31 +68,20 @@ val load_counts : path:string -> Slo_profile.Counts.t
 
 (** {1 PMU samples} *)
 
-val samples_to_string : Slo_concurrency.Sample.t list -> string
 val samples_of_string : string -> Slo_concurrency.Sample.t list
 (** @raise Parse_error on malformed input. *)
 
 val save_samples : path:string -> Slo_concurrency.Sample.t list -> unit
-val load_samples : path:string -> Slo_concurrency.Sample.t list
-
-(** {1 Streaming sample ingestion}
-
-    The line-oriented sample format needs no lookahead, so a profile can
-    be consumed record by record straight from the file. [load_samples] is
-    [fold_samples_file] with a list accumulator; the streaming CC path
-    ({!Slo_concurrency.Code_concurrency.compute_stream}) uses
-    [iter_samples_file] and never builds the list. *)
-
-val fold_samples_file :
-  path:string -> init:'a -> f:('a -> Slo_concurrency.Sample.t -> 'a) -> 'a
-(** Fold over the samples of a [slo-samples 1] file in record order,
-    reading one line at a time. @raise Parse_error on malformed input
-    (same errors and line numbers as {!samples_of_string}). *)
+(** Write a sample list in the text format, through {!save_store_text}
+    (the format's one writer). *)
 
 val iter_samples_file : path:string -> (Slo_concurrency.Sample.t -> unit) -> unit
-(** [iter_samples_file ~path f] applies [f] to every sample in file
-    order; the shape {!Slo_concurrency.Sample.fold_binned} and
-    [compute_stream] consume. @raise Parse_error on malformed input. *)
+(** [iter_samples_file ~path f] applies [f] to every sample of a
+    [slo-samples 1] file in record order, reading one line at a time —
+    the line-oriented format needs no lookahead. {!store_of_samples_file}
+    feeds it into {!Slo_concurrency.Sample_store.of_iter}.
+    @raise Parse_error on malformed input (same errors and line numbers
+    as {!samples_of_string}). *)
 
 (** {1 Binary columnar samples — [slo-samples-bin 1]}
 
@@ -129,8 +118,7 @@ val store_of_samples_file : path:string -> Slo_concurrency.Sample_store.t
 
 val save_store_text : path:string -> Slo_concurrency.Sample_store.t -> unit
 (** Write a store in the text format — the inverse of
-    {!store_of_samples_file}; byte-identical to [save_samples] of
-    {!Slo_concurrency.Sample_store.to_samples}. *)
+    {!store_of_samples_file}. *)
 
 val convert_samples_to_bin : src:string -> dst:string -> int
 (** Text file → binary file; returns the sample count.

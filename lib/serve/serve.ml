@@ -94,7 +94,19 @@ let queue_depth t =
 (* ------------------------------------------------------------------ *)
 (* Ingest: admission control and backpressure *)
 
+(* Validated on the caller's side, before the queue lock: a bad batch
+   raises to its submitter and is neither enqueued nor counted, so the
+   daemon only ever sees feedable samples. *)
+let check_batch batch =
+  Array.iteri
+    (fun i (s : Sample.t) ->
+      try Sample.check_ids ~cpu:s.Sample.cpu ~line:s.Sample.line
+      with Invalid_argument m ->
+        invalid_arg (Printf.sprintf "Serve.submit: batch.(%d): %s" i m))
+    batch
+
 let submit t batch =
+  check_batch batch;
   Mutex.lock t.q_lock;
   let r =
     if t.stopping || Queue.length t.queue >= t.cfg.queue_capacity then begin
@@ -116,6 +128,7 @@ let submit t batch =
   r
 
 let submit_wait t batch =
+  check_batch batch;
   Mutex.lock t.q_lock;
   while (not t.stopping) && Queue.length t.queue >= t.cfg.queue_capacity do
     Condition.wait t.not_full t.q_lock

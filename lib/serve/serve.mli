@@ -83,11 +83,14 @@ val current : t -> publication option
 val submit : t -> Slo_concurrency.Sample.t array -> [ `Accepted | `Dropped ]
 (** Non-blocking admission: enqueue the batch, or drop it (counted, and
     [`Dropped] returned) when the queue is at capacity or the server is
-    stopping. *)
+    stopping. @raise Invalid_argument naming the index and field if any
+    sample's [cpu] or [line] is outside [0 .. Sample.max_id]; the whole
+    batch is checked first, so nothing is enqueued or counted. *)
 
 val submit_wait : t -> Slo_concurrency.Sample.t array -> bool
 (** Backpressure: block until the queue has space, then enqueue. Returns
-    [false] (batch dropped) only when the server is stopping. *)
+    [false] (batch dropped) only when the server is stopping.
+    @raise Invalid_argument as {!submit}, before blocking. *)
 
 val queue_depth : t -> int
 val dropped_batches : t -> int

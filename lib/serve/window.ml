@@ -75,6 +75,8 @@ let retire_below_watermark w =
     (Sample.binned_idx w.master)
 
 let feed w ~cpu ~itc ~line =
+  (* Ids first: an out-of-range sample is rejected, never counted late. *)
+  Sample.check_ids ~cpu ~line;
   let idx = Sample.floor_div itc w.w_interval in
   if w.started && idx <= w.newest - w.w_window then begin
     w.late <- w.late + 1;

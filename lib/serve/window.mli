@@ -40,7 +40,8 @@ val feed : t -> cpu:int -> itc:int -> line:int -> bool
     sample's interval is at or below the retirement watermark; [true]
     when accepted (possibly retiring older intervals first when it
     advances the watermark). @raise Invalid_argument on out-of-range
-    identifiers (the {!Slo_concurrency.Sample.feed} discipline). *)
+    identifiers ({!Slo_concurrency.Sample.check_ids}), checked before
+    lateness: a rejected sample changes nothing, {!late} included. *)
 
 val newest : t -> int option
 (** The newest interval index accepted, [None] before the first sample. *)

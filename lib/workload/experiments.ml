@@ -2,6 +2,7 @@ module Layout = Slo_layout.Layout
 module Topology = Slo_sim.Topology
 module Pipeline = Slo_core.Pipeline
 module Code_concurrency = Slo_concurrency.Code_concurrency
+module Sample_store = Slo_concurrency.Sample_store
 module Stats = Slo_util.Stats
 
 type layouts = {
@@ -22,7 +23,8 @@ let analyze_all ?params ?pool () =
      not depend on the struct), computed with the sharded per-interval
      reduce — rather than re-binning the sample list once per struct. *)
   let cm =
-    Pipeline.concurrency_map ?pool ~params (fun f -> List.iter f samples)
+    Pipeline.concurrency_map_store ?pool ~params
+      (Sample_store.of_samples samples)
   in
   let analyze_one struct_name =
     let flg = Collect.flg ~params ~cm ~counts ~samples:[] ~struct_name () in
@@ -144,7 +146,8 @@ let cc_stability ?(period = 400) () =
     in
     let samples = Collect.samples ~config:cfg ~period () in
     Code_concurrency.compute
-      ~interval:Collect.calibrated_params.Pipeline.cc_interval samples
+      ~interval:Collect.calibrated_params.Pipeline.cc_interval
+      (Sample_store.of_samples samples)
   in
   let cm4 = collect 4 in
   let cm16 = collect 16 in

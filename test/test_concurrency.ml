@@ -5,6 +5,7 @@ module Sample = Slo_concurrency.Sample
 module CC = Slo_concurrency.Code_concurrency
 module Fmf = Slo_concurrency.Fmf
 module Cycle_loss = Slo_concurrency.Cycle_loss
+module Store = Slo_concurrency.Sample_store
 module Parser = Slo_ir.Parser
 module Typecheck = Slo_ir.Typecheck
 
@@ -13,12 +14,51 @@ let checkf = Alcotest.(check (float 1e-6))
 
 let s cpu itc line = { Sample.cpu; itc; line }
 
+(* The interval tables of one binner fed [samples] in order. *)
+let bin ~interval samples =
+  let b = Sample.binner ~interval in
+  List.iter (Sample.feed b) samples;
+  Sample.binned b
+
+(* CC through the one entry point: list -> columnar store -> compute. *)
+let compute ?pool ~interval samples =
+  CC.compute ?pool ~interval (Store.of_samples samples)
+
+(* Definitional brute-force CodeConcurrency, straight from the formula in
+   code_concurrency.mli: count F_I(P, L) in a plain Hashtbl keyed by
+   (interval, cpu, line), then sum min(F_I(Pm,Li), F_I(Pn,Lj)) over every
+   ordered pair of entries of the same interval with Pm <> Pn, keyed on
+   the unordered line pair (Li <= Lj; the diagonal Li = Lj included). No
+   sorting, prefix sums or saturation: the reference the production
+   kernel is checked against. Returns [CC.pairs]-shaped output. *)
+let oracle ~interval samples =
+  let f = Hashtbl.create 64 in
+  List.iter
+    (fun { Sample.cpu; itc; line } ->
+      let k = (Sample.floor_div itc interval, cpu, line) in
+      Hashtbl.replace f k (1 + Option.value ~default:0 (Hashtbl.find_opt f k)))
+    samples;
+  let entries = Hashtbl.fold (fun k n acc -> (k, n) :: acc) f [] in
+  let cc = Hashtbl.create 64 in
+  List.iter
+    (fun ((im, pm, li), a) ->
+      List.iter
+        (fun ((i_n, pn, lj), b) ->
+          if im = i_n && pm <> pn && li <= lj then
+            Hashtbl.replace cc (li, lj)
+              (min a b + Option.value ~default:0 (Hashtbl.find_opt cc (li, lj))))
+        entries)
+    entries;
+  Hashtbl.fold (fun k v acc -> (k, v) :: acc) cc []
+  |> List.sort (fun (k1, v1) (k2, v2) ->
+         match compare v2 v1 with 0 -> compare k1 k2 | c -> c)
+
 (* ------------------------------------------------------------------ *)
 (* Sample binning *)
 
 let test_bin_basic () =
   let samples = [ s 0 10 1; s 0 20 1; s 1 30 2; s 0 150 1 ] in
-  let tables = Sample.bin ~interval:100 samples in
+  let tables = bin ~interval:100 samples in
   check_int "two intervals" 2 (List.length tables);
   let t0 = List.hd tables in
   check_int "F(0, line1) in I0" 2 (Sample.freq t0 ~cpu:0 ~line:1);
@@ -28,7 +68,7 @@ let test_bin_basic () =
   check_int "total" 3 (Sample.total_samples t0)
 
 let test_bin_validation () =
-  match Sample.bin ~interval:0 [] with
+  match Sample.binner ~interval:0 with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "accepted interval 0"
 
@@ -36,7 +76,7 @@ let test_bin_negative_itc () =
   (* Regression: [itc / interval] truncates toward zero, so itc -1 and +1
      both landed in bin 0 and their samples looked concurrent. Floor
      division sends them to bins -1 and 0. *)
-  let tables = Sample.bin ~interval:100 [ s 0 (-1) 1; s 1 1 2 ] in
+  let tables = bin ~interval:100 [ s 0 (-1) 1; s 1 1 2 ] in
   check_int "two intervals" 2 (List.length tables);
   let neg = List.hd tables in
   check_int "negative bin holds its sample" 1 (Sample.freq neg ~cpu:0 ~line:1);
@@ -64,8 +104,7 @@ let prop_bin_shift_invariant =
             List.map (fun l -> (l, Sample.cpu_freqs t ~line:l)) (Sample.lines t))
           tables
       in
-      render (Sample.bin ~interval samples)
-      = render (Sample.bin ~interval shifted))
+      render (bin ~interval samples) = render (bin ~interval shifted))
 
 (* ------------------------------------------------------------------ *)
 (* CodeConcurrency *)
@@ -74,34 +113,34 @@ let test_cc_hand_computed () =
   (* Interval 0: cpu0 runs line 1 twice, cpu1 runs line 2 three times.
      CC(1,2) = min(F(P0,1),F(P1,2)) + min(F(P1,1),F(P0,2)) = min(2,3) + 0 = 2. *)
   let samples = [ s 0 10 1; s 0 20 1; s 1 5 2; s 1 6 2; s 1 7 2 ] in
-  let cm = CC.compute ~interval:100 samples in
+  let cm = compute ~interval:100 samples in
   check_int "CC(1,2)" 2 (CC.cc cm 1 2);
   check_int "symmetric" 2 (CC.cc cm 2 1)
 
 let test_cc_same_cpu_excluded () =
   (* Only one CPU active: no concurrency at all. *)
   let samples = [ s 0 10 1; s 0 20 2; s 0 30 1; s 0 40 2 ] in
-  let cm = CC.compute ~interval:100 samples in
+  let cm = compute ~interval:100 samples in
   check_int "no cross-cpu pairs" 0 (CC.cc cm 1 2)
 
 let test_cc_diagonal () =
   (* Two cpus on the same line concurrently: diagonal CC. *)
   let samples = [ s 0 10 7; s 1 20 7 ] in
-  let cm = CC.compute ~interval:100 samples in
+  let cm = compute ~interval:100 samples in
   (* ordered cpu pairs (0,1) and (1,0): min(1,1) each = 2 *)
   check_int "CC(7,7)" 2 (CC.cc cm 7 7)
 
 let test_cc_intervals_isolate () =
   (* Same lines in different intervals never pair up. *)
   let samples = [ s 0 10 1; s 1 150 2 ] in
-  let cm = CC.compute ~interval:100 samples in
+  let cm = compute ~interval:100 samples in
   check_int "disjoint intervals" 0 (CC.cc cm 1 2)
 
 let test_cc_accumulates_over_intervals () =
   let samples =
     [ s 0 10 1; s 1 20 2 (* I0: 2 *); s 0 110 1; s 1 120 2 (* I1: 2 *) ]
   in
-  let cm = CC.compute ~interval:100 samples in
+  let cm = compute ~interval:100 samples in
   check_int "sum over intervals" 2 (CC.cc cm 1 2)
 
 let test_cc_three_cpus () =
@@ -109,12 +148,12 @@ let test_cc_three_cpus () =
      CC(1,2) = Σ_{m≠n} min(F(Pm,1),F(Pn,2))
              = min(F0(1),F1(2)) + min(F2(1),F1(2)) = 1 + 1 = 2. *)
   let samples = [ s 0 10 1; s 2 15 1; s 1 20 2 ] in
-  let cm = CC.compute ~interval:100 samples in
+  let cm = compute ~interval:100 samples in
   check_int "CC over cpu pairs" 2 (CC.cc cm 1 2)
 
 let test_cc_top_and_merge () =
   let samples = [ s 0 10 1; s 1 11 2; s 0 20 1; s 1 21 2; s 0 30 3; s 1 31 4 ] in
-  let cm = CC.compute ~interval:100 samples in
+  let cm = compute ~interval:100 samples in
   (match CC.top cm ~k:1 with
   | [ ((1, 2), v) ] -> check_int "hottest pair value" (CC.cc cm 1 2) v
   | _ -> Alcotest.fail "unexpected top pair");
@@ -131,9 +170,10 @@ let prop_cc_symmetric_nonneg =
          return (cpu, itc, line)))
     (fun triples ->
       let samples = List.map (fun (c, t, l) -> s c t l) triples in
-      let cm = CC.compute ~interval:250 samples in
+      let cm = compute ~interval:250 samples in
       let lines = [ 1; 2; 3; 4; 5; 6 ] in
-      List.for_all
+      CC.pairs cm = oracle ~interval:250 samples
+      && List.for_all
         (fun a ->
           List.for_all
             (fun b -> CC.cc cm a b >= 0 && CC.cc cm a b = CC.cc cm b a)
@@ -150,10 +190,12 @@ let prop_cc_monotone =
            (triple (int_range 0 3) (int_range 0 1000) (int_range 1 4))))
     (fun (base, extra) ->
       let mk l = List.map (fun (c, t, ln) -> s c t ln) l in
-      let cm1 = CC.compute ~interval:250 (mk base) in
-      let cm2 = CC.compute ~interval:250 (mk (base @ extra)) in
+      let cm1 = compute ~interval:250 (mk base) in
+      let cm2 = compute ~interval:250 (mk (base @ extra)) in
       let lines = [ 1; 2; 3; 4 ] in
-      List.for_all
+      CC.pairs cm1 = oracle ~interval:250 (mk base)
+      && CC.pairs cm2 = oracle ~interval:250 (mk (base @ extra))
+      && List.for_all
         (fun a -> List.for_all (fun b -> CC.cc cm2 a b >= CC.cc cm1 a b) lines)
         lines)
 
@@ -195,7 +237,7 @@ let test_cycle_loss_requires_write () =
   (* Concurrency between line 4 (writes a, reads b) and line 5 (reads c):
      loss(a,c) > 0 (write on one side); loss(b,c) = 0 (both reads). *)
   let samples = [ s 0 10 4; s 1 12 5; s 0 110 4; s 1 113 5 ] in
-  let cm = CC.compute ~interval:100 samples in
+  let cm = compute ~interval:100 samples in
   let loss = Cycle_loss.compute ~cm ~fmf ~struct_name:"S" in
   Alcotest.(check bool) "a-c positive" true (Cycle_loss.loss loss "a" "c" > 0.0);
   checkf "b-c zero (read-read)" 0.0 (Cycle_loss.loss loss "b" "c");
@@ -208,7 +250,7 @@ let test_cycle_loss_same_line_fields () =
   let p = Typecheck.check (Parser.parse_program ~file:"t.mc" fmf_src) in
   let fmf = Fmf.of_program p in
   let samples = [ s 0 10 4; s 1 12 4 ] in
-  let cm = CC.compute ~interval:100 samples in
+  let cm = compute ~interval:100 samples in
   let loss = Cycle_loss.compute ~cm ~fmf ~struct_name:"S" in
   Alcotest.(check bool) "a-b loss from diagonal" true
     (Cycle_loss.loss loss "a" "b" > 0.0)
@@ -227,7 +269,7 @@ let test_cycle_loss_uniform_scale () =
   let p = Typecheck.check (Parser.parse_program ~file:"t.mc" fmf_src) in
   let fmf = Fmf.of_program p in
   let loss_of samples =
-    let cm = CC.compute ~interval:100 samples in
+    let cm = compute ~interval:100 samples in
     Cycle_loss.compute ~cm ~fmf ~struct_name:"S"
   in
   let same = loss_of [ s 0 10 4; s 1 12 4 ] in
@@ -239,13 +281,7 @@ let test_cycle_loss_uniform_scale () =
   checkf "read-read pair stays zero" 0.0 (Cycle_loss.loss cross "b" "c")
 
 (* ------------------------------------------------------------------ *)
-(* Streaming ingestion and the grouped per-line index *)
-
-let render_tables tables =
-  List.map
-    (fun t ->
-      List.map (fun l -> (l, Sample.cpu_freqs t ~line:l)) (Sample.lines t))
-    tables
+(* Binner counters and the grouped per-line index *)
 
 let gen_triples =
   QCheck2.Gen.(
@@ -260,7 +296,7 @@ let prop_grouped_index_matches_scan =
     QCheck2.Gen.(pair (int_range 1 50) gen_triples)
     (fun (interval, triples) ->
       let samples = List.map (fun (c, t, l) -> s c t l) triples in
-      let tables = Sample.bin ~interval samples in
+      let tables = bin ~interval samples in
       List.for_all
         (fun t ->
           List.for_all
@@ -295,21 +331,6 @@ let test_binner_counters () =
   (* interval 0 holds entries (0,1) and (1,2); interval 1 holds one *)
   check_int "peak interval-table entries" 2 (Sample.peak_entries b);
   check_int "two tables" 2 (List.length (Sample.binned b))
-
-let test_fold_binned_matches_bin () =
-  let samples = [ s 0 10 1; s 1 20 2; s 0 150 1; s 2 (-5) 3 ] in
-  let streamed =
-    Sample.fold_binned ~interval:100
-      (fun f -> List.iter f samples)
-      ~init:[]
-      ~f:(fun acc t -> t :: acc)
-  in
-  Alcotest.(check bool) "fold_binned = bin" true
-    (render_tables (List.rev streamed)
-    = render_tables (Sample.bin ~interval:100 samples));
-  match Sample.fold_binned ~interval:0 (fun _ -> ()) ~init:() ~f:(fun () _ -> ()) with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "fold_binned accepted interval 0"
 
 (* ------------------------------------------------------------------ *)
 (* Saturating arithmetic in the CC kernel *)
@@ -361,7 +382,7 @@ let test_saturation_units () =
   check_int "accumulated cc saturates" max_int (CC.cc cm 1 2)
 
 let test_top_validation () =
-  let cm = CC.compute ~interval:100 [ s 0 1 1; s 1 2 2 ] in
+  let cm = compute ~interval:100 [ s 0 1 1; s 1 2 2 ] in
   (match CC.top cm ~k:(-1) with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "top accepted k = -1");
@@ -369,49 +390,31 @@ let test_top_validation () =
     (CC.top cm ~k:0)
 
 (* ------------------------------------------------------------------ *)
-(* Sharded / streaming compute: merge laws and boundary invariance.
-   These are the invariants the parallel reduce in compute_tables rests
-   on; the suite also runs under @runtest-par. *)
+(* Sharded compute: merge laws and boundary invariance. These are the
+   invariants the parallel reduce in Code_concurrency.compute rests on;
+   the suite also runs under @runtest-par. *)
 
 let mk_samples triples = List.map (fun (c, t, l) -> s c t l) triples
 
-let prop_stream_matches_compute =
-  QCheck2.Test.make ~name:"compute_stream = compute" ~count:100
-    QCheck2.Gen.(pair (int_range 1 300) gen_triples)
-    (fun (interval, triples) ->
-      let samples = mk_samples triples in
-      let cm = CC.compute ~interval samples in
-      let cm' = CC.compute_stream ~interval (fun f -> List.iter f samples) in
-      CC.pairs cm' = CC.pairs cm)
-
-let prop_chunk_invariant =
-  QCheck2.Test.make ~name:"compute_tables is chunk-size invariant" ~count:60
-    QCheck2.Gen.(triple (int_range 1 300) (int_range 1 9) gen_triples)
-    (fun (interval, chunk, triples) ->
-      let samples = mk_samples triples in
-      let tables = Sample.bin ~interval samples in
-      CC.pairs (CC.compute_tables ~chunk tables)
-      = CC.pairs (CC.compute ~interval samples))
-
-let prop_table_shard_invariant =
-  (* Split the interval-table list at any boundary, compute each shard
+let prop_interval_shard_invariant =
+  (* Split the samples at any interval boundary, compute each side
      independently, merge: must equal the unsharded map. (Raw samples of
      ONE interval cannot be sharded — min is not additive — which is why
-     the pipeline bins first and shards the table list.) *)
-  QCheck2.Test.make ~name:"shard boundary invariance (tables + merge)"
+     compute bins first and shards the interval tables.) *)
+  QCheck2.Test.make ~name:"shard boundary invariance (intervals + merge)"
     ~count:80
-    QCheck2.Gen.(triple (int_range 1 300) (int_bound 100) gen_triples)
+    QCheck2.Gen.(triple (int_range 1 300) (int_range (-3) 3) gen_triples)
     (fun (interval, cut, triples) ->
       let samples = mk_samples triples in
-      let tables = Sample.bin ~interval samples in
-      let n = List.length tables in
-      let k = if n = 0 then 0 else cut mod (n + 1) in
-      let left = List.filteri (fun i _ -> i < k) tables in
-      let right = List.filteri (fun i _ -> i >= k) tables in
-      let merged =
-        CC.merge (CC.compute_tables left) (CC.compute_tables right)
+      let left, right =
+        List.partition
+          (fun smp -> Sample.floor_div smp.Sample.itc interval < cut)
+          samples
       in
-      CC.pairs merged = CC.pairs (CC.compute ~interval samples))
+      let merged =
+        CC.merge (compute ~interval left) (compute ~interval right)
+      in
+      CC.pairs merged = oracle ~interval samples)
 
 let gen_cm =
   (* A concurrency map from random samples, optionally carrying one cell
@@ -420,7 +423,10 @@ let gen_cm =
     let* triples = gen_triples in
     let* big = opt (pair (int_range 1 5) (int_range 1 5)) in
     return
-      (let cm = CC.compute ~interval:250 (mk_samples triples) in
+      (let cm = CC.create () in
+       List.iter
+         (fun ((l1, l2), v) -> CC.For_tests.add cm l1 l2 v)
+         (oracle ~interval:250 (mk_samples triples));
        (match big with
        | Some (l1, l2) -> CC.For_tests.add cm l1 l2 (max_int - 3)
        | None -> ());
@@ -439,35 +445,31 @@ let prop_merge_associative =
       = CC.pairs (CC.merge a (CC.merge b c)))
 
 let test_pool_shard_identical () =
-  (* The full parallel path: streaming ingestion fanned over a real
-     domain pool must be byte-identical to the serial compute. *)
+  (* The full parallel path over a real domain pool (about 100 intervals,
+     so several chunks) must be byte-identical to the serial compute and
+     to the oracle. *)
   let samples =
     List.concat_map
       (fun i -> [ s (i mod 4) (i * 37) (1 + (i mod 5)); s ((i + 1) mod 4) (i * 53) (1 + (i * 3 mod 5)) ])
       (List.init 200 Fun.id)
   in
-  let serial = CC.compute ~interval:100 samples in
+  let serial = compute ~interval:100 samples in
+  Alcotest.(check bool) "serial = oracle" true
+    (CC.pairs serial = oracle ~interval:100 samples);
   Slo_exec.Pool.with_pool ~domains:2 (fun pool ->
-      let par =
-        CC.compute_stream ~pool ~chunk:3 ~interval:100 (fun f ->
-            List.iter f samples)
-      in
+      let par = compute ~pool ~interval:100 samples in
       Alcotest.(check bool) "pool = serial" true
         (CC.pairs par = CC.pairs serial))
 
 (* ------------------------------------------------------------------ *)
 (* Columnar sample store and the columnar CC path *)
 
-module Store = Slo_concurrency.Sample_store
-
 let test_bin_min_int () =
   (* Regression: floor_div negated its argument before dividing, so a
      timestamp within one interval of [min_int] overflowed on the
      negation and teleported into a huge positive bin at the far end of
      the binned order. The remainder form is exact at the boundary. *)
-  let tables =
-    Sample.bin ~interval:4 [ s 0 min_int 7; s 0 (min_int + 1) 7; s 1 3 9 ]
-  in
+  let tables = bin ~interval:4 [ s 0 min_int 7; s 0 (min_int + 1) 7; s 1 3 9 ] in
   check_int "two intervals" 2 (List.length tables);
   let first = List.hd tables in
   check_int "min_int samples share the first bin" 2
@@ -539,30 +541,52 @@ let prop_store_samples_roundtrip =
       let samples = mk_samples triples in
       Store.to_samples (Store.of_samples samples) = samples)
 
-let prop_store_cc_matches_list =
-  (* The tentpole differential: CC over the columnar store must equal CC
-     over the boxed list, for every binning range size. *)
-  QCheck2.Test.make ~name:"compute_store = compute (range invariant)"
-    ~count:60
-    QCheck2.Gen.(triple (int_range 1 300) (int_range 1 50) gen_triples)
-    (fun (interval, range, triples) ->
+let prop_store_cc_matches_oracle =
+  (* The columnar CC must equal the definitional brute force. *)
+  QCheck2.Test.make ~name:"compute = definitional oracle" ~count:100
+    QCheck2.Gen.(pair (int_range 1 300) gen_triples)
+    (fun (interval, triples) ->
       let samples = mk_samples triples in
-      let st = Store.of_samples samples in
-      CC.pairs (CC.compute_store ~range ~interval st)
-      = CC.pairs (CC.compute ~interval samples))
+      CC.pairs (compute ~interval samples) = oracle ~interval samples)
 
 let test_store_pool_identical () =
-  (* Sharded columnar ingestion over a real domain pool = serial list
-     path, with range boundaries forced to cut the store many times. *)
+  (* Sharded columnar ingestion over a real domain pool = the oracle. *)
   let samples =
     List.init 400 (fun i -> s (i mod 4) ((i * 37) - 7000) (1 + (i mod 5)))
   in
-  let st = Store.of_samples samples in
-  let serial = CC.compute ~interval:100 samples in
   Slo_exec.Pool.with_pool ~domains:2 (fun pool ->
-      let par = CC.compute_store ~pool ~chunk:3 ~range:64 ~interval:100 st in
-      Alcotest.(check bool) "pool = serial" true
-        (CC.pairs par = CC.pairs serial))
+      Alcotest.(check bool) "pool = oracle" true
+        (CC.pairs (compute ~pool ~interval:100 samples)
+        = oracle ~interval:100 samples))
+
+let test_store_multi_range () =
+  (* Big enough to cross the fixed boundaries the parallel path cuts on:
+     150 000 samples are three binning ranges of 65 536, and their 150
+     intervals are five chunks of 32. The pooled and serial compute must
+     both equal the serial of_interval fold over one binner. *)
+  let n = 150_000 and interval = 1_000 in
+  let b = Store.builder ~capacity:n () in
+  for i = 0 to n - 1 do
+    Store.append b ~cpu:(i * 7 mod 16) ~itc:i ~line:(1 + (i * 13 mod 24))
+  done;
+  let st = Store.build b in
+  let binner = Sample.binner ~interval in
+  for i = 0 to n - 1 do
+    Sample.feed_raw binner ~cpu:(Store.cpu st i) ~itc:(Store.itc st i)
+      ~line:(Store.line st i)
+  done;
+  check_int "intervals" 150 (List.length (Sample.binned binner));
+  let folded =
+    List.fold_left
+      (fun acc tbl -> CC.merge acc (CC.of_interval tbl))
+      (CC.create ()) (Sample.binned binner)
+    |> CC.pairs
+  in
+  Alcotest.(check bool) "serial = of_interval fold" true
+    (CC.pairs (CC.compute ~interval st) = folded);
+  Slo_exec.Pool.with_pool ~domains:2 (fun pool ->
+      Alcotest.(check bool) "pool = of_interval fold" true
+        (CC.pairs (CC.compute ~pool ~interval st) = folded))
 
 let store_suite =
   [
@@ -572,10 +596,12 @@ let store_suite =
     Alcotest.test_case "builder growth + bounds" `Quick test_store_builder;
     Alcotest.test_case "of_columns validation" `Quick
       test_store_of_columns_validation;
-    Alcotest.test_case "pool columnar = serial list" `Quick
+    Alcotest.test_case "pool columnar = oracle" `Quick
       test_store_pool_identical;
+    Alcotest.test_case "multi-range, multi-chunk = of_interval fold" `Quick
+      test_store_multi_range;
     QCheck_alcotest.to_alcotest prop_store_samples_roundtrip;
-    QCheck_alcotest.to_alcotest prop_store_cc_matches_list;
+    QCheck_alcotest.to_alcotest prop_store_cc_matches_oracle;
   ]
 
 (* Differential for the flat open-addressing ingestion path: the binner's
@@ -644,9 +670,7 @@ let props =
 let shard_props =
   List.map QCheck_alcotest.to_alcotest
     [
-      prop_stream_matches_compute;
-      prop_chunk_invariant;
-      prop_table_shard_invariant;
+      prop_interval_shard_invariant;
       prop_merge_commutative;
       prop_merge_associative;
     ]
@@ -661,8 +685,6 @@ let suites =
         Alcotest.test_case "grouped index invalidation" `Quick
           test_grouped_index_invalidation;
         Alcotest.test_case "binner counters" `Quick test_binner_counters;
-        Alcotest.test_case "fold_binned = bin" `Quick
-          test_fold_binned_matches_bin;
         QCheck_alcotest.to_alcotest prop_grouped_index_matches_scan;
         QCheck_alcotest.to_alcotest prop_binner_matches_hashtbl_reference;
       ] );

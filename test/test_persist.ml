@@ -6,6 +6,12 @@ module Sample = Slo_concurrency.Sample
 
 let check_int = Alcotest.(check int)
 
+let read_raw path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
 let mk_counts () =
   let c = Counts.create () in
   Counts.bump_block ~n:7 c ~proc:"f" ~block:0;
@@ -84,12 +90,21 @@ let test_negative_counts_rejected () =
   | [ { Sample.itc = -5; _ } ] -> ()
   | _ -> Alcotest.fail "rejected signed itc"
 
+(* The text [save_samples] writes for [samples]. *)
+let samples_text samples =
+  let path = Filename.temp_file "slo_test" ".samples" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Persist.save_samples ~path samples;
+      read_raw path)
+
 let test_samples_roundtrip () =
   let samples =
     [ { Sample.cpu = 0; itc = 100; line = 42 };
       { Sample.cpu = 3; itc = 250; line = 7 } ]
   in
-  let s' = Persist.samples_of_string (Persist.samples_to_string samples) in
+  let s' = Persist.samples_of_string (samples_text samples) in
   Alcotest.(check int) "count" 2 (List.length s');
   Alcotest.(check bool) "identical" true (s' = samples)
 
@@ -101,7 +116,9 @@ let test_samples_file_roundtrip () =
       let samples = [ { Sample.cpu = 1; itc = 5; line = 9 } ] in
       Persist.save_samples ~path samples;
       Alcotest.(check bool) "file round trip" true
-        (Persist.load_samples ~path = samples))
+        (Slo_concurrency.Sample_store.to_samples
+           (Persist.store_of_samples_file ~path)
+        = samples))
 
 let test_real_profile_roundtrip () =
   (* The kernel's whole profile must survive a round trip. *)
@@ -123,7 +140,7 @@ let prop_samples_roundtrip =
          let* line = int_range 0 10_000 in
          return { Sample.cpu; itc; line }))
     (fun samples ->
-      Persist.samples_of_string (Persist.samples_to_string samples) = samples)
+      Persist.samples_of_string (samples_text samples) = samples)
 
 let prop_samples_signed_itc_roundtrip =
   QCheck2.Test.make ~name:"samples round trip with signed itc" ~count:100
@@ -134,7 +151,7 @@ let prop_samples_signed_itc_roundtrip =
          let* line = int_range 0 10_000 in
          return { Sample.cpu; itc; line }))
     (fun samples ->
-      Persist.samples_of_string (Persist.samples_to_string samples) = samples)
+      Persist.samples_of_string (samples_text samples) = samples)
 
 let prop_adversarial_names_roundtrip =
   (* Names built from the encoder's own special characters plus hex-ish
@@ -173,7 +190,13 @@ let prop_encode_roundtrip =
 (* ------------------------------------------------------------------ *)
 (* Streaming sample ingestion *)
 
-let test_streaming_reader_matches_load () =
+(* Every sample of a text file, through the streaming reader. *)
+let stream_file path =
+  let acc = ref [] in
+  Persist.iter_samples_file ~path (fun smp -> acc := smp :: !acc);
+  List.rev !acc
+
+let test_streaming_reader () =
   let path = Filename.temp_file "slo_test" ".samples" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
@@ -183,16 +206,8 @@ let test_streaming_reader_matches_load () =
             { Sample.cpu = i mod 8; itc = (i * 37) - 500; line = i mod 13 })
       in
       Persist.save_samples ~path samples;
-      let streamed =
-        List.rev
-          (Persist.fold_samples_file ~path ~init:[] ~f:(fun acc s -> s :: acc))
-      in
-      Alcotest.(check bool) "fold_samples_file = load_samples" true
-        (streamed = Persist.load_samples ~path);
-      Alcotest.(check bool) "streamed = original" true (streamed = samples);
-      let n = ref 0 in
-      Persist.iter_samples_file ~path (fun _ -> incr n);
-      check_int "iter visits every sample" 100 !n)
+      Alcotest.(check bool) "streamed = original" true
+        (stream_file path = samples))
 
 let test_streaming_reader_errors () =
   (* The streaming reader must keep the in-memory parser's Parse_error
@@ -277,9 +292,6 @@ let write_raw path s =
   output_string oc s;
   close_out oc
 
-let stream_file path =
-  List.rev (Persist.fold_samples_file ~path ~init:[] ~f:(fun a smp -> smp :: a))
-
 let test_crlf_and_final_newline () =
   let body = "slo-samples 1\r\n0 10 1\r\n1 -20 2\r\n2 30 3" in
   let path = Filename.temp_file "slo_test" ".samples" in
@@ -330,9 +342,7 @@ let prop_streamed_equals_string_parse =
         ~finally:(fun () -> Sys.remove path)
         (fun () ->
           Persist.save_samples ~path samples;
-          List.rev
-            (Persist.fold_samples_file ~path ~init:[] ~f:(fun a s -> s :: a))
-          = Persist.samples_of_string (Persist.samples_to_string samples)))
+          stream_file path = Persist.samples_of_string (read_raw path)))
 
 (* ------------------------------------------------------------------ *)
 (* Binary columnar store: "slo-samples-bin 1" *)
@@ -345,12 +355,6 @@ let with_tmp ext f =
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () -> f path)
-
-let read_raw path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
 
 let gen_sample_list =
   QCheck2.Gen.(
@@ -447,16 +451,17 @@ let prop_text_bin_text_identical =
                   && read_raw t1 = read_raw t2))))
 
 let prop_bin_cc_matches_list =
-  (* End-to-end tentpole differential: binary file -> store -> columnar
-     CC must equal the boxed-list CC over the same samples. *)
-  QCheck2.Test.make ~name:"binary -> store -> CC = list CC" ~count:40
+  (* End-to-end differential: binary file -> mapped store -> CC must
+     equal CC over the in-memory store of the same sample list. *)
+  QCheck2.Test.make ~name:"binary -> store -> CC = list -> store -> CC"
+    ~count:40
     QCheck2.Gen.(pair (int_range 1 300) gen_sample_list)
     (fun (interval, samples) ->
       with_tmp ".bin" (fun path ->
           Persist.save_samples_bin ~path (Store.of_samples samples);
           let st = Persist.load_samples_bin ~path in
-          CC.pairs (CC.compute_store ~interval st)
-          = CC.pairs (CC.compute ~interval samples)))
+          CC.pairs (CC.compute ~interval st)
+          = CC.pairs (CC.compute ~interval (Store.of_samples samples))))
 
 (* ------------------------------------------------------------------ *)
 (* Crash-safe saves: write-to-tempfile-then-rename *)
@@ -618,8 +623,7 @@ let suites =
         Alcotest.test_case "samples round trip" `Quick test_samples_roundtrip;
         Alcotest.test_case "samples file" `Quick test_samples_file_roundtrip;
         Alcotest.test_case "kernel profile round trip" `Quick test_real_profile_roundtrip;
-        Alcotest.test_case "streaming reader = load" `Quick
-          test_streaming_reader_matches_load;
+        Alcotest.test_case "streaming reader" `Quick test_streaming_reader;
         Alcotest.test_case "streaming reader errors" `Quick
           test_streaming_reader_errors;
         Alcotest.test_case "count bounds (2^53 cap)" `Quick test_count_bounds;

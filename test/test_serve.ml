@@ -200,6 +200,23 @@ let test_window_retirement () =
   check_int "late counted" 1 (Window.late w);
   check_int "master unchanged by late" 2 (Window.live_samples w)
 
+let test_window_late_out_of_range () =
+  (* Regression: lateness was classified before the id check, so an
+     out-of-range sample below the watermark was counted late instead of
+     rejected. *)
+  let w = Window.create ~interval:10 ~window:2 () in
+  List.iter
+    (fun itc -> ignore (Window.feed w ~cpu:0 ~itc ~line:1))
+    [ 5; 15; 25 ];
+  (match Window.feed w ~cpu:(-1) ~itc:3 ~line:1 with
+  | _ -> Alcotest.fail "out-of-range late sample accepted"
+  | exception Invalid_argument _ -> ());
+  (match Window.feed w ~cpu:0 ~itc:3 ~line:(Sample.max_id + 1) with
+  | _ -> Alcotest.fail "out-of-range late line accepted"
+  | exception Invalid_argument _ -> ());
+  check_int "late unchanged" 0 (Window.late w);
+  check_int "live unchanged" 2 (Window.live_samples w)
+
 let test_window_weights () =
   let w = Window.create ~decay:0.5 ~interval:10 ~window:4 () in
   check_int "age 0 is full weight" Window.weight_den (Window.weight w ~age:0);
@@ -351,6 +368,52 @@ let test_daemon_run_stop () =
     "submit_wait after stop refuses" false
     (Serve.submit_wait t (batch ~idx:10 ~lines:(1, 2)))
 
+(* A batch whose second sample carries an out-of-range line id, and the
+   error that names that index and field. *)
+let bad_batch ~idx =
+  [| s 0 (idx * 10) 1; s 1 ((idx * 10) + 1) (Sample.max_id + 1) |]
+
+let expect_rejected what f =
+  Alcotest.check_raises what
+    (Invalid_argument
+       (Printf.sprintf
+          "Serve.submit: batch.(1): Sample: line out of range (0..%d): %d"
+          Sample.max_id (Sample.max_id + 1)))
+    (fun () -> ignore (f ()))
+
+let test_submit_rejects_bad_batch () =
+  (* Regression: an out-of-range id was enqueued and raised inside the
+     processor partway through the batch. Validation now happens on the
+     caller's side: nothing is enqueued, dropped or published. *)
+  let t = Serve.create (mk_cfg ~queue_capacity:2 ()) in
+  expect_rejected "submit" (fun () -> Serve.submit t (bad_batch ~idx:0));
+  expect_rejected "submit_wait" (fun () ->
+      Serve.submit_wait t (bad_batch ~idx:0));
+  check_int "nothing queued" 0 (Serve.queue_depth t);
+  check_int "nothing dropped" 0 (Serve.dropped_batches t);
+  check_int "nothing published" 0 (Serve.version t);
+  check_int "window untouched" 0 (Window.live_samples (Serve.window t));
+  (* the next good batch drains and publishes as usual *)
+  Alcotest.(check bool)
+    "good batch accepted" true
+    (Serve.submit t (batch ~idx:0 ~lines:(1, 2)) = `Accepted);
+  Serve.drain t;
+  check_int "good batch fed" 5 (Window.live_samples (Serve.window t));
+  check_int "good batch published" 1 (Serve.version t)
+
+let test_daemon_survives_bad_submit () =
+  (* Regression: the bad batch reached the daemon, whose exception ended
+     daemon_loop and was re-raised by stop. *)
+  let t = Serve.create (mk_cfg ~min_samples:1_000_000 ()) in
+  Serve.run t;
+  ignore (Serve.submit_wait t (batch ~idx:0 ~lines:(1, 2)));
+  expect_rejected "submit under run" (fun () ->
+      Serve.submit t (bad_batch ~idx:1));
+  ignore (Serve.submit_wait t (batch ~idx:2 ~lines:(1, 2)));
+  Serve.stop t;
+  check_int "both good batches processed" 10
+    (Window.live_samples (Serve.window t))
+
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect
@@ -425,6 +488,8 @@ let suites =
     ( "serve.window",
       Alcotest.test_case "retirement and lateness" `Quick
         test_window_retirement
+      :: Alcotest.test_case "out-of-range late sample rejected" `Quick
+           test_window_late_out_of_range
       :: Alcotest.test_case "fixed-point weights" `Quick test_window_weights
       :: Alcotest.test_case "shape drift" `Quick test_drift_shape
       :: props );
@@ -434,6 +499,10 @@ let suites =
         Alcotest.test_case "drift-triggered publication" `Quick
           test_drift_trigger;
         Alcotest.test_case "daemon run/stop" `Quick test_daemon_run_stop;
+        Alcotest.test_case "bad batch rejected before enqueue" `Quick
+          test_submit_rejects_bad_batch;
+        Alcotest.test_case "daemon survives a bad submit" `Quick
+          test_daemon_survives_bad_submit;
         Alcotest.test_case "snapshot/restore identity" `Quick
           test_snapshot_restore_identity;
         Alcotest.test_case "restore rejects mismatched config" `Quick
