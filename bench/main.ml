@@ -1449,13 +1449,19 @@ let run_sim_scale () =
     exit 1
   end;
   let flat_totals, flat_wall = replay () in
-  (* End-to-end simulation wall time (interpreter + memory system). *)
+  (* End-to-end simulation wall time (interpreter + memory system), and
+     the step loop's cost per executed instruction or terminator. *)
+  let steps_before = Obs.counter "sim.steps" in
   let sim_wall =
     let t0 = Obs.now () in
     List.iter
       (fun seed -> ignore (Sdet.run_once { cfg with Sdet.seed }))
       (List.init runs (fun i -> cfg.Sdet.seed + i));
     Obs.now () -. t0
+  in
+  let steps = Obs.counter "sim.steps" - steps_before in
+  let ns_per_step =
+    if steps > 0 then sim_wall *. 1e9 /. float_of_int steps else 0.0
   in
   let accesses st = st.Sim_stats.loads + st.Sim_stats.stores in
   let per_s wall n = if wall > 0.0 then float_of_int n /. wall else 0.0 in
@@ -1484,7 +1490,8 @@ let run_sim_scale () =
   in
   Printf.printf "%-10s %12s %14s %14s\n" "" "wall (s)" "accesses/s" "misses/s";
   print_row "kernel" flat_totals flat_wall;
-  Printf.printf "end-to-end simulation: %.4fs over %d runs\n%!" sim_wall runs;
+  Printf.printf "end-to-end simulation: %.4fs over %d runs, %d steps, %.0f ns/step\n%!"
+    sim_wall runs steps ns_per_step;
   if Obs.counter "sim.kernel.runs" = 0 then begin
     Printf.eprintf "sim_scale: sim.kernel.* obs counters never moved\n";
     exit 1
@@ -1574,7 +1581,12 @@ let run_sim_scale () =
           ] );
       ("kernel", kernel_json flat_totals flat_wall);
       ( "sim_end_to_end",
-        Json.Obj [ ("kernel_wall_s", Json.Float sim_wall) ] );
+        Json.Obj
+          [
+            ("kernel_wall_s", Json.Float sim_wall);
+            ("steps", Json.Int steps);
+            ("ns_per_step", Json.Float ns_per_step);
+          ] );
       ("kernel_runs_counter", Json.Int (Obs.counter "sim.kernel.runs"));
       ( "hierarchy",
         Json.Obj

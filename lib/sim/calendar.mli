@@ -1,0 +1,30 @@
+(** Exact calendar queue: the simulator's scheduler.
+
+    A priority queue of small int ids keyed by clock, popping in
+    (clock, push order) — exactly {!Slo_util.Heap}'s (priority, FIFO)
+    order — under one precondition: no id is pushed with a clock below the
+    last popped one. The simulator meets it because a thread's clock never
+    decreases and it is re-queued only after its own pop.
+
+    Clocks within {!width} of the last pop sit in a ring of FIFO slots,
+    one per clock, with an occupancy bitmap: a push or pop there costs
+    O(1) plus a scan of at most [width / 32] bitmap words and allocates
+    nothing. Later clocks wait in a {!Slo_util.Heap} and enter the ring,
+    in order, once the ring reaches them. *)
+
+type t
+
+val width : int
+(** Clocks the ring spans: 1024. *)
+
+val create : ids:int -> t
+(** An empty queue for ids [0 .. ids-1]. An id may be queued at most once
+    at a time. *)
+
+val push : t -> int -> clock:int -> unit
+(** Queue an id at a clock.
+    @raise Invalid_argument if the clock is below the last popped one. *)
+
+val pop : t -> int
+(** Remove and return the id with the least clock, earliest pushed among
+    equal clocks; [-1] when the queue is empty. *)

@@ -4,9 +4,12 @@ module Loc = Slo_ir.Loc
 module Layout = Slo_layout.Layout
 module Field = Slo_layout.Field
 module Prng = Slo_util.Prng
-module Heap = Slo_util.Heap
 
 exception Runtime_error = Slo_profile.Interp.Runtime_error
+
+(* Raised by [eval_cexpr], which has no location; [run] reports it at the
+   executing instruction's. *)
+exception Zero_divisor
 
 type config = {
   topology : Topology.t;
@@ -581,10 +584,8 @@ let rec eval_cexpr regs prng (e : cexpr) =
     | Ast.Add -> a + b
     | Ast.Sub -> a - b
     | Ast.Mul -> a * b
-    | Ast.Div ->
-      if b = 0 then raise (Runtime_error ("division by zero", Loc.dummy)) else a / b
-    | Ast.Mod ->
-      if b = 0 then raise (Runtime_error ("division by zero", Loc.dummy)) else a mod b
+    | Ast.Div -> if b = 0 then raise Zero_divisor else a / b
+    | Ast.Mod -> if b = 0 then raise Zero_divisor else a mod b
     | Ast.Lt -> bool_ (a < b)
     | Ast.Le -> bool_ (a <= b)
     | Ast.Gt -> bool_ (a > b)
@@ -594,6 +595,7 @@ let rec eval_cexpr regs prng (e : cexpr) =
     | Ast.And -> bool_ (a <> 0 && b <> 0)
     | Ast.Or -> bool_ (a <> 0 || b <> 0))
 
+(* The access's byte address; its size is [acc.c_elem]. *)
 let address_of frame (acc : caccess) regs prng =
   let idx =
     match acc.c_index with
@@ -605,7 +607,7 @@ let address_of frame (acc : caccess) regs prng =
       (Runtime_error
          (Printf.sprintf "index %d out of range (count %d)" idx acc.c_count, acc.c_loc));
   let inst = frame.f_insts.(acc.c_inst) in
-  (inst.i_base + acc.c_off + (idx * acc.c_elem), acc.c_elem)
+  inst.i_base + acc.c_off + (idx * acc.c_elem)
 
 let make_frame t proc =
   let cp = compiled_proc t proc in
@@ -685,7 +687,8 @@ let step t thread =
         if c < 0 then raise (Runtime_error ("negative pause", loc));
         1 + c
       | CLoad { dst; acc } ->
-        let addr, size = address_of frame acc frame.f_regs thread.t_prng in
+        let addr = address_of frame acc frame.f_regs thread.t_prng in
+        let size = acc.c_elem in
         if t.config.trace then
           t.trace_rev <-
             { t_cpu = thread.t_cpu; t_itc = thread.t_clock; t_addr = addr;
@@ -697,7 +700,8 @@ let step t thread =
         frame.f_regs.(dst) <- Flat_tab.find t.memory addr ~default:0;
         t.config.load_base + latency
       | CStore { acc; src } ->
-        let addr, size = address_of frame acc frame.f_regs thread.t_prng in
+        let addr = address_of frame acc frame.f_regs thread.t_prng in
+        let size = acc.c_elem in
         if t.config.trace then
           t.trace_rev <-
             { t_cpu = thread.t_cpu; t_itc = thread.t_clock; t_addr = addr;
@@ -750,62 +754,86 @@ let step t thread =
         1
     end
 
-(* Location of the code the thread is about to execute — the "IP" a PMU
-   sample firing during the instruction would record. *)
-let current_location thread =
-  match thread.t_frames with
-  | [] -> None
-  | frame :: _ ->
-    let blk = frame.f_proc.cp_blocks.(frame.f_block) in
-    let line =
-      if frame.f_ip < Array.length blk.cb_lines then blk.cb_lines.(frame.f_ip)
-      else blk.cb_term_line
-    in
-    Some (frame.f_proc.cp_name, blk.cb_src, line)
+(* Record every sample tick a step crossed, attributed to the location the
+   step executed — block [block], instruction [ip] (the terminator when
+   past the last) of [frame] — since the PMU interrupts mid-instruction. *)
+let record_samples t ~cpu ~period ~until frame ~block ~ip =
+  let blk = frame.f_proc.cp_blocks.(block) in
+  let line =
+    if ip < Array.length blk.cb_lines then blk.cb_lines.(ip) else blk.cb_term_line
+  in
+  while t.next_sample.(cpu) <= until do
+    t.samples_rev <-
+      {
+        s_cpu = cpu;
+        s_itc = t.next_sample.(cpu);
+        s_proc = frame.f_proc.cp_name;
+        s_block = blk.cb_src;
+        s_line = line;
+      }
+      :: t.samples_rev;
+    t.next_sample.(cpu) <- t.next_sample.(cpu) + period
+  done
+
+(* Source location of instruction [ip] of [block] (its terminator when past
+   the last), for errors raised without one. *)
+let source_loc t frame ~block ~ip =
+  let blk = (Hashtbl.find t.cfg_of frame.f_proc.cp_name).Cfg.blocks.(block) in
+  if ip < Array.length blk.Cfg.b_instrs then Cfg.instr_loc blk.Cfg.b_instrs.(ip)
+  else
+    match blk.Cfg.b_term with
+    | Cfg.Tbranch { loc; _ } -> loc
+    | Cfg.Tgoto _ | Cfg.Treturn -> Loc.dummy
 
 let run t =
   if t.ran then invalid_arg "Machine.run: machine already ran";
   t.ran <- true;
   t.frozen <- true;
-  let heap = Heap.create () in
   let invocations =
     Hashtbl.fold (fun _ th acc -> acc + List.length th.t_work) t.threads 0
   in
-  Hashtbl.iter
-    (fun _ th -> if not th.t_done then Heap.push heap ~priority:0 th)
-    t.threads;
-  let period = t.config.sample_period in
-  let rec drain () =
-    match Heap.pop heap with
-    | None -> ()
-    | Some (_, thread) ->
-      let loc_before = current_location thread in
-      let t0 = thread.t_clock in
-      let cost = step t thread in
-      let t1 = t0 + cost in
-      thread.t_clock <- t1;
-      (match (period, loc_before) with
-      | Some p, Some (proc, block, line) ->
-        (* Attribute every sample tick crossed by this instruction to the
-           instruction's location — the PMU interrupts mid-instruction. *)
-        let cpu = thread.t_cpu in
-        while t.next_sample.(cpu) <= t1 do
-          t.samples_rev <-
-            {
-              s_cpu = cpu;
-              s_itc = t.next_sample.(cpu);
-              s_proc = proc;
-              s_block = block;
-              s_line = line;
-            }
-            :: t.samples_rev;
-          t.next_sample.(cpu) <- t.next_sample.(cpu) + p
-        done
-      | _ -> ());
-      if not thread.t_done then Heap.push heap ~priority:thread.t_clock thread;
-      drain ()
-  in
-  drain ();
+  (* Queue ids index [queued], in the table's iteration order: the order
+     in which the threads' ties at clock 0 resolve. *)
+  let queued = ref [] in
+  Hashtbl.iter (fun _ th -> if not th.t_done then queued := th :: !queued) t.threads;
+  let queued = Array.of_list (List.rev !queued) in
+  let cal = Calendar.create ~ids:(Array.length queued) in
+  Array.iteri (fun id _ -> Calendar.push cal id ~clock:0) queued;
+  let period = Option.value t.config.sample_period ~default:0 in
+  let steps = ref 0 in
+  (* Where the current step starts: the location a sample tick crossed by
+     the step records, and a division by zero reports. [running] is [[]]
+     while a step starts an invocation or finishes a thread. *)
+  let running = ref [] and block = ref 0 and ip = ref 0 in
+  (try
+     let id = ref (Calendar.pop cal) in
+     while !id >= 0 do
+       let thread = queued.(!id) in
+       running := thread.t_frames;
+       (match thread.t_frames with
+       | frame :: _ ->
+         block := frame.f_block;
+         ip := frame.f_ip;
+         incr steps
+       | [] -> ());
+       let clock = thread.t_clock + step t thread in
+       thread.t_clock <- clock;
+       let cpu = thread.t_cpu in
+       (if t.next_sample.(cpu) <= clock then
+          match !running with
+          | frame :: _ ->
+            record_samples t ~cpu ~period ~until:clock frame ~block:!block ~ip:!ip
+          | [] -> ());
+       if not thread.t_done then Calendar.push cal !id ~clock;
+       id := Calendar.pop cal
+     done
+   with Zero_divisor ->
+     let loc =
+       match !running with
+       | frame :: _ -> source_loc t frame ~block:!block ~ip:!ip
+       | [] -> Loc.dummy
+     in
+     raise (Runtime_error ("division by zero", loc)));
   let n = Topology.num_cpus t.config.topology in
   let cpu_cycles = Array.make n 0 in
   let cpu_invocations = Array.make n 0 in
@@ -824,6 +852,7 @@ let run t =
   Obs.incr "sim.runs";
   Obs.incr ~by:makespan "sim.makespan_cycles";
   Obs.incr ~by:invocations "sim.invocations";
+  Obs.incr ~by:!steps "sim.steps";
   Obs.incr ~by:stats.Sim_stats.loads "sim.loads";
   Obs.incr ~by:stats.Sim_stats.stores "sim.stores";
   Obs.incr ~by:stats.Sim_stats.hits "sim.hits";

@@ -147,13 +147,19 @@ val add_thread : t -> cpu:int -> work:(string * arg list) list -> unit
 
 val run : t -> result
 (** Execute all threads to completion. A machine can only be run once.
+    The {!Calendar} queue picks the thread with the least clock at every
+    step, the earliest queued among equal clocks; at clock 0 threads
+    queue in the thread table's iteration order, not CPU order.
     On completion the run's aggregates are also bumped into
     {!Slo_obs.Obs.default} as [sim.*] counters (runs, makespan_cycles,
-    invocations, loads/stores/hits, the miss breakdown, upgrades,
+    invocations, steps, loads/stores/hits, the miss breakdown, upgrades,
     invalidations, writebacks, stall_cycles, samples) — one bump per run,
     never on the per-access hot path, and order-independent under a pool.
+    [sim.steps] counts the instructions and terminators executed; steps
+    that start an invocation or retire a finished thread do not count.
     @raise Invalid_argument on re-run.
-    @raise Slo_profile.Interp.Runtime_error on dynamic errors. *)
+    @raise Slo_profile.Interp.Runtime_error on dynamic errors, located at
+    the faulting instruction or terminator. *)
 
 val coherence : t -> Coherence.t
 (** The coherence hierarchy (for invariant checks in tests). *)

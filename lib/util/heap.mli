@@ -1,8 +1,8 @@
 (** Mutable binary min-heap with integer priorities.
 
-    Used by the multiprocessor engine to pick the CPU with the smallest
-    local clock at every step. Ties are broken by insertion order (FIFO),
-    which keeps simulations deterministic. *)
+    Ties are broken by insertion order (FIFO). The simulator's calendar
+    queue parks far-future clocks here, and its tests use the heap's
+    (priority, FIFO) order as the oracle the calendar must reproduce. *)
 
 type 'a t
 

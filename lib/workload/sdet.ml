@@ -39,7 +39,7 @@ let pop_c = 96
 let pop_d cpus = max 1 (cpus / 2)
 let pop_e cpus = max 1 (cpus / 4)
 
-let build_and_run cfg =
+let build cfg =
   let program = Kernel.program () in
   let cpus = Topology.num_cpus cfg.topology in
   let machine =
@@ -138,13 +138,13 @@ let build_and_run cfg =
     done;
     Machine.add_thread machine ~cpu:t ~work:!work
   done;
-  let result = Machine.run machine in
-  (machine, result)
+  machine
 
-let run_once cfg = snd (build_and_run cfg)
+let run_once cfg = Machine.run (build cfg)
 
 let trace_oracle cfg =
-  let machine, result = build_and_run { cfg with trace = true } in
+  let machine = build { cfg with trace = true } in
+  let result = Machine.run machine in
   Slo_sim.Trace_oracle.analyze
     ~resolve:(Machine.resolve_addr machine)
     ~line_size:Kernel.line_size result.Machine.trace

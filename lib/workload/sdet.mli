@@ -47,9 +47,12 @@ type config = {
 val default_config : Slo_sim.Topology.t -> config
 (** reps 30, cache_lines 512, MESI, no sampling, seed 1, no I-cache. *)
 
+val build : config -> Slo_sim.Machine.t
+(** Build the machine (baseline layouts + overrides), allocate populations
+    and queue one full SDET round, ready to {!Slo_sim.Machine.run}. *)
+
 val run_once : config -> Slo_sim.Machine.result
-(** Build the machine (baseline layouts + overrides), allocate populations,
-    run one full SDET round. *)
+(** [Machine.run (build config)]. *)
 
 val trace_oracle : config -> Slo_sim.Trace_oracle.t
 (** Run one traced round and replay the trace through the

@@ -10,6 +10,7 @@ module Typecheck = Slo_ir.Typecheck
 module Layout = Slo_layout.Layout
 module Field = Slo_layout.Field
 module Ast = Slo_ir.Ast
+module Sdet = Slo_workload.Sdet
 
 let check_int = Alcotest.(check int)
 
@@ -803,5 +804,340 @@ let suites =
           Alcotest.test_case "resolve_addr" `Quick test_resolve_addr;
           Alcotest.test_case "oracle classification" `Quick test_oracle_classification;
           Alcotest.test_case "cross-instance ignored" `Quick test_oracle_ignores_cross_instance;
+        ] );
+    ]
+
+(* ------------------------------------------------------------------ *)
+(* Golden schedule pins. Run-vs-run determinism cannot see a scheduler
+   that reorders ties consistently, so these digests pin the exact
+   interleaving: makespan, per-CPU cycles and statistics, every sample,
+   every access and every fetch, each in order. The digests were taken
+   from the binary-heap scheduler the calendar queue replaced; any
+   change to pop order under equal clocks moves them. *)
+
+let result_digest (r : Machine.result) =
+  let b = Buffer.create 65536 in
+  let int n =
+    Buffer.add_string b (string_of_int n);
+    Buffer.add_char b ' '
+  in
+  let mark c = Buffer.add_char b c in
+  int r.Machine.makespan;
+  mark 'C';
+  Array.iter int r.Machine.cpu_cycles;
+  mark 'S';
+  Array.iter
+    (fun (s : Sim_stats.t) ->
+      List.iter int
+        Sim_stats.
+          [ s.loads; s.stores; s.hits; s.cold_misses; s.capacity_misses;
+            s.true_sharing_misses; s.false_sharing_misses; s.upgrades;
+            s.invalidations; s.writebacks; s.stall_cycles; s.ifetches;
+            s.imisses; s.istall_cycles; s.l1_hits; s.l2_hits;
+            s.llc_local_hits; s.llc_remote_hits ])
+    r.Machine.per_cpu_stats;
+  mark 'P';
+  List.iter
+    (fun (s : Machine.sample) ->
+      int s.Machine.s_cpu;
+      int s.Machine.s_itc;
+      Buffer.add_string b s.Machine.s_proc;
+      int s.Machine.s_block;
+      int s.Machine.s_line)
+    r.Machine.samples;
+  let event (e : Machine.trace_event) =
+    int e.Machine.t_cpu;
+    int e.Machine.t_itc;
+    int e.Machine.t_addr;
+    int e.Machine.t_size;
+    int (Bool.to_int e.Machine.t_is_write)
+  in
+  mark 'T';
+  List.iter event r.Machine.trace;
+  mark 'F';
+  List.iter event r.Machine.fetch_trace;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let sdet ~topology f = Sdet.run_once (f (Sdet.default_config topology))
+
+(* Two pairs of identical threads, so clocks tie at most steps. Pauses
+   longer than the calendar's ring park one pair in its overflow while
+   the other runs on in the ring, so overflow entries must migrate back
+   as the ring advances. *)
+let tie_src =
+  {|
+struct P { long x; long y; };
+void spin(struct P *p, struct P *q, int n, int d) {
+  for (i = 0; i < n; i++) {
+    p->x = p->x + i;
+    pause(d);
+    y = p->y;
+    pause(600 + (i % 4) * 300);
+    p->y = y + 1;
+    pause(i % 2);
+    if (i % 4 == 3) {
+      q->x = q->x + 1;
+    }
+  }
+}
+|}
+
+(* Each thread works on its own instance and only now and then on the
+   shared one, so the threads of a pair tie for long stretches. *)
+let tie_run () =
+  let topology = Topology.superdome ~cpus:4 () in
+  let m =
+    Machine.create
+      { (Machine.default_config topology) with
+        Machine.trace = true; sample_period = Some 300 }
+      (Typecheck.check (Parser.parse_program ~file:"tie.mc" tie_src))
+  in
+  let q = Machine.alloc m ~struct_name:"P" in
+  for cpu = 0 to 3 do
+    let p = Machine.alloc m ~struct_name:"P" in
+    Machine.add_thread m ~cpu
+      ~work:
+        (List.init 2 (fun _ ->
+             ( "spin",
+               [ Machine.Ainst p; Machine.Ainst q; Machine.Aint 9;
+                 Machine.Aint (if cpu < 2 then 2000 else 100) ] )))
+  done;
+  Machine.run m
+
+let golden_cases =
+  [
+    ( "sdet superdome-64",
+      "205a798bce6fa0b0c780e75cc59fc751",
+      fun () -> sdet ~topology:(Topology.superdome ~cpus:64 ()) Fun.id );
+    ( "sdet superdome-16 reps 90 period 400",
+      "2f3b6074293d40a27e3f57fd7a0cbd14",
+      fun () ->
+        sdet ~topology:(Topology.superdome ~cpus:16 ()) (fun c ->
+            { c with Sdet.reps = 90; sample_period = Some 400 }) );
+    ( "sdet bus-4 traced icache period 50",
+      "dca3e36ea6f59afe2754918381486811",
+      fun () ->
+        sdet ~topology:(Topology.bus ~cpus:4 ()) (fun c ->
+            { c with
+              Sdet.trace = true;
+              sample_period = Some 50;
+              icache =
+                Some { Coherence.i_lines = 16; i_ways = Some 4; i_line_size = 64 };
+            }) );
+    ( "sdet superdome-8 moesi traced",
+      "c3e67bdb708e79b24de0edf52afa111d",
+      fun () ->
+        sdet ~topology:(Topology.superdome ~cpus:8 ()) (fun c ->
+            { c with Sdet.protocol = Coherence.Moesi; trace = true }) );
+    ( "tied threads with long pauses",
+      "c13a6d039f0bb14df0030ec7019da8ce",
+      tie_run );
+  ]
+
+let test_golden (name, pinned, run) =
+  Alcotest.test_case name `Quick (fun () ->
+      Alcotest.(check string) "schedule digest" pinned (result_digest (run ())))
+
+let suites =
+  suites @ [ ("sim.golden", List.map test_golden golden_cases) ]
+
+(* ------------------------------------------------------------------ *)
+(* Step-loop faults and allocation *)
+
+(* One procedure per faulting site; the line of each fault. *)
+let dz_src =
+  {|struct S { long a; long arr[4]; };
+void assign_div(struct S *s, int n) {
+  s->a = 1;
+  x = n / (n - n);
+}
+void assign_mod(struct S *s, int n) {
+  s->a = 1;
+  x = n % (n - n);
+}
+void branch_div(struct S *s, int n) {
+  s->a = 1;
+  if (n / (n - n) > 0) { s->a = 2; }
+}
+void branch_mod(struct S *s, int n) {
+  s->a = 1;
+  for (i = 0; i < n % (n - n); i++) { s->a = 2; }
+}
+void store_div(struct S *s, int n) {
+  s->a = n / (n - n);
+}
+void index_mod(struct S *s, int n) {
+  x = s->arr[n % (n - n)];
+}
+void call_div(struct S *s, int n) {
+  store_div(s, n / (n - n));
+}
+|}
+
+let dz_sites =
+  [ ("assign_div", 4); ("assign_mod", 8); ("branch_div", 12); ("branch_mod", 16);
+    ("store_div", 19); ("index_mod", 22); ("call_div", 25) ]
+
+(* A division by zero in the simulator names the faulting instruction's
+   source line — the one the profile interpreter reports for the same
+   program. *)
+let test_machine_division_by_zero_loc () =
+  let p = Typecheck.check (Parser.parse_program ~file:"dz.mc" dz_src) in
+  List.iter
+    (fun (proc, line) ->
+      let m = Machine.create (Machine.default_config (Topology.superdome ~cpus:2 ())) p in
+      let s = Machine.alloc m ~struct_name:"S" in
+      Machine.add_thread m ~cpu:1 ~work:[ (proc, [ Machine.Ainst s; Machine.Aint 3 ]) ];
+      (match Machine.run m with
+      | exception Interp.Runtime_error (msg, loc) ->
+        Alcotest.(check string) (proc ^ " message") "division by zero" msg;
+        Alcotest.(check string) (proc ^ " file") "dz.mc" loc.Slo_ir.Loc.file;
+        check_int (proc ^ " line") line (Slo_ir.Loc.line loc)
+      | _ -> Alcotest.failf "%s: no division by zero raised" proc);
+      let ctx = Interp.make_ctx p in
+      match
+        Interp.run ctx ~prng:(Slo_util.Prng.create ~seed:1) ~proc
+          [ Interp.Ainst (Interp.make_instance p ~struct_name:"S"); Interp.Aint 3 ]
+      with
+      | exception Interp.Runtime_error (_, loc) ->
+        check_int (proc ^ " interpreter line") line (Slo_ir.Loc.line loc)
+      | () -> Alcotest.failf "%s: the interpreter raised nothing" proc)
+    dz_sites
+
+(* A deterministic allocation budget, not a timing: an untraced,
+   unsampled run allocates at most 10 minor words per load or store. *)
+let test_machine_alloc_budget () =
+  let m =
+    Sdet.build { (Sdet.default_config (Topology.superdome ~cpus:16 ())) with Sdet.reps = 10 }
+  in
+  let before = Gc.minor_words () in
+  let r = Machine.run m in
+  let words = Gc.minor_words () -. before in
+  let accesses = r.Machine.stats.Sim_stats.loads + r.Machine.stats.Sim_stats.stores in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per access (budget 10)" (words /. float accesses))
+    true
+    (words <= 10.0 *. float accesses)
+
+let suites =
+  suites
+  @ [
+      ( "sim.step",
+        [
+          Alcotest.test_case "division by zero location" `Quick
+            test_machine_division_by_zero_loc;
+          Alcotest.test_case "allocation budget" `Quick test_machine_alloc_budget;
+        ] );
+    ]
+
+(* ------------------------------------------------------------------ *)
+(* Calendar queue *)
+
+module Calendar = Slo_sim.Calendar
+module Heap = Slo_util.Heap
+
+let w = Calendar.width
+
+let drain cal =
+  let rec go acc =
+    match Calendar.pop cal with -1 -> List.rev acc | id -> go (id :: acc)
+  in
+  go []
+
+let test_calendar_empty () =
+  let cal = Calendar.create ~ids:2 in
+  check_int "fresh queue" (-1) (Calendar.pop cal);
+  Calendar.push cal 0 ~clock:5;
+  Calendar.push cal 1 ~clock:(5 + (3 * w));
+  Alcotest.(check (list int)) "ring, then overflow" [ 0; 1 ] (drain cal);
+  check_int "drained queue" (-1) (Calendar.pop cal);
+  match Calendar.push cal 0 ~clock:(3 * w) with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "accepted a clock below the last pop"
+
+(* The slot scan starts in the current clock's bitmap word and must wrap
+   past the last word: to a slot in the first word, and all the way round
+   to a slot below the current one in its own word. *)
+let test_calendar_bitmap_wrap () =
+  let cal = Calendar.create ~ids:3 in
+  Calendar.push cal 0 ~clock:(w - 3);
+  check_int "last word" 0 (Calendar.pop cal);
+  Calendar.push cal 1 ~clock:(w + 5);
+  Calendar.push cal 0 ~clock:(w - 1);
+  Alcotest.(check (list int)) "into the first word" [ 0; 1 ] (drain cal);
+  let c = w + 5 + 40 in
+  Calendar.push cal 2 ~clock:c;
+  check_int "word 2" 2 (Calendar.pop cal);
+  Calendar.push cal 0 ~clock:(c + w - 1);
+  Calendar.push cal 1 ~clock:(c + 1);
+  Alcotest.(check (list int)) "back into its own word" [ 1; 0 ] (drain cal)
+
+(* Random interleavings of pushes and pops, each push at or after the last
+   popped clock — the simulator's contract. Deltas favour ties and short
+   steps, with gaps past the ring and runs of pops that empty the queue.
+   Both queues must pop the same ids at the same clocks. *)
+let op_gen =
+  QCheck2.Gen.(
+    list_size (int_range 1 400)
+      (pair (int_range 0 9)
+         (frequency
+            [
+              (6, return 0);
+              (6, int_range 1 8);
+              (2, int_range 9 (w - 1));
+              (2, int_range w (3 * w));
+              (1, int_range (3 * w) (40 * w));
+            ])))
+
+let prop_calendar_is_heap =
+  QCheck2.Test.make ~count:500 ~name:"calendar pops in the heap's (clock, FIFO) order"
+    ~print:QCheck2.Print.(list (pair int int))
+    op_gen
+    (fun ops ->
+      let ids = 8 in
+      let cal = Calendar.create ~ids and heap = Heap.create () in
+      let clock = Array.make ids 0 and queued = Array.make ids false in
+      let now = ref 0 in
+      let pop_both () =
+        let c = Calendar.pop cal in
+        match Heap.pop heap with
+        | None -> c = -1
+        | Some (prio, id) ->
+          c = id && clock.(id) = prio
+          && begin
+               queued.(id) <- false;
+               now := prio;
+               true
+             end
+      in
+      let step (kind, delta) =
+        let free = List.filter (fun i -> not queued.(i)) (List.init ids Fun.id) in
+        if kind < 6 && free <> [] then begin
+          let id = List.nth free (kind mod List.length free) in
+          clock.(id) <- !now + delta;
+          queued.(id) <- true;
+          Calendar.push cal id ~clock:clock.(id);
+          Heap.push heap ~priority:clock.(id) id;
+          true
+        end
+        else pop_both ()
+      in
+      List.for_all step ops
+      &&
+      let rec finish () =
+        match Heap.is_empty heap with
+        | true -> Calendar.pop cal = -1
+        | false -> pop_both () && finish ()
+      in
+      finish ())
+
+let suites =
+  suites
+  @ [
+      ( "sim.calendar",
+        [
+          Alcotest.test_case "empty queue" `Quick test_calendar_empty;
+          Alcotest.test_case "bitmap wrap" `Quick test_calendar_bitmap_wrap;
+          QCheck_alcotest.to_alcotest prop_calendar_is_heap;
         ] );
     ]
