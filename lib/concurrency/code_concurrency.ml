@@ -1,102 +1,174 @@
 module Obs = Slo_obs.Obs
+module Flat_tab = Slo_util.Flat_tab
 
-type t = { tbl : ((int * int), int) Hashtbl.t }
+(* The map: one flat int -> int table keyed by the packed unordered line
+   pair (l1 lsl 31) lor l2, l1 <= l2. Lines are Sample ids in
+   [0, Sample.max_id = 2^31 - 1], so every key is a non-negative int and
+   ascending keys are ascending (l1, l2) pairs — the order [pairs],
+   [lines] and [drift] rely on. *)
+type t = Flat_tab.t
 
-let key l1 l2 = if l1 <= l2 then (l1, l2) else (l2, l1)
+let line_bits = 31
+let key l1 l2 =
+  if l1 <= l2 then (l1 lsl line_bits) lor l2 else (l2 lsl line_bits) lor l1
+let key_l1 k = k lsr line_bits
+let key_l2 k = k land Sample.max_id
+let in_range l = l >= 0 && l <= Sample.max_id
 
-let cc t l1 l2 = try Hashtbl.find t.tbl (key l1 l2) with Not_found -> 0
+let cc t l1 l2 =
+  if in_range l1 && in_range l2 then Flat_tab.find t (key l1 l2) ~default:0
+  else 0
 
 (* Counts are non-negative throughout, so saturation at [max_int] keeps
    addition associative and commutative: min (a + b) max_int composes the
    same way in any grouping. That is what lets the sharded reduce below
-   merge partial maps in any order and still match the serial path. *)
+   merge partial maps in any order and still match the serial path, and
+   lets the kernel below sum in whatever order its merges visit. *)
 let sat_add a b =
   let s = a + b in
   if s < 0 then max_int else s
 
+(* Two factors below 2^31 cannot overflow 62 bits: the kernel's products
+   (a count times a CPU count) take that branch and skip the division. *)
 let sat_mul a b =
-  if a = 0 || b = 0 then 0
+  if (a lor b) lsr 31 = 0 then a * b
+  else if a = 0 || b = 0 then 0
   else
     let p = a * b in
     if p < 0 || p / b <> a then max_int else p
 
-let add t l1 l2 v =
-  if v > 0 then begin
-    let k = key l1 l2 in
-    let cur = try Hashtbl.find t.tbl k with Not_found -> 0 in
-    Hashtbl.replace t.tbl k (sat_add cur v)
-  end
+(* [Flat_tab.add] is the one-probe upsert. A stored count and [v] both lie
+   in [0, max_int], so their sum wraps negative exactly when it passes
+   [max_int] — and never to 0, which would drop the binding. *)
+let add_key t k v =
+  if v > 0 && Flat_tab.add t k v < 0 then Flat_tab.set t k max_int
 
-(* Per-line per-interval frequency vector, sorted ascending, with prefix
-   sums: prefix.(i) = sum of the first i entries. *)
-type vec = { cpus : int array; counts : int array; prefix : int array; total : int }
+let add t l1 l2 v = add_key t (key l1 l2) v
 
-let vec_of_freqs freqs =
-  let arr = Array.of_list freqs in
-  Array.sort (fun (_, a) (_, b) -> compare a b) arr;
-  let n = Array.length arr in
-  let cpus = Array.map fst arr and counts = Array.map snd arr in
-  let prefix = Array.make (n + 1) 0 in
-  for i = 0 to n - 1 do
-    prefix.(i + 1) <- sat_add prefix.(i) counts.(i)
-  done;
-  { cpus; counts; prefix; total = prefix.(n) }
+(* One line's frequencies in one interval, in views built once per
+   interval:
+   - [cpus]/[counts]: its entries, each CPU as a dense index into the
+     interval's CPUs;
+   - [row]: its count per dense CPU index, 0 where absent;
+   - its counts in ascending order, run-length encoded: distinct values
+     [vals] with multiplicities [mult], and for k = 0 .. |vals|, [le.(k)]
+     and [le_sum.(k)] the number and saturated sum of the entries among
+     the k smallest values. *)
+type vec = {
+  cpus : int array;
+  counts : int array;
+  row : int array;
+  vals : int array;
+  mult : int array;
+  le : int array;
+  le_sum : int array;
+}
 
-(* Σ_n min(x, b_n) via binary search for the first entry > x. Profile-scale
-   frequencies can push [x * (n - lo)] past [max_int]; the kernel saturates
-   instead of wrapping negative. *)
-let sum_min_against b x =
-  let n = Array.length b.counts in
-  let lo = ref 0 and hi = ref n in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if b.counts.(mid) <= x then lo := mid + 1 else hi := mid
-  done;
-  sat_add b.prefix.(!lo) (sat_mul x (n - !lo))
+let total v = v.le_sum.(Array.length v.vals)
 
-(* Σ_{m,n} min(a_m, b_n) over all index pairs (including same-cpu). *)
+(* The vectors of one interval's lines, from their (cpu, count) lists
+   (distinct CPUs per list). The dense CPU indices are shared by all of
+   them, so any two rows are comparable. *)
+let vecs_of_freqs (freqs : (int * int) list array) =
+  let index = Flat_tab.create () in
+  Array.iter
+    (List.iter (fun (cpu, _) ->
+         if not (Flat_tab.mem index cpu) then
+           Flat_tab.set index cpu (Flat_tab.length index)))
+    freqs;
+  let ncpus = Flat_tab.length index in
+  Array.map
+    (fun fs ->
+      let n = List.length fs in
+      let cpus = Array.make n 0 and counts = Array.make n 0 in
+      let row = Array.make ncpus 0 in
+      List.iteri
+        (fun i (cpu, count) ->
+          let d = Flat_tab.find index cpu ~default:0 in
+          cpus.(i) <- d;
+          counts.(i) <- count;
+          row.(d) <- count)
+        fs;
+      let sorted = Array.copy counts in
+      Array.sort Int.compare sorted;
+      let distinct = ref 0 in
+      Array.iteri
+        (fun i x -> if i = 0 || x <> sorted.(i - 1) then incr distinct)
+        sorted;
+      let d = !distinct in
+      let vals = Array.make d 0 and mult = Array.make d 0 in
+      let le = Array.make (d + 1) 0 and le_sum = Array.make (d + 1) 0 in
+      let k = ref (-1) and sum = ref 0 in
+      Array.iteri
+        (fun i x ->
+          if i = 0 || x <> sorted.(i - 1) then begin
+            incr k;
+            vals.(!k) <- x
+          end;
+          mult.(!k) <- mult.(!k) + 1;
+          sum := sat_add !sum x;
+          le.(!k + 1) <- i + 1;
+          le_sum.(!k + 1) <- !sum)
+        sorted;
+      { cpus; counts; row; vals; mult; le; le_sum })
+    freqs
+
+(* Σ_{m,n} min(a_m, b_n) over all index pairs (including same-cpu), by a
+   two-pointer merge of the ascending views: the entries of b at most a
+   value x of a contribute themselves, the other ones x each; as x rises
+   the split point in b only moves right, so the sum costs
+   O(|vals a| + |vals b|) <= O(|a| + |b|). Profile-scale frequencies can
+   push the products past [max_int]; the kernel saturates instead of
+   wrapping negative. *)
 let sum_min_all a b =
-  Array.fold_left (fun acc x -> sat_add acc (sum_min_against b x)) 0 a.counts
-
-(* Σ over cpus present in both vectors of min(a_cpu, b_cpu). *)
-let sum_min_same_cpu a b =
-  let bmap = Hashtbl.create 16 in
-  Array.iteri (fun i cpu -> Hashtbl.replace bmap cpu b.counts.(i)) b.cpus;
-  let acc = ref 0 in
-  Array.iteri
-    (fun i cpu ->
-      match Hashtbl.find_opt bmap cpu with
-      | Some bc -> acc := sat_add !acc (min a.counts.(i) bc)
-      | None -> ())
-    a.cpus;
+  let vb = b.vals and nb = Array.length b.cpus in
+  let db = Array.length vb in
+  let k = ref 0 and acc = ref 0 in
+  for i = 0 to Array.length a.vals - 1 do
+    let x = a.vals.(i) in
+    while !k < db && vb.(!k) <= x do
+      incr k
+    done;
+    let per_entry = sat_add b.le_sum.(!k) (sat_mul x (nb - b.le.(!k))) in
+    acc := sat_add !acc (sat_mul a.mult.(i) per_entry)
+  done;
   !acc
 
-let cc_of_interval t tbl =
-  let vecs =
-    List.map (fun (line, fs) -> (line, vec_of_freqs fs)) (Sample.line_freqs tbl)
+(* Σ over cpus present in both vectors of min(a_cpu, b_cpu): the shorter
+   vector's entries, each looked up in the other's row. *)
+let sum_min_same_cpu a b =
+  let lookup short long =
+    let acc = ref 0 in
+    for i = 0 to Array.length short.cpus - 1 do
+      acc := sat_add !acc (Int.min short.counts.(i) long.row.(short.cpus.(i)))
+    done;
+    !acc
   in
-  let rec over_pairs = function
-    | [] -> ()
-    | (l1, v1) :: rest ->
-      (* Diagonal: two different CPUs executing the same line. *)
-      add t l1 l1 (sum_min_all v1 v1 - v1.total);
-      List.iter
-        (fun (l2, v2) ->
-          let v = sum_min_all v1 v2 - sum_min_same_cpu v1 v2 in
-          add t l1 l2 v)
-        rest;
-      over_pairs rest
-  in
-  over_pairs vecs
+  if Array.length a.cpus <= Array.length b.cpus then lookup a b else lookup b a
 
-let create () = { tbl = Hashtbl.create 256 }
+let cc_of_interval t tbl =
+  let freqs = Array.of_list (Sample.line_freqs tbl) in
+  let lines = Array.map fst freqs in
+  let vecs = vecs_of_freqs (Array.map snd freqs) in
+  let n = Array.length vecs in
+  for i = 0 to n - 1 do
+    let v1 = vecs.(i) and hi = lines.(i) lsl line_bits in
+    (* Diagonal: two different CPUs executing the same line. *)
+    add_key t (hi lor lines.(i)) (sum_min_all v1 v1 - total v1);
+    for j = i + 1 to n - 1 do
+      let v2 = vecs.(j) in
+      add_key t (hi lor lines.(j)) (sum_min_all v1 v2 - sum_min_same_cpu v1 v2)
+    done
+  done
+
+let create () = Flat_tab.create ()
 
 let of_interval tbl =
   let t = create () in
   cc_of_interval t tbl;
   t
 
-let merge_into dst src = Hashtbl.iter (fun (l1, l2) v -> add dst l1 l2 v) src.tbl
+let merge_into dst src = Flat_tab.iter src (fun k v -> add_key dst k v)
 
 (* Deterministic chunking: consecutive runs of [chunk] tables, in order.
    The chunk boundaries depend only on the input list, never on the pool,
@@ -179,20 +251,22 @@ let compute ?pool ~interval store =
   of_tables ?pool tables
 
 let pairs t =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.tbl []
+  Flat_tab.fold t ~init:[] ~f:(fun acc k v -> (k, v) :: acc)
   |> List.sort (fun (k1, v1) (k2, v2) ->
-         match compare v2 v1 with 0 -> compare k1 k2 | c -> c)
+         match Int.compare v2 v1 with 0 -> Int.compare k1 k2 | c -> c)
+  |> List.map (fun (k, v) -> ((key_l1 k, key_l2 k), v))
 
 let top t ~k =
   if k < 0 then invalid_arg "Code_concurrency.top: k < 0";
   List.filteri (fun i _ -> i < k) (pairs t)
 
 let lines t =
-  Hashtbl.fold (fun (l1, l2) _ acc -> l1 :: l2 :: acc) t.tbl []
-  |> List.sort_uniq compare
+  Flat_tab.fold t ~init:[] ~f:(fun acc k _ -> key_l1 k :: key_l2 k :: acc)
+  |> List.sort_uniq Int.compare
 
 let merge a b =
-  let t = { tbl = Hashtbl.copy a.tbl } in
+  let t = create () in
+  merge_into t a;
   merge_into t b;
   t
 
@@ -204,27 +278,67 @@ let merge a b =
 let merge_scaled dst src ~num ~den =
   if num < 0 then invalid_arg "Code_concurrency.merge_scaled: num < 0";
   if den <= 0 then invalid_arg "Code_concurrency.merge_scaled: den <= 0";
-  Hashtbl.iter
-    (fun (l1, l2) v ->
+  Flat_tab.iter src (fun k v ->
       let p = sat_mul v num in
       let scaled = if p = max_int then max_int else p / den in
-      add dst l1 l2 scaled)
-    src.tbl
+      add_key dst k scaled)
+
+(* [f k v] for every binding, in slot order. *)
+let to_array t f =
+  let a = Array.make (Flat_tab.length t) 0 in
+  let i = ref 0 in
+  Flat_tab.iter t (fun k v ->
+      a.(!i) <- f k v;
+      incr i);
+  a
+
+(* Float sums depend on their order, so both are pinned: each map's mass
+   is summed over its values in descending order (the order [pairs]
+   yields them; keys never enter the sum, so ties are irrelevant), and
+   the L1 distance over the union of keys in ascending packed order, i.e.
+   ascending (l1, l2). *)
+let drift a b =
+  let mass t =
+    let vs = to_array t (fun _ v -> v) in
+    Array.stable_sort (fun x y -> Int.compare y x) vs;
+    Array.fold_left (fun acc v -> acc +. float_of_int v) 0.0 vs
+  in
+  let ta = mass a and tb = mass b in
+  if ta <= 0.0 && tb <= 0.0 then 0.0
+  else if ta <= 0.0 || tb <= 0.0 then 1.0
+  else begin
+    let key_of k _ = k in
+    let keys = Array.append (to_array a key_of) (to_array b key_of) in
+    Array.stable_sort Int.compare keys;
+    let diff = ref 0.0 in
+    Array.iteri
+      (fun i k ->
+        if i = 0 || keys.(i - 1) <> k then begin
+          let x = Flat_tab.find a k ~default:0
+          and y = Flat_tab.find b k ~default:0 in
+          diff :=
+            !diff
+            +. abs_float ((float_of_int x /. ta) -. (float_of_int y /. tb))
+        end)
+      keys;
+    !diff /. 2.0
+  end
 
 let pp ppf t =
-  Format.fprintf ppf "@[<v>concurrency map (%d pairs):" (Hashtbl.length t.tbl);
+  Format.fprintf ppf "@[<v>concurrency map (%d pairs):" (Flat_tab.length t);
   List.iter
     (fun ((l1, l2), v) -> Format.fprintf ppf "@,lines %d x %d: %d" l1 l2 v)
     (pairs t);
   Format.fprintf ppf "@]"
 
 module For_tests = struct
-  let sum_min_all a b = sum_min_all (vec_of_freqs a) (vec_of_freqs b)
+  let on_vecs f a b =
+    match vecs_of_freqs [| a; b |] with
+    | [| a; b |] -> f a b
+    | _ -> assert false
 
-  let sum_min_against b x =
-    let b = vec_of_freqs b in
-    sum_min_against b x
-
+  let sum_min_all = on_vecs sum_min_all
+  let sum_min_same_cpu = on_vecs sum_min_same_cpu
   let add = add
   let sat_add = sat_add
   let sat_mul = sat_mul

@@ -8,13 +8,26 @@
     which captures two CPUs running the same line concurrently) mapped to
     their CC value.
 
-    The inner double sum over CPU pairs is computed in
-    O(|cpus| log |cpus|) per line pair using sorted frequency vectors and
-    prefix sums: Σ_{m,n} min(a_m, b_n) − Σ_m min(a_m, b_m). All counting
-    arithmetic saturates at [max_int] instead of wrapping — profile-scale
-    frequencies stay non-negative, and saturating addition of non-negative
-    values remains associative and commutative, which the sharded reduce
-    below depends on.
+    {b Kernel.} The inner double sum over CPU pairs is
+    Σ_{m,n} min(a_m, b_n) − Σ_m min(a_m, b_m), computed in O(|a| + |b|)
+    per line pair without allocating. Each line's (cpu, count) vector is
+    built once per interval, in views over the interval's CPUs numbered
+    densely: its entries, a row of counts indexed by CPU, and its counts
+    in ascending order, run-length encoded with prefix counts and sums.
+    The first sum is a two-pointer merge of the ascending views (as a's
+    counts rise, the split point in b only moves right), so it costs the
+    number of distinct counts, not of CPUs. The second walks the shorter
+    vector's entries and looks each CPU up in the other's row. All
+    counting arithmetic saturates at [max_int] instead of wrapping —
+    profile-scale frequencies stay non-negative, and saturating sums and
+    products of non-negative values equal min(true value, [max_int]) in
+    any order, which the merges and the sharded reduce below depend on.
+
+    {b Representation.} The map is one flat {!Slo_util.Flat_tab} keyed by
+    the packed pair [(l1 lsl 31) lor l2], [l1 <= l2]. Lines are
+    {!Sample} identifiers in [0 .. ]{!Sample.max_id}, so a key is a
+    non-negative int and ascending keys are ascending (l1, l2) pairs —
+    the order {!pairs}, {!lines}, {!pp} and {!drift} use.
 
     {b Scaling.} {!compute} is the one way samples enter: it takes a
     columnar {!Sample_store}, hands pool workers fixed index ranges of the
@@ -50,7 +63,8 @@ val of_interval : Sample.interval_table -> t
     with {!merge_scaled}. *)
 
 val cc : t -> int -> int -> int
-(** [cc t l1 l2] — symmetric; 0 when never concurrent. *)
+(** [cc t l1 l2] — symmetric; 0 when never concurrent or when a line is
+    outside [0 .. ]{!Sample.max_id}. *)
 
 val pairs : t -> ((int * int) * int) list
 (** All line pairs with non-zero CC, [(l1 <= l2)], sorted by decreasing
@@ -77,6 +91,16 @@ val merge_scaled : t -> t -> num:int -> den:int -> unit
     than being divided down. [src] is untouched.
     @raise Invalid_argument if [num < 0] or [den <= 0]. *)
 
+val drift : t -> t -> float
+(** Shape drift in [0, 1]: half the L1 distance between the two maps
+    normalized to unit mass. 0 when the sharing pattern is identical —
+    including at a different sample volume, so pure growth never reads
+    as drift — and 1 when the patterns are disjoint (or exactly one map
+    is empty). The serve daemon re-searches when this exceeds its
+    threshold. Deterministic to the bit: each mass is summed over the
+    map's values in descending order and the distance over the union of
+    pairs in ascending (l1, l2) order, the orders of {!pairs}. *)
+
 val pp : Format.formatter -> t -> unit
 
 (**/**)
@@ -84,10 +108,11 @@ val pp : Format.formatter -> t -> unit
 (** Test-only access to the saturating counting kernel. *)
 module For_tests : sig
   val sum_min_all : (int * int) list -> (int * int) list -> int
-  (** Σ_{m,n} min(a_m, b_n) over two (cpu, count) vectors. *)
+  (** Σ_{m,n} min(a_m, b_n) over two (cpu, count) vectors, each with
+      distinct CPUs. *)
 
-  val sum_min_against : (int * int) list -> int -> int
-  (** Σ_n min(x, b_n). *)
+  val sum_min_same_cpu : (int * int) list -> (int * int) list -> int
+  (** Σ over CPUs present in both vectors of min(a_cpu, b_cpu). *)
 
   val add : t -> int -> int -> int -> unit
   val sat_add : int -> int -> int

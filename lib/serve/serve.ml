@@ -180,8 +180,8 @@ let maybe_publish t =
     let cc = Window.weighted_cc t.window in
     let drift =
       match t.last_cc with
-      | None -> Window.drift (Cc.create ()) cc
-      | Some prev -> Window.drift prev cc
+      | None -> Cc.drift (Cc.create ()) cc
+      | Some prev -> Cc.drift prev cc
     in
     Obs.set_gauge "serve.drift" drift;
     if t.pubs = [] || drift > t.cfg.drift_threshold then
@@ -271,8 +271,8 @@ let research t =
       let cc = Window.weighted_cc t.window in
       let drift =
         match t.last_cc with
-        | None -> Window.drift (Cc.create ()) cc
-        | Some prev -> Window.drift prev cc
+        | None -> Cc.drift (Cc.create ()) cc
+        | Some prev -> Cc.drift prev cc
       in
       publish t cc ~drift)
 

@@ -33,8 +33,9 @@ type config = {
   window : int;  (** sliding-window length in intervals, >= 1 *)
   decay : float;  (** per-interval-of-age decay in (0, 1]; 1.0 = none *)
   drift_threshold : float;
-      (** re-search when {!Window.drift} since the last publication
-          exceeds this ([0, 1] scale; the first publication ignores it) *)
+      (** re-search when {!Slo_concurrency.Code_concurrency.drift} since
+          the last publication exceeds this ([0, 1] scale; the first
+          publication ignores it) *)
   min_samples : int;  (** live samples required before any publication *)
   queue_capacity : int;  (** max queued batches before admission drops *)
   params : Slo_core.Pipeline.params;

@@ -111,42 +111,6 @@ let weighted_cc w =
     (Sample.binned_idx w.master);
   acc
 
-(* Shape drift: half the L1 distance between the two maps normalized to
-   unit mass — 0 when the sharing pattern is identical (even at a
-   different sample volume: another client feeding the same workload
-   scales every count but moves no mass), 1 when the patterns are
-   disjoint. Scale-invariance matters for the trigger: layout decisions
-   follow the {e shape} of the CC map, so growth alone must not burn
-   re-searches. Pairs are folded in sorted key order so the float
-   accumulation is order-deterministic. *)
-let drift a b =
-  let pa = Cc.pairs a and pb = Cc.pairs b in
-  let total ps = List.fold_left (fun acc (_, v) -> acc +. float_of_int v) 0.0 ps in
-  let ta = total pa and tb = total pb in
-  if ta <= 0.0 && tb <= 0.0 then 0.0
-  else if ta <= 0.0 || tb <= 0.0 then 1.0
-  else begin
-    let tbl = Hashtbl.create 256 in
-    List.iter (fun (k, v) -> Hashtbl.replace tbl k (v, 0)) pa;
-    List.iter
-      (fun (k, v) ->
-        let x = match Hashtbl.find_opt tbl k with Some (x, _) -> x | None -> 0 in
-        Hashtbl.replace tbl k (x, v))
-      pb;
-    let keys =
-      Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] |> List.sort compare
-    in
-    let diff =
-      List.fold_left
-        (fun acc k ->
-          let x, y = Hashtbl.find tbl k in
-          acc
-          +. abs_float ((float_of_int x /. ta) -. (float_of_int y /. tb)))
-        0.0 keys
-    in
-    diff /. 2.0
-  end
-
 let restore ?(decay = 1.0) ~window ~newest binner =
   if window <= 0 then invalid_arg "Window.restore: window <= 0";
   if not (decay > 0.0 && decay <= 1.0) then

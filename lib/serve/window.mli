@@ -18,6 +18,9 @@
     arithmetic, so the result is independent of merge order. Per-interval
     CC maps are memoized on the interval's sample total, so a re-search
     after feeding recomputes only the intervals that actually changed.
+    The shape drift between two weighted maps is
+    {!Slo_concurrency.Code_concurrency.drift}, next to the map's key
+    order it depends on.
 
     Not thread-safe: the serve daemon serializes access. *)
 
@@ -66,17 +69,6 @@ val weight : t -> age:int -> int
 
 val weighted_cc : t -> Slo_concurrency.Code_concurrency.t
 (** The decay-weighted CC of the live window (empty map when empty). *)
-
-val drift :
-  Slo_concurrency.Code_concurrency.t ->
-  Slo_concurrency.Code_concurrency.t ->
-  float
-(** Shape drift in [0, 1]: half the L1 distance between the maps
-    normalized to unit mass. 0 when the sharing pattern is identical —
-    including at a different sample volume, so pure growth never reads
-    as drift — and 1 when the patterns are disjoint (or exactly one map
-    is empty). The serve daemon re-searches when this exceeds its
-    threshold. *)
 
 val restore :
   ?decay:float ->

@@ -7,6 +7,7 @@ type t = {
   mutable keys : int array;
   mutable vals : int array;
   mutable mask : int;  (* capacity - 1; capacity is a power of two *)
+  mutable shift : int;  (* 63 - log2 capacity: [home]'s top-bits shift *)
   mutable live : int;
   mutable probes : int;
 }
@@ -15,19 +16,24 @@ let min_capacity = 8
 
 let rec pow2 n c = if c >= n then c else pow2 n (c * 2)
 
+let rec log2 c = if c <= 1 then 0 else 1 + log2 (c lsr 1)
+
 let create ?(capacity = 16) () =
   let cap = pow2 (max capacity min_capacity) min_capacity in
   { keys = Array.make cap (-1); vals = Array.make cap 0; mask = cap - 1;
-    live = 0; probes = 0 }
+    shift = Sys.int_size - log2 cap; live = 0; probes = 0 }
 
 let length t = t.live
 let probe_steps t = t.probes
 
 (* Fibonacci hashing: one multiply by 2^63/phi (odd, truncated to OCaml's
-   63-bit int range) spreads consecutive keys — line indices, packed
-   (line, cpu) pairs — across the table. [land mask] keeps it in range;
-   the multiply result is already wrapped to the native int. *)
-let home t k = (k * 0x2545F4914F6CDD1D) land t.mask
+   63-bit int range), wrapped to the native int, then the {e top}
+   log2(capacity) bits of the product as the slot. The low bits of a
+   product depend only on the key's low bits, so masking them would send
+   every packed key that differs only above bit 31 — the (cpu, line) and
+   (line, line) keys of the sample binner and the CC map — to one home
+   slot; the high bits mix every bit of the key. *)
+let home t k = (k * 0x2545F4914F6CDD1D) lsr t.shift
 
 (* Slot holding [k], or the empty slot where its probe ended. *)
 let slot_of t k =
@@ -52,6 +58,7 @@ let grow t =
   t.keys <- Array.make cap (-1);
   t.vals <- Array.make cap 0;
   t.mask <- cap - 1;
+  t.shift <- t.shift - 1;
   Array.iteri
     (fun i k ->
       if k <> -1 then begin

@@ -1,6 +1,7 @@
 (** Flat open-addressing int -> int hash table for hot paths — the
-    simulator memory kernel and the streaming sample binner both sit on
-    it (it is re-exported as [Slo_sim.Flat_tab] for the former).
+    simulator memory kernel, the streaming sample binner and the
+    CodeConcurrency map sit on it (it is re-exported as [Slo_sim.Flat_tab]
+    for the first).
 
     The boxed [Hashtbl] the memory system used to sit on allocates an
     [option] per [find_opt], a bucket cons per insert and (for the
@@ -11,6 +12,13 @@
     the layout is two contiguous arrays the CPU prefetches well — the
     flat-kernel discipline of the resource-oblivious multicore literature
     applied to our own simulator.
+
+    {b Hash.} A key's home slot is the top log2(capacity) bits of its
+    Fibonacci product [k * 0x2545F4914F6CDD1D] (wrapped to 63 bits). The
+    top bits depend on every bit of the key; the low bits depend only on
+    the key's low bits, so keys packed as [(hi lsl 31) lor lo] — the
+    sample binner's (cpu, line) and the CC map's (line, line) — would all
+    share one home per [lo] under a low-bit mask.
 
     Keys must be non-negative (the sentinel for an empty slot is -1);
     values are arbitrary ints. Iteration order is the internal slot order —

@@ -365,6 +365,39 @@ let prop_sum_min_saturates =
       let b = List.mapi (fun i c -> (100 + i, c)) cb in
       CC.For_tests.sum_min_all a b = naive_sat_sum_min a b)
 
+let naive_sat_same_cpu a b =
+  List.fold_left
+    (fun acc (pa, ca) ->
+      List.fold_left
+        (fun acc (pb, cb) ->
+          if pa = pb then CC.For_tests.sat_add acc (min ca cb) else acc)
+        acc b)
+    0 a
+
+let prop_sum_min_same_cpu =
+  (* Two vectors over CPU sets that are disjoint (a on evens, b on odds),
+     interleaved (multiples of 3 and of 2) or identical, counts near
+     max_int included: the same-CPU sum must equal the naive saturating
+     double loop, and so must the all-pairs merge. *)
+  QCheck2.Test.make
+    ~name:"sum_min_same_cpu saturates exactly like the naive double loop"
+    ~count:300
+    QCheck2.Gen.(
+      triple (int_bound 2)
+        (list_size (int_bound 8) gen_count)
+        (list_size (int_bound 8) gen_count))
+    (fun (shape, ca, cb) ->
+      let cpus_a, cpus_b =
+        match shape with
+        | 0 -> ((fun i -> 2 * i), fun i -> (2 * i) + 1)
+        | 1 -> ((fun i -> 3 * i), fun i -> 2 * i)
+        | _ -> (Fun.id, Fun.id)
+      in
+      let a = List.mapi (fun i c -> (cpus_a i, c)) ca in
+      let b = List.mapi (fun i c -> (cpus_b i, c)) cb in
+      CC.For_tests.sum_min_same_cpu a b = naive_sat_same_cpu a b
+      && CC.For_tests.sum_min_all a b = naive_sat_sum_min a b)
+
 let test_saturation_units () =
   let module F = CC.For_tests in
   check_int "sat_add caps" max_int (F.sat_add max_int 1);
@@ -373,8 +406,10 @@ let test_saturation_units () =
   check_int "sat_mul caps" max_int (F.sat_mul (max_int / 2) 3);
   check_int "sat_mul normal" 12 (F.sat_mul 3 4);
   check_int "sat_mul zero" 0 (F.sat_mul 0 max_int);
-  check_int "sum_min_against saturates" max_int
-    (F.sum_min_against [ (0, max_int); (1, max_int) ] max_int);
+  (* Σ_n min(max_int, b_n) over two max_int entries: the merge's
+     prefix-plus-product step saturates instead of wrapping *)
+  check_int "sum_min_all saturates" max_int
+    (F.sum_min_all [ (2, max_int) ] [ (0, max_int); (1, max_int) ]);
   (* the stored cell saturates instead of wrapping negative *)
   let cm = CC.create () in
   F.add cm 1 2 (max_int - 1);
@@ -588,6 +623,56 @@ let test_store_multi_range () =
       Alcotest.(check bool) "pool = of_interval fold" true
         (CC.pairs (CC.compute ~pool ~interval st) = folded))
 
+let test_compute_alloc_per_pair () =
+  (* Allocation guard on the pair kernel: a deterministic count, not a
+     timing. 200 000 samples from a fixed LCG (glibc constants, two draws
+     per sample: cpu = draw mod 64, line = draw mod 80), itc = 4 i,
+     interval 4000. The draws alternate the state's low bit, so each
+     interval holds 40 of the 80 lines and about 160 distinct (cpu, line)
+     entries: 200 intervals x 820 line pairs (diagonal included) = 164 000
+     pairs through the kernel, which dominate. A per-pair Hashtbl or a
+     boxed tuple key costs about 70 minor words per pair here; the kernel
+     allocates nothing per pair, and the per-interval vectors come to
+     about 15. *)
+  let n = 200_000 and interval = 4_000 in
+  let b = Store.builder ~capacity:n () in
+  let x = ref 42 in
+  let draw () =
+    x := ((!x * 1103515245) + 12345) land 0x7FFF_FFFF;
+    !x
+  in
+  for i = 0 to n - 1 do
+    let cpu = draw () mod 64 in
+    let line = draw () mod 80 in
+    Store.append b ~cpu ~itc:(4 * i) ~line
+  done;
+  let st = Store.build b in
+  let binner = Sample.binner ~interval in
+  for i = 0 to n - 1 do
+    Sample.feed_raw binner ~cpu:(Store.cpu st i) ~itc:(Store.itc st i)
+      ~line:(Store.line st i)
+  done;
+  let tables = Sample.binned binner in
+  check_int "intervals" 200 (List.length tables);
+  let pairs =
+    List.fold_left
+      (fun acc tbl ->
+        let l = List.length (Sample.lines tbl) in
+        acc + (l * (l + 1) / 2))
+      0 tables
+  in
+  check_int "line pairs through the kernel" 164_000 pairs;
+  let before = Gc.minor_words () in
+  let cm = CC.compute ~interval st in
+  let words = Gc.minor_words () -. before in
+  check_int "distinct pairs in the map" 820 (List.length (CC.pairs cm));
+  let per_pair = words /. float_of_int pairs in
+  if per_pair > 25.0 then
+    Alcotest.failf
+      "Code_concurrency.compute allocated %.1f minor words per line pair \
+       (bound 25)"
+      per_pair
+
 let store_suite =
   [
     Alcotest.test_case "min_int timestamps bin exactly" `Quick
@@ -600,6 +685,8 @@ let store_suite =
       test_store_pool_identical;
     Alcotest.test_case "multi-range, multi-chunk = of_interval fold" `Quick
       test_store_multi_range;
+    Alcotest.test_case "compute allocates <= 25 minor words per line pair"
+      `Quick test_compute_alloc_per_pair;
     QCheck_alcotest.to_alcotest prop_store_samples_roundtrip;
     QCheck_alcotest.to_alcotest prop_store_cc_matches_oracle;
   ]
@@ -713,6 +800,7 @@ let suites =
           test_saturation_units;
         Alcotest.test_case "top k validation" `Quick test_top_validation;
         QCheck_alcotest.to_alcotest prop_sum_min_saturates;
+        QCheck_alcotest.to_alcotest prop_sum_min_same_cpu;
       ] );
     ( "concurrency.shard",
       Alcotest.test_case "pool shard identical" `Quick

@@ -228,24 +228,83 @@ let test_window_weights () =
   Alcotest.check_raises "negative age" (Invalid_argument "Window.weight: age < 0")
     (fun () -> ignore (Window.weight w ~age:(-1)))
 
+(* Reference shape drift in its plain list form: both maps as [Cc.pairs]
+   lists, a tuple Hashtbl over their union, tuple keys sorted with
+   polymorphic compare. [Cc.drift] must match it to the bit. *)
+let list_drift a b =
+  let pa = Cc.pairs a and pb = Cc.pairs b in
+  let total ps = List.fold_left (fun acc (_, v) -> acc +. float_of_int v) 0.0 ps in
+  let ta = total pa and tb = total pb in
+  if ta <= 0.0 && tb <= 0.0 then 0.0
+  else if ta <= 0.0 || tb <= 0.0 then 1.0
+  else begin
+    let tbl = Hashtbl.create 256 in
+    List.iter (fun (k, v) -> Hashtbl.replace tbl k (v, 0)) pa;
+    List.iter
+      (fun (k, v) ->
+        let x = match Hashtbl.find_opt tbl k with Some (x, _) -> x | None -> 0 in
+        Hashtbl.replace tbl k (x, v))
+      pb;
+    let keys =
+      Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] |> List.sort compare
+    in
+    let diff =
+      List.fold_left
+        (fun acc k ->
+          let x, y = Hashtbl.find tbl k in
+          acc
+          +. abs_float ((float_of_int x /. ta) -. (float_of_int y /. tb)))
+        0.0 keys
+    in
+    diff /. 2.0
+  end
+
+let mk_cc pairs =
+  let cc = Cc.create () in
+  List.iter (fun ((a, b), v) -> Cc.For_tests.add cc a b v) pairs;
+  cc
+
 let test_drift_shape () =
-  let mk pairs =
-    let cc = Cc.create () in
-    List.iter (fun ((a, b), v) -> Cc.For_tests.add cc a b v) pairs;
-    cc
-  in
   let close = Alcotest.(check (float 1e-9)) in
-  close "both empty" 0.0 (Window.drift (mk []) (mk []));
-  close "one empty" 1.0 (Window.drift (mk []) (mk [ ((1, 2), 5) ]));
+  close "both empty" 0.0 (Cc.drift (mk_cc []) (mk_cc []));
+  close "one empty" 1.0 (Cc.drift (mk_cc []) (mk_cc [ ((1, 2), 5) ]));
   close "identical" 0.0
-    (Window.drift (mk [ ((1, 2), 5) ]) (mk [ ((1, 2), 5) ]));
+    (Cc.drift (mk_cc [ ((1, 2), 5) ]) (mk_cc [ ((1, 2), 5) ]));
   (* scale-invariance: doubled counts, same shape *)
   close "pure growth is not drift" 0.0
-    (Window.drift
-       (mk [ ((1, 2), 5); ((3, 4), 7) ])
-       (mk [ ((1, 2), 10); ((3, 4), 14) ]));
+    (Cc.drift
+       (mk_cc [ ((1, 2), 5); ((3, 4), 7) ])
+       (mk_cc [ ((1, 2), 10); ((3, 4), 14) ]));
   close "disjoint" 1.0
-    (Window.drift (mk [ ((1, 2), 5) ]) (mk [ ((3, 4), 5) ]))
+    (Cc.drift (mk_cc [ ((1, 2), 5) ]) (mk_cc [ ((3, 4), 5) ]));
+  (* the largest line ids still pack into distinct keys; (max_id, max_id)
+     is max_int itself *)
+  let big = Sample.max_id in
+  close "max line ids" 0.5
+    (Cc.drift
+       (mk_cc [ ((0, big), 1); ((big, big), 1) ])
+       (mk_cc [ ((0, big), 1); ((1, 2), 1) ]))
+
+let prop_drift_matches_list_oracle =
+  (* Random maps over a few small and a few maximal line ids, with
+     counts mostly small but sometimes near max_int (saturating cells),
+     and empty maps often. Equality is on the float's bits. *)
+  let gen_map =
+    QCheck2.Gen.(
+      let line =
+        oneof [ int_range 0 6; int_range (Sample.max_id - 2) Sample.max_id ]
+      in
+      let count =
+        frequency
+          [ (4, int_range 1 1000); (1, int_range (max_int - 8) max_int) ]
+      in
+      map mk_cc (list_size (int_bound 24) (pair (pair line line) count)))
+  in
+  QCheck2.Test.make ~name:"Cc.drift = list drift oracle, bit for bit"
+    ~count:300 (QCheck2.Gen.pair gen_map gen_map) (fun (a, b) ->
+      Int64.equal
+        (Int64.bits_of_float (Cc.drift a b))
+        (Int64.bits_of_float (list_drift a b)))
 
 (* ------------------------------------------------------------------ *)
 (* Serve: admission, drift trigger, daemon, snapshot/restore *)
@@ -492,6 +551,7 @@ let suites =
            test_window_late_out_of_range
       :: Alcotest.test_case "fixed-point weights" `Quick test_window_weights
       :: Alcotest.test_case "shape drift" `Quick test_drift_shape
+      :: QCheck_alcotest.to_alcotest prop_drift_matches_list_oracle
       :: props );
     ( "serve.server",
       [

@@ -449,39 +449,70 @@ let test_l1_hit_leaves_l2_lru (module M : IMPL) () =
     (M.llc_cell c ~line:1)
 
 (* Backward-shift deletion across the wrap-around boundary. With the
-   minimum capacity (8 slots, mask 7) and the kernel's Fibonacci hash,
-   keys 3, 11, 19 all home at slot 7 and key 0 homes at slot 0, so
-   inserting [3; 11; 19; 0] builds one probe cluster spanning slots
-   7, 0, 1, 2 — across the wrap. Deleting the cluster head forces
-   algorithm R to slide entries backwards over the boundary (slot 0 -> 7)
-   while leaving the chain findable. *)
+   minimum capacity (8 slots) the home slot is the top 3 bits of the
+   Fibonacci product: keys 10, 17, 24 all home at slot 7 and key 0 homes
+   at slot 0, so inserting [10; 17; 24; 0] builds one probe cluster
+   spanning slots 7, 0, 1, 2 — across the wrap. Deleting the cluster head
+   forces algorithm R to slide entries backwards over the boundary
+   (slot 0 -> 7) while leaving the chain findable. *)
 let test_flat_tab_wraparound_delete () =
   let t = Flat_tab.create ~capacity:8 () in
-  let home k = (k * 0x2545F4914F6CDD1D) land 7 in
-  check_int "3 homes at the last slot" 7 (home 3);
-  check_int "11 homes at the last slot" 7 (home 11);
-  check_int "19 homes at the last slot" 7 (home 19);
+  let home k = (k * 0x2545F4914F6CDD1D) lsr 60 in
+  check_int "10 homes at the last slot" 7 (home 10);
+  check_int "17 homes at the last slot" 7 (home 17);
+  check_int "24 homes at the last slot" 7 (home 24);
   check_int "0 homes at the first slot" 0 (home 0);
-  List.iter (fun k -> Flat_tab.set t k (k * 10)) [ 3; 11; 19; 0 ];
-  (* Delete the head at slot 7: 11 must wrap back 0 -> 7, then 19 and 0
+  check_int "absent probe key 34 homes at the last slot" 7 (home 34);
+  List.iter (fun k -> Flat_tab.set t k (k * 10)) [ 10; 17; 24; 0 ];
+  (* Delete the head at slot 7: 17 must wrap back 0 -> 7, then 24 and 0
      each slide one slot back on the other side of the boundary. *)
-  Flat_tab.remove t 3;
+  Flat_tab.remove t 10;
   check_int "three survivors" 3 (Flat_tab.length t);
   List.iter
     (fun k -> check_int (Printf.sprintf "key %d findable after wrap" k)
         (k * 10) (Flat_tab.find t k ~default:(-1)))
-    [ 11; 19; 0 ];
-  Alcotest.(check bool) "deleted key gone" false (Flat_tab.mem t 3);
+    [ 17; 24; 0 ];
+  Alcotest.(check bool) "deleted key gone" false (Flat_tab.mem t 10);
   (* A missing key homing inside the cluster probes through the wrap and
      still terminates at an empty slot. *)
   check_int "absent key probes through the boundary" (-1)
-    (Flat_tab.find t 27 ~default:(-1));
+    (Flat_tab.find t 34 ~default:(-1));
   (* Delete the entry now sitting at slot 0: its successor (home 0) must
      move back into the exact gap, not to its own home's copy. *)
-  Flat_tab.remove t 19;
+  Flat_tab.remove t 24;
   check_int "key 0 still findable" 0 (Flat_tab.find t 0 ~default:(-1));
-  check_int "key 11 still findable" 110 (Flat_tab.find t 11 ~default:(-1));
+  check_int "key 17 still findable" 170 (Flat_tab.find t 17 ~default:(-1));
   check_int "two survivors" 2 (Flat_tab.length t)
+
+(* Keys packed as (hi lsl 31) lor lo that share [lo] agree in their low
+   bits, so a home slot taken from the low bits of the Fibonacci product
+   would put them all in one cluster: the sample binner's (cpu, line)
+   keys and the CC map's (line, line) keys below would probe 47 and 29
+   steps per operation. [probe_steps] is deterministic for a fixed
+   operation history, so the bound is exact, not a timing. *)
+let test_flat_tab_packed_keys_probe () =
+  let run what keys =
+    let t = Flat_tab.create () in
+    List.iter (fun k -> ignore (Flat_tab.add t k 1)) keys;
+    List.iter
+      (fun k -> check_int (what ^ ": count") 1 (Flat_tab.find t k ~default:0))
+      keys;
+    let ops = 2 * List.length keys in
+    if Flat_tab.probe_steps t > ops then
+      Alcotest.failf "%s: %d probe steps over %d operations (bound: 1 each)"
+        what (Flat_tab.probe_steps t) ops
+  in
+  let ids = List.init 64 Fun.id in
+  run "64 cpus x 64 lines, (cpu lsl 31) lor line"
+    (List.concat_map (fun cpu -> List.map (fun line -> (cpu lsl 31) lor line) ids)
+       ids);
+  run "line pairs l1 <= l2 < 64, (l1 lsl 31) lor l2"
+    (List.concat_map
+       (fun l1 ->
+         List.filter_map
+           (fun l2 -> if l1 <= l2 then Some ((l1 lsl 31) lor l2) else None)
+           ids)
+       ids)
 
 let both_step k s ~cpu ~addr ~is_write =
   let a = Coherence.access k ~cpu ~addr ~size:8 ~is_write in
@@ -896,6 +927,8 @@ let suites =
           test_flat_tab_grow_and_shift;
         Alcotest.test_case "backward-shift delete across the wrap boundary"
           `Quick test_flat_tab_wraparound_delete;
+        Alcotest.test_case "packed keys probe at most once per operation"
+          `Quick test_flat_tab_packed_keys_probe;
       ] );
     ( "sim.kernel.masks",
       [
