@@ -23,6 +23,9 @@ type t = {
   cblocks : Block.t list;  (* program order: the declaration baseline *)
   graph : Sgraph.t;  (* affinity over block names *)
   capacity : int;  (* bin capacity = I-cache line size, bytes *)
+  nodes : Block.t array;  (* [cblocks]; index = search node *)
+  weights : Float.Array.t;  (* [graph] as a dense matrix over [nodes] *)
+  active : int array;  (* ascending indices of blocks with an edge *)
 }
 
 let default_capacity = 64
@@ -44,7 +47,11 @@ let make ~capacity ~blocks ~graph =
           (Printf.sprintf "Codelayout.make: graph edge (%s, %s) names no block"
              u v))
     (Sgraph.edges graph);
-  { cblocks = blocks; graph; capacity }
+  let nodes = Array.of_list blocks in
+  let names = Array.map Block.name nodes in
+  { cblocks = blocks; graph; capacity; nodes;
+    weights = Substrate.dense_weights names graph;
+    active = Substrate.active names graph }
 
 let capacity t = t.capacity
 let blocks t = t.cblocks
@@ -92,33 +99,21 @@ module Problem = struct
 
   type nonrec t = t
 
-  let nodes p = p.cblocks
+  let nodes p = p.nodes
+  let weights p = p.weights
+  let active p = p.active
 
-  let weight p a b = Sgraph.weight0 p.graph a b
-
-  let active p =
-    List.filter (fun b -> Sgraph.degree p.graph (Block.name b) > 0) p.cblocks
-
-  let bin_size bin = List.fold_left (fun acc b -> acc + Block.size b) 0 bin
-
-  (* Same singleton exemption as the field objective: a lone block larger
-     than a line is legal (it simply spans lines); only merged bins must
-     fit. *)
-  let block_fits p = function
-    | [] | [ _ ] -> true
-    | bin -> bin_size bin <= p.capacity
-
-  let fits p bin b = bin_size bin + Block.size b <= p.capacity
-
-  let max_abs_weight p =
-    List.fold_left
-      (fun acc (_, _, w) -> Float.max acc (Float.abs w))
-      0.0 (Sgraph.edges p.graph)
+  (* A bin packs to the sum of its block sizes. As for fields, a lone
+     block larger than a line is legal (it simply spans lines); only
+     merged bins must fit. *)
+  let capacity p = p.capacity
+  let extend p size i = size + Block.size p.nodes.(i)
 end
 
 module E = Engine.Make (Problem)
+module Pairs = Substrate.Pairs (Problem.Node)
 
-let score = E.score_blocks
+let score p bins = Pairs.blocks_weight_sum ~weight:(Sgraph.weight0 p.graph) bins
 
 (* Declaration-order bins: blocks in program order, packed greedily into
    capacity-bounded runs that never span a procedure boundary — the

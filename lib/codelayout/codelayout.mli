@@ -56,9 +56,10 @@ val blocks : t -> Block.t list
 val graph : t -> Slo_graph.Sgraph.t
 
 val score : t -> Block.t list list -> float
-(** Partition objective: sum over bins of intra-bin pair affinity —
-    exactly the engine's [score_blocks] (cross-bin pairs contribute
-    nothing). *)
+(** Partition objective: sum over bins of intra-bin pair affinity
+    ({!Slo_search.Substrate.Pairs.blocks_weight_sum}; cross-bin pairs
+    contribute nothing) — bit-identical to the engine's [result.score]
+    for the same bins. *)
 
 val decl_bins : t -> Block.t list list
 (** The "as compiled" seed partition: blocks in program order packed

@@ -275,54 +275,98 @@ let merge a b =
    exactly reproducible whatever order the intervals were merged in. A
    product that saturates stays saturated (max_int, not max_int / den):
    once a count is "infinite" scaling cannot un-saturate it. *)
-let merge_scaled dst src ~num ~den =
-  if num < 0 then invalid_arg "Code_concurrency.merge_scaled: num < 0";
-  if den <= 0 then invalid_arg "Code_concurrency.merge_scaled: den <= 0";
-  Flat_tab.iter src (fun k v ->
-      let p = sat_mul v num in
-      let scaled = if p = max_int then max_int else p / den in
-      add_key dst k scaled)
+let scale v ~num ~den =
+  let p = sat_mul v num in
+  if p = max_int then max_int else p / den
 
-(* [f k v] for every binding, in slot order. *)
-let to_array t f =
-  let a = Array.make (Flat_tab.length t) 0 in
+let check_scale name ~num ~den =
+  if num < 0 then invalid_arg ("Code_concurrency." ^ name ^ ": num < 0");
+  if den <= 0 then invalid_arg ("Code_concurrency." ^ name ^ ": den <= 0")
+
+let merge_scaled dst src ~num ~den =
+  check_scale "merge_scaled" ~num ~den;
+  Flat_tab.iter src (fun k v -> add_key dst k (scale v ~num ~den))
+
+let accumulate_scaled sums ~slots ~counts ~num ~den =
+  check_scale "accumulate_scaled" ~num ~den;
+  for i = 0 to Array.length slots - 1 do
+    let s = slots.(i) in
+    sums.(s) <- sat_add sums.(s) (scale counts.(i) ~num ~den)
+  done
+
+let to_codes t =
+  let n = Flat_tab.length t in
+  let codes = Array.make n 0 and values = Array.make n 0 in
   let i = ref 0 in
   Flat_tab.iter t (fun k v ->
-      a.(!i) <- f k v;
+      codes.(!i) <- k;
+      values.(!i) <- v;
       incr i);
-  a
+  (codes, values)
 
-(* Float sums depend on their order, so both are pinned: each map's mass
-   is summed over its values in descending order (the order [pairs]
-   yields them; keys never enter the sum, so ties are irrelevant), and
-   the L1 distance over the union of keys in ascending packed order, i.e.
-   ascending (l1, l2). *)
-let drift a b =
-  let mass t =
-    let vs = to_array t (fun _ v -> v) in
+let of_codes codes values =
+  let t = Flat_tab.create ~capacity:(Array.length codes) () in
+  Array.iteri (fun i k -> add_key t k values.(i)) codes;
+  t
+
+(* A map's pairs in ascending code order, i.e. ascending (l1, l2), and its
+   mass. Float sums depend on their order, so both of [drift]'s sums are
+   pinned: a mass is the sum of the values in descending order (the order
+   [pairs] yields them; keys never enter it, so ties are irrelevant), and
+   the distance runs over the union of codes in ascending order.
+
+   The descending sum need not be formed when the integer total is at
+   most 2^53: every value and every partial sum is then an integer of at
+   most 2^53, exactly representable, so each float addition is exact and
+   the sum is [float_of_int] of the total, bit for bit. Only maps with
+   saturated or near-saturated cells take the sorted path. *)
+type view = { v_codes : int array; v_values : int array; v_mass : float }
+
+let exact_mass_limit = 1 lsl 53
+
+let mass values =
+  let total = Array.fold_left sat_add 0 values in
+  if total <= exact_mass_limit then float_of_int total
+  else begin
+    let vs = Array.copy values in
     Array.stable_sort (fun x y -> Int.compare y x) vs;
     Array.fold_left (fun acc v -> acc +. float_of_int v) 0.0 vs
-  in
-  let ta = mass a and tb = mass b in
+  end
+
+let view_of_codes codes values =
+  let order = Array.init (Array.length codes) Fun.id in
+  Array.stable_sort (fun i j -> Int.compare codes.(i) codes.(j)) order;
+  { v_codes = Array.map (Array.get codes) order;
+    v_values = Array.map (Array.get values) order;
+    v_mass = mass values }
+
+let view t =
+  let codes, values = to_codes t in
+  view_of_codes codes values
+
+(* Half the L1 distance of the unit-mass maps: one merge walk over the two
+   ascending code sequences, a code missing on one side counting 0 there. *)
+let drift_views a b =
+  let ta = a.v_mass and tb = b.v_mass in
   if ta <= 0.0 && tb <= 0.0 then 0.0
   else if ta <= 0.0 || tb <= 0.0 then 1.0
   else begin
-    let key_of k _ = k in
-    let keys = Array.append (to_array a key_of) (to_array b key_of) in
-    Array.stable_sort Int.compare keys;
-    let diff = ref 0.0 in
-    Array.iteri
-      (fun i k ->
-        if i = 0 || keys.(i - 1) <> k then begin
-          let x = Flat_tab.find a k ~default:0
-          and y = Flat_tab.find b k ~default:0 in
-          diff :=
-            !diff
-            +. abs_float ((float_of_int x /. ta) -. (float_of_int y /. tb))
-        end)
-      keys;
+    let na = Array.length a.v_codes and nb = Array.length b.v_codes in
+    let i = ref 0 and j = ref 0 and diff = ref 0.0 in
+    while !i < na || !j < nb do
+      let take_a = !i < na && (!j >= nb || a.v_codes.(!i) <= b.v_codes.(!j))
+      and take_b = !j < nb && (!i >= na || b.v_codes.(!j) <= a.v_codes.(!i)) in
+      let x = if take_a then a.v_values.(!i) else 0
+      and y = if take_b then b.v_values.(!j) else 0 in
+      if take_a then incr i;
+      if take_b then incr j;
+      diff :=
+        !diff +. abs_float ((float_of_int x /. ta) -. (float_of_int y /. tb))
+    done;
     !diff /. 2.0
   end
+
+let drift a b = drift_views (view a) (view b)
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>concurrency map (%d pairs):" (Flat_tab.length t);

@@ -91,15 +91,61 @@ val merge_scaled : t -> t -> num:int -> den:int -> unit
     than being divided down. [src] is untouched.
     @raise Invalid_argument if [num < 0] or [den <= 0]. *)
 
+(** {2 Pair codes}
+
+    A pair's {e code} is the packed key the map stores it under: an
+    opaque non-negative int, equal for equal pairs. Codes let a consumer
+    that re-weights the same pairs over and over (the serve window) keep
+    them in its own dense arrays and hand them back for the two things
+    only this module can do with them: build a map and order them. *)
+
+val to_codes : t -> int array * int array
+(** The map's pairs as [(codes, values)], in no particular order. *)
+
+val of_codes : int array -> int array -> t
+(** The map with pair [codes.(i)] at [values.(i)] (codes from
+    {!to_codes}; non-positive values are skipped, repeated codes add
+    saturating). *)
+
+val accumulate_scaled :
+  int array -> slots:int array -> counts:int array -> num:int -> den:int -> unit
+(** [accumulate_scaled sums ~slots ~counts ~num ~den] adds
+    [floor (counts.(i) * num / den)] into [sums.(slots.(i))] for every
+    [i], saturating — {!merge_scaled}'s rule on a consumer's dense
+    accumulator. @raise Invalid_argument if [num < 0] or [den <= 0]. *)
+
+(** {2 Shape drift} *)
+
+type view
+(** A map's pairs in ascending (l1, l2) order with its mass: everything
+    {!drift} reads of one side, so a side that does not change (the last
+    published map) is prepared once. *)
+
+val view : t -> view
+
+val view_of_codes : int array -> int array -> view
+(** The view of [of_codes codes values], built without the map: one sort
+    of the pairs by code. Values must be positive. *)
+
+val drift_views : view -> view -> float
+(** {!drift} of the two viewed maps, to the bit. *)
+
 val drift : t -> t -> float
 (** Shape drift in [0, 1]: half the L1 distance between the two maps
     normalized to unit mass. 0 when the sharing pattern is identical —
     including at a different sample volume, so pure growth never reads
     as drift — and 1 when the patterns are disjoint (or exactly one map
     is empty). The serve daemon re-searches when this exceeds its
-    threshold. Deterministic to the bit: each mass is summed over the
-    map's values in descending order and the distance over the union of
-    pairs in ascending (l1, l2) order, the orders of {!pairs}. *)
+    threshold.
+
+    Deterministic to the bit: each mass is the float sum of the map's
+    values in descending order, and the distance sums over the union of
+    pairs in ascending (l1, l2) order, the orders of {!pairs}. The mass
+    is taken as [float_of_int] of the integer total whenever that total
+    is at most 2{^53}: then every value and every partial sum of the
+    descending sum is an integer of at most 2{^53}, so each float
+    addition is exact and the two agree bit for bit. Larger totals (maps
+    with saturated cells) are summed in descending order as stated. *)
 
 val pp : Format.formatter -> t -> unit
 

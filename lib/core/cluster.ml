@@ -3,34 +3,6 @@ module Layout = Slo_layout.Layout
 
 type cluster = { seed : string; members : Field.t list }
 
-(* find_best_match (Figure 7): the unassigned node with the largest
-   strictly-positive sum of edge weights into the current cluster, among
-   nodes that still fit in the cluster's cache line. [members_size] is the
-   packed size of [members], carried incrementally by the caller so that
-   the fit test is O(1) per candidate instead of re-packing the member
-   list (which made cluster growth quadratic in field count). Returns the
-   chosen name together with the cluster's new packed size. *)
-let find_best_match flg ~line_size ~members_size ~members ~unassigned =
-  let member_names = List.map (fun (f : Field.t) -> f.Field.name) members in
-  List.fold_left
-    (fun best name ->
-      let field = Flg.field_of flg name in
-      let size = Layout.packed_extend members_size field in
-      if size > line_size then best
-      else begin
-        let w =
-          List.fold_left
-            (fun acc m -> acc +. Flg.weight flg name m)
-            0.0 member_names
-        in
-        match best with
-        | Some (_, bw, _) when bw >= w -> best
-        | _ when w > 0.0 -> Some (name, w, size)
-        | best -> best
-      end)
-    None unassigned
-  |> Option.map (fun (name, _, size) -> (name, size))
-
 (* A cold singleton is a cluster whose only member has zero hotness and no
    incident FLG edges: its placement cannot change any edge weight sum. *)
 let is_cold_singleton flg c =
@@ -64,30 +36,74 @@ let pack_cold_singletons flg ~line_size clusters =
     in
     rest @ packed
 
+(* The greedy loop (Figure 6) over field indices. [w] is the FLG as a
+   dense matrix ({!Slo_search.Substrate.dense_weights}); [order] is the
+   hotness order. find_best_match (Figure 7) is the inner scan: the
+   unassigned field, in hotness order, with the largest strictly-positive
+   sum of edge weights into the current cluster, among fields that still
+   fit its cache line; the sum runs over the members in insertion order,
+   and a later candidate wins only when strictly heavier. The cluster's
+   packed size is carried incrementally, so each fit test is O(1). *)
+let greedy fields w order ~line_size =
+  let n = Array.length fields in
+  let assigned = Array.make n false in
+  let members = Array.make n 0 in
+  Array.fold_left
+    (fun acc seed ->
+      if assigned.(seed) then acc
+      else begin
+        assigned.(seed) <- true;
+        members.(0) <- seed;
+        let k = ref 1 and size = ref (Layout.packed_extend 0 fields.(seed)) in
+        let grown = ref true in
+        while !grown do
+          let best = ref (-1) and best_w = ref 0.0 and best_size = ref 0 in
+          for o = 0 to Array.length order - 1 do
+            let c = order.(o) in
+            if not assigned.(c) then begin
+              let c_size = Layout.packed_extend !size fields.(c) in
+              if c_size <= line_size then begin
+                let row = c * n and sum = ref 0.0 in
+                for m = 0 to !k - 1 do
+                  sum := !sum +. Float.Array.get w (row + members.(m))
+                done;
+                if not (!best >= 0 && !best_w >= !sum) && !sum > 0.0 then begin
+                  best := c;
+                  best_w := !sum;
+                  best_size := c_size
+                end
+              end
+            end
+          done;
+          grown := !best >= 0;
+          if !grown then begin
+            assigned.(!best) <- true;
+            members.(!k) <- !best;
+            incr k;
+            size := !best_size
+          end
+        done;
+        {
+          seed = fields.(seed).Field.name;
+          members = List.init !k (fun m -> fields.(members.(m)));
+        }
+        :: acc
+      end)
+    [] order
+  |> List.rev
+
 let run ?(pack_cold = true) flg ~line_size =
   if line_size <= 0 then invalid_arg "Cluster.run: line_size <= 0";
-  let order = Flg.field_names_by_hotness flg in
-  let rec build_clusters unassigned acc =
-    match unassigned with
-    | [] -> List.rev acc
-    | seed :: rest ->
-      let rec grow members members_size unassigned =
-        match
-          find_best_match flg ~line_size ~members_size ~members ~unassigned
-        with
-        | None -> (members, unassigned)
-        | Some (name, members_size) ->
-          let field = Flg.field_of flg name in
-          grow (members @ [ field ]) members_size
-            (List.filter (fun n -> n <> name) unassigned)
-      in
-      let seed_field = Flg.field_of flg seed in
-      let members, rest =
-        grow [ seed_field ] (Layout.packed_size [ seed_field ]) rest
-      in
-      build_clusters rest ({ seed; members } :: acc)
+  let fields = Array.of_list flg.Flg.fields in
+  let names = Array.map (fun (f : Field.t) -> f.Field.name) fields in
+  let index = Hashtbl.create (2 * Array.length names) in
+  Array.iteri (fun i name -> Hashtbl.replace index name i) names;
+  let order =
+    Array.of_list
+      (List.map (Hashtbl.find index) (Flg.field_names_by_hotness flg))
   in
-  let clusters = build_clusters order [] in
+  let w = Slo_search.Substrate.dense_weights names flg.Flg.graph in
+  let clusters = greedy fields w order ~line_size in
   if pack_cold then pack_cold_singletons flg ~line_size clusters else clusters
 
 let layout_of_clusters flg ~line_size clusters =

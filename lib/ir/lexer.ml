@@ -162,12 +162,15 @@ let lex_ident st =
   done;
   String.sub st.src start (st.pos - start)
 
-let lex_int st =
+(* [l] is the literal's location, reported when it does not fit an int. *)
+let lex_int st l =
   let start = st.pos in
   while match peek st with Some c -> is_digit c | None -> false do
     advance st
   done;
-  int_of_string (String.sub st.src start (st.pos - start))
+  match int_of_string_opt (String.sub st.src start (st.pos - start)) with
+  | Some n -> n
+  | None -> raise (Error ("integer literal out of range", l))
 
 let next_token st =
   skip_ws_and_comments st;
@@ -180,7 +183,7 @@ let next_token st =
       match keyword_of_string name with Some kw -> kw | None -> IDENT name
     in
     (tok, l)
-  | Some c when is_digit c -> (INT (lex_int st), l)
+  | Some c when is_digit c -> (INT (lex_int st l), l)
   | Some c ->
     let two target tok1 tok2 =
       advance st;

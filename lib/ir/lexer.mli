@@ -50,7 +50,8 @@ type token =
 val token_to_string : token -> string
 
 exception Error of string * Loc.t
-(** Raised on malformed input (unknown character, unterminated comment). *)
+(** Raised on malformed input (unknown character, unterminated comment,
+    an integer literal larger than [max_int]) at its location. *)
 
 val tokenize : file:string -> string -> (token * Loc.t) list
 (** [tokenize ~file source] lexes the whole input. Supports [//] line

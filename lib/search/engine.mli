@@ -6,12 +6,37 @@
     instantiation (kept as the stable public face of struct-layout
     search); [Slo_codelayout] instantiates it over basic blocks.
 
-    The algorithms, enumeration orders, PRNG draw sequence, float
-    summation orders, capacity short-circuits, and observability counters
-    are exactly those documented in {!Optimizer} — that module's
-    behavioral contract {e is} this engine's contract, and the field path
-    through the functor is byte-identical to the historical direct
-    implementation (pinned by a QCheck law in [test/test_search.ml]).
+    {b A flat kernel over node indices.} Names appear only at the edges:
+    [run] matches the seed partition to node indices once, and
+    [result.blocks] maps the winning index blocks back to nodes. In
+    between, every weight is one read of the problem's dense row-major
+    matrix, [pos] is an int array, and each block is a doubly linked list
+    threaded through per-node [next]/[prev] arrays with a head, a tail, a
+    length and a running packed size per block slot — O(n + blocks)
+    ints, whatever the block lengths. A move unlinks the node (member
+    order kept) and appends it at the destination's tail; the source's
+    packed size is recomputed by folding [P.extend] over what is left.
+    Capacity tests are engine code over [P.extend] and [P.capacity]: the
+    packed size of "block minus f" is a loop that skips f. A swap scan
+    and a rejected anneal proposal allocate nothing.
+
+    {b Unchanged contract.} The algorithms, enumeration orders, PRNG draw
+    sequence, float summation orders, capacity short-circuits, and
+    observability counters are exactly those documented in {!Optimizer}
+    and those of the list-state engine this one replaced:
+    - enumeration: single-node moves (active nodes ascending, destination
+      slots ascending), then cross-block exchanges ([i < j] in active
+      order); ties go to the first strict improvement;
+    - PRNG: one [Prng.int n_active] per anneal step, then [Prng.int 3]
+      only when at least two nodes are active, then either
+      [Prng.int nblocks] (move) or [Prng.int n_active] (exchange), and
+      [Prng.float 1.0] only for a worsening proposal;
+    - floats: a score sums pairs in block order, left to right, block by
+      block, as {!Substrate.Pairs} does; an attachment sums a block's
+      members in order.
+    [test/engine_oracle.ml] keeps the list engine frozen, and a QCheck2
+    law checks this one against it move for move — labels, streams,
+    score bits, move counts and blocks.
 
     Error messages keep the historical ["Search.Optimizer.run"] prefix:
     the engine is the optimizer core, whatever the substrate.
@@ -36,18 +61,13 @@ type selector = One of kind | Portfolio
 val selector_name : selector -> string
 
 module Make (P : Substrate.PROBLEM) : sig
-  val block_weight : P.t -> P.Node.t list -> float
-  (** {!Substrate.Pairs.pair_weight_sum} under the problem's weights. *)
-
-  val score_blocks : P.t -> P.Node.t list list -> float
-  (** Objective value of a partition: sum of [block_weight] over blocks
-      (cross-block pairs contribute nothing). *)
-
   type result = {
     kind : kind;
     label : string;  (** "greedy", "swap", "swap\@decl", "anneal#i" *)
     stream : int;  (** PRNG stream / task index within the portfolio *)
-    score : float;  (** exact [score_blocks] of [blocks], recomputed *)
+    score : float;
+        (** exact score of [blocks], recomputed: the {!Substrate.Pairs}
+            fold over the problem's weights *)
     blocks : P.Node.t list list;
     moves : int;  (** applied (swap) / accepted (anneal) moves; 0 greedy *)
   }
@@ -63,8 +83,9 @@ module Make (P : Substrate.PROBLEM) : sig
     kind ->
     result
   (** Run one optimizer from the seed partition [init]. [init] must
-      partition the problem's node set; multi-node blocks must satisfy
-      [P.block_fits]. The result never scores below [init].
+      partition the problem's node set (matched by name); multi-node
+      blocks must fold under [P.extend] to at most [P.capacity]. The
+      result never scores below [init].
       @raise Invalid_argument if [init] is not a partition or violates
       the capacity rule, or if [steps <= 0]. *)
 

@@ -112,16 +112,27 @@ let gain_graph p =
    — the invalidation traffic colocation would create — each pair scaled
    by [pen ~src:c1 ~dst:c2]. With [pen = penalty topo] this is the
    hierarchy-aware loss; with a constant it degenerates to the classic
-   distance-blind estimate. *)
+   distance-blind estimate. [pen] is tabulated once per call: the
+   O(F²·P²) loop reads the same floats from a P×P array. *)
 let loss_graph ~pen p =
   let accs = access_arrays p in
+  let ncpus = p.p_ncpus in
+  let pens = Float.Array.make (ncpus * ncpus) 0.0 in
+  for c1 = 0 to ncpus - 1 do
+    for c2 = 0 to ncpus - 1 do
+      Float.Array.set pens ((c1 * ncpus) + c2) (pen ~src:c1 ~dst:c2)
+    done
+  done;
   let pair_loss (wf : int array) (ga : int array) =
     let s = ref 0.0 in
-    for c1 = 0 to p.p_ncpus - 1 do
+    for c1 = 0 to ncpus - 1 do
       if wf.(c1) > 0 then
-        for c2 = 0 to p.p_ncpus - 1 do
+        for c2 = 0 to ncpus - 1 do
           if c2 <> c1 && ga.(c2) > 0 then
-            s := !s +. (float_of_int (min wf.(c1) ga.(c2)) *. pen ~src:c1 ~dst:c2)
+            s :=
+              !s
+              +. float_of_int (min wf.(c1) ga.(c2))
+                 *. Float.Array.get pens ((c1 * ncpus) + c2)
         done
     done;
     !s

@@ -7,6 +7,9 @@ type t = {
   fields : Field.t list;
   graph : Sgraph.t;
   line_size : int;
+  nodes : Field.t array;
+  weights : Float.Array.t;
+  active : int array;
 }
 
 let make ~struct_name ~fields ~graph ~line_size =
@@ -21,7 +24,11 @@ let make ~struct_name ~fields ~graph ~line_size =
              f.Field.name);
       Hashtbl.replace seen f.Field.name ())
     fields;
-  { struct_name; fields; graph; line_size }
+  let nodes = Array.of_list fields in
+  let names = Array.map (fun (f : Field.t) -> f.Field.name) nodes in
+  { struct_name; fields; graph; line_size; nodes;
+    weights = Substrate.dense_weights names graph;
+    active = Substrate.active names graph }
 
 let weight t f1 f2 = Sgraph.weight0 t.graph f1 f2
 
@@ -42,8 +49,7 @@ let cross_weight_sum = Pairs.cross_weight_sum
 
 let block_weight t block = pair_weight_sum ~weight:(weight t) block
 
-let score_blocks t blocks =
-  List.fold_left (fun acc b -> acc +. block_weight t b) 0.0 blocks
+let score_blocks t blocks = Pairs.blocks_weight_sum ~weight:(weight t) blocks
 
 let line_groups t (layout : Layout.t) =
   let rev =
@@ -69,10 +75,7 @@ let gain_loss t layout =
         acc block)
     (0.0, 0.0) (line_groups t layout)
 
-let active_fields t =
-  List.filter
-    (fun (f : Field.t) -> Sgraph.degree t.graph f.Field.name > 0)
-    t.fields
+let active_fields t = Array.to_list (Array.map (Array.get t.nodes) t.active)
 
 let block_fits t = function
   | [] | [ _ ] -> true

@@ -28,6 +28,11 @@ type t = private {
   fields : Slo_layout.Field.t list;  (** declaration order *)
   graph : Slo_graph.Sgraph.t;  (** combined FLG edge weights *)
   line_size : int;
+  nodes : Slo_layout.Field.t array;  (** [fields]; index = search node *)
+  weights : Float.Array.t;
+      (** [graph] as the dense row-major matrix over [nodes]
+          ({!Substrate.dense_weights}), built once by {!make} *)
+  active : int array;  (** ascending indices of {!active_fields} *)
 }
 
 val make :

@@ -1,11 +1,8 @@
 module Field = Slo_layout.Field
 module Layout = Slo_layout.Layout
-module Sgraph = Slo_graph.Sgraph
 
-(* The field substrate: the historical direct implementation of this
-   module, expressed as an instantiation of the generic engine. Behavior
-   (scores, moves, PRNG draws, error messages) is byte-identical to the
-   pre-functor code — pinned by a QCheck law in test/test_search.ml. *)
+(* The field substrate: fields are nodes, the objective's dense matrix is
+   the weights, and a block packs with C alignment into one cache line. *)
 module Problem = struct
   module Node = struct
     type t = Field.t
@@ -15,21 +12,11 @@ module Problem = struct
 
   type t = Objective.t
 
-  let nodes (o : Objective.t) = o.Objective.fields
-  let weight = Objective.weight
-  let active = Objective.active_fields
-  let block_fits = Objective.block_fits
-
-  (* Only called on non-empty blocks not containing [f]: can [f] join
-     without overflowing the cache line? *)
-  let fits (o : Objective.t) block (f : Field.t) =
-    Layout.packed_extend (Layout.packed_size block) f <= o.Objective.line_size
-
-  let max_abs_weight (o : Objective.t) =
-    List.fold_left
-      (fun acc (_, _, w) -> Float.max acc (Float.abs w))
-      0.0
-      (Sgraph.edges o.Objective.graph)
+  let nodes (o : Objective.t) = o.Objective.nodes
+  let weights (o : Objective.t) = o.Objective.weights
+  let active (o : Objective.t) = o.Objective.active
+  let capacity (o : Objective.t) = o.Objective.line_size
+  let extend (o : Objective.t) size i = Layout.packed_extend size o.Objective.nodes.(i)
 end
 
 module E = Engine.Make (Problem)

@@ -1,5 +1,7 @@
 (* See substrate.mli. *)
 
+module Sgraph = Slo_graph.Sgraph
+
 module type NODE = sig
   type t
 
@@ -22,6 +24,9 @@ module Pairs (N : NODE) = struct
   let pair_weight_sum ~weight nodes =
     fold_pairs ~f:(fun acc a b -> acc +. weight a b) 0.0 nodes
 
+  let blocks_weight_sum ~weight blocks =
+    List.fold_left (fun acc b -> acc +. pair_weight_sum ~weight b) 0.0 blocks
+
   let cross_weight_sum ~weight b1 b2 =
     List.fold_left
       (fun acc x ->
@@ -29,15 +34,34 @@ module Pairs (N : NODE) = struct
       0.0 b1
 end
 
+(* The graph stores each edge's weight once per direction, both copies
+   the same float, so the symmetric matrix reproduces [weight0]. *)
+let dense_weights names graph =
+  let n = Array.length names in
+  let index = Hashtbl.create (2 * n) in
+  Array.iteri (fun i name -> Hashtbl.replace index name i) names;
+  let w = Float.Array.make (n * n) 0.0 in
+  Sgraph.fold_edges graph ~init:() ~f:(fun () u v x ->
+      match (Hashtbl.find_opt index u, Hashtbl.find_opt index v) with
+      | Some i, Some j ->
+        Float.Array.set w ((i * n) + j) x;
+        Float.Array.set w ((j * n) + i) x
+      | _ -> ());
+  w
+
+let active names graph =
+  List.init (Array.length names) Fun.id
+  |> List.filter (fun i -> Sgraph.degree graph names.(i) > 0)
+  |> Array.of_list
+
 module type PROBLEM = sig
   module Node : NODE
 
   type t
 
-  val nodes : t -> Node.t list
-  val weight : t -> string -> string -> float
-  val active : t -> Node.t list
-  val block_fits : t -> Node.t list -> bool
-  val fits : t -> Node.t list -> Node.t -> bool
-  val max_abs_weight : t -> float
+  val nodes : t -> Node.t array
+  val weights : t -> Float.Array.t
+  val active : t -> int array
+  val capacity : t -> int
+  val extend : t -> int -> int -> int
 end

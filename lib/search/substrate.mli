@@ -6,28 +6,37 @@
     capacity-bounded blocks. Struct fields packed into cache lines
     ({!Objective}/{!Optimizer}) are one instantiation; basic blocks packed
     into I-cache lines (Codestitcher-style, [Slo_codelayout]) are another.
-    A substrate supplies:
+    A substrate supplies, over {b node indices} [0 .. n−1]:
 
-    - {b nodes} with stable unique names (weights are keyed by name);
-    - a {b weight} provider: the affinity/penalty balance for a node pair
-      (0 for absent edges);
-    - a {b capacity} provider: [block_fits] validates a whole block,
-      [fits] answers the incremental question "can this node join this
-      non-empty block?" — the engine only calls [fits] on non-empty
-      blocks (an empty block always accepts, and a singleton block is
-      always valid: an oversized node still gets its own block).
+    - the {b nodes} as an array; a node's index is its position there.
+      Names ({!NODE.name}) are used only to read a seed partition in and
+      to hand the result back out;
+    - the {b weights} as one dense row-major [n × n] {!Float.Array.t}
+      (entry [i·n + j] is the affinity/penalty balance of nodes [i] and
+      [j], 0 for absent edges), built once per problem by {!dense_weights}
+      in one pass over the edges — O(n + E) lookups, not n² map
+      lookups;
+    - the {b active} nodes, ascending;
+    - a {b capacity} and an {b extend} rule: [extend t s i] is the packed
+      size of a block of packed size [s] after appending node [i]. A
+      multi-node block is valid when the fold of [extend] over its
+      members, from 0, is at most the capacity; an empty block accepts
+      any node, and a singleton is always valid (an oversized node still
+      gets its own block). The engine derives both capacity tests from
+      these two values.
 
-    {!Pairs} is the shared scoring primitive: the fold order over
-    unordered pairs is part of the contract — every consumer (the greedy
-    clusterer, the brute-force test oracles, the optimizers) must sum the
-    same pairs in the same order so that float scores are byte-identical
-    across implementations. *)
+    {!Pairs} is the shared by-name scoring primitive for callers that hold
+    node lists: the fold order over unordered pairs is part of the
+    contract — every consumer (the greedy clusterer, the brute-force test
+    oracles, the engine's index-based scorer) sums the same pairs in the
+    same order so that float scores are byte-identical across
+    implementations. *)
 
 module type NODE = sig
   type t
 
   val name : t -> string
-  (** Stable unique key; weights and positions are keyed by it. *)
+  (** Stable unique key: how seed partitions are matched to indices. *)
 end
 
 (** Pairwise scoring primitives over a node type. The fold visits
@@ -41,43 +50,52 @@ module Pairs (N : NODE) : sig
   val pair_weight_sum : weight:(string -> string -> float) -> N.t list -> float
   (** Sum of [weight a b] over unordered pairs of distinct nodes. *)
 
+  val blocks_weight_sum :
+    weight:(string -> string -> float) -> N.t list list -> float
+  (** A partition's score: [pair_weight_sum] of each block, summed left to
+      right. *)
+
   val cross_weight_sum :
     weight:(string -> string -> float) -> N.t list -> N.t list -> float
   (** Sum of [weight a b] for [a] in the first list, [b] in the second. *)
 end
 
-(** A complete search problem: nodes, weights, and capacity rules.
-    {!Engine.Make} builds the full greedy/swap/anneal portfolio from
-    this. *)
+val dense_weights : string array -> Slo_graph.Sgraph.t -> Float.Array.t
+(** [dense_weights names g]: the row-major [n × n] weight matrix of [g]
+    over [names] (node [i] is [names.(i)]), symmetric, 0 on the diagonal
+    and for absent edges; edges naming a node outside [names] are
+    ignored. One pass over the edges: O(n² + E) to allocate and fill, no
+    per-pair map lookups. Entry [i·n + j] is bit-identical to
+    [Sgraph.weight0 g names.(i) names.(j)]. *)
+
+val active : string array -> Slo_graph.Sgraph.t -> int array
+(** [active names g]: the ascending indices of the nodes with at least one
+    incident edge in [g] — a problem's {!PROBLEM.active}. *)
+
+(** A complete search problem over node indices. {!Engine.Make} builds
+    the full greedy/swap/anneal portfolio from this. *)
 module type PROBLEM = sig
   module Node : NODE
 
   type t
   (** The problem instance (graph + geometry + capacity). *)
 
-  val nodes : t -> Node.t list
-  (** All nodes, in declaration order. Partitions are validated against
-      this set. *)
+  val nodes : t -> Node.t array
+  (** All nodes, in declaration order; index [i] is node [i]. Seed
+      partitions are validated against this set. *)
 
-  val weight : t -> string -> string -> float
-  (** Affinity weight of a node pair; 0 for absent edges. *)
+  val weights : t -> Float.Array.t
+  (** The dense [n × n] weights ({!dense_weights}); read-only. *)
 
-  val active : t -> Node.t list
-  (** Nodes with at least one incident edge — the only ones worth moving;
-      the engine leaves every other node where the seed partition put
-      it. *)
+  val active : t -> int array
+  (** Ascending indices of the nodes with at least one incident edge —
+      the only ones worth moving; the engine leaves every other node
+      where the seed partition put it. *)
 
-  val block_fits : t -> Node.t list -> bool
-  (** Whole-block capacity rule: a singleton always fits; a multi-node
-      block must fit the capacity (one cache line). Used to validate seed
-      partitions. *)
+  val capacity : t -> int
+  (** The most a multi-node block may pack to (one cache line). *)
 
-  val fits : t -> Node.t list -> Node.t -> bool
-  (** Incremental rule: can the node join this {e non-empty} block (which
-      does not contain it)? The engine never calls this on empty
-      blocks. *)
-
-  val max_abs_weight : t -> float
-  (** Largest absolute edge weight — the annealer's initial
-      temperature scale. *)
+  val extend : t -> int -> int -> int
+  (** [extend t s i]: the packed size after appending node [i] to a block
+      of packed size [s] (0 for the empty block). *)
 end

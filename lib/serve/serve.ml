@@ -47,7 +47,7 @@ type t = {
   w_lock : Mutex.t;
   window : Window.t;
   mutable version : int;
-  mutable last_cc : Cc.t option;
+  mutable last_view : Cc.view option;  (* drift side of the last publication *)
   mutable pubs : publication list;  (* newest first *)
   mutable dropped_batches : int;
   (* high-water marks already pushed to the monotone obs counters *)
@@ -68,7 +68,7 @@ let make cfg window version =
   { cfg; q_lock = Mutex.create (); not_empty = Condition.create ();
     not_full = Condition.create (); queue = Queue.create ();
     stopping = false; daemon = None; w_lock = Mutex.create (); window;
-    version; last_cc = None; pubs = []; dropped_batches = 0;
+    version; last_view = None; pubs = []; dropped_batches = 0;
     seen_retired = 0; seen_late = 0 }
 
 let create cfg =
@@ -150,9 +150,10 @@ let submit_wait t batch =
 (* Processing: window maintenance + drift-triggered re-search.
    Callers hold [w_lock]. *)
 
-let publish t cc ~drift =
+let publish t view ~drift =
   let pub =
     Obs.time "serve.research_s" (fun () ->
+        let cc = Window.weighted_cc t.window in
         let flg =
           Pipeline.analyze ~params:t.cfg.params ~cm:cc ~program:t.cfg.program
             ~counts:t.cfg.counts ~samples:[] ~struct_name:t.cfg.struct_name ()
@@ -168,24 +169,28 @@ let publish t cc ~drift =
           window_intervals = Window.live_intervals t.window })
   in
   t.version <- pub.version;
-  t.last_cc <- Some cc;
+  t.last_view <- Some view;
   t.pubs <- pub :: t.pubs;
   Obs.incr "serve.researches";
   Obs.incr "serve.publications";
   Obs.set_gauge "serve.version" (float_of_int pub.version);
   pub
 
+(* The window's current view and its drift from the last publication
+   (from the empty map before the first). *)
+let current_drift t =
+  let view = Window.weighted_view t.window in
+  let last =
+    match t.last_view with Some v -> v | None -> Cc.view (Cc.create ())
+  in
+  (view, Cc.drift_views last view)
+
 let maybe_publish t =
   if Window.live_samples t.window >= t.cfg.min_samples then begin
-    let cc = Window.weighted_cc t.window in
-    let drift =
-      match t.last_cc with
-      | None -> Cc.drift (Cc.create ()) cc
-      | Some prev -> Cc.drift prev cc
-    in
+    let view, drift = current_drift t in
     Obs.set_gauge "serve.drift" drift;
     if t.pubs = [] || drift > t.cfg.drift_threshold then
-      ignore (publish t cc ~drift)
+      ignore (publish t view ~drift)
   end
 
 let process_batch t batch =
@@ -268,13 +273,8 @@ let research t =
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.w_lock)
     (fun () ->
-      let cc = Window.weighted_cc t.window in
-      let drift =
-        match t.last_cc with
-        | None -> Cc.drift (Cc.create ()) cc
-        | Some prev -> Cc.drift prev cc
-      in
-      publish t cc ~drift)
+      let view, drift = current_drift t in
+      publish t view ~drift)
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot / restore *)

@@ -1,5 +1,6 @@
 module Sample = Slo_concurrency.Sample
 module Cc = Slo_concurrency.Code_concurrency
+module Flat_tab = Slo_util.Flat_tab
 
 (* Decay weights are fixed-point num/1024 so the weighted window CC is
    exact integer arithmetic: no float summation, hence no dependence on
@@ -7,30 +8,49 @@ module Cc = Slo_concurrency.Code_concurrency
    decay resolution, plenty for a drift trigger. *)
 let weight_den = 1024
 
+(* One interval's CC, interned: each pair as its window slot, with its
+   count. [total] is the interval's sample total when it was computed. *)
+type memo = { total : int; slots : int array; counts : int array }
+
 type t = {
   w_interval : int;
   w_window : int;  (* length in intervals *)
   w_decay : float;  (* per-interval-of-age multiplier, in (0, 1] *)
   master : Sample.binner;  (* every live (non-retired) sample *)
-  (* idx -> (total samples the memo was computed at, that interval's CC).
-     Re-searches touch only intervals whose totals changed since the last
-     publication — the "incremental" in incremental re-search: a drift
-     check over a w-interval window recomputes O(changed) interval maps,
-     not O(w). *)
-  cc_memo : (int, int * Cc.t) Hashtbl.t;
+  (* idx -> that interval's memo. A batch recomputes only the intervals
+     whose totals changed since their memo — the "incremental" in
+     incremental re-search: O(changed) interval maps per batch, not
+     O(w). *)
+  memos : (int, memo) Hashtbl.t;
+  (* Every pair of a live memo has a dense slot: [slot_of] maps its code
+     to the slot, [codes]/[refs]/[sums] are indexed by slot. A slot whose
+     last memo goes is reclaimed, so the slot count tracks the pairs of
+     the live window, not uptime. *)
+  slot_of : Flat_tab.t;
+  mutable codes : int array;
+  mutable refs : int array;  (* memos holding the slot; 0 when free *)
+  mutable sums : int array;  (* the weighted window, by slot *)
+  mutable used : int;  (* slots handed out: [0, used) *)
+  mutable free : int list;  (* reclaimed slots below [used] *)
+  mutable sums_valid : bool;  (* false once a sample lands *)
   mutable newest : int;  (* max interval idx accepted *)
   mutable started : bool;  (* false until the first sample *)
   mutable retired : int;
   mutable late : int;
 }
 
+let make ~interval ~window ~decay ~newest ~started master =
+  { w_interval = interval; w_window = window; w_decay = decay; master;
+    memos = Hashtbl.create 64; slot_of = Flat_tab.create (); codes = [||];
+    refs = [||]; sums = [||]; used = 0; free = []; sums_valid = false;
+    newest; started; retired = 0; late = 0 }
+
 let create ?(decay = 1.0) ~interval ~window () =
   if window <= 0 then invalid_arg "Window.create: window <= 0";
   if not (decay > 0.0 && decay <= 1.0) then
     invalid_arg "Window.create: decay outside (0, 1]";
-  { w_interval = interval; w_window = window; w_decay = decay;
-    master = Sample.binner ~interval; cc_memo = Hashtbl.create 64;
-    newest = 0; started = false; retired = 0; late = 0 }
+  make ~interval ~window ~decay ~newest:0 ~started:false
+    (Sample.binner ~interval)
 
 let interval w = w.w_interval
 let window_length w = w.w_window
@@ -49,6 +69,47 @@ let weight w ~age =
   in
   int_of_float v
 
+(* ------------------------------------------------------------------ *)
+(* Slots *)
+
+let intern w code =
+  match Flat_tab.find w.slot_of code ~default:(-1) with
+  | -1 ->
+    let slot =
+      match w.free with
+      | s :: rest ->
+        w.free <- rest;
+        s
+      | [] ->
+        if w.used = Array.length w.codes then begin
+          let grow a = Array.append a (Array.make (max 64 w.used) 0) in
+          w.codes <- grow w.codes;
+          w.refs <- grow w.refs;
+          w.sums <- grow w.sums
+        end;
+        w.used <- w.used + 1;
+        w.used - 1
+    in
+    Flat_tab.set w.slot_of code slot;
+    w.codes.(slot) <- code;
+    w.refs.(slot) <- 1;
+    slot
+  | slot ->
+    w.refs.(slot) <- w.refs.(slot) + 1;
+    slot
+
+let release w m =
+  Array.iter
+    (fun s ->
+      w.refs.(s) <- w.refs.(s) - 1;
+      if w.refs.(s) = 0 then begin
+        Flat_tab.remove w.slot_of w.codes.(s);
+        w.free <- s :: w.free
+      end)
+    m.slots
+
+(* ------------------------------------------------------------------ *)
+
 (* Retiring an interval is eviction-by-subtraction: rebuild that
    interval's contribution as a one-interval binner (feed_n per histogram
    entry — O(entries), not O(samples)) and [Sample.retract] it from the
@@ -65,7 +126,8 @@ let retire_interval w idx tbl =
         fs)
     (Sample.line_freqs tbl);
   Sample.retract w.master tmp;
-  Hashtbl.remove w.cc_memo idx;
+  Option.iter (release w) (Hashtbl.find_opt w.memos idx);
+  Hashtbl.remove w.memos idx;
   w.retired <- w.retired + 1
 
 let retire_below_watermark w =
@@ -84,6 +146,7 @@ let feed w ~cpu ~itc ~line =
   end
   else begin
     Sample.feed_raw w.master ~cpu ~itc ~line;
+    w.sums_valid <- false;
     if (not w.started) || idx > w.newest then begin
       w.newest <- idx;
       w.started <- true;
@@ -92,24 +155,65 @@ let feed w ~cpu ~itc ~line =
     true
   end
 
-let interval_cc w idx tbl =
+(* The memo of a live interval, recomputed when its total moved. The new
+   pairs are interned before the old memo lets go of its slots, so pairs
+   the two share keep their slot. *)
+let interval_memo w idx tbl =
   let total = Sample.total_samples tbl in
-  match Hashtbl.find_opt w.cc_memo idx with
-  | Some (t, cc) when t = total -> cc
-  | _ ->
-    let cc = Cc.of_interval tbl in
-    Hashtbl.replace w.cc_memo idx (total, cc);
-    cc
+  match Hashtbl.find_opt w.memos idx with
+  | Some m when m.total = total -> m
+  | old ->
+    let codes, counts = Cc.to_codes (Cc.of_interval tbl) in
+    let m = { total; slots = Array.map (intern w) codes; counts } in
+    Option.iter (release w) old;
+    Hashtbl.replace w.memos idx m;
+    m
+
+(* [sums] := the decay-weighted window, by slot. A slot freed on the way
+   (by a memo replaced here) was held by that memo alone, which has not
+   been added yet, so it is still 0 when a new pair takes it over. *)
+let refresh w =
+  if not w.sums_valid then begin
+    Array.fill w.sums 0 w.used 0;
+    List.iter
+      (fun (idx, tbl) ->
+        let num = weight w ~age:(w.newest - idx) in
+        if num > 0 then begin
+          let m = interval_memo w idx tbl in
+          Cc.accumulate_scaled w.sums ~slots:m.slots ~counts:m.counts ~num
+            ~den:weight_den
+        end)
+      (Sample.binned_idx w.master);
+    w.sums_valid <- true
+  end
+
+(* The weighted window's pairs as (codes, values), zero sums left out. *)
+let weighted w =
+  refresh w;
+  let n = ref 0 in
+  for s = 0 to w.used - 1 do
+    if w.sums.(s) > 0 then incr n
+  done;
+  let codes = Array.make !n 0 and values = Array.make !n 0 in
+  let i = ref 0 in
+  for s = 0 to w.used - 1 do
+    if w.sums.(s) > 0 then begin
+      codes.(!i) <- w.codes.(s);
+      values.(!i) <- w.sums.(s);
+      incr i
+    end
+  done;
+  (codes, values)
 
 let weighted_cc w =
-  let acc = Cc.create () in
-  List.iter
-    (fun (idx, tbl) ->
-      let num = weight w ~age:(w.newest - idx) in
-      if num > 0 then
-        Cc.merge_scaled acc (interval_cc w idx tbl) ~num ~den:weight_den)
-    (Sample.binned_idx w.master);
-  acc
+  let codes, values = weighted w in
+  Cc.of_codes codes values
+
+let weighted_view w =
+  let codes, values = weighted w in
+  Cc.view_of_codes codes values
+
+let slots w = Flat_tab.length w.slot_of
 
 let restore ?(decay = 1.0) ~window ~newest binner =
   if window <= 0 then invalid_arg "Window.restore: window <= 0";
@@ -124,6 +228,5 @@ let restore ?(decay = 1.0) ~window ~newest binner =
              "Window.restore: interval %d outside the window (%d, %d]" idx
              (newest - window) newest))
     live;
-  { w_interval = Sample.interval binner; w_window = window; w_decay = decay;
-    master = binner; cc_memo = Hashtbl.create 64; newest;
-    started = live <> []; retired = 0; late = 0 }
+  make ~interval:(Sample.interval binner) ~window ~decay ~newest
+    ~started:(live <> []) binner

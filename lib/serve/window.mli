@@ -11,16 +11,34 @@
     survivors. Samples arriving {e below} the watermark are dropped and
     counted ({!late}).
 
-    {b Weighted CC.} {!weighted_cc} merges the per-interval CC maps with
-    fixed-point decay weights [round (1024 · decay^age) / 1024] (age in
-    intervals, newest = 0), using
-    {!Slo_concurrency.Code_concurrency.merge_scaled} — exact integer
-    arithmetic, so the result is independent of merge order. Per-interval
-    CC maps are memoized on the interval's sample total, so a re-search
-    after feeding recomputes only the intervals that actually changed.
-    The shape drift between two weighted maps is
-    {!Slo_concurrency.Code_concurrency.drift}, next to the map's key
-    order it depends on.
+    {b Weighted CC.} The window weights interval [idx]'s CC map by the
+    fixed-point decay [num = round (1024 · decay^age)] over [den = 1024]
+    (age in intervals, newest = 0) and sums
+    [floor (v · num / den)] per pair, saturating — exact integer
+    arithmetic, independent of the order intervals are added in.
+
+    {e Slots.} Every pair of the live window has a dense slot. Each
+    interval's CC is memoized on the interval's sample total as two
+    arrays, its pairs' slots and counts: one code → slot lookup per pair,
+    paid when the memo is computed, so a batch recomputes only the
+    intervals that actually changed. The weighted window is then one
+    pass over the memos into a reusable int accumulator indexed by slot,
+    with no hashing. When the last memo holding a pair goes (its interval
+    retires or is recomputed without it), the slot is reclaimed, so the
+    slot arrays track the pairs of the live window, not the daemon's
+    uptime.
+
+    {e When a map is built.} A batch that only checks drift never builds
+    a {!Slo_concurrency.Code_concurrency.t}: {!weighted_view} sorts the
+    accumulator's non-zero pairs into a drift view. Only a publication,
+    or an explicit {!weighted_cc}, builds the map. Both are computed from
+    the same accumulator, which is summed once per fed batch.
+
+    {e Drift.} The serve daemon prepares the last publication's side of
+    {!Slo_concurrency.Code_concurrency.drift_views} once, when it
+    publishes; each batch then sorts only the current pairs and walks the
+    two sequences. The drift is bit-identical to
+    {!Slo_concurrency.Code_concurrency.drift} of the two maps.
 
     Not thread-safe: the serve daemon serializes access. *)
 
@@ -69,6 +87,14 @@ val weight : t -> age:int -> int
 
 val weighted_cc : t -> Slo_concurrency.Code_concurrency.t
 (** The decay-weighted CC of the live window (empty map when empty). *)
+
+val weighted_view : t -> Slo_concurrency.Code_concurrency.view
+(** The drift view of [weighted_cc], without building the map. *)
+
+val slots : t -> int
+(** Pairs currently holding a slot: the distinct pairs of the memoized
+    live intervals. With [decay = 1.0] every one of them is in
+    [weighted_cc]. *)
 
 val restore :
   ?decay:float ->

@@ -58,6 +58,25 @@ let test_lexer_errors () =
   expect_error "a & b";
   expect_error "/* unterminated"
 
+(* A literal above max_int is a located lexer error, not an escaped
+   [Failure "int_of_string"]; max_int itself still lexes. *)
+let test_lexer_int_range () =
+  let at_literal src = snd (List.nth (Lexer.tokenize ~file:"t" src) 4) in
+  (match Lexer.tokenize ~file:"t" "a->x = 99999999999999999999;" with
+  | exception Lexer.Error (msg, loc) ->
+    Alcotest.(check string) "message" "integer literal out of range" msg;
+    Alcotest.(check bool) "at the literal" true (loc = at_literal "a->x = 1;")
+  | _ -> Alcotest.fail "out-of-range literal accepted");
+  (match
+     parse
+       "struct S { long x; };\nvoid f(struct S *a) {\n  a->x = 99999999999999999999;\n}\n"
+   with
+  | exception Lexer.Error (_, loc) -> check_int "line" 3 (Loc.line loc)
+  | _ -> Alcotest.fail "parser accepted an out-of-range literal");
+  match Lexer.tokenize ~file:"t" (string_of_int max_int) with
+  | (Lexer.INT n, _) :: _ -> check_int "max_int" max_int n
+  | _ -> Alcotest.fail "max_int did not lex"
+
 (* ------------------------------------------------------------------ *)
 (* Parser *)
 
@@ -361,6 +380,8 @@ let suites =
         Alcotest.test_case "line tracking" `Quick test_lexer_line_tracking;
         Alcotest.test_case "two-char ops" `Quick test_lexer_two_char_ops;
         Alcotest.test_case "errors" `Quick test_lexer_errors;
+        Alcotest.test_case "integer literal out of range" `Quick
+          test_lexer_int_range;
       ] );
     ( "ir.parser",
       [

@@ -306,6 +306,87 @@ let prop_drift_matches_list_oracle =
         (Int64.bits_of_float (Cc.drift a b))
         (Int64.bits_of_float (list_drift a b)))
 
+(* The window's weighted map and drift view after every batch, against
+   a direct merge of the live intervals and the list drift oracle.
+   Batches exercise the memo refresh (an interval's memo is recomputed
+   when its total moves), slot reuse (retired pairs give their slots to
+   new ones) and the accumulator cache (a view and then a map from one
+   sum). With no decay every slot's pair is in the weighted map, so the
+   slot count is exactly its size. *)
+let prop_window_batches_match_direct =
+  QCheck2.Test.make
+    ~name:"per batch: weighted map = direct merge, drift = list drift"
+    ~count:200
+    QCheck2.Gen.(
+      quad
+        (pair gen_interval (int_range 1 4))
+        (int_range 0 3) gen_stream
+        (list_size (int_bound 12) (int_range 1 9)))
+    (fun ((interval, window), decay_i, xs, sizes) ->
+      let decay = List.nth [ 1.0; 0.9; 0.75; 0.5 ] decay_i in
+      let w = Window.create ~decay ~interval ~window () in
+      let direct () =
+        let newest = match Window.newest w with Some n -> n | None -> 0 in
+        let m = Cc.create () in
+        List.iter
+          (fun (idx, tbl) ->
+            let num = Window.weight w ~age:(newest - idx) in
+            if num > 0 then
+              Cc.merge_scaled m (Cc.of_interval tbl) ~num ~den:Window.weight_den)
+          (Sample.binned_idx (Window.master w));
+        m
+      in
+      let rec go prev samples sizes =
+        let n = match sizes with [] -> 5 | n :: _ -> n in
+        let batch = List.filteri (fun i _ -> i < n) samples in
+        let rest = List.filteri (fun i _ -> i >= n) samples in
+        List.iter
+          (fun (x : Sample.t) ->
+            ignore
+              (Window.feed w ~cpu:x.Sample.cpu ~itc:x.Sample.itc
+                 ~line:x.Sample.line))
+          batch;
+        let expect = direct () in
+        let drift = Cc.drift_views (Cc.view prev) (Window.weighted_view w) in
+        let got = Window.weighted_cc w in
+        let ok =
+          cc_canon got = cc_canon expect
+          && Int64.equal (Int64.bits_of_float drift)
+               (Int64.bits_of_float (list_drift prev expect))
+          && (decay < 1.0 || Window.slots w = List.length (Cc.pairs got))
+        in
+        ok
+        && (rest = []
+           || go expect rest (match sizes with [] -> [] | _ :: tl -> tl))
+      in
+      go (Cc.create ())
+        (List.stable_sort
+           (fun (a : Sample.t) b -> compare a.Sample.itc b.Sample.itc)
+           (to_samples xs))
+        sizes)
+
+(* Slots are reclaimed: a long feed whose lines move on every phase keeps
+   only the live window's pairs. Each interval touches 10 lines, hence
+   at most 55 pairs, and two intervals are live. *)
+let test_window_slots_bounded () =
+  let w = Window.create ~interval:10 ~window:2 () in
+  let peak = ref 0 in
+  for phase = 0 to 199 do
+    for k = 0 to 29 do
+      ignore
+        (Window.feed w ~cpu:(k mod 4) ~itc:((phase * 10) + (k / 3))
+           ~line:((phase * 10) + (k mod 10)))
+    done;
+    ignore (Window.weighted_cc w);
+    peak := max !peak (Window.slots w)
+  done;
+  check_int "retired" 198 (Window.retired w);
+  Alcotest.(check bool)
+    (Printf.sprintf "peak slots %d <= 110 after 200 phases" !peak)
+    true (!peak <= 110);
+  check_int "slots = live pairs" (List.length (Cc.pairs (Window.weighted_cc w)))
+    (Window.slots w)
+
 (* ------------------------------------------------------------------ *)
 (* Serve: admission, drift trigger, daemon, snapshot/restore *)
 
@@ -540,6 +621,7 @@ let props =
       prop_retract_failure_leaves_dst_unchanged;
       prop_window_eq_direct_binning;
       prop_decay_weights_order_independent;
+      prop_window_batches_match_direct;
     ]
 
 let suites =
@@ -551,6 +633,8 @@ let suites =
            test_window_late_out_of_range
       :: Alcotest.test_case "fixed-point weights" `Quick test_window_weights
       :: Alcotest.test_case "shape drift" `Quick test_drift_shape
+      :: Alcotest.test_case "slots reclaimed over a long feed" `Quick
+           test_window_slots_bounded
       :: QCheck_alcotest.to_alcotest prop_drift_matches_list_oracle
       :: props );
     ( "serve.server",
