@@ -1,7 +1,7 @@
 (* Benchmark harness: regenerates every figure of the paper's evaluation
    (Figures 8, 9, 10), the §4.3 CC-stability claim and the §5.1 machine
    characterization, plus ablations over the design choices DESIGN.md calls
-   out, and Bechamel microbenchmarks of the tool's own kernels.
+   out, and the scale and soundness checks of the tool's own subsystems.
 
    Usage:
      dune exec bench/main.exe              # everything (a few minutes)
@@ -16,6 +16,13 @@
    pool. Results are byte-identical for every N — the `smoke` section and
    test/test_exec.ml verify exactly that.
 
+   A section is a function from the run's context to a report: its
+   results ([data]), its identity checks ([checks]) and the prose that
+   says what shape to expect ([note]). Sections neither print nor exit.
+   The runner at the bottom of this file prints each report, writes it
+   as BENCH_<section>.json under --json, and exits 1 once every requested
+   section has run if any check failed.
+
    Absolute numbers are simulator cycles, not HP hardware; the shapes (who
    wins, by what factor, where effects vanish) are the reproduction target.
    See EXPERIMENTS.md for the paper-vs-measured record. *)
@@ -25,374 +32,145 @@ module Collect = Slo_workload.Collect
 module Kernel = Slo_workload.Kernel
 module Sdet = Slo_workload.Sdet
 module Topology = Slo_sim.Topology
+module Machine = Slo_sim.Machine
+module Coherence = Slo_sim.Coherence
+module Sim_stats = Slo_sim.Sim_stats
 module Layout = Slo_layout.Layout
 module Field = Slo_layout.Field
 module Cluster = Slo_core.Cluster
 module Pipeline = Slo_core.Pipeline
+module Optimizer = Slo_search.Optimizer
 module Code_concurrency = Slo_concurrency.Code_concurrency
 module Sample = Slo_concurrency.Sample
 module Sample_store = Slo_concurrency.Sample_store
-module Parser = Slo_ir.Parser
-module Typecheck = Slo_ir.Typecheck
+module Persist = Slo_persist.Persist
 module Stats = Slo_util.Stats
 module Pool = Slo_exec.Pool
 module Obs = Slo_obs.Obs
 module Json = Slo_obs.Json
 
-let quick = ref false
-let jobs = ref 0 (* 0 = Domain.recommended_domain_count *)
-let json_path = ref None (* --json PATH: manifest path; artifacts go next to it *)
+type ctx = {
+  quick : bool;
+  jobs : int;
+  pool : Pool.t option;  (** [None] at one job, so the serial paths run *)
+  layouts : Exp.layouts list Lazy.t;  (** every struct's three layouts *)
+  fig8 : Exp.measurement list Lazy.t;  (** Figure 8's rows, fig10's input *)
+}
 
-let runs () = if !quick then 3 else 10
-let big_cpus () = if !quick then 32 else 128
+type report = {
+  data : (string * Json.t) list;  (** the artifact's [data] object *)
+  checks : (string * bool) list;  (** identity gates: what, and whether *)
+  note : string;  (** the shape to expect, printed after [data] *)
+}
 
-let effective_jobs () = if !jobs >= 1 then !jobs else Pool.default_jobs ()
+let report ?(checks = []) ?(note = "") data = { data; checks; note }
+let runs ctx = if ctx.quick then 3 else 10
+let big_cpus ctx = if ctx.quick then 32 else 128
+
+let timed f =
+  let t0 = Obs.now () in
+  let x = f () in
+  (x, Obs.now () -. t0)
+
+let per_s n wall = if wall > 0.0 then float_of_int n /. wall else 0.0
+
+(* One scoreboard entry of a search portfolio. *)
+let candidate_json label score moves =
+  Json.Obj
+    [
+      ("candidate", Json.Str label);
+      ("score", Json.Float score);
+      ("moves", Json.Int moves);
+    ]
 
 (* ------------------------------------------------------------------ *)
-(* JSON bench artifacts (--json PATH). Each section writes
-   BENCH_<section>.json beside PATH with its data rows plus a metrics
-   snapshot; PATH itself gets a manifest listing what was written.
-   Artifacts exist to be diffed across commits — see EXPERIMENTS.md. *)
+(* The paper's figures and claims *)
 
-let read_file path =
-  try
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> Some (really_input_string ic (in_channel_length ic)))
-  with Sys_error _ | End_of_file -> None
-
-(* Resolve HEAD without invoking git, so the bench works where git is
-   absent (sandboxed dune actions, stripped containers) and costs no
-   subprocess. HEAD may be a detached hex id or a symref; the ref may be
-   loose or packed (`git gc`/`git pack-refs`); `.git` itself may be a
-   one-line `gitdir:` redirect file (worktrees/submodules), whose refs
-   live in the commondir. Anything unresolvable — including HEAD contents
-   that are not a hex id — degrades to the documented "unknown" sentinel:
-   git_rev never raises and never returns a string the JSON writer can't
-   emit verbatim, dirty tree or no tree at all. The schema check pins this
-   (git_rev=nonempty-string in bench/dune). SLO_GIT_REV overrides. *)
-let is_hex_id s =
-  let n = String.length s in
-  n >= 4 && n <= 64
-  && String.for_all
-       (function '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false)
-       s
-
-let strip_prefix ~prefix s =
-  let np = String.length prefix in
-  if String.length s >= np && String.sub s 0 np = prefix then
-    Some (String.sub s np (String.length s - np))
-  else None
-
-let git_dirs () =
-  (* The directory holding HEAD, plus the one holding refs/packed-refs
-     (different in a linked worktree, where `commondir` points back at the
-     main repository's .git). *)
-  let gitdir =
-    match read_file ".git" with
-    | Some s when strip_prefix ~prefix:"gitdir: " (String.trim s) <> None ->
-      Option.get (strip_prefix ~prefix:"gitdir: " (String.trim s))
-    | Some _ | None -> ".git"
-  in
-  let common =
-    match read_file (Filename.concat gitdir "commondir") with
-    | Some s when String.trim s <> "" ->
-      let c = String.trim s in
-      if Filename.is_relative c then Filename.concat gitdir c else c
-    | Some _ | None -> gitdir
-  in
-  (gitdir, common)
-
-let packed_ref dir ref_name =
-  match read_file (Filename.concat dir "packed-refs") with
-  | None -> None
-  | Some s ->
-    List.find_map
-      (fun line ->
-        let line = String.trim line in
-        if line = "" || line.[0] = '#' || line.[0] = '^' then None
-        else
-          match String.index_opt line ' ' with
-          | Some sp
-            when String.sub line (sp + 1) (String.length line - sp - 1)
-                 = ref_name ->
-            let id = String.sub line 0 sp in
-            if is_hex_id id then Some id else None
-          | Some _ | None -> None)
-      (String.split_on_char '\n' s)
-
-let git_rev () =
-  match Sys.getenv_opt "SLO_GIT_REV" with
-  | Some r when r <> "" -> r
-  | _ -> (
-    let gitdir, common = git_dirs () in
-    let resolved =
-      match read_file (Filename.concat gitdir "HEAD") with
-      | None -> None
-      | Some s -> (
-        let s = String.trim s in
-        match strip_prefix ~prefix:"ref: " s with
-        | None -> if is_hex_id s then Some s else None
-        | Some ref_name -> (
-          match read_file (Filename.concat common ref_name) with
-          | Some c when is_hex_id (String.trim c) -> Some (String.trim c)
-          | Some _ | None -> packed_ref common ref_name))
-    in
-    match resolved with Some id -> id | None -> "unknown")
-
-let artifacts = ref [] (* (section, path), reverse run order *)
-
-let pool_json () =
-  (* On a 1-core box (or --jobs 1) no parallel batch runs; the serial
-     path is trivially fully busy, so utilization defaults to 1.0. *)
-  let utilization =
-    match Obs.gauge "pool.utilization" with Some u -> u | None -> 1.0
-  in
-  Json.Obj
-    [
-      ("jobs", Json.Int (effective_jobs ()));
-      ("tasks", Json.Int (Obs.counter "pool.tasks"));
-      ("batches", Json.Int (Obs.counter "pool.batches"));
-      ("utilization", Json.Float utilization);
-    ]
-
-let write_json path j =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (Json.pretty j))
-
-let write_artifact ~section:name ~wall data =
-  match !json_path with
-  | None -> ()
-  | Some manifest ->
-    let path =
-      Filename.concat (Filename.dirname manifest) ("BENCH_" ^ name ^ ".json")
-    in
-    write_json path
-      (Json.Obj
-         [
-           ("schema", Json.Str "slo-bench/1");
-           ("section", Json.Str name);
-           ("git_rev", Json.Str (git_rev ()));
-           ("jobs", Json.Int (effective_jobs ()));
-           ("quick", Json.Bool !quick);
-           ("wall_s", Json.Float wall);
-           ("data", data);
-           ("metrics", Obs.to_json ());
-           ("pool", pool_json ());
-         ]);
-    artifacts := (name, path) :: !artifacts
-
-let write_manifest () =
-  match !json_path with
-  | None -> ()
-  | Some manifest ->
-    let arts = List.rev !artifacts in
-    write_json manifest
-      (Json.Obj
-         [
-           ("schema", Json.Str "slo-bench-manifest/1");
-           ("git_rev", Json.Str (git_rev ()));
-           ("jobs", Json.Int (effective_jobs ()));
-           ("quick", Json.Bool !quick);
-           ("sections", Json.List (List.map (fun (n, _) -> Json.Str n) arts));
-           ("artifacts", Json.List (List.map (fun (_, p) -> Json.Str p) arts));
-         ])
-
-(* One pool for the whole bench run, created on first use; [None] when
-   running with a single job so the serial code paths stay exercised. *)
-let pool_memo = ref None
-
-let pool () =
-  match !pool_memo with
-  | Some p -> p
-  | None ->
-    let n = effective_jobs () in
-    let p = if n <= 1 then None else Some (Pool.create ~domains:n) in
-    (* join the workers on any exit path, including `exit 1` *)
-    (match p with Some p -> at_exit (fun () -> Pool.shutdown p) | None -> ());
-    pool_memo := Some p;
-    p
-
-let section title =
-  Printf.printf "\n==============================================================\n";
-  Printf.printf "%s\n" title;
-  Printf.printf "==============================================================\n%!"
-
-let bar value =
-  (* One '#' per 0.5% of speedup, sign-aware, clamped for the A outlier. *)
-  let n = int_of_float (Float.abs value /. 0.5) in
-  let n = min n 40 in
-  (if value < 0.0 then "-" else "+") ^ String.make n '#'
-
-let layouts_memo = ref None
-
-let layouts () =
-  match !layouts_memo with
-  | Some l -> l
-  | None ->
-    let l = Exp.analyze_all ?pool:(pool ()) () in
-    layouts_memo := Some l;
-    l
-
-let print_measurements title rows =
-  Printf.printf "%-8s %12s %12s %12s\n" "struct" "automatic" "hotness"
-    "incremental";
-  List.iter
-    (fun (m : Exp.measurement) ->
-      Printf.printf "%-8s %+11.2f%% %+11.2f%% %+11.2f%%   auto %s\n"
-        m.Exp.m_struct m.Exp.m_automatic m.Exp.m_hotness m.Exp.m_incremental
-        (bar m.Exp.m_automatic))
-    rows;
-  Printf.printf
-    "(%s; throughput speedup over hand-tuned baseline, trimmed mean of %d \
-     runs)\n%!"
-    title (runs ())
-
-let measurements_json ~cpus rows =
-  Json.Obj
+(* Figures 8 and 9: throughput speedup (%) of each layout over the
+   hand-tuned baseline, trimmed mean of [runs] runs. *)
+let measurements ctx ~cpus ~shape rows =
+  report
     [
       ("cpus", Json.Int cpus);
-      ("runs", Json.Int (runs ()));
-      ( "rows",
-        Json.List
-          (List.map
-             (fun (m : Exp.measurement) ->
-               Json.Obj
-                 [
-                   ("struct", Json.Str m.Exp.m_struct);
-                   ("automatic_pct", Json.Float m.Exp.m_automatic);
-                   ("hotness_pct", Json.Float m.Exp.m_hotness);
-                   ("incremental_pct", Json.Float m.Exp.m_incremental);
-                 ])
-             rows) );
+      ("runs", Json.Int (runs ctx));
+      ("rows", Json.List (List.map Exp.measurement_json rows));
     ]
+    ~note:("Paper shape: " ^ shape)
 
-let fig8_memo = ref None
+let run_fig8 ctx =
+  measurements ctx ~cpus:(big_cpus ctx) (Lazy.force ctx.fig8)
+    ~shape:
+      "struct A degrades >2X under sort-by-hotness but only a\n\
+       few % under the FLG layout; B-E see small effects, with hotness\n\
+       marginally ahead on some locality-dominated structs."
 
-let fig8_rows () =
-  match !fig8_memo with
-  | Some r -> r
-  | None ->
-    let r = Exp.fig8 ~runs:(runs ()) ~cpus:(big_cpus ()) ?pool:(pool ()) (layouts ()) in
-    fig8_memo := Some r;
-    r
+let run_fig9 ctx =
+  Exp.fig9 ~runs:(runs ctx) ?pool:ctx.pool (Lazy.force ctx.layouts)
+  |> measurements ctx ~cpus:4
+       ~shape:
+         "with cheap remote caches the false-sharing penalty\n\
+          vanishes; every effect is within a few percent of baseline."
 
-let run_fig8 () =
-  section
-    (Printf.sprintf
-       "Figure 8: automatic layout vs sort-by-hotness, %d-way Superdome"
-       (big_cpus ()));
-  print_measurements "hierarchical machine" (fig8_rows ());
-  Printf.printf
-    "\nPaper shape: struct A degrades >2X under sort-by-hotness but only a\n\
-     few %% under the FLG layout; B-E see small effects, with hotness\n\
-     marginally ahead on some locality-dominated structs.\n%!";
-  measurements_json ~cpus:(big_cpus ()) (fig8_rows ())
+let run_fig10 ctx =
+  let row (r : Exp.fig10_row) =
+    Json.Obj
+      [
+        ("struct", Json.Str r.Exp.b_struct);
+        ("best_pct", Json.Float r.Exp.b_best);
+        ("which", Json.Str r.Exp.b_which);
+      ]
+  in
+  report
+    [ ("rows", Json.List (List.map row (Exp.fig10 (Lazy.force ctx.fig8)))) ]
+    ~note:
+      "Paper shape: the incremental (important-edge subgraph) mode beats the\n\
+       fully automatic layout on the huge false-sharing struct A; automatic\n\
+       wins on the locality structs; best gains are a few percent."
 
-let run_fig9 () =
-  section "Figure 9: same layouts on the 4-way bus machine";
-  let rows = Exp.fig9 ~runs:(runs ()) ?pool:(pool ()) (layouts ()) in
-  print_measurements "4-way bus machine" rows;
-  Printf.printf
-    "\nPaper shape: with cheap remote caches the false-sharing penalty\n\
-     vanishes; every effect is within a few percent of baseline.\n%!";
-  measurements_json ~cpus:4 rows
-
-let run_fig10 () =
-  section "Figure 10: best layout per struct (automatic vs incremental)";
-  let rows = Exp.fig10 (fig8_rows ()) in
-  List.iter
-    (fun (r : Exp.fig10_row) ->
-      Printf.printf "%-8s %+8.2f%%  (%-11s)  %s\n" r.Exp.b_struct r.Exp.b_best
-        r.Exp.b_which (bar r.Exp.b_best))
-    rows;
-  Printf.printf
-    "\nPaper shape: the incremental (important-edge subgraph) mode beats the\n\
-     fully automatic layout on the huge false-sharing struct A; automatic\n\
-     wins on the locality structs; best gains are a few percent.\n%!";
-  Json.Obj
+let run_gvl ctx =
+  let big, bus =
+    Exp.gvl ~runs:(runs ctx) ~cpus:(big_cpus ctx) ?pool:ctx.pool ()
+  in
+  report
     [
-      ( "rows",
-        Json.List
-          (List.map
-             (fun (r : Exp.fig10_row) ->
-               Json.Obj
-                 [
-                   ("struct", Json.Str r.Exp.b_struct);
-                   ("best_pct", Json.Float r.Exp.b_best);
-                   ("which", Json.Str r.Exp.b_which);
-                 ])
-             rows) );
-    ]
-
-let run_gvl () =
-  section "Extension: Global Variable Layout (paper §7 future work)";
-  let big, bus = Exp.gvl ~runs:(runs ()) ~cpus:(big_cpus ()) ?pool:(pool ()) () in
-  Printf.printf
-    "globals segment: CC-aware layout vs declaration order\n\
-     %d-way machine: %+.2f%%\n4-way bus:      %+.2f%%\n" (big_cpus ()) big bus;
-  Printf.printf
-    "(expected: the declaration order interleaves per-quadrant counters\n\
-     with read-mostly globals on one line; separating them pays on the\n\
-     big machine and is neutral on the bus)\n%!";
-  Json.Obj
-    [
-      ("cpus", Json.Int (big_cpus ()));
+      ("cpus", Json.Int (big_cpus ctx));
       ("big_pct", Json.Float big);
       ("bus_pct", Json.Float bus);
     ]
+    ~note:
+      "(expected: the declaration order interleaves per-quadrant counters\n\
+       with read-mostly globals on one line; separating them pays on the\n\
+       big machine and is neutral on the bus)"
 
-let run_cc_stability () =
-  section "§4.3: CodeConcurrency stability across machine sizes";
-  let rho = Exp.cc_stability () in
-  Printf.printf
-    "Spearman rank correlation of top-40 CC pairs, 4-way vs 16-way: %.3f\n"
-    rho;
-  Printf.printf
-    "(paper: \"source line pairs with high concurrency values remain more\n\
-     or less the same in both the 4 way and 16 way machines\")\n%!";
-  Json.Obj [ ("spearman_rho", Json.Float rho) ]
+let run_cc_stability _ctx =
+  report
+    [ ("spearman_rho", Json.Float (Exp.cc_stability ())) ]
+    ~note:
+      "Spearman rank correlation of top-40 CC pairs, 4-way vs 16-way.\n\n\
+       (paper: \"source line pairs with high concurrency values remain more\n\
+       or less the same in both the 4 way and 16 way machines\")"
 
-let run_topology () =
-  section "§5.1: machine characterization (cache-to-cache transfer cycles)";
+let run_topology _ctx =
   let topo = Topology.superdome () in
-  Printf.printf "%s\n" (Topology.describe topo);
+  let transfer (label, src, dst) =
+    Json.Obj
+      [
+        ("hop", Json.Str label);
+        ("src", Json.Int src);
+        ("dst", Json.Int dst);
+        ("cycles", Json.Int (Topology.transfer_latency topo ~src ~dst));
+      ]
+  in
   let hops =
-    [
-      ("same chip", 0, 1);
-      ("same bus", 0, 2);
-      ("same cell", 0, 4);
-      ("same crossbar", 0, 16);
-      ("across crossbars", 0, 64);
-    ]
+    [ ("same chip", 0, 1); ("same bus", 0, 2); ("same cell", 0, 4);
+      ("same crossbar", 0, 16); ("across crossbars", 0, 64) ]
   in
-  let rows =
-    List.map
-      (fun (label, src, dst) ->
-        let cycles = Topology.transfer_latency topo ~src ~dst in
-        Printf.printf "  %-24s cpu%3d -> cpu%3d : %4d cycles\n" label src dst
-          cycles;
-        Json.Obj
-          [
-            ("hop", Json.Str label);
-            ("src", Json.Int src);
-            ("dst", Json.Int dst);
-            ("cycles", Json.Int cycles);
-          ])
-      hops
-  in
-  Printf.printf "  %-24s %17s : %4d cycles\n" "memory" ""
-    (Topology.memory_latency topo);
-  let bus = Topology.bus () in
-  Printf.printf "%s\n%!" (Topology.describe bus);
-  Json.Obj
+  report
     [
-      ("transfers", Json.List rows);
+      ("transfers", Json.List (List.map transfer hops));
       ("memory_cycles", Json.Int (Topology.memory_latency topo));
     ]
+    ~note:(Topology.describe topo ^ "\n" ^ Topology.describe (Topology.bus ()))
 
 (* ------------------------------------------------------------------ *)
 (* Ablations *)
@@ -415,64 +193,79 @@ let ctr_mistakes layout =
   done;
   (!pairs, !on_hot)
 
-let run_ablation_k2 () =
-  section "Ablation 1: k2 (CycleLoss scale) sweep on struct A";
+let mistakes_json layout =
+  let pairs, on_hot = ctr_mistakes layout in
+  [
+    ("ctr_ctr_colocated", Json.Int pairs); ("ctr_on_hot_line", Json.Int on_hot);
+  ]
+
+(* Speedup (%) of [layout] over the baseline on [cfg]'s machine. *)
+let speedup ctx cfg ~base layout =
+  let measured =
+    Sdet.measure ?pool:ctx.pool { cfg with Sdet.overrides = [ layout ] }
+      ~runs:3
+  in
+  Json.Float (Stats.speedup_percent ~baseline:base ~measured)
+
+let run_ablation_k2 ctx =
   let counts = Collect.profile () in
   let samples = Collect.samples () in
-  let cfg = Sdet.default_config (Topology.superdome ~cpus:(big_cpus ()) ()) in
-  let base = Sdet.measure ?pool:(pool ()) cfg ~runs:3 in
-  Printf.printf "%-6s %18s %18s %10s\n" "k2" "ctr/ctr colocated"
-    "ctr on hot line" "speedup";
-  List.iter
-    (fun k2 ->
-      let params = { Collect.calibrated_params with Pipeline.k2 } in
-      let flg = Collect.flg ~params ~counts ~samples ~struct_name:"A" () in
-      let layout = Pipeline.automatic_layout ~params flg in
-      let pairs, on_hot = ctr_mistakes layout in
-      let m = Sdet.measure ?pool:(pool ()) { cfg with overrides = [ layout ] } ~runs:3 in
-      Printf.printf "%-6.1f %18d %18d %+9.2f%%\n%!" k2 pairs on_hot
-        (Stats.speedup_percent ~baseline:base ~measured:m))
-    [ 0.0; 0.5; 1.0; 2.0; 4.0; 8.0 ];
-  Printf.printf
-    "\nExpected: with k2 too small the FLG degenerates to pure locality and\n\
-     writers pile onto shared lines (the sort-by-hotness failure); large k2\n\
-     separates everything. The default (%.1f) keeps one residual mistake —\n\
-     the paper's 'greedy is suboptimal on >100 fields' result.\n%!"
-    Collect.calibrated_params.Pipeline.k2;
-  Json.Null
+  let cfg = Sdet.default_config (Topology.superdome ~cpus:(big_cpus ctx) ()) in
+  let base = Sdet.measure ?pool:ctx.pool cfg ~runs:3 in
+  let row k2 =
+    let params = { Collect.calibrated_params with Pipeline.k2 } in
+    let flg = Collect.flg ~params ~counts ~samples ~struct_name:"A" () in
+    let layout = Pipeline.automatic_layout ~params flg in
+    Json.Obj
+      ((("k2", Json.Float k2) :: mistakes_json layout)
+      @ [ ("speedup_pct", speedup ctx cfg ~base layout) ])
+  in
+  report
+    [ ("rows", Json.List (List.map row [ 0.0; 0.5; 1.0; 2.0; 4.0; 8.0 ])) ]
+    ~note:
+      (Printf.sprintf
+         "Expected: with k2 too small the FLG degenerates to pure locality and\n\
+          writers pile onto shared lines (the sort-by-hotness failure); large k2\n\
+          separates everything. The default (%.1f) keeps one residual mistake —\n\
+          the paper's 'greedy is suboptimal on >100 fields' result."
+         Collect.calibrated_params.Pipeline.k2)
 
-let run_ablation_sampling () =
-  section "Ablation 2: PMU sampling period vs layout quality (struct A)";
+let run_ablation_sampling _ctx =
   let counts = Collect.profile () in
   let params = Collect.calibrated_params in
-  Printf.printf "%-10s %10s %18s %18s\n" "period" "samples"
-    "ctr/ctr colocated" "ctr on hot line";
-  List.iter
-    (fun period ->
-      let samples = Collect.samples ~period () in
-      let flg = Collect.flg ~params ~counts ~samples ~struct_name:"A" () in
-      let layout = Pipeline.automatic_layout ~params flg in
-      let pairs, on_hot = ctr_mistakes layout in
-      Printf.printf "%-10d %10d %18d %18d\n%!" period (List.length samples)
-        pairs on_hot)
-    [ 200; 400; 800; 1600; 3200 ];
-  Printf.printf
-    "\nExpected: sparser sampling starves CodeConcurrency of coincident\n\
-     samples on short code (counter updates), so more counters get\n\
-     colocated — the cost of the paper's lightweight sampling approach.\n%!";
-  Json.Null
+  let row period =
+    let samples = Collect.samples ~period () in
+    let flg = Collect.flg ~params ~counts ~samples ~struct_name:"A" () in
+    Json.Obj
+      (("period", Json.Int period)
+      :: ("samples", Json.Int (List.length samples))
+      :: mistakes_json (Pipeline.automatic_layout ~params flg))
+  in
+  report
+    [ ("rows", Json.List (List.map row [ 200; 400; 800; 1600; 3200 ])) ]
+    ~note:
+      "Expected: sparser sampling starves CodeConcurrency of coincident\n\
+       samples on short code (counter updates), so more counters get\n\
+       colocated — the cost of the paper's lightweight sampling approach."
 
-let run_ablation_clustering () =
-  section "Ablation 3: clustering policies on struct A";
+let run_ablation_clustering ctx =
   let counts = Collect.profile () in
   let samples = Collect.samples () in
   let params = Collect.calibrated_params in
   let flg = Collect.flg ~params ~counts ~samples ~struct_name:"A" () in
   let baseline_layout = Kernel.baseline_layout "A" in
-  let cfg = Sdet.default_config (Topology.superdome ~cpus:(big_cpus ()) ()) in
-  let base = Sdet.measure ?pool:(pool ()) cfg ~runs:3 in
+  let cfg = Sdet.default_config (Topology.superdome ~cpus:(big_cpus ctx) ()) in
+  let base = Sdet.measure ?pool:ctx.pool cfg ~runs:3 in
   let raw_clusters = Cluster.run ~pack_cold:false flg ~line_size:128 in
-  let variants =
+  let row (policy, layout) =
+    Json.Obj
+      [
+        ("policy", Json.Str policy);
+        ("lines", Json.Int (Layout.lines_used layout ~line_size:128));
+        ("speedup_pct", speedup ctx cfg ~base layout);
+      ]
+  in
+  let policies =
     [
       ("baseline (hand-tuned)", baseline_layout);
       ("greedy FLG", Pipeline.automatic_layout ~params flg);
@@ -483,53 +276,40 @@ let run_ablation_clustering () =
       ("sort-by-hotness", Pipeline.hotness_layout flg);
     ]
   in
-  Printf.printf "%-34s %8s %10s\n" "policy" "lines" "speedup";
-  List.iter
-    (fun (name, layout) ->
-      let m = Sdet.measure ?pool:(pool ()) { cfg with overrides = [ layout ] } ~runs:3 in
-      Printf.printf "%-34s %8d %+9.2f%%\n%!" name
-        (Layout.lines_used layout ~line_size:128)
-        (Stats.speedup_percent ~baseline:base ~measured:m))
-    variants;
-  Printf.printf
-    "\nExpected: raw Figure-6 clustering explodes the footprint (every cold\n\
-     field gets a line); cold packing fixes that; subgraph constraints\n\
-     preserve the hand layout; hotness collapses.\n%!";
-  Json.Null
+  report
+    [ ("rows", Json.List (List.map row policies)) ]
+    ~note:
+      "Expected: raw Figure-6 clustering explodes the footprint (every cold\n\
+       field gets a line); cold packing fixes that; subgraph constraints\n\
+       preserve the hand layout; hotness collapses."
 
-let run_ablation_machines () =
-  section "Ablation 4: false-sharing penalty vs machine size (struct A)";
-  let ls = layouts () in
-  let a = List.find (fun l -> l.Exp.struct_name = "A") ls in
-  Printf.printf "%-8s %14s %14s\n" "cpus" "hotness" "automatic";
-  List.iter
-    (fun cpus ->
-      let cfg = Sdet.default_config (Topology.superdome ~cpus ()) in
-      let base = Sdet.measure ?pool:(pool ()) cfg ~runs:3 in
-      let m layout =
-        Stats.speedup_percent ~baseline:base
-          ~measured:(Sdet.measure ?pool:(pool ()) { cfg with overrides = [ layout ] } ~runs:3)
-      in
-      Printf.printf "%-8d %+13.2f%% %+13.2f%%\n%!" cpus (m a.Exp.hotness)
-        (m a.Exp.automatic))
-    [ 2; 8; 32; 128 ];
-  Printf.printf
-    "\nExpected: the naive layout's penalty grows with machine size (deeper\n\
-     topology, costlier invalidations); the FLG layout stays near baseline.\n%!";
-  Json.Null
+let run_ablation_machines ctx =
+  let a =
+    List.find (fun l -> l.Exp.struct_name = "A") (Lazy.force ctx.layouts)
+  in
+  let row cpus =
+    let cfg = Sdet.default_config (Topology.superdome ~cpus ()) in
+    let base = Sdet.measure ?pool:ctx.pool cfg ~runs:3 in
+    let hotness = speedup ctx cfg ~base a.Exp.hotness in
+    Json.Obj
+      [
+        ("cpus", Json.Int cpus);
+        ("hotness_pct", hotness);
+        ("automatic_pct", speedup ctx cfg ~base a.Exp.automatic);
+      ]
+  in
+  report
+    [ ("rows", Json.List (List.map row [ 2; 8; 32; 128 ])) ]
+    ~note:
+      "Expected: the naive layout's penalty grows with machine size (deeper\n\
+       topology, costlier invalidations); the FLG layout stays near baseline."
 
-let run_accumulation () =
-  section "§5.2: are the per-struct improvements accumulative?";
-  let acc = Exp.accumulation ~runs:(runs ()) ~cpus:(big_cpus ()) ?pool:(pool ()) (layouts ()) in
-  List.iter
-    (fun (name, v) -> Printf.printf "best layout for %-4s alone: %+6.2f%%\n" name v)
-    acc.Exp.acc_individual;
-  Printf.printf "sum of individual gains:    %+6.2f%%\n" acc.Exp.acc_sum;
-  Printf.printf "all best layouts combined:  %+6.2f%%\n" acc.Exp.acc_combined;
-  Printf.printf
-    "\n(paper: \"Note that these improvements are not accumulative. This can\n\
-     be explained by the highly tuned nature of the HP-UX kernel.\")\n%!";
-  Json.Obj
+let run_accumulation ctx =
+  let acc =
+    Exp.accumulation ~runs:(runs ctx) ~cpus:(big_cpus ctx) ?pool:ctx.pool
+      (Lazy.force ctx.layouts)
+  in
+  report
     [
       ( "individual_pct",
         Json.Obj
@@ -538,24 +318,16 @@ let run_accumulation () =
       ("sum_pct", Json.Float acc.Exp.acc_sum);
       ("combined_pct", Json.Float acc.Exp.acc_combined);
     ]
+    ~note:
+      "(paper: \"Note that these improvements are not accumulative. This can\n\
+       be explained by the highly tuned nature of the HP-UX kernel.\")"
 
-let run_userapp () =
-  section "Prediction check: an untuned user-level application";
+let run_userapp ctx =
   let module Userapp = Slo_workload.Userapp in
-  let r = Userapp.experiment ~runs:(runs ()) ~cpus:(big_cpus ()) ?pool:(pool ()) () in
-  List.iter
-    (fun (name, v) ->
-      Printf.printf "tool layout for %-5s alone: %+7.2f%%\n" name v)
-    r.Userapp.u_individual;
-  Printf.printf "GVL layout for globals:      %+7.2f%%\n" r.Userapp.u_globals;
-  Printf.printf "sum of individual gains:     %+7.2f%%\n" r.Userapp.u_sum;
-  Printf.printf "all layouts combined:        %+7.2f%%\n" r.Userapp.u_combined;
-  Printf.printf
-    "\n(paper §5: for programs without years of hand tuning \"the benefit of\n\
-     the tool is likely to be pronounced\", and accumulation \"is not\n\
-     expected to be a problem\" — gains here should be larger than the\n\
-     kernel's and roughly additive)\n%!";
-  Json.Obj
+  let r =
+    Userapp.experiment ~runs:(runs ctx) ~cpus:(big_cpus ctx) ?pool:ctx.pool ()
+  in
+  report
     [
       ( "individual_pct",
         Json.Obj
@@ -565,9 +337,13 @@ let run_userapp () =
       ("sum_pct", Json.Float r.Userapp.u_sum);
       ("combined_pct", Json.Float r.Userapp.u_combined);
     ]
+    ~note:
+      "(paper §5: for programs without years of hand tuning \"the benefit of\n\
+       the tool is likely to be pronounced\", and accumulation \"is not\n\
+       expected to be a problem\" — gains here should be larger than the\n\
+       kernel's and roughly additive)"
 
-let run_oracle () =
-  section "§3 discussion: trace oracle vs CodeConcurrency on struct A";
+let run_oracle _ctx =
   let module Trace_oracle = Slo_sim.Trace_oracle in
   let cfg =
     { (Sdet.default_config (Topology.superdome ~cpus:16 ())) with
@@ -578,199 +354,103 @@ let run_oracle () =
   let samples = Collect.samples () in
   let params = Collect.calibrated_params in
   let flg = Collect.flg ~params ~counts ~samples ~struct_name:"A" () in
-  Printf.printf "%-22s %16s %18s\n" "field pair" "oracle (events)"
-    "CC estimate (k2*CC)";
-  let show f1 f2 =
+  let pair (f1, f2) =
     let o = Trace_oracle.loss oracle ~struct_name:"A" f1 f2 in
-    let cc = Slo_graph.Sgraph.weight0 flg.Slo_core.Flg.loss f1 f2 in
-    Printf.printf "%-22s %16d %18.0f\n" (f1 ^ " / " ^ f2)
-      o.Trace_oracle.ps_false cc
+    Json.Obj
+      [
+        ("pair", Json.Str (f1 ^ " / " ^ f2));
+        ("oracle_events", Json.Int o.Trace_oracle.ps_false);
+        ( "cc_estimate",
+          Json.Float (Slo_graph.Sgraph.weight0 flg.Slo_core.Flg.loss f1 f2) );
+      ]
   in
-  (* pairs the baseline layout colocates: the oracle sees them *)
-  show "a_gen" "a_ctr7";
-  show "a_mask" "a_ctr7";
-  (* pairs the baseline already separates: the oracle is blind, CC is not *)
-  show "a_ctr0" "a_ctr1";
-  show "a_ctr2" "a_ctr5";
-  show "a_ctr0" "a_flags";
-  Printf.printf
-    "\ntotal same-instance events in trace: false %d, true %d\n"
-    (Trace_oracle.total_false_sharing oracle)
-    (Trace_oracle.total_true_sharing oracle);
-  Printf.printf
-    "\nExpected: the oracle confirms the false sharing the current layout\n\
-     exhibits (the baseline's a_gen/a_mask flaw) but reports zero for the\n\
-     padded counter pairs — §3's argument for why measuring false sharing\n\
-     cannot drive layout, and why CodeConcurrency (which still flags those\n\
-     pairs) exists.\n%!";
-  Json.Null
-
-let run_ablation_protocol () =
-  section "Ablation 5: MESI vs MOESI on the SDET workload";
-  let module Coherence = Slo_sim.Coherence in
-  let module Machine = Slo_sim.Machine in
-  let module Sim_stats = Slo_sim.Sim_stats in
-  Printf.printf "%-8s %14s %14s %14s\n" "proto" "throughput" "writebacks"
-    "invalidations";
-  List.iter
-    (fun (name, protocol) ->
-      let cfg =
-        { (Sdet.default_config (Topology.superdome ~cpus:(big_cpus ()) ())) with
-          Sdet.protocol }
-      in
-      let r = Sdet.run_once cfg in
-      Printf.printf "%-8s %14.1f %14d %14d\n%!" name (Machine.throughput r)
-        r.Machine.stats.Sim_stats.writebacks
-        r.Machine.stats.Sim_stats.invalidations)
-    [ ("MESI", Coherence.Mesi); ("MOESI", Coherence.Moesi) ];
-  Printf.printf
-    "\nExpected: identical invalidation behaviour (layout conclusions are\n\
-     protocol-independent across the MESI family, as the paper assumes);\n\
-     MOESI defers dirty writebacks, cutting memory write-back traffic.\n%!";
-  Json.Null
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel microbenchmarks of the tool's own kernels. *)
-
-let run_micro () =
-  section "Microbenchmarks (Bechamel): analysis and simulation kernels";
-  let open Bechamel in
-  let counts = Collect.profile () in
-  let samples = Collect.samples () in
-  let params = Collect.calibrated_params in
-  let flg_a = Collect.flg ~params ~counts ~samples ~struct_name:"A" () in
-  let store = Sample_store.of_samples samples in
-  let tests =
+  let pairs =
+    (* pairs the baseline layout colocates: the oracle sees them *)
+    [ ("a_gen", "a_ctr7"); ("a_mask", "a_ctr7") ]
+    (* pairs the baseline already separates: the oracle is blind, CC is not *)
+    @ [ ("a_ctr0", "a_ctr1"); ("a_ctr2", "a_ctr5"); ("a_ctr0", "a_flags") ]
+  in
+  report
     [
-      Test.make ~name:"parse+typecheck kernel.mc"
-        (Staged.stage (fun () ->
-             ignore
-               (Typecheck.check
-                  (Parser.parse_program ~file:"kernel.mc" Kernel.source))));
-      Test.make ~name:"profile (PBO interpreter)"
-        (Staged.stage (fun () -> ignore (Collect.profile ~iters:8 ())));
-      Test.make ~name:"code concurrency (full trace)"
-        (Staged.stage (fun () ->
-             ignore
-               (Code_concurrency.compute ~interval:params.Pipeline.cc_interval
-                  store)));
-      Test.make ~name:"greedy clustering (struct A)"
-        (Staged.stage (fun () -> ignore (Cluster.run flg_a ~line_size:128)));
-      Test.make ~name:"FLG build (struct A)"
-        (Staged.stage (fun () ->
-             ignore (Collect.flg ~params ~counts ~samples ~struct_name:"A" ())));
-      Test.make ~name:"sdet run (8-cpu, 6 reps)"
-        (Staged.stage (fun () ->
-             let cfg =
-               {
-                 (Sdet.default_config (Topology.superdome ~cpus:8 ())) with
-                 Sdet.reps = 6;
-               }
-             in
-             ignore (Sdet.run_once cfg)));
+      ("pairs", Json.List (List.map pair pairs));
+      ("false_events", Json.Int (Trace_oracle.total_false_sharing oracle));
+      ("true_events", Json.Int (Trace_oracle.total_true_sharing oracle));
     ]
+    ~note:
+      "Expected: the oracle confirms the false sharing the current layout\n\
+       exhibits (the baseline's a_gen/a_mask flaw) but reports zero for the\n\
+       padded counter pairs — §3's argument for why measuring false sharing\n\
+       cannot drive layout, and why CodeConcurrency (which still flags those\n\
+       pairs) exists."
+
+let run_ablation_protocol ctx =
+  let cfg = Sdet.default_config (Topology.superdome ~cpus:(big_cpus ctx) ()) in
+  let row (name, protocol) =
+    let r = Sdet.run_once { cfg with Sdet.protocol } in
+    Json.Obj
+      [
+        ("protocol", Json.Str name);
+        ("throughput", Json.Float (Machine.throughput r));
+        ("writebacks", Json.Int r.Machine.stats.Sim_stats.writebacks);
+        ("invalidations", Json.Int r.Machine.stats.Sim_stats.invalidations);
+      ]
   in
-  let benchmark test =
-    let instance = Toolkit.Instance.monotonic_clock in
-    let cfg =
-      Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) ()
-    in
-    let raw =
-      Benchmark.all cfg [ instance ] (Test.make_grouped ~name:"g" [ test ])
-    in
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-    in
-    let results = Analyze.all ols instance raw in
-    Hashtbl.fold
-      (fun name ols acc ->
-        let est =
-          match Analyze.OLS.estimates ols with
-          | Some [ est ] ->
-            Printf.printf "%-40s %14.0f ns/run\n%!" name est;
-            Json.Float est
-          | Some _ | None ->
-            Printf.printf "%-40s (no estimate)\n%!" name;
-            Json.Null
-        in
-        Json.Obj [ ("name", Json.Str name); ("ns_per_run", est) ] :: acc)
-      results []
-  in
-  Json.Obj [ ("rows", Json.List (List.concat_map benchmark tests)) ]
+  let protocols = [ ("MESI", Coherence.Mesi); ("MOESI", Coherence.Moesi) ] in
+  report
+    [ ("rows", Json.List (List.map row protocols)) ]
+    ~note:
+      "Expected: identical invalidation behaviour (layout conclusions are\n\
+       protocol-independent across the MESI family, as the paper assumes);\n\
+       MOESI defers dirty writebacks, cutting memory write-back traffic."
 
 (* ------------------------------------------------------------------ *)
 (* Differential smoke check: the parallel pipeline must be byte-identical
    to the serial one. Runs on every `dune runtest` via the runtest-par
-   alias; exits non-zero on any divergence. *)
+   alias. At one job it makes a two-domain pool of its own, so the
+   parallel paths always run. *)
 
-let run_smoke () =
-  section "Smoke: parallel pipeline = serial pipeline (differential)";
-  let domains = max 2 (effective_jobs ()) in
-  let checks = ref [] in
-  let check name ok =
-    Printf.printf "  %-44s %s\n%!" name (if ok then "identical" else "MISMATCH");
-    checks := (name, ok) :: !checks;
-    ok
+let run_smoke ctx =
+  let smoke p =
+    let domains = Pool.size p in
+    let layout_str l = Format.asprintf "%a" Layout.pp l in
+    let serial = Exp.analyze_all () in
+    let par = Exp.analyze_all ~pool:p () in
+    let layouts_ok =
+      List.for_all2
+        (fun (a : Exp.layouts) (b : Exp.layouts) ->
+          a.Exp.struct_name = b.Exp.struct_name
+          && layout_str a.Exp.automatic = layout_str b.Exp.automatic
+          && layout_str a.Exp.hotness = layout_str b.Exp.hotness
+          && layout_str a.Exp.incremental = layout_str b.Exp.incremental)
+        serial par
+    in
+    let cfg =
+      { (Sdet.default_config (Topology.superdome ~cpus:8 ())) with
+        Sdet.reps = 6 }
+    in
+    let t_serial = Sdet.throughputs cfg ~runs:4 in
+    let t_par = Sdet.throughputs ~pool:p cfg ~runs:4 in
+    let reports ?pool () =
+      Pipeline.analyze_all ~params:Collect.calibrated_params ?pool
+        ~program:(Kernel.program ()) ~counts:(Collect.profile ()) ~samples:[]
+        ~struct_names:Kernel.struct_names ()
+      |> List.map (fun (_, flg) ->
+             Slo_core.Report.render (Pipeline.report flg))
+    in
+    let reports_serial = reports () in
+    report
+      [ ("domains", Json.Int domains) ]
+      ~checks:
+        [
+          ( Printf.sprintf "analyze_all layouts (%d domains)" domains,
+            layouts_ok );
+          ("sdet cycle counts / throughputs", t_serial = t_par);
+          ("FLG reports byte-identical", reports_serial = reports ~pool:p ());
+        ]
   in
-  let results =
-    Pool.with_pool ~domains (fun p ->
-        let layout_str l = Format.asprintf "%a" Layout.pp l in
-        let serial = Exp.analyze_all () in
-        let par = Exp.analyze_all ~pool:p () in
-        let layouts_ok =
-          List.for_all2
-            (fun (a : Exp.layouts) (b : Exp.layouts) ->
-              a.Exp.struct_name = b.Exp.struct_name
-              && layout_str a.Exp.automatic = layout_str b.Exp.automatic
-              && layout_str a.Exp.hotness = layout_str b.Exp.hotness
-              && layout_str a.Exp.incremental = layout_str b.Exp.incremental)
-            serial par
-        in
-        let cfg =
-          { (Sdet.default_config (Topology.superdome ~cpus:8 ())) with
-            Sdet.reps = 6 }
-        in
-        let t_serial = Sdet.throughputs cfg ~runs:4 in
-        let t_par = Sdet.throughputs ~pool:p cfg ~runs:4 in
-        let flgs_serial =
-          Pipeline.analyze_all ~params:Collect.calibrated_params
-            ~program:(Kernel.program ()) ~counts:(Collect.profile ())
-            ~samples:[] ~struct_names:Kernel.struct_names ()
-        in
-        let flgs_par =
-          Pipeline.analyze_all ~params:Collect.calibrated_params ~pool:p
-            ~program:(Kernel.program ()) ~counts:(Collect.profile ())
-            ~samples:[] ~struct_names:Kernel.struct_names ()
-        in
-        let report_str (_, flg) =
-          Slo_core.Report.render (Pipeline.report flg)
-        in
-        let ok1 =
-          check
-            (Printf.sprintf "analyze_all layouts (%d domains)" domains)
-            layouts_ok
-        in
-        let ok2 = check "sdet cycle counts / throughputs" (t_serial = t_par) in
-        let ok3 =
-          check "FLG reports byte-identical"
-            (List.map report_str flgs_serial = List.map report_str flgs_par)
-        in
-        [ ok1; ok2; ok3 ])
-  in
-  if List.exists not results then begin
-    Printf.eprintf "smoke: parallel/serial divergence detected\n";
-    exit 1
-  end;
-  Json.Obj
-    [
-      ("domains", Json.Int domains);
-      ( "checks",
-        Json.List
-          (List.rev_map
-             (fun (n, ok) ->
-               Json.Obj [ ("name", Json.Str n); ("ok", Json.Bool ok) ])
-             !checks) );
-    ]
+  match ctx.pool with
+  | Some p -> smoke p
+  | None -> Pool.with_pool ~domains:2 smoke
 
 (* ------------------------------------------------------------------ *)
 (* Columnar CC ingestion at scale: generate a store far bigger than any
@@ -778,32 +458,25 @@ let run_smoke () =
    paths file -> in-memory store. The text baseline parses every line
    (store_of_samples_file); the binary path is load_samples_bin — mmap
    plus one validation scan — so the ratio isolates the format itself
-   (everything downstream of the store is shared). Then the binner's flat
-   histogram races the Hashtbl feeder it replaced, and the full
-   Code_concurrency.compute at pool sizes 1/2/4 must reproduce the serial
-   of_interval fold over that one binner exactly. Any divergence exits
-   non-zero, so the runtest-col wiring doubles as the columnar-determinism
-   check. *)
+   (everything downstream of the store is shared). Both paths must yield
+   the same store, and the full Code_concurrency.compute at pool sizes
+   1/2/4 must reproduce the serial of_interval fold over one binner. *)
 
-let run_cc_scale () =
-  section "cc_scale: columnar CodeConcurrency ingestion";
-  let module Persist = Slo_persist.Persist in
-  let n_col = if !quick then 200_000 else 10_000_000 in
-  let col_cpus = 16 and col_lines = 24 in
-  let col_interval = 32_768 in
-  let builder = Sample_store.builder ~capacity:n_col () in
-  let state = ref 0x243F6A8885A308D3 in
-  let next_itc = ref 0 in
-  for _ = 1 to n_col do
+let run_cc_scale ctx =
+  let n = if ctx.quick then 200_000 else 10_000_000 in
+  let cpus = 16 and lines = 24 and interval = 32_768 in
+  let builder = Sample_store.builder ~capacity:n () in
+  let state = ref 0x243F6A8885A308D3 and itc = ref 0 in
+  for _ = 1 to n do
     (* LCG with a monotone itc: deterministic, allocation-free, and
        time-ordered like a real PMU stream. *)
     state := (!state * 2685821657736338717) + 1442695040888963407;
     let bits = !state lsr 11 in
-    next_itc := !next_itc + 1 + (bits land 7);
-    Sample_store.append builder ~cpu:(bits mod col_cpus) ~itc:!next_itc
-      ~line:(100 + ((bits lsr 17) mod col_lines))
+    itc := !itc + 1 + (bits land 7);
+    Sample_store.append builder ~cpu:(bits mod cpus) ~itc:!itc
+      ~line:(100 + ((bits lsr 17) mod lines))
   done;
-  let gen_store = Sample_store.build builder in
+  let store = Sample_store.build builder in
   let bin_path = Filename.temp_file "slo_cc_scale" ".samples.bin" in
   let txt_path = Filename.temp_file "slo_cc_scale" ".samples" in
   Fun.protect
@@ -812,375 +485,212 @@ let run_cc_scale () =
         (fun p -> try Sys.remove p with Sys_error _ -> ())
         [ bin_path; txt_path ])
   @@ fun () ->
-  Persist.save_samples_bin ~path:bin_path gen_store;
-  Persist.save_store_text ~path:txt_path gen_store;
+  Persist.save_samples_bin ~path:bin_path store;
+  Persist.save_store_text ~path:txt_path store;
   let file_bytes p =
-    let ic = open_in_bin p in
-    Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () ->
-        in_channel_length ic)
+    Int64.to_int (In_channel.with_open_bin p In_channel.length)
   in
   let bin_bytes = file_bytes bin_path and txt_bytes = file_bytes txt_path in
-  Printf.printf
-    "columnar: %d generated samples, interval %d (%d cpus, %d lines)\n"
-    n_col col_interval col_cpus col_lines;
-  Printf.printf "  binary store %d bytes, text %d bytes\n%!" bin_bytes
-    txt_bytes;
-  (* Text ingestion baseline: parse every line into a columnar store. *)
-  let t0 = Obs.now () in
-  let tstore = Persist.store_of_samples_file ~path:txt_path in
-  let text_s = Obs.now () -. t0 in
-  (* Binary ingestion: mmap + the single validation scan. *)
-  let t0 = Obs.now () in
-  let mstore = Persist.load_samples_bin ~path:bin_path in
-  let bin_s = Obs.now () -. t0 in
-  (* Both paths must yield the same samples (bigarray compare is the
-     custom C one, so this is a memcmp-grade check, not a boxed walk). *)
+  let tstore, text_s =
+    timed (fun () -> Persist.store_of_samples_file ~path:txt_path)
+  in
+  let mstore, bin_s =
+    timed (fun () -> Persist.load_samples_bin ~path:bin_path)
+  in
+  (* Bigarray compare is the custom C one, so this is a memcmp-grade
+     check, not a boxed walk. *)
   let stores_equal =
     Sample_store.length tstore = Sample_store.length mstore
     && Sample_store.columns tstore = Sample_store.columns mstore
   in
-  if not stores_equal then begin
-    Printf.eprintf
-      "cc_scale: text-parsed store diverges from binary-loaded store\n";
-    exit 1
-  end;
-  let rate n s = if s > 0.0 then float_of_int n /. s else 0.0 in
-  Printf.printf "  %-8s %12s %14s %14s\n" "path" "wall (s)" "samples/s"
-    "bytes/s";
-  Printf.printf "  %-8s %12.4f %14.0f %14.0f\n" "text" text_s
-    (rate n_col text_s) (rate txt_bytes text_s);
-  Printf.printf "  %-8s %12.4f %14.0f %14.0f\n%!" "binary" bin_s
-    (rate n_col bin_s) (rate bin_bytes bin_s);
-  let col_speedup =
-    if rate n_col text_s > 0.0 then rate n_col bin_s /. rate n_col text_s
-    else 0.0
-  in
-  Printf.printf "  binary vs text ingestion: %.2fx samples/s%s\n%!"
-    col_speedup
-    (if col_speedup < 3.0 then "  (below the 3x target)" else "");
-  (* --- Binner ingestion hot path: the flat open-addressing histogram
-     (Flat_tab) vs the (int, int ref) Hashtbl-per-interval feeder it
-     replaced, inlined here as the baseline. Same store, same packed
-     keys; the race isolates the table, and the resulting histograms
-     must be identical — any divergence exits non-zero. *)
-  let module Flat_tab = Slo_util.Flat_tab in
-  let t0 = Obs.now () in
-  let flat_binner = Sample.binner ~interval:col_interval in
-  Sample_store.iter mstore (fun s -> Sample.feed flat_binner s);
-  let flat_s = Obs.now () -. t0 in
-  let t0 = Obs.now () in
-  let boxed : (int, (int, int ref) Hashtbl.t) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  for i = 0 to Sample_store.length mstore - 1 do
-    let idx = Sample.floor_div (Sample_store.itc mstore i) col_interval in
-    let tbl =
-      match Hashtbl.find_opt boxed idx with
-      | Some t -> t
-      | None ->
-        let t = Hashtbl.create 256 in
-        Hashtbl.add boxed idx t;
-        t
-    in
-    let key =
-      (Sample_store.cpu mstore i lsl 31) lor Sample_store.line mstore i
-    in
-    match Hashtbl.find_opt tbl key with
-    | Some r -> incr r
-    | None -> Hashtbl.add tbl key (ref 1)
-  done;
-  let boxed_s = Obs.now () -. t0 in
-  let flat_rows =
-    List.concat_map
-      (fun (idx, tbl) ->
-        List.concat_map
-          (fun (line, fs) ->
-            List.map (fun (cpu, n) -> (idx, (cpu lsl 31) lor line, n)) fs)
-          (Sample.line_freqs tbl))
-      (Sample.binned_idx flat_binner)
-    |> List.sort compare
-  in
-  let boxed_rows =
-    Hashtbl.fold
-      (fun idx tbl acc ->
-        Hashtbl.fold (fun key r acc -> (idx, key, !r) :: acc) tbl acc)
-      boxed []
-    |> List.sort compare
-  in
-  let binner_identical = flat_rows = boxed_rows in
-  let binner_speedup = if flat_s > 0.0 then boxed_s /. flat_s else 0.0 in
-  Printf.printf "\nbinner ingestion (store -> interval histograms):\n";
-  Printf.printf "  %-8s %12s %14s\n" "table" "wall (s)" "samples/s";
-  Printf.printf "  %-8s %12.4f %14.0f\n" "hashtbl" boxed_s
-    (rate n_col boxed_s);
-  Printf.printf "  %-8s %12.4f %14.0f\n" "flat" flat_s (rate n_col flat_s);
-  Printf.printf "  flat vs hashtbl: %.2fx samples/s, histograms %s\n%!"
-    binner_speedup
-    (if binner_identical then "identical" else "MISMATCH");
-  if not binner_identical then begin
-    Printf.eprintf
-      "cc_scale: flat binner diverges from the Hashtbl reference feeder\n";
-    exit 1
-  end;
-  (* Columnar CC at pool sizes 1/2/4 vs the serial of_interval fold over
-     the one binner fed above. *)
-  let col_ref_pairs =
-    Sample.binned flat_binner
+  let binner = Sample.binner ~interval in
+  Sample_store.iter mstore (Sample.feed binner);
+  let ref_pairs =
+    Sample.binned binner
     |> List.fold_left
          (fun acc tbl ->
            Code_concurrency.merge acc (Code_concurrency.of_interval tbl))
          (Code_concurrency.create ())
     |> Code_concurrency.pairs
   in
-  let peak = Sample.peak_entries flat_binner in
-  Printf.printf
-    "\ncolumnar CC (store -> map), peak interval-table entries %d:\n" peak;
-  Printf.printf "  %-8s %12s %14s %14s\n" "pool" "wall (s)" "samples/s"
-    "bytes/s";
-  let col_rows =
-    List.map
-      (fun jobs ->
-        let compute pool =
-          let t0 = Obs.now () in
-          let cm =
-            Code_concurrency.compute ?pool ~interval:col_interval mstore
-          in
-          (cm, Obs.now () -. t0)
-        in
-        let cm, wall =
-          if jobs <= 1 then compute None
-          else Pool.with_pool ~domains:jobs (fun p -> compute (Some p))
-        in
-        let identical = Code_concurrency.pairs cm = col_ref_pairs in
-        Printf.printf "  pool %-3d %12.4f %14.0f %14.0f   %s\n%!" jobs wall
-          (rate n_col wall) (rate bin_bytes wall)
-          (if identical then "identical" else "MISMATCH");
-        if not identical then begin
-          Printf.eprintf
-            "cc_scale: columnar CC diverges from the of_interval fold at \
-             pool=%d\n"
-            jobs;
-          exit 1
-        end;
-        Json.Obj
-          [
-            ("jobs", Json.Int jobs);
-            ("wall_s", Json.Float wall);
-            ("samples_per_s", Json.Float (rate n_col wall));
-            ("bytes_per_s", Json.Float (rate bin_bytes wall));
-            ("identical", Json.Bool identical);
-          ])
-      [ 1; 2; 4 ]
-  in
-  Json.Obj
+  let rates wall bytes =
     [
-      ("peak_table_entries", Json.Int peak);
-      ( "binner",
-        Json.Obj
-          [
-            ("n_samples", Json.Int n_col);
-            ("hashtbl_samples_per_s", Json.Float (rate n_col boxed_s));
-            ("flat_samples_per_s", Json.Float (rate n_col flat_s));
-            ("flat_vs_hashtbl_x", Json.Float binner_speedup);
-            ("identical", Json.Bool binner_identical);
-          ] );
+      ("wall_s", Json.Float wall);
+      ("samples_per_s", Json.Float (per_s n wall));
+      ("bytes_per_s", Json.Float (per_s bytes wall));
+    ]
+  in
+  let pool_row jobs =
+    let compute pool =
+      timed (fun () -> Code_concurrency.compute ?pool ~interval mstore)
+    in
+    let cm, wall =
+      if jobs <= 1 then compute None
+      else Pool.with_pool ~domains:jobs (fun p -> compute (Some p))
+    in
+    let identical = Code_concurrency.pairs cm = ref_pairs in
+    ( (Printf.sprintf "columnar CC = of_interval fold at pool %d" jobs,
+       identical),
+      Json.Obj
+        ((("jobs", Json.Int jobs) :: rates wall bin_bytes)
+        @ [ ("identical", Json.Bool identical) ]) )
+  in
+  let pool_checks, rows = List.split (List.map pool_row [ 1; 2; 4 ]) in
+  let binary_vs_text =
+    if per_s n text_s > 0.0 then per_s n bin_s /. per_s n text_s else 0.0
+  in
+  report
+    ~checks:
+      (("text-parsed store = binary-loaded store", stores_equal) :: pool_checks)
+    ~note:
+      (Printf.sprintf
+         "%d generated samples on %d cpus x %d lines. Target for\n\
+          binary_vs_text_x: at least 3x samples/s."
+         n cpus lines)
+    [
+      ("peak_table_entries", Json.Int (Sample.peak_entries binner));
       ( "columnar",
         Json.Obj
           [
-            ("n_samples", Json.Int n_col);
-            ("interval", Json.Int col_interval);
+            ("n_samples", Json.Int n);
+            ("interval", Json.Int interval);
             ("bin_bytes", Json.Int bin_bytes);
             ("text_bytes", Json.Int txt_bytes);
             ("stores_equal", Json.Bool stores_equal);
-            ( "text",
-              Json.Obj
-                [
-                  ("wall_s", Json.Float text_s);
-                  ("samples_per_s", Json.Float (rate n_col text_s));
-                  ("bytes_per_s", Json.Float (rate txt_bytes text_s));
-                ] );
-            ( "binary",
-              Json.Obj
-                [
-                  ("wall_s", Json.Float bin_s);
-                  ("samples_per_s", Json.Float (rate n_col bin_s));
-                  ("bytes_per_s", Json.Float (rate bin_bytes bin_s));
-                ] );
-            ("binary_vs_text_x", Json.Float col_speedup);
-            ("rows", Json.List col_rows);
+            ("text", Json.Obj (rates text_s txt_bytes));
+            ("binary", Json.Obj (rates bin_s bin_bytes));
+            ("binary_vs_text_x", Json.Float binary_vs_text);
+            ("rows", Json.List rows);
           ] );
     ]
 
 (* ------------------------------------------------------------------ *)
 (* Metaheuristic layout search (lib/search) over the kernel corpus: run
    the full portfolio per struct, require best >= greedy on the shared
-   objective (exit non-zero otherwise — the runtest-obs wiring doubles as
-   the optimizer-soundness check), then validate any strict objective win
-   on the simulator by re-running SDET with the two layouts. *)
+   objective, then validate any strict objective win on the simulator by
+   re-running the workload with the two layouts. *)
 
-let run_layout_search () =
-  section "layout_search: metaheuristic portfolio vs greedy clustering";
-  let module Optimizer = Slo_search.Optimizer in
+let run_layout_search ctx =
+  let module Trap = Slo_workload.Trap in
   let counts = Collect.profile () in
   let samples = Collect.samples () in
   let params = Collect.calibrated_params in
-  let restarts = if !quick then 6 else 12 in
+  let restarts = if ctx.quick then 6 else 12 in
   let seed = 0 in
-  Printf.printf
-    "portfolio = greedy + swap + swap@decl + %d annealing restarts (seed %d)\n"
-    restarts seed;
-  Printf.printf "%-8s %12s %12s %10s  %s\n" "struct" "greedy" "best" "delta"
-    "winner";
-  let per_struct =
+  let search ?params flg =
+    Pipeline.search ?params ?pool:ctx.pool ~seed ~restarts
+      ~selector:Optimizer.Portfolio flg
+  in
+  let kernel_structs =
     List.map
       (fun name ->
         let flg = Collect.flg ~params ~counts ~samples ~struct_name:name () in
-        let p =
-          Pipeline.search ~params ?pool:(pool ()) ~seed ~restarts
-            ~selector:Optimizer.Portfolio flg
-        in
-        let g = p.Optimizer.greedy.Optimizer.score in
-        let b = p.Optimizer.best.Optimizer.score in
-        if b < g then begin
-          Printf.eprintf
-            "layout_search: best (%g) scores below greedy (%g) on struct %s\n"
-            b g name;
-          exit 1
-        end;
-        Printf.printf "%-8s %12.1f %12.1f %10.1f  %s\n%!" name g b (b -. g)
-          p.Optimizer.best.Optimizer.label;
-        (name, p))
+        (name, search ~params flg))
       Kernel.struct_names
   in
   (* The greedy-trap workload (Slo_workload.Trap): a struct engineered so
      the Figure-7 clusterer is provably suboptimal on the shared
      objective. Here the search must win STRICTLY, and the win must show
      up as fewer simulated cycles. *)
-  let module Trap = Slo_workload.Trap in
-  let trap_flg = Trap.flg () in
-  let trap =
-    Pipeline.search ?pool:(pool ()) ~seed ~restarts
-      ~selector:Optimizer.Portfolio trap_flg
-  in
-  let tg = trap.Optimizer.greedy.Optimizer.score in
-  let tb = trap.Optimizer.best.Optimizer.score in
-  Printf.printf "%-8s %12.1f %12.1f %10.1f  %s\n%!" "trap" tg tb (tb -. tg)
-    trap.Optimizer.best.Optimizer.label;
-  if tb <= tg then begin
-    Printf.eprintf
-      "layout_search: search failed to strictly beat greedy on the trap \
-       workload (greedy %g, best %g)\n"
-      tg tb;
-    exit 1
-  end;
-  let per_struct = per_struct @ [ ("trap", trap) ] in
+  let trap = search (Trap.flg ()) in
+  let per_struct = kernel_structs @ [ ("trap", trap) ] in
+  let greedy (p : Optimizer.portfolio) = p.Optimizer.greedy.Optimizer.score in
+  let best (p : Optimizer.portfolio) = p.Optimizer.best.Optimizer.score in
   (* Simulator validation: structs that improved on the objective re-run
      their workload with the greedy layout vs the best-found layout; the
      trap uses its own driver, kernel structs use SDET. *)
-  let module Machine = Slo_sim.Machine in
-  let improved =
-    List.filter
-      (fun ((_, p) : string * Optimizer.portfolio) ->
-        p.Optimizer.best.Optimizer.score
-        > p.Optimizer.greedy.Optimizer.score +. 1e-9)
-      per_struct
-  in
   let cfg =
     Sdet.default_config
-      (Topology.superdome ~cpus:(if !quick then 16 else 32) ())
+      (Topology.superdome ~cpus:(if ctx.quick then 16 else 32) ())
   in
-  let sim_seeds = [ 1; 2; 3 ] in
   let sdet_cycles layout =
     List.fold_left
       (fun acc seed ->
         let r = Sdet.run_once { cfg with Sdet.overrides = [ layout ]; seed } in
         acc + r.Machine.makespan)
-      0 sim_seeds
+      0 [ 1; 2; 3 ]
   in
   let sim_rows =
-    List.map
+    List.filter_map
       (fun ((name, p) : string * Optimizer.portfolio) ->
-        let cycles =
-          if name = "trap" then fun l -> Trap.measure_makespan l
-          else sdet_cycles
-        in
-        let cg = cycles p.Optimizer.greedy.Optimizer.layout in
-        let cb = cycles p.Optimizer.best.Optimizer.layout in
-        Printf.printf
-          "sim %-6s greedy %9d cycles | %-10s %9d cycles  -> %s\n%!" name cg
-          p.Optimizer.best.Optimizer.label cb
-          (if cb < cg then "confirmed (fewer cycles)" else "not confirmed");
-        (name, p.Optimizer.best.Optimizer.label, cg, cb))
-      improved
+        if best p > greedy p +. 1e-9 then
+          let cycles =
+            if name = "trap" then fun l -> Trap.measure_makespan l
+            else sdet_cycles
+          in
+          let cg = cycles p.Optimizer.greedy.Optimizer.layout in
+          let cb = cycles p.Optimizer.best.Optimizer.layout in
+          Some (name, p.Optimizer.best.Optimizer.label, cg, cb)
+        else None)
+      per_struct
   in
-  let confirmed = List.exists (fun (_, _, cg, cb) -> cb < cg) sim_rows in
-  if not confirmed then begin
-    Printf.eprintf
-      "layout_search: no objective win was confirmed by the simulator\n";
-    exit 1
-  end;
-  Printf.printf "simulator confirmation: yes\n%!";
-  Json.Obj
+  let wins = List.filter (fun (_, _, cg, cb) -> cb < cg) sim_rows in
+  let confirmed = wins <> [] in
+  let result (r : Optimizer.result) =
+    candidate_json r.Optimizer.label r.Optimizer.score r.Optimizer.moves
+  in
+  let struct_row ((name, p) : string * Optimizer.portfolio) =
+    Json.Obj
+      [
+        ("struct", Json.Str name);
+        ("greedy_score", Json.Float (greedy p));
+        ("best_score", Json.Float (best p));
+        ("winner", Json.Str p.Optimizer.best.Optimizer.label);
+        ("scoreboard", Json.List (List.map result p.Optimizer.scoreboard));
+      ]
+  in
+  let sim_row (name, label, cg, cb) =
+    Json.Obj
+      [
+        ("struct", Json.Str name);
+        ("winner", Json.Str label);
+        ("greedy_cycles", Json.Int cg);
+        ("best_cycles", Json.Int cb);
+        ("improved", Json.Bool (cb < cg));
+      ]
+  in
+  let at_least_greedy (name, p) =
+    ( Printf.sprintf "best >= greedy on %s (greedy %g, best %g)" name
+        (greedy p) (best p),
+      best p >= greedy p )
+  in
+  report
+    ~checks:
+      (List.map at_least_greedy kernel_structs
+      @ [
+          ( Printf.sprintf "best > greedy on trap (greedy %g, best %g)"
+              (greedy trap) (best trap),
+            best trap > greedy trap );
+          ( Printf.sprintf
+              "the simulator confirms an objective win (%d of %d)"
+              (List.length wins) (List.length sim_rows),
+            confirmed );
+        ])
+    ~note:
+      (Printf.sprintf
+         "Portfolio: greedy + swap + swap@decl + %d annealing restarts (seed \
+          %d).\n\
+          sim: greedy vs best layout, simulated cycles summed over seeds 1-3."
+         restarts seed)
     [
       ("restarts", Json.Int restarts);
       ("seed", Json.Int seed);
-      ( "structs",
-        Json.List
-          (List.map
-             (fun ((name, p) : string * Optimizer.portfolio) ->
-               Json.Obj
-                 [
-                   ("struct", Json.Str name);
-                   ( "greedy_score",
-                     Json.Float p.Optimizer.greedy.Optimizer.score );
-                   ("best_score", Json.Float p.Optimizer.best.Optimizer.score);
-                   ("winner", Json.Str p.Optimizer.best.Optimizer.label);
-                   ( "scoreboard",
-                     Json.List
-                       (List.map
-                          (fun (r : Optimizer.result) ->
-                            Json.Obj
-                              [
-                                ("candidate", Json.Str r.Optimizer.label);
-                                ("score", Json.Float r.Optimizer.score);
-                                ("moves", Json.Int r.Optimizer.moves);
-                              ])
-                          p.Optimizer.scoreboard) );
-                 ])
-             per_struct) );
-      ( "sim",
-        Json.List
-          (List.map
-             (fun (name, label, cg, cb) ->
-               Json.Obj
-                 [
-                   ("struct", Json.Str name);
-                   ("winner", Json.Str label);
-                   ("greedy_cycles", Json.Int cg);
-                   ("best_cycles", Json.Int cb);
-                   ("improved", Json.Bool (cb < cg));
-                 ])
-             sim_rows) );
+      ("structs", Json.List (List.map struct_row per_struct));
+      ("sim", Json.List (List.map sim_row sim_rows));
       ("sim_confirmed", Json.Bool confirmed);
     ]
 
 (* ------------------------------------------------------------------ *)
 (* Code-layout subsystem (lib/codelayout): the same search engine over a
    second substrate — basic blocks with CFG-edge affinities, bins are
-   I-cache lines. Two gates in one section: (1) the portfolio's best
-   never scores below greedy or declaration order on the shared
-   objective, and (2) the searched block order STRICTLY reduces simulated
-   I-cache misses on the built-in trap workload. Exit non-zero on any
-   failure — the runtest-code wiring doubles as the subsystem's soundness
-   check. *)
+   I-cache lines. Two gates: (1) the portfolio's best never scores below
+   greedy or declaration order on the shared objective, and (2) the
+   searched block order STRICTLY reduces simulated I-cache misses on the
+   built-in trap workload. *)
 
-let run_code_layout () =
-  section "code_layout: block-affinity search vs declaration order";
+let run_code_layout ctx =
   let module Codelayout = Slo_codelayout.Codelayout in
   let module Ctrap = Slo_workload.Ctrap in
-  let module Machine = Slo_sim.Machine in
-  let module Coherence = Slo_sim.Coherence in
-  let module Sim_stats = Slo_sim.Sim_stats in
   let module Sgraph = Slo_graph.Sgraph in
   let capacity = Ctrap.icache.Coherence.i_line_size in
   let prob =
@@ -1194,77 +704,56 @@ let run_code_layout () =
          (fun b -> Sgraph.degree graph (Codelayout.Block.name b) > 0)
          blocks)
   in
-  let restarts = if !quick then 4 else 8 in
+  let restarts = if ctx.quick then 4 else 8 in
   let seed = 0 in
-  Printf.printf
-    "%d blocks (%d active), %d affinity edges, %dB bins; portfolio = greedy \
-     + swap + %d annealing restarts (seed %d)\n"
-    (List.length blocks) active (Sgraph.num_edges graph) capacity restarts
-    seed;
   let pf =
-    Codelayout.search ?pool:(pool ()) ~seed ~restarts prob
+    Codelayout.search ?pool:ctx.pool ~seed ~restarts prob
       Slo_search.Engine.Portfolio
   in
-  Printf.printf "%-12s %12s %8s\n" "candidate" "score" "moves";
-  List.iter
-    (fun (r : Codelayout.result) ->
-      Printf.printf "%-12s %12.2f %8d\n%!" r.Codelayout.label
-        r.Codelayout.score r.Codelayout.moves)
-    pf.Codelayout.scoreboard;
   let decl_score = Codelayout.score prob (Codelayout.decl_bins prob) in
   let g = pf.Codelayout.greedy.Codelayout.score in
   let b = pf.Codelayout.best.Codelayout.score in
-  Printf.printf "best: %s (%.2f vs greedy %.2f, declaration %.2f)\n%!"
-    pf.Codelayout.best.Codelayout.label b g decl_score;
-  if b < g || b < decl_score then begin
-    Printf.eprintf
-      "code_layout: best (%g) scores below a baseline (greedy %g, \
-       declaration %g)\n"
-      b g decl_score;
-    exit 1
-  end;
   (* Simulator confirmation: the flat kernel's fetch path is on the line
      here, not just the objective. *)
   let cpus = 4 in
-  let best_order = pf.Codelayout.best.Codelayout.order in
   let base_flat = Ctrap.run_sim ~cpus () in
-  let opt_flat = Ctrap.run_sim ~cpus ~code_layout:best_order () in
-  Printf.printf "sim (%d cpus, %d-line x %dB I-cache):\n" cpus
-    Ctrap.icache.Coherence.i_lines Ctrap.icache.Coherence.i_line_size;
-  let row label (r : Machine.result) =
-    Printf.printf
-      "  %-12s imisses %8d / %8d fetches (%5.1f%%), istall %9d, makespan %9d\n%!"
-      label r.Machine.stats.Sim_stats.imisses
-      r.Machine.stats.Sim_stats.ifetches
-      (100.0 *. Sim_stats.imiss_rate r.Machine.stats)
-      r.Machine.stats.Sim_stats.istall_cycles r.Machine.makespan
+  let opt_flat =
+    Ctrap.run_sim ~cpus ~code_layout:pf.Codelayout.best.Codelayout.order ()
   in
-  row "declaration" base_flat;
-  row pf.Codelayout.best.Codelayout.label opt_flat;
-  let confirmed =
-    opt_flat.Machine.stats.Sim_stats.imisses
-    < base_flat.Machine.stats.Sim_stats.imisses
-  in
-  if not confirmed then begin
-    Printf.eprintf
-      "code_layout: searched layout did not strictly reduce simulated \
-       I-cache misses (declaration %d, searched %d)\n"
-      base_flat.Machine.stats.Sim_stats.imisses
-      opt_flat.Machine.stats.Sim_stats.imisses;
-    exit 1
-  end;
-  Printf.printf "simulator confirmation: yes\n%!";
+  let imisses (r : Machine.result) = r.Machine.stats.Sim_stats.imisses in
+  let confirmed = imisses opt_flat < imisses base_flat in
   let sim_row (r : Machine.result) =
     Json.Obj
       [
-        ("imisses", Json.Int r.Machine.stats.Sim_stats.imisses);
+        ("imisses", Json.Int (imisses r));
         ("ifetches", Json.Int r.Machine.stats.Sim_stats.ifetches);
         ("imiss_rate", Json.Float (Sim_stats.imiss_rate r.Machine.stats));
         ("istall_cycles", Json.Int r.Machine.stats.Sim_stats.istall_cycles);
         ("makespan", Json.Int r.Machine.makespan);
       ]
   in
-  Json.Obj
+  let result (r : Codelayout.result) =
+    candidate_json r.Codelayout.label r.Codelayout.score r.Codelayout.moves
+  in
+  report
+    ~checks:
+      [
+        ( Printf.sprintf
+            "best >= greedy and declaration order (best %g, greedy %g, \
+             declaration %g)"
+            b g decl_score,
+          b >= g && b >= decl_score );
+        ( Printf.sprintf
+            "searched order has fewer I-cache misses (declaration %d, \
+             searched %d)"
+            (imisses base_flat) (imisses opt_flat),
+          confirmed );
+      ]
+    ~note:
+      (Printf.sprintf
+         "Portfolio: greedy + swap + %d annealing restarts (seed %d); the\n\
+          simulator's I-cache has %d lines of %dB."
+         restarts seed Ctrap.icache.Coherence.i_lines capacity)
     [
       ("capacity", Json.Int capacity);
       ("blocks", Json.Int (List.length blocks));
@@ -1276,17 +765,7 @@ let run_code_layout () =
       ("greedy_score", Json.Float g);
       ("best_score", Json.Float b);
       ("winner", Json.Str pf.Codelayout.best.Codelayout.label);
-      ( "scoreboard",
-        Json.List
-          (List.map
-             (fun (r : Codelayout.result) ->
-               Json.Obj
-                 [
-                   ("candidate", Json.Str r.Codelayout.label);
-                   ("score", Json.Float r.Codelayout.score);
-                   ("moves", Json.Int r.Codelayout.moves);
-                 ])
-             pf.Codelayout.scoreboard) );
+      ("scoreboard", Json.List (List.map result pf.Codelayout.scoreboard));
       ( "sim",
         Json.Obj
           [
@@ -1298,24 +777,19 @@ let run_code_layout () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* The flat memory-system kernel against its spec, plus its throughput.
-   Checks in one section: (1) identity — SDET access traces recorded
-   across protocols and topologies (including a >62-CPU machine that
-   exercises the multi-word sharer masks) replay through the kernel and
-   through the pure spec with identical per-access latencies and final
-   per-CPU statistics; (2) parallel fan-out over Exec.Pool stays
-   byte-identical for pool sizes 1/2/4; (3) kernel throughput on the SDET
-   trace (accesses/s, misses/s by class), reported but not gated; (4) the
-   same identity and throughput under the multi-level hierarchy, and the
-   NUMA-trap demo. Exits non-zero on any mismatch, so the runtest-obs
-   wiring doubles as a kernel-vs-spec differential check. *)
+(* The flat memory-system kernel against its spec, plus its throughput:
+   (1) identity — SDET access traces recorded across protocols and
+   topologies (including a >62-CPU machine that exercises the multi-word
+   sharer masks) replay through the kernel and through the pure spec with
+   identical per-access latencies and final per-CPU statistics; (2)
+   parallel fan-out over Exec.Pool stays byte-identical for pool sizes
+   1/2/4; (3) kernel throughput on the SDET trace (accesses/s, misses/s by
+   class), reported but not gated; (4) the same identity and throughput
+   under the multi-level hierarchy, and the NUMA-trap demo. *)
 
-let run_sim_scale () =
-  section "sim_scale: flat memory-system kernel vs its spec";
-  let module Machine = Slo_sim.Machine in
-  let module Coherence = Slo_sim.Coherence in
+let run_sim_scale ctx =
   let module Spec = Slo_sim.Spec in
-  let module Sim_stats = Slo_sim.Sim_stats in
+  let module Ntrap = Slo_workload.Ntrap in
   let base ~cpus = Sdet.default_config (Topology.superdome ~cpus ()) in
   (* Replay a recorded trace through a fresh kernel and a fresh spec side
      by side: identical iff every access costs the same and the final
@@ -1349,38 +823,27 @@ let run_sim_scale () =
       ( "superdome16 MESI sampled+traced",
         { (base ~cpus:16) with Sdet.reps = 8; sample_period = Some 500 } );
       ( "superdome64 MOESI multi-word masks",
-        { (base ~cpus:64) with Sdet.reps = 4;
-          protocol = Slo_sim.Coherence.Moesi } );
+        { (base ~cpus:64) with Sdet.reps = 4; protocol = Coherence.Moesi } );
       ( "bus4 MESI small cache (evictions)",
         { (Sdet.default_config (Topology.bus ~cpus:4 ())) with
           Sdet.reps = 10; cache_lines = 64 } );
     ]
   in
-  Printf.printf "%-36s %12s %10s %10s\n" "identity case" "makespan" "accesses"
-    "identical";
-  let identity_rows =
-    List.map
-      (fun (name, cfg) ->
-        let r = Sdet.run_once { cfg with Sdet.trace = true } in
-        let identical = spec_identical cfg (Array.of_list r.Machine.trace) in
-        let accesses =
-          r.Machine.stats.Sim_stats.loads + r.Machine.stats.Sim_stats.stores
-        in
-        Printf.printf "%-36s %12d %10d %10s\n%!" name r.Machine.makespan
-          accesses
-          (if identical then "yes" else "NO");
-        if not identical then begin
-          Printf.eprintf "sim_scale: kernel diverges from the spec on %s\n" name;
-          exit 1
-        end;
-        Json.Obj
-          [
-            ("case", Json.Str name);
-            ("makespan", Json.Int r.Machine.makespan);
-            ("accesses", Json.Int accesses);
-            ("identical", Json.Bool identical);
-          ])
-      identity_cases
+  let identity_case (name, cfg) =
+    let r = Sdet.run_once { cfg with Sdet.trace = true } in
+    let identical = spec_identical cfg (Array.of_list r.Machine.trace) in
+    let st = r.Machine.stats in
+    ( ("kernel = spec on " ^ name, identical),
+      Json.Obj
+        [
+          ("case", Json.Str name);
+          ("makespan", Json.Int r.Machine.makespan);
+          ("accesses", Json.Int (st.Sim_stats.loads + st.Sim_stats.stores));
+          ("identical", Json.Bool identical);
+        ] )
+  in
+  let identity_checks, identity_rows =
+    List.split (List.map identity_case identity_cases)
   in
   (* 2. Parallel multi-config fan-out over Exec.Pool: byte-identical
      results for pool sizes 1, 2 and 4. *)
@@ -1389,142 +852,98 @@ let run_sim_scale () =
   let run_seed seed = Sdet.run_once { pool_cfg with Sdet.seed } in
   let serial = List.map run_seed pool_seeds in
   let pool_sizes = [ 1; 2; 4 ] in
-  let pool_ok =
-    List.for_all
+  let pool_checks =
+    List.map
       (fun n ->
         let rs =
           Pool.with_pool ~domains:n (fun p -> Pool.map p run_seed pool_seeds)
         in
-        let ok = rs = serial in
-        Printf.printf "pool fan-out, %d domain%s: %s\n%!" n
-          (if n = 1 then "" else "s")
-          (if ok then "identical" else "MISMATCH");
-        ok)
+        (Printf.sprintf "pool fan-out = serial runs at %d domains" n,
+         rs = serial))
       pool_sizes
   in
-  if not pool_ok then begin
-    Printf.eprintf "sim_scale: pooled runs diverge from serial runs\n";
-    exit 1
-  end;
   (* 3. Memory-system throughput: record SDET's access trace once, then
      replay it through the kernel directly, isolating the memory system
      from the interpreter around it. End-to-end simulation wall time is
      reported alongside as context. Both are information, not gates. *)
-  let cpus = if !quick then 16 else 32 in
-  let reps = if !quick then 12 else 30 in
-  let runs = if !quick then 4 else 8 in
-  let replays = if !quick then 10 else 20 in
+  let cpus = if ctx.quick then 16 else 32 in
+  let reps = if ctx.quick then 12 else 30 in
+  let runs = if ctx.quick then 4 else 8 in
+  let replays = if ctx.quick then 10 else 20 in
   let cfg = { (base ~cpus) with Sdet.reps } in
   let trace =
-    Array.of_list
-      (Sdet.run_once { cfg with Sdet.trace = true }).Machine.trace
+    Array.of_list (Sdet.run_once { cfg with Sdet.trace = true }).Machine.trace
   in
-  let n_trace = Array.length trace in
   let replay ?hierarchy () =
     let coh =
       Coherence.create cfg.Sdet.topology ~line_size:Kernel.line_size
         ~cache_capacity:cfg.Sdet.cache_lines ~protocol:cfg.Sdet.protocol
         ?hierarchy ()
     in
-    let t0 = Obs.now () in
-    for _rep = 1 to replays do
-      Array.iter
-        (fun (ev : Machine.trace_event) ->
-          ignore
-            (Coherence.access coh ~cpu:ev.Machine.t_cpu
-               ~addr:ev.Machine.t_addr ~size:ev.Machine.t_size
-               ~is_write:ev.Machine.t_is_write))
-        trace
-    done;
-    (Coherence.total_stats coh, Obs.now () -. t0)
+    let (), wall =
+      timed (fun () ->
+          for _rep = 1 to replays do
+            Array.iter
+              (fun (ev : Machine.trace_event) ->
+                ignore
+                  (Coherence.access coh ~cpu:ev.Machine.t_cpu
+                     ~addr:ev.Machine.t_addr ~size:ev.Machine.t_size
+                     ~is_write:ev.Machine.t_is_write))
+              trace
+          done)
+    in
+    (Coherence.total_stats coh, wall)
   in
   let identical = spec_identical cfg trace in
-  Printf.printf
-    "trace replay: %d SDET accesses x %d replays (%d CPUs, %d reps); kernel = \
-     spec: %s\n"
-    n_trace replays cpus reps
-    (if identical then "yes" else "NO");
-  if not identical then begin
-    Printf.eprintf "sim_scale: kernel replay diverges from the spec replay\n";
-    exit 1
-  end;
   let flat_totals, flat_wall = replay () in
   (* End-to-end simulation wall time (interpreter + memory system), and
      the step loop's cost per executed instruction or terminator. *)
   let steps_before = Obs.counter "sim.steps" in
-  let sim_wall =
-    let t0 = Obs.now () in
-    List.iter
-      (fun seed -> ignore (Sdet.run_once { cfg with Sdet.seed }))
-      (List.init runs (fun i -> cfg.Sdet.seed + i));
-    Obs.now () -. t0
+  let (), sim_wall =
+    timed (fun () ->
+        List.iter
+          (fun seed -> ignore (Sdet.run_once { cfg with Sdet.seed }))
+          (List.init runs (fun i -> cfg.Sdet.seed + i)))
   in
   let steps = Obs.counter "sim.steps" - steps_before in
   let ns_per_step =
     if steps > 0 then sim_wall *. 1e9 /. float_of_int steps else 0.0
   in
+  let kernel_counted = Obs.counter "sim.kernel.runs" > 0 in
   let accesses st = st.Sim_stats.loads + st.Sim_stats.stores in
-  let per_s wall n = if wall > 0.0 then float_of_int n /. wall else 0.0 in
   let kernel_json st wall =
+    let misses n = Json.Float (per_s n wall) in
     Json.Obj
       [
         ("wall_s", Json.Float wall);
-        ("accesses_per_s", Json.Float (per_s wall (accesses st)));
+        ("accesses_per_s", Json.Float (per_s (accesses st) wall));
         ( "misses_per_s",
           Json.Obj
             [
-              ("cold", Json.Float (per_s wall st.Sim_stats.cold_misses));
-              ("capacity", Json.Float (per_s wall st.Sim_stats.capacity_misses));
-              ( "true_sharing",
-                Json.Float (per_s wall st.Sim_stats.true_sharing_misses) );
-              ( "false_sharing",
-                Json.Float (per_s wall st.Sim_stats.false_sharing_misses) );
+              ("cold", misses st.Sim_stats.cold_misses);
+              ("capacity", misses st.Sim_stats.capacity_misses);
+              ("true_sharing", misses st.Sim_stats.true_sharing_misses);
+              ("false_sharing", misses st.Sim_stats.false_sharing_misses);
             ] );
       ]
   in
-  let flat_rate = per_s flat_wall (accesses flat_totals) in
-  let print_row name st wall =
-    Printf.printf "%-10s %12.4f %14.0f %14.0f\n%!" name wall
-      (per_s wall (accesses st))
-      (per_s wall (Sim_stats.misses st))
-  in
-  Printf.printf "%-10s %12s %14s %14s\n" "" "wall (s)" "accesses/s" "misses/s";
-  print_row "kernel" flat_totals flat_wall;
-  Printf.printf "end-to-end simulation: %.4fs over %d runs, %d steps, %.0f ns/step\n%!"
-    sim_wall runs steps ns_per_step;
-  if Obs.counter "sim.kernel.runs" = 0 then begin
-    Printf.eprintf "sim_scale: sim.kernel.* obs counters never moved\n";
-    exit 1
-  end;
   (* 4. Multi-level hierarchy: the same trace with private L1s and
      per-cell victim LLCs in front of the coherent caches. Gated on
      kernel = spec identity; the throughput relative to the single-level
      kernel is reported as information. *)
-  let module Ntrap = Slo_workload.Ntrap in
-  let hier_geometry = Ntrap.hierarchy in
-  let hier_identical = spec_identical ~hierarchy:hier_geometry cfg trace in
-  if not hier_identical then begin
-    Printf.eprintf
-      "sim_scale: multi-level kernel replay diverges from the spec replay\n";
-    exit 1
-  end;
-  let hier_flat_totals, hier_flat_wall = replay ~hierarchy:hier_geometry () in
-  let hier_flat_rate = per_s hier_flat_wall (accesses hier_flat_totals) in
+  let hier = Ntrap.hierarchy in
+  let hier_identical = spec_identical ~hierarchy:hier cfg trace in
+  let hier_totals, hier_wall = replay ~hierarchy:hier () in
+  let flat_rate = per_s (accesses flat_totals) flat_wall in
   let single_level_ratio =
-    if flat_rate > 0.0 then hier_flat_rate /. flat_rate else 0.0
+    if flat_rate > 0.0 then per_s (accesses hier_totals) hier_wall /. flat_rate
+    else 0.0
   in
-  Printf.printf
-    "multi-level replay (L1 %d lines, LLC %d lines per cell); kernel = spec: \
-     yes\n"
-    hier_geometry.Coherence.h_l1_lines hier_geometry.Coherence.h_llc_lines;
-  print_row "kernel" hier_flat_totals hier_flat_wall;
-  Printf.printf "multi-level throughput: %.2fx of the single-level kernel\n%!"
-    single_level_ratio;
   (* 5. The NUMA trap demo: the hierarchy-aware objective must strictly
      beat the distance-blind one in simulated cycles on the 128-CPU
      Superdome, and must not lose on the 4-CPU bus (where the two
      objectives pick the same layout and the makespans are a wash). *)
-  let demo topo name require_strict =
+  let demo topo name ~strict =
     let mk_hier = Ntrap.measure_makespan ~topo (Ntrap.layout_hier topo) in
     let mk_flat = Ntrap.measure_makespan ~topo (Ntrap.layout_flat topo) in
     let win_pct =
@@ -1532,44 +951,41 @@ let run_sim_scale () =
         100.0 *. (1.0 -. (float_of_int mk_hier /. float_of_int mk_flat))
       else 0.0
     in
-    Printf.printf
-      "ntrap %-14s hier-aware %8d cycles, flat %8d cycles (%+.2f%%)\n%!" name
-      mk_hier mk_flat win_pct;
-    if require_strict && mk_hier >= mk_flat then begin
-      Printf.eprintf
-        "sim_scale: hierarchy-aware layout does not strictly beat the flat \
-         one on %s (%d vs %d cycles)\n"
-        name mk_hier mk_flat;
-      exit 1
-    end;
-    if (not require_strict) && mk_hier > mk_flat then begin
-      Printf.eprintf
-        "sim_scale: hierarchy-aware layout loses to the flat one on %s \
-         (%d vs %d cycles)\n"
-        name mk_hier mk_flat;
-      exit 1
-    end;
-    ( name,
-      Json.Obj
-        [
-          ("hier_cycles", Json.Int mk_hier);
-          ("flat_cycles", Json.Int mk_flat);
-          ("win_pct", Json.Float win_pct);
-          ("strict_win_required", Json.Bool require_strict);
-        ] )
+    ( ( Printf.sprintf "hierarchy-aware layout %s flat on %s (%d vs %d cycles)"
+          (if strict then "beats" else "does not lose to")
+          name mk_hier mk_flat,
+        if strict then mk_hier < mk_flat else mk_hier <= mk_flat ),
+      ( name,
+        Json.Obj
+          [
+            ("hier_cycles", Json.Int mk_hier);
+            ("flat_cycles", Json.Int mk_flat);
+            ("win_pct", Json.Float win_pct);
+            ("strict_win_required", Json.Bool strict);
+          ] ) )
   in
-  let demo_superdome = demo (Topology.superdome ~cpus:128 ()) "superdome128" true in
-  let demo_bus = demo (Topology.bus ~cpus:4 ()) "bus4" false in
-  if Obs.counter "sim.llc.runs" = 0 then begin
-    Printf.eprintf "sim_scale: sim.llc.* obs counters never moved\n";
-    exit 1
-  end;
-  Json.Obj
+  let sd_check, sd =
+    demo (Topology.superdome ~cpus:128 ()) "superdome128" ~strict:true
+  in
+  let bus_check, bus = demo (Topology.bus ~cpus:4 ()) "bus4" ~strict:false in
+  let llc_counted = Obs.counter "sim.llc.runs" > 0 in
+  report
+    ~checks:
+      (identity_checks @ pool_checks
+      @ [
+          ("kernel = spec on the replayed SDET trace", identical);
+          ("sim.kernel.* obs counters moved", kernel_counted);
+          ( "multi-level kernel = spec on the replayed SDET trace",
+            hier_identical );
+          sd_check;
+          bus_check;
+          ("sim.llc.* obs counters moved", llc_counted);
+        ])
     [
       ("cpus", Json.Int cpus);
       ("reps", Json.Int reps);
       ("runs", Json.Int runs);
-      ("trace_accesses", Json.Int n_trace);
+      ("trace_accesses", Json.Int (Array.length trace));
       ("replays", Json.Int replays);
       ("identity", Json.List identity_rows);
       ("identical", Json.Bool identical);
@@ -1577,7 +993,7 @@ let run_sim_scale () =
         Json.Obj
           [
             ("sizes", Json.List (List.map (fun n -> Json.Int n) pool_sizes));
-            ("identical", Json.Bool pool_ok);
+            ("identical", Json.Bool (List.for_all snd pool_checks));
           ] );
       ("kernel", kernel_json flat_totals flat_wall);
       ( "sim_end_to_end",
@@ -1591,113 +1007,89 @@ let run_sim_scale () =
       ( "hierarchy",
         Json.Obj
           [
-            ("l1_lines", Json.Int hier_geometry.Coherence.h_l1_lines);
-            ("llc_lines", Json.Int hier_geometry.Coherence.h_llc_lines);
+            ("l1_lines", Json.Int hier.Coherence.h_l1_lines);
+            ("llc_lines", Json.Int hier.Coherence.h_llc_lines);
             ("identical", Json.Bool hier_identical);
             ( "hits",
               Json.Obj
                 [
-                  ("l1", Json.Int hier_flat_totals.Sim_stats.l1_hits);
-                  ("l2", Json.Int hier_flat_totals.Sim_stats.l2_hits);
-                  ( "llc_local",
-                    Json.Int hier_flat_totals.Sim_stats.llc_local_hits );
+                  ("l1", Json.Int hier_totals.Sim_stats.l1_hits);
+                  ("l2", Json.Int hier_totals.Sim_stats.l2_hits);
+                  ("llc_local", Json.Int hier_totals.Sim_stats.llc_local_hits);
                   ( "llc_remote",
-                    Json.Int hier_flat_totals.Sim_stats.llc_remote_hits );
+                    Json.Int hier_totals.Sim_stats.llc_remote_hits );
                 ] );
-            ("kernel", kernel_json hier_flat_totals hier_flat_wall);
+            ("kernel", kernel_json hier_totals hier_wall);
             ("single_level_ratio", Json.Float single_level_ratio);
-            ( "demo",
-              Json.Obj [ demo_superdome; demo_bus ] );
+            ("demo", Json.Obj [ sd; bus ]);
             ("llc_runs_counter", Json.Int (Obs.counter "sim.llc.runs"));
           ] );
     ]
 
-let run_model_check () =
-  section "model_check: exhaustive small-config coherence verification";
+(* ------------------------------------------------------------------ *)
+(* Exhaustive model checking: every pinned small configuration explored
+   breadth-first with the kernel checked against the spec and the trace
+   oracle on every edge, plus two deliberately broken protocol tables the
+   invariant net must catch. *)
+
+let run_model_check _ctx =
   let module Mc = Slo_sim.Modelcheck in
-  Printf.printf
-    "breadth-first over every interleaving; kernel = spec + trace oracle \
-     checked on every edge\n";
-  Printf.printf "%-36s %8s %8s %8s %6s %9s %8s %9s\n" "config" "states" "pinned"
-    "edges" "depth" "frontier" "oracle" "wall (s)";
-  let drift = ref false in
-  let rows =
-    List.map
-      (fun (cfg, pin) ->
-        let t0 = Obs.now () in
-        let r =
-          try Mc.run cfg
-          with Mc.Violation { vmsg; vtrace } ->
-            Printf.eprintf
-              "model_check: %s violated an invariant: %s (witness: %d steps)\n"
-              (Mc.config_name cfg) vmsg (List.length vtrace);
-            exit 1
-        in
-        let wall = Obs.now () -. t0 in
-        let ok = r.Mc.r_states = pin in
-        if not ok then drift := true;
-        Printf.printf "%-36s %8d %8d %8d %6d %9d %8d %9.3f%s\n%!"
-          (Mc.config_name cfg) r.Mc.r_states pin r.Mc.r_transitions
-          r.Mc.r_max_depth r.Mc.r_max_frontier r.Mc.r_oracle_traces wall
-          (if ok then "" else "  DRIFT");
-        Json.Obj
-          [
-            ("config", Json.Str (Mc.config_name cfg));
-            ("states", Json.Int r.Mc.r_states);
-            ("pinned", Json.Int pin);
-            ("transitions", Json.Int r.Mc.r_transitions);
-            ("max_depth", Json.Int r.Mc.r_max_depth);
-            ("max_frontier", Json.Int r.Mc.r_max_frontier);
-            ("oracle_traces", Json.Int r.Mc.r_oracle_traces);
-            ("ok", Json.Bool ok);
-          ])
-      Mc.standard_suite
+  let config (cfg, pin) =
+    let name = Mc.config_name cfg in
+    match Mc.run cfg with
+    | r ->
+      ( ( Printf.sprintf "%s: %d states, pinned %d" name r.Mc.r_states pin,
+          r.Mc.r_states = pin ),
+        Some
+          (Json.Obj
+             [
+               ("config", Json.Str name);
+               ("states", Json.Int r.Mc.r_states);
+               ("pinned", Json.Int pin);
+               ("transitions", Json.Int r.Mc.r_transitions);
+               ("max_depth", Json.Int r.Mc.r_max_depth);
+               ("max_frontier", Json.Int r.Mc.r_max_frontier);
+               ("oracle_traces", Json.Int r.Mc.r_oracle_traces);
+               ("ok", Json.Bool (r.Mc.r_states = pin));
+             ]) )
+    | exception Mc.Violation { vmsg; vtrace } ->
+      ( ( Printf.sprintf "%s: invariant violated: %s (%d-step witness)" name
+            vmsg (List.length vtrace),
+          false ),
+        None )
   in
-  if !drift then begin
-    Printf.eprintf
-      "model_check: reachable-state count drifted from its pin — the \
-       protocol semantics changed\n";
-    exit 1
-  end;
-  (* The mutation net must stay live: a deliberately broken protocol table
-     has to be caught, with a minimized witness. *)
-  let mutations =
+  let config_checks, rows = List.split (List.map config Mc.standard_suite) in
+  let mutation (name, m) =
+    match Mc.run ~mutate:m (Mc.config ()) with
+    | _ -> (("mutation " ^ name ^ " caught", false), None)
+    | exception Mc.Violation { vmsg; vtrace } ->
+      let steps = List.length vtrace in
+      ( ( Printf.sprintf "mutation %s caught: %s (%d-step witness)" name vmsg
+            steps,
+          true ),
+        Some
+          (Json.Obj
+             [
+               ("mutation", Json.Str name);
+               ("caught", Json.Bool true);
+               ("witness_steps", Json.Int steps);
+               ("message", Json.Str vmsg);
+             ]) )
+  in
+  let mutation_checks, mutation_rows =
+    List.split
+      (List.map mutation
+         [
+           ("read_keeps_modified", Mc.Read_keeps_modified);
+           ("skip_last_invalidation", Mc.Skip_last_invalidation);
+         ])
+  in
+  report
+    ~checks:(config_checks @ mutation_checks)
     [
-      ("read_keeps_modified", Mc.Read_keeps_modified);
-      ("skip_last_invalidation", Mc.Skip_last_invalidation);
-    ]
-  in
-  let mutation_rows =
-    List.map
-      (fun (name, m) ->
-        match Mc.run ~mutate:m (Mc.config ()) with
-        | _ ->
-          Printf.eprintf
-            "model_check: mutation %s explored without a violation — the \
-             invariant net is dead\n"
-            name;
-          exit 1
-        | exception Mc.Violation { vmsg; vtrace } ->
-          Printf.printf "mutation %-24s caught: %s (%d-step witness)\n%!" name
-            vmsg (List.length vtrace);
-          Json.Obj
-            [
-              ("mutation", Json.Str name);
-              ("caught", Json.Bool true);
-              ("witness_steps", Json.Int (List.length vtrace));
-              ("message", Json.Str vmsg);
-            ])
-      mutations
-  in
-  Printf.printf "totals: %d states, %d transitions across %d configs\n%!"
-    (Obs.counter "sim.mc.states")
-    (Obs.counter "sim.mc.transitions")
-    (List.length Mc.standard_suite);
-  Json.Obj
-    [
-      ("configs", Json.List rows);
-      ("mutations", Json.List mutation_rows);
-      ("all_pinned", Json.Bool (not !drift));
+      ("configs", Json.List (List.filter_map Fun.id rows));
+      ("mutations", Json.List (List.filter_map Fun.id mutation_rows));
+      ("all_pinned", Json.Bool (List.for_all snd config_checks));
       ("states_counter", Json.Int (Obs.counter "sim.mc.states"));
       ("transitions_counter", Json.Int (Obs.counter "sim.mc.transitions"));
       ("runs_counter", Json.Int (Obs.counter "sim.mc.runs"));
@@ -1705,37 +1097,30 @@ let run_model_check () =
 
 (* ------------------------------------------------------------------ *)
 (* Always-on layout service: drive a running serve daemon with a phased,
-   multi-client feed of the kernel corpus's PMU samples, then gate on the
-   three identities the service rests on: (1) the retire-by-subtraction
-   sliding window equals a from-scratch re-bin of the final window's
-   samples, (2) at least one drift-triggered re-search published a new
-   versioned layout, (3) a snapshot/restore round trip is byte-identical
-   and a forced re-search on the restored server reproduces the
-   suggestion exactly. Any divergence exits non-zero — the runtest-serve
-   wiring doubles as the service-soundness check. *)
+   multi-client feed of the kernel corpus's PMU samples, then check the
+   identities the service rests on: (1) the retire-by-subtraction sliding
+   window equals a from-scratch re-bin of the final window's samples, (2)
+   at least one drift-triggered re-search published a new versioned
+   layout, (3) a snapshot/restore round trip is byte-identical and (4) a
+   forced re-search on the restored server reproduces the suggestion
+   exactly. *)
 
-let run_serve () =
-  section "serve: always-on layout service (sliding window + re-search)";
+let run_serve ctx =
   let module Serve = Slo_serve.Serve in
   let module Window = Slo_serve.Window in
-  let module Optimizer = Slo_search.Optimizer in
-  let module Persist = Slo_persist.Persist in
   let program = Kernel.program () in
   let counts = Collect.profile () in
   let base = Collect.samples () in
   let params = Collect.calibrated_params in
   let interval = params.Pipeline.cc_interval in
-  let lo =
-    List.fold_left (fun a (s : Sample.t) -> min a s.Sample.itc) max_int base
-  in
-  let hi =
-    List.fold_left (fun a (s : Sample.t) -> max a s.Sample.itc) min_int base
-  in
+  let itcs = List.map (fun (s : Sample.t) -> s.Sample.itc) base in
+  let lo = List.fold_left min max_int itcs in
+  let hi = List.fold_left max min_int itcs in
   let span = (((hi - lo) / interval) + 2) * interval in
   (* window = two phases of the feed, like the CLI default: every phase
      slides it, so intervals retire throughout the run *)
   let window = max 1 (2 * span / interval) in
-  let clients = 4 and phases = if !quick then 4 else 8 in
+  let clients = 4 and phases = if ctx.quick then 4 else 8 in
   (* above the window's ~11% phase-boundary oscillation, below the ~86%
      workload shift: re-search fires on the shift and only the shift *)
   let drift_threshold = 0.2 in
@@ -1743,7 +1128,7 @@ let run_serve () =
     { Serve.interval; window; decay = 0.9; drift_threshold; min_samples = 64;
       queue_capacity = 8; params; program; counts; struct_name = "A";
       selector = Optimizer.Portfolio; seed = 11;
-      restarts = (if !quick then 2 else 4) }
+      restarts = (if ctx.quick then 2 else 4) }
   in
   (* Phased feed: each phase shifts the whole base stream forward by a
      whole number of intervals; halfway through, lines rotate to a
@@ -1757,7 +1142,7 @@ let run_serve () =
   let line_pos = Hashtbl.create nl in
   Array.iteri (fun i l -> Hashtbl.replace line_pos l i) line_arr;
   let base_arr = Array.of_list base in
-  let batch_of ~phase ~client =
+  let batch_of ~phase client =
     let rot = if 2 * phase >= phases then nl / 2 else 0 in
     Array.map
       (fun (s : Sample.t) ->
@@ -1768,51 +1153,37 @@ let run_serve () =
         { s with Sample.itc = s.Sample.itc + (phase * span) + client; line })
       base_arr
   in
-  let client_list = List.init clients (fun c -> c) in
-  Printf.printf
-    "%d clients x %d phases, %d samples/batch, interval %d, window %d\n%!"
-    clients phases (Array.length base_arr) interval window;
+  let client_list = List.init clients Fun.id in
   let t = Serve.create cfg in
   let submitted = ref [] (* every batch, reverse submission order *) in
   Serve.run t;
-  let t0 = Obs.now () in
-  for phase = 0 to phases - 1 do
-    let batches =
-      match pool () with
-      | Some p -> Pool.map p (fun c -> batch_of ~phase ~client:c) client_list
-      | None -> List.map (fun c -> batch_of ~phase ~client:c) client_list
-    in
-    List.iter
-      (fun b ->
-        submitted := b :: !submitted;
-        ignore (Serve.submit_wait t b))
-      batches
-  done;
-  Serve.stop t;
-  let ingest_wall = Obs.now () -. t0 in
+  let (), ingest_wall =
+    timed (fun () ->
+        for phase = 0 to phases - 1 do
+          let batches =
+            match ctx.pool with
+            | Some p -> Pool.map p (batch_of ~phase) client_list
+            | None -> List.map (batch_of ~phase) client_list
+          in
+          List.iter
+            (fun b ->
+              submitted := b :: !submitted;
+              ignore (Serve.submit_wait t b))
+            batches
+        done;
+        Serve.stop t)
+  in
   let n_batches = phases * clients in
   let n_samples = n_batches * Array.length base_arr in
-  let rate =
-    if ingest_wall > 0.0 then float_of_int n_samples /. ingest_wall else 0.0
-  in
   let w = Serve.window t in
-  Printf.printf
-    "ingested %d samples in %.3fs (%.0f samples/s sustained, re-searches \
-     included)\n"
-    n_samples ingest_wall rate;
-  Printf.printf
-    "window: %d live samples in %d intervals; %d retired by subtraction, %d \
-     late, %d batches dropped\n%!"
-    (Window.live_samples w) (Window.live_intervals w) (Window.retired w)
-    (Window.late w) (Serve.dropped_batches t);
   let canon b =
     List.map
       (fun (idx, tbl) ->
         (idx, Sample.total_samples tbl, Sample.line_freqs tbl))
       (Sample.binned_idx b)
   in
-  (* Gate 1: the subtraction-maintained window = re-binning from scratch.
-     A sample survives in the master iff its interval is inside the final
+  (* 1: the subtraction-maintained window = re-binning from scratch. A
+     sample survives in the master iff its interval is inside the final
      window, so the direct bin of exactly those samples must match. *)
   let newest = match Window.newest w with Some n -> n | None -> 0 in
   let direct = Sample.binner ~interval in
@@ -1822,35 +1193,15 @@ let run_serve () =
            Sample.feed direct s))
     (List.rev !submitted);
   let rebin_identical = canon (Window.master w) = canon direct in
-  Printf.printf "retire-by-subtraction vs re-bin from scratch: %s\n%!"
-    (if rebin_identical then "identical" else "MISMATCH");
-  if not rebin_identical then begin
-    Printf.eprintf
-      "serve: window after retirement diverges from a from-scratch re-bin\n";
-    exit 1
-  end;
-  (* Gate 2: the workload shift must have triggered a drift re-search. *)
+  (* 2: the workload shift must have triggered a drift re-search. *)
   let pubs = Serve.publications t in
-  Printf.printf "\n%-8s %10s %10s %12s %10s\n" "version" "drift" "samples"
-    "score" "intervals";
-  List.iter
-    (fun (p : Serve.publication) ->
-      Printf.printf "%-8d %10.4f %10d %12.2f %10d\n" p.Serve.version
-        p.Serve.pub_drift p.Serve.window_samples
-        p.Serve.best.Optimizer.score p.Serve.window_intervals)
-    pubs;
   let drift_triggered =
     List.exists
       (fun (p : Serve.publication) ->
         p.Serve.version > 1 && p.Serve.pub_drift > drift_threshold)
       pubs
   in
-  if not drift_triggered then begin
-    Printf.eprintf
-      "serve: the workload shift never triggered a drift re-search\n";
-    exit 1
-  end;
-  (* Gate 3: kill-then-restore. Snapshot, restore into a fresh server,
+  (* 3 and 4: kill-then-restore. Snapshot, restore into a fresh server,
      snapshot again: bytes must match (canonical row order), and a forced
      re-search on both must produce the same CC and the same layout. *)
   let snap1 = Filename.temp_file "slo_serve" ".snap" in
@@ -1864,12 +1215,7 @@ let run_serve () =
   Serve.snapshot t ~path:snap1;
   let t' = Serve.restore cfg ~path:snap1 in
   Serve.snapshot t' ~path:snap2;
-  let read_raw p =
-    let ic = open_in_bin p in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
+  let read_raw p = In_channel.with_open_bin p In_channel.input_all in
   let snapshot_identical = read_raw snap1 = read_raw snap2 in
   let a = Serve.research t and b = Serve.research t' in
   let research_identical =
@@ -1877,27 +1223,24 @@ let run_serve () =
     && a.Serve.best.Optimizer.blocks = b.Serve.best.Optimizer.blocks
     && a.Serve.best.Optimizer.score = b.Serve.best.Optimizer.score
   in
-  Printf.printf
-    "\nsnapshot round trip: %s; restored re-search: %s (version %d, score \
-     %.2f)\n%!"
-    (if snapshot_identical then "byte-identical" else "MISMATCH")
-    (if research_identical then "identical suggestion" else "MISMATCH")
-    (Serve.version t') b.Serve.best.Optimizer.score;
-  if not (snapshot_identical && research_identical) then begin
-    Printf.eprintf "serve: snapshot/restore failed to reproduce the state\n";
-    exit 1
-  end;
   let hist name =
     match Obs.histogram name with
     | Some s -> (s.Obs.count, s.Obs.p50, s.Obs.p99)
     | None -> (0, 0.0, 0.0)
   in
-  let i_count, i_p50, i_p99 = hist "serve.ingest_s" in
+  let _, i_p50, i_p99 = hist "serve.ingest_s" in
   let r_count, _, r_p99 = hist "serve.research_s" in
-  Printf.printf
-    "ingest: %d batches, p50 %.6fs, p99 %.6fs; %d re-searches (p99 %.4fs)\n%!"
-    i_count i_p50 i_p99 r_count r_p99;
-  Json.Obj
+  report
+    ~checks:
+      [
+        ("retire-by-subtraction window = re-bin from scratch", rebin_identical);
+        ("the workload shift triggered a drift re-search", drift_triggered);
+        ("snapshot round trip is byte-identical", snapshot_identical);
+        ( Printf.sprintf
+            "restored re-search reproduces the suggestion (score %g)"
+            b.Serve.best.Optimizer.score,
+          research_identical );
+      ]
     [
       ("interval", Json.Int interval);
       ("window", Json.Int window);
@@ -1905,7 +1248,7 @@ let run_serve () =
       ("phases", Json.Int phases);
       ("batches", Json.Int n_batches);
       ("samples", Json.Int n_samples);
-      ("samples_per_s", Json.Float rate);
+      ("samples_per_s", Json.Float (per_s n_samples ingest_wall));
       ("ingest_p50_s", Json.Float i_p50);
       ("ingest_p99_s", Json.Float i_p99);
       ("research_count", Json.Int r_count);
@@ -1928,54 +1271,226 @@ let run_serve () =
     ]
 
 (* ------------------------------------------------------------------ *)
+(* The runner: the only code that prints, writes artifacts or sets the
+   exit status. *)
 
-let all_sections =
+let sections =
   [
-    ("topology", run_topology);
-    ("fig8", run_fig8);
-    ("fig10", run_fig10);
-    ("fig9", run_fig9);
-    ("ccstability", run_cc_stability);
-    ("gvl", run_gvl);
-    ("accumulation", run_accumulation);
-    ("oracle", run_oracle);
-    ("userapp", run_userapp);
-    ("ablation-k2", run_ablation_k2);
-    ("ablation-sampling", run_ablation_sampling);
-    ("ablation-clustering", run_ablation_clustering);
-    ("ablation-machines", run_ablation_machines);
-    ("ablation-protocol", run_ablation_protocol);
-    ("micro", run_micro);
-    ("layout_search", run_layout_search);
-    ("code_layout", run_code_layout);
-    ("cc_scale", run_cc_scale);
-    ("sim_scale", run_sim_scale);
-    ("model_check", run_model_check);
-    ("serve", run_serve);
-    ("smoke", run_smoke);
+    ("topology", "§5.1: machine characterization", run_topology);
+    ("fig8", "Figure 8: automatic layout vs sort-by-hotness", run_fig8);
+    ("fig10", "Figure 10: best layout per struct", run_fig10);
+    ("fig9", "Figure 9: same layouts on the 4-way bus machine", run_fig9);
+    ( "ccstability", "§4.3: CodeConcurrency stability across machine sizes",
+      run_cc_stability );
+    ("gvl", "Extension: Global Variable Layout (paper §7)", run_gvl);
+    ( "accumulation", "§5.2: are the per-struct improvements accumulative?",
+      run_accumulation );
+    ("oracle", "§3: trace oracle vs CodeConcurrency", run_oracle);
+    ("userapp", "Prediction check: an untuned user app", run_userapp);
+    ( "ablation-k2", "Ablation 1: k2 (CycleLoss scale) sweep on struct A",
+      run_ablation_k2 );
+    ( "ablation-sampling", "Ablation 2: PMU sampling period vs layout quality",
+      run_ablation_sampling );
+    ( "ablation-clustering", "Ablation 3: clustering policies on struct A",
+      run_ablation_clustering );
+    ( "ablation-machines", "Ablation 4: false-sharing penalty vs machine size",
+      run_ablation_machines );
+    ( "ablation-protocol", "Ablation 5: MESI vs MOESI on the SDET workload",
+      run_ablation_protocol );
+    ( "layout_search", "layout_search: metaheuristic portfolio vs greedy",
+      run_layout_search );
+    ( "code_layout", "code_layout: block-affinity search vs declaration order",
+      run_code_layout );
+    ("cc_scale", "cc_scale: columnar CC ingestion", run_cc_scale);
+    ("sim_scale", "sim_scale: flat memory kernel vs spec", run_sim_scale);
+    ( "model_check", "model_check: exhaustive small-config coherence check",
+      run_model_check );
+    ("serve", "serve: always-on layout service", run_serve);
+    ("smoke", "Smoke: parallel pipeline = serial pipeline", run_smoke);
   ]
 
-let run_section (name, f) =
-  let t0 = Obs.now () in
-  let data = f () in
-  write_artifact ~section:name ~wall:(Obs.now () -. t0) data
+(* Rendering [data]: a scalar prints as [key value], an object as an
+   indented block, a list of objects as a table headed by the first row's
+   keys (a list inside a row prints as its length; the artifact has it
+   all). *)
+let cell = function
+  | Json.Str s -> s
+  | Json.Int n -> string_of_int n
+  | Json.Float f -> Printf.sprintf "%g" f
+  | j -> Json.to_string j
 
-let main quick_mode jobs_opt json sections =
-  quick := quick_mode;
-  Option.iter (fun j -> jobs := j) jobs_opt;
-  json_path := json;
+let print_table indent rows =
+  let keys = match rows with r :: _ -> List.map fst r | [] -> [] in
+  let row_cell r k =
+    match List.assoc_opt k r with
+    | Some (Json.List l) -> Printf.sprintf "[%d]" (List.length l)
+    | Some v -> cell v
+    | None -> ""
+  in
+  let lines = keys :: List.map (fun r -> List.map (row_cell r) keys) rows in
+  let widths =
+    List.fold_left
+      (List.map2 (fun w c -> max w (String.length c)))
+      (List.map (fun _ -> 0) keys)
+      lines
+  in
+  (* the first column reads as a label, the rest right-align *)
+  let pad i w c =
+    if i = 0 then Printf.sprintf "%-*s" w c else Printf.sprintf "%*s" w c
+  in
+  List.iter
+    (fun line ->
+      Printf.printf "%s%s\n" indent
+        (String.concat "  "
+           (List.mapi (fun i (w, c) -> pad i w c) (List.combine widths line))))
+    lines
+
+let rec print_data indent kvs =
+  let width = List.fold_left (fun w (k, _) -> max w (String.length k)) 0 kvs in
+  List.iter
+    (fun (k, v) ->
+      match v with
+      | Json.Obj kvs ->
+        Printf.printf "%s%s:\n" indent k;
+        print_data (indent ^ "  ") kvs
+      | Json.List (Json.Obj _ :: _ as rows) ->
+        Printf.printf "%s%s:\n" indent k;
+        print_table (indent ^ "  ")
+          (List.map (function Json.Obj r -> r | _ -> []) rows)
+      | v -> Printf.printf "%s%-*s %s\n" indent width k (cell v))
+    kvs
+
+(* The commit an artifact describes: SLO_GIT_REV if set, else what
+   `git rev-parse` resolves, else "unknown". Never raises, and records
+   nothing but a hex id, the override or the sentinel. *)
+let git_rev () =
+  match Sys.getenv_opt "SLO_GIT_REV" with
+  | Some r when r <> "" -> r
+  | _ -> (
+    let is_hex s =
+      s <> "" && String.for_all (String.contains "0123456789abcdef") s
+    in
+    match
+      let ic = Unix.open_process_in "git rev-parse --verify HEAD 2>/dev/null" in
+      let line = In_channel.input_line ic in
+      (Unix.close_process_in ic, line)
+    with
+    | Unix.WEXITED 0, Some id when is_hex id -> id
+    | _ -> "unknown"
+    | exception (Unix.Unix_error _ | Sys_error _) -> "unknown")
+
+let write_json path j =
+  Persist.atomic_write ~path (fun oc -> output_string oc (Json.pretty j))
+
+let artifact ctx ~rev ~name ~wall r =
+  (* At one job no batch runs in parallel: utilization defaults to 1.0. *)
+  let utilization =
+    Option.value (Obs.gauge "pool.utilization") ~default:1.0
+  in
+  Json.Obj
+    [
+      ("schema", Json.Str "slo-bench/1");
+      ("section", Json.Str name);
+      ("git_rev", Json.Str rev);
+      ("jobs", Json.Int ctx.jobs);
+      ("quick", Json.Bool ctx.quick);
+      ("wall_s", Json.Float wall);
+      ("data", Json.Obj r.data);
+      ( "checks",
+        Json.List
+          (List.map
+             (fun (n, ok) ->
+               Json.Obj [ ("name", Json.Str n); ("ok", Json.Bool ok) ])
+             r.checks) );
+      ("metrics", Obs.to_json ());
+      ( "pool",
+        Json.Obj
+          [
+            ("jobs", Json.Int ctx.jobs);
+            ("tasks", Json.Int (Obs.counter "pool.tasks"));
+            ("batches", Json.Int (Obs.counter "pool.batches"));
+            ("utilization", Json.Float utilization);
+          ] );
+    ]
+
+(* Run [chosen] (every section if empty); under --json PATH, each section
+   writes BENCH_<section>.json beside PATH and PATH gets a manifest. The
+   exit status is 1 if any check failed. *)
+let main quick jobs json chosen =
+  let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
+  let with_pool f =
+    if jobs <= 1 then f None
+    else Pool.with_pool ~domains:jobs (fun p -> f (Some p))
+  in
+  with_pool @@ fun pool ->
+  let layouts = lazy (Exp.analyze_all ?pool ()) in
+  let rec ctx = { quick; jobs; pool; layouts; fig8 }
+  and fig8 =
+    lazy
+      (Exp.fig8 ~runs:(runs ctx) ~cpus:(big_cpus ctx) ?pool
+         (Lazy.force layouts))
+  in
+  let rev = lazy (git_rev ()) in
+  let rule = String.make 62 '=' in
   Printf.printf
     "Structure Layout Optimization for Multithreaded Programs (CGO 2007)\n";
   Printf.printf "benchmark harness%s, %d job%s\n%!"
-    (if !quick then " (quick mode)" else "")
-    (effective_jobs ())
-    (if effective_jobs () = 1 then "" else "s");
-  List.iter run_section (match sections with [] -> all_sections | l -> l);
-  write_manifest ()
+    (if quick then " (quick mode)" else "")
+    jobs
+    (if jobs = 1 then "" else "s");
+  let run (name, title, f) =
+    Printf.printf "\n%s\n%s\n%s\n%!" rule title rule;
+    let r, wall = timed (fun () -> f ctx) in
+    print_data "" r.data;
+    if r.note <> "" then Printf.printf "\n%s\n" r.note;
+    if r.checks <> [] then print_newline ();
+    List.iter
+      (fun (c, ok) ->
+        Printf.printf "%-6s %s\n" (if ok then "ok" else "FAILED") c)
+      r.checks;
+    flush stdout;
+    let path =
+      Option.map
+        (fun m ->
+          Filename.concat (Filename.dirname m) ("BENCH_" ^ name ^ ".json"))
+        json
+    in
+    Option.iter
+      (fun p ->
+        write_json p (artifact ctx ~rev:(Lazy.force rev) ~name ~wall r))
+      path;
+    (name, path, List.filter (fun (_, ok) -> not ok) r.checks)
+  in
+  let results = List.map run (if chosen = [] then sections else chosen) in
+  Option.iter
+    (fun manifest ->
+      write_json manifest
+        (Json.Obj
+           [
+             ("schema", Json.Str "slo-bench-manifest/1");
+             ("git_rev", Json.Str (Lazy.force rev));
+             ("jobs", Json.Int jobs);
+             ("quick", Json.Bool quick);
+             ( "sections",
+               Json.List (List.map (fun (n, _, _) -> Json.Str n) results) );
+             ( "artifacts",
+               Json.List
+                 (List.filter_map
+                    (fun (_, p, _) -> Option.map (fun p -> Json.Str p) p)
+                    results) );
+           ]))
+    json;
+  let failed =
+    List.concat_map
+      (fun (name, _, fs) -> List.map (fun (c, _) -> name ^ ": " ^ c) fs)
+      results
+  in
+  List.iter (Printf.eprintf "FAILED %s\n") failed;
+  if failed = [] then 0 else 1
 
-(* An unknown section name is a command-line error: Cmdliner lists the
-   valid sections and exits with its cli-error status (124), like
-   slayout's unknown subcommands. *)
+(* An unknown section name, a non-positive --jobs and a --json path in a
+   missing directory are command-line errors: Cmdliner reports them and
+   exits with its cli-error status (124) before any section runs. *)
 let () =
   let open Cmdliner in
   let positive =
@@ -1986,6 +1501,14 @@ let () =
         Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
     in
     Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+  in
+  let json_path =
+    let parse p =
+      let dir = Filename.dirname p in
+      if Sys.file_exists dir && Sys.is_directory dir then Ok p
+      else Error (`Msg (Printf.sprintf "no such directory: %S" dir))
+    in
+    Arg.conv ~docv:"PATH" (parse, Format.pp_print_string)
   in
   let quick_arg =
     Arg.(
@@ -2006,7 +1529,7 @@ let () =
   let json_arg =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some json_path) None
       & info [ "json" ] ~docv:"PATH"
           ~doc:
             "write a manifest to $(docv) and one BENCH_<section>.json \
@@ -2015,11 +1538,13 @@ let () =
   let sections_arg =
     Arg.(
       value
-      & pos_all (enum (List.map (fun ((n, _) as s) -> (n, s)) all_sections)) []
+      & pos_all (enum (List.map (fun ((n, _, _) as s) -> (n, s)) sections)) []
       & info [] ~docv:"SECTION" ~doc:"sections to run (default: all)")
   in
+  let exits = Cmd.Exit.info 1 ~doc:"if a section's check failed." in
   exit
-    (Cmd.eval
+    (Cmd.eval'
        (Cmd.v
-          (Cmd.info "main" ~doc:"paper figures, ablations and scale checks")
+          (Cmd.info "main" ~exits:(exits :: Cmd.Exit.defaults)
+             ~doc:"paper figures, ablations and scale checks")
           Term.(const main $ quick_arg $ jobs_arg $ json_arg $ sections_arg)))

@@ -263,6 +263,17 @@ let topology_conv =
   let print ppf (name, _) = Format.pp_print_string ppf name in
   Arg.conv ~docv:"NAME" (parse, print)
 
+(* An output file in a missing directory is a command-line error (124),
+   reported before the command does any work rather than as an uncaught
+   Sys_error once it is done. *)
+let output_path_conv =
+  let parse p =
+    let dir = Filename.dirname p in
+    if Sys.file_exists dir && Sys.is_directory dir then Ok p
+    else Error (`Msg (Printf.sprintf "no such directory: %S" dir))
+  in
+  Arg.conv ~docv:"PATH" (parse, Format.pp_print_string)
+
 (* The multi-level geometry the collection machine simulates when a
    --topology is requested: a small private L1 in front of the coherent
    L2 plus a per-cell victim LLC, so the per-level hit counters (and the
@@ -778,15 +789,6 @@ let sdet_cmd =
             match json_out with
             | None -> ()
             | Some path ->
-              let row_json (m : Exp.measurement) =
-                Json.Obj
-                  [
-                    ("struct", Json.Str m.Exp.m_struct);
-                    ("automatic_pct", Json.Float m.Exp.m_automatic);
-                    ("hotness_pct", Json.Float m.Exp.m_hotness);
-                    ("incremental_pct", Json.Float m.Exp.m_incremental);
-                  ]
-              in
               let j =
                 Json.Obj
                   [
@@ -796,14 +798,12 @@ let sdet_cmd =
                     ("runs", Json.Int runs);
                     ("jobs", Json.Int domains);
                     ("analysis_s", Json.Float analysis_s);
-                    ("rows", Json.List (List.map row_json rows));
+                    ("rows", Json.List (List.map Exp.measurement_json rows));
                     ("metrics", Obs.to_json ());
                   ]
               in
-              let oc = open_out path in
-              Fun.protect
-                ~finally:(fun () -> close_out_noerr oc)
-                (fun () -> output_string oc (Json.pretty j));
+              Slo_persist.Persist.atomic_write ~path (fun oc ->
+                  output_string oc (Json.pretty j));
               Printf.printf "wrote %s\n" path))
   in
   let bus_flag =
@@ -821,7 +821,7 @@ let sdet_cmd =
   let json_arg =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some output_path_conv) None
       & info [ "json" ] ~docv:"PATH"
           ~doc:
             "write the measurement rows plus a full metrics snapshot as \

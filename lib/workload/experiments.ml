@@ -48,6 +48,16 @@ type measurement = {
   m_incremental : float;
 }
 
+let measurement_json m =
+  let module Json = Slo_obs.Json in
+  Json.Obj
+    [
+      ("struct", Json.Str m.m_struct);
+      ("automatic_pct", Json.Float m.m_automatic);
+      ("hotness_pct", Json.Float m.m_hotness);
+      ("incremental_pct", Json.Float m.m_incremental);
+    ]
+
 let measure_machine ?(runs = 10) ?pool topology layouts =
   let cfg = Sdet.default_config topology in
   (* The per-layout loop stays serial; each measurement fans its [runs]

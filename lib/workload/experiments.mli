@@ -28,6 +28,10 @@ type measurement = {
   m_incremental : float;
 }
 
+val measurement_json : measurement -> Slo_obs.Json.t
+(** One Figure 8/9 row as the artifacts record it:
+    [{struct, automatic_pct, hotness_pct, incremental_pct}]. *)
+
 val measure_machine :
   ?runs:int ->
   ?pool:Slo_exec.Pool.t ->

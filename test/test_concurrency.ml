@@ -691,10 +691,38 @@ let store_suite =
     QCheck_alcotest.to_alcotest prop_store_cc_matches_oracle;
   ]
 
-(* Differential for the flat open-addressing ingestion path: the binner's
-   Flat_tab histograms must agree with the boxed (idx, cpu, line) ->
-   int ref Hashtbl feeder they replaced — inlined here as the reference
-   semantics, including retraction. *)
+(* The reference semantics of the binner: the boxed (interval, cpu, line)
+   -> int ref Hashtbl feeder the flat open-addressing path replaced,
+   including retraction. [feed ~n] adds n (possibly negative) samples;
+   [rows ()] lists the nonzero counts as sorted (idx, cpu, line, count). *)
+let hashtbl_reference ~interval =
+  let tbl : (int * int * int, int ref) Hashtbl.t = Hashtbl.create 64 in
+  let feed ~n ~cpu ~itc ~line =
+    let key = (Sample.floor_div itc interval, cpu, line) in
+    match Hashtbl.find_opt tbl key with
+    | Some r ->
+      r := !r + n;
+      if !r = 0 then Hashtbl.remove tbl key
+    | None -> if n <> 0 then Hashtbl.add tbl key (ref n)
+  in
+  let rows () =
+    Hashtbl.fold (fun (idx, cpu, line) r acc -> (idx, cpu, line, !r) :: acc)
+      tbl []
+    |> List.sort compare
+  in
+  (feed, rows)
+
+(* A binner's histograms in the reference's row form. *)
+let binner_rows b =
+  List.concat_map
+    (fun (idx, tbl) ->
+      List.concat_map
+        (fun (line, fs) ->
+          List.map (fun (cpu, count) -> (idx, cpu, line, count)) fs)
+        (Sample.line_freqs tbl))
+    (Sample.binned_idx b)
+  |> List.sort compare
+
 let prop_binner_matches_hashtbl_reference =
   QCheck2.Test.make
     ~name:"flat binner = (int, int ref) Hashtbl reference (feed + retract)"
@@ -707,48 +735,43 @@ let prop_binner_matches_hashtbl_reference =
            (triple (int_bound 7) (int_range (-500) 500) (int_range 1 9))))
     (fun (interval, xs, ys) ->
       (* ys ⊆ xs ∪ ys is fed to both, then retracted from both *)
-      let reference : (int * int * int, int ref) Hashtbl.t =
-        Hashtbl.create 64
-      in
-      let ref_feed ~n (cpu, itc, line) =
-        let key = (Sample.floor_div itc interval, cpu, line) in
-        match Hashtbl.find_opt reference key with
-        | Some r ->
-          r := !r + n;
-          if !r = 0 then Hashtbl.remove reference key
-        | None -> if n <> 0 then Hashtbl.add reference key (ref n)
-      in
+      let ref_feed, ref_rows = hashtbl_reference ~interval in
       let b = Sample.binner ~interval in
       List.iter
         (fun (cpu, itc, line) ->
           Sample.feed b (s cpu itc line);
-          ref_feed ~n:1 (cpu, itc, line))
+          ref_feed ~n:1 ~cpu ~itc ~line)
         (xs @ ys);
       let minus = Sample.binner ~interval in
       List.iter
         (fun (cpu, itc, line) ->
           Sample.feed minus (s cpu itc line);
-          ref_feed ~n:(-1) (cpu, itc, line))
+          ref_feed ~n:(-1) ~cpu ~itc ~line)
         ys;
       Sample.retract b minus;
-      let of_binner =
-        List.concat_map
-          (fun (idx, tbl) ->
-            List.concat_map
-              (fun (line, fs) ->
-                List.map (fun (cpu, count) -> (idx, cpu, line, count)) fs)
-              (Sample.line_freqs tbl))
-          (Sample.binned_idx b)
-        |> List.sort compare
-      in
-      let of_reference =
-        Hashtbl.fold
-          (fun (idx, cpu, line) r acc -> (idx, cpu, line, !r) :: acc)
-          reference []
-        |> List.sort compare
-      in
-      of_binner = of_reference
-      && Sample.fed b = List.length xs)
+      binner_rows b = ref_rows () && Sample.fed b = List.length xs)
+
+(* The same reference at scale: 200 000 time-ordered samples from an LCG
+   over 16 cpus x 24 lines, interval 32 768 — enough distinct keys per
+   interval table to grow the Flat_tab well past its initial size. *)
+let test_binner_matches_reference_at_scale () =
+  let interval = 32_768 in
+  let ref_feed, ref_rows = hashtbl_reference ~interval in
+  let b = Sample.binner ~interval in
+  let state = ref 0x243F6A8885A308D3 and itc = ref 0 in
+  for _ = 1 to 200_000 do
+    state := (!state * 2685821657736338717) + 1442695040888963407;
+    let bits = !state lsr 11 in
+    itc := !itc + 1 + (bits land 7);
+    let cpu = bits mod 16 and line = 100 + ((bits lsr 17) mod 24) in
+    Sample.feed_raw b ~cpu ~itc:!itc ~line;
+    ref_feed ~n:1 ~cpu ~itc:!itc ~line
+  done;
+  let rows = binner_rows b in
+  check_int "rows" (List.length (ref_rows ())) (List.length rows);
+  Alcotest.(check bool) "binner rows = Hashtbl reference" true
+    (rows = ref_rows ());
+  check_int "peak interval-table entries" 384 (Sample.peak_entries b)
 
 let props =
   List.map QCheck_alcotest.to_alcotest
@@ -774,6 +797,8 @@ let suites =
         Alcotest.test_case "binner counters" `Quick test_binner_counters;
         QCheck_alcotest.to_alcotest prop_grouped_index_matches_scan;
         QCheck_alcotest.to_alcotest prop_binner_matches_hashtbl_reference;
+        Alcotest.test_case "binner = Hashtbl reference at scale" `Quick
+          test_binner_matches_reference_at_scale;
       ] );
     ( "concurrency.cc",
       [
