@@ -190,9 +190,20 @@ let cpus_collect_arg =
     value & opt int 16
     & info [ "cpus" ] ~docv:"N" ~doc:"CPUs of the simulated collection machine")
 
+(* A sampling period below [min] is a command-line error (124), reported
+   before any work: a period that is not positive would never advance the
+   sampler, and the run would record samples until memory ran out. *)
+let period_conv ~min =
+  let parse s =
+    match int_of_string_opt s with
+    | Some p when p >= min -> Ok p
+    | _ -> Error (`Msg (Printf.sprintf "expected an integer >= %d, got %S" min s))
+  in
+  Arg.conv ~docv:"CYCLES" (parse, Format.pp_print_int)
+
 let period_arg =
   Arg.(
-    value & opt int 400
+    value & opt (period_conv ~min:1) 400
     & info [ "period" ] ~docv:"CYCLES" ~doc:"PMU sampling period")
 
 let k1_arg = Arg.(value & opt float 1.0 & info [ "k1" ] ~doc:"CycleGain scale")
@@ -741,7 +752,7 @@ let simulate_cmd =
   in
   let period_arg =
     Arg.(
-      value & opt int 400
+      value & opt (period_conv ~min:0) 400
       & info [ "period" ] ~docv:"CYCLES" ~doc:"sampling period (0 disables)")
   in
   Cmd.v

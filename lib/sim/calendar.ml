@@ -111,18 +111,26 @@ let take t s =
   t.ring <- t.ring - 1;
   id
 
+(* Same-clock fast path: ring clocks lie in [cur, cur + width), so the
+   slot of [cur] holds only clock [cur], the least queued clock (no
+   overflow clock is below [cur + width]); its head is the next pop, and
+   neither the bitmap scan nor a migration is needed. *)
 let pop t =
-  if t.ring = 0 && t.overflow_min < max_int then begin
-    t.cur <- t.overflow_min;
-    migrate t
-  end;
-  if t.ring = 0 then -1
+  let s = t.cur land mask in
+  if t.head.(s) >= 0 then take t s
   else begin
-    let s = next_slot t (t.cur land mask) in
-    let clock = t.cur + ((s - t.cur) land mask) in
-    if clock <> t.cur then begin
-      t.cur <- clock;
-      if t.overflow_min < clock + width then migrate t
+    if t.ring = 0 && t.overflow_min < max_int then begin
+      t.cur <- t.overflow_min;
+      migrate t
     end;
-    take t s
+    if t.ring = 0 then -1
+    else begin
+      let s = next_slot t (t.cur land mask) in
+      let clock = t.cur + ((s - t.cur) land mask) in
+      if clock <> t.cur then begin
+        t.cur <- clock;
+        if t.overflow_min < clock + width then migrate t
+      end;
+      take t s
+    end
   end

@@ -7,7 +7,7 @@ module Prng = Slo_util.Prng
 
 exception Runtime_error = Slo_profile.Interp.Runtime_error
 
-(* Raised by [eval_cexpr], which has no location; [run] reports it at the
+(* Raised by [eval], which has no location; [run] reports it at the
    executing instruction's. *)
 exception Zero_divisor
 
@@ -81,83 +81,78 @@ let throughput r =
   !rate *. 1_000_000.0
 
 (* --------------------------------------------------------------------- *)
-(* Compiled representation: variable names resolved to integer register
-   slots, field names resolved to byte offsets under the machine's layouts.
-   Compilation happens lazily, once layouts are frozen. *)
+(* The flat program. [run] compiles every procedure, once the layouts and
+   the code layout are final, into one op array: variable names become
+   frame offsets, fields byte offsets under the machine's layouts, and
+   blocks and callees op indices. A block's ops are its instructions, then
+   its terminator. A frame is the procedure's struct-instance base
+   addresses (its struct parameters, in order) followed by its int
+   registers (its int parameters first, in order); [Reg] and [inst] are
+   offsets from the frame's base. *)
 
-type cexpr =
-  | Cint of int
-  | Cslot of int
-  | Cbin of Ast.binop * cexpr * cexpr
+type expr = Int of int | Reg of int | Bin of Ast.binop * expr * expr
 
-type caccess = {
-  c_inst : int;  (* instance-slot index in the frame *)
-  c_off : int;  (* field offset within the struct *)
-  c_elem : int;  (* element size in bytes *)
-  c_count : int;  (* element count (1 for scalars) *)
-  c_index : cexpr option;
-  c_loc : Loc.t;
+type proc = {
+  p_name : string;
+  p_entry : int;  (* op index of block 0's first op *)
+  p_ninsts : int;  (* struct parameters: the frame's leading slots *)
+  mutable p_frame : int;  (* frame size, set once the proc is compiled *)
 }
 
-type cinstr =
-  | CLoad of { dst : int; acc : caccess }
-  | CStore of { acc : caccess; src : cexpr }
-  | CGload of { dst : int; addr : int; size : int }
-  | CGstore of { addr : int; size : int; src : cexpr }
-  | CAssign of { dst : int; value : cexpr }
-  | CRand of { dst : int; bound : cexpr; loc : Loc.t }
-  | CPause of { cycles : cexpr; loc : Loc.t }
-  | CCall of {
-      callee : string;
-      int_args : (int * cexpr) list;  (* callee slot, value *)
-      inst_args : (int * int) list;  (* callee inst slot, caller inst slot *)
-      loc : Loc.t;
-    }
+(* An unindexed access reads element 0: its [index] is [Int 0]. *)
+type op =
+  | Load of { dst : int; inst : int; off : int; elem : int; count : int; index : expr; loc : Loc.t }
+  | Store of { inst : int; off : int; elem : int; count : int; index : expr; src : expr; loc : Loc.t }
+  | Gload of { dst : int; addr : int; size : int }
+  | Gstore of { addr : int; size : int; src : expr }
+  | Assign of { dst : int; value : expr }
+  | Rand of { dst : int; bound : expr; loc : Loc.t }
+  | Pause of { cycles : expr; loc : Loc.t }
+  | Call of { caller : proc; callee : proc; args : expr array; insts : int array }
+      (* [args.(k)] is the callee's k-th int parameter, [insts.(k)] the
+         caller's frame offset of its k-th struct parameter *)
+  | Goto of int
+  | Branch of { cond : expr; if_true : int; if_false : int }
+  | Return
 
-type cterm =
-  | CGoto of int
-  | CBranch of { cond : cexpr; if_true : int; if_false : int; loc : Loc.t }
-  | CReturn
-
-type cblock = {
-  cb_instrs : cinstr array;
-  cb_term : cterm;
-  cb_src : Cfg.block_id;
-  cb_lines : int array;  (* source line of each instruction, for sampling *)
-  cb_term_line : int;
-}
-
-type cproc = {
-  cp_name : string;
-  cp_blocks : cblock array;
-  cp_nregs : int;
-  cp_ninsts : int;
-  cp_params : Ast.param list;
+(* The op array and its parallel per-op tables: the op's procedure (an
+   index into [procs]), block, instruction index (the block's instruction
+   count for its terminator), source line, and its block's code range. *)
+type prog = {
+  ops : op array;
+  procs : proc array;
+  op_proc : int array;
+  op_block : int array;
+  op_ip : int array;
+  op_line : int array;
+  op_addr : int array;
+  op_size : int array;
+  stack_words : int;  (* frames of the deepest call chain *)
+  depth : int;  (* procedures on the longest call chain *)
 }
 
 (* --------------------------------------------------------------------- *)
 
-type frame = {
-  f_proc : cproc;
-  f_regs : int array;
-  f_insts : instance array;
-  f_code : (int * int) array;  (* per-block (address, size) of the proc's code *)
-  mutable f_block : int;
-  mutable f_ip : int;
-}
-
+(* A thread is a pc, a frame base and one int stack; a call pushes its
+   return pc and its caller's frame base. The stacks are sized by [run]. *)
 type thread = {
   t_cpu : int;
   t_total_items : int;
   mutable t_clock : int;
-  mutable t_frames : frame list;
+  mutable t_pc : int;  (* the next op; -1 between invocations *)
+  mutable t_base : int;  (* the running frame's first slot in [t_stack] *)
+  mutable t_depth : int;  (* calls awaiting their return *)
+  mutable t_stack : int array;
+  mutable t_ret_pc : int array;
+  mutable t_ret_base : int array;
   mutable t_work : (string * arg list) list;
   t_prng : Prng.t;
   mutable t_done : bool;
 }
 
 type t = {
-  cfg_of : (string, Cfg.t) Hashtbl.t;
+  cfgs : Cfg.t array;  (* program order *)
+  index : (string, int) Hashtbl.t;  (* procedure name -> [cfgs] index *)
   program : Ast.program;
   config : config;
   coherence : Coherence.t;
@@ -166,7 +161,6 @@ type t = {
   mutable arena_next : int;
   mutable next_instance : int;
   mutable frozen : bool;  (* layouts frozen once allocation/compilation began *)
-  compiled : (string, cproc) Hashtbl.t;
   threads : (int, thread) Hashtbl.t;  (* keyed by cpu *)
   master_prng : Prng.t;
   mutable ran : bool;
@@ -178,6 +172,8 @@ type t = {
   code : (string, (int * int) array) Hashtbl.t;
       (* proc -> per-block (address, size) under the current code layout *)
 }
+
+let find_cfg t name = Option.map (Array.get t.cfgs) (Hashtbl.find_opt t.index name)
 
 (* Global variables live in their own line-aligned segment far above the
    instance arena, laid out by the (overridable) "$globals" layout. *)
@@ -194,9 +190,13 @@ let block_size (blk : Cfg.block) = instr_bytes * (Array.length blk.Cfg.b_instrs 
 let code_block_size = block_size
 
 let create config program =
+  (match config.sample_period with
+  | Some p when p <= 0 ->
+    invalid_arg (Printf.sprintf "Machine.create: sample period %d is not positive" p)
+  | Some _ | None -> ());
   let cfgs = Cfg.of_program program in
-  let cfg_of = Hashtbl.create 16 in
-  List.iter (fun (n, c) -> Hashtbl.replace cfg_of n c) cfgs;
+  let index = Hashtbl.create 16 in
+  List.iteri (fun i (n, _) -> Hashtbl.replace index n i) cfgs;
   (* Default code layout: procedures in program order, blocks in
      declaration (CFG index) order, packed contiguously — the "as compiled"
      baseline the code-layout optimizer reorders. *)
@@ -224,7 +224,8 @@ let create config program =
   | None -> ());
   let n = Topology.num_cpus config.topology in
   {
-    cfg_of;
+    cfgs = Array.of_list (List.map snd cfgs);
+    index;
     program;
     config;
     coherence =
@@ -237,7 +238,6 @@ let create config program =
     arena_next = 0;
     next_instance = 0;
     frozen = false;
-    compiled = Hashtbl.create 16;
     threads = Hashtbl.create 16;
     master_prng = Prng.create ~seed:config.seed;
     ran = false;
@@ -276,7 +276,7 @@ let set_code_layout t order =
   List.iter
     (fun (proc, b) ->
       let cfg =
-        match Hashtbl.find_opt t.cfg_of proc with
+        match find_cfg t proc with
         | Some c -> c
         | None ->
           invalid_arg
@@ -351,186 +351,171 @@ let alloc t ~struct_name =
 (* --------------------------------------------------------------------- *)
 (* Compilation *)
 
-type comp_env = {
-  regs : (string, int) Hashtbl.t;
-  insts : (string, int) Hashtbl.t;
-  mutable nregs : int;
-}
-
-let reg_of env name =
-  match Hashtbl.find_opt env.regs name with
-  | Some r -> r
-  | None ->
-    let r = env.nregs in
-    env.nregs <- r + 1;
-    Hashtbl.replace env.regs name r;
-    r
-
-let rec compile_expr env (e : Cfg.pexpr) =
-  match e with
-  | Cfg.Pint n -> Cint n
-  | Cfg.Pvar v -> Cslot (reg_of env v)
-  | Cfg.Pbinop (op, l, r) -> Cbin (op, compile_expr env l, compile_expr env r)
-
-let compile_access t env ~inst ~struct_name ~field ~index ~loc =
+let field_slot t ~struct_name name =
   let layout = layout_of t ~struct_name in
-  let off = Layout.offset_of layout field in
-  let fdesc =
-    match
-      List.find_opt
-        (fun (f : Field.t) -> String.equal f.Field.name field)
-        (Layout.fields layout)
-    with
-    | Some f -> f
-    | None -> invalid_arg (Printf.sprintf "Machine: struct %S lacks field %S" struct_name field)
-  in
-  let c_inst =
-    match Hashtbl.find_opt env.insts inst with
-    | Some s -> s
-    | None -> invalid_arg (Printf.sprintf "Machine: unknown struct pointer %S" inst)
-  in
-  {
-    c_inst;
-    c_off = off;
-    c_elem = Ast.prim_size fdesc.Field.prim;
-    c_count = fdesc.Field.count;
-    c_index = Option.map (compile_expr env) index;
-    c_loc = loc;
-  }
+  match
+    List.find_opt (fun (f : Field.t) -> String.equal f.Field.name name) (Layout.fields layout)
+  with
+  | Some f -> (Layout.offset_of layout name, Ast.prim_size f.Field.prim, f.Field.count)
+  | None -> invalid_arg (Printf.sprintf "Machine: struct %S lacks field %S" struct_name name)
 
-let compile_proc t (cfg : Cfg.t) : cproc =
-  let env = { regs = Hashtbl.create 16; insts = Hashtbl.create 4; nregs = 0 } in
-  (* Parameters first so their slots are the leading ones, in order. *)
-  let ninsts = ref 0 in
-  List.iter
-    (fun p ->
-      match p with
-      | Ast.Pint { name; _ } -> ignore (reg_of env name)
-      | Ast.Pstruct { name; _ } ->
-        Hashtbl.replace env.insts name !ninsts;
-        incr ninsts)
-    cfg.Cfg.params;
-  let compile_instr (i : Cfg.instr) =
-    match i with
-    | Cfg.Iload { dst; inst; struct_name; field; index; loc } ->
-      let acc = compile_access t env ~inst ~struct_name ~field ~index ~loc in
-      CLoad { dst = reg_of env dst; acc }
-    | Cfg.Istore { inst; struct_name; field; index; src; loc } ->
-      let acc = compile_access t env ~inst ~struct_name ~field ~index ~loc in
-      CStore { acc; src = compile_expr env src }
-    | Cfg.Igload { dst; name; _ } ->
-      let layout = layout_of t ~struct_name:Ast.globals_struct_name in
-      let fdesc =
-        List.find
-          (fun (f : Field.t) -> String.equal f.Field.name name)
-          (Layout.fields layout)
-      in
-      CGload
-        {
-          dst = reg_of env dst;
-          addr = globals_base + Layout.offset_of layout name;
-          size = Ast.prim_size fdesc.Field.prim;
-        }
-    | Cfg.Igstore { name; src; _ } ->
-      let layout = layout_of t ~struct_name:Ast.globals_struct_name in
-      let fdesc =
-        List.find
-          (fun (f : Field.t) -> String.equal f.Field.name name)
-          (Layout.fields layout)
-      in
-      CGstore
-        {
-          addr = globals_base + Layout.offset_of layout name;
-          size = Ast.prim_size fdesc.Field.prim;
-          src = compile_expr env src;
-        }
-    | Cfg.Iassign { dst; value; _ } ->
-      CAssign { dst = reg_of env dst; value = compile_expr env value }
-    | Cfg.Irand { dst; bound; loc } ->
-      CRand { dst = reg_of env dst; bound = compile_expr env bound; loc }
-    | Cfg.Ipause { cycles; loc } -> CPause { cycles = compile_expr env cycles; loc }
-    | Cfg.Icall { proc = callee; args; loc } ->
-      let callee_cfg =
-        match Hashtbl.find_opt t.cfg_of callee with
-        | Some c -> c
-        | None -> invalid_arg (Printf.sprintf "Machine: call to unknown procedure %S" callee)
-      in
-      (* Slot conventions in the callee mirror this function: int params
-         take registers 0.. in parameter order; struct params take instance
-         slots 0.. in parameter order. *)
-      let int_args = ref [] and inst_args = ref [] in
-      let next_int = ref 0 and next_inst = ref 0 in
-      List.iter2
-        (fun param arg ->
-          match (param, arg) with
-          | Ast.Pint _, Cfg.Cexpr e ->
-            int_args := (!next_int, compile_expr env e) :: !int_args;
-            incr next_int
-          | Ast.Pstruct _, Cfg.Cinst name ->
-            let caller_slot =
-              match Hashtbl.find_opt env.insts name with
-              | Some s -> s
-              | None ->
-                invalid_arg (Printf.sprintf "Machine: unknown struct pointer %S" name)
-            in
-            inst_args := (!next_inst, caller_slot) :: !inst_args;
-            incr next_inst
-          | Ast.Pint _, Cfg.Cinst _ | Ast.Pstruct _, Cfg.Cexpr _ ->
-            invalid_arg "Machine: call argument kind mismatch")
-        callee_cfg.Cfg.params args;
-      CCall
-        {
-          callee;
-          int_args = List.rev !int_args;
-          inst_args = List.rev !inst_args;
-          loc;
-        }
-  in
-  let compile_term (term : Cfg.terminator) =
-    match term with
-    | Cfg.Tgoto b -> CGoto b
-    | Cfg.Tbranch { cond; if_true; if_false; loc } ->
-      CBranch { cond = compile_expr env cond; if_true; if_false; loc }
-    | Cfg.Treturn -> CReturn
-  in
-  let blocks =
+let compile t =
+  (* The op index of every block's first op: procedures in program order,
+     blocks in index order. *)
+  let total = ref 0 in
+  let starts =
     Array.map
-      (fun (blk : Cfg.block) ->
-        let instrs = Array.map compile_instr blk.Cfg.b_instrs in
-        let lines =
-          Array.map (fun i -> Loc.line (Cfg.instr_loc i)) blk.Cfg.b_instrs
-        in
-        let term_line =
-          match blk.Cfg.b_term with
-          | Cfg.Tbranch { loc; _ } -> Loc.line loc
-          | Cfg.Tgoto _ | Cfg.Treturn ->
-            if Array.length lines > 0 then lines.(Array.length lines - 1) else 0
-        in
-        { cb_instrs = instrs; cb_term = compile_term blk.Cfg.b_term;
-          cb_src = blk.Cfg.b_id; cb_lines = lines; cb_term_line = term_line })
-      cfg.Cfg.blocks
+      (fun (cfg : Cfg.t) ->
+        Array.map
+          (fun (blk : Cfg.block) ->
+            let s = !total in
+            total := s + Array.length blk.Cfg.b_instrs + 1;
+            s)
+          cfg.Cfg.blocks)
+      t.cfgs
   in
-  {
-    cp_name = cfg.Cfg.proc_name;
-    cp_blocks = blocks;
-    cp_nregs = max env.nregs 1;
-    cp_ninsts = max !ninsts 1;
-    cp_params = cfg.Cfg.params;
-  }
-
-let compiled_proc t name =
-  match Hashtbl.find_opt t.compiled name with
-  | Some cp -> cp
-  | None ->
-    let cfg =
-      match Hashtbl.find_opt t.cfg_of name with
-      | Some c -> c
-      | None -> invalid_arg (Printf.sprintf "Machine: unknown procedure %S" name)
+  let total = !total in
+  let procs =
+    Array.mapi
+      (fun i (cfg : Cfg.t) ->
+        { p_name = cfg.Cfg.proc_name; p_entry = starts.(i).(0);
+          p_ninsts =
+            List.length
+              (List.filter (function Ast.Pstruct _ -> true | Ast.Pint _ -> false) cfg.Cfg.params);
+          p_frame = 0 })
+      t.cfgs
+  in
+  let table () = Array.make total 0 in
+  let ops = Array.make total Return in
+  let op_proc = table () and op_block = table () and op_ip = table () in
+  let op_line = table () and op_addr = table () and op_size = table () in
+  let callees = Array.make (Array.length procs) [] in
+  let compile_proc pi (cfg : Cfg.t) =
+    let me = procs.(pi) in
+    let insts = Hashtbl.create 4 and regs = Hashtbl.create 16 in
+    let reg v =
+      match Hashtbl.find_opt regs v with
+      | Some r -> r
+      | None ->
+        let r = me.p_ninsts + Hashtbl.length regs in
+        Hashtbl.replace regs v r;
+        r
     in
-    t.frozen <- true;
-    let cp = compile_proc t cfg in
-    Hashtbl.replace t.compiled name cp;
-    cp
+    List.iter
+      (function
+        | Ast.Pint { name; _ } -> ignore (reg name)
+        | Ast.Pstruct { name; _ } -> Hashtbl.replace insts name (Hashtbl.length insts))
+      cfg.Cfg.params;
+    let inst name =
+      match Hashtbl.find_opt insts name with
+      | Some s -> s
+      | None -> invalid_arg (Printf.sprintf "Machine: unknown struct pointer %S" name)
+    in
+    let rec expr (e : Cfg.pexpr) =
+      match e with
+      | Cfg.Pint n -> Int n
+      | Cfg.Pvar v -> Reg (reg v)
+      | Cfg.Pbinop (op, l, r) -> Bin (op, expr l, expr r)
+    in
+    let index = function None -> Int 0 | Some e -> expr e in
+    let global name =
+      let off, size, _ = field_slot t ~struct_name:Ast.globals_struct_name name in
+      (globals_base + off, size)
+    in
+    let instr (i : Cfg.instr) =
+      match i with
+      | Cfg.Iload { dst; inst = p; struct_name; field; index = ix; loc } ->
+        let off, elem, count = field_slot t ~struct_name field in
+        Load { dst = reg dst; inst = inst p; off; elem; count; index = index ix; loc }
+      | Cfg.Istore { inst = p; struct_name; field; index = ix; src; loc } ->
+        let off, elem, count = field_slot t ~struct_name field in
+        Store { inst = inst p; off; elem; count; index = index ix; src = expr src; loc }
+      | Cfg.Igload { dst; name; _ } ->
+        let addr, size = global name in
+        Gload { dst = reg dst; addr; size }
+      | Cfg.Igstore { name; src; _ } ->
+        let addr, size = global name in
+        Gstore { addr; size; src = expr src }
+      | Cfg.Iassign { dst; value; _ } -> Assign { dst = reg dst; value = expr value }
+      | Cfg.Irand { dst; bound; loc } -> Rand { dst = reg dst; bound = expr bound; loc }
+      | Cfg.Ipause { cycles; loc } -> Pause { cycles = expr cycles; loc }
+      | Cfg.Icall { proc = name; args; _ } ->
+        let ci =
+          match Hashtbl.find_opt t.index name with
+          | Some ci -> ci
+          | None -> invalid_arg (Printf.sprintf "Machine: call to unknown procedure %S" name)
+        in
+        callees.(pi) <- ci :: callees.(pi);
+        let ints = ref [] and ptrs = ref [] in
+        List.iter2
+          (fun param arg ->
+            match (param, arg) with
+            | Ast.Pint _, Cfg.Cexpr e -> ints := expr e :: !ints
+            | Ast.Pstruct _, Cfg.Cinst p -> ptrs := inst p :: !ptrs
+            | Ast.Pint _, Cfg.Cinst _ | Ast.Pstruct _, Cfg.Cexpr _ ->
+              invalid_arg "Machine: call argument kind mismatch")
+          t.cfgs.(ci).Cfg.params args;
+        Call
+          { caller = me; callee = procs.(ci); args = Array.of_list (List.rev !ints);
+            insts = Array.of_list (List.rev !ptrs) }
+    in
+    let code = Hashtbl.find t.code cfg.Cfg.proc_name in
+    Array.iteri
+      (fun b (blk : Cfg.block) ->
+        let addr, size = code.(b) in
+        let emit pc op ip line =
+          ops.(pc) <- op;
+          op_proc.(pc) <- pi;
+          op_block.(pc) <- blk.Cfg.b_id;
+          op_ip.(pc) <- ip;
+          op_line.(pc) <- line;
+          op_addr.(pc) <- addr;
+          op_size.(pc) <- size
+        in
+        let s = starts.(pi).(b) and n = Array.length blk.Cfg.b_instrs in
+        Array.iteri
+          (fun ip i -> emit (s + ip) (instr i) ip (Loc.line (Cfg.instr_loc i)))
+          blk.Cfg.b_instrs;
+        (* A goto or return samples as the block's last instruction. *)
+        let last = if n > 0 then op_line.(s + n - 1) else 0 in
+        let term, line =
+          match blk.Cfg.b_term with
+          | Cfg.Tgoto b' -> (Goto starts.(pi).(b'), last)
+          | Cfg.Tbranch { cond; if_true; if_false; loc } ->
+            ( Branch
+                { cond = expr cond; if_true = starts.(pi).(if_true);
+                  if_false = starts.(pi).(if_false) },
+              Loc.line loc )
+          | Cfg.Treturn -> (Return, last)
+        in
+        emit (s + n) term n line)
+      cfg.Cfg.blocks;
+    me.p_frame <- me.p_ninsts + Hashtbl.length regs
+  in
+  Array.iteri compile_proc t.cfgs;
+  (* Stack words and depth of the deepest call chain from each procedure.
+     The typechecker rejects recursion; an unchecked program with a call
+     cycle is rejected here. *)
+  let words = Array.make (Array.length procs) (-1) and depth = Array.make (Array.length procs) 0 in
+  let rec visit i =
+    if words.(i) = -2 then
+      invalid_arg (Printf.sprintf "Machine: recursive call through %S" procs.(i).p_name);
+    if words.(i) < 0 then begin
+      words.(i) <- -2;
+      let w, d =
+        List.fold_left
+          (fun (w, d) j ->
+            visit j;
+            (max w words.(j), max d depth.(j)))
+          (0, 0) callees.(i)
+      in
+      words.(i) <- procs.(i).p_frame + w;
+      depth.(i) <- d + 1
+    end
+  in
+  Array.iteri (fun i _ -> visit i) procs;
+  { ops; procs; op_proc; op_block; op_ip; op_line; op_addr; op_size;
+    stack_words = Array.fold_left max 1 words; depth = Array.fold_left max 1 depth }
 
 (* --------------------------------------------------------------------- *)
 
@@ -542,11 +527,15 @@ let add_thread t ~cpu ~work =
   (* Validate work items eagerly. *)
   List.iter
     (fun (proc, args) ->
-      let cp = compiled_proc t proc in
-      if List.length cp.cp_params <> List.length args then
+      let params =
+        match find_cfg t proc with
+        | Some cfg -> cfg.Cfg.params
+        | None -> invalid_arg (Printf.sprintf "Machine: unknown procedure %S" proc)
+      in
+      if List.length params <> List.length args then
         invalid_arg
           (Printf.sprintf "Machine.add_thread: %S expects %d args, got %d" proc
-             (List.length cp.cp_params) (List.length args));
+             (List.length params) (List.length args));
       List.iter2
         (fun param arg ->
           match (param, arg) with
@@ -554,14 +543,21 @@ let add_thread t ~cpu ~work =
           | Ast.Pstruct { struct_name; _ }, Ainst i
             when String.equal i.i_struct struct_name -> ()
           | _ -> invalid_arg "Machine.add_thread: argument kind mismatch")
-        cp.cp_params args)
+        params args)
     work;
+  (* Work fixes the layouts its procedures will run under. *)
+  if work <> [] then t.frozen <- true;
   let thread =
     {
       t_cpu = cpu;
       t_total_items = List.length work;
       t_clock = 0;
-      t_frames = [];
+      t_pc = -1;
+      t_base = 0;
+      t_depth = 0;
+      t_stack = [||];
+      t_ret_pc = [||];
+      t_ret_base = [||];
       t_work = work;
       t_prng = Prng.split t.master_prng;
       t_done = work = [];
@@ -572,65 +568,53 @@ let add_thread t ~cpu ~work =
 (* --------------------------------------------------------------------- *)
 (* Execution *)
 
-let rec eval_cexpr regs prng (e : cexpr) =
+let[@inline] binop (op : Ast.binop) a b =
+  match op with
+  | Ast.Add -> a + b
+  | Ast.Sub -> a - b
+  | Ast.Mul -> a * b
+  | Ast.Div -> if b = 0 then raise Zero_divisor else a / b
+  | Ast.Mod -> if b = 0 then raise Zero_divisor else a mod b
+  | Ast.Lt -> Bool.to_int (a < b)
+  | Ast.Le -> Bool.to_int (a <= b)
+  | Ast.Gt -> Bool.to_int (a > b)
+  | Ast.Ge -> Bool.to_int (a >= b)
+  | Ast.Eq -> Bool.to_int (a = b)
+  | Ast.Ne -> Bool.to_int (a <> b)
+  | Ast.And -> Bool.to_int (a <> 0 && b <> 0)
+  | Ast.Or -> Bool.to_int (a <> 0 || b <> 0)
+
+(* The value of [e] in the frame at [base]; leaf operands are read in
+   place rather than through a recursive call. *)
+let rec eval stack base e =
   match e with
-  | Cint n -> n
-  | Cslot s -> regs.(s)
-  | Cbin (op, l, r) ->
-    let a = eval_cexpr regs prng l in
-    let b = eval_cexpr regs prng r in
-    let bool_ c = if c then 1 else 0 in
-    (match op with
-    | Ast.Add -> a + b
-    | Ast.Sub -> a - b
-    | Ast.Mul -> a * b
-    | Ast.Div -> if b = 0 then raise Zero_divisor else a / b
-    | Ast.Mod -> if b = 0 then raise Zero_divisor else a mod b
-    | Ast.Lt -> bool_ (a < b)
-    | Ast.Le -> bool_ (a <= b)
-    | Ast.Gt -> bool_ (a > b)
-    | Ast.Ge -> bool_ (a >= b)
-    | Ast.Eq -> bool_ (a = b)
-    | Ast.Ne -> bool_ (a <> b)
-    | Ast.And -> bool_ (a <> 0 && b <> 0)
-    | Ast.Or -> bool_ (a <> 0 || b <> 0))
+  | Int n -> n
+  | Reg r -> stack.(base + r)
+  | Bin (op, l, r) ->
+    let a = match l with Int n -> n | Reg s -> stack.(base + s) | Bin _ -> eval stack base l in
+    let b = match r with Int n -> n | Reg s -> stack.(base + s) | Bin _ -> eval stack base r in
+    binop op a b
 
-(* The access's byte address; its size is [acc.c_elem]. *)
-let address_of frame (acc : caccess) regs prng =
-  let idx =
-    match acc.c_index with
-    | None -> 0
-    | Some e -> eval_cexpr regs prng e
-  in
-  if idx < 0 || idx >= acc.c_count then
+(* The byte address of element [index] of a field of the instance in
+   frame slot [inst]. *)
+let[@inline] address stack base ~inst ~off ~elem ~count ~index ~loc =
+  let idx = eval stack base index in
+  if idx < 0 || idx >= count then
     raise
-      (Runtime_error
-         (Printf.sprintf "index %d out of range (count %d)" idx acc.c_count, acc.c_loc));
-  let inst = frame.f_insts.(acc.c_inst) in
-  inst.i_base + acc.c_off + (idx * acc.c_elem)
+      (Runtime_error (Printf.sprintf "index %d out of range (count %d)" idx count, loc));
+  stack.(base + inst) + off + (idx * elem)
 
-let make_frame t proc =
-  let cp = compiled_proc t proc in
-  {
-    f_proc = cp;
-    f_regs = Array.make cp.cp_nregs 0;
-    f_insts = Array.make cp.cp_ninsts { i_id = -1; i_struct = ""; i_base = -1 };
-    f_code = Hashtbl.find t.code proc;
-    f_block = 0;
-    f_ip = 0;
-  }
-
-(* Fetch the instruction bytes of the frame's current block; free (and
+(* Fetch the code of the block that op [pc] begins; free (and
    trace-silent) when no I-cache is configured, so data-only runs are
    byte-identical to the pre-I-cache machine. Called on every block entry:
    invocation start, goto, branch, and call — but not on return, which
    resumes mid-block without refetching (the straight-line bytes after the
    call site were already fetched on block entry). *)
-let fetch_cost t thread frame =
+let fetch t p thread pc =
   match t.config.icache with
   | None -> 0
   | Some _ ->
-    let addr, size = frame.f_code.(frame.f_block) in
+    let addr = p.op_addr.(pc) and size = p.op_size.(pc) in
     if t.config.trace then
       t.fetch_trace_rev <-
         { t_cpu = thread.t_cpu; t_itc = thread.t_clock; t_addr = addr;
@@ -638,147 +622,135 @@ let fetch_cost t thread frame =
         :: t.fetch_trace_rev;
     Coherence.ifetch t.coherence ~cpu:thread.t_cpu ~addr ~size
 
-let start_invocation t thread (proc, args) =
-  let frame = make_frame t proc in
-  let next_int = ref 0 and next_inst = ref 0 in
-  List.iter2
-    (fun param arg ->
-      match (param, arg) with
-      | Ast.Pint _, Aint v ->
-        frame.f_regs.(!next_int) <- v;
-        incr next_int
-      | Ast.Pstruct _, Ainst i ->
-        frame.f_insts.(!next_inst) <- i;
-        incr next_inst
-      | _ -> assert false (* validated in add_thread *))
-    frame.f_proc.cp_params args;
-  thread.t_frames <- [ frame ];
-  frame
+let rec set_args stack ~reg ~inst = function
+  | [] -> ()
+  | Aint v :: rest ->
+    stack.(reg) <- v;
+    set_args stack ~reg:(reg + 1) ~inst rest
+  | Ainst i :: rest ->
+    stack.(inst) <- i.i_base;
+    set_args stack ~reg ~inst:(inst + 1) rest
 
-(* Execute one instruction (or terminator) of [thread]; returns its cost in
-   cycles. *)
-let step t thread =
-  match thread.t_frames with
-  | [] -> (
-    match thread.t_work with
-    | [] ->
-      thread.t_done <- true;
-      0
-    | item :: rest ->
-      thread.t_work <- rest;
-      let frame = start_invocation t thread item in
-      call_overhead + fetch_cost t thread frame)
-  | frame :: parents ->
-    let blk = frame.f_proc.cp_blocks.(frame.f_block) in
-    if frame.f_ip < Array.length blk.cb_instrs then begin
-      let instr = blk.cb_instrs.(frame.f_ip) in
-      frame.f_ip <- frame.f_ip + 1;
-      match instr with
-      | CAssign { dst; value } ->
-        frame.f_regs.(dst) <- eval_cexpr frame.f_regs thread.t_prng value;
-        1
-      | CRand { dst; bound; loc } ->
-        let b = eval_cexpr frame.f_regs thread.t_prng bound in
-        if b <= 0 then raise (Runtime_error ("rand bound must be positive", loc));
-        frame.f_regs.(dst) <- Prng.int thread.t_prng b;
-        1
-      | CPause { cycles; loc } ->
-        let c = eval_cexpr frame.f_regs thread.t_prng cycles in
-        if c < 0 then raise (Runtime_error ("negative pause", loc));
-        1 + c
-      | CLoad { dst; acc } ->
-        let addr = address_of frame acc frame.f_regs thread.t_prng in
-        let size = acc.c_elem in
-        if t.config.trace then
-          t.trace_rev <-
-            { t_cpu = thread.t_cpu; t_itc = thread.t_clock; t_addr = addr;
-              t_size = size; t_is_write = false }
-            :: t.trace_rev;
-        let latency =
-          Coherence.access t.coherence ~cpu:thread.t_cpu ~addr ~size ~is_write:false
-        in
-        frame.f_regs.(dst) <- Flat_tab.find t.memory addr ~default:0;
-        t.config.load_base + latency
-      | CStore { acc; src } ->
-        let addr = address_of frame acc frame.f_regs thread.t_prng in
-        let size = acc.c_elem in
-        if t.config.trace then
-          t.trace_rev <-
-            { t_cpu = thread.t_cpu; t_itc = thread.t_clock; t_addr = addr;
-              t_size = size; t_is_write = true }
-            :: t.trace_rev;
-        let v = eval_cexpr frame.f_regs thread.t_prng src in
-        let latency =
-          Coherence.access t.coherence ~cpu:thread.t_cpu ~addr ~size ~is_write:true
-        in
-        Flat_tab.set t.memory addr v;
-        t.config.store_base + latency
-      | CGload { dst; addr; size } ->
-        let latency =
-          Coherence.access t.coherence ~cpu:thread.t_cpu ~addr ~size ~is_write:false
-        in
-        frame.f_regs.(dst) <- Flat_tab.find t.memory addr ~default:0;
-        t.config.load_base + latency
-      | CGstore { addr; size; src } ->
-        let v = eval_cexpr frame.f_regs thread.t_prng src in
-        let latency =
-          Coherence.access t.coherence ~cpu:thread.t_cpu ~addr ~size ~is_write:true
-        in
-        Flat_tab.set t.memory addr v;
-        t.config.store_base + latency
-      | CCall { callee; int_args; inst_args; _ } ->
-        let child = make_frame t callee in
-        List.iter
-          (fun (slot, e) -> child.f_regs.(slot) <- eval_cexpr frame.f_regs thread.t_prng e)
-          int_args;
-        List.iter
-          (fun (child_slot, parent_slot) ->
-            child.f_insts.(child_slot) <- frame.f_insts.(parent_slot))
-          inst_args;
-        thread.t_frames <- child :: frame :: parents;
-        call_overhead + fetch_cost t thread child
-    end
+(* Start the thread's next work item, or retire the thread; returns the
+   step's cost in cycles. *)
+let start t p thread =
+  match thread.t_work with
+  | [] ->
+    thread.t_done <- true;
+    0
+  | (name, args) :: rest ->
+    thread.t_work <- rest;
+    let proc = p.procs.(Hashtbl.find t.index name) in
+    Array.fill thread.t_stack 0 proc.p_frame 0;
+    set_args thread.t_stack ~reg:proc.p_ninsts ~inst:0 args;
+    thread.t_base <- 0;
+    thread.t_pc <- proc.p_entry;
+    call_overhead + fetch t p thread proc.p_entry
+
+(* Execute op [pc] of [thread]; returns its cost in cycles. *)
+let exec t p thread pc =
+  let stack = thread.t_stack and base = thread.t_base in
+  thread.t_pc <- pc + 1;
+  match p.ops.(pc) with
+  | Assign { dst; value } ->
+    stack.(base + dst) <- eval stack base value;
+    1
+  | Rand { dst; bound; loc } ->
+    let b = eval stack base bound in
+    if b <= 0 then raise (Runtime_error ("rand bound must be positive", loc));
+    stack.(base + dst) <- Prng.int thread.t_prng b;
+    1
+  | Pause { cycles; loc } ->
+    let c = eval stack base cycles in
+    if c < 0 then raise (Runtime_error ("negative pause", loc));
+    1 + c
+  | Load { dst; inst; off; elem; count; index; loc } ->
+    let addr = address stack base ~inst ~off ~elem ~count ~index ~loc in
+    if t.config.trace then
+      t.trace_rev <-
+        { t_cpu = thread.t_cpu; t_itc = thread.t_clock; t_addr = addr;
+          t_size = elem; t_is_write = false }
+        :: t.trace_rev;
+    let latency =
+      Coherence.access t.coherence ~cpu:thread.t_cpu ~addr ~size:elem ~is_write:false
+    in
+    stack.(base + dst) <- Flat_tab.find t.memory addr ~default:0;
+    t.config.load_base + latency
+  | Store { inst; off; elem; count; index; src; loc } ->
+    let addr = address stack base ~inst ~off ~elem ~count ~index ~loc in
+    if t.config.trace then
+      t.trace_rev <-
+        { t_cpu = thread.t_cpu; t_itc = thread.t_clock; t_addr = addr;
+          t_size = elem; t_is_write = true }
+        :: t.trace_rev;
+    let v = eval stack base src in
+    let latency =
+      Coherence.access t.coherence ~cpu:thread.t_cpu ~addr ~size:elem ~is_write:true
+    in
+    Flat_tab.set t.memory addr v;
+    t.config.store_base + latency
+  | Gload { dst; addr; size } ->
+    let latency =
+      Coherence.access t.coherence ~cpu:thread.t_cpu ~addr ~size ~is_write:false
+    in
+    stack.(base + dst) <- Flat_tab.find t.memory addr ~default:0;
+    t.config.load_base + latency
+  | Gstore { addr; size; src } ->
+    let v = eval stack base src in
+    let latency =
+      Coherence.access t.coherence ~cpu:thread.t_cpu ~addr ~size ~is_write:true
+    in
+    Flat_tab.set t.memory addr v;
+    t.config.store_base + latency
+  | Goto target ->
+    thread.t_pc <- target;
+    1 + fetch t p thread target
+  | Branch { cond; if_true; if_false } ->
+    let target = if eval stack base cond <> 0 then if_true else if_false in
+    thread.t_pc <- target;
+    1 + fetch t p thread target
+  | Call { caller; callee; args; insts } ->
+    let frame = base + caller.p_frame in
+    Array.fill stack frame callee.p_frame 0;
+    let regs = frame + callee.p_ninsts in
+    for k = 0 to Array.length args - 1 do
+      stack.(regs + k) <- eval stack base args.(k)
+    done;
+    for k = 0 to Array.length insts - 1 do
+      stack.(frame + k) <- stack.(base + insts.(k))
+    done;
+    let d = thread.t_depth in
+    thread.t_ret_pc.(d) <- pc + 1;
+    thread.t_ret_base.(d) <- base;
+    thread.t_depth <- d + 1;
+    thread.t_base <- frame;
+    thread.t_pc <- callee.p_entry;
+    call_overhead + fetch t p thread callee.p_entry
+  | Return ->
+    let d = thread.t_depth - 1 in
+    if d < 0 then thread.t_pc <- -1
     else begin
-      match blk.cb_term with
-      | CGoto next ->
-        frame.f_block <- next;
-        frame.f_ip <- 0;
-        1 + fetch_cost t thread frame
-      | CBranch { cond; if_true; if_false; _ } ->
-        let v = eval_cexpr frame.f_regs thread.t_prng cond in
-        frame.f_block <- (if v <> 0 then if_true else if_false);
-        frame.f_ip <- 0;
-        1 + fetch_cost t thread frame
-      | CReturn ->
-        thread.t_frames <- parents;
-        1
-    end
+      thread.t_pc <- thread.t_ret_pc.(d);
+      thread.t_base <- thread.t_ret_base.(d);
+      thread.t_depth <- d
+    end;
+    1
 
-(* Record every sample tick a step crossed, attributed to the location the
-   step executed — block [block], instruction [ip] (the terminator when
-   past the last) of [frame] — since the PMU interrupts mid-instruction. *)
-let record_samples t ~cpu ~period ~until frame ~block ~ip =
-  let blk = frame.f_proc.cp_blocks.(block) in
-  let line =
-    if ip < Array.length blk.cb_lines then blk.cb_lines.(ip) else blk.cb_term_line
-  in
+(* Record every sample tick a step crossed, attributed to the op [pc] the
+   step executed, since the PMU interrupts mid-instruction. *)
+let record_samples t p ~cpu ~period ~until pc =
+  let s_proc = p.procs.(p.op_proc.(pc)).p_name in
+  let s_block = p.op_block.(pc) and s_line = p.op_line.(pc) in
   while t.next_sample.(cpu) <= until do
     t.samples_rev <-
-      {
-        s_cpu = cpu;
-        s_itc = t.next_sample.(cpu);
-        s_proc = frame.f_proc.cp_name;
-        s_block = blk.cb_src;
-        s_line = line;
-      }
+      { s_cpu = cpu; s_itc = t.next_sample.(cpu); s_proc; s_block; s_line }
       :: t.samples_rev;
     t.next_sample.(cpu) <- t.next_sample.(cpu) + period
   done
 
-(* Source location of instruction [ip] of [block] (its terminator when past
-   the last), for errors raised without one. *)
-let source_loc t frame ~block ~ip =
-  let blk = (Hashtbl.find t.cfg_of frame.f_proc.cp_name).Cfg.blocks.(block) in
+(* Source location of op [pc], for errors raised without one. *)
+let source_loc t p pc =
+  let blk = t.cfgs.(p.op_proc.(pc)).Cfg.blocks.(p.op_block.(pc)) and ip = p.op_ip.(pc) in
   if ip < Array.length blk.Cfg.b_instrs then Cfg.instr_loc blk.Cfg.b_instrs.(ip)
   else
     match blk.Cfg.b_term with
@@ -792,6 +764,13 @@ let run t =
   let invocations =
     Hashtbl.fold (fun _ th acc -> acc + List.length th.t_work) t.threads 0
   in
+  let p = compile t in
+  Hashtbl.iter
+    (fun _ th ->
+      th.t_stack <- Array.make p.stack_words 0;
+      th.t_ret_pc <- Array.make p.depth 0;
+      th.t_ret_base <- Array.make p.depth 0)
+    t.threads;
   (* Queue ids index [queued], in the table's iteration order: the order
      in which the threads' ties at clock 0 resolve. *)
   let queued = ref [] in
@@ -801,39 +780,31 @@ let run t =
   Array.iteri (fun id _ -> Calendar.push cal id ~clock:0) queued;
   let period = Option.value t.config.sample_period ~default:0 in
   let steps = ref 0 in
-  (* Where the current step starts: the location a sample tick crossed by
-     the step records, and a division by zero reports. [running] is [[]]
-     while a step starts an invocation or finishes a thread. *)
-  let running = ref [] and block = ref 0 and ip = ref 0 in
+  (* The op the current step executes: the location a sample tick crossed
+     by the step records, and a division by zero reports. It is -1 while a
+     step starts an invocation or retires a thread. *)
+  let pc = ref (-1) in
   (try
      let id = ref (Calendar.pop cal) in
      while !id >= 0 do
        let thread = queued.(!id) in
-       running := thread.t_frames;
-       (match thread.t_frames with
-       | frame :: _ ->
-         block := frame.f_block;
-         ip := frame.f_ip;
-         incr steps
-       | [] -> ());
-       let clock = thread.t_clock + step t thread in
+       pc := thread.t_pc;
+       let cost =
+         if !pc >= 0 then begin
+           incr steps;
+           exec t p thread !pc
+         end
+         else start t p thread
+       in
+       let clock = thread.t_clock + cost in
        thread.t_clock <- clock;
        let cpu = thread.t_cpu in
-       (if t.next_sample.(cpu) <= clock then
-          match !running with
-          | frame :: _ ->
-            record_samples t ~cpu ~period ~until:clock frame ~block:!block ~ip:!ip
-          | [] -> ());
+       if !pc >= 0 && t.next_sample.(cpu) <= clock then
+         record_samples t p ~cpu ~period ~until:clock !pc;
        if not thread.t_done then Calendar.push cal !id ~clock;
        id := Calendar.pop cal
      done
-   with Zero_divisor ->
-     let loc =
-       match !running with
-       | frame :: _ -> source_loc t frame ~block:!block ~ip:!ip
-       | [] -> Loc.dummy
-     in
-     raise (Runtime_error ("division by zero", loc)));
+   with Zero_divisor -> raise (Runtime_error ("division by zero", source_loc t p !pc)));
   let n = Topology.num_cpus t.config.topology in
   let cpu_cycles = Array.make n 0 in
   let cpu_invocations = Array.make n 0 in

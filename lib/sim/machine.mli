@@ -108,7 +108,9 @@ val throughput : result -> float
 
 val create : config -> Slo_ir.Ast.program -> t
 (** The program must be typechecked. Layouts default to declaration order
-    ({!Slo_layout.Layout.of_struct}). *)
+    ({!Slo_layout.Layout.of_struct}).
+    @raise Invalid_argument if [config.sample_period] is [Some p] with
+    [p <= 0]. *)
 
 val set_layout : t -> Slo_layout.Layout.t -> unit
 (** Override the layout used for a struct (keyed by the layout's

@@ -2,26 +2,33 @@
    stream must be identical across OCaml versions and because [split] gives
    cheap independent streams for per-thread workload generators. *)
 
-type t = { mutable state : int64 }
+(* The state lives in an 8-byte buffer rather than a mutable [int64]
+   field, whose every update would box a fresh [Int64]: with [mix64] and
+   [next_int64] inlined, a draw through [int] allocates nothing. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create ~seed = { state = Int64.of_int seed }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
 
-let copy t = { state = t.state }
+let create ~seed = of_state (Int64.of_int seed)
 
-let mix64 z =
+let copy t = Bytes.copy t
+
+let[@inline] mix64 z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let next_int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let[@inline] next_int64 t =
+  let s = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 s;
+  mix64 s
 
-let split t =
-  let seed = next_int64 t in
-  { state = seed }
+let split t = of_state (next_int64 t)
 
 let derive ~seed ~stream =
   if stream < 0 then invalid_arg "Prng.derive: stream must be non-negative";
@@ -33,7 +40,7 @@ let derive ~seed ~stream =
     Int64.add (Int64.of_int seed)
       (Int64.mul golden_gamma (Int64.of_int (stream + 1)))
   in
-  { state = mix64 s }
+  of_state (mix64 s)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";

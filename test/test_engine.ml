@@ -344,13 +344,13 @@ let minor_words f =
   let r = f () in
   (Gc.minor_words () -. before, r)
 
-(* Measured on the index engine: 23.2 words per anneal step, all of them
-   the PRNG's boxed Int64 state (6 words per [Prng.int], three per step,
-   and 8 per [Prng.float], drawn for worsening proposals), and 17k words
-   for the 9-move descent below, most of them the seed's and the result's
-   lists and layout. The list engine took 100 words per step and 40M
-   words for the same descent. *)
-let max_words_per_anneal_step = 30.0
+(* Measured on the index engine: 1.3 words per anneal step, the boxed
+   result of [Prng.float] for worsening proposals ([Prng.int] allocates
+   nothing; with a boxed Int64 state the step took 23.2 words), and 17k
+   words for the 9-move descent below, most of them the seed's and the
+   result's lists and layout. The list engine took 100 words per step and
+   40M words for the same descent. *)
+let max_words_per_anneal_step = 4.0
 let max_words_per_descent = 40_000.0
 
 let test_allocation_budget () =

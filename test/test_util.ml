@@ -83,6 +83,46 @@ let test_prng_geometric () =
   (* Mean of Geometric(0.5) failures is 1. *)
   Alcotest.(check bool) "mean near 1" true (!total > 700 && !total < 1300)
 
+(* Known answers: the streams are part of every pinned digest, so any
+   change of representation must reproduce them bit for bit. *)
+let test_prng_known_answers () =
+  let i64 = Alcotest.(check int64) in
+  let a = Prng.create ~seed:42 in
+  List.iter (fun v -> i64 "create 42" v (Prng.next_int64 a))
+    [ -4767286540954276203L; 2949826092126892291L; 5139283748462763858L ];
+  let parent = Prng.create ~seed:5 in
+  let child = Prng.split parent in
+  i64 "split: parent" (-4569129087685675272L) (Prng.next_int64 parent);
+  List.iter (fun v -> i64 "split: child" v (Prng.next_int64 child))
+    [ -371861127037631947L; 1952936728445087881L ];
+  let d = Prng.derive ~seed:7 ~stream:3 in
+  List.iter (fun v -> i64 "derive 7/3" v (Prng.next_int64 d))
+    [ -5852021776408612484L; 4270312243260898756L ];
+  let e = Prng.create ~seed:3 in
+  Alcotest.(check (list int)) "int 1000"
+    [ 763; 890; 432; 411; 341; 833 ]
+    (List.init 6 (fun _ -> Prng.int e 1000));
+  let f = Prng.create ~seed:4 in
+  Alcotest.(check (list string)) "float 1.0"
+    [ "0x1.b9cf8dcb88ce2p-2"; "0x1.c8e98cd497316p-1"; "0x1.b7de33f91cf7p-1" ]
+    (List.init 3 (fun _ -> Printf.sprintf "%h" (Prng.float f 1.0)));
+  let g = Prng.create ~seed:(-1) in
+  i64 "create -1" (-1956407806741107680L) (Prng.next_int64 g);
+  check_int "int max_int" 4208611764272472242 (Prng.int g max_int)
+
+(* The simulator draws from [Prng.int] on every [rand] step. *)
+let test_prng_int_allocates_nothing () =
+  let t = Prng.create ~seed:11 in
+  ignore (Prng.int t 10);
+  let before = Gc.minor_words () in
+  let acc = ref 0 in
+  for _ = 1 to 1000 do
+    acc := !acc + Prng.int t 10
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) (Printf.sprintf "%.0f minor words for 1000 draws" words)
+    true (words = 0.0 && !acc >= 0)
+
 (* ------------------------------------------------------------------ *)
 (* Stats *)
 
@@ -289,6 +329,9 @@ let suites =
         Alcotest.test_case "float bounds" `Quick test_prng_float;
         Alcotest.test_case "choose/shuffle" `Quick test_prng_choose_shuffle;
         Alcotest.test_case "geometric" `Quick test_prng_geometric;
+        Alcotest.test_case "known answers" `Quick test_prng_known_answers;
+        Alcotest.test_case "int allocates nothing" `Quick
+          test_prng_int_allocates_nothing;
       ] );
     ( "util.stats",
       [
