@@ -1098,8 +1098,9 @@ let run_model_check _ctx =
 (* ------------------------------------------------------------------ *)
 (* Always-on layout service: drive a running serve daemon with a phased,
    multi-client feed of the kernel corpus's PMU samples, then check the
-   identities the service rests on: (1) the retire-by-subtraction sliding
-   window equals a from-scratch re-bin of the final window's samples, (2)
+   identities the service rests on: (1) the sliding window, which retires
+   an interval by dropping its table (Sample.drop_interval), equals a
+   from-scratch re-bin of the final window's samples, (2)
    at least one drift-triggered re-search published a new versioned
    layout, (3) a snapshot/restore round trip is byte-identical and (4) a
    forced re-search on the restored server reproduces the suggestion
@@ -1179,17 +1180,19 @@ let run_serve ctx =
   let canon b =
     List.map
       (fun (idx, tbl) ->
-        (idx, Sample.total_samples tbl, Sample.line_freqs tbl))
+        (idx, Sample.total_samples tbl, Sample.rows tbl))
       (Sample.binned_idx b)
   in
-  (* 1: the subtraction-maintained window = re-binning from scratch. A
-     sample survives in the master iff its interval is inside the final
-     window, so the direct bin of exactly those samples must match. *)
+  (* 1: the window maintained by dropping retired intervals = re-binning
+     from scratch. A sample survives in the master iff its interval is
+     inside the final window, so the direct bin of exactly those samples
+     must match. *)
   let newest = match Window.newest w with Some n -> n | None -> 0 in
   let direct = Sample.binner ~interval in
   List.iter
     (Array.iter (fun (s : Sample.t) ->
-         if Sample.floor_div s.Sample.itc interval > newest - window then
+         let idx = Sample.floor_div s.Sample.itc interval in
+         if not (Sample.below_watermark ~newest ~window idx) then
            Sample.feed direct s))
     (List.rev !submitted);
   let rebin_identical = canon (Window.master w) = canon direct in
@@ -1233,7 +1236,7 @@ let run_serve ctx =
   report
     ~checks:
       [
-        ("retire-by-subtraction window = re-bin from scratch", rebin_identical);
+        ("retire-by-drop window = re-bin from scratch", rebin_identical);
         ("the workload shift triggered a drift re-search", drift_triggered);
         ("snapshot round trip is byte-identical", snapshot_identical);
         ( Printf.sprintf

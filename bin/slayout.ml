@@ -107,21 +107,19 @@ let generic_profile program ~int_arg ~rounds =
   counts
 
 (* Generic concurrency harness: every CPU cycles through all procedures
-   against machine-wide shared instances. [topology] defaults to the
-   scaled Superdome; [hierarchy] optionally threads a multi-level cache
-   geometry (per-CPU L1 + per-cell LLC) through to the kernel so the
-   per-level counters accumulate; [on_result] observes the raw machine
-   result (stats + per-CPU samples) before the samples are mapped to the
-   pipeline's representation. *)
-let generic_samples ?topology ?hierarchy ?on_result program ~cpus ~period ~reps
-    ~int_arg =
+   against machine-wide shared instances, with sampling every [period]
+   cycles ([None]: no sampling). [topology] defaults to the scaled
+   Superdome; [hierarchy] optionally threads a multi-level cache geometry
+   (per-CPU L1 + per-cell LLC) through to the kernel so the per-level
+   counters accumulate. [None] when the program has no procedures. *)
+let generic_run ?topology ?hierarchy program ~cpus ~period ~reps ~int_arg =
   let topology =
     match topology with Some t -> t | None -> Topology.superdome ~cpus ()
   in
   let machine =
     Machine.create
       { (Machine.default_config topology) with
-        Machine.sample_period = Some period; seed = 3; hierarchy }
+        Machine.sample_period = period; seed = 3; hierarchy }
       program
   in
   let shared = Hashtbl.create 8 in
@@ -131,7 +129,7 @@ let generic_samples ?topology ?hierarchy ?on_result program ~cpus ~period ~reps
         (Machine.alloc machine ~struct_name:sd.Ast.sd_name))
     program.Ast.structs;
   let procs = Array.of_list program.Ast.procs in
-  if Array.length procs = 0 then []
+  if Array.length procs = 0 then None
   else begin
     for cpu = 0 to cpus - 1 do
       let work = ref [] in
@@ -150,14 +148,25 @@ let generic_samples ?topology ?hierarchy ?on_result program ~cpus ~period ~reps
       done;
       Machine.add_thread machine ~cpu ~work:!work
     done;
-    let result = Machine.run machine in
-    (match on_result with Some f -> f result | None -> ());
+    Some (Machine.run machine)
+  end
+
+(* The harness's samples in the pipeline's representation; [on_result]
+   observes the raw machine result (stats + per-CPU samples) first. *)
+let generic_samples ?topology ?hierarchy ?on_result program ~cpus ~period ~reps
+    ~int_arg =
+  match
+    generic_run ?topology ?hierarchy program ~cpus ~period:(Some period) ~reps
+      ~int_arg
+  with
+  | None -> []
+  | Some result ->
+    Option.iter (fun f -> f result) on_result;
     List.map
       (fun (s : Machine.sample) ->
         { Sample.cpu = s.Machine.s_cpu; itc = s.Machine.s_itc;
           line = s.Machine.s_line })
       result.Machine.samples
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Arguments *)
@@ -688,39 +697,15 @@ let simulate_cmd =
     or_die (fun () ->
         let program = load_program file in
         let topology = Topology.superdome ~cpus () in
-        let machine =
-          Machine.create
-            { (Machine.default_config topology) with
-              Machine.sample_period = (if period = 0 then None else Some period);
-              seed = 3 }
-            program
+        let r =
+          match
+            generic_run ~topology program ~cpus
+              ~period:(if period = 0 then None else Some period)
+              ~reps:(rounds * 8) ~int_arg
+          with
+          | Some r -> r
+          | None -> failwith "no procedures to run"
         in
-        let shared = Hashtbl.create 8 in
-        List.iter
-          (fun (sd : Ast.struct_decl) ->
-            Hashtbl.replace shared sd.Ast.sd_name
-              (Machine.alloc machine ~struct_name:sd.Ast.sd_name))
-          program.Ast.structs;
-        let procs = Array.of_list program.Ast.procs in
-        if Array.length procs = 0 then failwith "no procedures to run";
-        for cpu = 0 to cpus - 1 do
-          let work = ref [] in
-          for r = 0 to (rounds * 8) - 1 do
-            let pd = procs.((cpu + r) mod Array.length procs) in
-            let args =
-              List.map
-                (fun p ->
-                  match p with
-                  | Ast.Pstruct { struct_name; _ } ->
-                    Machine.Ainst (Hashtbl.find shared struct_name)
-                  | Ast.Pint _ -> Machine.Aint (int_arg + (cpu mod 8)))
-                pd.Ast.pd_params
-            in
-            work := (pd.Ast.pd_name, args) :: !work
-          done;
-          Machine.add_thread machine ~cpu ~work:!work
-        done;
-        let r = Machine.run machine in
         Printf.printf "machine: %s\n" (Topology.describe topology);
         Printf.printf "makespan: %d cycles, %d work items, throughput %.1f \
                        items/Mcycle\n\n" r.Machine.makespan r.Machine.invocations
@@ -1159,8 +1144,8 @@ let serve_cmd =
           (Serve.publications t);
         let w = Serve.window t in
         Printf.printf
-          "\nwindow: %d live samples in %d intervals; %d intervals retired \
-           by subtraction, %d late samples dropped, %d batches dropped\n"
+          "\nwindow: %d live samples in %d intervals; %d intervals retired, \
+           %d late samples dropped, %d batches dropped\n"
           (Slo_serve.Window.live_samples w)
           (Slo_serve.Window.live_intervals w)
           (Slo_serve.Window.retired w)

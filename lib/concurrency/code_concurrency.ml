@@ -4,8 +4,8 @@ module Flat_tab = Slo_util.Flat_tab
 (* The map: one flat int -> int table keyed by the packed unordered line
    pair (l1 lsl 31) lor l2, l1 <= l2. Lines are Sample ids in
    [0, Sample.max_id = 2^31 - 1], so every key is a non-negative int and
-   ascending keys are ascending (l1, l2) pairs — the order [pairs],
-   [lines] and [drift] rely on. *)
+   ascending keys are ascending (l1, l2) pairs — the order [pairs] and
+   [drift] rely on. *)
 type t = Flat_tab.t
 
 let line_bits = 31
@@ -47,6 +47,7 @@ let add t l1 l2 v = add_key t (key l1 l2) v
 
 (* One line's frequencies in one interval, in views built once per
    interval:
+   - [line]: the line;
    - [cpus]/[counts]: its entries, each CPU as a dense index into the
      interval's CPUs;
    - [row]: its count per dense CPU index, 0 where absent;
@@ -55,6 +56,7 @@ let add t l1 l2 v = add_key t (key l1 l2) v
      and [le_sum.(k)] the number and saturated sum of the entries among
      the k smallest values. *)
 type vec = {
+  line : int;
   cpus : int array;
   counts : int array;
   row : int array;
@@ -66,52 +68,63 @@ type vec = {
 
 let total v = v.le_sum.(Array.length v.vals)
 
-(* The vectors of one interval's lines, from their (cpu, count) lists
-   (distinct CPUs per list). The dense CPU indices are shared by all of
-   them, so any two rows are comparable. *)
-let vecs_of_freqs (freqs : (int * int) list array) =
+(* Renumber [cpus] in place to dense indices in order of first
+   appearance; returns how many distinct CPUs there were. *)
+let densify cpus =
   let index = Flat_tab.create () in
-  Array.iter
-    (List.iter (fun (cpu, _) ->
-         if not (Flat_tab.mem index cpu) then
-           Flat_tab.set index cpu (Flat_tab.length index)))
-    freqs;
-  let ncpus = Flat_tab.length index in
-  Array.map
-    (fun fs ->
-      let n = List.length fs in
-      let cpus = Array.make n 0 and counts = Array.make n 0 in
-      let row = Array.make ncpus 0 in
-      List.iteri
-        (fun i (cpu, count) ->
-          let d = Flat_tab.find index cpu ~default:0 in
-          cpus.(i) <- d;
-          counts.(i) <- count;
-          row.(d) <- count)
-        fs;
-      let sorted = Array.copy counts in
-      Array.sort Int.compare sorted;
-      let distinct = ref 0 in
-      Array.iteri
-        (fun i x -> if i = 0 || x <> sorted.(i - 1) then incr distinct)
-        sorted;
-      let d = !distinct in
-      let vals = Array.make d 0 and mult = Array.make d 0 in
-      let le = Array.make (d + 1) 0 and le_sum = Array.make (d + 1) 0 in
-      let k = ref (-1) and sum = ref 0 in
-      Array.iteri
-        (fun i x ->
-          if i = 0 || x <> sorted.(i - 1) then begin
-            incr k;
-            vals.(!k) <- x
-          end;
-          mult.(!k) <- mult.(!k) + 1;
-          sum := sat_add !sum x;
-          le.(!k + 1) <- i + 1;
-          le_sum.(!k + 1) <- !sum)
-        sorted;
-      { cpus; counts; row; vals; mult; le; le_sum })
-    freqs
+  Array.iteri
+    (fun i cpu ->
+      let fresh = Flat_tab.length index in
+      let d = Flat_tab.find index cpu ~default:fresh in
+      if d = fresh then Flat_tab.set index cpu d;
+      cpus.(i) <- d)
+    cpus;
+  Flat_tab.length index
+
+(* The vector of rows [lo, hi) of the dense [cpus] and [counts] (distinct
+   CPUs). *)
+let vec ~ncpus ~line cpus counts lo hi =
+  let cpus = Array.sub cpus lo (hi - lo) in
+  let counts = Array.sub counts lo (hi - lo) in
+  let row = Array.make ncpus 0 in
+  Array.iteri (fun i d -> row.(d) <- counts.(i)) cpus;
+  let sorted = Array.copy counts in
+  Array.sort Int.compare sorted;
+  let distinct = ref 0 in
+  Array.iteri
+    (fun i x -> if i = 0 || x <> sorted.(i - 1) then incr distinct)
+    sorted;
+  let d = !distinct in
+  let vals = Array.make d 0 and mult = Array.make d 0 in
+  let le = Array.make (d + 1) 0 and le_sum = Array.make (d + 1) 0 in
+  let k = ref (-1) and sum = ref 0 in
+  Array.iteri
+    (fun i x ->
+      if i = 0 || x <> sorted.(i - 1) then begin
+        incr k;
+        vals.(!k) <- x
+      end;
+      mult.(!k) <- mult.(!k) + 1;
+      sum := sat_add !sum x;
+      le.(!k + 1) <- i + 1;
+      le_sum.(!k + 1) <- !sum)
+    sorted;
+  { line; cpus; counts; row; vals; mult; le; le_sum }
+
+(* The vectors of one interval's lines in ascending line order: one per
+   run of equal line in the table's rows. The dense CPU indices are
+   shared by all of them, so any two rows are comparable. *)
+let vecs_of_table tbl =
+  let lines, cpus, counts = Sample.rows tbl in
+  let ncpus = densify cpus in
+  let vecs = ref [] and hi = ref (Array.length lines) in
+  for i = Array.length lines - 1 downto 0 do
+    if i = 0 || lines.(i) <> lines.(i - 1) then begin
+      vecs := vec ~ncpus ~line:lines.(i) cpus counts i !hi :: !vecs;
+      hi := i
+    end
+  done;
+  Array.of_list !vecs
 
 (* Σ_{m,n} min(a_m, b_n) over all index pairs (including same-cpu), by a
    two-pointer merge of the ascending views: the entries of b at most a
@@ -147,17 +160,16 @@ let sum_min_same_cpu a b =
   if Array.length a.cpus <= Array.length b.cpus then lookup a b else lookup b a
 
 let cc_of_interval t tbl =
-  let freqs = Array.of_list (Sample.line_freqs tbl) in
-  let lines = Array.map fst freqs in
-  let vecs = vecs_of_freqs (Array.map snd freqs) in
+  let vecs = vecs_of_table tbl in
   let n = Array.length vecs in
   for i = 0 to n - 1 do
-    let v1 = vecs.(i) and hi = lines.(i) lsl line_bits in
+    let v1 = vecs.(i) in
+    let hi = v1.line lsl line_bits in
     (* Diagonal: two different CPUs executing the same line. *)
-    add_key t (hi lor lines.(i)) (sum_min_all v1 v1 - total v1);
+    add_key t (hi lor v1.line) (sum_min_all v1 v1 - total v1);
     for j = i + 1 to n - 1 do
       let v2 = vecs.(j) in
-      add_key t (hi lor lines.(j)) (sum_min_all v1 v2 - sum_min_same_cpu v1 v2)
+      add_key t (hi lor v2.line) (sum_min_all v1 v2 - sum_min_same_cpu v1 v2)
     done
   done
 
@@ -259,10 +271,6 @@ let pairs t =
 let top t ~k =
   if k < 0 then invalid_arg "Code_concurrency.top: k < 0";
   List.filteri (fun i _ -> i < k) (pairs t)
-
-let lines t =
-  Flat_tab.fold t ~init:[] ~f:(fun acc k _ -> key_l1 k :: key_l2 k :: acc)
-  |> List.sort_uniq Int.compare
 
 let merge a b =
   let t = create () in
@@ -377,9 +385,12 @@ let pp ppf t =
 
 module For_tests = struct
   let on_vecs f a b =
-    match vecs_of_freqs [| a; b |] with
-    | [| a; b |] -> f a b
-    | _ -> assert false
+    let cpus = Array.of_list (List.map fst (a @ b)) in
+    let counts = Array.of_list (List.map snd (a @ b)) in
+    let ncpus = densify cpus and na = List.length a in
+    f
+      (vec ~ncpus ~line:0 cpus counts 0 na)
+      (vec ~ncpus ~line:1 cpus counts na (Array.length cpus))
 
   let sum_min_all = on_vecs sum_min_all
   let sum_min_same_cpu = on_vecs sum_min_same_cpu

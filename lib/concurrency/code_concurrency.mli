@@ -11,9 +11,10 @@
     {b Kernel.} The inner double sum over CPU pairs is
     Σ_{m,n} min(a_m, b_n) − Σ_m min(a_m, b_m), computed in O(|a| + |b|)
     per line pair without allocating. Each line's (cpu, count) vector is
-    built once per interval, in views over the interval's CPUs numbered
-    densely: its entries, a row of counts indexed by CPU, and its counts
-    in ascending order, run-length encoded with prefix counts and sums.
+    built once per interval from a run of equal line in the table's
+    {!Sample.rows}, in views over the interval's CPUs numbered densely:
+    its entries, a row of counts indexed by CPU, and its counts in
+    ascending order, run-length encoded with prefix counts and sums.
     The first sum is a two-pointer merge of the ascending views (as a's
     counts rise, the split point in b only moves right), so it costs the
     number of distinct counts, not of CPUs. The second walks the shorter
@@ -27,7 +28,7 @@
     the packed pair [(l1 lsl 31) lor l2], [l1 <= l2]. Lines are
     {!Sample} identifiers in [0 .. ]{!Sample.max_id}, so a key is a
     non-negative int and ascending keys are ascending (l1, l2) pairs —
-    the order {!pairs}, {!lines}, {!pp} and {!drift} use.
+    the order {!pairs}, {!pp} and {!drift} use.
 
     {b Scaling.} {!compute} is the one way samples enter: it takes a
     columnar {!Sample_store}, hands pool workers fixed index ranges of the
@@ -73,9 +74,6 @@ val pairs : t -> ((int * int) * int) list
 val top : t -> k:int -> ((int * int) * int) list
 (** The [k] hottest pairs ([k = 0] is allowed and yields []).
     @raise Invalid_argument if [k < 0]. *)
-
-val lines : t -> int list
-(** Lines participating in any pair, sorted. *)
 
 val merge : t -> t -> t
 (** Pointwise (saturating) sum — combining collection runs or shard

@@ -3,14 +3,14 @@ module Loc = Slo_ir.Loc
 
 type access = { f_struct : string; f_field : string; f_is_write : bool }
 
-type t = { by_line : (int, access list) Hashtbl.t }
+type t = { lines : (int, access list) Hashtbl.t }
 
 let add t line access =
-  let cur = try Hashtbl.find t.by_line line with Not_found -> [] in
-  if not (List.mem access cur) then Hashtbl.replace t.by_line line (access :: cur)
+  let cur = try Hashtbl.find t.lines line with Not_found -> [] in
+  if not (List.mem access cur) then Hashtbl.replace t.lines line (access :: cur)
 
 let of_cfgs cfgs =
-  let t = { by_line = Hashtbl.create 64 } in
+  let t = { lines = Hashtbl.create 64 } in
   List.iter
     (fun cfg ->
       List.iter
@@ -25,7 +25,7 @@ let of_cfgs cfgs =
 let of_program program = of_cfgs (List.map snd (Cfg.of_program program))
 
 let accesses_at t ~line =
-  try List.rev (Hashtbl.find t.by_line line) with Not_found -> []
+  try List.rev (Hashtbl.find t.lines line) with Not_found -> []
 
 let fields_at t ~line ~struct_name =
   accesses_at t ~line
@@ -40,7 +40,7 @@ let lines_accessing t ~struct_name =
       if List.exists (fun a -> String.equal a.f_struct struct_name) accs then
         line :: acc
       else acc)
-    t.by_line []
+    t.lines []
   |> List.sort_uniq compare
 
 let writes_field_at t ~line ~struct_name ~field =
@@ -51,7 +51,7 @@ let writes_field_at t ~line ~struct_name ~field =
 
 let pp ppf t =
   let lines =
-    Hashtbl.fold (fun line _ acc -> line :: acc) t.by_line []
+    Hashtbl.fold (fun line _ acc -> line :: acc) t.lines []
     |> List.sort_uniq compare
   in
   Format.fprintf ppf "@[<v>field mapping:";

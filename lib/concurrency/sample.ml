@@ -20,9 +20,8 @@ let check_ids ~cpu ~line =
   check_id "cpu" cpu;
   check_id "line" line
 
-let pack ~cpu ~line = (cpu lsl id_bits) lor line
-let key_cpu k = k lsr id_bits
-let key_line k = k land max_id
+(* Line-major, so ascending keys are ascending (line, cpu) rows. *)
+let pack ~cpu ~line = (line lsl id_bits) lor cpu
 
 type interval_table = {
   (* pack ~cpu ~line -> count. A flat open-addressing table: the hot
@@ -32,46 +31,24 @@ type interval_table = {
      had become the ingestion bottleneck at columnar scale. *)
   freqs : Flat_tab.t;
   mutable total : int;
-  (* line -> (cpu, count) list sorted by cpu, built from [freqs] on first
-     read and invalidated by [feed]. Readers that walk a table line by line
-     (CodeConcurrency does, for every line pair) would otherwise rescan the
-     whole frequency table once per line: O(lines * entries) per interval
-     instead of O(entries). *)
-  mutable by_line : (int, (int * int) list) Hashtbl.t option;
 }
 
 let freq tbl ~cpu ~line =
   if cpu < 0 || cpu > max_id || line < 0 || line > max_id then 0
   else Flat_tab.find tbl.freqs (pack ~cpu ~line) ~default:0
 
-let group tbl =
-  match tbl.by_line with
-  | Some g -> g
-  | None ->
-    let g = Hashtbl.create (max 16 (Flat_tab.length tbl.freqs)) in
-    Flat_tab.iter tbl.freqs (fun key count ->
-        let line = key_line key in
-        let cur = match Hashtbl.find_opt g line with Some l -> l | None -> [] in
-        Hashtbl.replace g line ((key_cpu key, count) :: cur));
-    Hashtbl.filter_map_inplace (fun _ l -> Some (List.sort compare l)) g;
-    tbl.by_line <- Some g;
-    g
-
-let lines tbl =
-  Hashtbl.fold (fun line _ acc -> line :: acc) (group tbl) []
-  |> List.sort compare
-
-let cpu_freqs tbl ~line =
-  match Hashtbl.find_opt (group tbl) line with Some l -> l | None -> []
-
-let cpu_freqs_scan tbl ~line =
-  Flat_tab.fold tbl.freqs ~init:[] ~f:(fun acc key count ->
-      if key_line key = line then (key_cpu key, count) :: acc else acc)
-  |> List.sort compare
-
-let line_freqs tbl =
-  Hashtbl.fold (fun line fs acc -> (line, fs) :: acc) (group tbl) []
-  |> List.sort compare
+(* One in-place sort of the keys; the key array then becomes the cpu
+   column. *)
+let rows tbl =
+  let keys = Array.make (Flat_tab.length tbl.freqs) 0 and i = ref 0 in
+  Flat_tab.iter tbl.freqs (fun k _ ->
+      keys.(!i) <- k;
+      incr i);
+  Array.sort Int.compare keys;
+  let counts = Array.map (fun k -> Flat_tab.find tbl.freqs k ~default:0) keys in
+  let lines = Array.map (fun k -> k lsr id_bits) keys in
+  Array.map_inplace (fun k -> k land max_id) keys;
+  (lines, keys, counts)
 
 let entries tbl = Flat_tab.length tbl.freqs
 let total_samples tbl = tbl.total
@@ -114,10 +91,7 @@ let table_of_idx b idx =
       match Hashtbl.find_opt b.b_tables idx with
       | Some tbl -> tbl
       | None ->
-        let tbl =
-          { freqs = Flat_tab.create ~capacity:16 (); total = 0;
-            by_line = None }
-        in
+        let tbl = { freqs = Flat_tab.create ~capacity:16 (); total = 0 } in
         Hashtbl.replace b.b_tables idx tbl;
         tbl
     in
@@ -130,7 +104,6 @@ let feed_raw b ~cpu ~itc ~line =
   let tbl = table_of_idx b (floor_div itc b.b_interval) in
   ignore (Flat_tab.add tbl.freqs (pack ~cpu ~line) 1);
   tbl.total <- tbl.total + 1;
-  tbl.by_line <- None;
   b.b_fed <- b.b_fed + 1
 
 let feed b s = feed_raw b ~cpu:s.cpu ~itc:s.itc ~line:s.line
@@ -142,7 +115,6 @@ let feed_n b ~cpu ~itc ~line ~count =
     let tbl = table_of_idx b (floor_div itc b.b_interval) in
     ignore (Flat_tab.add tbl.freqs (pack ~cpu ~line) count);
     tbl.total <- tbl.total + count;
-    tbl.by_line <- None;
     b.b_fed <- b.b_fed + count
   end
 
@@ -159,52 +131,26 @@ let absorb dst src =
       let dst_tbl = table_of_idx dst idx in
       Flat_tab.iter src_tbl.freqs (fun key count ->
           ignore (Flat_tab.add dst_tbl.freqs key count));
-      dst_tbl.total <- dst_tbl.total + src_tbl.total;
-      dst_tbl.by_line <- None)
+      dst_tbl.total <- dst_tbl.total + src_tbl.total)
     src.b_tables;
   dst.b_fed <- dst.b_fed + src.b_fed
 
-(* Two passes so a failing retract leaves [dst] untouched: first prove
-   every count of [src] is covered, then subtract. [Flat_tab.add] with a
-   negative delta removes bindings that hit zero, and interval tables whose
-   total hits zero are dropped from [b_tables] — after retracting exactly
-   what was absorbed, the binner is structurally the one that never saw
-   those samples ([binned] omits empty intervals either way, and the
-   last-table cache is cleared because it may alias a dropped table). *)
-let retract dst src =
-  if dst.b_interval <> src.b_interval then
-    invalid_arg "Sample.retract: interval mismatch";
-  Hashtbl.iter
-    (fun idx (src_tbl : interval_table) ->
-      if src_tbl.total > 0 then begin
-        let dst_tbl =
-          match Hashtbl.find_opt dst.b_tables idx with
-          | Some tbl -> tbl
-          | None -> invalid_arg "Sample.retract: count would go negative"
-        in
-        Flat_tab.iter src_tbl.freqs (fun key count ->
-            if Flat_tab.find dst_tbl.freqs key ~default:0 < count then
-              invalid_arg "Sample.retract: count would go negative")
-      end)
-    src.b_tables;
-  Hashtbl.iter
-    (fun idx (src_tbl : interval_table) ->
-      if src_tbl.total > 0 then begin
-        let dst_tbl = Hashtbl.find dst.b_tables idx in
-        Flat_tab.iter src_tbl.freqs (fun key count ->
-            ignore (Flat_tab.add dst_tbl.freqs key (-count)));
-        dst_tbl.total <- dst_tbl.total - src_tbl.total;
-        dst_tbl.by_line <- None;
-        if dst_tbl.total = 0 then Hashtbl.remove dst.b_tables idx
-      end)
-    src.b_tables;
-  dst.b_fed <- dst.b_fed - src.b_fed;
-  dst.b_last <- None
+(* The last-table cache may alias the dropped table, so it is cleared. *)
+let drop_interval b idx =
+  match Hashtbl.find_opt b.b_tables idx with
+  | None -> ()
+  | Some tbl ->
+    Hashtbl.remove b.b_tables idx;
+    b.b_fed <- b.b_fed - tbl.total;
+    b.b_last <- None
 
+let below_watermark ~newest ~window idx =
+  newest >= min_int + window && idx <= newest - window
+
+(* No table is empty: tables are created only for a positive count and
+   leave [b_tables] whole. *)
 let binned_idx b =
-  Hashtbl.fold
-    (fun idx tbl acc -> if tbl.total > 0 then (idx, tbl) :: acc else acc)
-    b.b_tables []
+  Hashtbl.fold (fun idx tbl acc -> (idx, tbl) :: acc) b.b_tables []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let binned b = List.map snd (binned_idx b)

@@ -47,22 +47,12 @@ type interval_table
 (** Frequencies of one interval: (cpu, line) -> count. *)
 
 val freq : interval_table -> cpu:int -> line:int -> int
-val lines : interval_table -> int list
-(** Distinct lines sampled in the interval, sorted. *)
 
-val cpu_freqs : interval_table -> line:int -> (int * int) list
-(** (cpu, count) pairs for a line, sorted by cpu. Served from a per-table
-    line index built once per table (O(entries)), not by rescanning the
-    whole frequency table per line. *)
-
-val cpu_freqs_scan : interval_table -> line:int -> (int * int) list
-(** The pre-index implementation: one full scan of the frequency table per
-    call, O(entries) {e per line}. Kept as the differential oracle for
-    {!cpu_freqs} (see test_concurrency) — new code should not use it. *)
-
-val line_freqs : interval_table -> (int * (int * int) list) list
-(** Every sampled line with its (cpu, count) vector, sorted by line — one
-    index lookup per table, the shape the CC kernel consumes. *)
+val rows : interval_table -> int array * int array * int array
+(** [(lines, cpus, counts)]: one row per distinct (cpu, line) pair, in
+    ascending (line, cpu) order, every count positive — the one read view
+    of a table, built by one sort of its packed keys. The arrays are
+    fresh and owned by the caller. *)
 
 val entries : interval_table -> int
 (** Distinct (cpu, line) pairs in the table — its memory footprint proxy. *)
@@ -108,17 +98,18 @@ val absorb : binner -> binner -> unit
     ranges of a columnar store in parallel. [src] is left untouched.
     @raise Invalid_argument if the two binners' intervals differ. *)
 
-val retract : binner -> binner -> unit
-(** [retract dst src] subtracts every accumulated count of [src] from
-    [dst] — the inverse of {!absorb}: absorbing a binner and then
-    retracting it restores [dst] exactly (same tables, same counts, same
-    {!fed}), and interval tables whose counts all reach zero are dropped,
-    so the result is structurally a binner that never saw those samples.
-    This is what makes a sliding window cheap: retiring an interval is
-    subtraction, not re-binning the survivors. [src] is left untouched.
-    @raise Invalid_argument if the intervals differ or if any count of
-    [src] exceeds the corresponding count of [dst] ([dst] is then left
-    unchanged — validation happens before the first subtraction). *)
+val drop_interval : binner -> int -> unit
+(** [drop_interval b idx] removes interval [idx]'s table and subtracts
+    its samples from {!fed}: [b] is then exactly a binner that never saw
+    them. This is what makes a sliding window cheap: retiring an interval
+    is one table removal, not re-binning the survivors. No-op when [idx]
+    holds no samples. *)
+
+val below_watermark : newest:int -> window:int -> int -> bool
+(** [below_watermark ~newest ~window idx]: interval [idx] is at or below
+    [newest - window], the retirement watermark of a window of [window]
+    (>= 1) intervals ending at [newest]. Exact for every int: when the
+    watermark would wrap below [min_int], no interval is below it. *)
 
 val peak_entries : binner -> int
 (** Largest {!entries} over the accumulated interval tables (0 when no

@@ -456,10 +456,11 @@ let convert_samples_to_text ~src ~dst =
      64+20n..64+24n  line column,  4n bytes (i32)
 
    Rows are the non-zero histogram entries in strictly ascending
-   (idx, line, cpu) order — the canonical form, so save . load . save is
-   byte-identical (the bench serve gate's round-trip check). Every live
-   idx must lie in the window (newest - window, newest]. File size is
-   exactly 64 + 24n. *)
+   (idx, line, cpu) order — each table's [Sample.rows], tables by idx:
+   the canonical form, so save . load . save is byte-identical (the bench
+   serve gate's round-trip check). Every live idx must lie in the window
+   (newest - window, newest], and the counts sum to at most 2^53. File
+   size is exactly 64 + 24n. *)
 
 let serve_snapshot_magic = "slo-serve-snapshot 1\n"
 let serve_snapshot_header_size = 64
@@ -471,22 +472,38 @@ type serve_snapshot = {
   snap_binner : Sample.binner;
 }
 
+(* Validated before the file is opened: window membership, and the count
+   sum, which must not pass [max_count] — the bound the loader holds a
+   file to, and what keeps [Sample.fed] of the restored binner exact. *)
 let save_serve_snapshot ~path ~window ~version ~newest binner =
   if window <= 0 then invalid_arg "Persist.save_serve_snapshot: window <= 0";
   if version < 0 then invalid_arg "Persist.save_serve_snapshot: version < 0";
-  let tables = Sample.binned_idx binner in
-  let n =
-    List.fold_left (fun acc (_, tbl) -> acc + Sample.entries tbl) 0 tables
+  let tables =
+    List.map
+      (fun (idx, tbl) -> (idx, Sample.rows tbl))
+      (Sample.binned_idx binner)
   in
+  let n = ref 0 and sum = ref 0 in
   List.iter
-    (fun (idx, _) ->
-      if idx > newest || idx <= newest - window then
+    (fun (idx, (_, _, counts)) ->
+      if idx > newest || Sample.below_watermark ~newest ~window idx then
         invalid_arg
           (Printf.sprintf
              "Persist.save_serve_snapshot: interval %d outside the window \
-              (%d, %d]"
-             idx (newest - window) newest))
+              of %d intervals ending at %d"
+             idx window newest);
+      Array.iter
+        (fun count ->
+          if count > max_count - !sum then
+            bin_fail
+              "%s: count sum at interval %d exceeds the supported maximum \
+               2^53"
+              path idx;
+          sum := !sum + count)
+        counts;
+      n := !n + Array.length counts)
     tables;
+  let n = !n in
   atomic_write_fd ~path (fun fd ->
       let h = Bytes.make serve_snapshot_header_size '\000' in
       Bytes.blit_string serve_snapshot_magic 0 h 0
@@ -513,23 +530,15 @@ let save_serve_snapshot ~path ~window ~version ~newest binner =
         in
         let i = ref 0 in
         List.iter
-          (fun (idx, tbl) ->
-            List.iter
-              (fun (line, fs) ->
-                List.iter
-                  (fun (cpu, count) ->
-                    if count > max_count then
-                      bin_fail
-                        "%s: count %d at interval %d exceeds the supported \
-                         maximum 2^53"
-                        path count idx;
-                    m_idx.{!i} <- Int64.of_int idx;
-                    m_count.{!i} <- Int64.of_int count;
-                    m_cpu.{!i} <- Int32.of_int cpu;
-                    m_line.{!i} <- Int32.of_int line;
-                    incr i)
-                  fs)
-              (Sample.line_freqs tbl))
+          (fun (idx, (lines, cpus, counts)) ->
+            Array.iteri
+              (fun r line ->
+                m_idx.{!i} <- Int64.of_int idx;
+                m_count.{!i} <- Int64.of_int counts.(r);
+                m_cpu.{!i} <- Int32.of_int cpus.(r);
+                m_line.{!i} <- Int32.of_int line;
+                incr i)
+              lines)
           tables
       end)
 
@@ -599,15 +608,18 @@ let load_serve_snapshot ~path =
           map_i32 fd ~shared:false ~pos:(Int64.of_int (64 + (20 * n))) n
         in
         let prev_idx = ref 0 and prev_line = ref 0 and prev_cpu = ref 0 in
+        let sum = ref 0 in
         for i = 0 to n - 1 do
           let idx64 = m_idx.{i} in
           if Int64.of_int (Int64.to_int idx64) <> idx64 then
             bin_fail "%s: row %d: unrepresentable interval index %Ld" path i
               idx64;
           let idx = Int64.to_int idx64 in
-          if idx > newest || idx <= newest - window then
-            bin_fail "%s: row %d: interval %d outside the window (%d, %d]"
-              path i idx (newest - window) newest;
+          if idx > newest || Sample.below_watermark ~newest ~window idx then
+            bin_fail
+              "%s: row %d: interval %d outside the window of %d intervals \
+               ending at %d"
+              path i idx window newest;
           (* idx * interval must not wrap: the reconstructed itc below has
              to land back in bin idx. *)
           if
@@ -618,6 +630,11 @@ let load_serve_snapshot ~path =
           let count64 = m_count.{i} in
           if count64 < 1L || count64 > Int64.of_int max_count then
             bin_fail "%s: row %d: count %Ld outside 1..2^53" path i count64;
+          let count = Int64.to_int count64 in
+          if count > max_count - !sum then
+            bin_fail "%s: row %d: count sum exceeds the supported maximum 2^53"
+              path i;
+          sum := !sum + count;
           let cpu = Int32.to_int m_cpu.{i} and line = Int32.to_int m_line.{i} in
           if cpu < 0 then bin_fail "%s: row %d: negative cpu %d" path i cpu;
           if line < 0 then bin_fail "%s: row %d: negative line %d" path i line;
@@ -630,8 +647,7 @@ let load_serve_snapshot ~path =
           prev_idx := idx;
           prev_line := line;
           prev_cpu := cpu;
-          Sample.feed_n binner ~cpu ~itc:(idx * interval) ~line
-            ~count:(Int64.to_int count64)
+          Sample.feed_n binner ~cpu ~itc:(idx * interval) ~line ~count
         done
       end;
       { snap_window = window; snap_version = version; snap_newest = newest;

@@ -171,7 +171,8 @@ val atomic_write_fd : path:string -> (Unix.file_descr -> unit) -> unit
 
     Rows are non-zero histogram entries in strictly ascending
     (idx, line, cpu) order; every idx must lie in (newest − window,
-    newest]. File size is exactly [64 + 24n]. *)
+    newest], and the counts sum to at most {!max_count}. File size is
+    exactly [64 + 24n]. *)
 
 val serve_snapshot_magic : string
 val serve_snapshot_header_size : int
@@ -196,11 +197,12 @@ val save_serve_snapshot :
   unit
 (** Write the binner's windowed state atomically. @raise Invalid_argument
     if [window <= 0], [version < 0], or a live interval lies outside
-    (newest − window, newest]; @raise Bin_error if a count exceeds
-    {!max_count}. *)
+    (newest − window, newest]; @raise Bin_error if the counts sum past
+    {!max_count}. Both are checked before the file is opened. *)
 
 val load_serve_snapshot : path:string -> serve_snapshot
-(** Map the file, validate every row (bounds, window membership, strict
-    canonical sort, exact size) and rebuild the binner via
+(** Map the file, validate every row (bounds, the running count sum,
+    window membership, strict canonical sort, exact size) and rebuild the
+    binner via
     {!Slo_concurrency.Sample.feed_n}. @raise Bin_error on any
     malformation. *)

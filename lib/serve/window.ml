@@ -110,37 +110,29 @@ let release w m =
 
 (* ------------------------------------------------------------------ *)
 
-(* Retiring an interval is eviction-by-subtraction: rebuild that
-   interval's contribution as a one-interval binner (feed_n per histogram
-   entry — O(entries), not O(samples)) and [Sample.retract] it from the
-   master. The retract law guarantees the master is then structurally the
-   binner that never saw those samples, which the bench serve gate checks
-   against a from-scratch re-bin. *)
-let retire_interval w idx tbl =
-  let tmp = Sample.binner ~interval:w.w_interval in
-  List.iter
-    (fun (line, fs) ->
-      List.iter
-        (fun (cpu, count) ->
-          Sample.feed_n tmp ~cpu ~itc:(idx * w.w_interval) ~line ~count)
-        fs)
-    (Sample.line_freqs tbl);
-  Sample.retract w.master tmp;
+(* Retiring an interval drops its table from the master
+   ([Sample.drop_interval]), which leaves exactly the binner that never
+   saw those samples — the bench serve gate checks it against a
+   from-scratch re-bin — and releases the interval's memo. *)
+let retire_interval w idx =
+  Sample.drop_interval w.master idx;
   Option.iter (release w) (Hashtbl.find_opt w.memos idx);
   Hashtbl.remove w.memos idx;
   w.retired <- w.retired + 1
 
+let below_watermark w idx =
+  Sample.below_watermark ~newest:w.newest ~window:w.w_window idx
+
 let retire_below_watermark w =
-  let mark = w.newest - w.w_window in
   List.iter
-    (fun (idx, tbl) -> if idx <= mark then retire_interval w idx tbl)
+    (fun (idx, _) -> if below_watermark w idx then retire_interval w idx)
     (Sample.binned_idx w.master)
 
 let feed w ~cpu ~itc ~line =
   (* Ids first: an out-of-range sample is rejected, never counted late. *)
   Sample.check_ids ~cpu ~line;
   let idx = Sample.floor_div itc w.w_interval in
-  if w.started && idx <= w.newest - w.w_window then begin
+  if w.started && below_watermark w idx then begin
     w.late <- w.late + 1;
     false
   end
@@ -222,11 +214,12 @@ let restore ?(decay = 1.0) ~window ~newest binner =
   let live = Sample.binned_idx binner in
   List.iter
     (fun (idx, _) ->
-      if idx > newest || idx <= newest - window then
+      if idx > newest || Sample.below_watermark ~newest ~window idx then
         invalid_arg
           (Printf.sprintf
-             "Window.restore: interval %d outside the window (%d, %d]" idx
-             (newest - window) newest))
+             "Window.restore: interval %d outside the window of %d \
+              intervals ending at %d"
+             idx window newest))
     live;
   make ~interval:(Sample.interval binner) ~window ~decay ~newest
     ~started:(live <> []) binner

@@ -4,10 +4,10 @@
     The window covers the [window] most recent intervals
     [(newest − window, newest]]. Feeding a sample whose interval index
     advances [newest] retires every interval at or below the new
-    watermark by {e subtraction}: the retired interval's histogram is
-    rebuilt as a one-interval binner and {!Slo_concurrency.Sample.retract}ed
-    from the master, whose absorb/retract laws make the result exactly
-    the binner that never saw those samples — no re-binning of the
+    watermark ({!Slo_concurrency.Sample.below_watermark}, exact near
+    [min_int]) by {e dropping} its table from the master
+    ({!Slo_concurrency.Sample.drop_interval}), which leaves exactly the
+    binner that never saw those samples — no re-binning of the
     survivors. Samples arriving {e below} the watermark are dropped and
     counted ({!late}).
 
@@ -72,7 +72,7 @@ val live_samples : t -> int
 
 val live_intervals : t -> int
 val retired : t -> int
-(** Intervals retired by subtraction so far. *)
+(** Intervals retired so far. *)
 
 val late : t -> int
 (** Samples dropped below the watermark. *)

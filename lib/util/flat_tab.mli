@@ -46,7 +46,7 @@ val add : t -> int -> int -> int
     [delta] when absent) in a single probe and returns the new value. A
     binding whose new value is 0 is removed, so a table fed by matched
     [+d]/[-d] streams never accumulates dead entries — the upsert the
-    streaming binner's absorb/retract pair rests on.
+    streaming binner and the CC map rest on.
     @raise Invalid_argument on a negative key. *)
 
 val remove : t -> int -> unit

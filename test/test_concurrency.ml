@@ -64,7 +64,10 @@ let test_bin_basic () =
   check_int "F(0, line1) in I0" 2 (Sample.freq t0 ~cpu:0 ~line:1);
   check_int "F(1, line2) in I0" 1 (Sample.freq t0 ~cpu:1 ~line:2);
   check_int "F absent" 0 (Sample.freq t0 ~cpu:1 ~line:1);
-  Alcotest.(check (list int)) "lines of I0" [ 1; 2 ] (Sample.lines t0);
+  Alcotest.(check (triple (array int) (array int) (array int)))
+    "rows of I0"
+    ([| 1; 2 |], [| 0; 1 |], [| 2; 1 |])
+    (Sample.rows t0);
   check_int "total" 3 (Sample.total_samples t0)
 
 let test_bin_validation () =
@@ -98,13 +101,8 @@ let prop_bin_shift_invariant =
           (fun smp -> { smp with Sample.itc = smp.Sample.itc + interval })
           samples
       in
-      let render tables =
-        List.map
-          (fun t ->
-            List.map (fun l -> (l, Sample.cpu_freqs t ~line:l)) (Sample.lines t))
-          tables
-      in
-      render (bin ~interval samples) = render (bin ~interval shifted))
+      List.map Sample.rows (bin ~interval samples)
+      = List.map Sample.rows (bin ~interval shifted))
 
 (* ------------------------------------------------------------------ *)
 (* CodeConcurrency *)
@@ -281,46 +279,34 @@ let test_cycle_loss_uniform_scale () =
   checkf "read-read pair stays zero" 0.0 (Cycle_loss.loss cross "b" "c")
 
 (* ------------------------------------------------------------------ *)
-(* Binner counters and the grouped per-line index *)
+(* Binner counters and the row view *)
 
 let gen_triples =
   QCheck2.Gen.(
     list_size (int_bound 80)
       (triple (int_bound 3) (int_range (-500) 500) (int_range 1 5)))
 
-let prop_grouped_index_matches_scan =
-  (* Regression for the cpu_freqs full-table scan: the grouped per-line
-     index must serve exactly what the O(entries) scan computed. *)
-  QCheck2.Test.make ~name:"cpu_freqs grouped index = full-table scan"
-    ~count:100
-    QCheck2.Gen.(pair (int_range 1 50) gen_triples)
-    (fun (interval, triples) ->
-      let samples = List.map (fun (c, t, l) -> s c t l) triples in
-      let tables = bin ~interval samples in
-      List.for_all
-        (fun t ->
-          List.for_all
-            (fun l -> Sample.cpu_freqs t ~line:l = Sample.cpu_freqs_scan t ~line:l)
-            (Sample.lines t))
-        tables)
-
-let test_grouped_index_invalidation () =
-  (* Feeding a binner after the index was built must invalidate the memo;
-     a stale index would miss the third sample. *)
+let test_rows () =
+  (* Rows come out in (line, cpu) order whatever the feed order, with
+     identifiers at both ends of their range, and see later feeds. *)
   let b = Sample.binner ~interval:100 in
-  Sample.feed b (s 0 10 1);
-  Sample.feed b (s 1 20 1);
+  List.iter (Sample.feed b)
+    [ s 3 10 Sample.max_id; s Sample.max_id 11 0; s 0 12 Sample.max_id;
+      s 3 13 7; s 0 14 7; s 3 15 Sample.max_id ];
   let t = List.hd (Sample.binned b) in
-  Alcotest.(check (list (pair int int)))
-    "grouped = scan before"
-    (Sample.cpu_freqs_scan t ~line:1)
-    (Sample.cpu_freqs t ~line:1);
-  Sample.feed b (s 0 30 1);
-  Alcotest.(check (list (pair int int)))
-    "index invalidated by feed"
-    (Sample.cpu_freqs_scan t ~line:1)
-    (Sample.cpu_freqs t ~line:1);
-  check_int "updated count visible" 2 (Sample.freq t ~cpu:0 ~line:1)
+  Alcotest.(check (triple (array int) (array int) (array int)))
+    "rows in (line, cpu) order"
+    ( [| 0; 7; 7; Sample.max_id; Sample.max_id |],
+      [| Sample.max_id; 0; 3; 0; 3 |],
+      [| 1; 1; 1; 1; 2 |] )
+    (Sample.rows t);
+  Sample.feed b (s 1 16 7);
+  Alcotest.(check (triple (array int) (array int) (array int)))
+    "a later feed shows"
+    ( [| 0; 7; 7; 7; Sample.max_id; Sample.max_id |],
+      [| Sample.max_id; 0; 1; 3; 0; 3 |],
+      [| 1; 1; 1; 1; 1; 2 |] )
+    (Sample.rows t)
 
 let test_binner_counters () =
   let b = Sample.binner ~interval:100 in
@@ -657,7 +643,10 @@ let test_compute_alloc_per_pair () =
   let pairs =
     List.fold_left
       (fun acc tbl ->
-        let l = List.length (Sample.lines tbl) in
+        let lines, _, _ = Sample.rows tbl in
+        let l =
+          List.length (List.sort_uniq Int.compare (Array.to_list lines))
+        in
         acc + (l * (l + 1) / 2))
       0 tables
   in
@@ -693,70 +682,79 @@ let store_suite =
 
 (* The reference semantics of the binner: the boxed (interval, cpu, line)
    -> int ref Hashtbl feeder the flat open-addressing path replaced,
-   including retraction. [feed ~n] adds n (possibly negative) samples;
-   [rows ()] lists the nonzero counts as sorted (idx, cpu, line, count). *)
+   including dropping an interval. [rows ()] lists the counts as sorted
+   (idx, cpu, line, count). *)
 let hashtbl_reference ~interval =
   let tbl : (int * int * int, int ref) Hashtbl.t = Hashtbl.create 64 in
-  let feed ~n ~cpu ~itc ~line =
+  let feed ~cpu ~itc ~line =
     let key = (Sample.floor_div itc interval, cpu, line) in
     match Hashtbl.find_opt tbl key with
-    | Some r ->
-      r := !r + n;
-      if !r = 0 then Hashtbl.remove tbl key
-    | None -> if n <> 0 then Hashtbl.add tbl key (ref n)
+    | Some r -> incr r
+    | None -> Hashtbl.add tbl key (ref 1)
+  in
+  let drop idx =
+    Hashtbl.filter_map_inplace
+      (fun (i, _, _) r -> if i = idx then None else Some r)
+      tbl
   in
   let rows () =
     Hashtbl.fold (fun (idx, cpu, line) r acc -> (idx, cpu, line, !r) :: acc)
       tbl []
     |> List.sort compare
   in
-  (feed, rows)
+  (feed, drop, rows)
 
 (* A binner's histograms in the reference's row form. *)
 let binner_rows b =
   List.concat_map
     (fun (idx, tbl) ->
-      List.concat_map
-        (fun (line, fs) ->
-          List.map (fun (cpu, count) -> (idx, cpu, line, count)) fs)
-        (Sample.line_freqs tbl))
+      let lines, cpus, counts = Sample.rows tbl in
+      List.init (Array.length lines) (fun r ->
+          (idx, cpus.(r), lines.(r), counts.(r))))
     (Sample.binned_idx b)
   |> List.sort compare
 
 let prop_binner_matches_hashtbl_reference =
   QCheck2.Test.make
-    ~name:"flat binner = (int, int ref) Hashtbl reference (feed + retract)"
+    ~name:"flat binner = (int, int ref) Hashtbl reference (feed + drop)"
     ~count:300
     QCheck2.Gen.(
-      triple (int_range 1 50)
+      quad (int_range 1 50)
         (list_size (int_bound 80)
            (triple (int_bound 7) (int_range (-500) 500) (int_range 1 9)))
+        (list_size (int_bound 4) (int_bound 100))
         (list_size (int_bound 40)
            (triple (int_bound 7) (int_range (-500) 500) (int_range 1 9))))
-    (fun (interval, xs, ys) ->
-      (* ys ⊆ xs ∪ ys is fed to both, then retracted from both *)
-      let ref_feed, ref_rows = hashtbl_reference ~interval in
+    (fun (interval, xs, picks, ys) ->
+      (* xs is fed to both, then the intervals of the picked xs samples
+         are dropped from both, then ys is fed to both *)
+      let ref_feed, ref_drop, ref_rows = hashtbl_reference ~interval in
       let b = Sample.binner ~interval in
-      List.iter
-        (fun (cpu, itc, line) ->
-          Sample.feed b (s cpu itc line);
-          ref_feed ~n:1 ~cpu ~itc ~line)
-        (xs @ ys);
-      let minus = Sample.binner ~interval in
-      List.iter
-        (fun (cpu, itc, line) ->
-          Sample.feed minus (s cpu itc line);
-          ref_feed ~n:(-1) ~cpu ~itc ~line)
-        ys;
-      Sample.retract b minus;
-      binner_rows b = ref_rows () && Sample.fed b = List.length xs)
+      let feed_both =
+        List.iter (fun (cpu, itc, line) ->
+            Sample.feed b (s cpu itc line);
+            ref_feed ~cpu ~itc ~line)
+      in
+      feed_both xs;
+      if xs <> [] then
+        List.iter
+          (fun pick ->
+            let _, itc, _ = List.nth xs (pick mod List.length xs) in
+            let idx = Sample.floor_div itc interval in
+            Sample.drop_interval b idx;
+            ref_drop idx)
+          picks;
+      feed_both ys;
+      let rows = ref_rows () in
+      binner_rows b = rows
+      && Sample.fed b = List.fold_left (fun acc (_, _, _, n) -> acc + n) 0 rows)
 
 (* The same reference at scale: 200 000 time-ordered samples from an LCG
    over 16 cpus x 24 lines, interval 32 768 — enough distinct keys per
    interval table to grow the Flat_tab well past its initial size. *)
 let test_binner_matches_reference_at_scale () =
   let interval = 32_768 in
-  let ref_feed, ref_rows = hashtbl_reference ~interval in
+  let ref_feed, _, ref_rows = hashtbl_reference ~interval in
   let b = Sample.binner ~interval in
   let state = ref 0x243F6A8885A308D3 and itc = ref 0 in
   for _ = 1 to 200_000 do
@@ -765,7 +763,7 @@ let test_binner_matches_reference_at_scale () =
     itc := !itc + 1 + (bits land 7);
     let cpu = bits mod 16 and line = 100 + ((bits lsr 17) mod 24) in
     Sample.feed_raw b ~cpu ~itc:!itc ~line;
-    ref_feed ~n:1 ~cpu ~itc:!itc ~line
+    ref_feed ~cpu ~itc:!itc ~line
   done;
   let rows = binner_rows b in
   check_int "rows" (List.length (ref_rows ())) (List.length rows);
@@ -792,10 +790,8 @@ let suites =
         Alcotest.test_case "binning" `Quick test_bin_basic;
         Alcotest.test_case "validation" `Quick test_bin_validation;
         Alcotest.test_case "negative itc bins" `Quick test_bin_negative_itc;
-        Alcotest.test_case "grouped index invalidation" `Quick
-          test_grouped_index_invalidation;
+        Alcotest.test_case "row view" `Quick test_rows;
         Alcotest.test_case "binner counters" `Quick test_binner_counters;
-        QCheck_alcotest.to_alcotest prop_grouped_index_matches_scan;
         QCheck_alcotest.to_alcotest prop_binner_matches_hashtbl_reference;
         Alcotest.test_case "binner = Hashtbl reference at scale" `Quick
           test_binner_matches_reference_at_scale;

@@ -549,8 +549,7 @@ let snap_binner () =
 
 let canon_binner b =
   List.map
-    (fun (idx, tbl) ->
-      (idx, Sample.total_samples tbl, Sample.line_freqs tbl))
+    (fun (idx, tbl) -> (idx, Sample.total_samples tbl, Sample.rows tbl))
     (Sample.binned_idx b)
 
 let test_serve_snapshot_roundtrip () =
@@ -609,6 +608,85 @@ let test_serve_snapshot_corruption_rejected () =
   (* first row's idx lives at offset 64: push it outside the window *)
   expect_snap_error "row outside the window" (set 64 '\001')
 
+(* The writer's bytes, pinned by digest for a binner over 4 intervals,
+   5 cpus and 7 lines. The round trip above only holds the writer to
+   itself; this holds it to the canonical (idx, line, cpu) row order and
+   column layout. Columns are in host byte order, and the digest is of
+   the little-endian file. *)
+let test_serve_snapshot_golden () =
+  if not Sys.big_endian then begin
+    let b = Sample.binner ~interval:10 in
+    let x = ref 7 in
+    for _ = 1 to 300 do
+      x := ((!x * 1103515245) + 12345) land 0x7FFF_FFFF;
+      Sample.feed b
+        { Sample.cpu = !x mod 5; itc = 20 + ((!x lsr 8) mod 40);
+          line = 3 + ((!x lsr 16) mod 7) }
+    done;
+    with_tmp ".snap" (fun path ->
+        Persist.save_serve_snapshot ~path ~window:4 ~version:2 ~newest:5 b;
+        check_int "rows" 123
+          ((String.length (read_raw path)
+           - Persist.serve_snapshot_header_size)
+          / 24);
+        Alcotest.(check string)
+          "snapshot digest" "212ae6126e64713328500bd172046538"
+          (Digest.to_hex (Digest.file path)))
+  end
+
+(* Regression: each row's count was checked against 2^53 but their sum
+   was not, so 512 rows of 2^53 in one interval loaded with a wrapped
+   negative [Sample.fed] and the interval silently vanished. *)
+let test_serve_snapshot_count_sum () =
+  let n = 512 in
+  let size = Persist.serve_snapshot_header_size + (24 * n) in
+  let file = Bytes.make size '\000' in
+  Bytes.blit_string Persist.serve_snapshot_magic 0 file 0
+    (String.length Persist.serve_snapshot_magic);
+  Bytes.set file 21 (if Sys.big_endian then '\002' else '\001');
+  Bytes.set_int64_le file 24 (Int64.of_int n);
+  Bytes.set_int64_le file 32 10L (* interval *);
+  Bytes.set_int64_le file 40 4L (* window; version and newest stay 0 *);
+  let col k = Persist.serve_snapshot_header_size + (k * n) in
+  for i = 0 to n - 1 do
+    (* idx 0, line 0, cpu i: strictly ascending rows *)
+    Bytes.set_int64_ne file (col 8 + (8 * i)) (Int64.of_int Persist.max_count);
+    Bytes.set_int32_ne file (col 16 + (4 * i)) (Int32.of_int i)
+  done;
+  with_tmp ".snap" (fun path ->
+      write_raw path (Bytes.to_string file);
+      match Persist.load_serve_snapshot ~path with
+      | exception Persist.Bin_error msg ->
+        Alcotest.(check bool)
+          ("error names row 1: " ^ msg) true
+          (Tutil.contains msg "row 1:")
+      | snap ->
+        Alcotest.failf "loaded a count sum over 2^53 (fed %d)"
+          (Sample.fed snap.Persist.snap_binner));
+  let b = Sample.binner ~interval:10 in
+  Sample.feed_n b ~cpu:0 ~itc:0 ~line:1 ~count:Persist.max_count;
+  Sample.feed_n b ~cpu:1 ~itc:0 ~line:1 ~count:1;
+  with_tmp ".snap" (fun path ->
+      match
+        Persist.save_serve_snapshot ~path ~window:4 ~version:0 ~newest:0 b
+      with
+      | exception Persist.Bin_error _ -> ()
+      | () -> Alcotest.fail "saved a count sum over 2^53")
+
+(* Window membership near min_int: the save and load checks must not
+   compute a wrapped [newest - window]. *)
+let test_serve_snapshot_min_int_window () =
+  let b = Sample.binner ~interval:1 in
+  Sample.feed b { Sample.cpu = 0; itc = min_int; line = 1 };
+  Sample.feed b { Sample.cpu = 1; itc = min_int + 1; line = 2 };
+  with_tmp ".snap" (fun path ->
+      Persist.save_serve_snapshot ~path ~window:4 ~version:0
+        ~newest:(min_int + 1) b;
+      let snap = Persist.load_serve_snapshot ~path in
+      Alcotest.(check bool)
+        "binner state reproduced" true
+        (canon_binner snap.Persist.snap_binner = canon_binner b))
+
 let suites =
   [
     ( "persist",
@@ -666,5 +744,10 @@ let suites =
           test_serve_snapshot_roundtrip;
         Alcotest.test_case "corrupted images rejected" `Quick
           test_serve_snapshot_corruption_rejected;
+        Alcotest.test_case "golden bytes" `Quick test_serve_snapshot_golden;
+        Alcotest.test_case "count sum over 2^53 rejected" `Quick
+          test_serve_snapshot_count_sum;
+        Alcotest.test_case "window near min_int" `Quick
+          test_serve_snapshot_min_int_window;
       ] );
   ]

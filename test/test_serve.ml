@@ -1,5 +1,5 @@
 (* Tests for the always-on layout service: the sliding-window laws the
-   serve daemon rests on (absorb/retract identity, chunking invariance,
+   serve daemon rests on (the drop law, chunking invariance,
    order-independent decay weighting), plus the Serve state machine
    itself (admission control, drift-triggered publication, the daemon
    domain, and snapshot/restore identity). *)
@@ -21,13 +21,12 @@ let check_int = Alcotest.(check int)
 let s cpu itc line = { Sample.cpu; itc; line }
 let to_samples = List.map (fun (c, t, l) -> s c t l)
 
-(* Canonical binner state: (idx, total, sorted histogram) per live
-   interval, insensitive to Flat_tab capacity/insertion history
-   (line_freqs sorts). Equal canon = equal observable state. *)
+(* Canonical binner state: (idx, total, sorted rows) per live interval,
+   insensitive to Flat_tab capacity/insertion history (rows sort).
+   Equal canon = equal observable state. *)
 let canon b =
   List.map
-    (fun (idx, tbl) ->
-      (idx, Sample.total_samples tbl, Sample.line_freqs tbl))
+    (fun (idx, tbl) -> (idx, Sample.total_samples tbl, Sample.rows tbl))
     (Sample.binned_idx b)
 
 let feed_all b = List.iter (fun x -> Sample.feed b x)
@@ -43,48 +42,37 @@ let gen_interval = QCheck2.Gen.int_range 1 30
 (* ------------------------------------------------------------------ *)
 (* Window laws (QCheck2) *)
 
-let prop_absorb_retract_identity =
-  QCheck2.Test.make ~name:"absorb then retract is the identity" ~count:300
-    QCheck2.Gen.(triple gen_interval gen_stream gen_stream)
-    (fun (interval, xs, ys) ->
-      let a = Sample.binner ~interval and b = Sample.binner ~interval in
-      feed_all a (to_samples xs);
-      feed_all b (to_samples ys);
-      let before = canon a and fed_before = Sample.fed a in
-      let b_before = canon b in
-      Sample.absorb a b;
-      Sample.retract a b;
-      canon a = before
-      && Sample.fed a = fed_before
-      && canon b = b_before)
-
-let prop_retract_all_empties =
-  QCheck2.Test.make ~name:"retracting everything empties the binner"
+(* The drop law: dropping interval [idx] from a binner fed [xs] leaves
+   exactly the binner fed [xs] without that interval's samples — same
+   rows, totals, [fed] and [binned_idx] — and later feeds into [idx] land
+   in a fresh table, not the dropped one. [idx] is a live interval, or
+   one that holds nothing when [pick] is negative. *)
+let prop_drop_interval =
+  QCheck2.Test.make ~name:"dropping an interval = never feeding its samples"
     ~count:300
-    QCheck2.Gen.(pair gen_interval gen_stream)
-    (fun (interval, xs) ->
-      let a = Sample.binner ~interval and b = Sample.binner ~interval in
-      feed_all a (to_samples xs);
-      feed_all b (to_samples xs);
-      Sample.retract a b;
-      canon a = [] && Sample.fed a = 0)
-
-let prop_retract_failure_leaves_dst_unchanged =
-  QCheck2.Test.make
-    ~name:"over-retract raises and leaves the target untouched" ~count:300
-    QCheck2.Gen.(
-      quad gen_interval gen_stream (int_bound 3) (int_range 1 6))
-    (fun (interval, xs, cpu, line) ->
-      let a = Sample.binner ~interval and b = Sample.binner ~interval in
-      feed_all a (to_samples xs);
-      feed_all b (to_samples xs);
-      (* one extra sample makes some src count exceed dst's *)
-      Sample.feed b (s cpu 0 line);
-      let before = canon a and fed_before = Sample.fed a in
-      (match Sample.retract a b with
-      | () -> QCheck2.Test.fail_report "retract should have raised"
-      | exception Invalid_argument _ -> ());
-      canon a = before && Sample.fed a = fed_before)
+    QCheck2.Gen.(triple gen_interval gen_stream (int_range (-3) 20))
+    (fun (interval, xs, pick) ->
+      let xs = to_samples xs in
+      let a = Sample.binner ~interval in
+      feed_all a xs;
+      let idx =
+        match Sample.binned_idx a with
+        | live when pick >= 0 && live <> [] ->
+          fst (List.nth live (pick mod List.length live))
+        | _ -> 1000 * (pick - 1)
+      in
+      Sample.drop_interval a idx;
+      let b = Sample.binner ~interval in
+      feed_all b
+        (List.filter
+           (fun (x : Sample.t) -> Sample.floor_div x.Sample.itc interval <> idx)
+           xs);
+      let same () = canon a = canon b && Sample.fed a = Sample.fed b in
+      let dropped_ok = same () in
+      let again = s 0 (idx * interval) 1 in
+      Sample.feed a again;
+      Sample.feed b again;
+      dropped_ok && same ())
 
 (* The window's live state after a (time-ordered) stream equals the
    direct binning of just the samples in the final window — however the
@@ -216,6 +204,26 @@ let test_window_late_out_of_range () =
   | exception Invalid_argument _ -> ());
   check_int "late unchanged" 0 (Window.late w);
   check_int "live unchanged" 2 (Window.live_samples w)
+
+let test_window_near_min_int () =
+  (* Regression: the watermark [newest - window] wrapped to a huge
+     positive index when newest lay within [window] of min_int, so the
+     first sample retired at once and the second counted late. Interval
+     indices near min_int must behave like indices near 0. *)
+  List.iter
+    (fun base ->
+      let w = Window.create ~interval:1 ~window:4 () in
+      Alcotest.(check bool) "first accepted" true
+        (Window.feed w ~cpu:0 ~itc:base ~line:1);
+      Alcotest.(check bool) "second accepted" true
+        (Window.feed w ~cpu:1 ~itc:(base + 1) ~line:1);
+      check_int "both live" 2 (Window.live_samples w);
+      check_int "none retired" 0 (Window.retired w);
+      check_int "none late" 0 (Window.late w);
+      (* restore checks window membership the same way *)
+      let w' = Window.restore ~window:4 ~newest:(base + 1) (Window.master w) in
+      check_int "restored live" 2 (Window.live_intervals w'))
+    [ 0; min_int ]
 
 let test_window_weights () =
   let w = Window.create ~decay:0.5 ~interval:10 ~window:4 () in
@@ -616,9 +624,7 @@ let test_restore_rejects_mismatch () =
 let props =
   List.map QCheck_alcotest.to_alcotest
     [
-      prop_absorb_retract_identity;
-      prop_retract_all_empties;
-      prop_retract_failure_leaves_dst_unchanged;
+      prop_drop_interval;
       prop_window_eq_direct_binning;
       prop_decay_weights_order_independent;
       prop_window_batches_match_direct;
@@ -631,6 +637,8 @@ let suites =
         test_window_retirement
       :: Alcotest.test_case "out-of-range late sample rejected" `Quick
            test_window_late_out_of_range
+      :: Alcotest.test_case "watermark near min_int" `Quick
+           test_window_near_min_int
       :: Alcotest.test_case "fixed-point weights" `Quick test_window_weights
       :: Alcotest.test_case "shape drift" `Quick test_drift_shape
       :: Alcotest.test_case "slots reclaimed over a long feed" `Quick
