@@ -1,5 +1,6 @@
 module Obs = Slo_obs.Obs
 module Flat_tab = Slo_util.Flat_tab
+module Int_sort = Slo_util.Int_sort
 
 (* The map: one flat int -> int table keyed by the packed unordered line
    pair (l1 lsl 31) lor l2, l1 <= l2. Lines are Sample ids in
@@ -45,131 +46,196 @@ let add_key t k v =
 
 let add t l1 l2 v = add_key t (key l1 l2) v
 
-(* One line's frequencies in one interval, in views built once per
-   interval:
-   - [line]: the line;
-   - [cpus]/[counts]: its entries, each CPU as a dense index into the
-     interval's CPUs;
-   - [row]: its count per dense CPU index, 0 where absent;
-   - its counts in ascending order, run-length encoded: distinct values
-     [vals] with multiplicities [mult], and for k = 0 .. |vals|, [le.(k)]
-     and [le_sum.(k)] the number and saturated sum of the entries among
-     the k smallest values. *)
-type vec = {
-  line : int;
-  cpus : int array;
-  counts : int array;
-  row : int array;
-  vals : int array;
-  mult : int array;
-  le : int array;
-  le_sum : int array;
+(* One interval in compressed-row (CSR) form: flat int arrays over its
+   entries, lines and CPUs, in a scratch the intervals of a chunk share
+   (its arrays grow to the largest interval and are never shrunk; only
+   [cpu] and [cnt] are the interval's own, its rows reordered in place).
+   - Line i, in ascending line order, is [lines.(i)]. Its entries are
+     [first.(i), first.(i + 1)) of [cpu] (the CPU as a dense index into
+     the interval's CPUs) and [cnt] (the count), sorted by count.
+   - Its counts run-length encoded: distinct values [vals.(r)] with
+     multiplicities [mult.(r)] for its runs r in [runs.(i), runs.(i + 1)).
+     With b = runs.(i) + i, [le.(b + k)] and [le_sum.(b + k)] are the
+     number and saturated sum of its entries among its k smallest values,
+     for k = 0 .. its run count: a line has one prefix more than runs.
+   - The entries transposed by CPU: CPU m's are [cpu_first.(m),
+     cpu_first.(m + 1)) of [t_line] (line index, ascending) and [t_cnt].
+     [cursor.(m)] is where the next line to be paired sits in them.
+   - [same.(j)] accumulates the same-CPU term of the line being paired
+     with line j, and is 0 between lines. *)
+type scratch = {
+  dense : Flat_tab.t;
+  mutable cap : int;
+  mutable n_lines : int;
+  mutable cpu : int array;
+  mutable cnt : int array;
+  mutable lines : int array;
+  mutable first : int array;
+  mutable runs : int array;
+  mutable vals : int array;
+  mutable mult : int array;
+  mutable le : int array;
+  mutable le_sum : int array;
+  mutable cpu_first : int array;
+  mutable cursor : int array;
+  mutable t_line : int array;
+  mutable t_cnt : int array;
+  mutable same : int array;
 }
 
-let total v = v.le_sum.(Array.length v.vals)
+let scratch () =
+  { dense = Flat_tab.create (); cap = 0; n_lines = 0; cpu = [||];
+    cnt = [||]; lines = [||]; first = [||]; runs = [||]; vals = [||];
+    mult = [||]; le = [||]; le_sum = [||]; cpu_first = [||]; cursor = [||];
+    t_line = [||]; t_cnt = [||]; same = [||] }
+
+(* Room for [e] entries: an interval has at most [e] lines, CPUs and runs. *)
+let reserve sc e =
+  if e > sc.cap then begin
+    let cap = max e (2 * sc.cap) in
+    let ints n = Array.make n 0 in
+    sc.cap <- cap;
+    sc.lines <- ints cap;
+    sc.first <- ints (cap + 1);
+    sc.runs <- ints (cap + 1);
+    sc.vals <- ints cap;
+    sc.mult <- ints cap;
+    sc.le <- ints (2 * cap);
+    sc.le_sum <- ints (2 * cap);
+    sc.cpu_first <- ints (cap + 1);
+    sc.cursor <- ints cap;
+    sc.t_line <- ints cap;
+    sc.t_cnt <- ints cap;
+    sc.same <- ints cap
+  end
 
 (* Renumber [cpus] in place to dense indices in order of first
    appearance; returns how many distinct CPUs there were. *)
-let densify cpus =
-  let index = Flat_tab.create () in
-  Array.iteri
-    (fun i cpu ->
-      let fresh = Flat_tab.length index in
-      let d = Flat_tab.find index cpu ~default:fresh in
-      if d = fresh then Flat_tab.set index cpu d;
-      cpus.(i) <- d)
-    cpus;
-  Flat_tab.length index
+let densify dense cpus =
+  Flat_tab.clear dense;
+  for x = 0 to Array.length cpus - 1 do
+    let fresh = Flat_tab.length dense in
+    let d = Flat_tab.find dense cpus.(x) ~default:fresh in
+    if d = fresh then Flat_tab.set dense cpus.(x) d;
+    cpus.(x) <- d
+  done;
+  Flat_tab.length dense
 
-(* The vector of rows [lo, hi) of the dense [cpus] and [counts] (distinct
-   CPUs). *)
-let vec ~ncpus ~line cpus counts lo hi =
-  let cpus = Array.sub cpus lo (hi - lo) in
-  let counts = Array.sub counts lo (hi - lo) in
-  let row = Array.make ncpus 0 in
-  Array.iteri (fun i d -> row.(d) <- counts.(i)) cpus;
-  let sorted = Array.copy counts in
-  Array.sort Int.compare sorted;
-  let distinct = ref 0 in
-  Array.iteri
-    (fun i x -> if i = 0 || x <> sorted.(i - 1) then incr distinct)
-    sorted;
-  let d = !distinct in
-  let vals = Array.make d 0 and mult = Array.make d 0 in
-  let le = Array.make (d + 1) 0 and le_sum = Array.make (d + 1) 0 in
-  let k = ref (-1) and sum = ref 0 in
-  Array.iteri
-    (fun i x ->
-      if i = 0 || x <> sorted.(i - 1) then begin
-        incr k;
-        vals.(!k) <- x
-      end;
-      mult.(!k) <- mult.(!k) + 1;
-      sum := sat_add !sum x;
-      le.(!k + 1) <- i + 1;
-      le_sum.(!k + 1) <- !sum)
-    sorted;
-  { line; cpus; counts; row; vals; mult; le; le_sum }
-
-(* The vectors of one interval's lines in ascending line order: one per
-   run of equal line in the table's rows. The dense CPU indices are
-   shared by all of them, so any two rows are comparable. *)
-let vecs_of_table tbl =
-  let lines, cpus, counts = Sample.rows tbl in
-  let ncpus = densify cpus in
-  let vecs = ref [] and hi = ref (Array.length lines) in
-  for i = Array.length lines - 1 downto 0 do
-    if i = 0 || lines.(i) <> lines.(i - 1) then begin
-      vecs := vec ~ncpus ~line:lines.(i) cpus counts i !hi :: !vecs;
-      hi := i
+(* Load the rows of one interval (grouped by line, lines ascending) into
+   [sc]. The rows' [cpus] and [counts] become its [cpu] and [cnt]. *)
+let load sc (lines, cpus, counts) =
+  let e = Array.length lines in
+  reserve sc e;
+  let n_cpus = densify sc.dense cpus in
+  sc.cpu <- cpus;
+  sc.cnt <- counts;
+  let n = ref 0 in
+  for x = 0 to e - 1 do
+    if x = 0 || lines.(x) <> lines.(x - 1) then begin
+      sc.lines.(!n) <- lines.(x);
+      sc.first.(!n) <- x;
+      incr n
     end
   done;
-  Array.of_list !vecs
+  let n = !n in
+  sc.n_lines <- n;
+  sc.first.(n) <- e;
+  let r = ref 0 in
+  for i = 0 to n - 1 do
+    let lo = sc.first.(i) and hi = sc.first.(i + 1) in
+    Int_sort.sort_by_key counts cpus ~lo ~hi;
+    sc.runs.(i) <- !r;
+    sc.le.(!r + i) <- 0;
+    sc.le_sum.(!r + i) <- 0;
+    let sum = ref 0 in
+    for x = lo to hi - 1 do
+      let c = counts.(x) in
+      if x = lo || c <> counts.(x - 1) then begin
+        sc.vals.(!r) <- c;
+        sc.mult.(!r) <- 0;
+        incr r
+      end;
+      sc.mult.(!r - 1) <- sc.mult.(!r - 1) + 1;
+      sum := sat_add !sum c;
+      sc.le.(!r + i) <- x + 1 - lo;
+      sc.le_sum.(!r + i) <- !sum
+    done
+  done;
+  sc.runs.(n) <- !r;
+  Array.fill sc.cpu_first 0 (n_cpus + 1) 0;
+  for x = 0 to e - 1 do
+    sc.cpu_first.(cpus.(x) + 1) <- sc.cpu_first.(cpus.(x) + 1) + 1
+  done;
+  for m = 1 to n_cpus do
+    sc.cpu_first.(m) <- sc.cpu_first.(m) + sc.cpu_first.(m - 1)
+  done;
+  Array.blit sc.cpu_first 0 sc.cursor 0 n_cpus;
+  for i = 0 to n - 1 do
+    for x = sc.first.(i) to sc.first.(i + 1) - 1 do
+      let q = sc.cursor.(cpus.(x)) in
+      sc.t_line.(q) <- i;
+      sc.t_cnt.(q) <- counts.(x);
+      sc.cursor.(cpus.(x)) <- q + 1
+    done
+  done;
+  Array.blit sc.cpu_first 0 sc.cursor 0 n_cpus
 
-(* Σ_{m,n} min(a_m, b_n) over all index pairs (including same-cpu), by a
-   two-pointer merge of the ascending views: the entries of b at most a
+let total sc i = sc.le_sum.(sc.runs.(i + 1) + i)
+
+(* Σ_{m,n} min(a_m, b_n) over all entry pairs of lines a and b (same CPU
+   included), by a two-pointer merge of their runs: b's entries at most a
    value x of a contribute themselves, the other ones x each; as x rises
    the split point in b only moves right, so the sum costs
-   O(|vals a| + |vals b|) <= O(|a| + |b|). Profile-scale frequencies can
-   push the products past [max_int]; the kernel saturates instead of
-   wrapping negative. *)
-let sum_min_all a b =
-  let vb = b.vals and nb = Array.length b.cpus in
-  let db = Array.length vb in
-  let k = ref 0 and acc = ref 0 in
-  for i = 0 to Array.length a.vals - 1 do
-    let x = a.vals.(i) in
-    while !k < db && vb.(!k) <= x do
+   O(runs a + runs b). Profile-scale frequencies can push the products
+   past [max_int]; the kernel saturates instead of wrapping negative. *)
+let sum_min_all sc a b =
+  let runs = sc.runs and vals = sc.vals and le = sc.le in
+  let b_end = runs.(b + 1) in
+  let nb = le.(b_end + b) in
+  (* [k]: b's first run above the current value of a; b's prefix over the
+     runs before it sits at [k + b] *)
+  let k = ref runs.(b) and acc = ref 0 in
+  for r = runs.(a) to runs.(a + 1) - 1 do
+    let x = vals.(r) in
+    while !k < b_end && vals.(!k) <= x do
       incr k
     done;
-    let per_entry = sat_add b.le_sum.(!k) (sat_mul x (nb - b.le.(!k))) in
-    acc := sat_add !acc (sat_mul a.mult.(i) per_entry)
+    let per_entry =
+      sat_add sc.le_sum.(!k + b) (sat_mul x (nb - le.(!k + b)))
+    in
+    acc := sat_add !acc (sat_mul sc.mult.(r) per_entry)
   done;
   !acc
 
-(* Σ over cpus present in both vectors of min(a_cpu, b_cpu): the shorter
-   vector's entries, each looked up in the other's row. *)
-let sum_min_same_cpu a b =
-  let lookup short long =
-    let acc = ref 0 in
-    for i = 0 to Array.length short.cpus - 1 do
-      acc := sat_add !acc (Int.min short.counts.(i) long.row.(short.cpus.(i)))
-    done;
-    !acc
-  in
-  if Array.length a.cpus <= Array.length b.cpus then lookup a b else lookup b a
+(* Add Σ over CPUs m running both lines of min(a_m, b_m) into [same.(j)]
+   for every line j > i: each CPU of line i walks the later lines of its
+   transposed range. Pairing every line in turn costs Σ_m k_m² for k_m
+   the number of lines CPU m ran. *)
+let same_row sc i =
+  let cursor = sc.cursor and t_line = sc.t_line and t_cnt = sc.t_cnt
+  and same = sc.same in
+  for x = sc.first.(i) to sc.first.(i + 1) - 1 do
+    let m = sc.cpu.(x) and a = sc.cnt.(x) in
+    let p = cursor.(m) in
+    cursor.(m) <- p + 1;
+    for q = p + 1 to sc.cpu_first.(m + 1) - 1 do
+      let j = t_line.(q) in
+      same.(j) <- sat_add same.(j) (Int.min a t_cnt.(q))
+    done
+  done
 
-let cc_of_interval t tbl =
-  let vecs = vecs_of_table tbl in
-  let n = Array.length vecs in
+let cc_of_interval t sc tbl =
+  load sc (Sample.rows tbl);
+  let lines = sc.lines and same = sc.same and n = sc.n_lines in
   for i = 0 to n - 1 do
-    let v1 = vecs.(i) in
-    let hi = v1.line lsl line_bits in
+    let l1 = lines.(i) in
+    let hi = l1 lsl line_bits in
     (* Diagonal: two different CPUs executing the same line. *)
-    add_key t (hi lor v1.line) (sum_min_all v1 v1 - total v1);
+    add_key t (hi lor l1) (sum_min_all sc i i - total sc i);
+    same_row sc i;
     for j = i + 1 to n - 1 do
-      let v2 = vecs.(j) in
-      add_key t (hi lor v2.line) (sum_min_all v1 v2 - sum_min_same_cpu v1 v2)
+      add_key t (hi lor lines.(j)) (sum_min_all sc i j - same.(j));
+      same.(j) <- 0
     done
   done
 
@@ -177,7 +243,7 @@ let create () = Flat_tab.create ()
 
 let of_interval tbl =
   let t = create () in
-  cc_of_interval t tbl;
+  cc_of_interval t (scratch ()) tbl;
   t
 
 let merge_into dst src = Flat_tab.iter src (fun k v -> add_key dst k v)
@@ -211,8 +277,8 @@ let of_tables ?pool tables =
     Obs.set_gauge "cc.table.peak_entries" (float_of_int peak));
   Obs.time "cc.compute_s" (fun () ->
       let compute_chunk tbls =
-        let t = create () in
-        List.iter (cc_of_interval t) tbls;
+        let t = create () and sc = scratch () in
+        List.iter (cc_of_interval t sc) tbls;
         t
       in
       let parts =
@@ -384,16 +450,26 @@ let pp ppf t =
   Format.fprintf ppf "@]"
 
 module For_tests = struct
-  let on_vecs f a b =
-    let cpus = Array.of_list (List.map fst (a @ b)) in
-    let counts = Array.of_list (List.map snd (a @ b)) in
-    let ncpus = densify cpus and na = List.length a in
-    f
-      (vec ~ncpus ~line:0 cpus counts 0 na)
-      (vec ~ncpus ~line:1 cpus counts na (Array.length cpus))
+  (* [a] as line 0 and [b] as line 1 of one interval. A line without
+     entries is absent from an interval's rows, and its sums are 0. *)
+  let on_lines f a b =
+    if a = [] || b = [] then 0
+    else begin
+      let sc = scratch () in
+      load sc
+        ( Array.of_list (List.map (fun _ -> 0) a @ List.map (fun _ -> 1) b),
+          Array.of_list (List.map fst (a @ b)),
+          Array.of_list (List.map snd (a @ b)) );
+      f sc
+    end
 
-  let sum_min_all = on_vecs sum_min_all
-  let sum_min_same_cpu = on_vecs sum_min_same_cpu
+  let sum_min_all = on_lines (fun sc -> sum_min_all sc 0 1)
+
+  let sum_min_same_cpu =
+    on_lines (fun sc ->
+        same_row sc 0;
+        sc.same.(1))
+
   let add = add
   let sat_add = sat_add
   let sat_mul = sat_mul

@@ -9,16 +9,18 @@
     their CC value.
 
     {b Kernel.} The inner double sum over CPU pairs is
-    Σ_{m,n} min(a_m, b_n) − Σ_m min(a_m, b_m), computed in O(|a| + |b|)
-    per line pair without allocating. Each line's (cpu, count) vector is
-    built once per interval from a run of equal line in the table's
-    {!Sample.rows}, in views over the interval's CPUs numbered densely:
-    its entries, a row of counts indexed by CPU, and its counts in
-    ascending order, run-length encoded with prefix counts and sums.
-    The first sum is a two-pointer merge of the ascending views (as a's
-    counts rise, the split point in b only moves right), so it costs the
-    number of distinct counts, not of CPUs. The second walks the shorter
-    vector's entries and looks each CPU up in the other's row. All
+    Σ_{m,n} min(a_m, b_n) − Σ_m min(a_m, b_m), computed per line pair
+    without allocating. An interval's {!Sample.rows} are loaded once into
+    flat compressed-row arrays, reused across the intervals of a chunk:
+    each line's entries (CPUs numbered densely) sorted by count with
+    {!Slo_util.Int_sort}, its counts run-length encoded with prefix
+    counts and sums, and the same entries transposed by CPU. The first
+    sum is a two-pointer merge of two lines' runs (as a's counts rise,
+    the split point in b only moves right), so it costs the number of
+    distinct counts, not of CPUs. The second is summed per CPU: pairing
+    line i, each of its CPUs walks the later lines it ran and adds into
+    a scratch row over lines, Σ_m k_m² work per interval for k_m the
+    lines CPU m ran. Memory is O(entries + lines), never lines². All
     counting arithmetic saturates at [max_int] instead of wrapping —
     profile-scale frequencies stay non-negative, and saturating sums and
     products of non-negative values equal min(true value, [max_int]) in
@@ -149,14 +151,16 @@ val pp : Format.formatter -> t -> unit
 
 (**/**)
 
-(** Test-only access to the saturating counting kernel. *)
+(** Test-only access to the saturating counting kernel: two (cpu, count)
+    vectors, each with distinct CPUs, loaded as the two lines of one
+    interval and summed by the production kernel. *)
 module For_tests : sig
   val sum_min_all : (int * int) list -> (int * int) list -> int
-  (** Σ_{m,n} min(a_m, b_n) over two (cpu, count) vectors, each with
-      distinct CPUs. *)
+  (** Σ_{m,n} min(a_m, b_n) over the two vectors. *)
 
   val sum_min_same_cpu : (int * int) list -> (int * int) list -> int
-  (** Σ over CPUs present in both vectors of min(a_cpu, b_cpu). *)
+  (** Σ over CPUs present in both vectors of min(a_cpu, b_cpu), through
+      the per-CPU scratch row. *)
 
   val add : t -> int -> int -> int -> unit
   val sat_add : int -> int -> int

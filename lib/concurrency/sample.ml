@@ -37,15 +37,16 @@ let freq tbl ~cpu ~line =
   if cpu < 0 || cpu > max_id || line < 0 || line > max_id then 0
   else Flat_tab.find tbl.freqs (pack ~cpu ~line) ~default:0
 
-(* One in-place sort of the keys; the key array then becomes the cpu
-   column. *)
+(* One in-place sort of the keys with their counts; the key array then
+   becomes the cpu column. *)
 let rows tbl =
-  let keys = Array.make (Flat_tab.length tbl.freqs) 0 and i = ref 0 in
-  Flat_tab.iter tbl.freqs (fun k _ ->
+  let n = Flat_tab.length tbl.freqs in
+  let keys = Array.make n 0 and counts = Array.make n 0 and i = ref 0 in
+  Flat_tab.iter tbl.freqs (fun k c ->
       keys.(!i) <- k;
+      counts.(!i) <- c;
       incr i);
-  Array.sort Int.compare keys;
-  let counts = Array.map (fun k -> Flat_tab.find tbl.freqs k ~default:0) keys in
+  Slo_util.Int_sort.sort_by_key keys counts ~lo:0 ~hi:n;
   let lines = Array.map (fun k -> k lsr id_bits) keys in
   Array.map_inplace (fun k -> k land max_id) keys;
   (lines, keys, counts)

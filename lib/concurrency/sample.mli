@@ -51,8 +51,8 @@ val freq : interval_table -> cpu:int -> line:int -> int
 val rows : interval_table -> int array * int array * int array
 (** [(lines, cpus, counts)]: one row per distinct (cpu, line) pair, in
     ascending (line, cpu) order, every count positive — the one read view
-    of a table, built by one sort of its packed keys. The arrays are
-    fresh and owned by the caller. *)
+    of a table, built by one {!Slo_util.Int_sort} of its packed keys
+    with their counts. The arrays are fresh and owned by the caller. *)
 
 val entries : interval_table -> int
 (** Distinct (cpu, line) pairs in the table — its memory footprint proxy. *)

@@ -17,7 +17,10 @@ let line t i = Int32.to_int (Array1.get t.s_line i)
 
 let get t i = { Sample.cpu = cpu t i; itc = itc t i; line = line t i }
 
-let check_columns ~cpu ~itc ~line =
+(* The column types are annotated so that every read below is the
+   specialised, unboxed Bigarray access: through the generic path each
+   element is boxed (9 words per sample). *)
+let check_columns ~(cpu : i32) ~(itc : i64) ~(line : i32) =
   let n = Array1.dim cpu in
   if Array1.dim itc <> n || Array1.dim line <> n then
     invalid_arg "Sample_store.of_columns: column lengths differ";

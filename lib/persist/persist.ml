@@ -222,50 +222,165 @@ let counts_of_string s =
 
 let samples_header = "slo-samples 1"
 
-(* One pass over a producer of raw lines. This is the single parser both
-   the in-memory and the file paths share: the file path hands it
-   [input_line], so a profile is ingested record by record straight into
-   a columnar store and the boxed sample list never has to exist. *)
-let iter_sample_lines next f =
-  let saw_header = ref false in
-  let ln = ref 0 in
-  let rec go () =
-    match next () with
-    | None -> ()
-    | Some raw ->
-      incr ln;
-      let line = String.trim raw in
-      (if line = "" then ()
-       else if not !saw_header then
-         if line = samples_header then saw_header := true
-         else fail !ln "expected header %S, found %S" samples_header line
-       else
-         match split_ws line with
-         | [ cpu; itc; l ] ->
-           (* cpu and line are identifiers (bounded by Sample.max_id); itc
-              is a signed timestamp — the binner floor-divides it correctly
-              either way *)
-           f
-             { Sample.cpu = id_field !ln cpu; itc = int_field !ln itc;
-               line = id_field !ln l }
-         | _ -> fail !ln "expected '<cpu> <itc> <line>', found %S" line);
-      go ()
+(* The line parser: one raw line, its '\n' removed, with its 1-based
+   number. It trims the line, takes the header, skips blank lines and
+   splits a record on spaces; every sample-text error is raised here.
+   Returns whether the header has been seen once the line is taken. The
+   scanner below hands it every line that is not a canonical record, and
+   the tests hold the scanner to it (For_tests). *)
+let sample_line ~saw_header ln raw f =
+  let line = String.trim raw in
+  if line = "" then saw_header
+  else if not saw_header then
+    if line = samples_header then true
+    else fail ln "expected header %S, found %S" samples_header line
+  else begin
+    (match split_ws line with
+    | [ cpu; itc; l ] ->
+      (* cpu and line are identifiers (bounded by Sample.max_id); itc is a
+         signed timestamp — the binner floor-divides it correctly either
+         way *)
+      f { Sample.cpu = id_field ln cpu; itc = int_field ln itc;
+          line = id_field ln l }
+    | _ -> fail ln "expected '<cpu> <itc> <line>', found %S" line);
+    true
+  end
+
+(* The byte scanner both the in-memory and the file paths share. The
+   input sits in [buf] from [pos] to [lim], and [eof] says that no byte
+   follows [lim]. A file is read through a buffer of [chunk_size] bytes,
+   refilled when a line runs past [lim]; a line longer than the buffer
+   doubles it. A string is scanned in place: its [eof] holds from the
+   start, so nothing ever refills — the one writer of [buf]. *)
+let chunk_size = 65536
+
+type scanner = {
+  mutable buf : Bytes.t;
+  mutable pos : int;
+  mutable lim : int;
+  mutable eof : bool;
+  read : Bytes.t -> int -> int -> int;
+  mutable ln : int;  (* lines taken *)
+  mutable saw_header : bool;
+  mutable num : int;  (* the value of the last [digits] run *)
+}
+
+exception Not_canonical
+exception Short  (* the buffered bytes end inside the line *)
+
+(* The byte at [i]; past the end of the input, a virtual '\n' ends the
+   last line. *)
+let peek sc i =
+  if i < sc.lim then Bytes.get sc.buf i
+  else if sc.eof then '\n'
+  else raise_notrace Short
+
+(* The run of 1 to 18 decimal digits from [start]; [i] is its end so far.
+   Puts its value in [num] and returns the index after it. Eighteen
+   digits cannot overflow, and a 19th is left for the separator check
+   to reject. *)
+let rec digits sc start i acc =
+  match peek sc i with
+  | '0' .. '9' as c when i - start < 18 ->
+    digits sc start (i + 1) ((acc * 10) + Char.code c - Char.code '0')
+  | _ ->
+    if i = start then raise_notrace Not_canonical;
+    sc.num <- acc;
+    i
+
+let expect sc i c =
+  if peek sc i <> c then raise_notrace Not_canonical;
+  i + 1
+
+(* The canonical record at [pos], "<digits> <-?digits> <digits>", an
+   optional '\r', the end of the line, ids at most Sample.max_id: the
+   sample, with [pos] moved past its line. Such a line means the same to
+   the line parser. *)
+let canonical sc =
+  let i = digits sc sc.pos sc.pos 0 in
+  let cpu = sc.num in
+  let i = expect sc i ' ' in
+  let neg = peek sc i = '-' in
+  let i = if neg then i + 1 else i in
+  let i = digits sc i i 0 in
+  let itc = if neg then -sc.num else sc.num in
+  let i = expect sc i ' ' in
+  let i = digits sc i i 0 in
+  let line = sc.num in
+  let i = if peek sc i = '\r' then i + 1 else i in
+  let i = expect sc i '\n' in
+  if cpu > Sample.max_id || line > Sample.max_id then
+    raise_notrace Not_canonical;
+  sc.pos <- Int.min i sc.lim;
+  { Sample.cpu; itc; line }
+
+(* Keep the unread bytes, moved to the front, and read after them. *)
+let refill sc =
+  let keep = sc.lim - sc.pos in
+  let buf =
+    if keep < Bytes.length sc.buf then sc.buf else Bytes.create (2 * keep)
   in
-  go ();
-  if not !saw_header then fail 1 "empty samples file"
+  Bytes.blit sc.buf sc.pos buf 0 keep;
+  sc.buf <- buf;
+  sc.pos <- 0;
+  sc.lim <- keep;
+  let r = sc.read buf keep (Bytes.length buf - keep) in
+  if r = 0 then sc.eof <- true else sc.lim <- keep + r
+
+(* The index of the '\n' ending the line at [pos], or [lim] at the end
+   of the input; [i] is where the search resumes, every byte before it
+   searched already (so a long line is searched once across refills). *)
+let rec line_end sc i =
+  if i < sc.lim then
+    if Bytes.get sc.buf i = '\n' then i else line_end sc (i + 1)
+  else if sc.eof then i
+  else begin
+    let searched = i - sc.pos in
+    refill sc;
+    line_end sc (sc.pos + searched)
+  end
+
+(* The line at [pos], whole, through the line parser. *)
+let fallback sc f =
+  let e = line_end sc sc.pos in
+  sc.ln <- sc.ln + 1;
+  sc.saw_header <-
+    sample_line ~saw_header:sc.saw_header sc.ln
+      (Bytes.sub_string sc.buf sc.pos (e - sc.pos))
+      f;
+  sc.pos <- Int.min (e + 1) sc.lim
+
+let rec scan sc f =
+  if sc.pos < sc.lim || not sc.eof then begin
+    (match if sc.saw_header then canonical sc else raise_notrace Not_canonical
+     with
+    | smp ->
+      sc.ln <- sc.ln + 1;
+      f smp
+    | exception Short -> refill sc
+    | exception Not_canonical -> fallback sc f);
+    scan sc f
+  end
+
+let scan_samples ~buf ~eof read f =
+  let sc =
+    { buf; pos = 0; lim = (if eof then Bytes.length buf else 0); eof; read;
+      ln = 0; saw_header = false; num = 0 }
+  in
+  scan sc f;
+  if not sc.saw_header then fail 1 "empty samples file"
 
 let samples_of_string s =
   let acc = ref [] in
-  iter_sample_lines
-    (Seq.to_dispenser (List.to_seq (String.split_on_char '\n' s)))
+  scan_samples ~buf:(Bytes.unsafe_of_string s) ~eof:true
+    (fun _ _ _ -> 0)
     (fun smp -> acc := smp :: !acc);
   List.rev !acc
 
 let iter_samples_file ~path f =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> iter_sample_lines (fun () -> In_channel.input_line ic) f)
+  In_channel.with_open_bin path (fun ic ->
+      scan_samples ~buf:(Bytes.create chunk_size) ~eof:false
+        (In_channel.input ic) f)
 
 (* ------------------------------------------------------------------ *)
 (* Binary columnar samples: "slo-samples-bin 1".
@@ -302,6 +417,27 @@ let bin_header n =
   Bytes.set h 21 host_endian_byte;
   Bytes.set_int64_le h 22 (Int64.of_int n);
   h
+
+(* A columnar file of [n >= 0] records of [width] bytes after a [header]
+   must be exactly [header + width * n] bytes long ([size >= header]).
+   [n] is compared with what the size holds before it is multiplied: the
+   product wraps in 64 bits, and a wrapped size let a samples header
+   claiming 2^60 samples pass as an empty file. *)
+let check_size ~path ~size ~header ~width ~what n =
+  let room =
+    Int64.div (Int64.sub size (Int64.of_int header)) (Int64.of_int width)
+  in
+  if Int64.of_int n > room then
+    bin_fail "%s: truncated columns — %Ld bytes hold %Ld %s, the header \
+              claims %d"
+      path size room what n;
+  let expect =
+    Int64.add (Int64.of_int header)
+      (Int64.mul (Int64.of_int width) (Int64.of_int n))
+  in
+  if size > expect then
+    bin_fail "%s: %Ld trailing bytes after the columns" path
+      (Int64.sub size expect)
 
 let map_i64 fd ~shared ~pos n : Sample_store.i64 =
   Bigarray.array1_of_genarray
@@ -373,17 +509,8 @@ let load_samples_bin ~path =
       if count64 < 0L || Int64.of_int (Int64.to_int count64) <> count64 then
         bin_fail "%s: unrepresentable sample count %Lu" path count64;
       let n = Int64.to_int count64 in
-      let expect =
-        Int64.add
-          (Int64.of_int samples_bin_header_size)
-          (Int64.mul 16L count64)
-      in
-      if size < expect then
-        bin_fail "%s: truncated columns — %Ld bytes, %d samples need %Ld" path
-          size n expect;
-      if size > expect then
-        bin_fail "%s: %Ld trailing bytes after the columns" path
-          (Int64.sub size expect);
+      check_size ~path ~size ~header:samples_bin_header_size ~width:16
+        ~what:"samples" n;
       if n = 0 then
         Sample_store.of_columns ~validate:false
           ~cpu:(Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout 0)
@@ -584,17 +711,8 @@ let load_serve_snapshot ~path =
       let version = i64_field 48 "version" in
       if version < 0 then bin_fail "%s: negative version %d" path version;
       let newest = i64_field 56 "newest interval" in
-      let expect =
-        Int64.add
-          (Int64.of_int serve_snapshot_header_size)
-          (Int64.mul 24L (Int64.of_int n))
-      in
-      if size < expect then
-        bin_fail "%s: truncated columns — %Ld bytes, %d rows need %Ld" path
-          size n expect;
-      if size > expect then
-        bin_fail "%s: %Ld trailing bytes after the columns" path
-          (Int64.sub size expect);
+      check_size ~path ~size ~header:serve_snapshot_header_size ~width:24
+        ~what:"rows" n;
       let binner = Sample.binner ~interval in
       if n > 0 then begin
         let m_idx = map_i64 fd ~shared:false ~pos:64L n in
@@ -668,3 +786,16 @@ let save_counts ~path counts = write_file path (counts_to_string counts)
 let load_counts ~path = counts_of_string (read_file path)
 let save_samples ~path samples =
   save_store_text ~path (Sample_store.of_samples samples)
+
+module For_tests = struct
+  let samples_of_string s =
+    let acc = ref [] and saw_header = ref false in
+    List.iteri
+      (fun i raw ->
+        saw_header :=
+          sample_line ~saw_header:!saw_header (i + 1) raw (fun smp ->
+              acc := smp :: !acc))
+      (String.split_on_char '\n' s);
+    if not !saw_header then fail 1 "empty samples file";
+    List.rev !acc
+end

@@ -69,7 +69,16 @@ val load_counts : path:string -> Slo_profile.Counts.t
 (** {1 PMU samples} *)
 
 val samples_of_string : string -> Slo_concurrency.Sample.t list
-(** @raise Parse_error on malformed input. *)
+(** Parse a whole [slo-samples 1] text. A byte scanner parses each
+    canonical record ([<digits> <-?digits> <digits>], an optional ['\r'],
+    fields of at most 18 digits, ids at most
+    [Slo_concurrency.Sample.max_id]) in place, allocating only the
+    sample; every other line — the header, blank lines, other spacing,
+    signs, underscores, hex, longer numbers, errors — goes to the line
+    parser ([String.trim], split on spaces, [int_of_string_opt]), so the
+    scanner accepts exactly what that parser accepts, with the same
+    samples, and fails with the same {!Parse_error}.
+    @raise Parse_error on malformed input. *)
 
 val save_samples : path:string -> Slo_concurrency.Sample.t list -> unit
 (** Write a sample list in the text format, through {!save_store_text}
@@ -77,8 +86,9 @@ val save_samples : path:string -> Slo_concurrency.Sample.t list -> unit
 
 val iter_samples_file : path:string -> (Slo_concurrency.Sample.t -> unit) -> unit
 (** [iter_samples_file ~path f] applies [f] to every sample of a
-    [slo-samples 1] file in record order, reading one line at a time —
-    the line-oriented format needs no lookahead. {!store_of_samples_file}
+    [slo-samples 1] file in record order, reading the file in 64 KiB
+    chunks through the byte scanner {!samples_of_string} also uses (a
+    line longer than a chunk still parses). {!store_of_samples_file}
     feeds it into {!Slo_concurrency.Sample_store.of_iter}.
     @raise Parse_error on malformed input (same errors and line numbers
     as {!samples_of_string}). *)
@@ -206,3 +216,14 @@ val load_serve_snapshot : path:string -> serve_snapshot
     binner via
     {!Slo_concurrency.Sample.feed_n}. @raise Bin_error on any
     malformation. *)
+
+(**/**)
+
+(** Test-only access to the line parser. *)
+module For_tests : sig
+  val samples_of_string : string -> Slo_concurrency.Sample.t list
+  (** The reference parser: the text split on ['\n'] and every line
+      through the line parser, with no scanner. {!samples_of_string} and
+      {!iter_samples_file} must agree with it on every input, in the
+      samples and in the {!Parse_error}. *)
+end

@@ -617,9 +617,13 @@ let test_compute_alloc_per_pair () =
      interval holds 40 of the 80 lines and about 160 distinct (cpu, line)
      entries: 200 intervals x 820 line pairs (diagonal included) = 164 000
      pairs through the kernel, which dominate. A per-pair Hashtbl or a
-     boxed tuple key costs about 70 minor words per pair here; the kernel
-     allocates nothing per pair, and the per-interval vectors come to
-     about 15. *)
+     boxed tuple key costs about 70 words per pair here. The kernel
+     allocates nothing per pair, and per interval only the table's rows:
+     its CSR arrays are scratch reused across a chunk's intervals. Words
+     are counted minor + major - promoted, so scratch allocated straight
+     into the major heap counts too. Fresh per-line vectors for every
+     interval (8 arrays a line) come to about 12 words per pair, so the
+     bound of 6 requires the reused scratch. *)
   let n = 200_000 and interval = 4_000 in
   let b = Store.builder ~capacity:n () in
   let x = ref 42 in
@@ -651,16 +655,43 @@ let test_compute_alloc_per_pair () =
       0 tables
   in
   check_int "line pairs through the kernel" 164_000 pairs;
-  let before = Gc.minor_words () in
+  let words () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let before = words () in
   let cm = CC.compute ~interval st in
-  let words = Gc.minor_words () -. before in
+  let words = words () -. before in
   check_int "distinct pairs in the map" 820 (List.length (CC.pairs cm));
   let per_pair = words /. float_of_int pairs in
-  if per_pair > 25.0 then
+  if per_pair > 6.0 then
     Alcotest.failf
-      "Code_concurrency.compute allocated %.1f minor words per line pair \
-       (bound 25)"
+      "Code_concurrency.compute allocated %.1f words per line pair (bound 6)"
       per_pair
+
+(* Validating mapped columns reads them through the typed, unboxed
+   Bigarray accessors: no word per sample. Through the generic path each
+   read boxes (9 words per sample). *)
+let test_validate_alloc () =
+  let n = 200_000 in
+  let open Bigarray in
+  let cpu = Array1.create int32 c_layout n
+  and itc = Array1.create int64 c_layout n
+  and line = Array1.create int32 c_layout n in
+  for i = 0 to n - 1 do
+    cpu.{i} <- Int32.of_int (i mod 64);
+    itc.{i} <- Int64.of_int (4 * i);
+    line.{i} <- Int32.of_int (i mod 80)
+  done;
+  let before = Gc.minor_words () in
+  let st = Store.of_columns ~validate:true ~cpu ~itc ~line () in
+  let per_sample = (Gc.minor_words () -. before) /. float_of_int n in
+  check_int "length" n (Store.length st);
+  if per_sample >= 0.01 then
+    Alcotest.failf
+      "Sample_store.of_columns ~validate:true allocated %.2f words per \
+       sample (bound 0.01)"
+      per_sample
 
 let store_suite =
   [
@@ -674,8 +705,10 @@ let store_suite =
       test_store_pool_identical;
     Alcotest.test_case "multi-range, multi-chunk = of_interval fold" `Quick
       test_store_multi_range;
-    Alcotest.test_case "compute allocates <= 25 minor words per line pair"
-      `Quick test_compute_alloc_per_pair;
+    Alcotest.test_case "compute allocates <= 6 words per line pair" `Quick
+      test_compute_alloc_per_pair;
+    Alcotest.test_case "validating columns allocates nothing per sample"
+      `Quick test_validate_alloc;
     QCheck_alcotest.to_alcotest prop_store_samples_roundtrip;
     QCheck_alcotest.to_alcotest prop_store_cc_matches_oracle;
   ]

@@ -114,10 +114,22 @@ let samples_bin () =
       Persist.save_samples_bin ~path (Store.of_samples samples);
       read_file path)
 
+let write path bytes =
+  Out_channel.with_open_bin path (fun oc -> output_string oc bytes)
+
 let load_bin bytes =
   with_tmp (fun path ->
-      Out_channel.with_open_bin path (fun oc -> output_string oc bytes);
+      write path bytes;
       Persist.load_samples_bin ~path)
+
+(* Every mutant is read twice: as a string, and from a file through the
+   chunked reader. *)
+let read_samples text =
+  (try ignore (Persist.samples_of_string text)
+   with Persist.Parse_error _ -> ());
+  with_tmp (fun path ->
+      write path text;
+      Persist.iter_samples_file ~path ignore)
 
 let bin_palette =
   [ "\000"; "\001"; "\255"; "\255\255\255\255"; "\000\000\000\000";
@@ -140,8 +152,7 @@ let suites =
         Alcotest.test_case "samples text mutants raise only Parse_error" `Quick
           (fun () ->
             fuzz ~name:"samples mutants" ~count:300 ~palette:text_palette
-              ~named:parse_error ~read:Persist.samples_of_string
-              (samples_text ()) ());
+              ~named:parse_error ~read:read_samples (samples_text ()) ());
         Alcotest.test_case "samples-bin mutants raise only Bin_error" `Quick
           (fun () ->
             fuzz ~name:"samples-bin mutants" ~count:200 ~palette:bin_palette

@@ -345,6 +345,157 @@ let prop_streamed_equals_string_parse =
           stream_file path = Persist.samples_of_string (read_raw path)))
 
 (* ------------------------------------------------------------------ *)
+(* The byte scanner against the line parser it falls back to
+   (Persist.For_tests): on every input the same samples or the same
+   Parse_error, whether the scanner reads a string or a file. *)
+
+type outcome = Samples of Sample.t list | Rejected of string * int
+
+let outcome read =
+  match read () with
+  | samples -> Samples samples
+  | exception Persist.Parse_error (msg, ln) -> Rejected (msg, ln)
+
+let show = function
+  | Samples l -> Printf.sprintf "%d samples" (List.length l)
+  | Rejected (msg, ln) ->
+    let msg = String.sub msg 0 (min 60 (String.length msg)) in
+    Printf.sprintf "Parse_error (%S, %d)" msg ln
+
+(* [body] read as a string and from a file by the scanner, and by the
+   reference parser. *)
+let read_three body =
+  let path = Filename.temp_file "slo_test" ".samples" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      write_raw path body;
+      ( outcome (fun () -> Persist.samples_of_string body),
+        outcome (fun () -> stream_file path),
+        outcome (fun () -> Persist.For_tests.samples_of_string body) ))
+
+let check_three what expected body =
+  let s, f, r = read_three body in
+  List.iter
+    (fun (reader, got) ->
+      if got <> expected then
+        Alcotest.failf "%s: the %s reader gave %s, expected %s" what reader
+          (show got) (show expected))
+    [ ("string", s); ("file", f); ("reference", r) ]
+
+(* The file reader's chunk. *)
+let chunk = 65536
+
+(* Canonical records appended to [buf] until it holds [bytes], the first
+   on line [ln]; returns the number of the line after them. *)
+let add_records buf ~ln bytes =
+  let n = ref ln in
+  while Buffer.length buf < bytes do
+    Printf.bprintf buf "%d %d %d\n" (!n mod 64) ((!n * 37) - 900) (!n mod 97);
+    incr n
+  done;
+  !n
+
+let test_error_after_chunk_boundary () =
+  let buf = Buffer.create (2 * chunk) in
+  Buffer.add_string buf "slo-samples 1\n";
+  let ln = add_records buf ~ln:2 (chunk + 100) in
+  Buffer.add_string buf "7 12x 3\n5 5 5\n";
+  check_three "malformed record after 64 KiB"
+    (Rejected ("expected integer, found \"12x\"", ln))
+    (Buffer.contents buf)
+
+let test_line_longer_than_chunk () =
+  let s cpu itc line = { Sample.cpu; itc; line } in
+  let wide = "4" ^ String.make ((2 * chunk) + 10) ' ' ^ "-9 2" in
+  check_three "record wider than two chunks"
+    (Samples [ s 1 2 3; s 4 (-9) 2; s 5 6 7 ])
+    ("slo-samples 1\n1 2 3\n" ^ wide ^ "\n5 6 7\n");
+  let digits = String.make (chunk + 10) '7' in
+  check_three "field wider than a chunk"
+    (Rejected (Printf.sprintf "expected integer, found %S" digits, 3))
+    ("slo-samples 1\n1 2 3\n1 " ^ digits ^ " 2\n5 6 7\n")
+
+(* Fields and separators the line parser reads its own way: signs,
+   underscores, hex, leading zeros, 18 to 20 digits, stray '-', ids past
+   2^31 - 1; tabs, '\r' and form feeds inside a line. *)
+let odd_field =
+  QCheck2.Gen.oneofl
+    [ "+5"; "1_000"; "0x10"; "007"; "-0"; "-3"; "--3"; "-"; ""; "x";
+      "999999999999999999"; "-999999999999999999"; "1234567890123456789";
+      "9999999999999999999"; "99999999999999999999"; "2147483647";
+      "2147483648" ]
+
+let gen_sample_line =
+  QCheck2.Gen.(
+    let field range =
+      frequency [ (8, map string_of_int range); (1, odd_field) ]
+    and sep =
+      frequency
+        [ (12, return " "); (1, oneofl [ "  "; "\t"; " \r "; "\012" ]) ]
+    and edge =
+      frequency [ (10, return ""); (1, oneofl [ " "; "\t"; "\r"; "\012" ]) ]
+    in
+    frequency
+      [
+        ( 10,
+          let* lead = edge and* c = field (int_range 0 99) and* s1 = sep
+          and* t = field (int_range (-999) 999) and* s2 = sep
+          and* l = field (int_range 0 999) and* trail = edge in
+          return (lead ^ c ^ s1 ^ t ^ s2 ^ l ^ trail) );
+        ( 1,
+          oneofl
+            [ ""; " "; "\t"; "\r"; "\012"; "1 2"; "1 2 3 4"; "slo-samples 1" ]
+        );
+      ])
+
+(* A body of mutated lines, most behind a canonical run that ends up to
+   200 bytes before the first chunk boundary, so the mutated lines
+   straddle it. *)
+let gen_scanner_body =
+  QCheck2.Gen.(
+    let* header =
+      frequency
+        [
+          (12, return "slo-samples 1\n");
+          ( 1,
+            oneofl
+              [ " slo-samples 1\t\r\n"; "\n\nslo-samples 1\n";
+                "slo-samples 2\n"; "" ] );
+        ]
+    and* pad =
+      frequency [ (3, map Option.some (int_range 0 200)); (1, return None) ]
+    and* lines =
+      list_size (int_range 0 24)
+        (pair gen_sample_line (oneofl [ "\n"; "\n"; "\r\n" ]))
+    and* final_eol = bool in
+    let buf = Buffer.create (2 * chunk) in
+    Buffer.add_string buf header;
+    Option.iter
+      (fun short -> ignore (add_records buf ~ln:0 (chunk - short)))
+      pad;
+    List.iteri
+      (fun i (line, eol) ->
+        Buffer.add_string buf line;
+        if final_eol || i < List.length lines - 1 then
+          Buffer.add_string buf eol)
+      lines;
+    return (Buffer.contents buf))
+
+let prop_scanner_equals_line_parser =
+  QCheck2.Test.make ~name:"scanner (string and file) = line parser" ~count:150
+    ~print:(fun body ->
+      (* the tail: the mutated lines *)
+      let n = String.length body in
+      String.escaped (String.sub body (max 0 (n - 600)) (min n 600)))
+    gen_scanner_body
+    (fun body ->
+      let s, f, r = read_three body in
+      (s = r && f = r)
+      || QCheck2.Test.fail_reportf "string: %s, file: %s, reference: %s"
+           (show s) (show f) (show r))
+
+(* ------------------------------------------------------------------ *)
 (* Binary columnar store: "slo-samples-bin 1" *)
 
 module Store = Slo_concurrency.Sample_store
@@ -428,6 +579,27 @@ let test_bin_corruption_rejected () =
     (String.sub valid 0 (String.length valid - 1));
   expect_bin_error "trailing bytes" (valid ^ "x");
   expect_bin_error "count beyond payload" (set 22 '\003')
+
+(* Regression: the size check computed 32 + 16 * count in Int64, which
+   wraps past 2^59 samples. A 32-byte file whose header claims 2^60
+   samples, and a 48-byte one claiming 2^60 + 1, passed it, and
+   [Unix.map_file] then raised [Unix_error], which no caller catches. *)
+let test_bin_count_overflow () =
+  let image count extra =
+    let b = Bytes.make (Persist.samples_bin_header_size + extra) '\000' in
+    Bytes.blit_string Persist.samples_bin_magic 0 b 0
+      (String.length Persist.samples_bin_magic);
+    Bytes.set b 18 '\008';
+    Bytes.set b 19 '\004';
+    Bytes.set b 20 '\004';
+    Bytes.set b 21 (if Sys.big_endian then '\002' else '\001');
+    Bytes.set_int64_le b 22 count;
+    Bytes.to_string b
+  in
+  let two_60 = Int64.shift_left 1L 60 in
+  expect_bin_error "2^60 samples in 32 bytes" (image two_60 0);
+  expect_bin_error "2^60 + 1 samples in 48 bytes"
+    (image (Int64.add two_60 1L) 16)
 
 let prop_bin_roundtrip =
   QCheck2.Test.make ~name:"binary save/load round trip" ~count:60
@@ -673,6 +845,19 @@ let test_serve_snapshot_count_sum () =
       | exception Persist.Bin_error _ -> ()
       | () -> Alcotest.fail "saved a count sum over 2^53")
 
+(* The snapshot loader's size check had the same wrap: 64 + 24 * 2^61
+   is 64 in 64 bits, so a bare header claiming 2^61 rows reached
+   [Unix.map_file]. *)
+let test_serve_snapshot_row_count_overflow () =
+  let file = Bytes.make Persist.serve_snapshot_header_size '\000' in
+  Bytes.blit_string Persist.serve_snapshot_magic 0 file 0
+    (String.length Persist.serve_snapshot_magic);
+  Bytes.set file 21 (if Sys.big_endian then '\002' else '\001');
+  Bytes.set_int64_le file 24 (Int64.shift_left 1L 61);
+  Bytes.set_int64_le file 32 10L (* interval *);
+  Bytes.set_int64_le file 40 4L (* window *);
+  expect_snap_error "2^61 rows in 64 bytes" (Bytes.to_string file)
+
 (* Window membership near min_int: the save and load checks must not
    compute a wrapped [newest - window]. *)
 let test_serve_snapshot_min_int_window () =
@@ -698,23 +883,31 @@ let suites =
           test_malformed_escapes_rejected;
         Alcotest.test_case "negative counts rejected" `Quick
           test_negative_counts_rejected;
+        Alcotest.test_case "kernel profile round trip" `Quick test_real_profile_roundtrip;
+        Alcotest.test_case "count bounds (2^53 cap)" `Quick test_count_bounds;
+        QCheck_alcotest.to_alcotest prop_adversarial_names_roundtrip;
+        QCheck_alcotest.to_alcotest prop_encode_roundtrip;
+      ] );
+    ( "persist.text",
+      [
         Alcotest.test_case "samples round trip" `Quick test_samples_roundtrip;
         Alcotest.test_case "samples file" `Quick test_samples_file_roundtrip;
-        Alcotest.test_case "kernel profile round trip" `Quick test_real_profile_roundtrip;
         Alcotest.test_case "streaming reader" `Quick test_streaming_reader;
         Alcotest.test_case "streaming reader errors" `Quick
           test_streaming_reader_errors;
-        Alcotest.test_case "count bounds (2^53 cap)" `Quick test_count_bounds;
         Alcotest.test_case "identifier bounds (2^31-1 cap)" `Quick
           test_id_bounds;
         Alcotest.test_case "CRLF + missing final newline" `Quick
           test_crlf_and_final_newline;
+        Alcotest.test_case "malformed record after the first chunk" `Quick
+          test_error_after_chunk_boundary;
+        Alcotest.test_case "lines longer than a chunk" `Quick
+          test_line_longer_than_chunk;
         QCheck_alcotest.to_alcotest prop_line_ending_differential;
         QCheck_alcotest.to_alcotest prop_streamed_equals_string_parse;
         QCheck_alcotest.to_alcotest prop_samples_roundtrip;
         QCheck_alcotest.to_alcotest prop_samples_signed_itc_roundtrip;
-        QCheck_alcotest.to_alcotest prop_adversarial_names_roundtrip;
-        QCheck_alcotest.to_alcotest prop_encode_roundtrip;
+        QCheck_alcotest.to_alcotest prop_scanner_equals_line_parser;
       ] );
     ( "persist.bin",
       [
@@ -725,6 +918,8 @@ let suites =
           test_store_of_samples_file;
         Alcotest.test_case "corrupted images rejected" `Quick
           test_bin_corruption_rejected;
+        Alcotest.test_case "sample count past 2^59 rejected" `Quick
+          test_bin_count_overflow;
         QCheck_alcotest.to_alcotest prop_bin_roundtrip;
         QCheck_alcotest.to_alcotest prop_text_bin_text_identical;
         QCheck_alcotest.to_alcotest prop_bin_cc_matches_list;
@@ -747,6 +942,8 @@ let suites =
         Alcotest.test_case "golden bytes" `Quick test_serve_snapshot_golden;
         Alcotest.test_case "count sum over 2^53 rejected" `Quick
           test_serve_snapshot_count_sum;
+        Alcotest.test_case "row count past 2^58 rejected" `Quick
+          test_serve_snapshot_row_count_overflow;
         Alcotest.test_case "window near min_int" `Quick
           test_serve_snapshot_min_int_window;
       ] );

@@ -313,9 +313,46 @@ let prop_prng_int_range =
       done;
       !ok)
 
+(* Int_sort against List.sort on (key, value) pairs: a sorted
+   range holds the same pairs with ascending keys, and nothing outside it
+   moves. Keys are drawn from a small range too, so equal keys are
+   common; short, long, sorted, reversed and constant inputs. *)
+let prop_int_sort =
+  QCheck2.Test.make ~name:"Int_sort.sort_by_key = sorted pairs" ~count:300
+    QCheck2.Gen.(
+      let* n = frequency [ (3, int_range 0 40); (1, int_range 41 2000) ] in
+      let* keys =
+        oneof
+          [
+            array_size (return n) (int_range 0 5);
+            array_size (return n) int;
+            return (Array.init n Fun.id);
+            return (Array.init n (fun i -> n - i));
+            return (Array.init n (fun i -> i mod 7));
+          ]
+      in
+      let* lo = int_range 0 n in
+      let* hi = int_range lo n in
+      return (keys, lo, hi))
+    (fun (keys, lo, hi) ->
+      let n = Array.length keys in
+      let k = Array.copy keys and v = Array.init n (fun i -> (i * 31) mod 17) in
+      let before = Array.map2 (fun a b -> (a, b)) k v in
+      Slo_util.Int_sort.sort_by_key k v ~lo ~hi;
+      let after = Array.map2 (fun a b -> (a, b)) k v in
+      let range a = Array.to_list (Array.sub a lo (hi - lo)) in
+      let outside a =
+        Array.to_list (Array.sub a 0 lo)
+        @ Array.to_list (Array.sub a hi (n - hi))
+      in
+      outside after = outside before
+      && List.sort compare (range after) = List.sort compare (range before)
+      && List.map fst (range after)
+         = List.sort compare (List.map fst (range before)))
+
 let props = List.map QCheck_alcotest.to_alcotest
   [ prop_median_bounded; prop_outliers_subset; prop_spearman_range;
-    prop_heap_sorts; prop_prng_int_range ]
+    prop_heap_sorts; prop_prng_int_range; prop_int_sort ]
 
 let suites =
   [
