@@ -188,8 +188,26 @@ let of_string s =
          | 'b' -> Buffer.add_char buf '\b'; advance ()
          | 'f' -> Buffer.add_char buf '\012'; advance ()
          | 'u' ->
+           let esc = !pos - 1 in
            advance ();
            let v = hex4 () in
+           (* UTF-16 surrogates (RFC 8259 §7): a high one must be followed
+              by an escaped low one, and the pair is one scalar value. *)
+           let v =
+             if v < 0xD800 || v > 0xDFFF then v
+             else begin
+               let unpaired () =
+                 raise (Parse ("unpaired surrogate in \\u escape", esc))
+               in
+               if v > 0xDBFF || !pos + 1 >= n || s.[!pos] <> '\\'
+                  || s.[!pos + 1] <> 'u'
+               then unpaired ();
+               pos := !pos + 2;
+               let lo = hex4 () in
+               if lo < 0xDC00 || lo > 0xDFFF then unpaired ();
+               0x10000 + ((v - 0xD800) lsl 10) + (lo - 0xDC00)
+             end
+           in
            if v < 0x80 then Buffer.add_char buf (Char.chr v)
            else Buffer.add_utf_8_uchar buf (Uchar.of_int v)
          | _ -> fail "unknown escape");

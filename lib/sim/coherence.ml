@@ -4,6 +4,8 @@
    hold the two to identical latencies, stats, cache states, directory
    views and L1/LLC residency. A protocol change lands in both. *)
 
+module Flat_tab = Slo_util.Flat_tab
+
 type protocol = Mesi | Moesi
 
 (* Cache-line states, packed into the low 2 bits of a slot word. *)
@@ -31,8 +33,8 @@ let bit_index b =
   go 0 1
 
 (* Instruction-cache geometry. The I-cache is private per CPU and
-   coherence-free (code is read-only), so it needs none of the directory
-   machinery below — just packed slots and LRU chains. *)
+   coherence-free (code is read-only), so it is a residency-only level:
+   no states, no directory. *)
 type icache = { i_lines : int; i_ways : int option; i_line_size : int }
 
 (* Multi-level hierarchy geometry: a private per-CPU L1 residency filter
@@ -45,177 +47,180 @@ type hierarchy = {
   h_llc_ways : int option;
 }
 
-(* Flat residency-only caches: the same packed-slot + array-index LRU
-   representation as the coherent caches, minus states (a slot word is
-   just the line index; -1 = empty) and minus the directory. One [ic]
-   serves [nunits] units — per-CPU for the I-cache and the L1 filter,
-   per-cell for the shared LLC. *)
-type ic = {
-  ic_lsize : int;
-  ic_nsets : int;
-  ic_nways : int;
-  ic_scan : bool; (* narrow sets: look lines up by scanning the set block *)
-  ic_slots : int array;
-  ic_nxt : int array;
-  ic_prv : int array;
-  ic_head : int array;
-  ic_tail : int array;
-  ic_fill : int array;
-  ic_free : int array;
-  ic_where : Flat_tab.t array; (* per unit: line -> slot index; hashed mode *)
+(* One set-associative true-LRU cache level serving [nunits] units: per
+   CPU for the coherent L2, the L1 filter and the I-cache, per cell for
+   the shared victim LLC. Slot index s = ((unit * nsets) + set) * nways +
+   way. slots.(s) packs [line lsl 2 lor state]; -1 = empty, and the
+   residency-only levels store state 0. nxt/prv link the slots of a set
+   into a true-LRU chain (head = MRU, tail = victim); empty slots are
+   chained through nxt from free. head/tail/fill/free are indexed by
+   sb = unit * nsets + set. *)
+type level = {
+  nsets : int;
+  nways : int;
+  scan : bool; (* narrow sets: look lines up by walking the set's chain *)
+  slots : int array;
+  nxt : int array;
+  prv : int array;
+  head : int array;
+  tail : int array;
+  fill : int array;
+  free : int array;
+  where : Flat_tab.t array; (* per unit: line -> slot index; hashed mode *)
 }
 
-(* Sets of at most this many ways are probed by scanning their slot words
-   directly instead of through the per-unit hash table: a handful of
-   contiguous int compares beats a multiply + probe chain, and eviction
-   churn stops paying the table's backward-shift deletes. The tiny L1
-   filters (and direct-mapped I-caches) live on the access fast path, so
-   this is where the multi-level throughput gate is won. *)
+(* Sets of at most this many ways are probed by walking their slot words
+   directly instead of through the per-unit hash table: a handful of int
+   compares beats a multiply + probe chain, and eviction churn stops
+   paying the table's backward-shift deletes. The tiny L1 filters (and
+   direct-mapped I-caches) live on the access fast path, so this is where
+   the multi-level throughput gate is won. *)
 let scan_ways_max = 16
 
-let make_rc ~what ~nunits ~lines ~ways ~line_size =
+let make_level ~what ~nunits ~lines ~ways =
   let bad fmt = Printf.ksprintf invalid_arg ("Coherence.create: " ^^ fmt) in
-  if line_size <= 0 then bad "%s line_size <= 0" what;
   if lines <= 0 then bad "%s lines <= 0" what;
   let nways = match ways with Some w -> w | None -> lines in
   if nways <= 0 then bad "%s ways <= 0" what;
   if lines mod nways <> 0 then bad "%s ways must divide capacity" what;
   let nsets = lines / nways in
   let nslots = nunits * lines in
-  let ic =
+  let scan = nways <= scan_ways_max in
+  let l =
     {
-      ic_lsize = line_size;
-      ic_nsets = nsets;
-      ic_nways = nways;
-      ic_scan = nways <= scan_ways_max;
-      ic_slots = Array.make nslots (-1);
-      ic_nxt = Array.make nslots (-1);
-      ic_prv = Array.make nslots (-1);
-      ic_head = Array.make (nunits * nsets) (-1);
-      ic_tail = Array.make (nunits * nsets) (-1);
-      ic_fill = Array.make (nunits * nsets) 0;
-      ic_free = Array.make (nunits * nsets) (-1);
-      ic_where =
-        Array.init nunits (fun _ ->
-            Flat_tab.create ~capacity:(min (2 * lines) 8192) ());
+      nsets;
+      nways;
+      scan;
+      slots = Array.make nslots (-1);
+      nxt = Array.make nslots (-1);
+      prv = Array.make nslots (-1);
+      head = Array.make (nunits * nsets) (-1);
+      tail = Array.make (nunits * nsets) (-1);
+      fill = Array.make (nunits * nsets) 0;
+      free = Array.make (nunits * nsets) (-1);
+      where =
+        (if scan then [||]
+         else
+           Array.init nunits (fun _ ->
+               Flat_tab.create ~capacity:(min (2 * lines) 8192) ()));
     }
   in
+  (* Chain every way of every set onto its free list. *)
   for sb = 0 to (nunits * nsets) - 1 do
     let base = sb * nways in
     for w = 0 to nways - 1 do
-      ic.ic_nxt.(base + w) <- (if w = nways - 1 then -1 else base + w + 1)
+      l.nxt.(base + w) <- (if w = nways - 1 then -1 else base + w + 1)
     done;
-    ic.ic_free.(sb) <- base
+    l.free.(sb) <- base
   done;
-  ic
+  l
 
-let make_ic ~ncpus { i_lines; i_ways; i_line_size } =
-  make_rc ~what:"icache" ~nunits:ncpus ~lines:i_lines ~ways:i_ways
-    ~line_size:i_line_size
-
-(* ---------- residency-cache primitives (no states, no directory) ---------- *)
+(* ---------- cache-level primitives ---------- *)
 
 (* Fully-associative units (the common L1 shape) have one set, and
    [mod 1] would still cost a hardware divide on the per-access path. *)
-let ic_sb ic u line =
-  if ic.ic_nsets = 1 then u else (u * ic.ic_nsets) + (line mod ic.ic_nsets)
+let[@inline] set_base l u line =
+  if l.nsets = 1 then u else (u * l.nsets) + (line mod l.nsets)
 
-(* Slot of [line] in unit [u], or -1. Scan mode walks the set's LRU chain
-   MRU-first: hits are temporally clustered at the front (the head alone
-   absorbs most of them), and a miss only traverses the live fill, never
-   the free slots. Hashed mode probes the per-unit table. *)
-let ic_find ic u line =
-  if ic.ic_scan then begin
-    let sb = ic_sb ic u line in
-    let s = ref ic.ic_head.(sb) in
-    while !s >= 0 && ic.ic_slots.(!s) <> line do
-      s := ic.ic_nxt.(!s)
-    done;
-    !s
-  end
-  else Flat_tab.find ic.ic_where.(u) line ~default:(-1)
+(* Scan mode walks the set's LRU chain MRU-first: hits are temporally
+   clustered at the front (the head alone absorbs most of them), and a
+   miss only traverses the live fill, never the free slots. Kept out of
+   [find] so that [find] inlines into every caller: the hashed branch
+   stays one table probe, with no call in front of it. *)
+let scan_find l u line =
+  let s = ref l.head.(set_base l u line) in
+  while !s >= 0 && l.slots.(!s) asr 2 <> line do
+    s := l.nxt.(!s)
+  done;
+  !s
 
-let ic_unlink ic sb s =
-  let p = ic.ic_prv.(s) and n = ic.ic_nxt.(s) in
-  if p >= 0 then ic.ic_nxt.(p) <- n else ic.ic_head.(sb) <- n;
-  if n >= 0 then ic.ic_prv.(n) <- p else ic.ic_tail.(sb) <- p;
-  ic.ic_prv.(s) <- -1;
-  ic.ic_nxt.(s) <- -1;
-  ic.ic_fill.(sb) <- ic.ic_fill.(sb) - 1
+(* Slot of [line] in unit [u], or -1. *)
+let[@inline] find l u line =
+  if l.scan then scan_find l u line
+  else Flat_tab.find l.where.(u) line ~default:(-1)
 
-let ic_push_front ic sb s =
-  let h = ic.ic_head.(sb) in
-  ic.ic_nxt.(s) <- h;
-  ic.ic_prv.(s) <- -1;
-  if h >= 0 then ic.ic_prv.(h) <- s else ic.ic_tail.(sb) <- s;
-  ic.ic_head.(sb) <- s;
-  ic.ic_fill.(sb) <- ic.ic_fill.(sb) + 1
+let unlink l sb s =
+  let p = l.prv.(s) and n = l.nxt.(s) in
+  if p >= 0 then l.nxt.(p) <- n else l.head.(sb) <- n;
+  if n >= 0 then l.prv.(n) <- p else l.tail.(sb) <- p;
+  l.prv.(s) <- -1;
+  l.nxt.(s) <- -1;
+  l.fill.(sb) <- l.fill.(sb) - 1
 
-(* Miss path: evict the set's LRU tail if full (residency caches never
-   write back — the coherent level below owns the data), place the line,
-   mark MRU. Returns the evicted line, or -1 if the set had room. *)
-let ic_insert ic u line =
-  let sb = ic_sb ic u line in
-  if ic.ic_fill.(sb) >= ic.ic_nways then begin
-    let v = ic.ic_tail.(sb) in
-    let vline = ic.ic_slots.(v) in
-    ic_unlink ic sb v;
-    ic.ic_slots.(v) <- line;
-    ic_push_front ic sb v;
-    if not ic.ic_scan then begin
-      Flat_tab.remove ic.ic_where.(u) vline;
-      Flat_tab.set ic.ic_where.(u) line v
+let push_front l sb s =
+  let h = l.head.(sb) in
+  l.nxt.(s) <- h;
+  l.prv.(s) <- -1;
+  if h >= 0 then l.prv.(h) <- s else l.tail.(sb) <- s;
+  l.head.(sb) <- s;
+  l.fill.(sb) <- l.fill.(sb) + 1
+
+(* Miss path: evict the set's LRU tail if full and reuse its slot, place
+   [line] in [state], mark it MRU. Returns the victim's slot word, or -1
+   if the set had room. *)
+let insert l u line state =
+  let sb = set_base l u line in
+  let w = (line lsl 2) lor state in
+  if l.fill.(sb) >= l.nways then begin
+    let v = l.tail.(sb) in
+    let vw = l.slots.(v) in
+    unlink l sb v;
+    l.slots.(v) <- w;
+    push_front l sb v;
+    if not l.scan then begin
+      Flat_tab.remove l.where.(u) (vw asr 2);
+      Flat_tab.set l.where.(u) line v
     end;
-    vline
+    vw
   end
   else begin
-    let s = ic.ic_free.(sb) in
-    ic.ic_free.(sb) <- ic.ic_nxt.(s);
-    ic.ic_slots.(s) <- line;
-    ic_push_front ic sb s;
-    if not ic.ic_scan then Flat_tab.set ic.ic_where.(u) line s;
+    let s = l.free.(sb) in
+    l.free.(sb) <- l.nxt.(s);
+    l.slots.(s) <- w;
+    push_front l sb s;
+    if not l.scan then Flat_tab.set l.where.(u) line s;
     -1
   end
 
-let ic_resident ic u line = ic_find ic u line >= 0
-
-(* Mark MRU with the slot already in hand; already-MRU lines are left
-   alone (an LRU move of the head is observationally a no-op). *)
-let ic_touch_slot ic u line s =
-  let sb = ic_sb ic u line in
-  if ic.ic_head.(sb) <> s then begin
-    ic_unlink ic sb s;
-    ic_push_front ic sb s
+(* Mark MRU with the slot already in hand. Already-MRU slots stay put:
+   moving the head is observationally a no-op, and repeat hits on one
+   line are the common case. *)
+let touch l u line s =
+  let sb = set_base l u line in
+  if l.head.(sb) <> s then begin
+    unlink l sb s;
+    push_front l sb s
   end
 
-(* Drop a line (no-op when absent). *)
-let ic_remove ic u line =
-  let s = ic_find ic u line in
+(* Drop a line; returns whether it was present. *)
+let remove l u line =
+  let s = find l u line in
   if s >= 0 then begin
-    let sb = ic_sb ic u line in
-    ic_unlink ic sb s;
-    ic.ic_slots.(s) <- -1;
-    ic.ic_nxt.(s) <- ic.ic_free.(sb);
-    ic.ic_free.(sb) <- s;
-    if not ic.ic_scan then Flat_tab.remove ic.ic_where.(u) line
-  end
+    let sb = set_base l u line in
+    unlink l sb s;
+    l.slots.(s) <- -1;
+    l.nxt.(s) <- l.free.(sb);
+    l.free.(sb) <- s;
+    if not l.scan then Flat_tab.remove l.where.(u) line
+  end;
+  s >= 0
 
 (* Iterate unit [u]'s resident (line, slot) pairs in either mode. *)
-let ic_iter_unit ic u f =
-  if ic.ic_scan then begin
-    let base = u * ic.ic_nsets * ic.ic_nways in
-    for s = base to base + (ic.ic_nsets * ic.ic_nways) - 1 do
-      if ic.ic_slots.(s) >= 0 then f ic.ic_slots.(s) s
+let iter_unit l u f =
+  if l.scan then begin
+    let base = u * l.nsets * l.nways in
+    for s = base to base + (l.nsets * l.nways) - 1 do
+      if l.slots.(s) >= 0 then f (l.slots.(s) asr 2) s
     done
   end
-  else Flat_tab.iter ic.ic_where.(u) f
+  else Flat_tab.iter l.where.(u) f
 
 (* Hierarchy state: the L1 filter is unit-per-CPU, the victim LLC is
    unit-per-cell, and [h_where] indexes the (at most one, by exclusivity)
    cell holding each LLC-resident line so the memory path probes in O(1). *)
 type hier = {
-  hl1 : ic;
-  hllc : ic;
+  hl1 : level;
+  hllc : level;
   ncells : int;
   cellof : int array; (* cpu -> cell *)
   h_where : Flat_tab.t; (* line -> holding cell *)
@@ -226,21 +231,7 @@ type t = {
   lsize : int;
   moesi : bool;
   ncpus : int;
-  nsets : int;
-  nways : int;
-  (* Caches: slot index s = ((cpu * nsets) + set) * nways + way. slots.(s)
-     packs [line lsl 2 lor state]; -1 = empty. nxt/prv link the slots of a
-     set into a true-LRU chain (head = MRU, tail = victim); empty slots are
-     chained through nxt from free_head. head/tail/fill/free_head are
-     indexed by sb = cpu * nsets + set. *)
-  slots : int array;
-  nxt : int array;
-  prv : int array;
-  head : int array;
-  tail : int array;
-  fill : int array;
-  free_head : int array;
-  where : Flat_tab.t array; (* per CPU: line -> slot index *)
+  l2 : level; (* the coherent per-CPU caches; states in the slot words *)
   (* Directory: line -> pool entry index; entries are rows of the parallel
      growable arrays below. owner.(e) = CPU holding M/E/O, or -1. sharers
      and hintm hold nwords mask words per entry: the S-state holders and
@@ -267,159 +258,94 @@ type t = {
   mutable dir_peak : int;
   mutable hint_drops : int;
   mutable llc_fills : int;
-  ic : ic option;
+  ic : (level * int) option; (* the I-cache and its line size *)
   hx : hier option;
 }
 
 let create topo ~line_size ~cache_capacity ?ways ?icache ?hierarchy
     ?(protocol = Mesi) () =
   if line_size <= 0 then invalid_arg "Coherence.create: line_size <= 0";
-  if cache_capacity <= 0 then
-    invalid_arg "Coherence.create: cache_capacity <= 0";
-  let nways = match ways with Some w -> w | None -> cache_capacity in
-  if nways <= 0 then invalid_arg "Coherence.create: ways <= 0";
-  if cache_capacity mod nways <> 0 then
-    invalid_arg "Coherence.create: ways must divide capacity";
-  let nsets = cache_capacity / nways in
   let ncpus = Topology.num_cpus topo in
-  let nwords = (ncpus + bpw - 1) / bpw in
-  let nslots = ncpus * cache_capacity in
+  let l2 = make_level ~what:"cache" ~nunits:ncpus ~lines:cache_capacity ~ways in
   let hx =
     Option.map
       (fun h ->
         let ncells = Topology.num_cells topo in
         {
           hl1 =
-            make_rc ~what:"L1" ~nunits:ncpus ~lines:h.h_l1_lines
-              ~ways:h.h_l1_ways ~line_size;
+            make_level ~what:"L1" ~nunits:ncpus ~lines:h.h_l1_lines
+              ~ways:h.h_l1_ways;
           hllc =
-            make_rc ~what:"LLC" ~nunits:ncells ~lines:h.h_llc_lines
-              ~ways:h.h_llc_ways ~line_size;
+            make_level ~what:"LLC" ~nunits:ncells ~lines:h.h_llc_lines
+              ~ways:h.h_llc_ways;
           ncells;
           cellof = Array.init ncpus (Topology.cell_of topo);
           h_where = Flat_tab.create ~capacity:4096 ();
         })
       hierarchy
   in
-  let t =
-    {
-      topo;
-      lsize = line_size;
-      moesi = protocol = Moesi;
-      ncpus;
-      nsets;
-      nways;
-      slots = Array.make nslots (-1);
-      nxt = Array.make nslots (-1);
-      prv = Array.make nslots (-1);
-      head = Array.make (ncpus * nsets) (-1);
-      tail = Array.make (ncpus * nsets) (-1);
-      fill = Array.make (ncpus * nsets) 0;
-      free_head = Array.make (ncpus * nsets) (-1);
-      where =
-        Array.init ncpus (fun _ ->
-            Flat_tab.create ~capacity:(min (2 * cache_capacity) 8192) ());
-      dir = Flat_tab.create ~capacity:4096 ();
-      nwords;
-      owner = Array.make 64 (-1);
-      sharers = Array.make (64 * nwords) 0;
-      hintm = Array.make (64 * nwords) 0;
-      nentries = 0;
-      freelist = Array.make 64 0;
-      nfree = 0;
-      hints = Flat_tab.create ~capacity:1024 ();
-      touched = Flat_tab.create ~capacity:4096 ();
-      stats = Array.init ncpus (fun _ -> Sim_stats.create ());
-      iv_count = 0;
-      iv_lat = 0;
-      dir_live = 0;
-      dir_peak = 0;
-      hint_drops = 0;
-      llc_fills = 0;
-      ic = Option.map (make_ic ~ncpus) icache;
-      hx;
-    }
+  let ic =
+    Option.map
+      (fun { i_lines; i_ways; i_line_size } ->
+        if i_line_size <= 0 then
+          invalid_arg "Coherence.create: icache line_size <= 0";
+        ( make_level ~what:"icache" ~nunits:ncpus ~lines:i_lines ~ways:i_ways,
+          i_line_size ))
+      icache
   in
-  (* Chain every way of every set onto its free list. *)
-  for sb = 0 to (ncpus * nsets) - 1 do
-    let base = sb * nways in
-    for w = 0 to nways - 1 do
-      t.nxt.(base + w) <- (if w = nways - 1 then -1 else base + w + 1)
-    done;
-    t.free_head.(sb) <- base
-  done;
-  t
+  let nwords = (ncpus + bpw - 1) / bpw in
+  {
+    topo;
+    lsize = line_size;
+    moesi = protocol = Moesi;
+    ncpus;
+    l2;
+    dir = Flat_tab.create ~capacity:4096 ();
+    nwords;
+    owner = Array.make 64 (-1);
+    sharers = Array.make (64 * nwords) 0;
+    hintm = Array.make (64 * nwords) 0;
+    nentries = 0;
+    freelist = Array.make 64 0;
+    nfree = 0;
+    hints = Flat_tab.create ~capacity:1024 ();
+    touched = Flat_tab.create ~capacity:4096 ();
+    stats = Array.init ncpus (fun _ -> Sim_stats.create ());
+    iv_count = 0;
+    iv_lat = 0;
+    dir_live = 0;
+    dir_peak = 0;
+    hint_drops = 0;
+    llc_fills = 0;
+    ic;
+    hx;
+  }
 
 let line_size t = t.lsize
 let topology t = t.topo
 let protocol t = if t.moesi then Moesi else Mesi
 
-(* ---------- cache primitives ---------- *)
-
-let sb_of t cpu line = (cpu * t.nsets) + (line mod t.nsets)
-
-(* Slot of [line] in [cpu]'s cache, or -1. *)
-let cache_slot t cpu line = Flat_tab.find t.where.(cpu) line ~default:(-1)
+(* ---------- coherent-cache primitives ---------- *)
 
 let cache_state_code t cpu line =
-  let s = cache_slot t cpu line in
-  if s < 0 then -1 else t.slots.(s) land 3
+  let s = find t.l2 cpu line in
+  if s < 0 then -1 else t.l2.slots.(s) land 3
 
-let unlink t sb s =
-  let p = t.prv.(s) and n = t.nxt.(s) in
-  if p >= 0 then t.nxt.(p) <- n else t.head.(sb) <- n;
-  if n >= 0 then t.prv.(n) <- p else t.tail.(sb) <- p;
-  t.prv.(s) <- -1;
-  t.nxt.(s) <- -1;
-  t.fill.(sb) <- t.fill.(sb) - 1
-
-let push_front t sb s =
-  let h = t.head.(sb) in
-  t.nxt.(s) <- h;
-  t.prv.(s) <- -1;
-  if h >= 0 then t.prv.(h) <- s else t.tail.(sb) <- s;
-  t.head.(sb) <- s;
-  t.fill.(sb) <- t.fill.(sb) + 1
-
-let free_push t sb s =
-  t.slots.(s) <- -1;
-  t.nxt.(s) <- t.free_head.(sb);
-  t.free_head.(sb) <- s
-
-let free_pop t sb =
-  let s = t.free_head.(sb) in
-  t.free_head.(sb) <- t.nxt.(s);
-  s
-
-(* Mark MRU with the slot already in hand. Already-MRU slots stay put:
-   moving the head is observationally a no-op, and repeat hits on one
-   line are the common case. *)
-let touch_slot t sb s =
-  if t.head.(sb) <> s then begin
-    unlink t sb s;
-    push_front t sb s
-  end
-
-(* Update the state bits and mark MRU, in one table lookup. *)
+(* Update the state bits and mark MRU, in one lookup. *)
 let cache_set_state t cpu line code =
-  let s = cache_slot t cpu line in
+  let l2 = t.l2 in
+  let s = find l2 cpu line in
   if s < 0 then
     invalid_arg (Printf.sprintf "Coherence.set_state: line %d absent" line);
-  t.slots.(s) <- t.slots.(s) land lnot 3 lor code;
-  touch_slot t (sb_of t cpu line) s
+  l2.slots.(s) <- l2.slots.(s) land lnot 3 lor code;
+  touch l2 cpu line s
 
 (* Drop a line (no-op when absent). Removing a line from the
    L2 back-invalidates the CPU's L1 filter: the L1 is strictly inclusive,
    so an L1 copy may never outlive its L2 line. *)
 let cache_remove t cpu line =
-  let s = cache_slot t cpu line in
-  if s >= 0 then begin
-    let sb = sb_of t cpu line in
-    unlink t sb s;
-    free_push t sb s;
-    Flat_tab.remove t.where.(cpu) line;
-    match t.hx with Some h -> ic_remove h.hl1 cpu line | None -> ()
-  end
+  if remove t.l2 cpu line then
+    match t.hx with Some h -> ignore (remove h.hl1 cpu line : bool) | None -> ()
 
 (* ---------- directory entry pool ---------- *)
 
@@ -539,13 +465,13 @@ let count_writeback t cpu =
    line, which is what lets [h_where] be a single line -> cell index. *)
 
 let llc_fill t h ~cell ~line =
-  let v = ic_insert h.hllc cell line in
-  if v >= 0 then Flat_tab.remove h.h_where v;
+  let v = insert h.hllc cell line 0 in
+  if v >= 0 then Flat_tab.remove h.h_where (v asr 2);
   Flat_tab.set h.h_where line cell;
   t.llc_fills <- t.llc_fills + 1
 
 let llc_consume h ~cell ~line =
-  ic_remove h.hllc cell line;
+  ignore (remove h.hllc cell line : bool);
   Flat_tab.remove h.h_where line
 
 (* Reconcile an evicted victim with the directory: dirty victims write
@@ -568,35 +494,20 @@ let note_eviction t cpu vline vst =
    the evicting CPU's cell LLC if its last cached copy just died, and the
    new line is promoted into the L1 filter. *)
 let insert_line t cpu line code =
-  let sb = sb_of t cpu line in
-  (if t.fill.(sb) >= t.nways then begin
-     let v = t.tail.(sb) in
-     let w = t.slots.(v) in
+  let w = insert t.l2 cpu line code in
+  (if w >= 0 then begin
      let vline = w asr 2 in
-     unlink t sb v;
-     Flat_tab.remove t.where.(cpu) vline;
-     free_push t sb v;
-     let s = free_pop t sb in
-     t.slots.(s) <- (line lsl 2) lor code;
-     push_front t sb s;
-     Flat_tab.set t.where.(cpu) line s;
      note_eviction t cpu vline (w land 3);
      match t.hx with
      | Some h ->
-       ic_remove h.hl1 cpu vline;
+       ignore (remove h.hl1 cpu vline : bool);
        if dir_find t vline < 0 then llc_fill t h ~cell:h.cellof.(cpu) ~line:vline
      | None -> ()
-   end
-   else begin
-     let s = free_pop t sb in
-     t.slots.(s) <- (line lsl 2) lor code;
-     push_front t sb s;
-     Flat_tab.set t.where.(cpu) line s
    end);
   (* The new line was just absent from the L2, so by inclusion it cannot
      be L1-resident: promote is a plain insert, no lookup needed. *)
   match t.hx with
-  | Some h -> ignore (ic_insert h.hl1 cpu line : int)
+  | Some h -> ignore (insert h.hl1 cpu line 0 : int)
   | None -> ()
 
 (* Walk one sharer-mask word invalidating everyone but the writer,
@@ -723,8 +634,8 @@ let l2_hit_cost t cpu line ~l1s =
   | Some h ->
     let st = t.stats.(cpu) in
     st.Sim_stats.l2_hits <- st.Sim_stats.l2_hits + 1;
-    if l1s >= 0 then ic_touch_slot h.hl1 cpu line l1s
-    else ignore (ic_insert h.hl1 cpu line : int);
+    if l1s >= 0 then touch h.hl1 cpu line l1s
+    else ignore (insert h.hl1 cpu line 0 : int);
     Topology.l2_hit_latency t.topo
   | None -> (lat t).Topology.l1_hit
 
@@ -732,22 +643,22 @@ let l2_hit_cost t cpu line ~l1s =
 
 let read t ~cpu ~line ~off ~size =
   let st = t.stats.(cpu) in
-  let l1s = match t.hx with Some h -> ic_find h.hl1 cpu line | None -> -1 in
+  let l1s = match t.hx with Some h -> find h.hl1 cpu line | None -> -1 in
   if l1s >= 0 then begin
     (* L1 filter hit: inclusion guarantees an L2 copy in some readable
        state, so the access completes entirely in the private L1. The L2
        LRU is deliberately not touched — a real L1 shields it. *)
     (match t.hx with
-    | Some h -> ic_touch_slot h.hl1 cpu line l1s
+    | Some h -> touch h.hl1 cpu line l1s
     | None -> assert false);
     st.Sim_stats.hits <- st.Sim_stats.hits + 1;
     st.Sim_stats.l1_hits <- st.Sim_stats.l1_hits + 1;
     (lat t).Topology.l1_hit
   end
   else begin
-    let s = cache_slot t cpu line in
+    let s = find t.l2 cpu line in
     if s >= 0 then begin
-      touch_slot t (sb_of t cpu line) s;
+      touch t.l2 cpu line s;
       st.Sim_stats.hits <- st.Sim_stats.hits + 1;
       l2_hit_cost t cpu line ~l1s
     end
@@ -800,15 +711,16 @@ let read t ~cpu ~line ~off ~size =
 
 let write t ~cpu ~line ~off ~size =
   let st = t.stats.(cpu) in
-  let l1s = match t.hx with Some h -> ic_find h.hl1 cpu line | None -> -1 in
-  let s = cache_slot t cpu line in
-  if l1s >= 0 && s >= 0 && t.slots.(s) land 3 = st_m then begin
+  let l1s = match t.hx with Some h -> find h.hl1 cpu line | None -> -1 in
+  let l2 = t.l2 in
+  let s = find l2 cpu line in
+  if l1s >= 0 && s >= 0 && l2.slots.(s) land 3 = st_m then begin
     (* The only write the L1 filter can absorb alone: the line is already
        Modified, so no directory action or state change is needed. Every
        other L1-resident write (E silent upgrade, S/O upgrade) must reach
        the L2, where the coherence state lives. *)
     (match t.hx with
-    | Some h -> ic_touch_slot h.hl1 cpu line l1s
+    | Some h -> touch h.hl1 cpu line l1s
     | None -> assert false);
     st.Sim_stats.hits <- st.Sim_stats.hits + 1;
     st.Sim_stats.l1_hits <- st.Sim_stats.l1_hits + 1;
@@ -816,16 +728,16 @@ let write t ~cpu ~line ~off ~size =
   end
   else begin
     if s >= 0 then begin
-      let c = t.slots.(s) land 3 in
+      let c = l2.slots.(s) land 3 in
       if c = st_m then begin
-        touch_slot t (sb_of t cpu line) s;
+        touch l2 cpu line s;
         st.Sim_stats.hits <- st.Sim_stats.hits + 1;
         l2_hit_cost t cpu line ~l1s
       end
       else if c = st_e then begin
         (* Silent E->M upgrade. *)
-        t.slots.(s) <- t.slots.(s) land lnot 3 lor st_m;
-        touch_slot t (sb_of t cpu line) s;
+        l2.slots.(s) <- l2.slots.(s) land lnot 3 lor st_m;
+        touch l2 cpu line s;
         let e = dir_entry t line in
         t.owner.(e) <- cpu;
         st.Sim_stats.hits <- st.Sim_stats.hits + 1;
@@ -841,8 +753,8 @@ let write t ~cpu ~line ~off ~size =
         t.owner.(e) <- cpu;
         clear_sharers t e;
         (* invalidate_others can't evict this CPU's copy, so slot s stands. *)
-        t.slots.(s) <- t.slots.(s) land lnot 3 lor st_m;
-        touch_slot t (sb_of t cpu line) s;
+        l2.slots.(s) <- l2.slots.(s) land lnot 3 lor st_m;
+        touch l2 cpu line s;
         max (l2_hit_cost t cpu line ~l1s) t.iv_lat
       end
     end
@@ -898,7 +810,7 @@ let has_icache t = t.ic <> None
 let icache_line_size t =
   match t.ic with
   | None -> invalid_arg "Coherence.icache_line_size: no instruction cache"
-  | Some ic -> ic.ic_lsize
+  | Some (_, isize) -> isize
 
 (* Fetch the instruction bytes [addr, addr + size): every I-cache line the
    range overlaps is fetched, line by line. Hits cost l1_hit, misses a
@@ -907,24 +819,24 @@ let icache_line_size t =
 let ifetch t ~cpu ~addr ~size =
   match t.ic with
   | None -> invalid_arg "Coherence.ifetch: no instruction cache configured"
-  | Some ic ->
+  | Some (ic, isize) ->
     if cpu < 0 || cpu >= t.ncpus then
       invalid_arg (Printf.sprintf "Coherence.ifetch: cpu %d out of range" cpu);
     if size <= 0 then invalid_arg "Coherence.ifetch: size <= 0";
     if addr < 0 then invalid_arg "Coherence.ifetch: addr < 0";
     let st = t.stats.(cpu) in
-    let first = addr / ic.ic_lsize and last = (addr + size - 1) / ic.ic_lsize in
+    let first = addr / isize and last = (addr + size - 1) / isize in
     let total = ref 0 in
     for line = first to last do
       st.Sim_stats.ifetches <- st.Sim_stats.ifetches + 1;
-      let s = ic_find ic cpu line in
+      let s = find ic cpu line in
       if s >= 0 then begin
-        ic_touch_slot ic cpu line s;
+        touch ic cpu line s;
         total := !total + (lat t).Topology.l1_hit
       end
       else begin
         st.Sim_stats.imisses <- st.Sim_stats.imisses + 1;
-        ignore (ic_insert ic cpu line : int);
+        ignore (insert ic cpu line 0 : int);
         total := !total + Topology.memory_latency t.topo
       end
     done;
@@ -934,7 +846,7 @@ let ifetch t ~cpu ~addr ~size =
 let icache_resident t ~cpu ~line =
   match t.ic with
   | None -> false
-  | Some ic -> ic_resident ic cpu line
+  | Some (ic, _) -> find ic cpu line >= 0
 
 let stats t ~cpu = t.stats.(cpu)
 let total_stats t = Sim_stats.sum (Array.to_list t.stats)
@@ -986,7 +898,7 @@ let touched t ~line = Flat_tab.find t.touched line ~default:0 <> 0
 let has_hierarchy t = t.hx <> None
 
 let l1_resident t ~cpu ~line =
-  match t.hx with None -> false | Some h -> ic_resident h.hl1 cpu line
+  match t.hx with None -> false | Some h -> find h.hl1 cpu line >= 0
 
 let llc_cell t ~line =
   match t.hx with
@@ -1006,18 +918,19 @@ type kstats = {
 }
 
 let kstats t =
-  let rc_probes ic =
-    Array.fold_left (fun acc w -> acc + Flat_tab.probe_steps w) 0 ic.ic_where
+  let level_probes l =
+    Array.fold_left (fun acc w -> acc + Flat_tab.probe_steps w) 0 l.where
   in
   let probes =
-    Array.fold_left (fun acc w -> acc + Flat_tab.probe_steps w) 0 t.where
+    level_probes t.l2
     + Flat_tab.probe_steps t.dir
     + Flat_tab.probe_steps t.hints
     + Flat_tab.probe_steps t.touched
     + (match t.hx with
       | None -> 0
       | Some h ->
-        rc_probes h.hl1 + rc_probes h.hllc + Flat_tab.probe_steps h.h_where)
+        level_probes h.hl1 + level_probes h.hllc
+        + Flat_tab.probe_steps h.h_where)
   in
   {
     k_dir_live = t.dir_live;
@@ -1077,68 +990,6 @@ let check_invariants t =
           m := !m land (!m - 1)
         done
       done);
-  (* Caches -> directory, plus representation invariants *)
-  for cpu = 0 to t.ncpus - 1 do
-    Flat_tab.iter t.where.(cpu) (fun line s ->
-        let w = t.slots.(s) in
-        if w < 0 || w asr 2 <> line then
-          fail "Coherence invariant: cpu %d slot %d word disagrees with line %d"
-            cpu s line;
-        if s / (t.nsets * t.nways) <> cpu then
-          fail "Coherence invariant: line %d of cpu %d stored in foreign slot %d"
-            line cpu s;
-        if s / t.nways mod t.nsets <> line mod t.nsets then
-          fail "Coherence invariant: line %d of cpu %d stored in wrong set" line
-            cpu;
-        let e = dir_find t line in
-        if e < 0 then
-          fail "Coherence invariant: line %d cached but not in directory" line;
-        let c = w land 3 in
-        if c = st_m || c = st_e || c = st_o then begin
-          if t.owner.(e) <> cpu then
-            fail "Coherence invariant: cpu %d holds line %d in %s but is not owner"
-              cpu line (state_name c)
-        end
-        else if not (sharer_mem t e cpu) then
-          fail "Coherence invariant: cpu %d holds line %d in S but is not a sharer"
-            cpu line);
-    (* LRU chains: fill slots + free slots account for every way, links are
-       mutually consistent, chained slots belong to the where table. *)
-    for set = 0 to t.nsets - 1 do
-      let sb = (cpu * t.nsets) + set in
-      let n = ref 0 in
-      let s = ref t.head.(sb) in
-      let prev = ref (-1) in
-      while !s >= 0 do
-        incr n;
-        if !n > t.nways then fail "Coherence invariant: LRU chain longer than ways";
-        if t.prv.(!s) <> !prev then
-          fail "Coherence invariant: LRU back-link broken at slot %d" !s;
-        let line = t.slots.(!s) asr 2 in
-        if Flat_tab.find t.where.(cpu) line ~default:(-1) <> !s then
-          fail "Coherence invariant: chained slot %d not in where table" !s;
-        prev := !s;
-        s := t.nxt.(!s)
-      done;
-      if t.tail.(sb) <> !prev then
-        fail "Coherence invariant: LRU tail mismatch in set %d of cpu %d" set cpu;
-      if !n <> t.fill.(sb) then
-        fail "Coherence invariant: fill %d but %d chained slots (cpu %d set %d)"
-          t.fill.(sb) !n cpu set;
-      let fr = ref 0 in
-      let s = ref t.free_head.(sb) in
-      while !s >= 0 do
-        incr fr;
-        if !fr > t.nways then fail "Coherence invariant: free chain cycle";
-        if t.slots.(!s) <> -1 then
-          fail "Coherence invariant: free slot %d holds a line" !s;
-        s := t.nxt.(!s)
-      done;
-      if !n + !fr <> t.nways then
-        fail "Coherence invariant: %d live + %d free slots != %d ways" !n !fr
-          t.nways
-    done
-  done;
   (* Hint table -> directory: every pending hint belongs to a live entry
      with the matching mask bit (the staleness fix keeps this exact). *)
   Flat_tab.iter t.hints (fun key _ ->
@@ -1149,77 +1000,98 @@ let check_invariants t =
       if t.hintm.((e * t.nwords) + (cpu / bpw)) land (1 lsl (cpu mod bpw)) = 0
       then fail "Coherence invariant: hint for cpu %d line %d not in hint mask"
           cpu line);
-  (* Residency-cache representation (I-cache, L1 filter, victim LLC): LRU
-     chains and fill counts agree, chained slots belong to the where
-     table, live + free slots account for every way of every set. *)
-  let check_rc what ic nunits =
+  (* Level representation (L2, I-cache, L1 filter, victim LLC): slot words
+     agree with the lookup and sit in their unit and set, residency-only
+     levels hold state 0, LRU chains and fill counts agree, chained slots
+     are found by lookup, live + free slots account for every way of every
+     set. *)
+  let check_level ?(states = false) what l nunits =
     for u = 0 to nunits - 1 do
-      ic_iter_unit ic u (fun line s ->
-          if ic.ic_slots.(s) <> line then
+      iter_unit l u (fun line s ->
+          let w = l.slots.(s) in
+          if w < 0 || w asr 2 <> line || ((not states) && w land 3 <> 0) then
             fail "Coherence invariant: %s slot %d disagrees with line %d" what s
               line;
-          if s / (ic.ic_nsets * ic.ic_nways) <> u then
+          if s / (l.nsets * l.nways) <> u then
             fail "Coherence invariant: %s line %d of unit %d in foreign slot"
               what line u;
-          if s / ic.ic_nways mod ic.ic_nsets <> line mod ic.ic_nsets then
+          if s / l.nways mod l.nsets <> line mod l.nsets then
             fail "Coherence invariant: %s line %d of unit %d in wrong set" what
               line u);
-      for set = 0 to ic.ic_nsets - 1 do
-        let sb = (u * ic.ic_nsets) + set in
+      for set = 0 to l.nsets - 1 do
+        let sb = (u * l.nsets) + set in
         let n = ref 0 in
-        let s = ref ic.ic_head.(sb) in
+        let s = ref l.head.(sb) in
         let prev = ref (-1) in
         while !s >= 0 do
           incr n;
-          if !n > ic.ic_nways then
+          if !n > l.nways then
             fail "Coherence invariant: %s LRU chain longer than ways" what;
-          if ic.ic_prv.(!s) <> !prev then
+          if l.prv.(!s) <> !prev then
             fail "Coherence invariant: %s LRU back-link broken at slot %d" what
               !s;
-          if ic_find ic u ic.ic_slots.(!s) <> !s then
-            fail "Coherence invariant: chained %s slot %d not in table" what !s;
+          if find l u (l.slots.(!s) asr 2) <> !s then
+            fail "Coherence invariant: chained %s slot %d not found" what !s;
           prev := !s;
-          s := ic.ic_nxt.(!s)
+          s := l.nxt.(!s)
         done;
-        if ic.ic_tail.(sb) <> !prev then
+        if l.tail.(sb) <> !prev then
           fail "Coherence invariant: %s LRU tail mismatch (unit %d set %d)" what
             u set;
-        if !n <> ic.ic_fill.(sb) then
+        if !n <> l.fill.(sb) then
           fail "Coherence invariant: %s fill %d but %d chained (unit %d)" what
-            ic.ic_fill.(sb) !n u;
+            l.fill.(sb) !n u;
         let fr = ref 0 in
-        let s = ref ic.ic_free.(sb) in
+        let s = ref l.free.(sb) in
         while !s >= 0 do
           incr fr;
-          if !fr > ic.ic_nways then
+          if !fr > l.nways then
             fail "Coherence invariant: %s free chain cycle" what;
-          if ic.ic_slots.(!s) <> -1 then
+          if l.slots.(!s) <> -1 then
             fail "Coherence invariant: free %s slot %d holds a line" what !s;
-          s := ic.ic_nxt.(!s)
+          s := l.nxt.(!s)
         done;
-        if !n + !fr <> ic.ic_nways then
+        if !n + !fr <> l.nways then
           fail "Coherence invariant: %d live + %d free %s slots != %d ways" !n
-            !fr what ic.ic_nways
+            !fr what l.nways
       done
     done
   in
-  (match t.ic with None -> () | Some ic -> check_rc "icache" ic t.ncpus);
+  check_level ~states:true "cache" t.l2 t.ncpus;
+  (* Caches -> directory: every cached line is tracked, M/E/O holders own
+     it, S holders are in the sharer mask. *)
+  for cpu = 0 to t.ncpus - 1 do
+    iter_unit t.l2 cpu (fun line s ->
+        let e = dir_find t line in
+        if e < 0 then
+          fail "Coherence invariant: line %d cached but not in directory" line;
+        let c = t.l2.slots.(s) land 3 in
+        if c = st_m || c = st_e || c = st_o then begin
+          if t.owner.(e) <> cpu then
+            fail "Coherence invariant: cpu %d holds line %d in %s but is not owner"
+              cpu line (state_name c)
+        end
+        else if not (sharer_mem t e cpu) then
+          fail "Coherence invariant: cpu %d holds line %d in S but is not a sharer"
+            cpu line)
+  done;
+  (match t.ic with None -> () | Some (ic, _) -> check_level "icache" ic t.ncpus);
   match t.hx with
   | None -> ()
   | Some h ->
-    check_rc "L1" h.hl1 t.ncpus;
-    check_rc "LLC" h.hllc h.ncells;
+    check_level "L1" h.hl1 t.ncpus;
+    check_level "LLC" h.hllc h.ncells;
     (* L1 inclusion: every L1-resident line has a live L2 copy. *)
     for cpu = 0 to t.ncpus - 1 do
-      ic_iter_unit h.hl1 cpu (fun line _ ->
-          if cache_slot t cpu line < 0 then
+      iter_unit h.hl1 cpu (fun line _ ->
+          if find t.l2 cpu line < 0 then
             fail "Coherence invariant: L1 line %d of cpu %d not in L2" line cpu)
     done;
     (* LLC exclusivity: a resident line has no directory entry (so it can
        never be stale), and the line -> cell index matches residency
        exactly in both directions. *)
     for cell = 0 to h.ncells - 1 do
-      ic_iter_unit h.hllc cell (fun line _ ->
+      iter_unit h.hllc cell (fun line _ ->
           if dir_find t line >= 0 then
             fail
               "Coherence invariant: LLC line %d coexists with a directory entry"
@@ -1231,5 +1103,5 @@ let check_invariants t =
     Flat_tab.iter h.h_where (fun line cell ->
         if cell < 0 || cell >= h.ncells then
           fail "Coherence invariant: llc index cell %d out of range" cell;
-        if not (ic_resident h.hllc cell line) then
+        if find h.hllc cell line < 0 then
           fail "Coherence invariant: llc index points at absent line %d" line)

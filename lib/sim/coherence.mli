@@ -33,12 +33,16 @@
     evicted its pending hints are dropped, so a much-later re-fetch counts
     as a capacity miss rather than a stale sharing miss.
 
-    Representation: caches are one int array of packed
-    [line lsl 2 lor state] words indexed by [(cpu, set, way)], with
-    true-LRU order kept as array-index chains; directory entries live in a
-    pool of parallel int arrays with sharer sets as bitmasks over 62-bit
-    words (multi-word past 62 CPUs); invalidation hints and the touched
-    set are {!Flat_tab}s under packed int keys. The access path allocates
+    Representation: every cache level — the coherent L2, the I-cache, the
+    L1 filter and the victim LLC — is one structure: an int array of
+    packed [line lsl 2 lor state] words indexed by [(unit, set, way)]
+    (residency-only levels store state 0), with true-LRU order and the
+    free ways kept as array-index chains. Sets of at most 16 ways find a
+    line by walking their LRU chain, wider ones through a per-unit
+    {!Slo_util.Flat_tab}. Directory entries live in a pool of parallel int
+    arrays with sharer sets as bitmasks over 62-bit words (multi-word past
+    62 CPUs); invalidation hints and the touched set are
+    {!Slo_util.Flat_tab}s under packed int keys. The access path allocates
     nothing.
 
     The oracle is {!Spec}, a pure declarative transcription of the same
@@ -151,11 +155,12 @@ val check_invariants : t -> unit
     M/E owner excludes sharers, the owner is never in the sharer mask,
     every sharer holds S, every cached line is directory-tracked, and no
     invalidation hint outlives its line's directory entry. Plus the
-    representation invariants: LRU chains and fill counts agree, the
-    line→slot tables agree with the slot words, and free chains account
-    for every way. Under the multi-level hierarchy, additionally: L1
-    inclusion (every L1 line has a live L2 copy) and LLC exclusivity (no
-    LLC line has a directory entry; the line→cell index is exact).
+    representation invariants of every level: LRU chains and fill counts
+    agree, each resident line's lookup finds its slot word, and free
+    chains account for every way. Under the multi-level hierarchy,
+    additionally: L1 inclusion (every L1 line has a live L2 copy) and LLC
+    exclusivity (no LLC line has a directory entry; the line→cell index is
+    exact).
     @raise Invalid_argument describing the violated invariant. *)
 
 val holders : t -> line:int -> int list
@@ -189,7 +194,7 @@ type kstats = {
       (** stale invalidation hints dropped because the last cached copy of
           their line was evicted (the sharing episode ended) *)
   k_probe_steps : int;
-      (** cumulative {!Flat_tab} probe steps beyond the home slot *)
+      (** cumulative {!Slo_util.Flat_tab} probe steps beyond the home slot *)
   k_llc_fills : int;
       (** lines dropped into a cell LLC on last-copy eviction (0 unless
           the multi-level hierarchy is simulated) *)

@@ -4,6 +4,7 @@ module Loc = Slo_ir.Loc
 module Layout = Slo_layout.Layout
 module Field = Slo_layout.Field
 module Prng = Slo_util.Prng
+module Flat_tab = Slo_util.Flat_tab
 
 exception Runtime_error = Slo_profile.Interp.Runtime_error
 

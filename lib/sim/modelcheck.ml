@@ -13,6 +13,8 @@
    residency all agree with the spec. Witness replay per edge is quadratic
    in depth, but the accepted configs are tiny (<= 62 bits of state). *)
 
+module Flat_tab = Slo_util.Flat_tab
+
 type topo_kind = Bus | Superdome
 
 type config = {

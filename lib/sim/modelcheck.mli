@@ -26,10 +26,10 @@
     States are canonicalized by packing every per-(CPU, line) summary
     (cache-state code, pending-hint code, L1 residency) plus the per-line
     touched bits and LLC cell into a single nonnegative [int] (<= 62 bits
-    for every accepted config), and the visited set is a {!Flat_tab} over
-    those packed keys. Reachable-state counts are pinned in
-    {!standard_suite}; any semantic drift in the protocol changes a count
-    or trips a conformance check and fails loudly.
+    for every accepted config), and the visited set is a
+    {!Slo_util.Flat_tab} over those packed keys. Reachable-state counts are
+    pinned in {!standard_suite}; any semantic drift in the protocol changes
+    a count or trips a conformance check and fails loudly.
 
     Exploration is breadth-first, so the trace stored for each state is a
     minimal-length witness; on violation it is shrunk further by greedy

@@ -1,7 +1,6 @@
 (** Flat open-addressing int -> int hash table for hot paths — the
     simulator memory kernel, the streaming sample binner and the
-    CodeConcurrency map sit on it (it is re-exported as [Slo_sim.Flat_tab]
-    for the first).
+    CodeConcurrency map sit on it.
 
     The boxed [Hashtbl] the memory system used to sit on allocates an
     [option] per [find_opt], a bucket cons per insert and (for the

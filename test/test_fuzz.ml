@@ -10,6 +10,7 @@ module Lexer = Slo_ir.Lexer
 module Parser = Slo_ir.Parser
 module Typecheck = Slo_ir.Typecheck
 module Persist = Slo_persist.Persist
+module Json = Slo_obs.Json
 module Sample = Slo_concurrency.Sample
 module Store = Slo_concurrency.Sample_store
 module Kernel = Slo_workload.Kernel
@@ -135,6 +136,36 @@ let bin_palette =
   [ "\000"; "\001"; "\255"; "\255\255\255\255"; "\000\000\000\000";
     "\127\255\255\255\255\255\255\255"; "\128\000\000\000\000\000\000\000" ]
 
+(* A serve snapshot of the samples folded into intervals 4..6, all inside
+   its 4-interval window. *)
+let serve_snapshot () =
+  let b = Sample.binner ~interval:10 in
+  List.iter
+    (fun s -> Sample.feed b { s with Sample.itc = 40 + (abs s.Sample.itc mod 30) })
+    samples;
+  with_tmp (fun path ->
+      Persist.save_serve_snapshot ~path ~window:4 ~version:3 ~newest:6 b;
+      read_file path)
+
+let load_snapshot bytes =
+  with_tmp (fun path ->
+      write path bytes;
+      Persist.load_serve_snapshot ~path)
+
+(* Nested objects and lists, every escape kind (a surrogate pair
+   included) and integer, fractional and exponent numbers. *)
+let json_doc =
+  {|{"schema": 1, "name": "caf\u00e9 \"q\" \\ \/ \b\f\n\r\t \ud83d\ude00",
+ "data": {"xs": [0, -17, 2.5, -0.125e-3, 6E+2, true, false, null],
+          "nested": [{"a": {}}, [], {"b": [1, {"c": "x"}]}]}}|}
+
+let json_palette =
+  [ "\\u"; "\\ud800"; "\\udc00"; "\\u00"; "1e999"; "-"; "0"; "."; "e";
+    "["; "]"; "{"; "}"; "\""; "\\"; ","; ":"; "null"; " " ]
+
+(* The parser's errors are values: nothing may escape it at all. *)
+let no_exception _ = false
+
 let suites =
   [
     ( "robustness.fuzz",
@@ -157,5 +188,12 @@ let suites =
           (fun () ->
             fuzz ~name:"samples-bin mutants" ~count:200 ~palette:bin_palette
               ~named:bin_error ~read:load_bin (samples_bin ()) ());
+        Alcotest.test_case "serve-snapshot mutants raise only Bin_error" `Quick
+          (fun () ->
+            fuzz ~name:"serve-snapshot mutants" ~count:300 ~palette:bin_palette
+              ~named:bin_error ~read:load_snapshot (serve_snapshot ()) ());
+        Alcotest.test_case "JSON mutants return only Ok/Error" `Quick
+          (fuzz ~name:"JSON mutants" ~count:1000 ~palette:json_palette
+             ~named:no_exception ~read:Json.of_string json_doc);
       ] );
   ]

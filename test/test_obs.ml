@@ -49,9 +49,13 @@ let test_json_parse () =
       checkf "negative float" (-2.5) f;
       check_str "unicode escape" "xA" s
     | _ -> Alcotest.fail "wrong structure under \"a\""));
-  match Json.of_string "\"caf\\u00e9\"" with
+  (match Json.of_string "\"caf\\u00e9\"" with
   | Ok (Json.Str s) -> check_str "utf8 from \\u" "caf\xc3\xa9" s
-  | _ -> Alcotest.fail "unicode string"
+  | _ -> Alcotest.fail "unicode string");
+  (* an escaped surrogate pair is one astral scalar, U+1F600 *)
+  match Json.of_string "\"\\ud83d\\ude00\"" with
+  | Ok (Json.Str s) -> check_str "utf8 from a surrogate pair" "\xf0\x9f\x98\x80" s
+  | _ -> Alcotest.fail "surrogate pair"
 
 let test_json_parse_errors () =
   let expect_error s =
@@ -67,7 +71,15 @@ let test_json_parse_errors () =
   expect_error "\"bad \\u00g1\"";
   expect_error "nul";
   expect_error "{} garbage";
-  expect_error "1 2"
+  expect_error "1 2";
+  expect_error "\"\\ud800\"";
+  expect_error "\"\\udc00\"";
+  (* a high surrogate followed by a non-low escape; the error names the
+     byte where the pair starts *)
+  match Json.of_string "[\"\\ud83d\\u0041\"]" with
+  | Error e ->
+    check_str "surrogate error offset" "unpaired surrogate in \\u escape at byte 2" e
+  | Ok _ -> Alcotest.fail "parsed an unpaired surrogate"
 
 let gen_json : Json.t QCheck2.Gen.t =
   QCheck2.Gen.(

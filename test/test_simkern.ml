@@ -8,7 +8,7 @@ module Topology = Slo_sim.Topology
 module Cache = Slo_sim.Cache
 module Coherence = Slo_sim.Coherence
 module Spec = Slo_sim.Spec
-module Flat_tab = Slo_sim.Flat_tab
+module Flat_tab = Slo_util.Flat_tab
 module Sim_stats = Slo_sim.Sim_stats
 module Machine = Slo_sim.Machine
 module Parser = Slo_ir.Parser
@@ -85,36 +85,57 @@ let topologies =
     (* > 62 CPUs exercises the multi-word sharer bitmasks *)
     ("superdome128", Topology.superdome ~cpus:128 ());
     ("bus4", Topology.bus ~cpus:4 ());
+    (* two CPUs see enough accesses each to overflow the "wide" geometry *)
+    ("bus2", Topology.bus ~cpus:2 ());
   ]
 
-let assoc_variants = [ ("direct", Some 1); ("2way", Some 2); ("full", None) ]
 let lines_in_play = 12
 
-let trace_gen =
+(* (capacity, ways, distinct lines in play). The first three walk their
+   sets; "wide" is fully associative past the kernel's 16-way scan limit,
+   so its lines are found, evicted and removed through the per-CPU hash
+   tables, and it plays more lines than it holds. *)
+let assoc_variants =
+  [
+    ("direct", (8, Some 1, lines_in_play));
+    ("2way", (8, Some 2, lines_in_play));
+    ("full", (8, None, lines_in_play));
+    ("wide", (20, None, 4 * lines_in_play));
+  ]
+
+let trace_gen_of lines =
   QCheck2.Gen.(
     list_size (int_range 1 150)
       (let* cpu = int_range 0 1000 in
-       let* line = int_range 0 (lines_in_play - 1) in
+       let* line = int_range 0 (lines - 1) in
        let* off = int_range 0 15 in
        let* w = bool in
        return (cpu, line, off, w)))
+
+let trace_gen = trace_gen_of lines_in_play
+
+(* The differential properties draw from the widest variant's lines; each
+   run folds them onto its own (a multiple of 12, so the fold stays
+   uniform). *)
+let wide_trace_gen = trace_gen_of (4 * lines_in_play)
 
 (* Replay [trace] through a fresh kernel and a fresh spec of the same
    geometry, demanding identical latencies on every access, then compare
    the end states: per-CPU stats, the directory view and cache states,
    and (under the hierarchy) L1 residency and LLC placement. *)
-let run_both ?hierarchy ~topology ~protocol ~ways trace =
+let run_both ?hierarchy ~topology ~protocol (capacity, ways, lines) trace =
   let k =
-    Coherence.create topology ~line_size:128 ~cache_capacity:8 ?ways
+    Coherence.create topology ~line_size:128 ~cache_capacity:capacity ?ways
       ?hierarchy ~protocol ()
   and s =
-    Spec.create topology ~line_size:128 ~cache_capacity:8 ?ways ?hierarchy
-      ~protocol ()
+    Spec.create topology ~line_size:128 ~cache_capacity:capacity ?ways
+      ?hierarchy ~protocol ()
   in
   let cpus = Topology.num_cpus topology in
   List.iter
     (fun (cpu, line, off, w) ->
-      let cpu = cpu mod cpus and addr = (line * 128) + (off * 8) in
+      let cpu = cpu mod cpus and line = line mod lines in
+      let addr = (line * 128) + (off * 8) in
       let a = Coherence.access k ~cpu ~addr ~size:8 ~is_write:w in
       let b = Spec.access s ~cpu ~addr ~size:8 ~is_write:w in
       if a <> b then
@@ -128,7 +149,7 @@ let run_both ?hierarchy ~topology ~protocol ~ways trace =
     if Coherence.stats k ~cpu <> Spec.stats s ~cpu then
       Alcotest.failf "per-cpu stats diverged on cpu %d" cpu
   done;
-  for line = 0 to lines_in_play - 1 do
+  for line = 0 to lines - 1 do
     if Coherence.holders k ~line <> Spec.holders s ~line then
       Alcotest.failf "holders diverged on line %d" line;
     if Coherence.owner k ~line <> Spec.owner s ~line then
@@ -151,14 +172,14 @@ let prop_differential =
   QCheck2.Test.make
     ~name:
       "flat kernel == spec (latencies, stats, directory) across protocols x \
-       topologies x associativities" ~count:25 trace_gen
+       topologies x associativities" ~count:25 wide_trace_gen
     (fun trace ->
       List.iter
         (fun (_, topology) ->
           List.iter
             (fun protocol ->
               List.iter
-                (fun (_, ways) -> run_both ~topology ~protocol ~ways trace)
+                (fun (_, geometry) -> run_both ~topology ~protocol geometry trace)
                 assoc_variants)
             [ Coherence.Mesi; Coherence.Moesi ])
         topologies;
@@ -812,6 +833,9 @@ let hier_variants =
       { Coherence.h_l1_lines = 2; h_l1_ways = None; h_llc_lines = 4; h_llc_ways = Some 2 } );
     ( "roomy",
       { Coherence.h_l1_lines = 4; h_l1_ways = None; h_llc_lines = 8; h_llc_ways = None } );
+    (* past the 16-way scan limit at both levels: hashed lookup there too *)
+    ( "wide",
+      { Coherence.h_l1_lines = 18; h_l1_ways = None; h_llc_lines = 20; h_llc_ways = None } );
   ]
 
 let prop_hier_differential =
@@ -819,17 +843,17 @@ let prop_hier_differential =
     ~name:
       "hierarchy: flat == spec (per-level latencies, counters, L1/LLC \
        residency) across protocols x topologies x associativities" ~count:25
-    trace_gen
+    wide_trace_gen
     (fun trace ->
       List.iter
         (fun (_, topology) ->
           List.iter
             (fun protocol ->
               List.iter
-                (fun (_, ways) ->
+                (fun (_, geometry) ->
                   List.iter
                     (fun (_, hierarchy) ->
-                      run_both ~hierarchy ~topology ~protocol ~ways trace)
+                      run_both ~hierarchy ~topology ~protocol geometry trace)
                     hier_variants)
                 assoc_variants)
             [ Coherence.Mesi; Coherence.Moesi ])
