@@ -867,10 +867,11 @@ let run_sim_scale ctx =
          rs = serial))
       pool_sizes
   in
-  (* 3. Memory-system throughput: record SDET's access trace once, then
-     replay it through the kernel directly, isolating the memory system
-     from the interpreter around it. End-to-end simulation wall time is
-     reported alongside as context. Both are information, not gates. *)
+  (* 3. Memory-system throughput: record SDET's access trace once, intern
+     its lines once, then replay it through the kernel's id entry point —
+     the path the machine drives — isolating the memory system from the
+     interpreter around it. End-to-end simulation wall time is reported
+     alongside as context. Both are information, not gates. *)
   let cpus = if ctx.quick then 16 else 32 in
   let reps = if ctx.quick then 12 else 30 in
   let runs = if ctx.quick then 4 else 8 in
@@ -885,14 +886,23 @@ let run_sim_scale ctx =
         ~cache_capacity:cfg.Sdet.cache_lines ~protocol:cfg.Sdet.protocol
         ?hierarchy ()
     in
+    let lsize = Kernel.line_size in
+    let ids =
+      Array.map
+        (fun (ev : Machine.trace_event) ->
+          Coherence.intern coh ~line:(ev.Machine.t_addr / lsize))
+        trace
+    and offs =
+      Array.map (fun (ev : Machine.trace_event) -> ev.Machine.t_addr mod lsize) trace
+    in
     let (), wall =
       timed (fun () ->
           for _rep = 1 to replays do
-            Array.iter
-              (fun (ev : Machine.trace_event) ->
+            Array.iteri
+              (fun i (ev : Machine.trace_event) ->
                 ignore
-                  (Coherence.access coh ~cpu:ev.Machine.t_cpu
-                     ~addr:ev.Machine.t_addr ~size:ev.Machine.t_size
+                  (Coherence.access_id coh ~cpu:ev.Machine.t_cpu ~id:ids.(i)
+                     ~off:offs.(i) ~size:ev.Machine.t_size
                      ~is_write:ev.Machine.t_is_write))
               trace
           done)

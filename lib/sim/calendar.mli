@@ -28,3 +28,7 @@ val push : t -> int -> clock:int -> unit
 val pop : t -> int
 (** Remove and return the id with the least clock, earliest pushed among
     equal clocks; [-1] when the queue is empty. *)
+
+val lowest_bit : int -> int
+(** Index of the lowest set bit of a word whose lowest set bit is among
+    its low 32, by de Bruijn multiplication. *)

@@ -33,17 +33,18 @@
     evicted its pending hints are dropped, so a much-later re-fetch counts
     as a capacity miss rather than a stale sharing miss.
 
-    Representation: every cache level — the coherent L2, the I-cache, the
-    L1 filter and the victim LLC — is one structure: an int array of
-    packed [line lsl 2 lor state] words indexed by [(unit, set, way)]
-    (residency-only levels store state 0), with true-LRU order and the
-    free ways kept as array-index chains. Sets of at most 16 ways find a
-    line by walking their LRU chain, wider ones through a per-unit
-    {!Slo_util.Flat_tab}. Directory entries live in a pool of parallel int
-    arrays with sharer sets as bitmasks over 62-bit words (multi-word past
-    62 CPUs); invalidation hints and the touched set are
-    {!Slo_util.Flat_tab}s under packed int keys. The access path allocates
-    nothing.
+    Representation: one dense lookup. The kernel numbers lines 0, 1,
+    2, ... in first-seen order (data and I-cache lines in two id spaces);
+    one {!Slo_util.Flat_tab} per space maps a real line to its id and is
+    read only at the API boundary. Every per-line table is an array
+    indexed by id: a line's slot in each unit of each cache level (the
+    L2, I-cache, L1 filter and victim LLC are one structure of packed
+    [id lsl 2 lor state] slot words with array-index LRU chains), its
+    directory row (owner, and sharers as a mask over 62-bit words), its
+    invalidation hints (id × CPU), the touched set and the LLC index. A
+    line's set is its real line mod the set count, as in the spec. A
+    CPUs × lines table costs [ncpus × ids] words. The access path
+    allocates nothing once the tables are sized.
 
     The oracle is {!Spec}, a pure declarative transcription of the same
     protocol with the directory derived from cache states. The QCheck2
@@ -115,6 +116,32 @@ val access : t -> cpu:int -> addr:int -> size:int -> is_write:bool -> int
     [addr < 0], or the access straddles a line — before any statistic is
     counted. *)
 
+(** {2 Dense line ids}
+
+    {!access} and {!ifetch} intern their lines. A caller that knows its
+    lines before it runs (the machine) reserves and interns them once,
+    then drives the id entry points, which look nothing up. *)
+
+val reserve : t -> lines:int -> code_lines:int -> unit
+(** Size every per-line table for [lines] data and [code_lines] I-cache
+    ids in one step; past that, a table grows by doubling. *)
+
+val intern : t -> line:int -> int
+(** The id of data line [line] ([addr / line_size]), handed out 0, 1,
+    2, ... on first sight. @raise Invalid_argument if [line < 0]. *)
+
+val intern_code : t -> line:int -> int
+(** {!intern} in the I-cache line id space. *)
+
+val access_id :
+  t -> cpu:int -> id:int -> off:int -> size:int -> is_write:bool -> int
+(** {!access} to byte [off] of line [id]; [cpu] in range, [size > 0].
+    @raise Invalid_argument for an id never handed out or a straddling
+    access, before any statistic is counted. *)
+
+val ifetch_ids : t -> cpu:int -> first:int -> last:int -> int
+(** {!ifetch} of the I-cache lines [first..last], by id. *)
+
 val has_icache : t -> bool
 
 val icache_line_size : t -> int
@@ -154,13 +181,13 @@ val check_invariants : t -> unit
 (** Protocol invariants: the owner holds M/E/O (O only under MOESI), an
     M/E owner excludes sharers, the owner is never in the sharer mask,
     every sharer holds S, every cached line is directory-tracked, and no
-    invalidation hint outlives its line's directory entry. Plus the
-    representation invariants of every level: LRU chains and fill counts
-    agree, each resident line's lookup finds its slot word, and free
-    chains account for every way. Under the multi-level hierarchy,
-    additionally: L1 inclusion (every L1 line has a live L2 copy) and LLC
-    exclusivity (no LLC line has a directory entry; the line→cell index is
-    exact).
+    invalidation hint outlives its line's directory entry. Representation
+    invariants: ids are dense and map back to their lines, and in every
+    level the slot lookup and the slot words agree, LRU chains and fill
+    counts agree, and free chains account for every way. Under the
+    hierarchy, also L1 inclusion (every L1 line has a live L2 copy) and
+    LLC exclusivity (no LLC line has a directory entry; the line → cell
+    index is exact).
     @raise Invalid_argument describing the violated invariant. *)
 
 val holders : t -> line:int -> int list
@@ -173,7 +200,9 @@ val sharers : t -> line:int -> int list
 (** The directory's sharer set for the line, ascending. *)
 
 val cache_state : t -> cpu:int -> line:int -> Cache.state option
-(** The given CPU's cached state of the line ([None] = not resident). *)
+(** The given CPU's cached state of the line ([None] = not resident). This
+    and every other query taking a [cpu] raise [Invalid_argument] when the
+    CPU is out of range. *)
 
 val inv_hint : t -> cpu:int -> line:int -> (int * int) option
 (** The pending invalidation hint recorded against [cpu] for [line] — the
@@ -194,7 +223,8 @@ type kstats = {
       (** stale invalidation hints dropped because the last cached copy of
           their line was evicted (the sharing episode ended) *)
   k_probe_steps : int;
-      (** cumulative {!Slo_util.Flat_tab} probe steps beyond the home slot *)
+      (** cumulative probe steps beyond the home slot in the two line
+          interners ({!Slo_util.Flat_tab}); the id tables are not probed *)
   k_llc_fills : int;
       (** lines dropped into a cell LLC on last-copy eviction (0 unless
           the multi-level hierarchy is simulated) *)

@@ -104,8 +104,9 @@ type proc = {
 type op =
   | Load of { dst : int; inst : int; off : int; elem : int; count : int; index : expr; loc : Loc.t }
   | Store of { inst : int; off : int; elem : int; count : int; index : expr; src : expr; loc : Loc.t }
-  | Gload of { dst : int; addr : int; size : int }
-  | Gstore of { addr : int; size : int; src : expr }
+  | Gload of { dst : int; addr : int; size : int; id : int; lo : int }
+  | Gstore of { addr : int; size : int; id : int; lo : int; src : expr }
+      (* a global's line id and its byte offset within the line *)
   | Assign of { dst : int; value : expr }
   | Rand of { dst : int; bound : expr; loc : Loc.t }
   | Pause of { cycles : expr; loc : Loc.t }
@@ -118,7 +119,8 @@ type op =
 
 (* The op array and its parallel per-op tables: the op's procedure (an
    index into [procs]), block, instruction index (the block's instruction
-   count for its terminator), source line, and its block's code range. *)
+   count for its terminator), source line, its block's code range, and the
+   ids of its block's first and last I-cache lines. *)
 type prog = {
   ops : op array;
   procs : proc array;
@@ -128,6 +130,8 @@ type prog = {
   op_line : int array;
   op_addr : int array;
   op_size : int array;
+  op_ifirst : int array;
+  op_ilast : int array;
   stack_words : int;  (* frames of the deepest call chain *)
   depth : int;  (* procedures on the longest call chain *)
 }
@@ -390,6 +394,12 @@ let compile t =
   let ops = Array.make total Return in
   let op_proc = table () and op_block = table () and op_ip = table () in
   let op_line = table () and op_addr = table () and op_size = table () in
+  let op_ifirst = table () and op_ilast = table () in
+  let iline addr =
+    match t.config.icache with
+    | Some ic -> Coherence.intern_code t.coherence ~line:(addr / ic.Coherence.i_line_size)
+    | None -> 0
+  in
   let callees = Array.make (Array.length procs) [] in
   let compile_proc pi (cfg : Cfg.t) =
     let me = procs.(pi) in
@@ -421,7 +431,8 @@ let compile t =
     let index = function None -> Int 0 | Some e -> expr e in
     let global name =
       let off, size, _ = field_slot t ~struct_name:Ast.globals_struct_name name in
-      (globals_base + off, size)
+      let addr = globals_base + off and lsize = t.config.line_size in
+      (addr, size, Coherence.intern t.coherence ~line:(addr / lsize), addr mod lsize)
     in
     let instr (i : Cfg.instr) =
       match i with
@@ -432,11 +443,11 @@ let compile t =
         let off, elem, count = field_slot t ~struct_name field in
         Store { inst = inst p; off; elem; count; index = index ix; src = expr src; loc }
       | Cfg.Igload { dst; name; _ } ->
-        let addr, size = global name in
-        Gload { dst = reg dst; addr; size }
+        let addr, size, id, lo = global name in
+        Gload { dst = reg dst; addr; size; id; lo }
       | Cfg.Igstore { name; src; _ } ->
-        let addr, size = global name in
-        Gstore { addr; size; src = expr src }
+        let addr, size, id, lo = global name in
+        Gstore { addr; size; id; lo; src = expr src }
       | Cfg.Iassign { dst; value; _ } -> Assign { dst = reg dst; value = expr value }
       | Cfg.Irand { dst; bound; loc } -> Rand { dst = reg dst; bound = expr bound; loc }
       | Cfg.Ipause { cycles; loc } -> Pause { cycles = expr cycles; loc }
@@ -464,6 +475,7 @@ let compile t =
     Array.iteri
       (fun b (blk : Cfg.block) ->
         let addr, size = code.(b) in
+        let ifirst = iline addr and ilast = iline (addr + size - 1) in
         let emit pc op ip line =
           ops.(pc) <- op;
           op_proc.(pc) <- pi;
@@ -471,7 +483,9 @@ let compile t =
           op_ip.(pc) <- ip;
           op_line.(pc) <- line;
           op_addr.(pc) <- addr;
-          op_size.(pc) <- size
+          op_size.(pc) <- size;
+          op_ifirst.(pc) <- ifirst;
+          op_ilast.(pc) <- ilast
         in
         let s = starts.(pi).(b) and n = Array.length blk.Cfg.b_instrs in
         Array.iteri
@@ -515,8 +529,8 @@ let compile t =
     end
   in
   Array.iteri (fun i _ -> visit i) procs;
-  { ops; procs; op_proc; op_block; op_ip; op_line; op_addr; op_size;
-    stack_words = Array.fold_left max 1 words; depth = Array.fold_left max 1 depth }
+  { ops; procs; op_proc; op_block; op_ip; op_line; op_addr; op_size; op_ifirst;
+    op_ilast; stack_words = Array.fold_left max 1 words; depth = Array.fold_left max 1 depth }
 
 (* --------------------------------------------------------------------- *)
 
@@ -605,6 +619,14 @@ let[@inline] address stack base ~inst ~off ~elem ~count ~index ~loc =
       (Runtime_error (Printf.sprintf "index %d out of range (count %d)" idx count, loc));
   stack.(base + inst) + off + (idx * elem)
 
+(* An arena line's id is its line number: [run] interns the arena's lines
+   first, in order. *)
+let[@inline] arena_access t thread addr ~size ~is_write =
+  let lsize = t.config.line_size in
+  let id = addr / lsize in
+  Coherence.access_id t.coherence ~cpu:thread.t_cpu ~id ~off:(addr - (id * lsize))
+    ~size ~is_write
+
 (* Fetch the code of the block that op [pc] begins; free (and
    trace-silent) when no I-cache is configured, so data-only runs are
    byte-identical to the pre-I-cache machine. Called on every block entry:
@@ -621,7 +643,8 @@ let fetch t p thread pc =
         { t_cpu = thread.t_cpu; t_itc = thread.t_clock; t_addr = addr;
           t_size = size; t_is_write = false }
         :: t.fetch_trace_rev;
-    Coherence.ifetch t.coherence ~cpu:thread.t_cpu ~addr ~size
+    Coherence.ifetch_ids t.coherence ~cpu:thread.t_cpu ~first:p.op_ifirst.(pc)
+      ~last:p.op_ilast.(pc)
 
 let rec set_args stack ~reg ~inst = function
   | [] -> ()
@@ -672,9 +695,7 @@ let exec t p thread pc =
         { t_cpu = thread.t_cpu; t_itc = thread.t_clock; t_addr = addr;
           t_size = elem; t_is_write = false }
         :: t.trace_rev;
-    let latency =
-      Coherence.access t.coherence ~cpu:thread.t_cpu ~addr ~size:elem ~is_write:false
-    in
+    let latency = arena_access t thread addr ~size:elem ~is_write:false in
     stack.(base + dst) <- Flat_tab.find t.memory addr ~default:0;
     t.config.load_base + latency
   | Store { inst; off; elem; count; index; src; loc } ->
@@ -685,21 +706,21 @@ let exec t p thread pc =
           t_size = elem; t_is_write = true }
         :: t.trace_rev;
     let v = eval stack base src in
-    let latency =
-      Coherence.access t.coherence ~cpu:thread.t_cpu ~addr ~size:elem ~is_write:true
-    in
+    let latency = arena_access t thread addr ~size:elem ~is_write:true in
     Flat_tab.set t.memory addr v;
     t.config.store_base + latency
-  | Gload { dst; addr; size } ->
+  | Gload { dst; addr; size; id; lo } ->
     let latency =
-      Coherence.access t.coherence ~cpu:thread.t_cpu ~addr ~size ~is_write:false
+      Coherence.access_id t.coherence ~cpu:thread.t_cpu ~id ~off:lo ~size
+        ~is_write:false
     in
     stack.(base + dst) <- Flat_tab.find t.memory addr ~default:0;
     t.config.load_base + latency
-  | Gstore { addr; size; src } ->
+  | Gstore { addr; size; id; lo; src } ->
     let v = eval stack base src in
     let latency =
-      Coherence.access t.coherence ~cpu:thread.t_cpu ~addr ~size ~is_write:true
+      Coherence.access_id t.coherence ~cpu:thread.t_cpu ~id ~off:lo ~size
+        ~is_write:true
     in
     Flat_tab.set t.memory addr v;
     t.config.store_base + latency
@@ -758,6 +779,41 @@ let source_loc t p pc =
     | Cfg.Tbranch { loc; _ } -> loc
     | Cfg.Tgoto _ | Cfg.Treturn -> Loc.dummy
 
+(* Number the kernel's lines once the layouts and the code layout are
+   final, its tables reserved at their exact size in one step: the arena's
+   lines first, in order, so that an arena line's id is its line number;
+   then the globals' lines; then the code segment's I-cache lines, in
+   order, so that a block's lines have consecutive ids. *)
+let intern_lines t =
+  let coh = t.coherence and lsize = t.config.line_size in
+  (* The first line and the line count of [size] bytes at [base]. *)
+  let span base size unit =
+    if size <= 0 then (0, 0) else (base / unit, ((base + size - 1) / unit) - (base / unit) + 1)
+  in
+  let _, arena = span 0 t.arena_next lsize in
+  let gfirst, globals =
+    match Hashtbl.find_opt t.layouts Ast.globals_struct_name with
+    | Some l -> span globals_base l.Layout.size lsize
+    | None -> (0, 0)
+  in
+  let cfirst, code =
+    match t.config.icache with
+    | Some ic ->
+      let bytes = Hashtbl.fold (fun _ a n -> Array.fold_left (fun n (_, s) -> n + s) n a) t.code 0 in
+      span code_base bytes ic.Coherence.i_line_size
+    | None -> (0, 0)
+  in
+  Coherence.reserve coh ~lines:(arena + globals) ~code_lines:code;
+  let number intern first count id0 =
+    for k = 0 to count - 1 do
+      if intern coh ~line:(first + k) <> id0 + k then
+        invalid_arg "Machine.run: the coherence kernel was used before the run"
+    done
+  in
+  number Coherence.intern 0 arena 0;
+  number Coherence.intern gfirst globals arena;
+  number Coherence.intern_code cfirst code 0
+
 let run t =
   if t.ran then invalid_arg "Machine.run: machine already ran";
   t.ran <- true;
@@ -765,6 +821,7 @@ let run t =
   let invocations =
     Hashtbl.fold (fun _ th acc -> acc + List.length th.t_work) t.threads 0
   in
+  intern_lines t;
   let p = compile t in
   Hashtbl.iter
     (fun _ th ->

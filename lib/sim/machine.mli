@@ -164,7 +164,10 @@ val run : t -> result
     the faulting instruction or terminator. *)
 
 val coherence : t -> Coherence.t
-(** The coherence hierarchy (for invariant checks in tests). *)
+(** The coherence hierarchy (for invariant checks in tests). {!run}
+    numbers its lines first — the arena's in address order, so that an
+    arena line's id is its line number — and raises [Invalid_argument] if
+    driving the kernel earlier numbered other lines first. *)
 
 val read_field : t -> instance -> field:string -> ?index:int -> unit -> int
 (** Read a field's value directly from simulated memory, without going

@@ -453,6 +453,42 @@ let test_machine_sampling () =
     (List.for_all2 ( < ) (List.filteri (fun i _ -> i < List.length itcs - 1) itcs)
        (List.tl itcs))
 
+(* The kernel's invariants hold after whole machine runs, not only after
+   the random traces of the kernel suites: an SDET round on superdome-64
+   (MESI, two-word sharer masks), and 128 CPUs under MOESI with the NUMA
+   trap's hierarchy and an I-cache, on caches small enough that every
+   level evicts. *)
+let test_machine_invariants_sdet () =
+  let m = Sdet.build (Sdet.default_config (Topology.superdome ~cpus:64 ())) in
+  ignore (Machine.run m);
+  Coherence.check_invariants (Machine.coherence m)
+
+let test_machine_invariants_hierarchy () =
+  let m =
+    Machine.create
+      { (Machine.default_config (Topology.superdome ~cpus:128 ())) with
+        Machine.protocol = Coherence.Moesi;
+        cache_lines = 16;
+        hierarchy = Some Slo_workload.Ntrap.hierarchy;
+        icache = Some { Coherence.i_lines = 4; i_ways = Some 2; i_line_size = 16 } }
+      (program ())
+  in
+  let pop = Array.init 1024 (fun _ -> Machine.alloc m ~struct_name:"S") in
+  for cpu = 0 to 127 do
+    Machine.add_thread m ~cpu
+      ~work:
+        (List.init 32 (fun k ->
+             ( (if (cpu + k) mod 3 = 0 then "writer" else "reader"),
+               [ Machine.Ainst pop.(((cpu * 131) + (k * 29)) mod 1024); Machine.Aint 3 ] )))
+  done;
+  let st = (Machine.run m).Machine.stats in
+  let k = Coherence.kstats (Machine.coherence m) in
+  Alcotest.(check bool) "L2 victims reached the LLC" true (k.Coherence.k_llc_fills > 0);
+  Alcotest.(check bool) "the LLC served misses" true
+    (st.Sim_stats.llc_local_hits + st.Sim_stats.llc_remote_hits > 0);
+  Alcotest.(check bool) "the I-cache evicted" true (st.Sim_stats.imisses > 4 * 128);
+  Coherence.check_invariants (Machine.coherence m)
+
 let test_machine_alloc_alignment () =
   let m = mk_machine () in
   let a = Machine.alloc m ~struct_name:"S" in
@@ -528,6 +564,20 @@ let test_machine_rerun_rejected () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "ran twice"
 
+(* [run] numbers the arena's lines from id 0 so that an arena line's id is
+   its line number; a kernel that already numbered another line first
+   would silently misroute every access, so [run] refuses it. *)
+let test_machine_kernel_used_before_run () =
+  let m = mk_machine () in
+  let a = Machine.alloc m ~struct_name:"S" and b = Machine.alloc m ~struct_name:"S" in
+  Machine.add_thread m ~cpu:0 ~work:[ ("writer", [ Machine.Ainst a; Machine.Aint 1 ]) ];
+  ignore
+    (Coherence.access (Machine.coherence m) ~cpu:1 ~addr:(Machine.instance_base b) ~size:8
+       ~is_write:false);
+  match Machine.run m with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "ran on a kernel numbered out of order"
+
 let test_machine_throughput_accounting () =
   let m = mk_machine ~cpus:2 () in
   let s = Machine.alloc m ~struct_name:"S" in
@@ -586,9 +636,15 @@ let suites =
         Alcotest.test_case "layout validation" `Quick test_machine_set_layout_validation;
         Alcotest.test_case "layout sensitivity" `Quick test_machine_false_sharing_layout_sensitivity;
         Alcotest.test_case "rerun rejected" `Quick test_machine_rerun_rejected;
+        Alcotest.test_case "kernel driven before run rejected" `Quick
+          test_machine_kernel_used_before_run;
         Alcotest.test_case "non-positive period rejected" `Quick
           test_machine_period_rejected;
         Alcotest.test_case "throughput accounting" `Quick test_machine_throughput_accounting;
+        Alcotest.test_case "kernel invariants after an SDET run" `Quick
+          test_machine_invariants_sdet;
+        Alcotest.test_case "kernel invariants after a 128-CPU hierarchy run" `Quick
+          test_machine_invariants_hierarchy;
       ] );
     ("sim.properties", props);
   ]
@@ -1138,6 +1194,30 @@ let test_machine_alloc_budget () =
     true
     (words <= 3.0 *. float accesses)
 
+(* Words one SDET superdome-64 build and run allocate directly in the
+   major heap (arrays too large for the minor heap), after a warm-up build.
+   Allocation sizes do not depend on timing, so this is deterministic.
+   Most of it is the kernel's tables, reserved once at their exact size:
+   183 k words, against 264 k for the hash tables keyed by real line that
+   they replaced and 382 k for id tables grown by doubling. *)
+let major_budget = 200_000
+
+let test_machine_major_budget () =
+  let cfg = Sdet.default_config (Topology.superdome ~cpus:64 ()) in
+  let direct () =
+    let _, promoted0, major0 = Gc.counters () in
+    ignore (Machine.run (Sdet.build cfg));
+    let _, promoted1, major1 = Gc.counters () in
+    major1 -. major0 -. (promoted1 -. promoted0)
+  in
+  ignore (direct ());
+  let words = direct () in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words allocated directly in the major heap (budget %d)" words
+       major_budget)
+    true
+    (words <= float major_budget)
+
 let suites =
   suites
   @ [
@@ -1146,6 +1226,7 @@ let suites =
           Alcotest.test_case "division by zero location" `Quick
             test_machine_division_by_zero_loc;
           Alcotest.test_case "allocation budget" `Quick test_machine_alloc_budget;
+          Alcotest.test_case "tables sized once" `Quick test_machine_major_budget;
         ] );
     ]
 

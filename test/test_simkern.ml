@@ -85,16 +85,16 @@ let topologies =
     (* > 62 CPUs exercises the multi-word sharer bitmasks *)
     ("superdome128", Topology.superdome ~cpus:128 ());
     ("bus4", Topology.bus ~cpus:4 ());
-    (* two CPUs see enough accesses each to overflow the "wide" geometry *)
+    (* two CPUs see enough accesses each to overflow the 20-line "wide" L2 *)
     ("bus2", Topology.bus ~cpus:2 ());
   ]
 
 let lines_in_play = 12
 
-(* (capacity, ways, distinct lines in play). The first three walk their
-   sets; "wide" is fully associative past the kernel's 16-way scan limit,
-   so its lines are found, evicted and removed through the per-CPU hash
-   tables, and it plays more lines than it holds. *)
+(* (capacity, ways, distinct lines in play). "wide" is a 20-line fully
+   associative L2 that plays more lines than it holds, so it evicts and
+   re-fetches through a long LRU chain; the set-associative variants place
+   lines by real line number whatever order the kernel numbered them in. *)
 let assoc_variants =
   [
     ("direct", (8, Some 1, lines_in_play));
@@ -332,6 +332,72 @@ let test_hint_live_episode (module M : IMPL) () =
   access 1 0 true;
   access 0 0 false;
   check_int "true sharing" 1 (M.stats c ~cpu:0).Sim_stats.true_sharing_misses
+
+(* Hint keys at the top of the address space. Hints used to be keyed by
+   [line * ncpus + cpu], which wraps once ncpus exceeds the line size at a
+   large legal address: on a 128-CPU machine with 16-byte lines the write
+   below raised [Invalid_argument] after the store was counted. Keyed by
+   line id, the episode must classify exactly as it does at address 256:
+   the write leaves cpu 0 a hint, and cpu 0's re-read is a true-sharing
+   miss. *)
+let test_hint_key_overflow () =
+  let episode addr =
+    let topo = Topology.superdome ~cpus:128 () in
+    let k = Coherence.create topo ~line_size:16 ~cache_capacity:8 ()
+    and s = Spec.create topo ~line_size:16 ~cache_capacity:8 () in
+    let step cpu w =
+      let lat = Coherence.access k ~cpu ~addr ~size:8 ~is_write:w in
+      check_int
+        (Printf.sprintf "latency at %d (cpu %d, write %b)" addr cpu w)
+        (Spec.access s ~cpu ~addr ~size:8 ~is_write:w)
+        lat;
+      lat
+    in
+    let read = step 0 false in
+    let write = step 1 true in
+    let line = addr / 16 in
+    let hint = Coherence.inv_hint k ~cpu:0 ~line in
+    Alcotest.(check (option (pair int int))) "hint after the write" (Some (0, 8)) hint;
+    Alcotest.(check bool) "spec hint" true (Spec.inv_hint s ~cpu:0 ~line = hint);
+    let reread = step 0 false in
+    for cpu = 0 to 127 do
+      if Coherence.stats k ~cpu <> Spec.stats s ~cpu then
+        Alcotest.failf "stats diverged on cpu %d at %d" cpu addr
+    done;
+    Coherence.check_invariants k;
+    ([ read; write; reread ], Coherence.stats k ~cpu:0)
+  in
+  let lats, st = episode (((max_int / 16) * 16) - 16) in
+  let lats256, st256 = episode 256 in
+  check_int "true-sharing re-read" 1 st.Sim_stats.true_sharing_misses;
+  Alcotest.(check (list int)) "latencies as at 256" lats256 lats;
+  Alcotest.(check bool) "cpu 0 stats as at 256" true (st = st256)
+
+(* The kernel's tables are id-major, so an out-of-range CPU would read a
+   neighbouring line's row: introspection rejects it instead. *)
+let test_introspection_cpu_range () =
+  let c =
+    Coherence.create (Topology.bus ~cpus:2 ()) ~line_size:128 ~cache_capacity:4
+      ~icache:{ Coherence.i_lines = 4; i_ways = None; i_line_size = 64 }
+      ~hierarchy:
+        { Coherence.h_l1_lines = 2; h_l1_ways = None; h_llc_lines = 4; h_llc_ways = None }
+      ()
+  in
+  List.iter
+    (fun addr -> ignore (Coherence.access c ~cpu:0 ~addr ~size:8 ~is_write:true))
+    [ 0; 128 ];
+  ignore (Coherence.ifetch c ~cpu:0 ~addr:0 ~size:128);
+  List.iter
+    (fun (what, f) ->
+      match f () with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "%s accepted cpu 2 of 2" what)
+    [
+      ("cache_state", fun () -> ignore (Coherence.cache_state c ~cpu:2 ~line:0));
+      ("inv_hint", fun () -> ignore (Coherence.inv_hint c ~cpu:2 ~line:0));
+      ("l1_resident", fun () -> ignore (Coherence.l1_resident c ~cpu:2 ~line:0));
+      ("icache_resident", fun () -> ignore (Coherence.icache_resident c ~cpu:2 ~line:0));
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Machine-level: replaying a run's recorded data and fetch traces through
@@ -833,7 +899,7 @@ let hier_variants =
       { Coherence.h_l1_lines = 2; h_l1_ways = None; h_llc_lines = 4; h_llc_ways = Some 2 } );
     ( "roomy",
       { Coherence.h_l1_lines = 4; h_l1_ways = None; h_llc_lines = 8; h_llc_ways = None } );
-    (* past the 16-way scan limit at both levels: hashed lookup there too *)
+    (* long LRU chains at both levels *)
     ( "wide",
       { Coherence.h_l1_lines = 18; h_l1_ways = None; h_llc_lines = 20; h_llc_ways = None } );
   ]
@@ -966,7 +1032,11 @@ let suites =
       [ QCheck_alcotest.to_alcotest prop_directory_invariants ] );
     ( "sim.kernel.hints",
       on_both "stale hint dropped with episode" test_hint_staleness
-      @ on_both "live hint still classifies" test_hint_live_episode );
+      @ on_both "live hint still classifies" test_hint_live_episode
+      @ [
+          Alcotest.test_case "hint keys near max_int on 128 CPUs" `Quick
+            test_hint_key_overflow;
+        ] );
     ( "sim.kernel.cache",
       on_both "remote-read downgrade refreshes LRU" test_downgrade_refreshes_lru
       @ on_both "Owned supplier keeps its LRU position"
@@ -977,6 +1047,8 @@ let suites =
         Alcotest.test_case "machine trace replays exactly through the spec"
           `Quick test_machine_spec_replay;
         Alcotest.test_case "kstats exposure" `Quick test_kstats_exposure;
+        Alcotest.test_case "introspection rejects an out-of-range cpu" `Quick
+          test_introspection_cpu_range;
       ] );
     ( "sim.kernel.icache",
       on_both "ifetch without an icache is rejected" test_ifetch_unconfigured
