@@ -215,12 +215,26 @@ let period_arg =
     value & opt (period_conv ~min:1) 400
     & info [ "period" ] ~docv:"CYCLES" ~doc:"PMU sampling period")
 
-let k1_arg = Arg.(value & opt float 1.0 & info [ "k1" ] ~doc:"CycleGain scale")
-let k2_arg = Arg.(value & opt float 2.0 & info [ "k2" ] ~doc:"CycleLoss scale")
+(* A FLG scale that is NaN or infinite is a command-line error (124): it
+   would turn every edge weight and every layout score into NaN or
+   infinity, and the search would still pick and print a layout. *)
+let finite_conv =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when Float.is_finite x -> Ok x
+    | _ -> Error (`Msg (Printf.sprintf "expected a finite number, got %S" s))
+  in
+  Arg.conv ~docv:"FLOAT" (parse, Format.pp_print_float)
 
+let k1_arg = Arg.(value & opt finite_conv 1.0 & info [ "k1" ] ~doc:"CycleGain scale")
+let k2_arg = Arg.(value & opt finite_conv 2.0 & info [ "k2" ] ~doc:"CycleLoss scale")
+
+(* An interval below 1 is rejected like a period below 1: CC bins
+   samples by interval, so it would fail only after profiling and
+   collection. *)
 let interval_arg =
   Arg.(
-    value & opt int 4000
+    value & opt (period_conv ~min:1) 4000
     & info [ "interval" ] ~docv:"CYCLES" ~doc:"CodeConcurrency interval")
 
 let line_size_arg =

@@ -32,6 +32,16 @@ val compute :
   fmf:Fmf.t ->
   struct_name:string ->
   t
+(** Walks {!Code_concurrency.pairs} once. Each line of a pair is one read
+    of the struct's {!Fmf.Table.t}, and each conflict adds into a dense
+    field × field float matrix over the table's field indices, which
+    becomes the by-name result at the end.
+
+    The walk keeps [pairs]' order (decreasing CC), then orientation, then
+    the lines' entry order. A map with saturated cells ([max_int])
+    gives a field pair sums above 2{^53}, where a float sum depends on
+    the order of its terms, so that order fixes every {!loss} (and the
+    FLG built from it) to the bit. *)
 
 val loss : t -> string -> string -> float
 (** Raw (un-scaled) loss between two fields; 0 when never concurrent.

@@ -34,6 +34,51 @@ let fields_at t ~line ~struct_name =
            Some (a.f_field, a.f_is_write)
          else None)
 
+(* One struct's accesses resolved to field indices. Entry [k] of a line
+   packs [(field lsl 1) lor is_write]; lines without an access of the
+   struct share one empty array. *)
+module Table = struct
+  type entries = int array
+
+  type t = { fields : string array; lines : entries array }
+
+  let fields t = Array.copy t.fields
+
+  let at t ~line =
+    if line >= 0 && line < Array.length t.lines then t.lines.(line) else [||]
+
+  let length = Array.length
+  let field (e : entries) k = e.(k) lsr 1
+  let is_write (e : entries) k = e.(k) land 1 = 1
+end
+
+let table t ~struct_name =
+  let names =
+    Hashtbl.fold
+      (fun _ accs names ->
+        List.fold_left
+          (fun names a ->
+            if String.equal a.f_struct struct_name then a.f_field :: names
+            else names)
+          names accs)
+      t.lines []
+    |> List.sort_uniq String.compare |> Array.of_list
+  in
+  let index = Hashtbl.create (Array.length names) in
+  Array.iteri (fun i name -> Hashtbl.replace index name i) names;
+  let last = Hashtbl.fold (fun line _ last -> max line last) t.lines (-1) in
+  let lines = Array.make (last + 1) [||] in
+  Hashtbl.iter
+    (fun line _ ->
+      if line >= 0 then
+        lines.(line) <-
+          Array.of_list
+            (List.map
+               (fun (f, w) -> (Hashtbl.find index f lsl 1) lor Bool.to_int w)
+               (fields_at t ~line ~struct_name)))
+    t.lines;
+  { Table.fields = names; lines }
+
 let lines_accessing t ~struct_name =
   Hashtbl.fold
     (fun line accs acc ->

@@ -13,6 +13,8 @@ type t = {
 }
 
 let build ?(k1 = 1.0) ?(k2 = 1.0) ~fields ~affinity ?cycle_loss () =
+  if not (Float.is_finite k1 && Float.is_finite k2) then
+    invalid_arg "Flg.build: k1 and k2 must be finite";
   let struct_name = affinity.Affinity_graph.struct_name in
   let names = List.map (fun (f : Field.t) -> f.Field.name) fields in
   let known = Hashtbl.create 16 in

@@ -31,8 +31,10 @@ val build :
   t
 (** Defaults: [k1 = 1.0], [k2 = 1.0]. Omitting [cycle_loss] yields the
     single-threaded FLG (pure locality optimization — the CGO'06 baseline
-    this paper builds on). @raise Invalid_argument if the affinity graph's
-    struct differs or a hotness entry names an unknown field. *)
+    this paper builds on). @raise Invalid_argument if [k1] or [k2] is not
+    finite (a NaN or infinite scale makes every weight NaN or infinite),
+    the affinity graph's struct differs or a hotness entry names an
+    unknown field. *)
 
 val weight : t -> string -> string -> float
 val hotness_of : t -> string -> int

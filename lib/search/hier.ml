@@ -18,45 +18,59 @@ module Fmf = Slo_concurrency.Fmf
 type profile = {
   p_fields : Field.t list;
   p_ncpus : int;
-  p_reads : (string, int array) Hashtbl.t; (* field -> per-CPU read count *)
-  p_writes : (string, int array) Hashtbl.t;
+  p_index : (string, int) Hashtbl.t; (* field -> its position in p_fields *)
+  p_reads : int array array; (* position -> per-CPU read count *)
+  p_writes : int array array;
 }
 
 let profile ~fmf ~struct_name ~fields ~ncpus samples =
   if ncpus <= 0 then invalid_arg "Hier.profile: ncpus <= 0";
   if fields = [] then invalid_arg "Hier.profile: no fields";
-  let reads = Hashtbl.create 16 and writes = Hashtbl.create 16 in
-  List.iter
-    (fun (f : Field.t) ->
-      if Hashtbl.mem reads f.Field.name then
+  let index = Hashtbl.create 16 in
+  List.iteri
+    (fun i (f : Field.t) ->
+      if Hashtbl.mem index f.Field.name then
         invalid_arg
           (Printf.sprintf "Hier.profile: duplicate field %S" f.Field.name);
-      Hashtbl.replace reads f.Field.name (Array.make ncpus 0);
-      Hashtbl.replace writes f.Field.name (Array.make ncpus 0))
+      Hashtbl.replace index f.Field.name i)
     fields;
+  let counts () = Array.init (List.length fields) (fun _ -> Array.make ncpus 0) in
+  let reads = counts () and writes = counts () in
+  let table = Fmf.table fmf ~struct_name in
+  (* Table field index -> position, or -1 for a field of the struct we
+     were not asked about. *)
+  let pos =
+    Array.map
+      (fun name -> Option.value (Hashtbl.find_opt index name) ~default:(-1))
+      (Fmf.Table.fields table)
+  in
   List.iter
     (fun (s : Machine.sample) ->
       let cpu = s.Machine.s_cpu in
-      if cpu >= 0 && cpu < ncpus then
-        List.iter
-          (fun (fname, is_w) ->
-            match Hashtbl.find_opt (if is_w then writes else reads) fname with
-            | Some a -> a.(cpu) <- a.(cpu) + 1
-            | None -> () (* a field of the struct we were not asked about *))
-          (Fmf.fields_at fmf ~line:s.Machine.s_line ~struct_name))
+      if cpu >= 0 && cpu < ncpus then begin
+        let e = Fmf.Table.at table ~line:s.Machine.s_line in
+        for k = 0 to Fmf.Table.length e - 1 do
+          let i = pos.(Fmf.Table.field e k) in
+          if i >= 0 then begin
+            let a = if Fmf.Table.is_write e k then writes.(i) else reads.(i) in
+            a.(cpu) <- a.(cpu) + 1
+          end
+        done
+      end)
     samples;
-  { p_fields = fields; p_ncpus = ncpus; p_reads = reads; p_writes = writes }
+  { p_fields = fields; p_ncpus = ncpus; p_index = index; p_reads = reads;
+    p_writes = writes }
 
 let ncpus p = p.p_ncpus
 let fields p = p.p_fields
 
-let count tbl name cpu =
-  match Hashtbl.find_opt tbl name with
-  | Some a when cpu >= 0 && cpu < Array.length a -> a.(cpu)
+let count p counts name cpu =
+  match Hashtbl.find_opt p.p_index name with
+  | Some i when cpu >= 0 && cpu < p.p_ncpus -> counts.(i).(cpu)
   | _ -> 0
 
-let read_count p ~field ~cpu = count p.p_reads field cpu
-let write_count p ~field ~cpu = count p.p_writes field cpu
+let read_count p ~field ~cpu = count p p.p_reads field cpu
+let write_count p ~field ~cpu = count p p.p_writes field cpu
 
 (* The level weight of one cross-CPU conflict: the cache-to-cache
    transfer cost between the two CPUs, normalized by the memory latency
@@ -70,17 +84,33 @@ let penalty topo ~src ~dst =
     float_of_int (Topology.transfer_latency topo ~src ~dst)
     /. float_of_int (Topology.memory_latency topo)
 
-let arr tbl name ncpus =
-  match Hashtbl.find_opt tbl name with Some a -> a | None -> Array.make ncpus 0
+(* A field some CPU accessed, the only kind that can carry an edge: its
+   per-CPU access (read + write) and write counts, and the CPUs where
+   each is non-zero, ascending. *)
+type active = {
+  name : string;
+  acc : int array;
+  wr : int array;
+  acc_cpus : int array;
+  wr_cpus : int array;
+}
 
-(* Per-field per-CPU total access counts (reads + writes). *)
-let access_arrays p =
-  List.map
-    (fun (f : Field.t) ->
-      let r = arr p.p_reads f.Field.name p.p_ncpus
-      and w = arr p.p_writes f.Field.name p.p_ncpus in
-      (f.Field.name, r, w, Array.init p.p_ncpus (fun c -> r.(c) + w.(c))))
+let nonzero a =
+  let cpus = ref [] in
+  for c = Array.length a - 1 downto 0 do
+    if a.(c) > 0 then cpus := c :: !cpus
+  done;
+  Array.of_list !cpus
+
+(* The accessed fields, in [p_fields] order. *)
+let actives p =
+  List.mapi
+    (fun i (f : Field.t) ->
+      let r = p.p_reads.(i) and wr = p.p_writes.(i) in
+      let acc = Array.init p.p_ncpus (fun c -> r.(c) + wr.(c)) in
+      { name = f.Field.name; acc; wr; acc_cpus = nonzero acc; wr_cpus = nonzero wr })
     p.p_fields
+  |> List.filter (fun a -> a.acc_cpus <> [||])
 
 let fold_pairs xs ~init ~f =
   let rec outer acc = function
@@ -97,15 +127,16 @@ let add_nodes p =
 (* Colocation gain: for each CPU, paired accesses to both fields by that
    CPU — accesses that would have shared a line had the fields been
    colocated (the same [min] pairing estimate the CycleGain side of the
-   classic FLG uses). Same-CPU only: gain is machine-independent. *)
-let gain_graph p =
-  let accs = access_arrays p in
-  fold_pairs accs ~init:(add_nodes p) ~f:(fun g (fn, _, _, fa) (gn, _, _, ga) ->
+   classic FLG uses). Same-CPU only: gain is machine-independent. A CPU
+   that did not access [f] adds min = 0, so only [f]'s CPUs are summed. *)
+let gain_graph p acts =
+  fold_pairs acts ~init:(add_nodes p) ~f:(fun g f h ->
       let s = ref 0 in
-      for c = 0 to p.p_ncpus - 1 do
-        s := !s + min fa.(c) ga.(c)
+      for k = 0 to Array.length f.acc_cpus - 1 do
+        let c = f.acc_cpus.(k) in
+        s := !s + Int.min f.acc.(c) h.acc.(c)
       done;
-      if !s > 0 then Sgraph.add_edge g fn gn (float_of_int !s) else g)
+      if !s > 0 then Sgraph.add_edge g f.name h.name (float_of_int !s) else g)
 
 (* Contention loss under a level-weight function: writes to one field by
    CPU [c1] paired against accesses to the other field by CPU [c2 <> c1]
@@ -113,9 +144,11 @@ let gain_graph p =
    by [pen ~src:c1 ~dst:c2]. With [pen = penalty topo] this is the
    hierarchy-aware loss; with a constant it degenerates to the classic
    distance-blind estimate. [pen] is tabulated once per call: the
-   O(F²·P²) loop reads the same floats from a P×P array. *)
-let loss_graph ~pen p =
-  let accs = access_arrays p in
+   O(F²·P²) loop reads the same floats from a P×P array. Only CPUs with
+   non-zero counts are visited, in ascending order: the skipped terms
+   are the zero-count ones, and the rest are added in full-scan order,
+   so every weight is the full scan's to the bit. *)
+let loss_graph ~pen p acts =
   let ncpus = p.p_ncpus in
   let pens = Float.Array.make (ncpus * ncpus) 0.0 in
   for c1 = 0 to ncpus - 1 do
@@ -123,31 +156,35 @@ let loss_graph ~pen p =
       Float.Array.set pens ((c1 * ncpus) + c2) (pen ~src:c1 ~dst:c2)
     done
   done;
-  let pair_loss (wf : int array) (ga : int array) =
+  (* [w]'s writes against [a]'s accesses. *)
+  let pair_loss w a =
     let s = ref 0.0 in
-    for c1 = 0 to ncpus - 1 do
-      if wf.(c1) > 0 then
-        for c2 = 0 to ncpus - 1 do
-          if c2 <> c1 && ga.(c2) > 0 then
-            s :=
-              !s
-              +. float_of_int (min wf.(c1) ga.(c2))
-                 *. Float.Array.get pens ((c1 * ncpus) + c2)
-        done
+    for i = 0 to Array.length w.wr_cpus - 1 do
+      let c1 = w.wr_cpus.(i) in
+      for j = 0 to Array.length a.acc_cpus - 1 do
+        let c2 = a.acc_cpus.(j) in
+        if c2 <> c1 then
+          s :=
+            !s
+            +. float_of_int (Int.min w.wr.(c1) a.acc.(c2))
+               *. Float.Array.get pens ((c1 * ncpus) + c2)
+      done
     done;
     !s
   in
-  fold_pairs accs ~init:(add_nodes p)
-    ~f:(fun g (fn, _, fw, fa) (gn, _, gw, ga) ->
-      let l = pair_loss fw ga +. pair_loss gw fa in
-      if l > 0.0 then Sgraph.add_edge g fn gn l else g)
+  fold_pairs acts ~init:(add_nodes p) ~f:(fun g f h ->
+      let l = pair_loss f h +. pair_loss h f in
+      if l > 0.0 then Sgraph.add_edge g f.name h.name l else g)
 
 let graph ?(k1 = 1.0) ?(k2 = 1.0) ~pen p =
+  if not (Float.is_finite k1 && Float.is_finite k2) then
+    invalid_arg "Hier: k1 and k2 must be finite";
+  let acts = actives p in
   let gain =
-    Sgraph.map_weights (gain_graph p) ~f:(fun _ _ w -> k1 *. w)
+    Sgraph.map_weights (gain_graph p acts) ~f:(fun _ _ w -> k1 *. w)
   in
   let loss =
-    Sgraph.map_weights (loss_graph ~pen p) ~f:(fun _ _ w -> -.(k2 *. w))
+    Sgraph.map_weights (loss_graph ~pen p acts) ~f:(fun _ _ w -> -.(k2 *. w))
   in
   Sgraph.union gain loss
 

@@ -39,8 +39,11 @@ val profile :
     through the field/mode finder to the fields of [struct_name] it
     accesses, and the count for (field, sample's CPU, mode) is bumped.
     Samples from CPUs outside [0, ncpus) and fields not in [fields] are
-    ignored. @raise Invalid_argument if [ncpus <= 0], [fields] is empty,
-    or a field name repeats. *)
+    ignored. The mapping is resolved once into a
+    {!Slo_concurrency.Fmf.Table.t}, so a sample costs one array read and
+    its counter bumps, with no lookup by name and no allocation.
+    @raise Invalid_argument if [ncpus <= 0], [fields] is empty, or a
+    field name repeats. *)
 
 val ncpus : profile -> int
 val fields : profile -> Slo_layout.Field.t list
@@ -65,7 +68,14 @@ val objective :
 (** The hierarchy-aware objective: FLG edge weights
     [k1·gain − k2·loss_topo] where each cross-CPU conflict in the loss is
     scaled by {!penalty} of the conflicting CPU pair. [k1] and [k2]
-    default to 1.0. *)
+    default to 1.0.
+
+    Only fields with an access in the profile can carry an edge, so the
+    gain and loss sums run over those fields' pairs, and over each
+    field's CPUs with a non-zero count, in ascending order. The terms
+    skipped are exact zeros and the rest are added in the order of the
+    full field × CPU scan, so every weight equals that scan's to the bit.
+    @raise Invalid_argument if [k1] or [k2] is not finite. *)
 
 val flat_objective :
   ?k1:float ->
@@ -76,4 +86,5 @@ val flat_objective :
   Objective.t
 (** The distance-blind control: identical construction but every
     cross-CPU conflict weighs 1.0 regardless of where the CPUs sit — the
-    single-level objective's view of the machine. *)
+    single-level objective's view of the machine.
+    @raise Invalid_argument if [k1] or [k2] is not finite. *)

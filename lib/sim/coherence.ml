@@ -341,8 +341,12 @@ let intern t ~line = intern_in t t.data line
 let intern_code t ~line = intern_in t t.code line
 
 let reserve t ~lines ~code_lines =
-  if lines > Array.length t.data.line_of then resize t t.data lines;
-  if code_lines > Array.length t.code.line_of then resize t t.code code_lines
+  let size sp n =
+    if n > Array.length sp.line_of then resize t sp n;
+    Flat_tab.reserve sp.ids n
+  in
+  size t.data lines;
+  size t.code code_lines
 
 (* The id of a line already seen, or -1: introspection never interns. Its
    CPUs come from outside and must be checked: an id-major table would

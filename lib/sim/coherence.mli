@@ -123,8 +123,10 @@ val access : t -> cpu:int -> addr:int -> size:int -> is_write:bool -> int
     then drives the id entry points, which look nothing up. *)
 
 val reserve : t -> lines:int -> code_lines:int -> unit
-(** Size every per-line table for [lines] data and [code_lines] I-cache
-    ids in one step; past that, a table grows by doubling. *)
+(** Size every per-line table, and the two interners that hand out the
+    ids, for [lines] data and [code_lines] I-cache ids in one step;
+    interning that many lines then allocates nothing. Past that, a table
+    grows by doubling. *)
 
 val intern : t -> line:int -> int
 (** The id of data line [line] ([addr / line_size]), handed out 0, 1,

@@ -52,13 +52,13 @@ let find t k ~default =
     let i = slot_of t k in
     if t.keys.(i) = k then t.vals.(i) else default
 
-let grow t =
+(* Re-insert every binding into fresh arrays of [cap] slots. *)
+let rehash t cap =
   let keys = t.keys and vals = t.vals in
-  let cap = (t.mask + 1) * 2 in
   t.keys <- Array.make cap (-1);
   t.vals <- Array.make cap 0;
   t.mask <- cap - 1;
-  t.shift <- t.shift - 1;
+  t.shift <- Sys.int_size - log2 cap;
   Array.iteri
     (fun i k ->
       if k <> -1 then begin
@@ -67,6 +67,14 @@ let grow t =
         t.vals.(j) <- vals.(i)
       end)
     keys
+
+let grow t = rehash t ((t.mask + 1) * 2)
+
+(* A table holds [n] bindings without growing while n * 4 <= 3 * capacity
+   (the load bound [set] and [add] keep). *)
+let reserve t n =
+  let cap = pow2 (((4 * n) + 2) / 3) (t.mask + 1) in
+  if cap > t.mask + 1 then rehash t cap
 
 let set t k v =
   if k < 0 then invalid_arg "Flat_tab.set: negative key";

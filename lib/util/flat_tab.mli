@@ -48,6 +48,12 @@ val add : t -> int -> int -> int
     streaming binner and the CC map rest on.
     @raise Invalid_argument on a negative key. *)
 
+val reserve : t -> int -> unit
+(** [reserve t n] grows [t] at once to the capacity at which [n]
+    bindings fit without growing again (a no-op if it is already that
+    large). Bindings and lookups are unchanged; only the slot order and
+    the probe counts can differ. *)
+
 val remove : t -> int -> unit
 (** Delete a binding (no-op when absent). Backward-shift deletion: no
     tombstones, so load factor — and probe length — only reflects live

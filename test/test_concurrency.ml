@@ -278,6 +278,53 @@ let test_cycle_loss_uniform_scale () =
     (Cycle_loss.loss cross "a" "c");
   checkf "read-read pair stays zero" 0.0 (Cycle_loss.loss cross "b" "c")
 
+(* Cycle_loss against the frozen by-name oracle (fmf_oracle.ml), bit for
+   bit, on random concurrency maps over the lines of random programs and
+   of the SDET kernel. Some cells hold [max_int], so a field pair's float
+   sum passes 2^53 and its rounding depends on the order of the
+   additions: only the same additions in the same order agree. *)
+let kernel_program = lazy (Slo_workload.Kernel.program ())
+
+let gen_loss_case =
+  let open QCheck2.Gen in
+  let* src =
+    frequency
+      [ (4, map Option.some (Gen.minic_program ())); (1, return None) ]
+  in
+  let program, source =
+    match src with
+    | Some src -> (lazy (Typecheck.check (Parser.parse_program ~file:"gen.mc" src)), src)
+    | None -> (kernel_program, Slo_workload.Kernel.source)
+  in
+  let bound = List.length (String.split_on_char '\n' source) + 1 in
+  let* struct_name =
+    match src with
+    | Some _ -> oneofl [ "G"; Slo_ir.Ast.globals_struct_name ]
+    | None -> oneofl Slo_workload.Kernel.struct_names
+  in
+  let cell =
+    let* l1 = int_bound bound in
+    let* l2 = int_bound bound in
+    let* v = frequency [ (1, return max_int); (4, int_range 1 5000) ] in
+    return (l1, l2, v)
+  in
+  let* cells = list_size (int_bound 120) cell in
+  return (src, program, struct_name, cells)
+
+let prop_cycle_loss_eq_oracle =
+  QCheck2.Test.make ~name:"Cycle_loss.pairs = by-name oracle, to the bit" ~count:300
+    ~print:(fun (src, _, struct_name, cells) ->
+      Printf.sprintf "%s, %d cells\n%s" struct_name (List.length cells)
+        (Option.value src ~default:"<kernel>"))
+    gen_loss_case
+    (fun (_, program, struct_name, cells) ->
+      let fmf = Fmf.of_program (Lazy.force program) in
+      let cm = CC.create () in
+      List.iter (fun (l1, l2, v) -> CC.For_tests.add cm l1 l2 v) cells;
+      let bits = List.map (fun (k, v) -> (k, Int64.bits_of_float v)) in
+      bits (Cycle_loss.pairs (Cycle_loss.compute ~cm ~fmf ~struct_name))
+      = bits (Fmf_oracle.Cycle_loss.pairs (Fmf_oracle.Cycle_loss.compute ~cm ~fmf ~struct_name)))
+
 (* ------------------------------------------------------------------ *)
 (* Binner counters and the row view *)
 
@@ -847,6 +894,8 @@ let suites =
         Alcotest.test_case "same-line loss" `Quick test_cycle_loss_same_line_fields;
         Alcotest.test_case "uniform conflict-event scale" `Quick
           test_cycle_loss_uniform_scale;
+        QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 24 |])
+          prop_cycle_loss_eq_oracle;
       ] );
     ( "concurrency.saturation",
       [

@@ -873,6 +873,37 @@ let test_set_code_layout_validation () =
   expect_invalid "relayout after run" (fun () ->
       Machine.set_code_layout m all)
 
+(* [Coherence.reserve] sizes the two interners along with the id tables,
+   so interning exactly the reserved lines grows no interner array and
+   allocates nothing; ids still follow first sight. ([Machine.run]
+   reserves its arena, its globals and its code segment this way.) *)
+let test_reserve_sizes_interners () =
+  let icache = { Coherence.i_lines = 8; i_ways = None; i_line_size = 64 } in
+  let k =
+    Coherence.create (Topology.bus ~cpus:2 ()) ~line_size:128 ~cache_capacity:4
+      ~icache ()
+  in
+  let lines = 518 and code_lines = 300 in
+  Coherence.reserve k ~lines ~code_lines;
+  let data_ids = Array.make lines (-1) and code_ids = Array.make code_lines (-1) in
+  let minor0, promoted0, major0 = Gc.counters () in
+  for l = 0 to lines - 1 do
+    data_ids.(l) <- Coherence.intern k ~line:(3 * l)
+  done;
+  for l = 0 to code_lines - 1 do
+    code_ids.(l) <- Coherence.intern_code k ~line:(7 * l)
+  done;
+  let minor1, promoted1, major1 = Gc.counters () in
+  let words = minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0) in
+  (* The first [Gc.counters] result is the only allocation left. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words allocated while interning" words)
+    true (words < 64.0);
+  Alcotest.(check bool) "data ids in first-seen order" true
+    (Array.for_all2 ( = ) data_ids (Array.init lines Fun.id));
+  Alcotest.(check bool) "code ids in first-seen order" true
+    (Array.for_all2 ( = ) code_ids (Array.init code_lines Fun.id))
+
 let test_kstats_exposure () =
   let c =
     Coherence.create (Topology.bus ~cpus:2 ()) ~line_size:128 ~cache_capacity:4 ()
@@ -1047,6 +1078,8 @@ let suites =
         Alcotest.test_case "machine trace replays exactly through the spec"
           `Quick test_machine_spec_replay;
         Alcotest.test_case "kstats exposure" `Quick test_kstats_exposure;
+        Alcotest.test_case "reserve sizes the interners" `Quick
+          test_reserve_sizes_interners;
         Alcotest.test_case "introspection rejects an out-of-range cpu" `Quick
           test_introspection_cpu_range;
       ] );
