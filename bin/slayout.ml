@@ -199,32 +199,39 @@ let cpus_collect_arg =
     value & opt int 16
     & info [ "cpus" ] ~docv:"N" ~doc:"CPUs of the simulated collection machine")
 
-(* A sampling period below [min] is a command-line error (124), reported
-   before any work: a period that is not positive would never advance the
-   sampler, and the run would record samples until memory ran out. *)
-let period_conv ~min =
+(* An integer option below [min] is a command-line error (124), reported
+   before any work. A sampling period that is not positive would never
+   advance the sampler, and the run would record samples until memory ran
+   out. *)
+let int_conv ?(docv = "N") ~min () =
   let parse s =
     match int_of_string_opt s with
     | Some p when p >= min -> Ok p
     | _ -> Error (`Msg (Printf.sprintf "expected an integer >= %d, got %S" min s))
   in
-  Arg.conv ~docv:"CYCLES" (parse, Format.pp_print_int)
+  Arg.conv ~docv (parse, Format.pp_print_int)
+
+let period_conv ~min = int_conv ~docv:"CYCLES" ~min ()
 
 let period_arg =
   Arg.(
     value & opt (period_conv ~min:1) 400
     & info [ "period" ] ~docv:"CYCLES" ~doc:"PMU sampling period")
 
-(* A FLG scale that is NaN or infinite is a command-line error (124): it
-   would turn every edge weight and every layout score into NaN or
-   infinity, and the search would still pick and print a layout. *)
-let finite_conv =
+(* A float option outside the range [ok] accepts is a command-line error
+   (124); NaN fails every range below. *)
+let float_conv ~expected ok =
   let parse s =
     match float_of_string_opt s with
-    | Some x when Float.is_finite x -> Ok x
-    | _ -> Error (`Msg (Printf.sprintf "expected a finite number, got %S" s))
+    | Some x when ok x -> Ok x
+    | _ -> Error (`Msg (Printf.sprintf "expected %s, got %S" expected s))
   in
   Arg.conv ~docv:"FLOAT" (parse, Format.pp_print_float)
+
+(* A FLG scale that is NaN or infinite would turn every edge weight and
+   every layout score into NaN or infinity, and the search would still
+   pick and print a layout. *)
+let finite_conv = float_conv ~expected:"a finite number" Float.is_finite
 
 let k1_arg = Arg.(value & opt finite_conv 1.0 & info [ "k1" ] ~doc:"CycleGain scale")
 let k2_arg = Arg.(value & opt finite_conv 2.0 & info [ "k2" ] ~doc:"CycleLoss scale")
@@ -1178,10 +1185,13 @@ let serve_cmd =
             (Serve.version t)
         | None -> ())
   in
+  (* Serve.create checks these too, but only after the profile and the
+     collection have run. *)
+  let at_least_1 = int_conv ~min:1 () in
   let window_arg =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some at_least_1) None
       & info [ "window" ] ~docv:"N"
           ~doc:
             "sliding-window length in intervals (default: two phases of \
@@ -1189,27 +1199,32 @@ let serve_cmd =
   in
   let decay_arg =
     Arg.(
-      value & opt float 0.9
+      value
+      & opt
+          (float_conv ~expected:"a number in (0, 1]" (fun x ->
+               x > 0.0 && x <= 1.0))
+          0.9
       & info [ "decay" ] ~docv:"D"
           ~doc:"per-interval-of-age CC decay, in (0, 1]; 1.0 disables decay")
   in
   let drift_arg =
     Arg.(
-      value & opt float 0.05
+      value
+      & opt (float_conv ~expected:"a number >= 0" (fun x -> x >= 0.0)) 0.05
       & info [ "drift-threshold" ] ~docv:"D"
           ~doc:
             "re-search when the weighted CC's normalized L1 drift since \
-             the last publication exceeds $(docv)")
+             the last publication exceeds $(docv) (inf: never)")
   in
   let min_samples_arg =
     Arg.(
-      value & opt int 64
+      value & opt at_least_1 64
       & info [ "min-samples" ] ~docv:"N"
           ~doc:"live samples required before the first publication")
   in
   let capacity_arg =
     Arg.(
-      value & opt int 64
+      value & opt at_least_1 64
       & info [ "queue-capacity" ] ~docv:"N"
           ~doc:"max queued batches before admission control drops")
   in

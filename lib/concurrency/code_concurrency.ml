@@ -62,7 +62,10 @@ let add t l1 l2 v = add_key t (key l1 l2) v
      cpu_first.(m + 1)) of [t_line] (line index, ascending) and [t_cnt].
      [cursor.(m)] is where the next line to be paired sits in them.
    - [same.(j)] accumulates the same-CPU term of the line being paired
-     with line j, and is 0 between lines. *)
+     with line j, and is 0 between lines.
+   - [row_code]/[row_val] hold the row of positive pairs the kernel hands
+     out for the line being paired: at most one per line, so they grow
+     with the lines of an interval, not its entries. *)
 type scratch = {
   dense : Flat_tab.t;
   mutable cap : int;
@@ -81,13 +84,15 @@ type scratch = {
   mutable t_line : int array;
   mutable t_cnt : int array;
   mutable same : int array;
+  mutable row_code : int array;
+  mutable row_val : int array;
 }
 
 let scratch () =
   { dense = Flat_tab.create (); cap = 0; n_lines = 0; cpu = [||];
     cnt = [||]; lines = [||]; first = [||]; runs = [||]; vals = [||];
     mult = [||]; le = [||]; le_sum = [||]; cpu_first = [||]; cursor = [||];
-    t_line = [||]; t_cnt = [||]; same = [||] }
+    t_line = [||]; t_cnt = [||]; same = [||]; row_code = [||]; row_val = [||] }
 
 (* Room for [e] entries: an interval has at most [e] lines, CPUs and runs. *)
 let reserve sc e =
@@ -224,26 +229,71 @@ let same_row sc i =
     done
   done
 
-let cc_of_interval t sc tbl =
+(* Σ over the entry pairs of lines a and b on different CPUs of
+   min(a_m, b_n), term by term. Below [max_int] the kernel's two sums are
+   exact and their difference is this sum; once the first saturates, the
+   difference is not min(CC, [max_int]) (the second may be near it too),
+   so the pair is summed directly. Only counts near [max_int] divided by
+   the entries get here. *)
+let cross_pairs sc a b =
+  let acc = ref 0 in
+  for x = sc.first.(a) to sc.first.(a + 1) - 1 do
+    for y = sc.first.(b) to sc.first.(b + 1) - 1 do
+      if sc.cpu.(x) <> sc.cpu.(y) then
+        acc := sat_add !acc (Int.min sc.cnt.(x) sc.cnt.(y))
+    done
+  done;
+  !acc
+
+(* The kernel. Line i is paired with itself and then with every later
+   line, so over the interval the codes come out strictly ascending. Each
+   line's pairs with a positive CC go to [emit] as one row. *)
+let interval_rows sc tbl emit =
   load sc (Sample.rows tbl);
   let lines = sc.lines and same = sc.same and n = sc.n_lines in
+  if n > Array.length sc.row_code then begin
+    let len = max n (2 * Array.length sc.row_code) in
+    sc.row_code <- Array.make len 0;
+    sc.row_val <- Array.make len 0
+  end;
+  let row_code = sc.row_code and row_val = sc.row_val in
   for i = 0 to n - 1 do
     let l1 = lines.(i) in
     let hi = l1 lsl line_bits in
     (* Diagonal: two different CPUs executing the same line. *)
-    add_key t (hi lor l1) (sum_min_all sc i i - total sc i);
+    let all = sum_min_all sc i i in
+    let v = if all = max_int then cross_pairs sc i i else all - total sc i in
+    let k = ref 0 in
+    if v > 0 then begin
+      row_code.(0) <- hi lor l1;
+      row_val.(0) <- v;
+      k := 1
+    end;
     same_row sc i;
     for j = i + 1 to n - 1 do
-      add_key t (hi lor lines.(j)) (sum_min_all sc i j - same.(j));
-      same.(j) <- 0
-    done
+      let all = sum_min_all sc i j in
+      let v = if all = max_int then cross_pairs sc i j else all - same.(j) in
+      same.(j) <- 0;
+      if v > 0 then begin
+        row_code.(!k) <- hi lor lines.(j);
+        row_val.(!k) <- v;
+        incr k
+      end
+    done;
+    if !k > 0 then emit row_code row_val !k
+  done
+
+(* The [emit] that adds each row into the map [t], in emission order. *)
+let add_rows t codes values n =
+  for x = 0 to n - 1 do
+    add_key t codes.(x) values.(x)
   done
 
 let create () = Flat_tab.create ()
 
 let of_interval tbl =
   let t = create () in
-  cc_of_interval t (scratch ()) tbl;
+  interval_rows (scratch ()) tbl (add_rows t);
   t
 
 let merge_into dst src = Flat_tab.iter src (fun k v -> add_key dst k v)
@@ -278,7 +328,8 @@ let of_tables ?pool tables =
   Obs.time "cc.compute_s" (fun () ->
       let compute_chunk tbls =
         let t = create () and sc = scratch () in
-        List.iter (cc_of_interval t sc) tbls;
+        let emit = add_rows t in
+        List.iter (fun tbl -> interval_rows sc tbl emit) tbls;
         t
       in
       let parts =
@@ -349,7 +400,7 @@ let merge a b =
    exactly reproducible whatever order the intervals were merged in. A
    product that saturates stays saturated (max_int, not max_int / den):
    once a count is "infinite" scaling cannot un-saturate it. *)
-let scale v ~num ~den =
+let[@inline] scale v ~num ~den =
   let p = sat_mul v num in
   if p = max_int then max_int else p / den
 
@@ -407,16 +458,20 @@ let mass values =
     Array.fold_left (fun acc v -> acc +. float_of_int v) 0.0 vs
   end
 
-let view_of_codes codes values =
-  let order = Array.init (Array.length codes) Fun.id in
-  Array.stable_sort (fun i j -> Int.compare codes.(i) codes.(j)) order;
-  { v_codes = Array.map (Array.get codes) order;
-    v_values = Array.map (Array.get values) order;
-    v_mass = mass values }
+let view_of_ascending codes values =
+  let n = Array.length codes in
+  if Array.length values <> n then
+    invalid_arg "Code_concurrency.view_of_ascending: length mismatch";
+  for i = 1 to n - 1 do
+    if codes.(i) <= codes.(i - 1) then
+      invalid_arg "Code_concurrency.view_of_ascending: codes not ascending"
+  done;
+  { v_codes = codes; v_values = values; v_mass = mass values }
 
 let view t =
   let codes, values = to_codes t in
-  view_of_codes codes values
+  Int_sort.sort_by_key codes values ~lo:0 ~hi:(Array.length codes);
+  view_of_ascending codes values
 
 (* Half the L1 distance of the unit-mass maps: one merge walk over the two
    ascending code sequences, a code missing on one side counting 0 there. *)

@@ -25,6 +25,18 @@
     profile-scale frequencies stay non-negative, and saturating sums and
     products of non-negative values equal min(true value, [max_int]) in
     any order, which the merges and the sharded reduce below depend on.
+    A difference of two saturated sums is not, so a pair whose first sum
+    saturates is summed term by term over its cross-CPU entry pairs
+    instead: every value is min(CC, [max_int]) exactly.
+
+    {b Emission order.} The kernel pairs each line, in ascending order,
+    with itself and then with every later line, so the pairs of one
+    interval come out in ascending (l1, l2) order, each once. It hands
+    them to its caller one line at a time ({!interval_rows}), through a
+    row buffer of at most one entry per line kept in its {!scratch}.
+    There is one kernel loop and three consumers: {!compute}'s chunks and
+    {!of_interval} add the rows into their map in emission order, and the
+    serve window appends them to its memo of the interval.
 
     {b Representation.} The map is one flat {!Slo_util.Flat_tab} keyed by
     the packed pair [(l1 lsl 31) lor l2], [l1 <= l2]. Lines are
@@ -62,8 +74,7 @@ val compute : ?pool:Slo_exec.Pool.t -> interval:int -> Sample_store.t -> t
     @raise Invalid_argument if [interval <= 0]. *)
 
 val of_interval : Sample.interval_table -> t
-(** CC of a single interval — what the serve window memoizes and merges
-    with {!merge_scaled}. *)
+(** CC of a single interval: the map of its {!interval_rows}. *)
 
 val cc : t -> int -> int -> int
 (** [cc t l1 l2] — symmetric; 0 when never concurrent or when a line is
@@ -93,26 +104,41 @@ val merge_scaled : t -> t -> num:int -> den:int -> unit
 
 (** {2 Pair codes}
 
-    A pair's {e code} is the packed key the map stores it under: an
-    opaque non-negative int, equal for equal pairs. Codes let a consumer
-    that re-weights the same pairs over and over (the serve window) keep
-    them in its own dense arrays and hand them back for the two things
-    only this module can do with them: build a map and order them. *)
+    A pair's {e code} is the packed key the map stores it under: a
+    non-negative int, equal for equal pairs, and ascending codes are
+    ascending (l1, l2) pairs. Codes let a consumer that re-weights the
+    same pairs over and over (the serve window) keep them in its own
+    dense arrays, in code order, and hand them back to build a map or a
+    drift {!view}. *)
 
-val to_codes : t -> int array * int array
-(** The map's pairs as [(codes, values)], in no particular order. *)
+type scratch
+(** The kernel's working arrays: they grow to the largest interval seen
+    and are reused, never shrunk. One per domain. *)
+
+val scratch : unit -> scratch
+
+val interval_rows :
+  scratch -> Sample.interval_table -> (int array -> int array -> int -> unit) -> unit
+(** [interval_rows sc tbl emit] runs the kernel on one interval: for each
+    line l1 of [tbl], in ascending order, it calls [emit codes values n]
+    with the pairs (l1, l2), l2 >= l1, whose CC is positive, their codes
+    ascending in [codes.(0 .. n - 1)] and their CC in [values]. Lines
+    without such a pair are skipped. Over the interval the codes are
+    strictly ascending and every value is positive; {!of_interval} is the
+    map of all the rows. The two arrays belong to [sc] and the next row
+    overwrites them: [emit] copies what it keeps. *)
 
 val of_codes : int array -> int array -> t
-(** The map with pair [codes.(i)] at [values.(i)] (codes from
-    {!to_codes}; non-positive values are skipped, repeated codes add
-    saturating). *)
+(** The map with pair [codes.(i)] at [values.(i)] (non-positive values
+    are skipped, repeated codes add saturating). *)
 
 val accumulate_scaled :
   int array -> slots:int array -> counts:int array -> num:int -> den:int -> unit
 (** [accumulate_scaled sums ~slots ~counts ~num ~den] adds
     [floor (counts.(i) * num / den)] into [sums.(slots.(i))] for every
     [i], saturating — {!merge_scaled}'s rule on a consumer's dense
-    accumulator. @raise Invalid_argument if [num < 0] or [den <= 0]. *)
+    accumulator (a saturated product stays [max_int]).
+    @raise Invalid_argument if [num < 0] or [den <= 0]. *)
 
 (** {2 Shape drift} *)
 
@@ -123,9 +149,13 @@ type view
 
 val view : t -> view
 
-val view_of_codes : int array -> int array -> view
-(** The view of [of_codes codes values], built without the map: one sort
-    of the pairs by code. Values must be positive. *)
+val view_of_ascending : int array -> int array -> view
+(** The view of [of_codes codes values], built without the map and
+    without a sort: the codes must already be strictly ascending (one
+    O(n) check) and the values positive. The view keeps both arrays; the
+    caller must not change them afterwards.
+    @raise Invalid_argument if the codes are not strictly ascending or
+    the arrays' lengths differ. *)
 
 val drift_views : view -> view -> float
 (** {!drift} of the two viewed maps, to the bit. *)

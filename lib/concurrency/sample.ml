@@ -148,6 +148,8 @@ let drop_interval b idx =
 let below_watermark ~newest ~window idx =
   newest >= min_int + window && idx <= newest - window
 
+let table_count b = Hashtbl.length b.b_tables
+
 (* No table is empty: tables are created only for a positive count and
    leave [b_tables] whole. *)
 let binned_idx b =

@@ -115,6 +115,10 @@ val peak_entries : binner -> int
 (** Largest {!entries} over the accumulated interval tables (0 when no
     sample was fed) — the high-water mark streaming ingestion reports. *)
 
+val table_count : binner -> int
+(** The number of accumulated tables, [List.length (binned b)], without
+    listing or sorting them. *)
+
 val binned : binner -> interval_table list
 (** The accumulated tables in ascending interval order; empty intervals
     are omitted. *)

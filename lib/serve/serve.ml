@@ -60,7 +60,10 @@ let check_config cfg =
   if cfg.window <= 0 then invalid_arg "Serve: window <= 0";
   if not (cfg.decay > 0.0 && cfg.decay <= 1.0) then
     invalid_arg "Serve: decay outside (0, 1]";
-  if cfg.drift_threshold < 0.0 then invalid_arg "Serve: drift_threshold < 0";
+  (* Written so that NaN fails too: [drift > nan] is always false, and a
+     NaN threshold would silently stop every re-search after the first. *)
+  if not (cfg.drift_threshold >= 0.0) then
+    invalid_arg "Serve: drift_threshold negative or NaN";
   if cfg.min_samples < 1 then invalid_arg "Serve: min_samples < 1";
   if cfg.queue_capacity < 1 then invalid_arg "Serve: queue_capacity < 1"
 

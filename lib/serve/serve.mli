@@ -35,7 +35,8 @@ type config = {
   drift_threshold : float;
       (** re-search when {!Slo_concurrency.Code_concurrency.drift} since
           the last publication exceeds this ([0, 1] scale; the first
-          publication ignores it) *)
+          publication ignores it). >= 0 and not NaN; [infinity] never
+          re-searches. *)
   min_samples : int;  (** live samples required before any publication *)
   queue_capacity : int;  (** max queued batches before admission drops *)
   params : Slo_core.Pipeline.params;

@@ -19,8 +19,10 @@
 
     {e Slots.} Every pair of the live window has a dense slot. Each
     interval's CC is memoized on the interval's sample total as two
-    arrays, its pairs' slots and counts: one code → slot lookup per pair,
-    paid when the memo is computed, so a batch recomputes only the
+    arrays, its pairs' slots and counts in code order: the CC kernel's
+    rows ({!Slo_concurrency.Code_concurrency.interval_rows}), emitted
+    into a buffer and a kernel scratch the window keeps for its lifetime,
+    then one code → slot lookup per pair. A batch recomputes only the
     intervals that actually changed. The weighted window is then one
     pass over the memos into a reusable int accumulator indexed by slot,
     with no hashing. When the last memo holding a pair goes (its interval
@@ -28,16 +30,23 @@
     slot arrays track the pairs of the live window, not the daemon's
     uptime.
 
+    {e Code order.} The window also keeps its slots sorted by code. The
+    slots handed out while memos are recomputed come in ascending runs
+    (one per memo); once per view they are sorted together and merged
+    into that order in one pass, which drops the entries of slots freed
+    or handed to another pair since.
+
     {e When a map is built.} A batch that only checks drift never builds
-    a {!Slo_concurrency.Code_concurrency.t}: {!weighted_view} sorts the
-    accumulator's non-zero pairs into a drift view. Only a publication,
-    or an explicit {!weighted_cc}, builds the map. Both are computed from
-    the same accumulator, which is summed once per fed batch.
+    a {!Slo_concurrency.Code_concurrency.t}: {!weighted_view} walks the
+    slots in code order and takes the non-zero sums, which is already
+    the view's order, so nothing is sorted. Only a publication, or an
+    explicit {!weighted_cc}, builds the map. Both are computed from the
+    same accumulator, which is summed once per fed batch.
 
     {e Drift.} The serve daemon prepares the last publication's side of
     {!Slo_concurrency.Code_concurrency.drift_views} once, when it
-    publishes; each batch then sorts only the current pairs and walks the
-    two sequences. The drift is bit-identical to
+    publishes; each batch then walks its slots into the current side and
+    walks the two sequences. The drift is bit-identical to
     {!Slo_concurrency.Code_concurrency.drift} of the two maps.
 
     Not thread-safe: the serve daemon serializes access. *)
@@ -71,6 +80,8 @@ val live_samples : t -> int
 (** Samples currently in the window (fed minus retired). *)
 
 val live_intervals : t -> int
+(** Intervals currently in the window; a count, nothing is listed. *)
+
 val retired : t -> int
 (** Intervals retired so far. *)
 

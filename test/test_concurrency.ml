@@ -29,15 +29,20 @@ let compute ?pool ~interval samples =
    (interval, cpu, line), then sum min(F_I(Pm,Li), F_I(Pn,Lj)) over every
    ordered pair of entries of the same interval with Pm <> Pn, keyed on
    the unordered line pair (Li <= Lj; the diagonal Li = Lj included). No
-   sorting, prefix sums or saturation: the reference the production
-   kernel is checked against. Returns [CC.pairs]-shaped output. *)
-let oracle ~interval samples =
+   sorting or prefix sums: the reference the production kernel is checked
+   against. Each sample comes with a count of copies ([oracle] counts
+   each once); sums stop at [max_int], the saturation the mli specifies
+   (min of the true value and [max_int]), reached only by counts near
+   it. Returns [CC.pairs]-shaped output. *)
+let oracle_counts ~interval counted =
+  let plus a b = if a > max_int - b then max_int else a + b in
   let f = Hashtbl.create 64 in
   List.iter
-    (fun { Sample.cpu; itc; line } ->
+    (fun ({ Sample.cpu; itc; line }, n) ->
       let k = (Sample.floor_div itc interval, cpu, line) in
-      Hashtbl.replace f k (1 + Option.value ~default:0 (Hashtbl.find_opt f k)))
-    samples;
+      Hashtbl.replace f k
+        (plus n (Option.value ~default:0 (Hashtbl.find_opt f k))))
+    counted;
   let entries = Hashtbl.fold (fun k n acc -> (k, n) :: acc) f [] in
   let cc = Hashtbl.create 64 in
   List.iter
@@ -46,12 +51,16 @@ let oracle ~interval samples =
         (fun ((i_n, pn, lj), b) ->
           if im = i_n && pm <> pn && li <= lj then
             Hashtbl.replace cc (li, lj)
-              (min a b + Option.value ~default:0 (Hashtbl.find_opt cc (li, lj))))
+              (plus (min a b)
+                 (Option.value ~default:0 (Hashtbl.find_opt cc (li, lj)))))
         entries)
     entries;
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) cc []
   |> List.sort (fun (k1, v1) (k2, v2) ->
          match compare v2 v1 with 0 -> compare k1 k2 | c -> c)
+
+let oracle ~interval samples =
+  oracle_counts ~interval (List.map (fun x -> (x, 1)) samples)
 
 (* ------------------------------------------------------------------ *)
 (* Sample binning *)
@@ -177,6 +186,66 @@ let prop_cc_symmetric_nonneg =
             (fun b -> CC.cc cm a b >= 0 && CC.cc cm a b = CC.cc cm b a)
             lines)
         lines)
+
+(* The kernel's emission contract, on single-interval tables with
+   identifiers at both ends of their range, tables on one line or one
+   CPU (every pair 0), and counts near [max_int]: the rows, concatenated,
+   are strictly ascending codes with positive values, and they are the
+   oracle's pairs of that interval. One scratch serves every case, as one
+   serves a chunk's intervals or the serve window's memos. *)
+let prop_interval_rows_contract =
+  let sc = CC.scratch () in
+  let id small =
+    QCheck2.Gen.(
+      oneof [ int_range 0 small; int_range (Sample.max_id - 2) Sample.max_id ])
+  in
+  let count =
+    QCheck2.Gen.(
+      frequency
+        [ (4, int_range 1 1000); (1, int_range (max_int / 2) max_int);
+          (1, int_range (max_int - 4) max_int) ])
+  in
+  QCheck2.Test.make
+    ~name:"interval rows: ascending codes, positive values, = oracle"
+    ~count:300
+    ~print:(fun es ->
+      String.concat "; "
+        (List.map
+           (fun ((c, l), n) -> Printf.sprintf "cpu %d line %d x%d" c l n)
+           es))
+    QCheck2.Gen.(
+      let* shape = int_bound 2 and* one_line = id 5 and* one_cpu = id 3 in
+      let entry =
+        let* cpu = if shape = 2 then return one_cpu else id 3 in
+        let* line = if shape = 1 then return one_line else id 5 in
+        let+ n = count in
+        ((cpu, line), n)
+      in
+      (* one count per (cpu, line): the binner adds repeated keys without
+         saturating *)
+      let+ es = list_size (int_range 1 14) entry in
+      List.sort_uniq (fun (a, _) (b, _) -> compare a b) es)
+    (fun es ->
+      let b = Sample.binner ~interval:1 in
+      List.iter
+        (fun ((cpu, line), count) -> Sample.feed_n b ~cpu ~itc:0 ~line ~count)
+        es;
+      let codes = ref [] and values = ref [] in
+      CC.interval_rows sc (List.hd (Sample.binned b)) (fun c v n ->
+          for x = 0 to n - 1 do
+            codes := c.(x) :: !codes;
+            values := v.(x) :: !values
+          done);
+      let codes = List.rev !codes and values = List.rev !values in
+      let rec ascending = function
+        | a :: (b :: _ as rest) -> a < b && ascending rest
+        | _ -> true
+      in
+      ascending codes
+      && List.for_all (fun v -> v > 0) values
+      && CC.pairs (CC.of_codes (Array.of_list codes) (Array.of_list values))
+         = oracle_counts ~interval:1
+             (List.map (fun ((cpu, line), n) -> (s cpu 0 line, n)) es))
 
 let prop_cc_monotone =
   QCheck2.Test.make ~name:"adding samples never decreases CC" ~count:60
@@ -885,6 +954,8 @@ let suites =
         Alcotest.test_case "accumulation" `Quick test_cc_accumulates_over_intervals;
         Alcotest.test_case "three cpus" `Quick test_cc_three_cpus;
         Alcotest.test_case "top/merge" `Quick test_cc_top_and_merge;
+        QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 25 |])
+          prop_interval_rows_contract;
       ] );
     ( "concurrency.fmf",
       [ Alcotest.test_case "field mapping" `Quick test_fmf ] );

@@ -373,6 +373,80 @@ let prop_window_batches_match_direct =
            (to_samples xs))
         sizes)
 
+(* The window under slot churn, over feeds longer than the per-batch law
+   above. Each phase covers at least a window of intervals, so a phase's
+   intervals retire during the next one; its hot lines are a slice of a
+   ring of 20-200 lines, moved by a third of the ring every phase. Pairs
+   die and their slots go to other pairs, and three phases later the same
+   pairs come back to whatever slot is free by then. After every batch,
+   the drift against the previous direct merge must equal the list
+   oracle to the bit, and the weighted map must equal the direct merge. *)
+let prop_window_slot_churn =
+  QCheck2.Test.make
+    ~name:"slot churn: weighted map = direct merge, drift = list drift"
+    ~count:200
+    QCheck2.Gen.(
+      let* window = int_range 2 12 and* n_lines = int_range 20 200 in
+      let* decay_i = int_bound 2 and* phases = int_range 3 7 in
+      let* seed = int_bound 1_000_000 in
+      return (window, n_lines, decay_i, phases, seed))
+    (fun (window, n_lines, decay_i, phases, seed) ->
+      let decay = List.nth [ 1.0; 0.9; 0.5 ] decay_i in
+      let interval = 10 in
+      let rng = Random.State.make [| seed |] in
+      let span = window + Random.State.int rng 4 in
+      let samples =
+        List.concat_map
+          (fun phase ->
+            let rot = phase mod 3 * (n_lines / 3) in
+            let hot = 1 + Random.State.int rng (n_lines / 4) in
+            List.concat_map
+              (fun i ->
+                List.init
+                  (4 + Random.State.int rng 12)
+                  (fun _ ->
+                    s (Random.State.int rng 4)
+                      ((((phase * span) + i) * interval)
+                      + Random.State.int rng interval)
+                      ((rot + Random.State.int rng hot) mod n_lines)))
+              (List.init span Fun.id))
+          (List.init phases Fun.id)
+        |> List.stable_sort (fun (a : Sample.t) b -> compare a.Sample.itc b.Sample.itc)
+      in
+      let w = Window.create ~decay ~interval ~window () in
+      let direct () =
+        let newest = match Window.newest w with Some n -> n | None -> 0 in
+        let m = Cc.create () in
+        List.iter
+          (fun (idx, tbl) ->
+            let num = Window.weight w ~age:(newest - idx) in
+            if num > 0 then
+              Cc.merge_scaled m (Cc.of_interval tbl) ~num ~den:Window.weight_den)
+          (Sample.binned_idx (Window.master w));
+        m
+      in
+      let rec go prev = function
+        | [] -> true
+        | samples ->
+          let n = 1 + Random.State.int rng 40 in
+          let batch = List.filteri (fun i _ -> i < n) samples in
+          List.iter
+            (fun (x : Sample.t) ->
+              ignore
+                (Window.feed w ~cpu:x.Sample.cpu ~itc:x.Sample.itc
+                   ~line:x.Sample.line))
+            batch;
+          let expect = direct () in
+          let drift = Cc.drift_views (Cc.view prev) (Window.weighted_view w) in
+          let got = Window.weighted_cc w in
+          cc_canon got = cc_canon expect
+          && Int64.equal (Int64.bits_of_float drift)
+               (Int64.bits_of_float (list_drift prev expect))
+          && (decay < 1.0 || Window.slots w = List.length (Cc.pairs got))
+          && go expect (List.filteri (fun i _ -> i >= n) samples)
+      in
+      go (Cc.create ()) samples)
+
 (* Slots are reclaimed: a long feed whose lines move on every phase keeps
    only the live window's pairs. Each interval touches 10 lines, hence
    at most 55 pairs, and two intervals are live. *)
@@ -394,6 +468,81 @@ let test_window_slots_bounded () =
     true (!peak <= 110);
   check_int "slots = live pairs" (List.length (Cc.pairs (Window.weighted_cc w)))
     (Window.slots w)
+
+(* An allocation budget on the window's per-batch path: a deterministic
+   word count, not a timing. The stream is the end-to-end benchmark's
+   serve-feed at seed 1: an SDET collection on superdome-16 (reps 60)
+   sorted by ITC, replayed in 4 phases each shifted by one span, lines
+   rotated by half from the third phase on, in batches of 256, into a
+   window of two spans with decay 0.9. Each batch is fed and then viewed
+   once, as a batch that only checks drift is. Words are counted minor +
+   major - promoted, so arrays allocated straight into the major heap
+   count too. The view is one walk over the slots in code order into two
+   exact-size arrays, and a changed interval's memo is its kernel rows
+   copied out of buffers the window keeps: about 9 000 words a batch. A
+   sort of the pairs per view, or a hash map and fresh kernel scratch
+   per memo, comes to about 33 000. *)
+let test_window_alloc_budget () =
+  let module Collect = Slo_workload.Collect in
+  let module Sdet = Slo_workload.Sdet in
+  let interval = Collect.calibrated_params.Pipeline.cc_interval in
+  let base =
+    Array.of_list
+      (Collect.samples
+         ~config:
+           { (Sdet.default_config (Slo_sim.Topology.superdome ~cpus:16 ())) with
+             Sdet.reps = 60; seed = 1 }
+         ())
+  in
+  Array.stable_sort
+    (fun (a : Sample.t) (b : Sample.t) -> compare a.Sample.itc b.Sample.itc)
+    base;
+  let n = Array.length base in
+  let span =
+    (((base.(n - 1).Sample.itc - base.(0).Sample.itc) / interval) + 2) * interval
+  in
+  let lines =
+    Array.of_list
+      (List.sort_uniq compare
+         (Array.to_list (Array.map (fun (x : Sample.t) -> x.Sample.line) base)))
+  in
+  let nl = Array.length lines in
+  let pos = Hashtbl.create nl in
+  Array.iteri (fun i l -> Hashtbl.replace pos l i) lines;
+  let phases = 4 and batch = 256 in
+  let w =
+    Window.create ~decay:0.9 ~interval ~window:(max 1 (2 * span / interval)) ()
+  in
+  let words () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let per_batch = ref [] in
+  for phase = 0 to phases - 1 do
+    let rot = if 2 * phase >= phases then nl / 2 else 0 in
+    for b = 0 to ((n + batch - 1) / batch) - 1 do
+      let xs =
+        Array.init (min batch (n - (b * batch))) (fun i ->
+            let x = base.((b * batch) + i) in
+            ( x.Sample.cpu,
+              x.Sample.itc + (phase * span),
+              lines.((Hashtbl.find pos x.Sample.line + rot) mod nl) ))
+      in
+      let before = words () in
+      Array.iter
+        (fun (cpu, itc, line) -> ignore (Window.feed w ~cpu ~itc ~line))
+        xs;
+      ignore (Window.weighted_view w);
+      per_batch := (words () -. before) :: !per_batch
+    done
+  done;
+  check_int "batches" 160 (List.length !per_batch);
+  check_int "no late samples" 0 (Window.late w);
+  let sorted = List.sort compare !per_batch in
+  let median = List.nth sorted (List.length sorted / 2) in
+  if median > 15_000.0 then
+    Alcotest.failf "median %.0f words per fed and viewed batch (budget 15 000)"
+      median
 
 (* ------------------------------------------------------------------ *)
 (* Serve: admission, drift trigger, daemon, snapshot/restore *)
@@ -607,6 +756,21 @@ let test_snapshot_restore_identity () =
             "same blocks" true
             (a.Serve.best.Optimizer.blocks = b.Serve.best.Optimizer.blocks)))
 
+(* Out-of-range fields are rejected when the server is made. A NaN
+   threshold fails the check too: every [drift > nan] is false, so it
+   would publish once and never re-search. *)
+let test_config_checks () =
+  let rejects what cfg =
+    match Serve.create cfg with
+    | _ -> Alcotest.failf "accepted %s" what
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "a NaN drift threshold" (mk_cfg ~drift_threshold:Float.nan ());
+  rejects "a negative drift threshold" (mk_cfg ~drift_threshold:(-0.1) ());
+  rejects "a NaN decay" { (mk_cfg ()) with Serve.decay = Float.nan };
+  rejects "min_samples 0" (mk_cfg ~min_samples:0 ());
+  ignore (Serve.create (mk_cfg ~drift_threshold:Float.infinity ()))
+
 let test_restore_rejects_mismatch () =
   let cfg = mk_cfg ~window:8 () in
   let t = Serve.create cfg in
@@ -629,6 +793,10 @@ let props =
       prop_decay_weights_order_independent;
       prop_window_batches_match_direct;
     ]
+  @ [
+      QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 25 |])
+        prop_window_slot_churn;
+    ]
 
 let suites =
   [
@@ -643,10 +811,13 @@ let suites =
       :: Alcotest.test_case "shape drift" `Quick test_drift_shape
       :: Alcotest.test_case "slots reclaimed over a long feed" `Quick
            test_window_slots_bounded
+      :: Alcotest.test_case "allocation per fed and viewed batch" `Quick
+           test_window_alloc_budget
       :: QCheck_alcotest.to_alcotest prop_drift_matches_list_oracle
       :: props );
     ( "serve.server",
       [
+        Alcotest.test_case "config checks" `Quick test_config_checks;
         Alcotest.test_case "admission control" `Quick test_admission_control;
         Alcotest.test_case "drift-triggered publication" `Quick
           test_drift_trigger;
