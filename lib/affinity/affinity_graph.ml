@@ -1,65 +1,66 @@
-module Sgraph = Slo_graph.Sgraph
 module Counts = Slo_profile.Counts
 module Ast = Slo_ir.Ast
+module Names = Slo_util.Names
 
 type t = {
   struct_name : string;
-  graph : Sgraph.t;
-  hotness : (string * int) list;
-  rw : (string * Counts.rw) list;
+  fields : Names.t;
+  weight : Float.Array.t;
+  hotness : int array;
+  rw : Counts.rw array;
 }
 
-let add_group_edges ~require_read g (group : Group.t) =
-  (* All unordered pairs of fields referenced in the group. *)
-  let rec pairs acc = function
-    | [] -> acc
-    | (f1, rw1) :: rest ->
-      let acc =
-        List.fold_left
-          (fun acc (f2, rw2) -> ((f1, rw1), (f2, rw2)) :: acc)
-          acc rest
-      in
-      pairs acc rest
-  in
-  List.fold_left
-    (fun g ((f1, rw1), (f2, rw2)) ->
-      (* Minimum Heuristic: the dynamic weight of the acyclic path containing
-         both fields is upper-bounded by the smaller reference count. *)
-      let w = min (Group.refs rw1) (Group.refs rw2) in
-      let no_gain =
-        require_read && rw1.Counts.reads = 0 && rw2.Counts.reads = 0
-      in
-      if w <= 0 || no_gain then g
-      else Sgraph.add_edge g f1 f2 (float_of_int w))
-    g
-    (pairs [] group.g_fields)
-
 let of_groups ?(require_read = false) ~struct_name ~all_fields groups =
-  let g = List.fold_left Sgraph.add_node Sgraph.empty all_fields in
-  let graph = List.fold_left (add_group_edges ~require_read) g groups in
-  let totals = Hashtbl.create 16 in
-  List.iter (fun f -> Hashtbl.replace totals f { Counts.reads = 0; writes = 0 }) all_fields;
+  let fields =
+    match Names.make (Array.of_list all_fields) with
+    | Ok names -> names
+    | Error f ->
+      invalid_arg (Printf.sprintf "Affinity_graph.of_groups: duplicate field %S" f)
+  in
+  let n = Names.length fields in
+  let index f =
+    match Names.find_opt fields f with
+    | Some i -> i
+    | None ->
+      invalid_arg (Printf.sprintf "Affinity_graph.of_groups: unknown field %S" f)
+  in
+  let weight = Float.Array.make (n * n) 0.0 in
+  let rw = Array.make n { Counts.reads = 0; writes = 0 } in
   List.iter
     (fun (group : Group.t) ->
+      let members =
+        List.map (fun (f, (c : Counts.rw)) -> (index f, c)) group.Group.g_fields
+      in
+      (* All unordered pairs of fields referenced in the group. *)
+      let rec pairs = function
+        | [] -> ()
+        | (i, rw1) :: rest ->
+          List.iter
+            (fun (j, rw2) ->
+              (* Minimum Heuristic: the dynamic weight of the acyclic path
+                 containing both fields is upper-bounded by the smaller
+                 reference count. *)
+              let w = min (Group.refs rw1) (Group.refs rw2) in
+              let no_gain =
+                require_read && rw1.Counts.reads = 0 && rw2.Counts.reads = 0
+              in
+              if w > 0 && not no_gain then begin
+                let v = Float.Array.get weight ((i * n) + j) +. float_of_int w in
+                Float.Array.set weight ((i * n) + j) v;
+                Float.Array.set weight ((j * n) + i) v
+              end)
+            rest;
+          pairs rest
+      in
+      pairs members;
       List.iter
-        (fun (f, (rw : Counts.rw)) ->
-          let cur =
-            try Hashtbl.find totals f
-            with Not_found -> { Counts.reads = 0; writes = 0 }
-          in
-          Hashtbl.replace totals f
-            {
-              Counts.reads = cur.Counts.reads + rw.Counts.reads;
-              writes = cur.Counts.writes + rw.Counts.writes;
-            })
-        group.Group.g_fields)
+        (fun (i, (c : Counts.rw)) ->
+          rw.(i) <-
+            { Counts.reads = rw.(i).Counts.reads + c.Counts.reads;
+              writes = rw.(i).Counts.writes + c.Counts.writes })
+        members)
     groups;
-  let rw =
-    Hashtbl.fold (fun f c l -> (f, c) :: l) totals []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
-  let hotness = List.map (fun (f, c) -> (f, Group.refs c)) rw in
-  { struct_name; graph; hotness; rw }
+  { struct_name; fields; weight; hotness = Array.map Group.refs rw; rw }
 
 let build ?require_read program counts ~struct_name =
   let all_fields =
@@ -72,15 +73,31 @@ let build ?require_read program counts ~struct_name =
   let groups = Group.of_program program counts ~struct_name in
   of_groups ?require_read ~struct_name ~all_fields groups
 
-let hotness_of t f = match List.assoc_opt f t.hotness with Some h -> h | None -> 0
-let affinity t f1 f2 = Sgraph.weight0 t.graph f1 f2
+let hotness_of t f =
+  match Names.find_opt t.fields f with Some i -> t.hotness.(i) | None -> 0
+
+let affinity t f1 f2 =
+  match (Names.find_opt t.fields f1, Names.find_opt t.fields f2) with
+  | Some i, Some j -> Float.Array.get t.weight ((i * Names.length t.fields) + j)
+  | _ -> 0.0
 
 let pp ppf t =
-  Format.fprintf ppf "@[<v>affinity graph for struct %s@,%a@,hotness:" t.struct_name
-    Sgraph.pp t.graph;
+  let names = t.fields.Names.names and n = Names.length t.fields in
+  let edges =
+    Names.fold_pairs_by_name t.fields ~init:[] ~f:(fun acc i j ->
+        let w = Float.Array.get t.weight ((i * n) + j) in
+        if w <> 0.0 then (i, j, w) :: acc else acc)
+    |> List.rev
+  in
+  Format.fprintf ppf "@[<v>affinity graph for struct %s@,graph: %d nodes, %d edges"
+    t.struct_name n (List.length edges);
   List.iter
-    (fun (f, h) ->
-      let rw = List.assoc f t.rw in
-      Format.fprintf ppf "@,  %s: h=%d R=%d W=%d" f h rw.Counts.reads rw.Counts.writes)
-    t.hotness;
+    (fun (i, j, w) -> Format.fprintf ppf "@,  %s -- %s : %.2f" names.(i) names.(j) w)
+    edges;
+  Format.fprintf ppf "@,hotness:";
+  Array.iter
+    (fun i ->
+      Format.fprintf ppf "@,  %s: h=%d R=%d W=%d" names.(i) t.hotness.(i)
+        t.rw.(i).Counts.reads t.rw.(i).Counts.writes)
+    t.fields.Names.by_name;
   Format.fprintf ppf "@]"

@@ -6,13 +6,20 @@
 
     Hotness of a field is its total dynamic reference count. For the code
     in Figure 4, this module produces exactly Figure 5: edge (f1,f3) = N,
-    edge (f1,f2) = n, h(f1) = N + n, R(f3) = 2N, W(f3) = N. *)
+    edge (f1,f2) = n, h(f1) = N + n, R(f3) = 2N, W(f3) = N.
+
+    The graph is dense over the struct's field indices ({!Slo_util.Names}).
+    Every contribution is positive, so a pair has an edge exactly when
+    its weight is non-zero. *)
 
 type t = {
   struct_name : string;
-  graph : Slo_graph.Sgraph.t;  (** affinity edge weights *)
-  hotness : (string * int) list;  (** per field, total refs, sorted by name *)
-  rw : (string * Slo_profile.Counts.rw) list;  (** total R/W per field *)
+  fields : Slo_util.Names.t;  (** the struct's fields, declaration order *)
+  weight : Float.Array.t;
+      (** [n × n] row-major affinity, symmetric, 0 on the diagonal; each
+          cell sums its contributions in group order *)
+  hotness : int array;  (** per field, total refs *)
+  rw : Slo_profile.Counts.rw array;  (** total R/W per field *)
 }
 
 val build :
@@ -34,8 +41,12 @@ val of_groups :
   all_fields:string list ->
   Group.t list ->
   t
-(** Same, from precomputed groups (for tests and the CLI). *)
+(** Same, from precomputed groups (for tests and the CLI).
+    @raise Invalid_argument if a field repeats in [all_fields] or a
+    group names a field outside it. *)
 
 val hotness_of : t -> string -> int
 val affinity : t -> string -> string -> float
+
 val pp : Format.formatter -> t -> unit
+(** The edges and then every field's hotness, both in name order. *)

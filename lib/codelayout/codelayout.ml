@@ -1,6 +1,6 @@
 module Cfg = Slo_ir.Cfg
 module Counts = Slo_profile.Counts
-module Sgraph = Slo_graph.Sgraph
+module Names = Slo_util.Names
 module Engine = Slo_search.Engine
 module Substrate = Slo_search.Substrate
 module Machine = Slo_sim.Machine
@@ -21,58 +21,60 @@ end
 
 type t = {
   cblocks : Block.t list;  (* program order: the declaration baseline *)
-  graph : Sgraph.t;  (* affinity over block names *)
   capacity : int;  (* bin capacity = I-cache line size, bytes *)
   nodes : Block.t array;  (* [cblocks]; index = search node *)
-  weights : Float.Array.t;  (* [graph] as a dense matrix over [nodes] *)
+  names : Names.t;  (* [nodes]' names *)
+  weights : Float.Array.t;  (* dense affinity over [nodes] *)
   active : int array;  (* ascending indices of blocks with an edge *)
+  edges : int;
 }
 
 let default_capacity = 64
 
-let make ~capacity ~blocks ~graph =
+let make ~capacity ~blocks ~weights =
   if capacity <= 0 then invalid_arg "Codelayout.make: capacity <= 0";
-  let seen = Hashtbl.create 64 in
-  List.iter
-    (fun b ->
-      let n = Block.name b in
-      if Hashtbl.mem seen n then
-        invalid_arg (Printf.sprintf "Codelayout.make: duplicate block %s" n);
-      Hashtbl.replace seen n ())
-    blocks;
-  List.iter
-    (fun (u, v, _) ->
-      if not (Hashtbl.mem seen u && Hashtbl.mem seen v) then
-        invalid_arg
-          (Printf.sprintf "Codelayout.make: graph edge (%s, %s) names no block"
-             u v))
-    (Sgraph.edges graph);
   let nodes = Array.of_list blocks in
-  let names = Array.map Block.name nodes in
-  { cblocks = blocks; graph; capacity; nodes;
-    weights = Substrate.dense_weights names graph;
-    active = Substrate.active names graph }
+  let names =
+    match Names.make (Array.map Block.name nodes) with
+    | Ok names -> names
+    | Error b -> invalid_arg (Printf.sprintf "Codelayout.make: duplicate block %s" b)
+  in
+  let n = Array.length nodes in
+  if Float.Array.length weights <> n * n then
+    invalid_arg "Codelayout.make: weights are not n x n";
+  let degree = Array.make n 0 in
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      if i <> j && Float.Array.get weights ((i * n) + j) <> 0.0 then
+        degree.(i) <- degree.(i) + 1
+    done
+  done;
+  let active = List.filter (fun i -> degree.(i) > 0) (List.init n Fun.id) in
+  { cblocks = blocks; capacity; nodes; names; weights;
+    active = Array.of_list active;
+    edges = Array.fold_left ( + ) 0 degree / 2 }
 
 let capacity t = t.capacity
 let blocks t = t.cblocks
-let graph t = t.graph
+let weights t = t.weights
+let active t = t.active
+let num_edges t = t.edges
 
 (* The affinity between two basic blocks is how often control passes
    between them — the CFG edge execution counts of the collect phase. Like
    the field graph's reference-count weights, heavier edges mean the pair
-   belongs on one I-cache line. *)
-let graph_of_counts counts ~known =
-  Counts.fold_edges counts ~init:Sgraph.empty
-    ~f:(fun g ~proc ~src ~dst n ->
-      if n <= 0 || src = dst then g
-      else
-        let u = Printf.sprintf "%s#%d" proc src
-        and v = Printf.sprintf "%s#%d" proc dst in
-        if Hashtbl.mem known u && Hashtbl.mem known v then
-          Sgraph.add_edge g u v (float_of_int n)
-        else g)
-
+   belongs on one I-cache line. A procedure's blocks are consecutive
+   indices from [first], so a CFG edge is two index reads. *)
 let of_program ?(capacity = default_capacity) program counts =
+  let cfgs = Cfg.of_program program in
+  let first = Hashtbl.create 16 in
+  let n =
+    List.fold_left
+      (fun k (name, (c : Cfg.t)) ->
+        Hashtbl.replace first name (k, Array.length c.Cfg.blocks);
+        k + Array.length c.Cfg.blocks)
+      0 cfgs
+  in
   let blocks =
     List.concat_map
       (fun (name, (c : Cfg.t)) ->
@@ -81,11 +83,20 @@ let of_program ?(capacity = default_capacity) program counts =
              (fun id blk ->
                Block.make ~proc:name ~id ~size:(Machine.code_block_size blk))
              c.Cfg.blocks))
-      (Cfg.of_program program)
+      cfgs
   in
-  let known = Hashtbl.create 64 in
-  List.iter (fun b -> Hashtbl.replace known (Block.name b) ()) blocks;
-  make ~capacity ~blocks ~graph:(graph_of_counts counts ~known)
+  let w = Float.Array.make (n * n) 0.0 in
+  Counts.fold_edges counts ~init:() ~f:(fun () ~proc ~src ~dst count ->
+      match Hashtbl.find_opt first proc with
+      | Some (k, len)
+        when count > 0 && src <> dst && 0 <= src && src < len && 0 <= dst
+             && dst < len ->
+        let i = k + src and j = k + dst in
+        let v = Float.Array.get w ((i * n) + j) +. float_of_int count in
+        Float.Array.set w ((i * n) + j) v;
+        Float.Array.set w ((j * n) + i) v
+      | _ -> ());
+  make ~capacity ~blocks ~weights:w
 
 (* --------------------------------------------------------------------- *)
 (* The block substrate. *)
@@ -111,9 +122,11 @@ module Problem = struct
 end
 
 module E = Engine.Make (Problem)
-module Pairs = Substrate.Pairs (Problem.Node)
 
-let score p bins = Pairs.blocks_weight_sum ~weight:(Sgraph.weight0 p.graph) bins
+let score p bins =
+  let index b = Option.get (Names.find_opt p.names (Block.name b)) in
+  Substrate.score_indices p.weights (Array.length p.nodes)
+    (List.map (List.map index) bins)
 
 (* Declaration-order bins: blocks in program order, packed greedily into
    capacity-bounded runs that never span a procedure boundary — the

@@ -36,30 +36,37 @@ type t
 val default_capacity : int
 (** 64 bytes — a typical I-cache line. *)
 
-val make :
-  capacity:int -> blocks:Block.t list -> graph:Slo_graph.Sgraph.t -> t
+val make : capacity:int -> blocks:Block.t list -> weights:Float.Array.t -> t
 (** Explicit constructor (tests, custom graphs). [blocks] is the
-    declaration-order baseline; graph nodes must name blocks.
+    declaration-order baseline; [weights] is the dense row-major
+    [n × n] affinity over [blocks]' indices, symmetric, and a pair of
+    blocks has an edge exactly when its weight is non-zero.
     @raise Invalid_argument on a non-positive capacity, duplicate block
-    names, or a graph edge naming no block. *)
+    names, or [weights] of the wrong size. *)
 
 val of_program :
   ?capacity:int -> Slo_ir.Ast.program -> Slo_profile.Counts.t -> t
 (** Derive the problem from a typechecked program and collect-phase
     profile: one node per CFG block of every procedure (program order,
     sizes from {!Slo_sim.Machine.code_block_size}), edge weights from
-    {!Slo_profile.Counts.fold_edges} (intra-procedure control-flow
-    transfer counts; zero-count edges and self-loops dropped). *)
+    {!Slo_profile.Counts.fold_edges} summed straight into the block
+    matrix (intra-procedure control-flow transfer counts; zero-count
+    edges, self-loops and blocks the program does not have dropped). *)
 
 val capacity : t -> int
 val blocks : t -> Block.t list
-val graph : t -> Slo_graph.Sgraph.t
+val weights : t -> Float.Array.t
+
+val active : t -> int array
+(** Ascending indices of the blocks with an edge. *)
+
+val num_edges : t -> int
 
 val score : t -> Block.t list list -> float
 (** Partition objective: sum over bins of intra-bin pair affinity
-    ({!Slo_search.Substrate.Pairs.blocks_weight_sum}; cross-bin pairs
-    contribute nothing) — bit-identical to the engine's [result.score]
-    for the same bins. *)
+    ({!Slo_search.Substrate.score_indices}; cross-bin pairs contribute
+    nothing) — the engine's scorer, so bit-identical to its
+    [result.score] for the same bins. *)
 
 val decl_bins : t -> Block.t list list
 (** The "as compiled" seed partition: blocks in program order packed

@@ -1,23 +1,19 @@
-type t = {
-  sname : string;
-  tbl : (string * string, float) Hashtbl.t;  (* name-ordered field pairs *)
-}
-
-let key f1 f2 = if String.compare f1 f2 <= 0 then (f1, f2) else (f2, f1)
+type t = { struct_name : string; fields : Slo_util.Names.t; loss : Float.Array.t }
 
 module Table = Fmf.Table
 
 let compute ~cm ~fmf ~struct_name =
-  let fields = Fmf.table fmf ~struct_name in
-  let names = Table.fields fields in
+  let table = Fmf.table fmf ~struct_name in
+  let names = Table.fields table in
   let n = Array.length names in
   (* Cell (i * n) + j, i < j, sums the loss of field indices i and j, in
      [Code_concurrency.pairs] order, then orientation, then entry order.
      Sums above 2^53 (maps with saturated cells) round differently in
-     another order, so this order is part of the result. *)
+     another order, so this order is part of the result. The lower half
+     mirrors the upper one at the end. *)
   let m = Float.Array.make (n * n) 0.0 in
   let contribute l1 l2 v =
-    let e1 = Table.at fields ~line:l1 and e2 = Table.at fields ~line:l2 in
+    let e1 = Table.at table ~line:l1 and e2 = Table.at table ~line:l2 in
     for a = 0 to Table.length e1 - 1 do
       let i = Table.field e1 a and w1 = Table.is_write e1 a in
       for b = 0 to Table.length e2 - 1 do
@@ -51,29 +47,10 @@ let compute ~cm ~fmf ~struct_name =
         if l1 <> l2 then contribute l2 l1 v
       end)
     (Code_concurrency.pairs cm);
-  let tbl = Hashtbl.create 64 in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
-      let v = Float.Array.get m ((i * n) + j) in
-      if v > 0.0 then Hashtbl.replace tbl (names.(i), names.(j)) v
+      Float.Array.set m ((j * n) + i) (Float.Array.get m ((i * n) + j))
     done
   done;
-  { sname = struct_name; tbl }
-
-let loss t f1 f2 =
-  if String.equal f1 f2 then 0.0
-  else try Hashtbl.find t.tbl (key f1 f2) with Not_found -> 0.0
-
-let pairs t =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.tbl []
-  |> List.sort (fun (k1, v1) (k2, v2) ->
-         match compare v2 v1 with 0 -> compare k1 k2 | c -> c)
-
-let struct_name t = t.sname
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>cycle loss for struct %s:" t.sname;
-  List.iter
-    (fun ((f1, f2), v) -> Format.fprintf ppf "@,%s x %s: %.0f" f1 f2 v)
-    (pairs t);
-  Format.fprintf ppf "@]"
+  (* The table's names are distinct: they are the keys of a table. *)
+  { struct_name; fields = Result.get_ok (Slo_util.Names.make names); loss = m }

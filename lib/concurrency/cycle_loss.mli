@@ -24,8 +24,16 @@
     The [per-instance] refinement the paper assigns to alias analysis is
     out of scope for line-granular samples. *)
 
-type t
-(** CycleLoss values for the fields of one struct, symmetric. *)
+type t = {
+  struct_name : string;
+  fields : Slo_util.Names.t;
+      (** the index space: the struct's fields that the FMF mentions,
+          ascending by name ({!Fmf.Table.fields}) *)
+  loss : Float.Array.t;
+      (** [n × n] row-major raw (un-scaled) loss, symmetric, 0 on the
+          diagonal and for pairs never concurrent *)
+}
+(** CycleLoss values for the fields of one struct. *)
 
 val compute :
   cm:Code_concurrency.t ->
@@ -33,23 +41,11 @@ val compute :
   struct_name:string ->
   t
 (** Walks {!Code_concurrency.pairs} once. Each line of a pair is one read
-    of the struct's {!Fmf.Table.t}, and each conflict adds into a dense
-    field × field float matrix over the table's field indices, which
-    becomes the by-name result at the end.
+    of the struct's {!Fmf.Table.t}, and each conflict adds into the
+    field × field matrix over the table's field indices.
 
     The walk keeps [pairs]' order (decreasing CC), then orientation, then
     the lines' entry order. A map with saturated cells ([max_int])
     gives a field pair sums above 2{^53}, where a float sum depends on
-    the order of its terms, so that order fixes every {!loss} (and the
-    FLG built from it) to the bit. *)
-
-val loss : t -> string -> string -> float
-(** Raw (un-scaled) loss between two fields; 0 when never concurrent.
-    Symmetric; 0 on the diagonal. *)
-
-val pairs : t -> ((string * string) * float) list
-(** Non-zero pairs, name-ordered within the pair, sorted by decreasing
-    loss. *)
-
-val struct_name : t -> string
-val pp : Format.formatter -> t -> unit
+    the order of its terms, so that order fixes every cell (and the FLG
+    built from it) to the bit. *)

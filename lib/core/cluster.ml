@@ -3,47 +3,40 @@ module Layout = Slo_layout.Layout
 
 type cluster = { seed : string; members : Field.t list }
 
-(* A cold singleton is a cluster whose only member has zero hotness and no
-   incident FLG edges: its placement cannot change any edge weight sum. *)
-let is_cold_singleton flg c =
-  match c.members with
-  | [ f ] ->
-    let name = f.Field.name in
-    Flg.hotness_of flg name = 0
-    && Slo_graph.Sgraph.degree flg.Flg.graph name = 0
-  | _ -> false
-
-let pack_cold_singletons flg ~line_size clusters =
-  let cold, rest = List.partition (is_cold_singleton flg) clusters in
+(* Cold singletons come out of the greedy loop as one-field clusters
+   whose field has zero hotness and no FLG edge: their placement cannot
+   change any edge weight sum, so they share lines, packed in order. *)
+let pack_cold_singletons fields ~cold ~line_size clusters =
+  let cold, rest =
+    List.partition (function [ i ] -> cold.(i) | _ -> false) clusters
+  in
   match cold with
   | [] -> clusters
   | _ ->
     let packed =
       List.fold_left
         (fun acc c ->
-          let f = List.hd c.members in
+          let i = List.hd c in
+          let f = fields.(i) in
           match acc with
           | (cur, cur_size) :: others
             when Layout.packed_extend cur_size f <= line_size ->
-            ( { cur with members = cur.members @ [ f ] },
-              Layout.packed_extend cur_size f )
-            :: others
-          | _ ->
-            ({ seed = f.Field.name; members = [ f ] }, Layout.packed_size [ f ])
-            :: acc)
+            (cur @ [ i ], Layout.packed_extend cur_size f) :: others
+          | _ -> ([ i ], Layout.packed_size [ f ]) :: acc)
         [] cold
       |> List.rev_map fst
     in
     rest @ packed
 
-(* The greedy loop (Figure 6) over field indices. [w] is the FLG as a
-   dense matrix ({!Slo_search.Substrate.dense_weights}); [order] is the
-   hotness order. find_best_match (Figure 7) is the inner scan: the
-   unassigned field, in hotness order, with the largest strictly-positive
-   sum of edge weights into the current cluster, among fields that still
-   fit its cache line; the sum runs over the members in insertion order,
-   and a later candidate wins only when strictly heavier. The cluster's
-   packed size is carried incrementally, so each fit test is O(1). *)
+(* The greedy loop (Figure 6) over field indices. [w] is the FLG's
+   weight matrix; [order] is the hotness order. find_best_match
+   (Figure 7) is the inner scan: the unassigned field, in hotness order,
+   with the largest strictly-positive sum of edge weights into the
+   current cluster, among fields that still fit its cache line; the sum
+   runs over the members in insertion order, and a later candidate wins
+   only when strictly heavier. The cluster's packed size is carried
+   incrementally, so each fit test is O(1). Clusters come out as member
+   indices, seed first. *)
 let greedy fields w order ~line_size =
   let n = Array.length fields in
   let assigned = Array.make n false in
@@ -83,39 +76,43 @@ let greedy fields w order ~line_size =
             size := !best_size
           end
         done;
-        {
-          seed = fields.(seed).Field.name;
-          members = List.init !k (fun m -> fields.(members.(m)));
-        }
-        :: acc
+        List.init !k (Array.get members) :: acc
       end)
     [] order
   |> List.rev
 
-let run ?(pack_cold = true) flg ~line_size =
+let run ?(pack_cold = true) (flg : Flg.t) ~line_size =
   if line_size <= 0 then invalid_arg "Cluster.run: line_size <= 0";
-  let fields = Array.of_list flg.Flg.fields in
-  let names = Array.map (fun (f : Field.t) -> f.Field.name) fields in
-  let index = Hashtbl.create (2 * Array.length names) in
-  Array.iteri (fun i name -> Hashtbl.replace index name i) names;
-  let order =
-    Array.of_list
-      (List.map (Hashtbl.find index) (Flg.field_names_by_hotness flg))
+  let fields = flg.Flg.fields in
+  let clusters = greedy fields flg.Flg.weight (Flg.hotness_order flg) ~line_size in
+  let clusters =
+    if pack_cold then begin
+      let cold = Array.map (fun h -> h = 0) flg.Flg.hotness in
+      Array.iter (fun i -> cold.(i) <- false) (Flg.active flg);
+      pack_cold_singletons fields ~cold ~line_size clusters
+    end
+    else clusters
   in
-  let w = Slo_search.Substrate.dense_weights names flg.Flg.graph in
-  let clusters = greedy fields w order ~line_size in
-  if pack_cold then pack_cold_singletons flg ~line_size clusters else clusters
+  List.map
+    (fun members ->
+      let members = List.map (Array.get fields) members in
+      { seed = (List.hd members).Field.name; members })
+    clusters
 
-let layout_of_clusters flg ~line_size clusters =
+let layout_of_clusters (flg : Flg.t) ~line_size clusters =
   Layout.of_clusters ~struct_name:flg.Flg.struct_name ~line_size
     (List.map (fun c -> c.members) clusters)
 
 let automatic_layout flg ~line_size =
   layout_of_clusters flg ~line_size (run flg ~line_size)
 
+(* Weights between named members: the index scorers of the search, so a
+   cluster scores exactly as the same block does there. *)
+let indices flg c = List.map (fun (f : Field.t) -> Flg.index flg f.Field.name) c.members
+
 let intra_cluster_weight flg c =
-  Slo_search.Objective.pair_weight_sum ~weight:(Flg.weight flg) c.members
+  Slo_search.Substrate.pair_sum flg.Flg.weight (Flg.size flg) (indices flg c)
 
 let inter_cluster_weight flg c1 c2 =
-  Slo_search.Objective.cross_weight_sum ~weight:(Flg.weight flg) c1.members
-    c2.members
+  Slo_search.Substrate.cross_sum flg.Flg.weight (Flg.size flg) (indices flg c1)
+    (indices flg c2)

@@ -24,5 +24,8 @@ let layout ~struct_name ~fields ~hotness =
   Layout.of_fields ~struct_name ordered
 
 let layout_of_flg (flg : Flg.t) =
-  layout ~struct_name:flg.Flg.struct_name ~fields:flg.Flg.fields
-    ~hotness:flg.Flg.hotness
+  layout ~struct_name:flg.Flg.struct_name ~fields:(Array.to_list flg.Flg.fields)
+    ~hotness:
+      (Array.to_list
+         (Array.mapi (fun i (f : Field.t) -> (f.Field.name, flg.Flg.hotness.(i)))
+            flg.Flg.fields))

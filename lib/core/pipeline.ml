@@ -90,7 +90,8 @@ let automatic_layout ?(params = default_params) flg =
 
 let search_problem ?(params = default_params) (flg : Flg.t) =
   Slo_search.Objective.make ~struct_name:flg.Flg.struct_name
-    ~fields:flg.Flg.fields ~graph:flg.Flg.graph ~line_size:params.line_size
+    ~fields:(Array.to_list flg.Flg.fields) ~weights:flg.Flg.weight
+    ~active:(Flg.active flg) ~line_size:params.line_size
 
 let search ?(params = default_params) ?pool ?seed ?restarts ?steps ~selector
     flg =

@@ -29,7 +29,11 @@ let make ?(top_k = 20) flg ~line_size =
           end)
         arr)
     arr;
-  let takek l = List.filteri (fun i _ -> i < top_k) l in
+  let name = Flg.name flg in
+  let takek l =
+    List.filteri (fun i _ -> i < top_k) l
+    |> List.map (fun (i, j, w) -> (name i, name j, w))
+  in
   {
     struct_name = flg.Flg.struct_name;
     clusters;
@@ -39,7 +43,7 @@ let make ?(top_k = 20) flg ~line_size =
     top_negative = takek (Flg.negative_edges flg);
     layout = Cluster.layout_of_clusters flg ~line_size clusters;
     hotness =
-      List.sort (fun (_, a) (_, b) -> compare b a) flg.Flg.hotness;
+      List.map (fun i -> (name i, flg.Flg.hotness.(i))) (Array.to_list (Flg.hotness_order flg));
   }
 
 let pp ppf t =

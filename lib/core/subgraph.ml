@@ -1,40 +1,34 @@
-module Sgraph = Slo_graph.Sgraph
 module Field = Slo_layout.Field
 module Layout = Slo_layout.Layout
 
+(* The kept edges are marked in an [n × n] byte matrix; the subgraph is
+   the FLG over the fields with a kept edge, declaration order, with
+   every other pair's gain, loss and edge cleared. *)
 let filter (flg : Flg.t) ~top_positive =
-  let g = flg.Flg.graph in
-  let keep = Hashtbl.create 64 in
-  List.iter
-    (fun (u, v, _) -> Hashtbl.replace keep (u, v) ())
-    (Flg.negative_edges flg);
-  let positives = Flg.positive_edges flg in
-  List.iteri
-    (fun i (u, v, _) -> if i < top_positive then Hashtbl.replace keep (u, v) ())
-    positives;
-  let filtered =
-    Sgraph.filter_edges g ~f:(fun u v _ ->
-        Hashtbl.mem keep (u, v) || Hashtbl.mem keep (v, u))
-    |> Sgraph.drop_isolated
+  let n = Flg.size flg in
+  let keep = Bytes.make (n * n) '\000' in
+  let mark (i, j, _) =
+    Bytes.set keep ((i * n) + j) '\001';
+    Bytes.set keep ((j * n) + i) '\001'
   in
-  let surviving = Sgraph.nodes filtered in
-  let member n = List.mem n surviving in
-  let restrict g' =
-    Sgraph.fold_edges g' ~init:(List.fold_left Sgraph.add_node Sgraph.empty surviving)
-      ~f:(fun acc u v w ->
-        if member u && member v && Sgraph.weight filtered u v <> None then
-          Sgraph.add_edge acc u v w
-        else acc)
+  List.iter mark (Flg.negative_edges flg);
+  List.iteri (fun k e -> if k < top_positive then mark e) (Flg.positive_edges flg);
+  let kept c = Bytes.get keep c <> '\000' in
+  let rec linked i j = j < n && (kept ((i * n) + j) || linked i (j + 1)) in
+  let surviving =
+    Array.of_list (List.filter (fun i -> linked i 0) (List.init n Fun.id))
   in
-  {
-    Flg.struct_name = flg.Flg.struct_name;
-    fields =
-      List.filter (fun (f : Field.t) -> member f.Field.name) flg.Flg.fields;
-    graph = filtered;
-    gain = restrict flg.Flg.gain;
-    loss = restrict flg.Flg.loss;
-    hotness = List.filter (fun (n, _) -> member n) flg.Flg.hotness;
-  }
+  let m = Array.length surviving in
+  let cell c = (surviving.(c / m) * n) + surviving.(c mod m) in
+  let sub a =
+    Float.Array.init (m * m) (fun c ->
+        if kept (cell c) then Float.Array.get a (cell c) else 0.0)
+  in
+  Flg.make ~struct_name:flg.Flg.struct_name
+    ~fields:(Array.to_list (Array.map (Array.get flg.Flg.fields) surviving))
+    ~hotness:(Array.map (Array.get flg.Flg.hotness) surviving)
+    ~gain:(sub flg.Flg.gain) ~loss:(sub flg.Flg.loss)
+    ~edge:(Bytes.init (m * m) (fun c -> Bytes.get keep (cell c)))
 
 let constraints flg ~line_size ~top_positive =
   Cluster.run (filter flg ~top_positive) ~line_size

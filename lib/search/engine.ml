@@ -21,27 +21,6 @@ module Make (P : Substrate.PROBLEM) = struct
   }
 
   (* ------------------------------------------------------------------ *)
-  (* Scoring over index blocks: pairs in block order, sums left to right,
-     blocks left to right — the fold of {!Substrate.Pairs}, so a score
-     here is bit-identical to the by-name score of the same blocks. *)
-
-  let score_indices w n blocks =
-    List.fold_left
-      (fun acc block ->
-        let rec pairs s = function
-          | [] -> s
-          | x :: rest ->
-            let row = x * n in
-            pairs
-              (List.fold_left
-                 (fun s y -> s +. Float.Array.unsafe_get w (row + y))
-                 s rest)
-              rest
-        in
-        acc +. pairs 0.0 block)
-      0.0 blocks
-
-  (* ------------------------------------------------------------------ *)
   (* Mutable search state: a fixed set of block slots, one per seed block
      plus one spare per active node, so any move can open a fresh block
      and every capacity-respecting partition of the active nodes is
@@ -366,7 +345,7 @@ module Make (P : Substrate.PROBLEM) = struct
       kind;
       label;
       stream = 0;
-      score = score_indices (P.weights prob) (Array.length nodes) blocks;
+      score = Substrate.score_indices (P.weights prob) (Array.length nodes) blocks;
       blocks = List.map (List.map (Array.get nodes)) blocks;
       moves;
     }
@@ -379,7 +358,7 @@ module Make (P : Substrate.PROBLEM) = struct
     | Some s when s <= 0 -> invalid_arg "Search.Optimizer.run: steps <= 0"
     | _ -> ());
     let init_score () =
-      score_indices (P.weights prob) (Array.length (P.nodes prob)) init
+      Substrate.score_indices (P.weights prob) (Array.length (P.nodes prob)) init
     in
     (* descents are monotone from init and annealing keeps the best-seen
        state, but keep the guarantee exact under float accumulation:
@@ -405,7 +384,7 @@ module Make (P : Substrate.PROBLEM) = struct
       let active = P.active prob in
       let st = state_of_blocks prob init ~spare:(Array.length active) in
       let score =
-        score_indices st.w st.n (List.filter (fun b -> b <> []) init)
+        Substrate.score_indices st.w st.n (List.filter (fun b -> b <> []) init)
       in
       let moves, best_blocks = anneal ~prng ~steps ~score st active in
       at_least_init

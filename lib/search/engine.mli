@@ -32,7 +32,7 @@
       [Prng.int nblocks] (move) or [Prng.int n_active] (exchange), and
       [Prng.float 1.0] only for a worsening proposal;
     - floats: a score sums pairs in block order, left to right, block by
-      block, as {!Substrate.Pairs} does; an attachment sums a block's
+      block, as {!Substrate.score_indices} does; an attachment sums a block's
       members in order.
     [test/engine_oracle.ml] keeps the list engine frozen, and a QCheck2
     law checks this one against it move for move — labels, streams,
@@ -66,7 +66,7 @@ module Make (P : Substrate.PROBLEM) : sig
     label : string;  (** "greedy", "swap", "swap\@decl", "anneal#i" *)
     stream : int;  (** PRNG stream / task index within the portfolio *)
     score : float;
-        (** exact score of [blocks], recomputed: the {!Substrate.Pairs}
+        (** exact score of [blocks], recomputed: {!Substrate.score_indices}
             fold over the problem's weights *)
     blocks : P.Node.t list list;
     moves : int;  (** applied (swap) / accepted (anneal) moves; 0 greedy *)

@@ -10,7 +10,6 @@
    chip, where the transfer is cheap. *)
 
 module Field = Slo_layout.Field
-module Sgraph = Slo_graph.Sgraph
 module Topology = Slo_sim.Topology
 module Machine = Slo_sim.Machine
 module Fmf = Slo_concurrency.Fmf
@@ -88,7 +87,7 @@ let penalty topo ~src ~dst =
    per-CPU access (read + write) and write counts, and the CPUs where
    each is non-zero, ascending. *)
 type active = {
-  name : string;
+  pos : int;  (* position in [p_fields] *)
   acc : int array;
   wr : int array;
   acc_cpus : int array;
@@ -105,10 +104,10 @@ let nonzero a =
 (* The accessed fields, in [p_fields] order. *)
 let actives p =
   List.mapi
-    (fun i (f : Field.t) ->
+    (fun i _ ->
       let r = p.p_reads.(i) and wr = p.p_writes.(i) in
       let acc = Array.init p.p_ncpus (fun c -> r.(c) + wr.(c)) in
-      { name = f.Field.name; acc; wr; acc_cpus = nonzero acc; wr_cpus = nonzero wr })
+      { pos = i; acc; wr; acc_cpus = nonzero acc; wr_cpus = nonzero wr })
     p.p_fields
   |> List.filter (fun a -> a.acc_cpus <> [||])
 
@@ -119,24 +118,19 @@ let fold_pairs xs ~init ~f =
   in
   outer init xs
 
-let add_nodes p =
-  List.fold_left
-    (fun g (f : Field.t) -> Sgraph.add_node g f.Field.name)
-    Sgraph.empty p.p_fields
-
-(* Colocation gain: for each CPU, paired accesses to both fields by that
-   CPU — accesses that would have shared a line had the fields been
-   colocated (the same [min] pairing estimate the CycleGain side of the
-   classic FLG uses). Same-CPU only: gain is machine-independent. A CPU
-   that did not access [f] adds min = 0, so only [f]'s CPUs are summed. *)
-let gain_graph p acts =
-  fold_pairs acts ~init:(add_nodes p) ~f:(fun g f h ->
-      let s = ref 0 in
-      for k = 0 to Array.length f.acc_cpus - 1 do
-        let c = f.acc_cpus.(k) in
-        s := !s + Int.min f.acc.(c) h.acc.(c)
-      done;
-      if !s > 0 then Sgraph.add_edge g f.name h.name (float_of_int !s) else g)
+(* Colocation gain of two accessed fields: for each CPU, paired
+   accesses to both fields by that CPU — accesses that would have shared
+   a line had the fields been colocated (the same [min] pairing estimate
+   the CycleGain side of the classic FLG uses). Same-CPU only: gain is
+   machine-independent. A CPU that did not access [f] adds min = 0, so
+   only [f]'s CPUs are summed. *)
+let pair_gain f h =
+  let s = ref 0 in
+  for k = 0 to Array.length f.acc_cpus - 1 do
+    let c = f.acc_cpus.(k) in
+    s := !s + Int.min f.acc.(c) h.acc.(c)
+  done;
+  !s
 
 (* Contention loss under a level-weight function: writes to one field by
    CPU [c1] paired against accesses to the other field by CPU [c2 <> c1]
@@ -148,7 +142,7 @@ let gain_graph p acts =
    non-zero counts are visited, in ascending order: the skipped terms
    are the zero-count ones, and the rest are added in full-scan order,
    so every weight is the full scan's to the bit. *)
-let loss_graph ~pen p acts =
+let pair_loss ~pen p =
   let ncpus = p.p_ncpus in
   let pens = Float.Array.make (ncpus * ncpus) 0.0 in
   for c1 = 0 to ncpus - 1 do
@@ -157,7 +151,7 @@ let loss_graph ~pen p acts =
     done
   done;
   (* [w]'s writes against [a]'s accesses. *)
-  let pair_loss w a =
+  let one_way w a =
     let s = ref 0.0 in
     for i = 0 to Array.length w.wr_cpus - 1 do
       let c1 = w.wr_cpus.(i) in
@@ -172,26 +166,34 @@ let loss_graph ~pen p acts =
     done;
     !s
   in
-  fold_pairs acts ~init:(add_nodes p) ~f:(fun g f h ->
-      let l = pair_loss f h +. pair_loss h f in
-      if l > 0.0 then Sgraph.add_edge g f.name h.name l else g)
+  fun f h -> one_way f h +. one_way h f
 
-let graph ?(k1 = 1.0) ?(k2 = 1.0) ~pen p =
+(* The objective over [p_fields]: a pair has an edge when its gain or its
+   loss is non-zero, and then weighs [k1·gain − k2·loss] with an absent
+   side read as 0 (so [k1·gain] alone keeps a -0). *)
+let objective_of ?(k1 = 1.0) ?(k2 = 1.0) ~pen ~struct_name ~line_size p =
   if not (Float.is_finite k1 && Float.is_finite k2) then
     invalid_arg "Hier: k1 and k2 must be finite";
-  let acts = actives p in
-  let gain =
-    Sgraph.map_weights (gain_graph p acts) ~f:(fun _ _ w -> k1 *. w)
-  in
-  let loss =
-    Sgraph.map_weights (loss_graph ~pen p acts) ~f:(fun _ _ w -> -.(k2 *. w))
-  in
-  Sgraph.union gain loss
+  let n = List.length p.p_fields in
+  let w = Float.Array.make (n * n) 0.0 and linked = Array.make n false in
+  let loss = pair_loss ~pen p in
+  fold_pairs (actives p) ~init:() ~f:(fun () f h ->
+      let g = pair_gain f h and l = loss f h in
+      if g > 0 || l > 0.0 then begin
+        let gain = if g > 0 then k1 *. float_of_int g else 0.0
+        and loss = if l > 0.0 then k2 *. l else 0.0 in
+        Float.Array.set w ((f.pos * n) + h.pos) (gain -. loss);
+        Float.Array.set w ((h.pos * n) + f.pos) (gain -. loss);
+        linked.(f.pos) <- true;
+        linked.(h.pos) <- true
+      end);
+  let active = List.filter (Array.get linked) (List.init n Fun.id) in
+  Objective.make ~struct_name ~fields:p.p_fields ~line_size ~weights:w
+    ~active:(Array.of_list active)
 
 let objective ?k1 ?k2 ~topo ~struct_name ~line_size p =
-  Objective.make ~struct_name ~fields:p.p_fields ~line_size
-    ~graph:(graph ?k1 ?k2 ~pen:(fun ~src ~dst -> penalty topo ~src ~dst) p)
+  objective_of ?k1 ?k2 ~struct_name ~line_size p
+    ~pen:(fun ~src ~dst -> penalty topo ~src ~dst)
 
 let flat_objective ?k1 ?k2 ~struct_name ~line_size p =
-  Objective.make ~struct_name ~fields:p.p_fields ~line_size
-    ~graph:(graph ?k1 ?k2 ~pen:(fun ~src:_ ~dst:_ -> 1.0) p)
+  objective_of ?k1 ?k2 ~struct_name ~line_size p ~pen:(fun ~src:_ ~dst:_ -> 1.0)

@@ -1,55 +1,46 @@
 module Field = Slo_layout.Field
 module Layout = Slo_layout.Layout
-module Sgraph = Slo_graph.Sgraph
+module Names = Slo_util.Names
 
 type t = {
   struct_name : string;
   fields : Field.t list;
-  graph : Sgraph.t;
   line_size : int;
   nodes : Field.t array;
+  names : Names.t;
   weights : Float.Array.t;
   active : int array;
 }
 
-let make ~struct_name ~fields ~graph ~line_size =
+let make ~struct_name ~fields ~weights ~active ~line_size =
   if line_size <= 0 then invalid_arg "Search.Objective.make: line_size <= 0";
   if fields = [] then invalid_arg "Search.Objective.make: no fields";
-  let seen = Hashtbl.create 16 in
-  List.iter
-    (fun (f : Field.t) ->
-      if Hashtbl.mem seen f.Field.name then
-        invalid_arg
-          (Printf.sprintf "Search.Objective.make: duplicate field %S"
-             f.Field.name);
-      Hashtbl.replace seen f.Field.name ())
-    fields;
   let nodes = Array.of_list fields in
-  let names = Array.map (fun (f : Field.t) -> f.Field.name) nodes in
-  { struct_name; fields; graph; line_size; nodes;
-    weights = Substrate.dense_weights names graph;
-    active = Substrate.active names graph }
+  let names =
+    match Names.make (Array.map (fun (f : Field.t) -> f.Field.name) nodes) with
+    | Ok names -> names
+    | Error f ->
+      invalid_arg (Printf.sprintf "Search.Objective.make: duplicate field %S" f)
+  in
+  let n = Array.length nodes in
+  if Float.Array.length weights <> n * n then
+    invalid_arg "Search.Objective.make: weights are not n x n";
+  { struct_name; fields; line_size; nodes; names; weights; active }
 
-let weight t f1 f2 = Sgraph.weight0 t.graph f1 f2
+(* Fields are scored as node indices, through the scorers every
+   substrate shares, so fold order (and hence float results) cannot drift
+   between the objective, the engine and the code-layout substrate. *)
+let index t (f : Field.t) =
+  match Names.find_opt t.names f.Field.name with
+  | Some i -> i
+  | None ->
+    invalid_arg (Printf.sprintf "Search.Objective: unknown field %S" f.Field.name)
 
-(* The scoring primitives are the generic substrate ones, instantiated at
-   fields — the same code path every other substrate scores through, so
-   fold order (and hence float results) cannot drift between domains. *)
-module Node = struct
-  type t = Field.t
+let n t = Array.length t.nodes
+let block_weight t block = Substrate.pair_sum t.weights (n t) (List.map (index t) block)
 
-  let name (f : Field.t) = f.Field.name
-end
-
-module Pairs = Substrate.Pairs (Node)
-
-let fold_pairs = Pairs.fold_pairs
-let pair_weight_sum = Pairs.pair_weight_sum
-let cross_weight_sum = Pairs.cross_weight_sum
-
-let block_weight t block = pair_weight_sum ~weight:(weight t) block
-
-let score_blocks t blocks = Pairs.blocks_weight_sum ~weight:(weight t) blocks
+let score_blocks t blocks =
+  Substrate.score_indices t.weights (n t) (List.map (List.map (index t)) blocks)
 
 let line_groups t (layout : Layout.t) =
   let rev =
@@ -66,13 +57,21 @@ let line_groups t (layout : Layout.t) =
 let score t layout = score_blocks t (line_groups t layout)
 
 let gain_loss t layout =
+  let n = n t in
   List.fold_left
     (fun acc block ->
-      fold_pairs
-        ~f:(fun (g, l) a b ->
-          let w = weight t a b in
-          if w >= 0.0 then (g +. w, l) else (g, l -. w))
-        acc block)
+      let rec pairs acc = function
+        | [] -> acc
+        | x :: rest ->
+          pairs
+            (List.fold_left
+               (fun (g, l) y ->
+                 let w = Float.Array.get t.weights ((x * n) + y) in
+                 if w >= 0.0 then (g +. w, l) else (g, l -. w))
+               acc rest)
+            rest
+      in
+      pairs acc (List.map (index t) block))
     (0.0, 0.0) (line_groups t layout)
 
 let active_fields t = Array.to_list (Array.map (Array.get t.nodes) t.active)

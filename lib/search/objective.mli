@@ -5,9 +5,10 @@
     the sum of FLG edge weights over colocated field pairs, where each
     weight is already [k1·CycleGain − k2·CycleLoss]. This module makes the
     objective a first-class value that every consumer scores with one
-    implementation: the greedy clusterer's intra/inter cluster weights
-    ({!Slo_core.Cluster}), the brute-force partition oracle in the test
-    suite, and the metaheuristic optimizers of {!Optimizer}.
+    implementation, the index scorers of {!Substrate}: the greedy
+    clusterer's intra/inter cluster weights ({!Slo_core.Cluster}), the
+    brute-force partition oracle in the test suite, and the
+    metaheuristic optimizers of {!Optimizer}.
 
     Two equivalent views are scored:
     - a {e partition} ([score_blocks]): the candidate representation the
@@ -26,49 +27,35 @@
 type t = private {
   struct_name : string;
   fields : Slo_layout.Field.t list;  (** declaration order *)
-  graph : Slo_graph.Sgraph.t;  (** combined FLG edge weights *)
   line_size : int;
   nodes : Slo_layout.Field.t array;  (** [fields]; index = search node *)
+  names : Slo_util.Names.t;  (** [nodes]' names *)
   weights : Float.Array.t;
-      (** [graph] as the dense row-major matrix over [nodes]
-          ({!Substrate.dense_weights}), built once by {!make} *)
+      (** the combined FLG edge weights, dense row-major over [nodes] *)
   active : int array;  (** ascending indices of {!active_fields} *)
 }
 
 val make :
   struct_name:string ->
   fields:Slo_layout.Field.t list ->
-  graph:Slo_graph.Sgraph.t ->
+  weights:Float.Array.t ->
+  active:int array ->
   line_size:int ->
   t
-(** @raise Invalid_argument if [line_size <= 0], [fields] is empty, or a
-    field name repeats. *)
-
-val weight : t -> string -> string -> float
-(** FLG edge weight; 0 for absent edges. *)
-
-val pair_weight_sum :
-  weight:(string -> string -> float) -> Slo_layout.Field.t list -> float
-(** Sum of [weight f g] over unordered pairs of distinct fields — the
-    scoring primitive everything else builds on.
-    {!Slo_core.Cluster.intra_cluster_weight} is this applied to a
-    cluster's members. *)
-
-val cross_weight_sum :
-  weight:(string -> string -> float) ->
-  Slo_layout.Field.t list ->
-  Slo_layout.Field.t list ->
-  float
-(** Sum of [weight f g] for [f] in the first list and [g] in the second —
-    {!Slo_core.Cluster.inter_cluster_weight}'s primitive. *)
+(** [weights] is read, not copied.
+    @raise Invalid_argument if [line_size <= 0], [fields] is empty, a
+    field name repeats, or [weights] is not [n × n]. *)
 
 val block_weight : t -> Slo_layout.Field.t list -> float
-(** [pair_weight_sum] under the objective's own weights. *)
+(** The sum of the weights of the block's pairs, in block order
+    ({!Substrate.pair_sum}). @raise Invalid_argument for a field that
+    is not one of the objective's. *)
 
 val score_blocks : t -> Slo_layout.Field.t list list -> float
 (** Objective value of a partition: the sum of [block_weight] over its
     blocks (cross-block pairs contribute nothing — each block gets its own
-    cache line when laid out). *)
+    cache line when laid out); {!Substrate.score_indices}, the engine's
+    scorer. *)
 
 val score : t -> Slo_layout.Layout.t -> float
 (** Objective value of a concrete layout: fields are grouped by

@@ -1,58 +1,30 @@
 (* See substrate.mli. *)
 
-module Sgraph = Slo_graph.Sgraph
-
 module type NODE = sig
   type t
 
   val name : t -> string
 end
 
-module Pairs (N : NODE) = struct
-  (* fold over unordered pairs of distinct nodes *)
-  let fold_pairs ~f init nodes =
-    let rec go acc = function
-      | [] -> acc
-      | x :: rest ->
-        let acc =
-          List.fold_left (fun acc y -> f acc (N.name x) (N.name y)) acc rest
-        in
-        go acc rest
-    in
-    go init nodes
+let pair_sum w n xs =
+  let rec pairs s = function
+    | [] -> s
+    | x :: rest ->
+      let row = x * n in
+      pairs
+        (List.fold_left (fun s y -> s +. Float.Array.unsafe_get w (row + y)) s rest)
+        rest
+  in
+  pairs 0.0 xs
 
-  let pair_weight_sum ~weight nodes =
-    fold_pairs ~f:(fun acc a b -> acc +. weight a b) 0.0 nodes
+let score_indices w n blocks =
+  List.fold_left (fun acc block -> acc +. pair_sum w n block) 0.0 blocks
 
-  let blocks_weight_sum ~weight blocks =
-    List.fold_left (fun acc b -> acc +. pair_weight_sum ~weight b) 0.0 blocks
-
-  let cross_weight_sum ~weight b1 b2 =
-    List.fold_left
-      (fun acc x ->
-        List.fold_left (fun acc y -> acc +. weight (N.name x) (N.name y)) acc b2)
-      0.0 b1
-end
-
-(* The graph stores each edge's weight once per direction, both copies
-   the same float, so the symmetric matrix reproduces [weight0]. *)
-let dense_weights names graph =
-  let n = Array.length names in
-  let index = Hashtbl.create (2 * n) in
-  Array.iteri (fun i name -> Hashtbl.replace index name i) names;
-  let w = Float.Array.make (n * n) 0.0 in
-  Sgraph.fold_edges graph ~init:() ~f:(fun () u v x ->
-      match (Hashtbl.find_opt index u, Hashtbl.find_opt index v) with
-      | Some i, Some j ->
-        Float.Array.set w ((i * n) + j) x;
-        Float.Array.set w ((j * n) + i) x
-      | _ -> ());
-  w
-
-let active names graph =
-  List.init (Array.length names) Fun.id
-  |> List.filter (fun i -> Sgraph.degree graph names.(i) > 0)
-  |> Array.of_list
+let cross_sum w n xs ys =
+  List.fold_left
+    (fun acc x ->
+      List.fold_left (fun acc y -> acc +. Float.Array.get w ((x * n) + y)) acc ys)
+    0.0 xs
 
 module type PROBLEM = sig
   module Node : NODE

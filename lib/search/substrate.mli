@@ -13,9 +13,7 @@
       to hand the result back out;
     - the {b weights} as one dense row-major [n × n] {!Float.Array.t}
       (entry [i·n + j] is the affinity/penalty balance of nodes [i] and
-      [j], 0 for absent edges), built once per problem by {!dense_weights}
-      in one pass over the edges — O(n + E) lookups, not n² map
-      lookups;
+      [j], 0 for absent edges), built by the producer of the graph;
     - the {b active} nodes, ascending;
     - a {b capacity} and an {b extend} rule: [extend t s i] is the packed
       size of a block of packed size [s] after appending node [i]. A
@@ -25,12 +23,11 @@
       gets its own block). The engine derives both capacity tests from
       these two values.
 
-    {!Pairs} is the shared by-name scoring primitive for callers that hold
-    node lists: the fold order over unordered pairs is part of the
-    contract — every consumer (the greedy clusterer, the brute-force test
-    oracles, the engine's index-based scorer) sums the same pairs in the
-    same order so that float scores are byte-identical across
-    implementations. *)
+    The scorers below are the one implementation of a weight sum over
+    index lists: the fold order over unordered pairs is part of the
+    contract, so every consumer (the engine, {!Objective}, the greedy
+    clusterer, the code-layout substrate) sums the same pairs in the same
+    order and float scores are byte-identical across them. *)
 
 module type NODE = sig
   type t
@@ -39,38 +36,17 @@ module type NODE = sig
   (** Stable unique key: how seed partitions are matched to indices. *)
 end
 
-(** Pairwise scoring primitives over a node type. The fold visits
-    unordered pairs of distinct nodes in list order — pair [(x, y)] with
-    [x] before [y] — and sums left-to-right, so float results are
-    reproducible to the bit across substrates. *)
-module Pairs (N : NODE) : sig
-  val fold_pairs : f:('a -> string -> string -> 'a) -> 'a -> N.t list -> 'a
-  (** Fold [f] over unordered pairs of distinct nodes, by name. *)
+val pair_sum : Float.Array.t -> int -> int list -> float
+(** [pair_sum w n xs]: [w.(x·n + y)] over the pairs [(x, y)] with [x]
+    before [y] in [xs], summed left to right from 0. *)
 
-  val pair_weight_sum : weight:(string -> string -> float) -> N.t list -> float
-  (** Sum of [weight a b] over unordered pairs of distinct nodes. *)
+val score_indices : Float.Array.t -> int -> int list list -> float
+(** A partition's score: [pair_sum] of each block, summed left to right
+    from 0. *)
 
-  val blocks_weight_sum :
-    weight:(string -> string -> float) -> N.t list list -> float
-  (** A partition's score: [pair_weight_sum] of each block, summed left to
-      right. *)
-
-  val cross_weight_sum :
-    weight:(string -> string -> float) -> N.t list -> N.t list -> float
-  (** Sum of [weight a b] for [a] in the first list, [b] in the second. *)
-end
-
-val dense_weights : string array -> Slo_graph.Sgraph.t -> Float.Array.t
-(** [dense_weights names g]: the row-major [n × n] weight matrix of [g]
-    over [names] (node [i] is [names.(i)]), symmetric, 0 on the diagonal
-    and for absent edges; edges naming a node outside [names] are
-    ignored. One pass over the edges: O(n² + E) to allocate and fill, no
-    per-pair map lookups. Entry [i·n + j] is bit-identical to
-    [Sgraph.weight0 g names.(i) names.(j)]. *)
-
-val active : string array -> Slo_graph.Sgraph.t -> int array
-(** [active names g]: the ascending indices of the nodes with at least one
-    incident edge in [g] — a problem's {!PROBLEM.active}. *)
+val cross_sum : Float.Array.t -> int -> int list -> int list -> float
+(** [cross_sum w n xs ys]: [w.(x·n + y)] for [x] in [xs], then [y] in
+    [ys], summed left to right from 0. *)
 
 (** A complete search problem over node indices. {!Engine.Make} builds
     the full greedy/swap/anneal portfolio from this. *)
@@ -85,7 +61,7 @@ module type PROBLEM = sig
       partitions are validated against this set. *)
 
   val weights : t -> Float.Array.t
-  (** The dense [n × n] weights ({!dense_weights}); read-only. *)
+  (** The dense [n × n] weights; read-only. *)
 
   val active : t -> int array
   (** Ascending indices of the nodes with at least one incident edge —

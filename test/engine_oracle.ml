@@ -27,7 +27,7 @@ module type PROBLEM = sig
 end
 
 module Make (P : PROBLEM) = struct
-  module Pairs = Slo_search.Substrate.Pairs (P.Node)
+  module Pairs = Flg_oracle.Pairs (P.Node)
 
   let block_weight prob block = Pairs.pair_weight_sum ~weight:(P.weight prob) block
 

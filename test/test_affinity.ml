@@ -112,7 +112,7 @@ let test_unreferenced_fields_are_isolated_nodes () =
   let ag = Affinity_graph.build p counts ~struct_name:"S" in
   Alcotest.(check (list string))
     "all fields present" src_fields
-    (List.map fst ag.Affinity_graph.hotness)
+    (Array.to_list ag.Affinity_graph.fields.Slo_util.Names.names)
 
 let test_groups_separate_loops () =
   (* Fields in two different loops of the same proc form separate groups:
@@ -177,7 +177,7 @@ let prop_affinity_bounded_by_hotness =
               [ Interp.Ainst inst; Interp.Aint 4 ])
           p.Slo_ir.Ast.procs;
         let ag = Affinity_graph.build p counts ~struct_name:"G" in
-        let fields = List.map fst ag.Affinity_graph.hotness in
+        let fields = Array.to_list ag.Affinity_graph.fields.Slo_util.Names.names in
         List.for_all
           (fun a ->
             List.for_all

@@ -1,6 +1,7 @@
-(* Tests for Slo_graph.Sgraph (the Wgraph functor over strings). *)
+(* Tests for the test-side Sgraph (the Wgraph functor over strings) that
+   the frozen oracles use. *)
 
-module G = Slo_graph.Sgraph
+module G = Sgraph
 
 let check_int = Alcotest.(check int)
 let checkf = Alcotest.(check (float 1e-9))
