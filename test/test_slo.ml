@@ -8,6 +8,7 @@ let () =
    @ Test_concurrency.suites
    @ Test_core.suites
    @ Test_globals.suites @ Test_persist.suites @ Test_workload.suites
-   @ Test_exec.suites @ Test_search.suites @ Test_hier.suites @ Test_engine.suites
+   @ Test_exec.suites @ Test_search.suites @ Test_hier.suites @ Test_flg.suites
+   @ Test_engine.suites
    @ Test_codelayout.suites
    @ Test_serve.suites @ Test_fuzz.suites)
