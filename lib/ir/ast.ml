@@ -80,10 +80,6 @@ type lvalue =
   | Lglobal of string * Loc.t
   | Lfield of { inst : string; field : string; index : expr option; loc : Loc.t }
 
-let lvalue_loc = function
-  | Lvar (_, l) | Lglobal (_, l) -> l
-  | Lfield { loc; _ } -> loc
-
 type stmt =
   | Assign of lvalue * expr * Loc.t
   | For of { var : string; count : expr; body : block; loc : Loc.t }

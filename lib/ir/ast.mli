@@ -77,8 +77,6 @@ type lvalue =
   | Lglobal of string * Loc.t  (** resolved from [Lvar] by the typechecker *)
   | Lfield of { inst : string; field : string; index : expr option; loc : Loc.t }
 
-val lvalue_loc : lvalue -> Loc.t
-
 type stmt =
   | Assign of lvalue * expr * Loc.t
   | For of { var : string; count : expr; body : block; loc : Loc.t }

@@ -69,8 +69,6 @@ let set_global ctx ~name v =
     invalid_arg (Printf.sprintf "Interp.set_global: unknown global %S" name);
   Hashtbl.replace ctx.global_values name v
 
-let ctx_program ctx = ctx.program
-
 let ctx_cfg ctx ~proc =
   match Hashtbl.find_opt ctx.cfgs proc with
   | Some cfg -> cfg

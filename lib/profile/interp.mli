@@ -32,8 +32,6 @@ type ctx
 val make_ctx : Slo_ir.Ast.program -> ctx
 (** The program must already be typechecked ({!Slo_ir.Typecheck.check}). *)
 
-val ctx_program : ctx -> Slo_ir.Ast.program
-
 val get_global : ctx -> name:string -> int
 (** Current value of a global variable (globals persist across runs on the
     same context). @raise Invalid_argument for unknown names. *)

@@ -45,10 +45,6 @@ let accesses t = t.loads + t.stores
 let coherence_misses t = t.true_sharing_misses + t.false_sharing_misses
 let misses t = t.cold_misses + t.capacity_misses + coherence_misses t
 
-let miss_rate t =
-  let a = accesses t in
-  if a = 0 then 0.0 else float_of_int (misses t) /. float_of_int a
-
 let imiss_rate t =
   if t.ifetches = 0 then 0.0
   else float_of_int t.imisses /. float_of_int t.ifetches

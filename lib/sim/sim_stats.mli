@@ -42,7 +42,6 @@ val create : unit -> t
 val accesses : t -> int
 val misses : t -> int
 val coherence_misses : t -> int
-val miss_rate : t -> float
 
 val imiss_rate : t -> float
 (** [imisses / ifetches]; 0 when no ifetches happened. *)

@@ -54,7 +54,6 @@ let custom ~cpus lat ~hierarchical =
 
 let num_cpus t = t.cpus
 let latencies t = t.lat
-let is_hierarchical t = t.hierarchical
 
 let check_cpu t who cpu =
   if cpu < 0 || cpu >= t.cpus then

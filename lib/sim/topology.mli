@@ -42,7 +42,6 @@ val custom : cpus:int -> latencies -> hierarchical:bool -> t
 
 val num_cpus : t -> int
 val latencies : t -> latencies
-val is_hierarchical : t -> bool
 
 val transfer_latency : t -> src:int -> dst:int -> int
 (** Cache-to-cache transfer cost between two CPUs.

@@ -12,8 +12,6 @@ module Optimizer = Slo_search.Optimizer
 
 let struct_name = "N"
 let line_size = 128
-let far_pair = ("n_hot", "n_ro")
-let near_pair = ("n_loc", "n_lro")
 let n_cold = 16 (* n_z0..n_z15: pushes decl order to two lines *)
 
 (* Per-role loop trip counts for the profiling run. Under the declaration

@@ -37,12 +37,6 @@ val line_size : int
 val fields : unit -> Slo_layout.Field.t list
 (** [N]'s fields in declaration order. *)
 
-val far_pair : string * string
-(** [("n_hot", "n_ro")]. *)
-
-val near_pair : string * string
-(** [("n_loc", "n_lro")]. *)
-
 val roles : Slo_sim.Topology.t -> int * int * int * int
 (** (far owner, far peeker, near owner, near peeker) CPUs for a topology:
     [(0, cpus/2, 2, 3)] — cross-machine vs same-chip — degenerating to
