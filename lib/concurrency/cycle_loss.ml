@@ -2,10 +2,9 @@ type t = { struct_name : string; fields : Slo_util.Names.t; loss : Float.Array.t
 
 module Table = Fmf.Table
 
-let compute ~cm ~fmf ~struct_name =
-  let table = Fmf.table fmf ~struct_name in
-  let names = Table.fields table in
-  let n = Array.length names in
+let compute ~cm ~fmf ~struct_name ~fields =
+  let table = Fmf.table fmf ~struct_name ~fields in
+  let n = Slo_util.Names.length fields in
   (* Cell (i * n) + j, i < j, sums the loss of field indices i and j, in
      [Code_concurrency.pairs] order, then orientation, then entry order.
      Sums above 2^53 (maps with saturated cells) round differently in
@@ -52,5 +51,4 @@ let compute ~cm ~fmf ~struct_name =
       Float.Array.set m ((j * n) + i) (Float.Array.get m ((i * n) + j))
     done
   done;
-  (* The table's names are distinct: they are the keys of a table. *)
-  { struct_name; fields = Result.get_ok (Slo_util.Names.make names); loss = m }
+  { struct_name; fields; loss = m }

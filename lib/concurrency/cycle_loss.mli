@@ -26,9 +26,7 @@
 
 type t = {
   struct_name : string;
-  fields : Slo_util.Names.t;
-      (** the index space: the struct's fields that the FMF mentions,
-          ascending by name ({!Fmf.Table.fields}) *)
+  fields : Slo_util.Names.t;  (** the index space [compute] was given *)
   loss : Float.Array.t;
       (** [n × n] row-major raw (un-scaled) loss, symmetric, 0 on the
           diagonal and for pairs never concurrent *)
@@ -39,10 +37,14 @@ val compute :
   cm:Code_concurrency.t ->
   fmf:Fmf.t ->
   struct_name:string ->
+  fields:Slo_util.Names.t ->
   t
-(** Walks {!Code_concurrency.pairs} once. Each line of a pair is one read
-    of the struct's {!Fmf.Table.t}, and each conflict adds into the
-    field × field matrix over the table's field indices.
+(** The loss over [fields]' indices: in practice the struct's declared
+    fields in declaration order, the affinity graph's index space, which
+    [Flg.build] requires. Fields the FMF mentions that [fields]
+    does not name are left out. Walks {!Code_concurrency.pairs} once.
+    Each line of a pair is one read of the struct's {!Fmf.Table.t} over
+    [fields], and each conflict adds into the field × field matrix.
 
     The walk keeps [pairs]' order (decreasing CC), then orientation, then
     the lines' entry order. A map with saturated cells ([max_int])

@@ -1,5 +1,6 @@
 module Cfg = Slo_ir.Cfg
 module Loc = Slo_ir.Loc
+module Names = Slo_util.Names
 
 type access = { f_struct : string; f_field : string; f_is_write : bool }
 
@@ -39,33 +40,15 @@ let fields_at t ~line ~struct_name =
    struct share one empty array. *)
 module Table = struct
   type entries = int array
+  type t = entries array
 
-  type t = { fields : string array; lines : entries array }
-
-  let fields t = Array.copy t.fields
-
-  let at t ~line =
-    if line >= 0 && line < Array.length t.lines then t.lines.(line) else [||]
-
+  let at t ~line = if line >= 0 && line < Array.length t then t.(line) else [||]
   let length = Array.length
   let field (e : entries) k = e.(k) lsr 1
   let is_write (e : entries) k = e.(k) land 1 = 1
 end
 
-let table t ~struct_name =
-  let names =
-    Hashtbl.fold
-      (fun _ accs names ->
-        List.fold_left
-          (fun names a ->
-            if String.equal a.f_struct struct_name then a.f_field :: names
-            else names)
-          names accs)
-      t.lines []
-    |> List.sort_uniq String.compare |> Array.of_list
-  in
-  let index = Hashtbl.create (Array.length names) in
-  Array.iteri (fun i name -> Hashtbl.replace index name i) names;
+let table t ~struct_name ~fields =
   let last = Hashtbl.fold (fun line _ last -> max line last) t.lines (-1) in
   let lines = Array.make (last + 1) [||] in
   Hashtbl.iter
@@ -73,26 +56,14 @@ let table t ~struct_name =
       if line >= 0 then
         lines.(line) <-
           Array.of_list
-            (List.map
-               (fun (f, w) -> (Hashtbl.find index f lsl 1) lor Bool.to_int w)
+            (List.filter_map
+               (fun (f, w) ->
+                 Option.map
+                   (fun i -> (i lsl 1) lor Bool.to_int w)
+                   (Names.find_opt fields f))
                (fields_at t ~line ~struct_name)))
     t.lines;
-  { Table.fields = names; lines }
-
-let lines_accessing t ~struct_name =
-  Hashtbl.fold
-    (fun line accs acc ->
-      if List.exists (fun a -> String.equal a.f_struct struct_name) accs then
-        line :: acc
-      else acc)
-    t.lines []
-  |> List.sort_uniq compare
-
-let writes_field_at t ~line ~struct_name ~field =
-  accesses_at t ~line
-  |> List.exists (fun a ->
-         String.equal a.f_struct struct_name
-         && String.equal a.f_field field && a.f_is_write)
+  lines
 
 let pp ppf t =
   let lines =

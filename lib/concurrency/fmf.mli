@@ -6,43 +6,36 @@
     (struct, field, read/write) is exact — the compiler-emitted FMF of the
     paper without the lossy IP-to-source round trip. *)
 
-type access = { f_struct : string; f_field : string; f_is_write : bool }
-
 type t
 
 val of_program : Slo_ir.Ast.program -> t
 (** The program must be typechecked. *)
 
-val of_cfgs : Slo_ir.Cfg.t list -> t
-
-val accesses_at : t -> line:int -> access list
-(** Accesses on a line (deduplicated; a field appears at most twice — once
-    as read, once as write). Empty for lines without field accesses. *)
-
 val fields_at : t -> line:int -> struct_name:string -> (string * bool) list
-(** (field, is_write) pairs for one struct on one line. *)
+(** (field, is_write) pairs for one struct on one line, deduplicated (a
+    field appears at most twice — once as read, once as write). Empty for
+    lines without an access of the struct. *)
 
 (** {2 Resolved table}
 
     {!fields_at} finds a line, reverses its list and filters it by name:
     fine once, too slow in a loop over every sample or every line pair.
-    A {!Table.t} resolves one struct's accesses once. Each source line
-    maps to the struct's field accesses as (field index, is-write), in
-    {!fields_at} order; the field index space is the names of the
-    struct's fields that the mapping mentions, sorted by
-    [String.compare]. A line is one array read, and reading a line's
-    entries allocates nothing. [Hier.profile] (one read per sample) and
-    {!Cycle_loss.compute} (two per line pair, adding into a field ×
-    field matrix) read it. *)
+    A {!Table.t} resolves one struct's accesses once, over a field index
+    space the caller gives: a {!Slo_util.Names.t}, in practice the
+    struct's declared fields in declaration order, which the affinity
+    graph and the FLG share. Each source line maps to the struct's field
+    accesses as (field index, is-write), in {!fields_at} order, leaving
+    out any field the index space does not name. A line is one array
+    read, and reading a line's entries allocates nothing. [Hier.profile]
+    (one read per sample) and {!Cycle_loss.compute} (two per line pair,
+    adding into a field × field matrix) read it. This is the one name →
+    index step between the FMF and the search (DESIGN §19). *)
 
 module Table : sig
   type t
 
   type entries
   (** One line's accesses of the struct. *)
-
-  val fields : t -> string array
-  (** Field index -> name, ascending by name. *)
 
   val at : t -> line:int -> entries
   (** The accesses on [line]; none for a negative line or one past the
@@ -55,14 +48,10 @@ module Table : sig
   val is_write : entries -> int -> bool
 end
 
-val table : t -> struct_name:string -> Table.t
-(** [table t ~struct_name] answers for every line what {!fields_at}
-    answers, with field names replaced by their index. Source lines are
-    non-negative; linear in the size of the mapping. *)
-
-val lines_accessing : t -> struct_name:string -> int list
-(** Lines touching any field of the struct, sorted. *)
-
-val writes_field_at : t -> line:int -> struct_name:string -> field:string -> bool
+val table : t -> struct_name:string -> fields:Slo_util.Names.t -> Table.t
+(** [table t ~struct_name ~fields] answers for every line what
+    {!fields_at} answers, with each field replaced by its index in
+    [fields] and the fields [fields] does not name left out. Source lines
+    are non-negative; linear in the size of the mapping. *)
 
 val pp : Format.formatter -> t -> unit

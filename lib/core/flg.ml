@@ -37,9 +37,10 @@ let make ~struct_name ~fields ~hotness ~gain ~loss ~edge =
   then invalid_arg "Flg.make: a part does not match the fields";
   assemble ~struct_name ~fields ~names ~hotness ~gain ~loss ~edge
 
-(* The FLG shares the affinity graph's index space. A cell of [gain] or
-   [loss] is [0.0 +. k *. raw]: the sum a by-name graph made when it
-   added the scaled edge to an empty one, so 0 and -0 both read +0. *)
+(* The FLG shares the affinity graph's index space, and so does the
+   loss. A cell of [gain] or [loss] is [0.0 +. k *. raw]: the sum a
+   by-name graph made when it added the scaled edge to an empty one, so
+   0 and -0 both read +0. *)
 let build ?(k1 = 1.0) ?(k2 = 1.0) ~fields ~affinity ?cycle_loss () =
   if not (Float.is_finite k1 && Float.is_finite k2) then
     invalid_arg "Flg.build: k1 and k2 must be finite";
@@ -55,29 +56,16 @@ let build ?(k1 = 1.0) ?(k2 = 1.0) ~fields ~affinity ?cycle_loss () =
     0.0 +. (k *. raw)
   in
   let gain = Float.Array.mapi (scaled k1) affinity.Affinity_graph.weight in
-  let loss = Float.Array.make (n * n) 0.0 in
-  Option.iter
-    (fun (cl : Cycle_loss.t) ->
+  let loss =
+    match cycle_loss with
+    | None -> Float.Array.make (n * n) 0.0
+    | Some (cl : Cycle_loss.t) ->
       if not (String.equal cl.Cycle_loss.struct_name struct_name) then
         invalid_arg "Flg.build: cycle loss computed for a different struct";
-      (* The loss is over the FMF's fields, by name: map them once. *)
-      let cf = cl.Cycle_loss.fields in
-      let at =
-        Array.map
-          (fun name -> Option.value (Names.find_opt names name) ~default:(-1))
-          cf.Names.names
-      in
-      let len = Names.length cf in
-      for a = 0 to len - 1 do
-        for b = 0 to len - 1 do
-          let raw = Float.Array.get cl.Cycle_loss.loss ((a * len) + b) in
-          if raw <> 0.0 && at.(a) >= 0 && at.(b) >= 0 then begin
-            let c = (at.(a) * n) + at.(b) in
-            Float.Array.set loss c (scaled k2 c raw)
-          end
-        done
-      done)
-    cycle_loss;
+      if cl.Cycle_loss.fields.Names.names <> names.Names.names then
+        invalid_arg "Flg.build: cycle loss is not over the affinity graph's fields";
+      Float.Array.mapi (scaled k2) cl.Cycle_loss.loss
+  in
   assemble ~struct_name ~fields ~names
     ~hotness:(Array.copy affinity.Affinity_graph.hotness) ~gain ~loss ~edge
 

@@ -53,13 +53,16 @@ val build :
   unit ->
   t
 (** [fields] are the struct's fields in declaration order, the affinity
-    graph's, whose index space the FLG shares. Defaults: [k1 = 1.0],
-    [k2 = 1.0]. Omitting [cycle_loss] yields the single-threaded FLG
-    (pure locality optimization — the CGO'06 baseline this paper builds
-    on). @raise Invalid_argument if [k1] or [k2] is not finite (a NaN or
+    graph's, whose index space the FLG shares; the cycle loss must be
+    computed over it too ([Cycle_loss.compute ~fields]), so each of its
+    cells is scaled where it lies. Defaults: [k1 = 1.0], [k2 = 1.0].
+    Omitting [cycle_loss] yields the single-threaded FLG (pure locality
+    optimization — the CGO'06 baseline this paper builds on).
+    @raise Invalid_argument if [k1] or [k2] is not finite (a NaN or
     infinite scale makes every weight NaN or infinite), [fields] are not
     the affinity graph's, or the cycle loss was computed for another
-    struct. *)
+    struct or over other fields (other names, or the same names in
+    another order). *)
 
 val size : t -> int
 val has_edge : t -> int -> int -> bool

@@ -13,19 +13,11 @@ type params = {
   k2 : float;
   line_size : int;
   cc_interval : int;
-  require_read : bool;
   top_positive : int;
 }
 
 let default_params =
-  {
-    k1 = 1.0;
-    k2 = 1.0;
-    line_size = 128;
-    cc_interval = 20_000;
-    require_read = false;
-    top_positive = 20;
-  }
+  { k1 = 1.0; k2 = 1.0; line_size = 128; cc_interval = 20_000; top_positive = 20 }
 
 let analyze ?(params = default_params) ?cm ~program ~counts ~samples
     ~struct_name () =
@@ -38,8 +30,7 @@ let analyze ?(params = default_params) ?cm ~program ~counts ~samples
   in
   let affinity =
     Obs.time "pipeline.affinity_s" (fun () ->
-        Affinity_graph.build ~require_read:params.require_read program counts
-          ~struct_name)
+        Affinity_graph.build program counts ~struct_name)
   in
   let cycle_loss =
     match (cm, samples) with
@@ -54,7 +45,9 @@ let analyze ?(params = default_params) ?cm ~program ~counts ~samples
                 (Sample_store.of_samples samples)
           in
           let fmf = Fmf.of_program program in
-          Some (Cycle_loss.compute ~cm ~fmf ~struct_name))
+          Some
+            (Cycle_loss.compute ~cm ~fmf ~struct_name
+               ~fields:affinity.Affinity_graph.fields))
   in
   let flg =
     Obs.time "pipeline.flg_s" (fun () ->

@@ -24,13 +24,14 @@ type params = {
   k2 : float;  (** CycleLoss scale *)
   line_size : int;  (** cache-line / coherence-block size *)
   cc_interval : int;  (** CodeConcurrency interval, in ITC ticks *)
-  require_read : bool;  (** drop write-write affinity (§2's store rule) *)
   top_positive : int;  (** important positive edges kept in subgraph mode *)
 }
+(** The affinity graph keeps write-write affinity
+    ([Affinity_graph.build]'s default). *)
 
 val default_params : params
 (** k1 = 1.0, k2 = 1.0, line_size = 128, cc_interval = 20_000,
-    require_read = false, top_positive = 20. *)
+    top_positive = 20. *)
 
 val concurrency_map_store :
   ?pool:Slo_exec.Pool.t ->

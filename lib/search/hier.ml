@@ -13,58 +13,48 @@ module Field = Slo_layout.Field
 module Topology = Slo_sim.Topology
 module Machine = Slo_sim.Machine
 module Fmf = Slo_concurrency.Fmf
+module Names = Slo_util.Names
 
 type profile = {
   p_fields : Field.t list;
   p_ncpus : int;
-  p_index : (string, int) Hashtbl.t; (* field -> its position in p_fields *)
-  p_reads : int array array; (* position -> per-CPU read count *)
+  p_names : Names.t; (* [p_fields]' names: the index space of the counts *)
+  p_reads : int array array; (* field index -> per-CPU read count *)
   p_writes : int array array;
 }
 
 let profile ~fmf ~struct_name ~fields ~ncpus samples =
   if ncpus <= 0 then invalid_arg "Hier.profile: ncpus <= 0";
   if fields = [] then invalid_arg "Hier.profile: no fields";
-  let index = Hashtbl.create 16 in
-  List.iteri
-    (fun i (f : Field.t) ->
-      if Hashtbl.mem index f.Field.name then
-        invalid_arg
-          (Printf.sprintf "Hier.profile: duplicate field %S" f.Field.name);
-      Hashtbl.replace index f.Field.name i)
-    fields;
-  let counts () = Array.init (List.length fields) (fun _ -> Array.make ncpus 0) in
-  let reads = counts () and writes = counts () in
-  let table = Fmf.table fmf ~struct_name in
-  (* Table field index -> position, or -1 for a field of the struct we
-     were not asked about. *)
-  let pos =
-    Array.map
-      (fun name -> Option.value (Hashtbl.find_opt index name) ~default:(-1))
-      (Fmf.Table.fields table)
+  let names = Array.of_list (List.map (fun (f : Field.t) -> f.Field.name) fields) in
+  let names =
+    match Names.make names with
+    | Ok names -> names
+    | Error f -> invalid_arg (Printf.sprintf "Hier.profile: duplicate field %S" f)
   in
+  let counts () = Array.init (Names.length names) (fun _ -> Array.make ncpus 0) in
+  let reads = counts () and writes = counts () in
+  let table = Fmf.table fmf ~struct_name ~fields:names in
   List.iter
     (fun (s : Machine.sample) ->
       let cpu = s.Machine.s_cpu in
       if cpu >= 0 && cpu < ncpus then begin
         let e = Fmf.Table.at table ~line:s.Machine.s_line in
         for k = 0 to Fmf.Table.length e - 1 do
-          let i = pos.(Fmf.Table.field e k) in
-          if i >= 0 then begin
-            let a = if Fmf.Table.is_write e k then writes.(i) else reads.(i) in
-            a.(cpu) <- a.(cpu) + 1
-          end
+          let i = Fmf.Table.field e k in
+          let a = if Fmf.Table.is_write e k then writes.(i) else reads.(i) in
+          a.(cpu) <- a.(cpu) + 1
         done
       end)
     samples;
-  { p_fields = fields; p_ncpus = ncpus; p_index = index; p_reads = reads;
+  { p_fields = fields; p_ncpus = ncpus; p_names = names; p_reads = reads;
     p_writes = writes }
 
 let ncpus p = p.p_ncpus
 let fields p = p.p_fields
 
 let count p counts name cpu =
-  match Hashtbl.find_opt p.p_index name with
+  match Names.find_opt p.p_names name with
   | Some i when cpu >= 0 && cpu < p.p_ncpus -> counts.(i).(cpu)
   | _ -> 0
 
@@ -87,7 +77,7 @@ let penalty topo ~src ~dst =
    per-CPU access (read + write) and write counts, and the CPUs where
    each is non-zero, ascending. *)
 type active = {
-  pos : int;  (* position in [p_fields] *)
+  pos : int;  (* field index *)
   acc : int array;
   wr : int array;
   acc_cpus : int array;

@@ -39,9 +39,11 @@ val profile :
     through the field/mode finder to the fields of [struct_name] it
     accesses, and the count for (field, sample's CPU, mode) is bumped.
     Samples from CPUs outside [0, ncpus) and fields not in [fields] are
-    ignored. The mapping is resolved once into a
-    {!Slo_concurrency.Fmf.Table.t}, so a sample costs one array read and
-    its counter bumps, with no lookup by name and no allocation.
+    ignored. [fields], in the order given, is the profile's one field
+    index space ({!Slo_util.Names.t}): the mapping is resolved once into
+    a {!Slo_concurrency.Fmf.Table.t} over it, so a sample costs one
+    array read and its counter bumps at the entries' indices, with no
+    lookup by name and no allocation.
     @raise Invalid_argument if [ncpus <= 0], [fields] is empty, or a
     field name repeats. *)
 
