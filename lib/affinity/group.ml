@@ -74,6 +74,9 @@ let region_weight (cfg : Cfg.t) counts kind =
              max acc (Counts.block_count counts ~proc ~block:blk.Cfg.b_id))
            0)
 
+(* The groups of one procedure restricted to the fields of [struct_name],
+   straight-line first, then loops by id; a group with no referenced field
+   is dropped. *)
 let of_cfg (cfg : Cfg.t) counts ~struct_name =
   let kinds =
     Straight_line

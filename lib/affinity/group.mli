@@ -26,12 +26,6 @@ val refs : Slo_profile.Counts.rw -> int
 val field_refs : t -> string -> Slo_profile.Counts.rw
 (** Zero counts for fields not in the group. *)
 
-val of_cfg :
-  Slo_ir.Cfg.t -> Slo_profile.Counts.t -> struct_name:string -> t list
-(** Affinity groups of one procedure restricted to the fields of
-    [struct_name]. Groups with fewer than one referenced field are dropped;
-    order: straight-line first, then loops by id. *)
-
 val of_program :
   Slo_ir.Ast.program ->
   Slo_profile.Counts.t ->

@@ -62,7 +62,6 @@ val append : builder -> cpu:int -> itc:int -> line:int -> unit
 (** @raise Invalid_argument if [cpu] or [line] is outside
     [0 .. Sample.max_id]. *)
 
-val append_sample : builder -> Sample.t -> unit
 val built : builder -> int
 (** Samples appended so far. *)
 
@@ -71,5 +70,6 @@ val build : builder -> t
 
 val of_iter : ((Sample.t -> unit) -> unit) -> t
 (** The store a sample producer fills, in production order: a fresh
-    {!builder}, [iter] applied to {!append_sample}, then {!build}.
+    {!builder}, [iter] applied to {!append} of each sample's fields, then
+    {!build}.
     @raise Invalid_argument if a sample is out of range. *)

@@ -83,9 +83,6 @@ type t = {
   loops : loop_info array;  (** indexed by [loop_id] *)
 }
 
-val of_proc : Ast.program -> Ast.proc_decl -> t
-(** Lower one (typechecked) procedure. *)
-
 val of_program : Ast.program -> (string * t) list
 (** Lower every procedure of a typechecked program, in declaration order. *)
 
@@ -109,8 +106,6 @@ val accesses : t -> access list
 (** Every field access site of the procedure, in block/instruction order.
     Global variable accesses are reported with
     [a_struct = Ast.globals_struct_name] and [a_inst = "$globals"]. *)
-
-val accesses_of_block : t -> block_id -> access list
 
 val pp : Format.formatter -> t -> unit
 (** Human-readable CFG dump (for the tool's diagnostics). *)

@@ -5,10 +5,6 @@
     program equal to [p] up to source locations (a property test asserts
     this round trip). *)
 
-val pp_expr : Format.formatter -> Ast.expr -> unit
-val pp_stmt : Format.formatter -> Ast.stmt -> unit
-val pp_struct : Format.formatter -> Ast.struct_decl -> unit
-val pp_proc : Format.formatter -> Ast.proc_decl -> unit
 val pp_program : Format.formatter -> Ast.program -> unit
 val program_to_string : Ast.program -> string
 val expr_to_string : Ast.expr -> string

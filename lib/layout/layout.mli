@@ -57,7 +57,6 @@ val reorder : t -> order:string list -> t
 
 val fields : t -> Field.t list
 val field_names : t -> string list
-val find_slot : t -> string -> slot option
 
 val offset_of : t -> string -> int
 (** @raise Not_found for unknown fields. *)

@@ -22,8 +22,6 @@ val instance_struct : instance -> string
 val get_field : instance -> field:string -> ?index:int -> unit -> int
 (** @raise Invalid_argument for unknown fields or out-of-range indices. *)
 
-val set_field : instance -> field:string -> ?index:int -> int -> unit
-
 type arg = Aint of int | Ainst of instance
 
 type ctx
@@ -37,8 +35,6 @@ val get_global : ctx -> name:string -> int
     same context). @raise Invalid_argument for unknown names. *)
 
 val set_global : ctx -> name:string -> int -> unit
-val ctx_cfg : ctx -> proc:string -> Slo_ir.Cfg.t
-(** @raise Invalid_argument for unknown procedures. *)
 
 exception Runtime_error of string * Slo_ir.Loc.t
 (** Out-of-range array index, or division by zero. *)

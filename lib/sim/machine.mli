@@ -16,8 +16,9 @@
 
     Cost model (cycles): non-memory instructions 1; [pause(e)] costs [e];
     loads/stores cost their base cost ([load_base]/[store_base]) plus the
-    coherence latency; calls cost {!call_overhead}; terminators cost 1. Structure instances are allocated at cache-line
-    boundaries (the paper's arena-allocator assumption, §2). *)
+    coherence latency; calls cost 5; terminators cost 1. Structure
+    instances are allocated at cache-line boundaries (the paper's
+    arena-allocator assumption, §2). *)
 
 type config = {
   topology : Topology.t;
@@ -63,8 +64,6 @@ val default_config : Topology.t -> config
 (** line_size 128, 4096 fully-associative lines, MESI, no sampling,
     seed 42, load_base 2, store_base 8, no I-cache,
     no multi-level hierarchy. *)
-
-val call_overhead : int
 
 type t
 
@@ -117,8 +116,6 @@ val set_layout : t -> Slo_layout.Layout.t -> unit
     [struct_name]). Must be called before any [alloc] of that struct and
     before [run]; the layout's field set must match the declaration.
     @raise Invalid_argument otherwise. *)
-
-val layout_of : t -> struct_name:string -> Slo_layout.Layout.t
 
 val code_block_size : Slo_ir.Cfg.block -> int
 (** Code bytes of one basic block: [4 * (ninstrs + 1)] — the single source

@@ -41,13 +41,9 @@ type t = {
 val create : unit -> t
 val accesses : t -> int
 val misses : t -> int
-val coherence_misses : t -> int
 
 val imiss_rate : t -> float
 (** [imisses / ifetches]; 0 when no ifetches happened. *)
-
-val add_into : t -> t -> unit
-(** [add_into acc x] accumulates [x] into [acc]. *)
 
 val sum : t list -> t
 val pp : Format.formatter -> t -> unit

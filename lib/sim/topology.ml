@@ -48,10 +48,6 @@ let bus ?(cpus = 4) () =
   if cpus < 2 then invalid_arg "Topology.bus: cpus must be >= 2";
   { cpus; lat = bus_latencies; hierarchical = false }
 
-let custom ~cpus lat ~hierarchical =
-  if cpus < 1 then invalid_arg "Topology.custom: cpus must be >= 1";
-  { cpus; lat; hierarchical }
-
 let num_cpus t = t.cpus
 let latencies t = t.lat
 

@@ -37,9 +37,6 @@ val superdome : ?cpus:int -> unit -> t
 val bus : ?cpus:int -> unit -> t
 (** [bus ()] is the paper's 4-CPU bus machine. *)
 
-val custom : cpus:int -> latencies -> hierarchical:bool -> t
-(** Arbitrary machine for ablations. *)
-
 val num_cpus : t -> int
 val latencies : t -> latencies
 

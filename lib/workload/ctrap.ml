@@ -8,6 +8,9 @@ module Prng = Slo_util.Prng
 
 let n_stages = 12
 let cold_stmts = 12
+(* A [run_sim] work item loops [loop_trips] times. The [k] argument is
+   [cold_period]: a cold path fires when [(i + off) % k == 0], first at
+   trip [k - off] >= 43. *)
 let loop_trips = 32
 let cold_period = 64
 

@@ -3,7 +3,7 @@
 
     Twelve [stage] procedures each run a hot loop whose body brackets two
     cold paths (12 instructions each) that first fire past trip 42 — never
-    within {!run_sim}'s {!loop_trips} trips, but within {!profile}'s
+    within {!run_sim}'s 32 trips, but within {!profile}'s
     longer runs. The CFG lowering places the cold blocks between
     the hot ones, so declaration order spreads each stage's hot path over
     about three 64-byte I-cache lines while its true hot footprint fits
@@ -19,15 +19,6 @@ val source : string
 
 val program : unit -> Slo_ir.Ast.program
 (** Parsed and typechecked, memoized. *)
-
-val stage_names : string list
-
-val loop_trips : int
-(** Loop trip count used by {!run_sim} work items (32). *)
-
-val cold_period : int
-(** The [k] argument: a cold path fires when [(i + off) % k == 0], first
-    at trip [k - off] >= 43 (64). *)
 
 val profile : unit -> Slo_profile.Counts.t
 (** Block/edge counts from one interpreter pass over every stage (double

@@ -39,13 +39,6 @@ val struct_names : string list
 val num_classes_a : int
 (** Number of writer classes (counters) in struct A. *)
 
-val g_reads : string list
-(** Read-mostly global variables (GVL extension). *)
-
-val g_counters : string list
-(** Per-quadrant global load counters, written by disjoint thread
-    quadrants — the globals-segment false-sharing source. *)
-
 val baseline_layout : string -> Slo_layout.Layout.t
 (** The hand-tuned layout of a struct (the paper's baseline).
     @raise Invalid_argument for unknown structs. *)

@@ -37,22 +37,9 @@ val line_size : int
 val fields : unit -> Slo_layout.Field.t list
 (** [N]'s fields in declaration order. *)
 
-val roles : Slo_sim.Topology.t -> int * int * int * int
-(** (far owner, far peeker, near owner, near peeker) CPUs for a topology:
-    [(0, cpus/2, 2, 3)] — cross-machine vs same-chip — degenerating to
-    [(0, 2, 1, 3)] below 8 CPUs. @raise Invalid_argument under 4 CPUs. *)
-
 val hierarchy : Slo_sim.Coherence.hierarchy
 (** The multi-level geometry the demo machines run under (8-line private
     L1s, 64-line per-cell LLCs, fully associative). *)
-
-val own_trips : int
-
-val peek_trips : int
-(** Profiling trip counts (equal): the far pair ping-pongs during the
-    profiling run, so the sampled owner and peeker counts come out
-    near-equal — the regime where the flat far-pair edge is weakly
-    positive and the Superdome one decisively negative. *)
 
 val samples : Slo_sim.Topology.t -> Slo_sim.Machine.sample list
 (** One deterministic PMU-sampled profiling run on the given topology
@@ -61,14 +48,12 @@ val samples : Slo_sim.Topology.t -> Slo_sim.Machine.sample list
 val profile : Slo_sim.Topology.t -> Slo_search.Hier.profile
 (** {!samples} folded into per-CPU per-field counts. *)
 
-val hier_objective : Slo_sim.Topology.t -> Slo_search.Objective.t
-(** {!Slo_search.Hier.objective} of {!profile} for the same topology. *)
-
 val flat_objective : Slo_sim.Topology.t -> Slo_search.Objective.t
 (** The distance-blind control built from the {e same} profile. *)
 
 val layout_hier : Slo_sim.Topology.t -> Slo_layout.Layout.t
-(** Portfolio-optimized layout under {!hier_objective}. Deterministic. *)
+(** Portfolio-optimized layout under {!Slo_search.Hier.objective} of
+    {!profile}. Deterministic. *)
 
 val layout_flat : Slo_sim.Topology.t -> Slo_layout.Layout.t
 (** Portfolio-optimized layout under {!flat_objective}. Deterministic. *)
