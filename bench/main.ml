@@ -1403,16 +1403,15 @@ let write_json path j =
 let artifact_path manifest name =
   Filename.concat (Filename.dirname manifest) ("BENCH_" ^ name ^ ".json")
 
-let foreign_artifact manifest name =
+(* [Some true] if section [name]'s artifact beside [manifest] names it,
+   [Some false] if another manifest's, [None] if there is none. *)
+let own_artifact manifest name =
   let path = artifact_path manifest name in
-  let owner () =
+  if not (Sys.file_exists path) then None
+  else
     match Json.of_string (In_channel.with_open_bin path In_channel.input_all) with
-    | Ok j -> Json.member j "manifest"
-    | Error _ -> None
-  in
-  if Sys.file_exists path && owner () <> Some (Json.Str (Filename.basename manifest))
-  then Some path
-  else None
+    | Ok j -> Some (Json.member j "manifest" = Some (Json.Str (Filename.basename manifest)))
+    | Error _ -> Some false
 
 let artifact ctx ~rev ~manifest ~name ~wall r =
   (* At one job no batch runs in parallel: utilization defaults to 1.0. *)
@@ -1447,15 +1446,21 @@ let artifact ctx ~rev ~manifest ~name ~wall r =
     ]
 
 (* Run [chosen] (every section if empty); under --json PATH, each section
-   writes BENCH_<section>.json beside PATH and PATH gets a manifest. The
-   exit status is 1 if any check failed, and 2, before any section runs,
-   if an artifact another --json path wrote is in the way. *)
+   writes BENCH_<section>.json beside PATH, and PATH gets a manifest that
+   lists every artifact there that names it: this run's sections and
+   those of earlier runs with the same PATH. The exit status is 1 if any
+   check failed, and 2, before any section runs, if an artifact another
+   --json path wrote is in the way. *)
 let main quick jobs json chosen =
   let chosen = if chosen = [] then sections else chosen in
   let in_the_way =
     match json with
     | None -> []
-    | Some m -> List.filter_map (fun (name, _, _) -> foreign_artifact m name) chosen
+    | Some m ->
+      List.filter_map
+        (fun (name, _, _) ->
+          if own_artifact m name = Some false then Some (artifact_path m name) else None)
+        chosen
   in
   if in_the_way <> [] then begin
     List.iter
@@ -1498,17 +1503,22 @@ let main quick jobs json chosen =
         Printf.printf "%-6s %s\n" (if ok then "ok" else "FAILED") c)
       r.checks;
     flush stdout;
-    let path = Option.map (fun m -> artifact_path m name) json in
     Option.iter
       (fun manifest ->
         write_json (artifact_path manifest name)
           (artifact ctx ~rev:(Lazy.force rev) ~manifest ~name ~wall r))
       json;
-    (name, path, List.filter (fun (_, ok) -> not ok) r.checks)
+    (name, List.filter (fun (_, ok) -> not ok) r.checks)
   in
   let results = List.map run chosen in
   Option.iter
     (fun manifest ->
+      let named =
+        List.filter_map
+          (fun (name, _, _) ->
+            if own_artifact manifest name = Some true then Some name else None)
+          sections
+      in
       write_json manifest
         (Json.Obj
            [
@@ -1516,18 +1526,15 @@ let main quick jobs json chosen =
              ("git_rev", Json.Str (Lazy.force rev));
              ("jobs", Json.Int jobs);
              ("quick", Json.Bool quick);
-             ( "sections",
-               Json.List (List.map (fun (n, _, _) -> Json.Str n) results) );
+             ("sections", Json.List (List.map (fun n -> Json.Str n) named));
              ( "artifacts",
                Json.List
-                 (List.filter_map
-                    (fun (_, p, _) -> Option.map (fun p -> Json.Str p) p)
-                    results) );
+                 (List.map (fun n -> Json.Str (artifact_path manifest n)) named) );
            ]))
     json;
   let failed =
     List.concat_map
-      (fun (name, _, fs) -> List.map (fun (c, _) -> name ^ ": " ^ c) fs)
+      (fun (name, fs) -> List.map (fun (c, _) -> name ^ ": " ^ c) fs)
       results
   in
   List.iter (Printf.eprintf "FAILED %s\n") failed;
@@ -1578,9 +1585,11 @@ let () =
       & info [ "json" ] ~docv:"PATH"
           ~doc:
             "write a manifest to $(docv) and one BENCH_<section>.json \
-             artifact per section beside it. An artifact that another \
-             $(docv) wrote into the same directory is never replaced: the \
-             run exits 2 before any section.")
+             artifact per section beside it. The manifest lists every \
+             artifact there written with $(docv), by this run or an \
+             earlier one. An artifact that another $(docv) wrote into the \
+             same directory is never replaced: the run exits 2 before any \
+             section.")
   in
   let sections_arg =
     Arg.(
