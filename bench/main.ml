@@ -906,9 +906,11 @@ let run_sim_scale ctx =
   in
   let identical = spec_identical cfg trace in
   let flat_totals, flat_wall = replay () in
-  (* End-to-end simulation wall time (interpreter + memory system), and
-     the step loop's cost per executed instruction or terminator. *)
+  (* End-to-end simulation wall time (interpreter + memory system), the
+     step loop's cost per executed instruction or terminator, and the
+     instructions and terminators executed per calendar pop. *)
   let steps_before = Obs.counter "sim.steps" in
+  let pops_before = Obs.counter "sim.pops" in
   let (), sim_wall =
     timed (fun () ->
         List.iter
@@ -916,6 +918,7 @@ let run_sim_scale ctx =
           (List.init runs (fun i -> cfg.Sdet.seed + i)))
   in
   let steps = Obs.counter "sim.steps" - steps_before in
+  let pops = Obs.counter "sim.pops" - pops_before in
   let ns_per_step =
     if steps > 0 then sim_wall *. 1e9 /. float_of_int steps else 0.0
   in
@@ -1012,6 +1015,11 @@ let run_sim_scale ctx =
             ("kernel_wall_s", Json.Float sim_wall);
             ("steps", Json.Int steps);
             ("ns_per_step", Json.Float ns_per_step);
+            ("pops", Json.Int pops);
+            ( "steps_per_pop",
+              Json.Float
+                (if pops > 0 then float_of_int steps /. float_of_int pops
+                 else 0.0) );
           ] );
       ("kernel_runs_counter", Json.Int (Obs.counter "sim.kernel.runs"));
       ( "hierarchy",

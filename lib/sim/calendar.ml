@@ -1,11 +1,13 @@
 (* Calendar queue over small int ids; see calendar.mli for the contract.
 
-   The ring holds every queued id whose clock lies in [cur, cur + width):
-   slot [clock land mask] is a FIFO list threaded through [next], and bit
-   [slot land 31] of [occupied.(slot lsr 5)] is set iff the slot is
-   non-empty. Because ring clocks span less than [width], each slot holds
-   one clock, and scanning slots cyclically from [cur land mask] visits
-   clocks in increasing order. Later clocks wait in [overflow]. *)
+   The ring holds every queued id whose clock lies in [cur, cur + width).
+   Slot [clock land mask] keeps a bitmap of its queued ids, [words] words
+   of [per_word] ids each, and their count; bit [slot land 31] of
+   [occupied.(slot lsr 5)] is set iff the count is positive. Because ring
+   clocks span less than [width], each slot holds one clock, and scanning
+   slots cyclically from [cur land mask] visits clocks in increasing
+   order; within a slot the lowest id pops first. Later clocks wait in
+   [overflow] and enter their slot's bitmap once the ring reaches them. *)
 
 module Heap = Slo_util.Heap
 
@@ -16,10 +18,14 @@ let mask = width - 1
    OCaml's 63-bit int, so slot -> (word, bit) is a shift and a mask. *)
 let nwords = width / 32
 
+(* Ids per word of a slot's id bitmap: the coherence kernel's sharer-word
+   width, so the lowest id of a word is found 32 bits at a time. *)
+let per_word = 62
+
 type t = {
-  head : int array;  (* per slot: first id, -1 when empty *)
-  tail : int array;  (* per slot: last id *)
-  next : int array;  (* per id: the id after it in its slot, -1 at the end *)
+  words : int;  (* id-bitmap words per slot *)
+  ids : int array;  (* slot s's id bitmap: words [s * words, (s + 1) * words) *)
+  count : int array;  (* per slot: ids queued in it *)
   occupied : int array;
   overflow : int Heap.t;  (* ids with clock >= cur + width *)
   mutable overflow_min : int;  (* least overflow clock; max_int when empty *)
@@ -28,10 +34,11 @@ type t = {
 }
 
 let create ~ids =
+  let words = max 1 ((ids + per_word - 1) / per_word) in
   {
-    head = Array.make width (-1);
-    tail = Array.make width (-1);
-    next = Array.make ids (-1);
+    words;
+    ids = Array.make (width * words) 0;
+    count = Array.make width 0;
     occupied = Array.make nwords 0;
     overflow = Heap.create ();
     overflow_min = max_int;
@@ -51,16 +58,21 @@ let debruijn =
 
 let lowest_bit w = debruijn.((((w land -w) * 0x077CB531) land 0xFFFFFFFF) lsr 27)
 
+(* Lowest set bit of a non-zero id-bitmap word, one 32-bit half at a time. *)
+let[@inline] lowest_id w =
+  if w land 0xFFFFFFFF <> 0 then lowest_bit w else 32 + lowest_bit (w lsr 32)
+
 let enqueue t id clock =
   let s = clock land mask in
-  t.next.(id) <- -1;
-  (if t.head.(s) < 0 then begin
-     t.head.(s) <- id;
-     let w = s lsr 5 in
-     t.occupied.(w) <- t.occupied.(w) lor (1 lsl (s land 31))
-   end
-   else t.next.(t.tail.(s)) <- id);
-  t.tail.(s) <- id;
+  let q = id / per_word in
+  let i = (s * t.words) + q in
+  t.ids.(i) <- t.ids.(i) lor (1 lsl (id - (q * per_word)));
+  let c = t.count.(s) in
+  t.count.(s) <- c + 1;
+  if c = 0 then begin
+    let w = s lsr 5 in
+    t.occupied.(w) <- t.occupied.(w) lor (1 lsl (s land 31))
+  end;
   t.ring <- t.ring + 1
 
 let push t id ~clock =
@@ -71,10 +83,9 @@ let push t id ~clock =
     if clock < t.overflow_min then t.overflow_min <- clock
   end
 
-(* Move every overflow id the ring now covers into it, in (clock, push)
-   order. Called whenever [cur] advances, so an overflow id always enters
-   its slot before any id pushed straight into the ring at the same clock
-   — which it preceded. *)
+(* Move every overflow id the ring now covers into its slot's bitmap.
+   Called whenever [cur] advances; the bitmap orders a slot's ids, so the
+   heap's order among equal clocks does not matter. *)
 let migrate t =
   let limit = t.cur + width in
   while t.overflow_min < limit do
@@ -100,24 +111,31 @@ let next_slot t s0 =
     (!w lsl 5) + lowest_bit t.occupied.(!w)
   end
 
+(* Remove and return the lowest id of non-empty slot [s]. *)
 let take t s =
-  let id = t.head.(s) in
-  let nx = t.next.(id) in
-  t.head.(s) <- nx;
-  if nx < 0 then begin
+  let base = s * t.words in
+  let i = ref base in
+  while t.ids.(!i) = 0 do
+    incr i
+  done;
+  let bits = t.ids.(!i) in
+  t.ids.(!i) <- bits land (bits - 1);
+  let c = t.count.(s) - 1 in
+  t.count.(s) <- c;
+  if c = 0 then begin
     let w = s lsr 5 in
     t.occupied.(w) <- t.occupied.(w) land lnot (1 lsl (s land 31))
   end;
   t.ring <- t.ring - 1;
-  id
+  ((!i - base) * per_word) + lowest_id bits
 
 (* Same-clock fast path: ring clocks lie in [cur, cur + width), so the
    slot of [cur] holds only clock [cur], the least queued clock (no
-   overflow clock is below [cur + width]); its head is the next pop, and
-   neither the bitmap scan nor a migration is needed. *)
+   overflow clock is below [cur + width]); its lowest id is the next pop,
+   and neither the slot scan nor a migration is needed. *)
 let pop t =
   let s = t.cur land mask in
-  if t.head.(s) >= 0 then take t s
+  if t.count.(s) > 0 then take t s
   else begin
     if t.ring = 0 && t.overflow_min < max_int then begin
       t.cur <- t.overflow_min;

@@ -1,16 +1,19 @@
 (** Exact calendar queue: the simulator's scheduler.
 
     A priority queue of small int ids keyed by clock, popping in
-    (clock, push order) — exactly {!Slo_util.Heap}'s (priority, FIFO)
-    order — under one precondition: no id is pushed with a clock below the
-    last popped one. The simulator meets it because a thread's clock never
-    decreases and it is re-queued only after its own pop.
+    (clock, id) order — exactly a {!Slo_util.Heap} with priority
+    [clock * ids + id] — under one precondition: no id is pushed with a
+    clock below the last popped one. The simulator meets it because a
+    thread's clock never decreases and it is re-queued only after its own
+    pop. Push order plays no part: ids queued at one clock pop lowest
+    first, however and whenever they were pushed.
 
-    Clocks within {!width} of the last pop sit in a ring of FIFO slots,
-    one per clock, with an occupancy bitmap: a push or pop there costs
-    O(1) plus a scan of at most [width / 32] bitmap words and allocates
-    nothing. Later clocks wait in a {!Slo_util.Heap} and enter the ring,
-    in order, once the ring reaches them. *)
+    Clocks within {!width} of the last pop sit in a ring of slots, one per
+    clock, each a bitmap of its queued ids with a count, under an
+    occupancy bitmap of the slots: a push or pop there costs O(1) plus a
+    scan of at most [width / 32] occupancy words and [ids / 62] id words,
+    and allocates nothing. Later clocks wait in a {!Slo_util.Heap} and
+    enter their slot's bitmap once the ring reaches them. *)
 
 type t
 
@@ -26,7 +29,7 @@ val push : t -> int -> clock:int -> unit
     @raise Invalid_argument if the clock is below the last popped one. *)
 
 val pop : t -> int
-(** Remove and return the id with the least clock, earliest pushed among
+(** Remove and return the id with the least clock, the lowest id among
     equal clocks; [-1] when the queue is empty. *)
 
 val lowest_bit : int -> int
