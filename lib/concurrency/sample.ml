@@ -164,6 +164,7 @@ let below_watermark ~newest ~window idx =
   newest >= min_int + window && idx <= newest - window
 
 let table_count b = Hashtbl.length b.b_tables
+let table b idx = Hashtbl.find_opt b.b_tables idx
 
 (* No table is empty: tables are created only for a positive count and
    leave [b_tables] whole. *)

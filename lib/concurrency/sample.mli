@@ -124,6 +124,9 @@ val table_count : binner -> int
 (** The number of accumulated tables, [List.length (binned b)], without
     listing or sorting them. *)
 
+val table : binner -> int -> interval_table option
+(** Interval [idx]'s table, if it holds samples. *)
+
 val binned : binner -> interval_table list
 (** The accumulated tables in ascending interval order; empty intervals
     are omitted. *)
