@@ -236,6 +236,28 @@ let test_window_weights () =
   Alcotest.check_raises "negative age" (Invalid_argument "Window.weight: age < 0")
     (fun () -> ignore (Window.weight w ~age:(-1)))
 
+(* The window keeps the weights of its first 1024 ages in a table and
+   computes older ones: an interval 1500 intervals old must weigh what
+   [weight] says, like one inside the table. *)
+let test_window_weights_past_table () =
+  let w = Window.create ~decay:0.999 ~interval:1 ~window:2000 () in
+  List.iter
+    (fun itc ->
+      ignore (Window.feed w ~cpu:0 ~itc ~line:1);
+      ignore (Window.feed w ~cpu:1 ~itc ~line:2))
+    [ 0; 1100; 1500 ];
+  let manual = Cc.create () in
+  List.iter
+    (fun (idx, tbl) ->
+      Cc.merge_scaled manual (Cc.of_interval tbl)
+        ~num:(Window.weight w ~age:(1500 - idx))
+        ~den:Window.weight_den)
+    (Sample.binned_idx (Window.master w));
+  Alcotest.(check bool) "oldest interval weighted" true
+    (Window.weight w ~age:1500 > 0);
+  Alcotest.(check bool) "weighted map = direct merge" true
+    (cc_canon (Window.weighted_cc w) = cc_canon manual)
+
 (* Reference shape drift in its plain list form: both maps as [Cc.pairs]
    lists, a tuple Hashtbl over their union, tuple keys sorted with
    polymorphic compare. [Cc.drift] must match it to the bit. *)
@@ -808,6 +830,8 @@ let suites =
       :: Alcotest.test_case "watermark near min_int" `Quick
            test_window_near_min_int
       :: Alcotest.test_case "fixed-point weights" `Quick test_window_weights
+      :: Alcotest.test_case "weights past the table" `Quick
+           test_window_weights_past_table
       :: Alcotest.test_case "shape drift" `Quick test_drift_shape
       :: Alcotest.test_case "slots reclaimed over a long feed" `Quick
            test_window_slots_bounded
