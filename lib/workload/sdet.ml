@@ -44,20 +44,14 @@ let build cfg =
   let cpus = Topology.num_cpus cfg.topology in
   let machine =
     Machine.create
-      {
-        Machine.topology = cfg.topology;
-        line_size = Kernel.line_size;
+      { (Machine.default_config cfg.topology) with
+        Machine.line_size = Kernel.line_size;
         cache_lines = cfg.cache_lines;
-        cache_ways = None;
         protocol = cfg.protocol;
         sample_period = cfg.sample_period;
         seed = cfg.seed;
-        load_base = 2;
-        store_base = 8;
         trace = cfg.trace;
-        icache = cfg.icache;
-        hierarchy = None;
-      }
+        icache = cfg.icache }
       program
   in
   (match cfg.code_layout with
