@@ -1,37 +1,31 @@
-(** Exact calendar queue: the simulator's scheduler.
+(** Loser tree over small int ids: the simulator's scheduler.
 
-    A priority queue of small int ids keyed by clock, popping in
-    (clock, id) order — exactly a {!Slo_util.Heap} with priority
-    [clock * ids + id] — under one precondition: no id is pushed with a
-    clock below the last popped one. The simulator meets it because a
-    thread's clock never decreases and it is re-queued only after its own
-    pop. Push order plays no part: ids queued at one clock pop lowest
-    first, however and whenever they were pushed.
-
-    Clocks within {!width} of the last pop sit in a ring of slots, one per
-    clock, each a bitmap of its queued ids with a count, under an
-    occupancy bitmap of the slots: a push or pop there costs O(1) plus a
-    scan of at most [width / 32] occupancy words and [ids / 62] id words,
-    and allocates nothing. Later clocks wait in a {!Slo_util.Heap} and
-    enter their slot's bitmap once the ring reaches them. *)
+    Every id is queued with a clock. {!top} is the winner, the id with the
+    least clock, the lowest id among equal clocks: exactly the least
+    priority [(clock lsl shift) lor id], where [shift] is the number of
+    bits ids need ([ceil (log2 ids)]). Each priority is unique and packs
+    the clock above the id, so the order is (clock, id) whatever the order
+    of the calls that set the clocks. Only the winner is re-keyed: the
+    step loop takes [top], runs that thread, then {!requeue}s or
+    {!retire}s it. A re-key replays the winner's matches from its leaf to
+    the root, one compare per level ([shift] levels: 6 at 64 ids, 7 at
+    128), and allocates nothing. *)
 
 type t
 
-val width : int
-(** Clocks the ring spans: 1024. *)
-
 val create : ids:int -> t
-(** An empty queue for ids [0 .. ids-1]. An id may be queued at most once
-    at a time. *)
+(** A tree with every id in [0 .. ids-1] queued at clock 0. *)
 
-val push : t -> int -> clock:int -> unit
-(** Queue an id at a clock.
-    @raise Invalid_argument if the clock is below the last popped one. *)
+val top : t -> int
+(** The winner; [-1] once every id is retired, or when [ids] is 0. *)
 
-val pop : t -> int
-(** Remove and return the id with the least clock, the lowest id among
-    equal clocks; [-1] when the queue is empty. *)
+val requeue : t -> clock:int -> unit
+(** Queue the winner again at a clock, which may be any clock in range,
+    below its last one too.
+    @raise Invalid_argument naming the clock if it is outside
+    [[0, max_int lsr shift)] (up to 2{^56} cycles at 64 ids), which the
+    tree cannot order, or if every id is retired. *)
 
-val lowest_bit : int -> int
-(** Index of the lowest set bit of a word whose lowest set bit is among
-    its low 32, by de Bruijn multiplication. *)
+val retire : t -> unit
+(** Remove the winner for good.
+    @raise Invalid_argument if every id is retired. *)

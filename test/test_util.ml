@@ -1,8 +1,7 @@
-(* Tests for Slo_util: Prng, Stats, Heap. *)
+(* Tests for Slo_util: Prng, Stats, Int_sort. *)
 
 module Prng = Slo_util.Prng
 module Stats = Slo_util.Stats
-module Heap = Slo_util.Heap
 
 let check_float = Alcotest.(check (float 1e-9))
 let check_int = Alcotest.(check int)
@@ -188,81 +187,6 @@ let test_pearson () =
     (fun () -> ignore (Stats.pearson [] []))
 
 (* ------------------------------------------------------------------ *)
-(* Heap *)
-
-let test_heap_order () =
-  let h = Heap.create () in
-  List.iter (fun p -> Heap.push h ~priority:p p) [ 5; 1; 4; 1; 3; 9; 0 ];
-  let rec drain acc =
-    match Heap.pop h with None -> List.rev acc | Some (_, v) -> drain (v :: acc)
-  in
-  Alcotest.(check (list int)) "sorted drain" [ 0; 1; 1; 3; 4; 5; 9 ] (drain [])
-
-let test_heap_fifo_ties () =
-  let h = Heap.create () in
-  Heap.push h ~priority:1 "a";
-  Heap.push h ~priority:1 "b";
-  Heap.push h ~priority:1 "c";
-  let pop1 = Heap.pop h in
-  let pop2 = Heap.pop h in
-  let pop3 = Heap.pop h in
-  let vals =
-    List.map (function Some (_, v) -> v | None -> "?") [ pop1; pop2; pop3 ]
-  in
-  Alcotest.(check (list string)) "FIFO on equal priorities" [ "a"; "b"; "c" ] vals
-
-let test_heap_basics () =
-  let h = Heap.create () in
-  Alcotest.(check bool) "empty" true (Heap.is_empty h);
-  Alcotest.(check (option (pair int int))) "pop empty" None (Heap.pop h);
-  Heap.push h ~priority:2 20;
-  Heap.push h ~priority:1 10;
-  Alcotest.(check (option (pair int int))) "peek min" (Some (1, 10)) (Heap.peek h);
-  check_int "size" 2 (Heap.size h)
-
-let test_heap_pop_releases_values () =
-  (* Regression for a space leak: pop moved the last entry to the root
-     but left the vacated t.data.(len) slot pointing at it, so popped
-     values stayed reachable from the backing array for as long as the
-     heap lived. Every popped value must be collectable while the heap
-     itself is still alive. *)
-  let h = Heap.create () in
-  let finalised = ref 0 in
-  for i = 0 to 63 do
-    let v = ref i in
-    Gc.finalise (fun _ -> incr finalised) v;
-    Heap.push h ~priority:i v
-  done;
-  let rec drain () =
-    match Heap.pop h with None -> () | Some _ -> drain ()
-  in
-  drain ();
-  Gc.full_major ();
-  Gc.full_major ();
-  check_int "all popped values collected" 64 !finalised;
-  (* the heap must stay reachable past the GC, otherwise collecting the
-     heap itself would mask the leak *)
-  Alcotest.(check bool) "heap still alive and empty" true
-    (Heap.is_empty (Sys.opaque_identity h))
-
-let prop_heap_stable_order_law =
-  (* The push/pop order law in one line: draining equals the stable sort
-     of the pushed values by (priority, insertion index). Subsumes both
-     the sorted-drain and FIFO-ties facts. *)
-  QCheck2.Test.make
-    ~name:"heap drain = stable sort by (priority, push order)" ~count:200
-    QCheck2.Gen.(list_size (int_bound 60) (int_range (-20) 20))
-    (fun ps ->
-      let h = Heap.create () in
-      List.iteri (fun i p -> Heap.push h ~priority:p (p, i)) ps;
-      let rec drain acc =
-        match Heap.pop h with
-        | None -> List.rev acc
-        | Some (_, v) -> drain (v :: acc)
-      in
-      drain [] = List.sort compare (List.mapi (fun i p -> (p, i)) ps))
-
-(* ------------------------------------------------------------------ *)
 (* Properties *)
 
 let prop_median_bounded =
@@ -289,17 +213,6 @@ let prop_spearman_range =
     (fun (xs, ys) ->
       let r = Stats.spearman xs ys in
       r >= -1.0000001 && r <= 1.0000001)
-
-let prop_heap_sorts =
-  QCheck2.Test.make ~name:"heap drains in sorted order" ~count:200
-    QCheck2.Gen.(list_size (int_range 0 50) (int_range (-100) 100))
-    (fun xs ->
-      let h = Heap.create () in
-      List.iter (fun p -> Heap.push h ~priority:p p) xs;
-      let rec drain acc =
-        match Heap.pop h with None -> List.rev acc | Some (_, v) -> drain (v :: acc)
-      in
-      drain [] = List.sort compare xs)
 
 let prop_prng_int_range =
   QCheck2.Test.make ~name:"Prng.int respects bounds" ~count:200
@@ -352,7 +265,7 @@ let prop_int_sort =
 
 let props = List.map QCheck_alcotest.to_alcotest
   [ prop_median_bounded; prop_outliers_subset; prop_spearman_range;
-    prop_heap_sorts; prop_prng_int_range; prop_int_sort ]
+    prop_prng_int_range; prop_int_sort ]
 
 let suites =
   [
@@ -381,15 +294,6 @@ let suites =
         Alcotest.test_case "pearson" `Quick test_pearson;
         Alcotest.test_case "speedup" `Quick test_speedup;
       ] );
-    ( "util.heap",
-      [
-        Alcotest.test_case "sorted drain" `Quick test_heap_order;
-        Alcotest.test_case "fifo ties" `Quick test_heap_fifo_ties;
-        Alcotest.test_case "basics" `Quick test_heap_basics;
-        Alcotest.test_case "pop releases values" `Quick
-          test_heap_pop_releases_values;
-        QCheck_alcotest.to_alcotest prop_heap_stable_order_law;
-      ] );
     ("util.properties", props);
   ]
 
@@ -413,44 +317,10 @@ let prop_trimmed_mean_bounded =
       m >= List.fold_left min infinity xs -. 1e-9
       && m <= List.fold_left max neg_infinity xs +. 1e-9)
 
-let prop_heap_interleaved =
-  QCheck2.Test.make ~name:"heap pop is always the minimum of live elements"
-    ~count:200
-    QCheck2.Gen.(list_size (int_range 1 60) (option (int_range (-50) 50)))
-    (fun ops ->
-      (* Some n = push n; None = pop *)
-      let h = Heap.create () in
-      let live = ref [] in
-      List.for_all
-        (fun op ->
-          match op with
-          | Some n ->
-            Heap.push h ~priority:n n;
-            live := n :: !live;
-            true
-          | None -> (
-            match Heap.pop h with
-            | None -> !live = []
-            | Some (_, v) ->
-              let m = List.fold_left min max_int !live in
-              live :=
-                (let removed = ref false in
-                 List.filter
-                   (fun x ->
-                     if x = v && not !removed then begin
-                       removed := true;
-                       false
-                     end
-                     else true)
-                   !live);
-              v = m))
-        ops)
-
 let suites =
   suites
   @ [
       ( "util.more-properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_percentile_monotone; prop_trimmed_mean_bounded;
-            prop_heap_interleaved ] );
+          [ prop_percentile_monotone; prop_trimmed_mean_bounded ] );
     ]
