@@ -6,7 +6,6 @@ module Sample_store = Slo_concurrency.Sample_store
 module Fmf = Slo_concurrency.Fmf
 module Cycle_loss = Slo_concurrency.Cycle_loss
 module Obs = Slo_obs.Obs
-module Json = Slo_obs.Json
 
 type params = {
   k1 : float;
@@ -55,8 +54,6 @@ let analyze ?(params = default_params) ?cm ~program ~counts ~samples
   in
   let dur = Obs.now () -. t0 in
   Obs.observe "pipeline.analyze_s" dur;
-  Obs.event "pipeline.analyze"
-    [ ("struct", Json.Str struct_name); ("s", Json.Float dur) ];
   flg
 
 let concurrency_map_store ?pool ?(params = default_params) store =

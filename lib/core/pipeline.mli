@@ -13,9 +13,8 @@
 
     {b Observability.} [analyze] records its phase timings into
     {!Slo_obs.Obs.default}: histograms [pipeline.affinity_s],
-    [pipeline.concurrency_s], [pipeline.flg_s] and [pipeline.analyze_s],
-    plus one [pipeline.analyze] event per struct carrying the struct name
-    and duration; [analyze_all] adds [pipeline.analyze_all_s] and the
+    [pipeline.concurrency_s], [pipeline.flg_s] and [pipeline.analyze_s];
+    [analyze_all] adds [pipeline.analyze_all_s] and the
     [pipeline.structs] gauge. Recording is write-only, so instrumented
     runs stay byte-identical to uninstrumented ones. *)
 

@@ -11,7 +11,6 @@ type registry = {
   counters : (string, int ref) Hashtbl.t;
   gauges : (string, float ref) Hashtbl.t;
   hists : (string, hist) Hashtbl.t;
-  mutable events : (string * (string * Json.t) list) list;  (* reversed *)
 }
 
 let create () =
@@ -20,7 +19,6 @@ let create () =
     counters = Hashtbl.create 32;
     gauges = Hashtbl.create 16;
     hists = Hashtbl.create 32;
-    events = [];
   }
 
 let default = create ()
@@ -74,9 +72,6 @@ let observe ?(r = default) name v =
 let time ?r name f =
   let t0 = now () in
   Fun.protect ~finally:(fun () -> observe ?r name (now () -. t0)) f
-
-let event ?(r = default) name attrs =
-  with_lock r (fun () -> r.events <- (name, attrs) :: r.events)
 
 type summary = {
   count : int;
@@ -134,14 +129,11 @@ let gauges ?(r = default) () =
 let histograms ?(r = default) () =
   with_lock r (fun () -> sorted_bindings r.hists summarize)
 
-let events ?(r = default) () = with_lock r (fun () -> List.rev r.events)
-
 let reset ?(r = default) () =
   with_lock r (fun () ->
       Hashtbl.reset r.counters;
       Hashtbl.reset r.gauges;
-      Hashtbl.reset r.hists;
-      r.events <- [])
+      Hashtbl.reset r.hists)
 
 let to_json ?(r = default) () =
   let summary_json s =
@@ -158,17 +150,10 @@ let to_json ?(r = default) () =
       ]
   in
   let cs = counters ~r () and gs = gauges ~r () and hs = histograms ~r () in
-  let evs = events ~r () in
   Json.Obj
     [
       ("counters", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) cs));
       ("gauges", Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) gs));
       ( "histograms",
         Json.Obj (List.map (fun (k, s) -> (k, summary_json s)) hs) );
-      ( "events",
-        Json.List
-          (List.map
-             (fun (name, attrs) ->
-               Json.Obj (("event", Json.Str name) :: attrs))
-             evs) );
     ]

@@ -1,13 +1,11 @@
-(** Process-wide observability: named counters, gauges, histograms, span
-    timers and a structured-event sink.
+(** Process-wide observability: named counters, gauges, histograms and
+    span timers.
 
     {b Domain-safety contract.} A registry is a single mutex around three
-    hash tables and an event list, exactly like the PR 1 workload memos:
-    every mutation takes the lock, so concurrent updates from pool workers
-    are safe, and integer/float accumulation is order-independent — metrics
-    recorded under any scheduling sum to the same totals. Only the {e event
-    list} preserves arrival order and is therefore scheduling-dependent;
-    consumers that need determinism must sort (or ignore) events.
+    hash tables: every mutation takes the lock, so concurrent updates from
+    pool workers are safe, and integer/float accumulation is
+    order-independent — metrics recorded under any scheduling sum to the
+    same totals.
 
     {b Metrics never feed back into results.} Instrumented code paths read
     the clock and write the registry but never branch on either, which is
@@ -46,9 +44,6 @@ val time : ?r:registry -> string -> (unit -> 'a) -> 'a
     into histogram [name]. The duration is recorded also when [f] raises;
     the exception is re-raised. *)
 
-val event : ?r:registry -> string -> (string * Json.t) list -> unit
-(** Append a structured event (name + attributes) to the sink. *)
-
 (** Order statistics of one histogram. Percentiles use nearest-rank on the
     recorded samples. *)
 type summary = {
@@ -75,15 +70,12 @@ val counters : ?r:registry -> unit -> (string * int) list
 val gauges : ?r:registry -> unit -> (string * float) list
 val histograms : ?r:registry -> unit -> (string * summary) list
 
-val events : ?r:registry -> unit -> (string * (string * Json.t) list) list
-(** Events in arrival order (see the domain-safety note above). *)
-
 val reset : ?r:registry -> unit -> unit
-(** Drop every metric and event; registries in long-lived processes (the
+(** Drop every metric; registries in long-lived processes (the
     bench harness between sections) are cumulative unless reset. *)
 
 val to_json : ?r:registry -> unit -> Json.t
 (** Snapshot as
-    [{"counters": {..}, "gauges": {..}, "histograms": {..}, "events": [..]}]
+    [{"counters": {..}, "gauges": {..}, "histograms": {..}}]
     with keys sorted; histogram objects carry
     [count/sum/min/max/mean/p50/p90/p99]. *)
