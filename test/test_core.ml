@@ -578,6 +578,41 @@ void f(struct S *s, int n) {
   Alcotest.(check bool) "affine pair colocated" true
     (Layout.same_line layout ~line_size:128 "a" "c")
 
+(* Each analysis is recorded once, as one [pipeline.analyze_s] sample in
+   the process registry: two structs analysed add two samples. *)
+let test_pipeline_analyze_samples () =
+  let module Parser = Slo_ir.Parser in
+  let module Typecheck = Slo_ir.Typecheck in
+  let module Interp = Slo_profile.Interp in
+  let module Obs = Slo_obs.Obs in
+  let src =
+    {|
+struct S { long a; long b; };
+struct T { long c; long d; };
+void f(struct S *s, struct T *t, int n) {
+  for (i = 0; i < n; i++) {
+    x = s->a + t->c;
+  }
+}
+|}
+  in
+  let p = Typecheck.check (Parser.parse_program ~file:"t" src) in
+  let counts = Counts.create () in
+  let ctx = Interp.make_ctx p in
+  let prng = Slo_util.Prng.create ~seed:1 in
+  let s = Interp.make_instance p ~struct_name:"S"
+  and t = Interp.make_instance p ~struct_name:"T" in
+  Interp.run ctx ~counts ~prng ~proc:"f" [ Interp.Ainst s; Interp.Ainst t; Interp.Aint 10 ];
+  let samples () =
+    match Obs.histogram "pipeline.analyze_s" with Some h -> h.Obs.count | None -> 0
+  in
+  let before = samples () in
+  let flgs =
+    Pipeline.analyze_all ~program:p ~counts ~samples:[] ~struct_names:[ "S"; "T" ] ()
+  in
+  Alcotest.(check (list string)) "one FLG per struct" [ "S"; "T" ] (List.map fst flgs);
+  Alcotest.(check int) "one sample per struct" (before + 2) (samples ())
+
 let suites =
   suites
   @ [
@@ -587,5 +622,7 @@ let suites =
             test_incremental_preserves_baseline_geometry;
           Alcotest.test_case "locality-only (no samples)" `Quick
             test_pipeline_locality_only;
+          Alcotest.test_case "one analyze_s sample per struct" `Quick
+            test_pipeline_analyze_samples;
         ] );
     ]
