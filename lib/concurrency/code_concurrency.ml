@@ -47,9 +47,11 @@ let add_key t k v =
 let add t l1 l2 v = add_key t (key l1 l2) v
 
 (* One interval in compressed-row (CSR) form: flat int arrays over its
-   entries, lines and CPUs, in a scratch the intervals of a chunk share
-   (its arrays grow to the largest interval and are never shrunk; only
-   [cpu] and [cnt] are the interval's own, its rows reordered in place).
+   entries, lines and CPUs, in a scratch reused from interval to interval
+   (its arrays grow to the largest interval and are never shrunk).
+   - The interval table's rows ({!Sample.rows_into}) land in [ent_line],
+     [cpu] and [cnt]: one entry per (cpu, line), ascending (line, cpu).
+     [cpu] is then renumbered densely in place.
    - Line i, in ascending line order, is [lines.(i)]. Its entries are
      [first.(i), first.(i + 1)) of [cpu] (the CPU as a dense index into
      the interval's CPUs) and [cnt] (the count), sorted by count.
@@ -70,6 +72,7 @@ type scratch = {
   dense : Flat_tab.t;
   mutable cap : int;
   mutable n_lines : int;
+  mutable ent_line : int array;
   mutable cpu : int array;
   mutable cnt : int array;
   mutable lines : int array;
@@ -89,8 +92,8 @@ type scratch = {
 }
 
 let scratch () =
-  { dense = Flat_tab.create (); cap = 0; n_lines = 0; cpu = [||];
-    cnt = [||]; lines = [||]; first = [||]; runs = [||]; vals = [||];
+  { dense = Flat_tab.create (); cap = 0; n_lines = 0; ent_line = [||];
+    cpu = [||]; cnt = [||]; lines = [||]; first = [||]; runs = [||]; vals = [||];
     mult = [||]; le = [||]; le_sum = [||]; cpu_first = [||]; cursor = [||];
     t_line = [||]; t_cnt = [||]; same = [||]; row_code = [||]; row_val = [||] }
 
@@ -100,6 +103,9 @@ let reserve sc e =
     let cap = max e (2 * sc.cap) in
     let ints n = Array.make n 0 in
     sc.cap <- cap;
+    sc.ent_line <- ints cap;
+    sc.cpu <- ints cap;
+    sc.cnt <- ints cap;
     sc.lines <- ints cap;
     sc.first <- ints (cap + 1);
     sc.runs <- ints (cap + 1);
@@ -114,11 +120,11 @@ let reserve sc e =
     sc.same <- ints cap
   end
 
-(* Renumber [cpus] in place to dense indices in order of first
-   appearance; returns how many distinct CPUs there were. *)
-let densify dense cpus =
+(* Renumber [cpus.(0 .. e - 1)] in place to dense indices in order of
+   first appearance; returns how many distinct CPUs there were. *)
+let densify dense cpus e =
   Flat_tab.clear dense;
-  for x = 0 to Array.length cpus - 1 do
+  for x = 0 to e - 1 do
     let fresh = Flat_tab.length dense in
     let d = Flat_tab.find dense cpus.(x) ~default:fresh in
     if d = fresh then Flat_tab.set dense cpus.(x) d;
@@ -126,14 +132,11 @@ let densify dense cpus =
   done;
   Flat_tab.length dense
 
-(* Load the rows of one interval (grouped by line, lines ascending) into
-   [sc]. The rows' [cpus] and [counts] become its [cpu] and [cnt]. *)
-let load sc (lines, cpus, counts) =
-  let e = Array.length lines in
-  reserve sc e;
-  let n_cpus = densify sc.dense cpus in
-  sc.cpu <- cpus;
-  sc.cnt <- counts;
+(* Build the CSR form of the [e] entries in [ent_line], [cpu] and [cnt]
+   (grouped by line, lines ascending). *)
+let load sc e =
+  let lines = sc.ent_line and cpus = sc.cpu and counts = sc.cnt in
+  let n_cpus = densify sc.dense cpus e in
   let n = ref 0 in
   for x = 0 to e - 1 do
     if x = 0 || lines.(x) <> lines.(x - 1) then begin
@@ -249,7 +252,10 @@ let cross_pairs sc a b =
    line, so over the interval the codes come out strictly ascending. Each
    line's pairs with a positive CC go to [emit] as one row. *)
 let interval_rows sc tbl emit =
-  load sc (Sample.rows tbl);
+  let e = Sample.entries tbl in
+  reserve sc e;
+  Sample.rows_into tbl ~lines:sc.ent_line ~cpus:sc.cpu ~counts:sc.cnt;
+  load sc e;
   let lines = sc.lines and same = sc.same and n = sc.n_lines in
   if n > Array.length sc.row_code then begin
     let len = max n (2 * Array.length sc.row_code) in
@@ -298,86 +304,115 @@ let of_interval tbl =
 
 let merge_into dst src = Flat_tab.iter src (fun k v -> add_key dst k v)
 
-(* Deterministic chunking: consecutive runs of [chunk] tables, in order.
-   The chunk boundaries depend only on the input list, never on the pool,
-   so the partial maps — and, merge being associative and commutative,
-   their reduction — are identical for every worker count. *)
+(* The store's intervals in ascending order: interval k is the samples at
+   positions [bounds.(k), bounds.(k + 1)) of [order], or of the store
+   itself when [order] is empty. One pass over the itc column finds the
+   boundaries as long as no sample's interval is below its
+   predecessor's, the order every collection and file produces; a store
+   that steps back has its indices sorted by interval, once. *)
+let intervals ~interval store =
+  let n = Sample_store.length store in
+  let idx i = Sample.floor_div (Sample_store.itc store i) interval in
+  let bounds = ref (Array.make 64 0) and k = ref 0 in
+  let push i =
+    if !k = Array.length !bounds then begin
+      let b = Array.make (2 * !k) 0 in
+      Array.blit !bounds 0 b 0 !k;
+      bounds := b
+    end;
+    !bounds.(!k) <- i;
+    incr k
+  in
+  let sorted = ref true and i = ref 1 in
+  let prev = ref (if n > 0 then idx 0 else 0) in
+  if n > 0 then push 0;
+  while !sorted && !i < n do
+    let cur = idx !i in
+    if cur > !prev then begin
+      push !i;
+      prev := cur
+    end
+    else if cur < !prev then sorted := false;
+    incr i
+  done;
+  let order =
+    if !sorted then [||]
+    else begin
+      let keys = Array.init n idx and order = Array.init n Fun.id in
+      Int_sort.sort_by_key keys order ~lo:0 ~hi:n;
+      k := 0;
+      for i = 0 to n - 1 do
+        if i = 0 || keys.(i) > keys.(i - 1) then push i
+      done;
+      order
+    end
+  in
+  push n;
+  (order, Array.sub !bounds 0 !k)
+
+(* Deterministic chunking: runs of [chunk] consecutive intervals. The
+   boundaries depend only on the store, never on the pool, so the
+   partial maps — and, merge being associative and commutative, their
+   reduction — are identical for every worker count. *)
 let chunk = 32
 
-let chunks xs =
-  let rec go acc cur k = function
-    | [] -> List.rev (match cur with [] -> acc | _ -> List.rev cur :: acc)
-    | x :: rest ->
-      if k + 1 = chunk then go (List.rev (x :: cur) :: acc) [] 0 rest
-      else go acc (x :: cur) (k + 1) rest
-  in
-  go [] [] 0 xs
-
-let of_tables ?pool tables =
-  Obs.incr ~by:(List.length tables) "cc.intervals";
-  Obs.incr
-    ~by:(List.fold_left (fun acc tbl -> acc + Sample.total_samples tbl) 0 tables)
-    "cc.samples";
-  (match tables with
-  | [] -> ()
-  | _ ->
-    let peak =
-      List.fold_left (fun m tbl -> max m (Sample.entries tbl)) 0 tables
-    in
-    Obs.set_gauge "cc.table.peak_entries" (float_of_int peak));
-  Obs.time "cc.compute_s" (fun () ->
-      let compute_chunk tbls =
-        let t = create () and sc = scratch () in
-        let emit = add_rows t in
-        List.iter (fun tbl -> interval_rows sc tbl emit) tbls;
-        t
-      in
-      let parts =
-        match pool with
-        | None -> List.map compute_chunk (chunks tables)
-        | Some pool -> Slo_exec.Pool.map pool compute_chunk (chunks tables)
-      in
-      let acc = create () in
-      List.iter (merge_into acc) parts;
-      acc)
-
-(* Index ranges of [bin_range] consecutive samples: [0,r), [r,2r), ...
-   Like [chunks], the boundaries depend only on the store length, never on
-   the pool, and absorbing the per-range binners is a pointwise histogram
-   sum — commutative — so the binned tables are identical for every pool
-   size. *)
-let bin_range = 1 lsl 16
+(* Count the chunk of intervals [lo, hi) one after another into one
+   table, run the kernel on each through [sc], and add the rows into [t].
+   The table is the chunk's own: clearing and reading it cost its
+   capacity, which a chunk's largest interval sets. The scratch's
+   per-interval work is that interval's entries, so it serves every
+   chunk of a serial pass. Returns the chunk's largest table. *)
+let count_chunk sc store (order, bounds) t (lo, hi) =
+  let tbl = Sample.empty_table () and emit = add_rows t and peak = ref 0 in
+  let in_order = Array.length order = 0 in
+  for k = lo to hi - 1 do
+    Sample.clear_table tbl;
+    for p = bounds.(k) to bounds.(k + 1) - 1 do
+      let i = if in_order then p else order.(p) in
+      Sample.count tbl ~cpu:(Sample_store.cpu store i)
+        ~line:(Sample_store.line store i)
+    done;
+    peak := max !peak (Sample.entries tbl);
+    interval_rows sc tbl emit
+  done;
+  !peak
 
 let compute ?pool ~interval store =
   if interval <= 0 then invalid_arg "Code_concurrency.compute: interval <= 0";
-  let n = Sample_store.length store in
-  let tables =
-    Obs.time "cc.ingest_s" (fun () ->
-        let bin (lo, hi) =
-          let b = Sample.binner ~interval in
-          for i = lo to hi - 1 do
-            Sample.feed_raw b ~cpu:(Sample_store.cpu store i)
-              ~itc:(Sample_store.itc store i)
-              ~line:(Sample_store.line store i)
-          done;
-          b
-        in
-        let rec ranges lo =
-          if lo >= n then []
-          else (lo, min n (lo + bin_range)) :: ranges (lo + bin_range)
-        in
-        let parts =
-          match pool with
-          | None -> List.map bin (ranges 0)
-          | Some pool -> Slo_exec.Pool.map pool bin (ranges 0)
-        in
-        match parts with
-        | [] -> []
-        | b0 :: rest ->
-          List.iter (Sample.absorb b0) rest;
-          Sample.binned b0)
+  let ((_, bounds) as ivs) =
+    Obs.time "cc.ingest_s" (fun () -> intervals ~interval store)
   in
-  of_tables ?pool tables
+  let n = Array.length bounds - 1 in
+  Obs.incr ~by:n "cc.intervals";
+  Obs.incr ~by:(Sample_store.length store) "cc.samples";
+  let chunks =
+    List.init ((n + chunk - 1) / chunk) (fun c ->
+        (c * chunk, min n ((c + 1) * chunk)))
+  in
+  let acc = create () in
+  let peaks =
+    Obs.time "cc.compute_s" (fun () ->
+        match pool with
+        | Some pool when Slo_exec.Pool.size pool > 1 ->
+          Slo_exec.Pool.map pool
+            (fun c ->
+              let t = create () in
+              (t, count_chunk (scratch ()) store ivs t c))
+            chunks
+          |> List.map (fun (t, peak) ->
+                 merge_into acc t;
+                 peak)
+        | _ ->
+          (* Serially, and on a pool of one domain, which runs its tasks
+             in the caller: one scratch serves every chunk, and the
+             chunks add into the result itself. *)
+          let sc = scratch () in
+          List.map (count_chunk sc store ivs acc) chunks)
+  in
+  if n > 0 then
+    Obs.set_gauge "cc.table.peak_entries"
+      (float_of_int (List.fold_left max 0 peaks));
+  acc
 
 let pairs t =
   Flat_tab.fold t ~init:[] ~f:(fun acc k v -> (k, v) :: acc)
@@ -511,10 +546,17 @@ module For_tests = struct
     if a = [] || b = [] then 0
     else begin
       let sc = scratch () in
-      load sc
-        ( Array.of_list (List.map (fun _ -> 0) a @ List.map (fun _ -> 1) b),
-          Array.of_list (List.map fst (a @ b)),
-          Array.of_list (List.map snd (a @ b)) );
+      let entries =
+        List.map (fun (c, n) -> (0, c, n)) a @ List.map (fun (c, n) -> (1, c, n)) b
+      in
+      reserve sc (List.length entries);
+      List.iteri
+        (fun x (l, c, n) ->
+          sc.ent_line.(x) <- l;
+          sc.cpu.(x) <- c;
+          sc.cnt.(x) <- n)
+        entries;
+      load sc (List.length entries);
       f sc
     end
 

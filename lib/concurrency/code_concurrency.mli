@@ -10,14 +10,16 @@
 
     {b Kernel.} The inner double sum over CPU pairs is
     Σ_{m,n} min(a_m, b_n) − Σ_m min(a_m, b_m), computed per line pair
-    without allocating. An interval's {!Sample.rows} are loaded once into
-    flat compressed-row arrays, reused across the intervals of a chunk:
-    each line's entries (CPUs numbered densely) sorted by count with
-    {!Slo_util.Int_sort}, its counts run-length encoded with prefix
-    counts and sums, and the same entries transposed by CPU. The first
-    sum is a two-pointer merge of two lines' runs (as a's counts rise,
-    the split point in b only moves right), so it costs the number of
-    distinct counts, not of CPUs. The second is summed per CPU: pairing
+    without allocating. An interval table's rows are read once
+    ({!Sample.rows_into}, the extraction {!Sample.rows} makes) straight
+    into flat compressed-row arrays of a {!scratch} reused across
+    intervals, so an interval allocates nothing either: its entries in
+    (line, cpu) order, each line's entries (CPUs numbered densely) sorted
+    by count with {!Slo_util.Int_sort}, its counts run-length encoded
+    with prefix counts and sums, and the same entries transposed by CPU.
+    The first sum is a two-pointer merge of two lines' runs (as a's
+    counts rise, the split point in b only moves right), so it costs the
+    number of distinct counts, not of CPUs. The second is summed per CPU: pairing
     line i, each of its CPUs walks the later lines it ran and adds into
     a scratch row over lines, Σ_m k_m² work per interval for k_m the
     lines CPU m ran. Memory is O(entries + lines), never lines². All
@@ -45,21 +47,36 @@
     the order {!pairs}, {!pp} and {!drift} use.
 
     {b Scaling.} {!compute} is the one way samples enter: it takes a
-    columnar {!Sample_store}, hands pool workers fixed index ranges of the
-    shared columns to bin (zero copies), absorbs the per-range binners,
-    then computes the interval tables in fixed chunks of consecutive
-    intervals as independent partial maps and reduces them with the
-    pointwise-sum {!merge}. Intervals are independent, so the result is
-    identical for every pool size (test_concurrency's shard and store
-    suites pin this against a definitional brute-force oracle). Lists
-    and sample producers reach it through {!Sample_store.of_samples} and
+    columnar {!Sample_store} and reads its shared columns in place (zero
+    copies). One ordering pass over the itc column finds where each
+    interval's samples start. Stores in interval order (every collection
+    run and sample file, which are in (itc, CPU) order) need nothing
+    more; a store where some sample's interval is below its
+    predecessor's has its sample indices sorted by interval once
+    ({!Slo_util.Int_sort}), and is read through that permutation. The
+    intervals are then counted and summed in fixed chunks of 32
+    consecutive intervals: a chunk counts each interval into one reused
+    table ({!Sample.count}, the binner's identifier check and saturating
+    add), runs the kernel on it and clears it for the next, so no table,
+    binner or row array is made per interval. On a pool of two or more
+    domains each chunk is an independent partial map, reduced with the
+    pointwise-sum {!merge}; serially, and on a pool of one domain (which
+    runs its tasks in the caller), one kernel scratch serves every chunk
+    and the chunks add into the result directly. Intervals are
+    independent, so the result is identical for every pool size and
+    every order of the store (test_concurrency's shard and store suites
+    pin this against a definitional brute-force oracle and the
+    {!of_interval} fold over one binner). Lists and sample producers
+    reach it through {!Sample_store.of_samples} and
     {!Sample_store.of_iter}, text and binary files through the persist
     layer's store loaders.
 
     {b Observability.} {!compute} records counters [cc.intervals] /
     [cc.samples], gauge [cc.table.peak_entries] and histograms
-    [cc.compute_s] / [cc.ingest_s] into {!Slo_obs.Obs.default};
-    write-only, so instrumented runs stay byte-identical. *)
+    [cc.ingest_s] (the ordering pass, with its sort when there is one) /
+    [cc.compute_s] (counting the intervals and the kernel) into
+    {!Slo_obs.Obs.default}; write-only, so instrumented runs stay
+    byte-identical. *)
 
 type t
 (** A concurrency map. *)
@@ -70,7 +87,8 @@ val create : unit -> t
 val compute : ?pool:Slo_exec.Pool.t -> interval:int -> Sample_store.t -> t
 (** Bin the store into intervals of [interval] ticks and accumulate CC
     over all of them, on [pool]'s domains when given. Equals the merge of
-    {!of_interval} over the binned tables, for every pool size.
+    {!of_interval} over the tables of one {!Sample.binner} fed the store,
+    for every pool size and every order of the store's samples.
     @raise Invalid_argument if [interval <= 0]. *)
 
 val of_interval : Sample.interval_table -> t

@@ -25,10 +25,11 @@ let pack ~cpu ~line = (line lsl id_bits) lor cpu
 
 type interval_table = {
   (* pack ~cpu ~line -> count. A flat open-addressing table: the hot
-     increment in [feed_raw] is one probe ([Flat_tab.add]) into two int
-     arrays with no per-entry boxes — the `(int, int ref)` Hashtbl this
-     replaces allocated a ref per distinct pair and chased buckets, and
-     had become the ingestion bottleneck at columnar scale. *)
+     increment in [count] and [feed_raw] is one probe ([Flat_tab.add])
+     into two int arrays with no per-entry boxes — the `(int, int ref)`
+     Hashtbl this replaces allocated a ref per distinct pair and chased
+     buckets, and had become the ingestion bottleneck at columnar
+     scale. *)
   freqs : Flat_tab.t;
   mutable total : int;
 }
@@ -37,22 +38,55 @@ let freq tbl ~cpu ~line =
   if cpu < 0 || cpu > max_id || line < 0 || line > max_id then 0
   else Flat_tab.find tbl.freqs (pack ~cpu ~line) ~default:0
 
-(* One in-place sort of the keys with their counts; the key array then
-   becomes the cpu column. *)
-let rows tbl =
-  let n = Flat_tab.length tbl.freqs in
-  let keys = Array.make n 0 and counts = Array.make n 0 and i = ref 0 in
+(* One in-place sort of the packed keys with their counts, in the cpu
+   column; the keys are then split into their line and cpu. *)
+let rows_into tbl ~lines ~cpus ~counts =
+  let i = ref 0 in
   Flat_tab.iter tbl.freqs (fun k c ->
-      keys.(!i) <- k;
+      cpus.(!i) <- k;
       counts.(!i) <- c;
       incr i);
-  Slo_util.Int_sort.sort_by_key keys counts ~lo:0 ~hi:n;
-  let lines = Array.map (fun k -> k lsr id_bits) keys in
-  Array.map_inplace (fun k -> k land max_id) keys;
-  (lines, keys, counts)
+  let n = !i in
+  Slo_util.Int_sort.sort_by_key cpus counts ~lo:0 ~hi:n;
+  for x = 0 to n - 1 do
+    let k = cpus.(x) in
+    lines.(x) <- k lsr id_bits;
+    cpus.(x) <- k land max_id
+  done
 
 let entries tbl = Flat_tab.length tbl.freqs
+
+let rows tbl =
+  let n = entries tbl in
+  let lines = Array.make n 0 and cpus = Array.make n 0
+  and counts = Array.make n 0 in
+  rows_into tbl ~lines ~cpus ~counts;
+  (lines, cpus, counts)
+
 let total_samples tbl = tbl.total
+
+let empty_table () = { freqs = Flat_tab.create ~capacity:16 (); total = 0 }
+
+let clear_table tbl =
+  Flat_tab.clear tbl.freqs;
+  tbl.total <- 0
+
+(* Counts are non-negative, so a sum past [max_int] wraps negative; every
+   count, table total and fed figure stops at [max_int] instead, as the
+   CC kernel assumes. An over-full key costs a second probe only on the
+   step that saturates it. *)
+let sat_add a b =
+  let s = a + b in
+  if s < 0 then max_int else s
+
+let add_count tbl key count =
+  if Flat_tab.add tbl.freqs key count < 0 then
+    Flat_tab.set tbl.freqs key max_int;
+  tbl.total <- sat_add tbl.total count
+
+let count tbl ~cpu ~line =
+  check_ids ~cpu ~line;
+  add_count tbl (pack ~cpu ~line) 1
 
 (* Floor division via the remainder: OCaml's [/] truncates toward zero,
    which would collapse ITC timestamps in (-interval, 0) into bin 0
@@ -92,7 +126,7 @@ let table_of_idx b idx =
       match Hashtbl.find_opt b.b_tables idx with
       | Some tbl -> tbl
       | None ->
-        let tbl = { freqs = Flat_tab.create ~capacity:16 (); total = 0 } in
+        let tbl = empty_table () in
         Hashtbl.replace b.b_tables idx tbl;
         tbl
     in
@@ -100,22 +134,9 @@ let table_of_idx b idx =
     b.b_last <- Some tbl;
     tbl
 
-(* Counts are non-negative, so a sum past [max_int] wraps negative; every
-   count, table total and fed figure stops at [max_int] instead, as the
-   CC kernel assumes. An over-full key costs a second probe only on the
-   step that saturates it. *)
-let sat_add a b =
-  let s = a + b in
-  if s < 0 then max_int else s
-
-let add_count freqs key count =
-  if Flat_tab.add freqs key count < 0 then Flat_tab.set freqs key max_int
-
 let feed_raw b ~cpu ~itc ~line =
   check_ids ~cpu ~line;
-  let tbl = table_of_idx b (floor_div itc b.b_interval) in
-  add_count tbl.freqs (pack ~cpu ~line) 1;
-  tbl.total <- sat_add tbl.total 1;
+  add_count (table_of_idx b (floor_div itc b.b_interval)) (pack ~cpu ~line) 1;
   b.b_fed <- sat_add b.b_fed 1
 
 let feed b s = feed_raw b ~cpu:s.cpu ~itc:s.itc ~line:s.line
@@ -124,9 +145,8 @@ let feed_n b ~cpu ~itc ~line ~count =
   if count < 0 then invalid_arg "Sample.feed_n: negative count";
   if count > 0 then begin
     check_ids ~cpu ~line;
-    let tbl = table_of_idx b (floor_div itc b.b_interval) in
-    add_count tbl.freqs (pack ~cpu ~line) count;
-    tbl.total <- sat_add tbl.total count;
+    add_count (table_of_idx b (floor_div itc b.b_interval)) (pack ~cpu ~line)
+      count;
     b.b_fed <- sat_add b.b_fed count
   end
 
@@ -134,17 +154,6 @@ let fed b = b.b_fed
 
 let peak_entries b =
   Hashtbl.fold (fun _ tbl acc -> max acc (entries tbl)) b.b_tables 0
-
-let absorb dst src =
-  if dst.b_interval <> src.b_interval then
-    invalid_arg "Sample.absorb: interval mismatch";
-  Hashtbl.iter
-    (fun idx (src_tbl : interval_table) ->
-      let dst_tbl = table_of_idx dst idx in
-      Flat_tab.iter src_tbl.freqs (add_count dst_tbl.freqs);
-      dst_tbl.total <- sat_add dst_tbl.total src_tbl.total)
-    src.b_tables;
-  dst.b_fed <- sat_add dst.b_fed src.b_fed
 
 (* The last-table cache may alias the dropped table, so it is cleared.
    [fed] is the saturated sum of the tables' totals; below [max_int] no

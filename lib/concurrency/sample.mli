@@ -54,10 +54,37 @@ val rows : interval_table -> int array * int array * int array
     of a table, built by one {!Slo_util.Int_sort} of its packed keys
     with their counts. The arrays are fresh and owned by the caller. *)
 
+val rows_into :
+  interval_table -> lines:int array -> cpus:int array -> counts:int array -> unit
+(** {!rows} written into the first {!entries} cells of [lines], [cpus]
+    and [counts], the same extraction without allocating: how the CC
+    kernel reads a table into its reused scratch.
+    @raise Invalid_argument if an array is shorter than {!entries}. *)
+
 val entries : interval_table -> int
 (** Distinct (cpu, line) pairs in the table — its memory footprint proxy. *)
 
 val total_samples : interval_table -> int
+
+(** {1 One interval at a time}
+
+    A table the caller owns, for counting one interval's samples,
+    reading them and clearing the table for the next interval:
+    {!Code_concurrency.compute} counts a whole store that way through
+    one table per chunk of intervals, with no binner and no table per
+    interval. *)
+
+val empty_table : unit -> interval_table
+
+val clear_table : interval_table -> unit
+(** Drop every count of a table made by {!empty_table}, keeping its
+    storage. (A table of a {!binner} is the binner's to change.) *)
+
+val count : interval_table -> cpu:int -> line:int -> unit
+(** Count one sample into the table: {!feed_raw}'s identifier check and
+    saturating add, with the interval already chosen by the caller.
+    @raise Invalid_argument if [cpu] or [line] is outside
+    [0 .. max_id]. *)
 
 (** {1 Binning} *)
 
@@ -92,16 +119,6 @@ val feed_raw : binner -> cpu:int -> itc:int -> line:int -> unit
 val fed : binner -> int
 (** Samples fed so far, less those of dropped intervals; at most
     [max_int]. *)
-
-val absorb : binner -> binner -> unit
-(** [absorb dst src] adds every accumulated count of [src] into [dst]
-    (pointwise histogram sum, per interval). Feeding a sample stream
-    through several binners over disjoint chunks and absorbing them — in
-    any order — yields exactly the tables of one binner fed the whole
-    stream, which is what lets {!Code_concurrency.compute} bin index
-    ranges of a columnar store in parallel. Sums saturate at [max_int],
-    as in {!feed_n}. [src] is left untouched.
-    @raise Invalid_argument if the two binners' intervals differ. *)
 
 val drop_interval : binner -> int -> unit
 (** [drop_interval b idx] removes interval [idx]'s table and subtracts

@@ -461,6 +461,48 @@ let test_rows () =
       [| 1; 1; 1; 1; 1; 2 |] )
     (Sample.rows t)
 
+(* A table counted one sample at a time: [rows_into] fills the front of
+   longer arrays with [rows], [count] checks identifiers like [feed_raw],
+   and [clear_table] leaves an empty table that counts afresh. *)
+let test_reused_table () =
+  let tbl = Sample.empty_table () in
+  let feed () =
+    List.iter
+      (fun (cpu, line) -> Sample.count tbl ~cpu ~line)
+      [ (3, Sample.max_id); (Sample.max_id, 0); (3, 7); (0, 7); (3, 7) ]
+  in
+  feed ();
+  let rows = Sample.rows tbl in
+  Alcotest.(check (triple (array int) (array int) (array int)))
+    "rows in (line, cpu) order"
+    ( [| 0; 7; 7; Sample.max_id |],
+      [| Sample.max_id; 0; 3; 3 |],
+      [| 1; 1; 2; 1 |] )
+    rows;
+  check_int "total" 5 (Sample.total_samples tbl);
+  let lines = Array.make 6 (-1) and cpus = Array.make 6 (-1)
+  and counts = Array.make 6 (-1) in
+  Sample.rows_into tbl ~lines ~cpus ~counts;
+  Alcotest.(check (triple (array int) (array int) (array int)))
+    "rows_into = rows, the tail untouched"
+    (let l, c, n = rows in
+     (Array.append l [| -1; -1 |], Array.append c [| -1; -1 |],
+      Array.append n [| -1; -1 |]))
+    (lines, cpus, counts);
+  (match Sample.count tbl ~cpu:0 ~line:(Sample.max_id + 1) with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "count accepted line > max_id");
+  (match Sample.count tbl ~cpu:(-1) ~line:0 with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "count accepted a negative cpu");
+  check_int "a rejected sample is not counted" 5 (Sample.total_samples tbl);
+  Sample.clear_table tbl;
+  check_int "cleared: entries" 0 (Sample.entries tbl);
+  check_int "cleared: total" 0 (Sample.total_samples tbl);
+  feed ();
+  Alcotest.(check (triple (array int) (array int) (array int)))
+    "counted again after clearing" rows (Sample.rows tbl)
+
 let test_binner_counters () =
   let b = Sample.binner ~interval:100 in
   check_int "fed starts at 0" 0 (Sample.fed b);
@@ -571,14 +613,9 @@ let test_binner_saturates () =
   saturated "feed_n" b;
   Sample.feed_raw b ~cpu:1 ~itc:4 ~line:2;
   saturated "feed_raw on a saturated key" b;
-  let src = Sample.binner ~interval:10 and dst = Sample.binner ~interval:10 in
-  Sample.feed_n src ~cpu:1 ~itc:1 ~line:2 ~count:(max_int - 2);
-  Sample.feed_n dst ~cpu:1 ~itc:8 ~line:2 ~count:7;
-  Sample.absorb dst src;
-  saturated "absorb" dst;
-  Sample.feed_n dst ~cpu:0 ~itc:25 ~line:3 ~count:4;
-  Sample.drop_interval dst 0;
-  check_int "drop_interval after saturation: fed" 4 (Sample.fed dst)
+  Sample.feed_n b ~cpu:0 ~itc:25 ~line:3 ~count:4;
+  Sample.drop_interval b 0;
+  check_int "drop_interval after saturation: fed" 4 (Sample.fed b)
 
 let test_top_validation () =
   let cm = compute ~interval:100 [ s 0 1 1; s 1 2 2 ] in
@@ -758,11 +795,19 @@ let test_store_pool_identical () =
         (CC.pairs (compute ~pool ~interval:100 samples)
         = oracle ~interval:100 samples))
 
+(* The pairs of the merge of {!CC.of_interval} over [tables]: the oracle
+   compute is held to, whatever the store's order and the pool. *)
+let interval_fold tables =
+  List.fold_left
+    (fun acc tbl -> CC.merge acc (CC.of_interval tbl))
+    (CC.create ()) tables
+  |> CC.pairs
+
 let test_store_multi_range () =
   (* Big enough to cross the fixed boundaries the parallel path cuts on:
-     150 000 samples are three binning ranges of 65 536, and their 150
-     intervals are five chunks of 32. The pooled and serial compute must
-     both equal the serial of_interval fold over one binner. *)
+     150 000 samples in 150 intervals, five chunks of 32. The pooled and
+     serial compute must both equal the serial of_interval fold over one
+     binner. *)
   let n = 150_000 and interval = 1_000 in
   let b = Store.builder ~capacity:n () in
   for i = 0 to n - 1 do
@@ -775,34 +820,19 @@ let test_store_multi_range () =
       ~line:(Store.line st i)
   done;
   check_int "intervals" 150 (List.length (Sample.binned binner));
-  let folded =
-    List.fold_left
-      (fun acc tbl -> CC.merge acc (CC.of_interval tbl))
-      (CC.create ()) (Sample.binned binner)
-    |> CC.pairs
-  in
+  let folded = interval_fold (Sample.binned binner) in
   Alcotest.(check bool) "serial = of_interval fold" true
     (CC.pairs (CC.compute ~interval st) = folded);
   Slo_exec.Pool.with_pool ~domains:2 (fun pool ->
       Alcotest.(check bool) "pool = of_interval fold" true
         (CC.pairs (CC.compute ~pool ~interval st) = folded))
 
-let test_compute_alloc_per_pair () =
-  (* Allocation guard on the pair kernel: a deterministic count, not a
-     timing. 200 000 samples from a fixed LCG (glibc constants, two draws
-     per sample: cpu = draw mod 64, line = draw mod 80), itc = 4 i,
-     interval 4000. The draws alternate the state's low bit, so each
-     interval holds 40 of the 80 lines and about 160 distinct (cpu, line)
-     entries: 200 intervals x 820 line pairs (diagonal included) = 164 000
-     pairs through the kernel, which dominate. A per-pair Hashtbl or a
-     boxed tuple key costs about 70 words per pair here. The kernel
-     allocates nothing per pair, and per interval only the table's rows:
-     its CSR arrays are scratch reused across a chunk's intervals. Words
-     are counted minor + major - promoted, so scratch allocated straight
-     into the major heap counts too. Fresh per-line vectors for every
-     interval (8 arrays a line) come to about 12 words per pair, so the
-     bound of 6 requires the reused scratch. *)
-  let n = 200_000 and interval = 4_000 in
+(* The allocation tests' store: [n] samples from a fixed LCG (glibc
+   constants, two draws per sample: cpu = draw mod 64, line = draw mod
+   80), itc = 4 i. At interval 4000 the draws alternate the state's low
+   bit, so each interval of 1000 samples holds 40 of the 80 lines and
+   about 160 distinct (cpu, line) entries. *)
+let lcg_store n =
   let b = Store.builder ~capacity:n () in
   let x = ref 42 in
   let draw () =
@@ -814,7 +844,26 @@ let test_compute_alloc_per_pair () =
     let line = draw () mod 80 in
     Store.append b ~cpu ~itc:(4 * i) ~line
   done;
-  let st = Store.build b in
+  Store.build b
+
+(* Words allocated so far, counted minor + major - promoted, so arrays
+   allocated straight into the major heap count too. *)
+let words () =
+  let minor, promoted, major = Gc.counters () in
+  minor +. major -. promoted
+
+let test_compute_alloc_per_pair () =
+  (* Allocation guard on the pair kernel: a deterministic count, not a
+     timing. 200 000 samples of [lcg_store]: 200 intervals x 820 line
+     pairs (diagonal included) = 164 000 pairs through the kernel, which
+     dominate. A per-pair Hashtbl or a boxed tuple key costs about 70
+     words per pair here. The kernel allocates nothing per pair or per
+     interval: the interval table, its rows and the CSR arrays are
+     reused across a chunk's intervals. Fresh per-line vectors for every
+     interval (8 arrays a line) come to about 12 words per pair, so the
+     bound of 6 requires the reused scratch. *)
+  let n = 200_000 and interval = 4_000 in
+  let st = lcg_store n in
   let binner = Sample.binner ~interval in
   for i = 0 to n - 1 do
     Sample.feed_raw binner ~cpu:(Store.cpu st i) ~itc:(Store.itc st i)
@@ -833,10 +882,6 @@ let test_compute_alloc_per_pair () =
       0 tables
   in
   check_int "line pairs through the kernel" 164_000 pairs;
-  let words () =
-    let minor, promoted, major = Gc.counters () in
-    minor +. major -. promoted
-  in
   let before = words () in
   let cm = CC.compute ~interval st in
   let words = words () -. before in
@@ -846,6 +891,77 @@ let test_compute_alloc_per_pair () =
     Alcotest.failf
       "Code_concurrency.compute allocated %.1f words per line pair (bound 6)"
       per_pair
+
+let test_compute_alloc_per_sample () =
+  (* Allocation budget on binning: 400 000 samples of [lcg_store], 400
+     intervals in 13 chunks. compute counts each interval into its
+     chunk's one table and reads the table's rows straight into the
+     kernel's scratch, so a call allocates a table per chunk, one
+     scratch and the map, whatever the sample count: about 11 400 words,
+     0.03 per sample. A fresh table per interval, grown from 16 slots,
+     with binners merged afterwards and rows in fresh arrays, came to
+     2.6 to 2.9 words per sample here. *)
+  let n = 400_000 and interval = 4_000 in
+  let st = lcg_store n in
+  Gc.full_major ();
+  let before = words () in
+  let cm = CC.compute ~interval st in
+  let per_sample = (words () -. before) /. float_of_int n in
+  check_int "distinct pairs in the map" 820 (List.length (CC.pairs cm));
+  if per_sample >= 1.0 then
+    Alcotest.failf
+      "Code_concurrency.compute allocated %.2f words per sample (bound 1)"
+      per_sample
+
+(* Stores that start anywhere, [min_int] included, over 1 to 100 runs of
+   samples with up to two empty intervals between runs, so that chunks of
+   32 intervals are crossed; each in three orders: sorted by itc,
+   shuffled, and sorted with the last sample moved first. *)
+let gen_store_orders =
+  QCheck2.Gen.(
+    let* interval = int_range 1 50 in
+    let* base =
+      frequency
+        [
+          (1, return min_int);
+          (1, map (fun x -> min_int + x) (int_bound 1000));
+          (2, int_range (-1_000_000) 1_000_000);
+        ]
+    in
+    let* runs =
+      list_size (int_range 1 100)
+        (pair (int_range 1 3)
+           (list_size (int_range 1 4)
+              (triple (int_bound 7) (int_bound (interval - 1)) (int_bound 9))))
+    in
+    let _, samples =
+      List.fold_left
+        (fun (at, acc) (gap, xs) ->
+          let at = at + (gap * interval) in
+          (at, List.map (fun (cpu, r, line) -> s cpu (base + at + r) line) xs @ acc))
+        (0, []) runs
+    in
+    let sorted =
+      List.stable_sort (fun a b -> Int.compare a.Sample.itc b.Sample.itc) samples
+    in
+    let+ shuffled = shuffle_l samples in
+    let last_first =
+      match List.rev sorted with [] -> [] | x :: rest -> x :: List.rev rest
+    in
+    (interval, samples, [ sorted; shuffled; last_first ]))
+
+let test_compute_any_order () =
+  Slo_exec.Pool.with_pool ~domains:2 (fun pool ->
+      QCheck2.Test.check_exn ~rand:(Random.State.make [| 13 |])
+        (QCheck2.Test.make ~name:"compute in any store order = of_interval fold"
+           ~count:150 gen_store_orders (fun (interval, samples, orders) ->
+             let folded = interval_fold (bin ~interval samples) in
+             List.for_all
+               (fun order ->
+                 let st = Store.of_samples order in
+                 CC.pairs (CC.compute ~interval st) = folded
+                 && CC.pairs (CC.compute ~pool ~interval st) = folded)
+               orders)))
 
 (* Validating mapped columns reads them through the typed, unboxed
    Bigarray accessors: no word per sample. Through the generic path each
@@ -885,6 +1001,10 @@ let store_suite =
       test_store_multi_range;
     Alcotest.test_case "compute allocates <= 6 words per line pair" `Quick
       test_compute_alloc_per_pair;
+    Alcotest.test_case "compute allocates < 1 word per sample" `Quick
+      test_compute_alloc_per_sample;
+    Alcotest.test_case "compute in any store order = of_interval fold" `Quick
+      test_compute_any_order;
     Alcotest.test_case "validating columns allocates nothing per sample"
       `Quick test_validate_alloc;
     QCheck_alcotest.to_alcotest prop_store_samples_roundtrip;
@@ -1002,6 +1122,7 @@ let suites =
         Alcotest.test_case "validation" `Quick test_bin_validation;
         Alcotest.test_case "negative itc bins" `Quick test_bin_negative_itc;
         Alcotest.test_case "row view" `Quick test_rows;
+        Alcotest.test_case "reused table" `Quick test_reused_table;
         Alcotest.test_case "binner counters" `Quick test_binner_counters;
         QCheck_alcotest.to_alcotest prop_binner_matches_hashtbl_reference;
         Alcotest.test_case "binner = Hashtbl reference at scale" `Quick
