@@ -466,7 +466,9 @@ let run_smoke ctx =
    checking packed columns (everything downstream of the store is
    shared). Both paths must yield
    the same store, and the full Code_concurrency.compute at pool sizes
-   1/2/4 must reproduce the serial of_interval fold over one binner. *)
+   1/2/4 must reproduce the serial of_interval fold over one binner, on
+   the store and on a fixed shuffle of it (the path that sorts the sample
+   indices by interval; its wall time is reported, not gated). *)
 
 let run_cc_scale ctx =
   let n = if ctx.quick then 200_000 else 10_000_000 in
@@ -526,28 +528,50 @@ let run_cc_scale ctx =
       ("bytes_per_s", Json.Float (per_s bytes wall));
     ]
   in
-  let pool_row jobs =
+  let shuffled =
+    let perm = Array.init n Fun.id and prng = Slo_util.Prng.create ~seed:7 in
+    for i = n - 1 downto 1 do
+      let j = Slo_util.Prng.int prng (i + 1) in
+      let x = perm.(i) in
+      perm.(i) <- perm.(j);
+      perm.(j) <- x
+    done;
+    let b = Sample_store.builder ~capacity:n () in
+    Array.iter
+      (fun i ->
+        Sample_store.append b ~cpu:(Sample_store.cpu mstore i)
+          ~itc:(Sample_store.itc mstore i) ~line:(Sample_store.line mstore i))
+      perm;
+    Sample_store.build b
+  in
+  let pool_row ~what store jobs =
     let compute pool =
-      timed (fun () -> Code_concurrency.compute ?pool ~interval mstore)
+      timed (fun () -> Code_concurrency.compute ?pool ~interval store)
     in
     let cm, wall =
       if jobs <= 1 then compute None
       else Pool.with_pool ~domains:jobs (fun p -> compute (Some p))
     in
     let identical = Code_concurrency.pairs cm = ref_pairs in
-    ( (Printf.sprintf "columnar CC = of_interval fold at pool %d" jobs,
+    ( (Printf.sprintf "%s CC = of_interval fold at pool %d" what jobs,
        identical),
       Json.Obj
         ((("jobs", Json.Int jobs) :: rates wall bin_bytes)
         @ [ ("identical", Json.Bool identical) ]) )
   in
-  let pool_checks, rows = List.split (List.map pool_row [ 1; 2; 4 ]) in
+  let pool_checks, rows =
+    List.split (List.map (pool_row ~what:"columnar" mstore) [ 1; 2; 4 ])
+  in
+  let shuffled_checks, shuffled_rows =
+    List.split (List.map (pool_row ~what:"shuffled" shuffled) [ 1; 2; 4 ])
+  in
   let binary_vs_text =
     if per_s n text_s > 0.0 then per_s n bin_s /. per_s n text_s else 0.0
   in
   report
     ~checks:
-      (("text-parsed store = binary-loaded store", stores_equal) :: pool_checks)
+      (("text-parsed store = binary-loaded store", stores_equal)
+      :: (pool_checks @ shuffled_checks))
     ~note:
       (Printf.sprintf
          "%d generated samples on %d cpus x %d lines. binary_vs_text_x\n\
@@ -569,6 +593,7 @@ let run_cc_scale ctx =
             ("binary", Json.Obj (rates bin_s bin_bytes));
             ("binary_vs_text_x", Json.Float binary_vs_text);
             ("rows", Json.List rows);
+            ("shuffled_rows", Json.List shuffled_rows);
           ] );
     ]
 
