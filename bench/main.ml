@@ -466,9 +466,30 @@ let run_smoke ctx =
    checking packed columns (everything downstream of the store is
    shared). Both paths must yield
    the same store, and the full Code_concurrency.compute at pool sizes
-   1/2/4 must reproduce the serial of_interval fold over one binner, on
-   the store and on a fixed shuffle of it (the path that sorts the sample
-   indices by interval; its wall time is reported, not gated). *)
+   1/2/4 must reproduce the serial of_interval fold over the reference
+   binning's tables, on the store and on a fixed shuffle of it (the path
+   that sorts the sample indices by interval; its wall time is reported,
+   not gated). *)
+
+(* The reference binning this section and the serve section check
+   against: the samples [iter] yields, each counted with Sample.count
+   into its interval's table in a Hashtbl by interval index, listed by
+   ascending index. *)
+let bin_tables ~interval iter =
+  let tables = Hashtbl.create 64 in
+  iter (fun (s : Sample.t) ->
+      let idx = Sample.floor_div s.Sample.itc interval in
+      let tbl =
+        match Hashtbl.find_opt tables idx with
+        | Some tbl -> tbl
+        | None ->
+          let tbl = Sample.empty_table () in
+          Hashtbl.add tables idx tbl;
+          tbl
+      in
+      Sample.count tbl ~cpu:s.Sample.cpu ~line:s.Sample.line);
+  Hashtbl.fold (fun idx tbl acc -> (idx, tbl) :: acc) tables []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
 let run_cc_scale ctx =
   let n = if ctx.quick then 200_000 else 10_000_000 in
@@ -511,12 +532,11 @@ let run_cc_scale ctx =
     Sample_store.length tstore = Sample_store.length mstore
     && Sample_store.columns tstore = Sample_store.columns mstore
   in
-  let binner = Sample.binner ~interval in
-  Sample_store.iter mstore (Sample.feed binner);
+  let ref_tables = bin_tables ~interval (Sample_store.iter mstore) in
   let ref_pairs =
-    Sample.binned binner
+    ref_tables
     |> List.fold_left
-         (fun acc tbl ->
+         (fun acc (_, tbl) ->
            Code_concurrency.merge acc (Code_concurrency.of_interval tbl))
          (Code_concurrency.create ())
     |> Code_concurrency.pairs
@@ -580,7 +600,11 @@ let run_cc_scale ctx =
           per sample beyond the text's record. Target: at least 3x."
          n cpus lines)
     [
-      ("peak_table_entries", Json.Int (Sample.peak_entries binner));
+      ( "peak_table_entries",
+        Json.Int
+          (List.fold_left
+             (fun acc (_, tbl) -> max acc (Sample.entries tbl))
+             0 ref_tables) );
       ( "columnar",
         Json.Obj
           [
@@ -1142,7 +1166,7 @@ let run_model_check _ctx =
 (* Always-on layout service: drive a running serve daemon with a phased,
    multi-client feed of the kernel corpus's PMU samples, then check the
    identities the service rests on: (1) the sliding window, which retires
-   an interval by dropping its table (Sample.drop_interval), equals a
+   an interval by popping its entry and table from its ring, equals a
    from-scratch re-bin of the final window's samples, (2)
    at least one drift-triggered re-search published a new versioned
    layout, (3) a snapshot/restore round trip is byte-identical and (4) a
@@ -1220,25 +1244,24 @@ let run_serve ctx =
   let n_batches = phases * clients in
   let n_samples = n_batches * Array.length base_arr in
   let w = Serve.window t in
-  let canon b =
-    List.map
-      (fun (idx, tbl) ->
+  let canon =
+    List.map (fun (idx, tbl) ->
         (idx, Sample.total_samples tbl, Sample.rows tbl))
-      (Sample.binned_idx b)
   in
-  (* 1: the window maintained by dropping retired intervals = re-binning
-     from scratch. A sample survives in the master iff its interval is
-     inside the final window, so the direct bin of exactly those samples
-     must match. *)
+  (* 1: the window maintained by retiring intervals = re-binning from
+     scratch. A sample survives in the window iff its interval is inside
+     the final window, so the direct bin of exactly those samples must
+     match. *)
   let newest = match Window.newest w with Some n -> n | None -> 0 in
-  let direct = Sample.binner ~interval in
-  List.iter
-    (Array.iter (fun (s : Sample.t) ->
-         let idx = Sample.floor_div s.Sample.itc interval in
-         if not (Sample.below_watermark ~newest ~window idx) then
-           Sample.feed direct s))
-    (List.rev !submitted);
-  let rebin_identical = canon (Window.master w) = canon direct in
+  let direct =
+    bin_tables ~interval (fun f ->
+        List.iter
+          (Array.iter (fun (s : Sample.t) ->
+               let idx = Sample.floor_div s.Sample.itc interval in
+               if not (Sample.below_watermark ~newest ~window idx) then f s))
+          (List.rev !submitted))
+  in
+  let rebin_identical = canon (Window.tables w) = canon direct in
   (* 2: the workload shift must have triggered a drift re-search. *)
   let pubs = Serve.publications t in
   let drift_triggered =

@@ -56,9 +56,9 @@
     ({!Slo_util.Int_sort}), and is read through that permutation. The
     intervals are then counted and summed in fixed chunks of 32
     consecutive intervals: a chunk counts each interval into one reused
-    table ({!Sample.count}, the binner's identifier check and saturating
-    add), runs the kernel on it and clears it for the next, so no table,
-    binner or row array is made per interval. On a pool of two or more
+    table ({!Sample.count}, with its identifier check and saturating
+    add), runs the kernel on it and clears it for the next, so no table
+    or row array is made per interval. On a pool of two or more
     domains each chunk is an independent partial map, reduced with the
     pointwise-sum {!merge}; serially, and on a pool of one domain (which
     runs its tasks in the caller), one kernel scratch serves every chunk
@@ -66,8 +66,8 @@
     independent, so the result is identical for every pool size and
     every order of the store (test_concurrency's shard and store suites
     pin this against a definitional brute-force oracle and the
-    {!of_interval} fold over one binner). Lists and sample producers
-    reach it through {!Sample_store.of_samples} and
+    {!of_interval} fold over a reference binning). Lists and sample
+    producers reach it through {!Sample_store.of_samples} and
     {!Sample_store.of_iter}, text and binary files through the persist
     layer's store loaders.
 
@@ -87,8 +87,9 @@ val create : unit -> t
 val compute : ?pool:Slo_exec.Pool.t -> interval:int -> Sample_store.t -> t
 (** Bin the store into intervals of [interval] ticks and accumulate CC
     over all of them, on [pool]'s domains when given. Equals the merge of
-    {!of_interval} over the tables of one {!Sample.binner} fed the store,
-    for every pool size and every order of the store's samples.
+    {!of_interval} over the store's interval tables (each sample counted
+    into the table of interval [Sample.floor_div itc interval]), for
+    every pool size and every order of the store's samples.
     @raise Invalid_argument if [interval <= 0]. *)
 
 val of_interval : Sample.interval_table -> t

@@ -25,11 +25,10 @@ let pack ~cpu ~line = (line lsl id_bits) lor cpu
 
 type interval_table = {
   (* pack ~cpu ~line -> count. A flat open-addressing table: the hot
-     increment in [count] and [feed_raw] is one probe ([Flat_tab.add])
-     into two int arrays with no per-entry boxes — the `(int, int ref)`
-     Hashtbl this replaces allocated a ref per distinct pair and chased
-     buckets, and had become the ingestion bottleneck at columnar
-     scale. *)
+     increment in [count] is one probe ([Flat_tab.add]) into two int
+     arrays with no per-entry boxes — the `(int, int ref)` Hashtbl this
+     replaces allocated a ref per distinct pair and chased buckets, and
+     had become the ingestion bottleneck at columnar scale. *)
   freqs : Flat_tab.t;
   mutable total : int;
 }
@@ -72,9 +71,9 @@ let clear_table tbl =
   tbl.total <- 0
 
 (* Counts are non-negative, so a sum past [max_int] wraps negative; every
-   count, table total and fed figure stops at [max_int] instead, as the
-   CC kernel assumes. An over-full key costs a second probe only on the
-   step that saturates it. *)
+   count and table total stops at [max_int] instead, as the CC kernel
+   assumes. An over-full key costs a second probe only on the step that
+   saturates it. *)
 let sat_add a b =
   let s = a + b in
   if s < 0 then max_int else s
@@ -88,6 +87,13 @@ let count tbl ~cpu ~line =
   check_ids ~cpu ~line;
   add_count tbl (pack ~cpu ~line) 1
 
+let count_n tbl ~cpu ~line ~count =
+  if count < 0 then invalid_arg "Sample.count_n: negative count";
+  if count > 0 then begin
+    check_ids ~cpu ~line;
+    add_count tbl (pack ~cpu ~line) count
+  end
+
 (* Floor division via the remainder: OCaml's [/] truncates toward zero,
    which would collapse ITC timestamps in (-interval, 0) into bin 0
    together with the early positive samples, inflating CC across the zero
@@ -100,85 +106,5 @@ let floor_div a b =
   let q = a / b and r = a mod b in
   if r < 0 then q - 1 else q
 
-type binner = {
-  b_interval : int;
-  b_tables : (int, interval_table) Hashtbl.t;
-  mutable b_fed : int;
-  (* Sample streams are roughly time-ordered, so consecutive samples
-     almost always land in the same interval; caching the last table turns
-     the outer hash lookup into a compare on that path. *)
-  mutable b_last_idx : int;
-  mutable b_last : interval_table option;
-}
-
-let binner ~interval =
-  if interval <= 0 then invalid_arg "Sample.binner: interval <= 0";
-  { b_interval = interval; b_tables = Hashtbl.create 64; b_fed = 0;
-    b_last_idx = 0; b_last = None }
-
-let interval b = b.b_interval
-
-let table_of_idx b idx =
-  match b.b_last with
-  | Some tbl when b.b_last_idx = idx -> tbl
-  | _ ->
-    let tbl =
-      match Hashtbl.find_opt b.b_tables idx with
-      | Some tbl -> tbl
-      | None ->
-        let tbl = empty_table () in
-        Hashtbl.replace b.b_tables idx tbl;
-        tbl
-    in
-    b.b_last_idx <- idx;
-    b.b_last <- Some tbl;
-    tbl
-
-let feed_raw b ~cpu ~itc ~line =
-  check_ids ~cpu ~line;
-  add_count (table_of_idx b (floor_div itc b.b_interval)) (pack ~cpu ~line) 1;
-  b.b_fed <- sat_add b.b_fed 1
-
-let feed b s = feed_raw b ~cpu:s.cpu ~itc:s.itc ~line:s.line
-
-let feed_n b ~cpu ~itc ~line ~count =
-  if count < 0 then invalid_arg "Sample.feed_n: negative count";
-  if count > 0 then begin
-    check_ids ~cpu ~line;
-    add_count (table_of_idx b (floor_div itc b.b_interval)) (pack ~cpu ~line)
-      count;
-    b.b_fed <- sat_add b.b_fed count
-  end
-
-let fed b = b.b_fed
-
-let peak_entries b =
-  Hashtbl.fold (fun _ tbl acc -> max acc (entries tbl)) b.b_tables 0
-
-(* The last-table cache may alias the dropped table, so it is cleared.
-   [fed] is the saturated sum of the tables' totals; below [max_int] no
-   sum saturated and the subtraction is exact, at [max_int] the
-   survivors' totals are summed again. *)
-let drop_interval b idx =
-  match Hashtbl.find_opt b.b_tables idx with
-  | None -> ()
-  | Some tbl ->
-    Hashtbl.remove b.b_tables idx;
-    b.b_fed <-
-      (if b.b_fed < max_int then b.b_fed - tbl.total
-       else Hashtbl.fold (fun _ t acc -> sat_add acc t.total) b.b_tables 0);
-    b.b_last <- None
-
 let below_watermark ~newest ~window idx =
   newest >= min_int + window && idx <= newest - window
-
-let table_count b = Hashtbl.length b.b_tables
-let table b idx = Hashtbl.find_opt b.b_tables idx
-
-(* No table is empty: tables are created only for a positive count and
-   leave [b_tables] whole. *)
-let binned_idx b =
-  Hashtbl.fold (fun idx tbl acc -> (idx, tbl) :: acc) b.b_tables []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-let binned b = List.map snd (binned_idx b)

@@ -238,7 +238,7 @@ let sample_line ~saw_header ln raw f =
     (match split_ws line with
     | [ cpu; itc; l ] ->
       (* cpu and line are identifiers (bounded by Sample.max_id); itc is a
-         signed timestamp — the binner floor-divides it correctly either
+         signed timestamp — Sample.floor_div bins it correctly either
          way *)
       f { Sample.cpu = id_field ln cpu; itc = int_field ln itc;
           line = id_field ln l }
@@ -469,28 +469,40 @@ let save_samples_bin ~path store =
         Bigarray.Array1.blit line m_line
       end)
 
-let load_samples_bin ~path =
+(* Both mapped formats start alike: open [path], check that it holds a
+   header of [header] bytes, read it, and check the [magic] it starts
+   with and the byte-order marker at offset 21. [f fd size h] then reads
+   the rest; the descriptor is closed either way. *)
+let with_mapped_file ~path ~magic ~header f =
   let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
   Fun.protect
     ~finally:(fun () -> Unix.close fd)
     (fun () ->
       let size = (Unix.LargeFile.fstat fd).Unix.LargeFile.st_size in
-      if size < Int64.of_int samples_bin_header_size then
-        bin_fail "%s: truncated header (%Ld of %d bytes)" path size
-          samples_bin_header_size;
-      let h = Bytes.create samples_bin_header_size in
+      if size < Int64.of_int header then
+        bin_fail "%s: truncated header (%Ld of %d bytes)" path size header;
+      let h = Bytes.create header in
       let rec read_exactly off =
-        if off < samples_bin_header_size then begin
-          let r = Unix.read fd h off (samples_bin_header_size - off) in
+        if off < header then begin
+          let r = Unix.read fd h off (header - off) in
           if r = 0 then bin_fail "%s: truncated header" path;
           read_exactly (off + r)
         end
       in
       read_exactly 0;
-      let magic = Bytes.sub_string h 0 (String.length samples_bin_magic) in
-      if magic <> samples_bin_magic then
-        bin_fail "%s: bad magic — expected %S, found %S" path samples_bin_magic
-          magic;
+      let found = Bytes.sub_string h 0 (String.length magic) in
+      if found <> magic then
+        bin_fail "%s: bad magic — expected %S, found %S" path magic found;
+      (match Bytes.get h 21 with
+      | c when c = host_endian_byte -> ()
+      | '\001' -> bin_fail "%s: little-endian columns on a big-endian host" path
+      | '\002' -> bin_fail "%s: big-endian columns on a little-endian host" path
+      | c -> bin_fail "%s: corrupt byte-order marker %d" path (Char.code c));
+      f fd size h)
+
+let load_samples_bin ~path =
+  with_mapped_file ~path ~magic:samples_bin_magic
+    ~header:samples_bin_header_size (fun fd size h ->
       let width at what expect =
         let w = Char.code (Bytes.get h at) in
         if w <> expect then
@@ -500,11 +512,6 @@ let load_samples_bin ~path =
       width 18 "itc" 8;
       width 19 "cpu" 4;
       width 20 "line" 4;
-      (match Bytes.get h 21 with
-      | '\001' | '\002' when Bytes.get h 21 = host_endian_byte -> ()
-      | '\001' -> bin_fail "%s: little-endian columns on a big-endian host" path
-      | '\002' -> bin_fail "%s: big-endian columns on a little-endian host" path
-      | c -> bin_fail "%s: corrupt byte-order marker %d" path (Char.code c));
       let count64 = Bytes.get_int64_le h 22 in
       if count64 < 0L || Int64.of_int (Int64.to_int count64) <> count64 then
         bin_fail "%s: unrepresentable sample count %Lu" path count64;
@@ -563,11 +570,11 @@ let convert_samples_to_text ~src ~dst =
 (* ------------------------------------------------------------------ *)
 (* Serve snapshots: "slo-serve-snapshot 1".
 
-   The daemon's windowed state is a binner — per-interval (cpu, line) ->
-   count histograms — plus three scalars (window length, published layout
-   version, newest interval index seen). Columnar layout, same machinery
-   as the sample store (mmap per column, host byte order recorded in the
-   header):
+   The daemon's windowed state is its live intervals' tables —
+   per-interval (cpu, line) -> count histograms — plus four scalars
+   (interval length, window length, published layout version, newest
+   interval index seen). Columnar layout, same machinery as the sample
+   store (mmap per column, host byte order recorded in the header):
 
      0..20   magic "slo-serve-snapshot 1\n"
      21      byte order of the columns: 1 = little-endian, 2 = big-endian
@@ -593,23 +600,37 @@ let serve_snapshot_magic = "slo-serve-snapshot 1\n"
 let serve_snapshot_header_size = 64
 
 type serve_snapshot = {
+  snap_interval : int;
   snap_window : int;
   snap_version : int;
   snap_newest : int;
-  snap_binner : Sample.binner;
+  snap_tables : (int * Sample.interval_table) list;
 }
 
-(* Validated before the file is opened: window membership, and the count
-   sum, which must not pass [max_count] — the bound the loader holds a
-   file to, and what keeps [Sample.fed] of the restored binner exact. *)
-let save_serve_snapshot ~path ~window ~version ~newest binner =
+(* Interval [idx] holds some itc: [Sample.floor_div itc interval] takes
+   every value from that of [min_int] to that of [max_int], and no
+   other. *)
+let holds_itc ~interval idx =
+  idx >= Sample.floor_div min_int interval
+  && idx <= Sample.floor_div max_int interval
+
+(* Validated before the file is opened, as the loader will check the
+   file: indices strictly ascending, inside the window and holding some
+   itc, and the count sum, which must not pass [max_count] — the bound
+   that keeps the restored window's sample total exact. *)
+let save_serve_snapshot ~path ~interval ~window ~version ~newest tables =
+  if interval <= 0 then
+    invalid_arg "Persist.save_serve_snapshot: interval <= 0";
   if window <= 0 then invalid_arg "Persist.save_serve_snapshot: window <= 0";
   if version < 0 then invalid_arg "Persist.save_serve_snapshot: version < 0";
-  let tables =
-    List.map
-      (fun (idx, tbl) -> (idx, Sample.rows tbl))
-      (Sample.binned_idx binner)
+  let rec ascending = function
+    | (a, _) :: ((b, _) :: _ as rest) -> a < b && ascending rest
+    | _ -> true
   in
+  if not (ascending tables) then
+    invalid_arg
+      "Persist.save_serve_snapshot: interval indices not strictly ascending";
+  let tables = List.map (fun (idx, tbl) -> (idx, Sample.rows tbl)) tables in
   let n = ref 0 and sum = ref 0 in
   List.iter
     (fun (idx, (_, _, counts)) ->
@@ -619,6 +640,12 @@ let save_serve_snapshot ~path ~window ~version ~newest binner =
              "Persist.save_serve_snapshot: interval %d outside the window \
               of %d intervals ending at %d"
              idx window newest);
+      if not (holds_itc ~interval idx) then
+        invalid_arg
+          (Printf.sprintf
+             "Persist.save_serve_snapshot: interval %d holds no itc at \
+              interval length %d"
+             idx interval);
       Array.iter
         (fun count ->
           if count > max_count - !sum then
@@ -637,7 +664,7 @@ let save_serve_snapshot ~path ~window ~version ~newest binner =
         (String.length serve_snapshot_magic);
       Bytes.set h 21 host_endian_byte;
       Bytes.set_int64_le h 24 (Int64.of_int n);
-      Bytes.set_int64_le h 32 (Int64.of_int (Sample.interval binner));
+      Bytes.set_int64_le h 32 (Int64.of_int interval);
       Bytes.set_int64_le h 40 (Int64.of_int window);
       Bytes.set_int64_le h 48 (Int64.of_int version);
       Bytes.set_int64_le h 56 (Int64.of_int newest);
@@ -670,32 +697,8 @@ let save_serve_snapshot ~path ~window ~version ~newest binner =
       end)
 
 let load_serve_snapshot ~path =
-  let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
-  Fun.protect
-    ~finally:(fun () -> Unix.close fd)
-    (fun () ->
-      let size = (Unix.LargeFile.fstat fd).Unix.LargeFile.st_size in
-      if size < Int64.of_int serve_snapshot_header_size then
-        bin_fail "%s: truncated header (%Ld of %d bytes)" path size
-          serve_snapshot_header_size;
-      let h = Bytes.create serve_snapshot_header_size in
-      let rec read_exactly off =
-        if off < serve_snapshot_header_size then begin
-          let r = Unix.read fd h off (serve_snapshot_header_size - off) in
-          if r = 0 then bin_fail "%s: truncated header" path;
-          read_exactly (off + r)
-        end
-      in
-      read_exactly 0;
-      let magic = Bytes.sub_string h 0 (String.length serve_snapshot_magic) in
-      if magic <> serve_snapshot_magic then
-        bin_fail "%s: bad magic — expected %S, found %S" path
-          serve_snapshot_magic magic;
-      (match Bytes.get h 21 with
-      | c when c = host_endian_byte -> ()
-      | '\001' -> bin_fail "%s: little-endian columns on a big-endian host" path
-      | '\002' -> bin_fail "%s: big-endian columns on a little-endian host" path
-      | c -> bin_fail "%s: corrupt byte-order marker %d" path (Char.code c));
+  with_mapped_file ~path ~magic:serve_snapshot_magic
+    ~header:serve_snapshot_header_size (fun fd size h ->
       let i64_field off what =
         let v64 = Bytes.get_int64_le h off in
         if Int64.of_int (Int64.to_int v64) <> v64 then
@@ -713,7 +716,7 @@ let load_serve_snapshot ~path =
       let newest = i64_field 56 "newest interval" in
       check_size ~path ~size ~header:serve_snapshot_header_size ~width:24
         ~what:"rows" n;
-      let binner = Sample.binner ~interval in
+      let tables = ref [] in
       if n > 0 then begin
         let m_idx = map_i64 fd ~shared:false ~pos:64L n in
         let m_count =
@@ -738,12 +741,7 @@ let load_serve_snapshot ~path =
               "%s: row %d: interval %d outside the window of %d intervals \
                ending at %d"
               path i idx window newest;
-          (* idx * interval must not wrap: the reconstructed itc below has
-             to land back in bin idx. *)
-          if
-            (idx > 0 && idx > max_int / interval)
-            || (idx < 0 && idx < min_int / interval)
-          then
+          if not (holds_itc ~interval idx) then
             bin_fail "%s: row %d: interval index %d overflows itc" path i idx;
           let count64 = m_count.{i} in
           if count64 < 1L || count64 > Int64.of_int max_count then
@@ -762,14 +760,23 @@ let load_serve_snapshot ~path =
           then
             bin_fail "%s: row %d: rows not strictly (idx, line, cpu)-sorted"
               path i;
+          let tbl =
+            match !tables with
+            | (last, tbl) :: _ when last = idx -> tbl
+            | _ ->
+              let tbl = Sample.empty_table () in
+              tables := (idx, tbl) :: !tables;
+              tbl
+          in
           prev_idx := idx;
           prev_line := line;
           prev_cpu := cpu;
-          Sample.feed_n binner ~cpu ~itc:(idx * interval) ~line ~count
+          Sample.count_n tbl ~cpu ~line ~count
         done
       end;
-      { snap_window = window; snap_version = version; snap_newest = newest;
-        snap_binner = binner })
+      { snap_interval = interval; snap_window = window;
+        snap_version = version; snap_newest = newest;
+        snap_tables = List.rev !tables })
 
 (* ------------------------------------------------------------------ *)
 

@@ -163,9 +163,9 @@ val atomic_write_fd : path:string -> (Unix.file_descr -> unit) -> unit
 
 (** {1 Serve snapshots — [slo-serve-snapshot 1]}
 
-    The serve daemon's windowed state: a binner's per-interval histograms
-    as four mmap-aligned columns plus scalar metadata, canonically sorted
-    so a save/load/save round trip is byte-identical.
+    The serve daemon's windowed state: its live intervals' histograms as
+    four mmap-aligned columns plus scalar metadata, canonically sorted so
+    a save/load/save round trip is byte-identical.
 
     {v
     0..20    magic "slo-serve-snapshot 1\n"
@@ -188,33 +188,38 @@ val serve_snapshot_magic : string
 val serve_snapshot_header_size : int
 
 type serve_snapshot = {
+  snap_interval : int;  (** interval length, >= 1 *)
   snap_window : int;  (** window length in intervals, >= 1 *)
   snap_version : int;  (** last published layout version, >= 0 *)
   snap_newest : int;
-      (** newest interval index accepted (meaningful when the binner is
-          non-empty) *)
-  snap_binner : Slo_concurrency.Sample.binner;
-      (** the live window's interval tables; its
-          {!Slo_concurrency.Sample.interval} is the snapshot's interval *)
+      (** newest interval index accepted (meaningful when [snap_tables]
+          is non-empty) *)
+  snap_tables : (int * Slo_concurrency.Sample.interval_table) list;
+      (** the live intervals' tables by interval index, strictly
+          ascending, each holding at least one sample
+          ({!Slo_serve.Window.tables}) *)
 }
 
 val save_serve_snapshot :
   path:string ->
+  interval:int ->
   window:int ->
   version:int ->
   newest:int ->
-  Slo_concurrency.Sample.binner ->
+  (int * Slo_concurrency.Sample.interval_table) list ->
   unit
-(** Write the binner's windowed state atomically. @raise Invalid_argument
-    if [window <= 0], [version < 0], or a live interval lies outside
-    (newest − window, newest]; @raise Bin_error if the counts sum past
-    {!max_count}. Both are checked before the file is opened. *)
+(** Write the windowed state, live tables by interval index, atomically.
+    @raise Invalid_argument if [interval <= 0], [window <= 0],
+    [version < 0], the indices are not strictly ascending, or a live
+    interval lies outside (newest − window, newest] or holds no itc
+    ([Sample.floor_div itc interval] never reaches it); @raise Bin_error
+    if the counts sum past {!max_count}. All are checked before the file
+    is opened. *)
 
 val load_serve_snapshot : path:string -> serve_snapshot
 (** Map the file, validate every row (bounds, the running count sum,
     window membership, strict canonical sort, exact size) and rebuild the
-    binner via
-    {!Slo_concurrency.Sample.feed_n}. @raise Bin_error on any
+    tables via {!Slo_concurrency.Sample.count_n}. @raise Bin_error on any
     malformation. *)
 
 (**/**)

@@ -289,24 +289,25 @@ let snapshot t ~path =
     (fun () ->
       let w = t.window in
       let newest = match Window.newest w with Some n -> n | None -> 0 in
-      Persist.save_serve_snapshot ~path ~window:(Window.window_length w)
-        ~version:t.version ~newest (Window.master w);
+      Persist.save_serve_snapshot ~path ~interval:(Window.interval w)
+        ~window:(Window.window_length w) ~version:t.version ~newest
+        (Window.tables w);
       Obs.incr "serve.snapshots")
 
 let restore cfg ~path =
   check_config cfg;
   let snap = Persist.load_serve_snapshot ~path in
-  if Sample.interval snap.Persist.snap_binner <> cfg.interval then
+  if snap.Persist.snap_interval <> cfg.interval then
     invalid_arg
       (Printf.sprintf "Serve.restore: snapshot interval %d, config wants %d"
-         (Sample.interval snap.Persist.snap_binner)
-         cfg.interval);
+         snap.Persist.snap_interval cfg.interval);
   if snap.Persist.snap_window <> cfg.window then
     invalid_arg
       (Printf.sprintf "Serve.restore: snapshot window %d, config wants %d"
          snap.Persist.snap_window cfg.window);
   let w =
-    Window.restore ~decay:cfg.decay ~window:snap.Persist.snap_window
-      ~newest:snap.Persist.snap_newest snap.Persist.snap_binner
+    Window.restore ~decay:cfg.decay ~interval:cfg.interval
+      ~window:snap.Persist.snap_window ~newest:snap.Persist.snap_newest
+      snap.Persist.snap_tables
   in
   make cfg w snap.Persist.snap_version

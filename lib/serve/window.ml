@@ -17,7 +17,7 @@ type memo = { total : int; slots : int array; counts : int array }
 (* No interval's memo: no table has a negative total. *)
 let no_memo = { total = -1; slots = [||]; counts = [||] }
 
-(* A live interval: its number, its table in the master and its memo. *)
+(* A live interval: its number, its table and its memo. *)
 type live = { idx : int; tbl : Sample.interval_table; mutable memo : memo }
 
 (* A growable buffer of (key, value) int pairs: [keys]/[vals] [0, len). *)
@@ -50,9 +50,9 @@ type t = {
   w_interval : int;
   w_window : int;  (* length in intervals *)
   w_decay : float;  (* per-interval-of-age multiplier, in (0, 1] *)
-  master : Sample.binner;  (* every live (non-retired) sample *)
-  (* The live intervals in ascending interval order: a ring buffer of
-     [nlive] entries from [head]. Intervals almost always open at the
+  (* The live intervals in ascending interval order, each with the table
+     of its samples: a ring buffer of [nlive] entries from [head], the
+     one index of the live window. Intervals almost always open at the
      newest end and retire from the oldest, so each is O(1). A batch
      recomputes only the memos of the intervals whose totals changed —
      the "incremental" in incremental re-search: O(changed) interval maps
@@ -60,7 +60,7 @@ type t = {
   mutable ring : live option array;  (* power-of-two capacity *)
   mutable head : int;
   mutable nlive : int;
-  mutable last : int;  (* the last accepted sample's interval *)
+  mutable last : live option;  (* the last accepted sample's interval *)
   weights : int array;  (* [weight] by age, for ages below [max_table] *)
   (* Every pair of a live memo has a dense slot: [slot_of] maps its code
      to the slot, [codes]/[refs]/[sums] are indexed by slot. A slot whose
@@ -98,30 +98,29 @@ let weight_of decay age =
 let max_table = 1024
 let weight_table ~decay ~window = Array.init (min window max_table) (weight_of decay)
 
-let make ~interval ~window ~decay ~newest ~started master =
-  { w_interval = interval; w_window = window; w_decay = decay; master;
-    ring = [||]; head = 0; nlive = 0; last = 0;
+(* [fn] names the caller in the message. *)
+let make fn ~interval ~window ~decay ~newest =
+  if interval <= 0 then invalid_arg (fn ^ ": interval <= 0");
+  if window <= 0 then invalid_arg (fn ^ ": window <= 0");
+  if not (decay > 0.0 && decay <= 1.0) then
+    invalid_arg (fn ^ ": decay outside (0, 1]");
+  { w_interval = interval; w_window = window; w_decay = decay;
+    ring = [||]; head = 0; nlive = 0; last = None;
     weights = weight_table ~decay ~window; slot_of = Flat_tab.create ();
     codes = [||]; refs = [||]; sums = [||]; used = 0; free = []; order = buf ();
     spare = buf (); pending = buf (); scratch = Cc.scratch (); rows = buf ();
-    sums_valid = false; newest; started; retired = 0; late = 0 }
+    sums_valid = false; newest; started = false; retired = 0; late = 0 }
 
 let create ?(decay = 1.0) ~interval ~window () =
-  if window <= 0 then invalid_arg "Window.create: window <= 0";
-  if not (decay > 0.0 && decay <= 1.0) then
-    invalid_arg "Window.create: decay outside (0, 1]";
-  make ~interval ~window ~decay ~newest:0 ~started:false
-    (Sample.binner ~interval)
+  make "Window.create" ~interval ~window ~decay ~newest:0
 
 let interval w = w.w_interval
 let window_length w = w.w_window
 let decay w = w.w_decay
 let newest w = if w.started then Some w.newest else None
-let live_samples w = Sample.fed w.master
-let live_intervals w = Sample.table_count w.master
+let live_intervals w = w.nlive
 let retired w = w.retired
 let late w = w.late
-let master w = w.master
 
 let weight w ~age =
   if age < 0 then invalid_arg "Window.weight: age < 0";
@@ -138,6 +137,17 @@ let nth w k =
 
 let set_nth w k e = w.ring.((w.head + k) land (Array.length w.ring - 1)) <- e
 
+(* The tables' totals, summed saturating like the totals themselves. *)
+let live_samples w =
+  let n = ref 0 in
+  for k = 0 to w.nlive - 1 do
+    let s = !n + Sample.total_samples (nth w k).tbl in
+    n := if s < 0 then max_int else s
+  done;
+  !n
+
+let tables w = List.init w.nlive (fun k -> let e = nth w k in (e.idx, e.tbl))
+
 (* The number of live intervals below [idx]. *)
 let rank w idx =
   let lo = ref 0 and hi = ref w.nlive in
@@ -147,8 +157,8 @@ let rank w idx =
   done;
   !lo
 
-(* Open interval [idx], which holds samples, as the [k]-th oldest. *)
-let open_interval w k idx =
+(* Open interval [idx] with its table as the [k]-th oldest. *)
+let open_interval w k idx tbl =
   if w.nlive = Array.length w.ring then begin
     let ring = Array.make (max 8 (2 * w.nlive)) None in
     for j = 0 to w.nlive - 1 do
@@ -160,8 +170,10 @@ let open_interval w k idx =
   for j = w.nlive downto k + 1 do
     set_nth w j (Some (nth w (j - 1)))
   done;
-  set_nth w k (Some { idx; tbl = Option.get (Sample.table w.master idx); memo = no_memo });
-  w.nlive <- w.nlive + 1
+  let e = { idx; tbl; memo = no_memo } in
+  set_nth w k (Some e);
+  w.nlive <- w.nlive + 1;
+  e
 
 (* ------------------------------------------------------------------ *)
 (* Slots *)
@@ -208,15 +220,14 @@ let release w m =
 let below_watermark w idx =
   Sample.below_watermark ~newest:w.newest ~window:w.w_window idx
 
-(* Retiring an interval drops its table from the master
-   ([Sample.drop_interval]), which leaves exactly the binner that never
-   saw those samples — the bench serve gate checks it against a
-   from-scratch re-bin — and releases the interval's memo. The intervals
-   below the watermark are the ring's oldest. *)
+(* Retiring an interval pops its entry, table and all, and releases its
+   memo: the ring is then exactly the tables of the samples that were
+   never below the watermark, which the bench serve gate checks against
+   a from-scratch re-bin. The intervals below the watermark are the
+   ring's oldest. *)
 let retire_below_watermark w =
   while w.nlive > 0 && below_watermark w (nth w 0).idx do
     let e = nth w 0 in
-    Sample.drop_interval w.master e.idx;
     release w e.memo;
     set_nth w 0 None;
     w.head <- (w.head + 1) land (Array.length w.ring - 1);
@@ -233,7 +244,6 @@ let feed w ~cpu ~itc ~line =
     false
   end
   else begin
-    Sample.feed_raw w.master ~cpu ~itc ~line;
     w.sums_valid <- false;
     if (not w.started) || idx > w.newest then begin
       w.newest <- idx;
@@ -241,13 +251,22 @@ let feed w ~cpu ~itc ~line =
       retire_below_watermark w
     end;
     (* An accepted interval stays live until it falls below the
-       watermark, and then no sample of it is accepted again: so the last
-       accepted interval, while the ring is not empty, is in the ring. *)
-    if w.nlive = 0 || idx <> w.last then begin
-      let k = rank w idx in
-      if k = w.nlive || (nth w k).idx <> idx then open_interval w k idx;
-      w.last <- idx
-    end;
+       watermark, and then no sample of it is accepted again: so when a
+       sample of the last accepted interval is accepted, its entry is
+       still in the ring. *)
+    let e =
+      match w.last with
+      | Some e when e.idx = idx -> e
+      | _ ->
+        let k = rank w idx in
+        let e =
+          if k < w.nlive && (nth w k).idx = idx then nth w k
+          else open_interval w k idx (Sample.empty_table ())
+        in
+        w.last <- Some e;
+        e
+    in
+    Sample.count e.tbl ~cpu ~line;
     true
   end
 
@@ -369,27 +388,24 @@ let weighted_view w =
 
 let slots w = Flat_tab.length w.slot_of
 
-let restore ?(decay = 1.0) ~window ~newest binner =
-  if window <= 0 then invalid_arg "Window.restore: window <= 0";
-  if not (decay > 0.0 && decay <= 1.0) then
-    invalid_arg "Window.restore: decay outside (0, 1]";
-  let live = Sample.binned_idx binner in
+let restore ?(decay = 1.0) ~interval ~window ~newest tables =
+  let w = make "Window.restore" ~interval ~window ~decay ~newest in
+  let rec ascending = function
+    | (a, _) :: ((b, _) :: _ as rest) -> a < b && ascending rest
+    | _ -> true
+  in
+  if not (ascending tables) then
+    invalid_arg "Window.restore: interval indices not strictly ascending";
   List.iter
-    (fun (idx, _) ->
+    (fun (idx, tbl) ->
       if idx > newest || Sample.below_watermark ~newest ~window idx then
         invalid_arg
           (Printf.sprintf
              "Window.restore: interval %d outside the window of %d \
               intervals ending at %d"
-             idx window newest))
-    live;
-  let w =
-    make ~interval:(Sample.interval binner) ~window ~decay ~newest
-      ~started:(live <> []) binner
-  in
-  List.iter
-    (fun (idx, _) ->
-      open_interval w w.nlive idx;
-      w.last <- idx)
-    live;
+             idx window newest);
+      if Sample.total_samples tbl > 0 then
+        w.last <- Some (open_interval w w.nlive idx tbl))
+    tables;
+  w.started <- w.nlive > 0;
   w

@@ -2,14 +2,19 @@
     state the serve daemon keeps fresh under continuous ingestion.
 
     The window covers the [window] most recent intervals
-    [(newest − window, newest]]. Feeding a sample whose interval index
-    advances [newest] retires every interval at or below the new
-    watermark ({!Slo_concurrency.Sample.below_watermark}, exact near
-    [min_int]) by {e dropping} its table from the master
-    ({!Slo_concurrency.Sample.drop_interval}), which leaves exactly the
-    binner that never saw those samples — no re-binning of the
-    survivors. Samples arriving {e below} the watermark are dropped and
-    counted ({!late}).
+    [(newest − window, newest]]. Its live intervals sit in one ring in
+    ascending order, each owning the {!Slo_concurrency.Sample.interval_table}
+    its samples are counted into; the ring is the window's only index of
+    them. A sample is counted into the entry of its interval, found by a
+    compare with the last accepted sample's interval, and otherwise by a
+    binary search of the ring (opening the entry if it is new). Feeding a
+    sample whose interval index advances [newest] retires every interval
+    at or below the new watermark
+    ({!Slo_concurrency.Sample.below_watermark}, exact near [min_int]) by
+    {e popping} its entry, table and all: what is left is exactly the
+    tables of the samples never below the watermark, with no re-binning
+    of the survivors. Samples arriving {e below} the watermark are dropped
+    and counted ({!late}).
 
     {b Weighted CC.} The window weights interval [idx]'s CC map by the
     fixed-point decay [num = round (1024 · decay^age)] over [den = 1024]
@@ -58,8 +63,8 @@ val weight_den : int
 
 val create : ?decay:float -> interval:int -> window:int -> unit -> t
 (** [decay] defaults to 1.0 (no decay: plain sliding window).
-    @raise Invalid_argument if [interval <= 0], [window <= 0], or [decay]
-    is outside (0, 1]. *)
+    @raise Invalid_argument naming [Window.create] if [interval <= 0],
+    [window <= 0], or [decay] is outside (0, 1]. *)
 
 val interval : t -> int
 val window_length : t -> int
@@ -77,10 +82,12 @@ val newest : t -> int option
 (** The newest interval index accepted, [None] before the first sample. *)
 
 val live_samples : t -> int
-(** Samples currently in the window (fed minus retired). *)
+(** Samples currently in the window (fed minus retired): the sum of the
+    live tables' totals, stopping at [max_int] like the totals do. *)
 
 val live_intervals : t -> int
-(** Intervals currently in the window; a count, nothing is listed. *)
+(** Intervals currently in the window, the ring's length; nothing is
+    listed. *)
 
 val retired : t -> int
 (** Intervals retired so far. *)
@@ -88,9 +95,11 @@ val retired : t -> int
 val late : t -> int
 (** Samples dropped below the watermark. *)
 
-val master : t -> Slo_concurrency.Sample.binner
-(** The live window's binner — read-only by convention (snapshots,
-    identity checks); mutating it bypasses the window accounting. *)
+val tables : t -> (int * Slo_concurrency.Sample.interval_table) list
+(** The live intervals with their tables, by ascending interval index;
+    every table holds at least one sample. The tables are the window's
+    own, read-only by convention (snapshots, identity checks): counting
+    into one bypasses the window's memos. *)
 
 val weight : t -> age:int -> int
 (** [round (weight_den · decay^age)]. @raise Invalid_argument if
@@ -109,12 +118,16 @@ val slots : t -> int
 
 val restore :
   ?decay:float ->
+  interval:int ->
   window:int ->
   newest:int ->
-  Slo_concurrency.Sample.binner ->
+  (int * Slo_concurrency.Sample.interval_table) list ->
   t
-(** Rebuild a window around a binner loaded from a snapshot
-    ({!Slo_persist.Persist.load_serve_snapshot}); the binner is owned by
-    the window afterwards. [retired]/[late] restart at 0.
-    @raise Invalid_argument if [window <= 0], [decay] is outside (0, 1],
-    or a live interval lies outside (newest − window, newest]. *)
+(** Rebuild a window around live tables by interval index, such as a
+    snapshot's ({!Slo_persist.Persist.load_serve_snapshot}); the tables
+    are owned by the window afterwards, and those holding no sample are
+    left out. [retired]/[late] restart at 0.
+    @raise Invalid_argument naming [Window.restore] if [interval <= 0],
+    [window <= 0], [decay] is outside (0, 1], the indices are not
+    strictly ascending, or a live interval lies outside
+    (newest − window, newest]. *)

@@ -31,7 +31,7 @@ let probe_steps t = t.probes
    log2(capacity) bits of the product as the slot. The low bits of a
    product depend only on the key's low bits, so masking them would send
    every packed key that differs only above bit 31 — the (cpu, line) and
-   (line, line) keys of the sample binner and the CC map — to one home
+   (line, line) keys of the interval tables and the CC map — to one home
    slot; the high bits mix every bit of the key. *)
 let home t k = (k * 0x2545F4914F6CDD1D) lsr t.shift
 

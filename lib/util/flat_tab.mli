@@ -1,5 +1,5 @@
 (** Flat open-addressing int -> int hash table for hot paths — the
-    simulator memory kernel, the streaming sample binner and the
+    simulator memory kernel, the sample interval tables and the
     CodeConcurrency map sit on it.
 
     The boxed [Hashtbl] the memory system used to sit on allocates an
@@ -16,8 +16,8 @@
     Fibonacci product [k * 0x2545F4914F6CDD1D] (wrapped to 63 bits). The
     top bits depend on every bit of the key; the low bits depend only on
     the key's low bits, so keys packed as [(hi lsl 31) lor lo] — the
-    sample binner's (cpu, line) and the CC map's (line, line) — would all
-    share one home per [lo] under a low-bit mask.
+    interval tables' (cpu, line) and the CC map's (line, line) — would
+    all share one home per [lo] under a low-bit mask.
 
     Keys must be non-negative (the sentinel for an empty slot is -1);
     values are arbitrary ints. Iteration order is the internal slot order —
@@ -45,7 +45,7 @@ val add : t -> int -> int -> int
     [delta] when absent) in a single probe and returns the new value. A
     binding whose new value is 0 is removed, so a table fed by matched
     [+d]/[-d] streams never accumulates dead entries — the upsert the
-    streaming binner and the CC map rest on.
+    interval tables and the CC map rest on.
     @raise Invalid_argument on a negative key. *)
 
 val reserve : t -> int -> unit

@@ -15,11 +15,9 @@ let checkf = Alcotest.(check (float 1e-6))
 
 let s cpu itc line = { Sample.cpu; itc; line }
 
-(* The interval tables of one binner fed [samples] in order. *)
-let bin ~interval samples =
-  let b = Sample.binner ~interval in
-  List.iter (Sample.feed b) samples;
-  Sample.binned b
+(* The interval tables of [samples] by ascending interval, from the
+   tests' reference binning. *)
+let bin ~interval samples = List.map snd (Tutil.bin_idx ~interval samples)
 
 (* CC through the one entry point: list -> columnar store -> compute. *)
 let compute ?pool ~interval samples =
@@ -80,10 +78,21 @@ let test_bin_basic () =
     (Sample.rows t0);
   check_int "total" 3 (Sample.total_samples t0)
 
+(* Binning needs a positive interval, and a table a non-negative count. *)
 let test_bin_validation () =
-  match Sample.binner ~interval:0 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "accepted interval 0"
+  List.iter
+    (fun interval ->
+      Alcotest.check_raises
+        (Printf.sprintf "compute at interval %d" interval)
+        (Invalid_argument "Code_concurrency.compute: interval <= 0")
+        (fun () -> ignore (compute ~interval [ s 0 1 1 ])))
+    [ 0; -1; min_int ];
+  let tbl = Sample.empty_table () in
+  Alcotest.check_raises "negative count"
+    (Invalid_argument "Sample.count_n: negative count") (fun () ->
+      Sample.count_n tbl ~cpu:0 ~line:1 ~count:(-1));
+  Sample.count_n tbl ~cpu:0 ~line:1 ~count:0;
+  check_int "a count of 0 counts nothing" 0 (Sample.entries tbl)
 
 let test_bin_negative_itc () =
   (* Regression: [itc / interval] truncates toward zero, so itc -1 and +1
@@ -223,16 +232,16 @@ let prop_interval_rows_contract =
         let+ n = count in
         ((cpu, line), n)
       in
-      (* repeated (cpu, line) keys too: the binner sums their counts,
+      (* repeated (cpu, line) keys too: the table sums their counts,
          saturating at max_int, and the oracle sums them the same way *)
       list_size (int_range 1 14) entry)
     (fun es ->
-      let b = Sample.binner ~interval:1 in
+      let tbl = Sample.empty_table () in
       List.iter
-        (fun ((cpu, line), count) -> Sample.feed_n b ~cpu ~itc:0 ~line ~count)
+        (fun ((cpu, line), count) -> Sample.count_n tbl ~cpu ~line ~count)
         es;
       let codes = ref [] and values = ref [] in
-      CC.interval_rows sc (List.hd (Sample.binned b)) (fun c v n ->
+      CC.interval_rows sc tbl (fun c v n ->
           for x = 0 to n - 1 do
             codes := c.(x) :: !codes;
             values := v.(x) :: !values
@@ -432,7 +441,7 @@ let prop_cycle_loss_eq_oracle =
       = bits (Fmf_oracle.Cycle_loss.pairs (Fmf_oracle.Cycle_loss.compute ~cm ~fmf ~struct_name)))
 
 (* ------------------------------------------------------------------ *)
-(* Binner counters and the row view *)
+(* The row view *)
 
 let gen_triples =
   QCheck2.Gen.(
@@ -440,30 +449,30 @@ let gen_triples =
       (triple (int_bound 3) (int_range (-500) 500) (int_range 1 5)))
 
 let test_rows () =
-  (* Rows come out in (line, cpu) order whatever the feed order, with
-     identifiers at both ends of their range, and see later feeds. *)
-  let b = Sample.binner ~interval:100 in
-  List.iter (Sample.feed b)
-    [ s 3 10 Sample.max_id; s Sample.max_id 11 0; s 0 12 Sample.max_id;
-      s 3 13 7; s 0 14 7; s 3 15 Sample.max_id ];
-  let t = List.hd (Sample.binned b) in
+  (* Rows come out in (line, cpu) order whatever the counting order, with
+     identifiers at both ends of their range, and see later counts. *)
+  let t = Sample.empty_table () in
+  List.iter
+    (fun (cpu, line) -> Sample.count t ~cpu ~line)
+    [ (3, Sample.max_id); (Sample.max_id, 0); (0, Sample.max_id); (3, 7);
+      (0, 7); (3, Sample.max_id) ];
   Alcotest.(check (triple (array int) (array int) (array int)))
     "rows in (line, cpu) order"
     ( [| 0; 7; 7; Sample.max_id; Sample.max_id |],
       [| Sample.max_id; 0; 3; 0; 3 |],
       [| 1; 1; 1; 1; 2 |] )
     (Sample.rows t);
-  Sample.feed b (s 1 16 7);
+  Sample.count t ~cpu:1 ~line:7;
   Alcotest.(check (triple (array int) (array int) (array int)))
-    "a later feed shows"
+    "a later count shows"
     ( [| 0; 7; 7; 7; Sample.max_id; Sample.max_id |],
       [| Sample.max_id; 0; 1; 3; 0; 3 |],
       [| 1; 1; 1; 1; 1; 2 |] )
     (Sample.rows t)
 
 (* A table counted one sample at a time: [rows_into] fills the front of
-   longer arrays with [rows], [count] checks identifiers like [feed_raw],
-   and [clear_table] leaves an empty table that counts afresh. *)
+   longer arrays with [rows], [count] checks identifiers, and
+   [clear_table] leaves an empty table that counts afresh. *)
 let test_reused_table () =
   let tbl = Sample.empty_table () in
   let feed () =
@@ -502,16 +511,6 @@ let test_reused_table () =
   feed ();
   Alcotest.(check (triple (array int) (array int) (array int)))
     "counted again after clearing" rows (Sample.rows tbl)
-
-let test_binner_counters () =
-  let b = Sample.binner ~interval:100 in
-  check_int "fed starts at 0" 0 (Sample.fed b);
-  check_int "peak starts at 0" 0 (Sample.peak_entries b);
-  List.iter (Sample.feed b) [ s 0 10 1; s 1 20 2; s 0 15 1; s 0 150 1 ];
-  check_int "fed counts samples" 4 (Sample.fed b);
-  (* interval 0 holds entries (0,1) and (1,2); interval 1 holds one *)
-  check_int "peak interval-table entries" 2 (Sample.peak_entries b);
-  check_int "two tables" 2 (List.length (Sample.binned b))
 
 (* ------------------------------------------------------------------ *)
 (* Saturating arithmetic in the CC kernel *)
@@ -597,25 +596,23 @@ let test_saturation_units () =
   F.add cm 1 2 5;
   check_int "accumulated cc saturates" max_int (CC.cc cm 1 2)
 
-(* Every path into an interval table saturates: a repeated key's count,
-   the table's total and the binner's fed figure stop at max_int, and
-   dropping an interval after that leaves fed at the survivors' count. *)
-let test_binner_saturates () =
-  let saturated what b =
-    let tbl = List.hd (Sample.binned b) in
+(* Every path into an interval table saturates: a repeated key's count
+   and the table's total stop at max_int. (The serve window's sum of the
+   totals is pinned by serve.window's "live samples saturate".) *)
+let test_table_saturates () =
+  let tbl = Sample.empty_table () in
+  let saturated what =
     check_int (what ^ ": key count") max_int (Sample.freq tbl ~cpu:1 ~line:2);
-    check_int (what ^ ": table total") max_int (Sample.total_samples tbl);
-    check_int (what ^ ": fed") max_int (Sample.fed b)
+    check_int (what ^ ": table total") max_int (Sample.total_samples tbl)
   in
-  let b = Sample.binner ~interval:10 in
-  Sample.feed_n b ~cpu:1 ~itc:0 ~line:2 ~count:(max_int - 1);
-  Sample.feed_n b ~cpu:1 ~itc:3 ~line:2 ~count:5;
-  saturated "feed_n" b;
-  Sample.feed_raw b ~cpu:1 ~itc:4 ~line:2;
-  saturated "feed_raw on a saturated key" b;
-  Sample.feed_n b ~cpu:0 ~itc:25 ~line:3 ~count:4;
-  Sample.drop_interval b 0;
-  check_int "drop_interval after saturation: fed" 4 (Sample.fed b)
+  Sample.count_n tbl ~cpu:1 ~line:2 ~count:(max_int - 1);
+  Sample.count_n tbl ~cpu:1 ~line:2 ~count:5;
+  saturated "count_n";
+  Sample.count tbl ~cpu:1 ~line:2;
+  saturated "count on a saturated key";
+  Sample.count_n tbl ~cpu:0 ~line:3 ~count:4;
+  check_int "another key counts on" 4 (Sample.freq tbl ~cpu:0 ~line:3);
+  saturated "another key"
 
 let test_top_validation () =
   let cm = compute ~interval:100 [ s 0 1 1; s 1 2 2 ] in
@@ -806,21 +803,17 @@ let interval_fold tables =
 let test_store_multi_range () =
   (* Big enough to cross the fixed boundaries the parallel path cuts on:
      150 000 samples in 150 intervals, five chunks of 32. The pooled and
-     serial compute must both equal the serial of_interval fold over one
-     binner. *)
+     serial compute must both equal the serial of_interval fold over the
+     reference binning's tables. *)
   let n = 150_000 and interval = 1_000 in
   let b = Store.builder ~capacity:n () in
   for i = 0 to n - 1 do
     Store.append b ~cpu:(i * 7 mod 16) ~itc:i ~line:(1 + (i * 13 mod 24))
   done;
   let st = Store.build b in
-  let binner = Sample.binner ~interval in
-  for i = 0 to n - 1 do
-    Sample.feed_raw binner ~cpu:(Store.cpu st i) ~itc:(Store.itc st i)
-      ~line:(Store.line st i)
-  done;
-  check_int "intervals" 150 (List.length (Sample.binned binner));
-  let folded = interval_fold (Sample.binned binner) in
+  let tables = bin ~interval (Store.to_samples st) in
+  check_int "intervals" 150 (List.length tables);
+  let folded = interval_fold tables in
   Alcotest.(check bool) "serial = of_interval fold" true
     (CC.pairs (CC.compute ~interval st) = folded);
   Slo_exec.Pool.with_pool ~domains:2 (fun pool ->
@@ -864,12 +857,7 @@ let test_compute_alloc_per_pair () =
      bound of 6 requires the reused scratch. *)
   let n = 200_000 and interval = 4_000 in
   let st = lcg_store n in
-  let binner = Sample.binner ~interval in
-  for i = 0 to n - 1 do
-    Sample.feed_raw binner ~cpu:(Store.cpu st i) ~itc:(Store.itc st i)
-      ~line:(Store.line st i)
-  done;
-  let tables = Sample.binned binner in
+  let tables = bin ~interval (Store.to_samples st) in
   check_int "intervals" 200 (List.length tables);
   let pairs =
     List.fold_left
@@ -1011,97 +999,6 @@ let store_suite =
     QCheck_alcotest.to_alcotest prop_store_cc_matches_oracle;
   ]
 
-(* The reference semantics of the binner: the boxed (interval, cpu, line)
-   -> int ref Hashtbl feeder the flat open-addressing path replaced,
-   including dropping an interval. [rows ()] lists the counts as sorted
-   (idx, cpu, line, count). *)
-let hashtbl_reference ~interval =
-  let tbl : (int * int * int, int ref) Hashtbl.t = Hashtbl.create 64 in
-  let feed ~cpu ~itc ~line =
-    let key = (Sample.floor_div itc interval, cpu, line) in
-    match Hashtbl.find_opt tbl key with
-    | Some r -> incr r
-    | None -> Hashtbl.add tbl key (ref 1)
-  in
-  let drop idx =
-    Hashtbl.filter_map_inplace
-      (fun (i, _, _) r -> if i = idx then None else Some r)
-      tbl
-  in
-  let rows () =
-    Hashtbl.fold (fun (idx, cpu, line) r acc -> (idx, cpu, line, !r) :: acc)
-      tbl []
-    |> List.sort compare
-  in
-  (feed, drop, rows)
-
-(* A binner's histograms in the reference's row form. *)
-let binner_rows b =
-  List.concat_map
-    (fun (idx, tbl) ->
-      let lines, cpus, counts = Sample.rows tbl in
-      List.init (Array.length lines) (fun r ->
-          (idx, cpus.(r), lines.(r), counts.(r))))
-    (Sample.binned_idx b)
-  |> List.sort compare
-
-let prop_binner_matches_hashtbl_reference =
-  QCheck2.Test.make
-    ~name:"flat binner = (int, int ref) Hashtbl reference (feed + drop)"
-    ~count:300
-    QCheck2.Gen.(
-      quad (int_range 1 50)
-        (list_size (int_bound 80)
-           (triple (int_bound 7) (int_range (-500) 500) (int_range 1 9)))
-        (list_size (int_bound 4) (int_bound 100))
-        (list_size (int_bound 40)
-           (triple (int_bound 7) (int_range (-500) 500) (int_range 1 9))))
-    (fun (interval, xs, picks, ys) ->
-      (* xs is fed to both, then the intervals of the picked xs samples
-         are dropped from both, then ys is fed to both *)
-      let ref_feed, ref_drop, ref_rows = hashtbl_reference ~interval in
-      let b = Sample.binner ~interval in
-      let feed_both =
-        List.iter (fun (cpu, itc, line) ->
-            Sample.feed b (s cpu itc line);
-            ref_feed ~cpu ~itc ~line)
-      in
-      feed_both xs;
-      if xs <> [] then
-        List.iter
-          (fun pick ->
-            let _, itc, _ = List.nth xs (pick mod List.length xs) in
-            let idx = Sample.floor_div itc interval in
-            Sample.drop_interval b idx;
-            ref_drop idx)
-          picks;
-      feed_both ys;
-      let rows = ref_rows () in
-      binner_rows b = rows
-      && Sample.fed b = List.fold_left (fun acc (_, _, _, n) -> acc + n) 0 rows)
-
-(* The same reference at scale: 200 000 time-ordered samples from an LCG
-   over 16 cpus x 24 lines, interval 32 768 — enough distinct keys per
-   interval table to grow the Flat_tab well past its initial size. *)
-let test_binner_matches_reference_at_scale () =
-  let interval = 32_768 in
-  let ref_feed, _, ref_rows = hashtbl_reference ~interval in
-  let b = Sample.binner ~interval in
-  let state = ref 0x243F6A8885A308D3 and itc = ref 0 in
-  for _ = 1 to 200_000 do
-    state := (!state * 2685821657736338717) + 1442695040888963407;
-    let bits = !state lsr 11 in
-    itc := !itc + 1 + (bits land 7);
-    let cpu = bits mod 16 and line = 100 + ((bits lsr 17) mod 24) in
-    Sample.feed_raw b ~cpu ~itc:!itc ~line;
-    ref_feed ~cpu ~itc:!itc ~line
-  done;
-  let rows = binner_rows b in
-  check_int "rows" (List.length (ref_rows ())) (List.length rows);
-  Alcotest.(check bool) "binner rows = Hashtbl reference" true
-    (rows = ref_rows ());
-  check_int "peak interval-table entries" 384 (Sample.peak_entries b)
-
 let props =
   List.map QCheck_alcotest.to_alcotest
     [ prop_cc_symmetric_nonneg; prop_cc_monotone; prop_bin_shift_invariant ]
@@ -1123,10 +1020,6 @@ let suites =
         Alcotest.test_case "negative itc bins" `Quick test_bin_negative_itc;
         Alcotest.test_case "row view" `Quick test_rows;
         Alcotest.test_case "reused table" `Quick test_reused_table;
-        Alcotest.test_case "binner counters" `Quick test_binner_counters;
-        QCheck_alcotest.to_alcotest prop_binner_matches_hashtbl_reference;
-        Alcotest.test_case "binner = Hashtbl reference at scale" `Quick
-          test_binner_matches_reference_at_scale;
       ] );
     ( "concurrency.cc",
       [
@@ -1155,7 +1048,7 @@ let suites =
       [
         Alcotest.test_case "saturating kernel units" `Quick
           test_saturation_units;
-        Alcotest.test_case "binner counts saturate" `Quick test_binner_saturates;
+        Alcotest.test_case "table counts saturate" `Quick test_table_saturates;
         Alcotest.test_case "top k validation" `Quick test_top_validation;
         QCheck_alcotest.to_alcotest prop_sum_min_saturates;
         QCheck_alcotest.to_alcotest prop_sum_min_same_cpu;

@@ -139,12 +139,15 @@ let bin_palette =
 (* A serve snapshot of the samples folded into intervals 4..6, all inside
    its 4-interval window. *)
 let serve_snapshot () =
-  let b = Sample.binner ~interval:10 in
-  List.iter
-    (fun s -> Sample.feed b { s with Sample.itc = 40 + (abs s.Sample.itc mod 30) })
-    samples;
+  let tables =
+    Tutil.bin_idx ~interval:10
+      (List.map
+         (fun s -> { s with Sample.itc = 40 + (abs s.Sample.itc mod 30) })
+         samples)
+  in
   with_tmp (fun path ->
-      Persist.save_serve_snapshot ~path ~window:4 ~version:3 ~newest:6 b;
+      Persist.save_serve_snapshot ~path ~interval:10 ~window:4 ~version:3
+        ~newest:6 tables;
       read_file path)
 
 let load_snapshot bytes =

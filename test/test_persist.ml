@@ -696,11 +696,12 @@ let test_failed_save_leaves_old_file () =
       let st = Store.of_samples [ { Sample.cpu = 1; itc = 2; line = 3 } ] in
       Persist.save_samples_bin ~path st;
       let before = read_raw path in
-      let b = Sample.binner ~interval:10 in
-      Sample.feed_n b ~cpu:0 ~itc:0 ~line:1 ~count:Persist.max_count;
-      Sample.feed_n b ~cpu:0 ~itc:0 ~line:1 ~count:1;
+      let tbl = Sample.empty_table () in
+      Sample.count_n tbl ~cpu:0 ~line:1 ~count:Persist.max_count;
+      Sample.count_n tbl ~cpu:0 ~line:1 ~count:1;
       (match
-         Persist.save_serve_snapshot ~path ~window:4 ~version:1 ~newest:0 b
+         Persist.save_serve_snapshot ~path ~interval:10 ~window:4 ~version:1
+           ~newest:0 [ (0, tbl) ]
        with
       | () -> Alcotest.fail "count over 2^53 must be rejected"
       | exception Persist.Bin_error _ -> ());
@@ -712,34 +713,29 @@ let test_failed_save_leaves_old_file () =
 (* ------------------------------------------------------------------ *)
 (* Serve snapshots: "slo-serve-snapshot 1" *)
 
-let snap_binner () =
-  let b = Sample.binner ~interval:10 in
-  List.iter
-    (fun (cpu, itc, line) -> Sample.feed b { Sample.cpu; itc; line })
-    [ (0, 50, 1); (1, 52, 2); (0, 55, 1); (2, 63, 4); (1, 68, 2) ];
-  b
-
-let canon_binner b =
-  List.map
-    (fun (idx, tbl) -> (idx, Sample.total_samples tbl, Sample.rows tbl))
-    (Sample.binned_idx b)
+let snap_tables () =
+  Tutil.bin_idx ~interval:10
+    (List.map
+       (fun (cpu, itc, line) -> { Sample.cpu; itc; line })
+       [ (0, 50, 1); (1, 52, 2); (0, 55, 1); (2, 63, 4); (1, 68, 2) ])
 
 let test_serve_snapshot_roundtrip () =
   with_tmp ".snap" (fun p1 ->
       with_tmp ".snap" (fun p2 ->
-          let b = snap_binner () in
-          Persist.save_serve_snapshot ~path:p1 ~window:4 ~version:3 ~newest:6
-            b;
+          let tables = snap_tables () in
+          Persist.save_serve_snapshot ~path:p1 ~interval:10 ~window:4
+            ~version:3 ~newest:6 tables;
           let snap = Persist.load_serve_snapshot ~path:p1 in
+          check_int "interval" 10 snap.Persist.snap_interval;
           check_int "window" 4 snap.Persist.snap_window;
           check_int "version" 3 snap.Persist.snap_version;
           check_int "newest" 6 snap.Persist.snap_newest;
           Alcotest.(check bool)
-            "binner state reproduced" true
-            (canon_binner snap.Persist.snap_binner = canon_binner b);
+            "tables reproduced" true
+            (Tutil.canon snap.Persist.snap_tables = Tutil.canon tables);
           (* canonical row order: save(load(x)) is byte-identical *)
-          Persist.save_serve_snapshot ~path:p2 ~window:4 ~version:3 ~newest:6
-            snap.Persist.snap_binner;
+          Persist.save_serve_snapshot ~path:p2 ~interval:10 ~window:4
+            ~version:3 ~newest:6 snap.Persist.snap_tables;
           Alcotest.(check bool)
             "snapshot bytes reproduced" true (read_raw p1 = read_raw p2)))
 
@@ -753,8 +749,8 @@ let expect_snap_error what bytes =
 let test_serve_snapshot_corruption_rejected () =
   let valid =
     with_tmp ".snap" (fun path ->
-        Persist.save_serve_snapshot ~path ~window:4 ~version:3 ~newest:6
-          (snap_binner ());
+        Persist.save_serve_snapshot ~path ~interval:10 ~window:4 ~version:3
+          ~newest:6 (snap_tables ());
         read_raw path)
   in
   (* 5 live (cpu, line) rows across 2 intervals -> 64 + 24 * 4 bytes:
@@ -780,23 +776,24 @@ let test_serve_snapshot_corruption_rejected () =
   (* first row's idx lives at offset 64: push it outside the window *)
   expect_snap_error "row outside the window" (set 64 '\001')
 
-(* The writer's bytes, pinned by digest for a binner over 4 intervals,
+(* The writer's bytes, pinned by digest for tables over 4 intervals,
    5 cpus and 7 lines. The round trip above only holds the writer to
    itself; this holds it to the canonical (idx, line, cpu) row order and
    column layout. Columns are in host byte order, and the digest is of
    the little-endian file. *)
 let test_serve_snapshot_golden () =
   if not Sys.big_endian then begin
-    let b = Sample.binner ~interval:10 in
     let x = ref 7 in
-    for _ = 1 to 300 do
-      x := ((!x * 1103515245) + 12345) land 0x7FFF_FFFF;
-      Sample.feed b
-        { Sample.cpu = !x mod 5; itc = 20 + ((!x lsr 8) mod 40);
-          line = 3 + ((!x lsr 16) mod 7) }
-    done;
+    let tables =
+      Tutil.bin_idx ~interval:10
+        (List.init 300 (fun _ ->
+             x := ((!x * 1103515245) + 12345) land 0x7FFF_FFFF;
+             { Sample.cpu = !x mod 5; itc = 20 + ((!x lsr 8) mod 40);
+               line = 3 + ((!x lsr 16) mod 7) }))
+    in
     with_tmp ".snap" (fun path ->
-        Persist.save_serve_snapshot ~path ~window:4 ~version:2 ~newest:5 b;
+        Persist.save_serve_snapshot ~path ~interval:10 ~window:4 ~version:2
+          ~newest:5 tables;
         check_int "rows" 123
           ((String.length (read_raw path)
            - Persist.serve_snapshot_header_size)
@@ -808,7 +805,7 @@ let test_serve_snapshot_golden () =
 
 (* Regression: each row's count was checked against 2^53 but their sum
    was not, so 512 rows of 2^53 in one interval loaded with a wrapped
-   negative [Sample.fed] and the interval silently vanished. *)
+   negative sample total and the interval silently vanished. *)
 let test_serve_snapshot_count_sum () =
   let n = 512 in
   let size = Persist.serve_snapshot_header_size + (24 * n) in
@@ -833,14 +830,15 @@ let test_serve_snapshot_count_sum () =
           ("error names row 1: " ^ msg) true
           (Tutil.contains msg "row 1:")
       | snap ->
-        Alcotest.failf "loaded a count sum over 2^53 (fed %d)"
-          (Sample.fed snap.Persist.snap_binner));
-  let b = Sample.binner ~interval:10 in
-  Sample.feed_n b ~cpu:0 ~itc:0 ~line:1 ~count:Persist.max_count;
-  Sample.feed_n b ~cpu:1 ~itc:0 ~line:1 ~count:1;
+        Alcotest.failf "loaded a count sum over 2^53 (%d rows)"
+          (List.length snap.Persist.snap_tables));
+  let tbl = Sample.empty_table () in
+  Sample.count_n tbl ~cpu:0 ~line:1 ~count:Persist.max_count;
+  Sample.count_n tbl ~cpu:1 ~line:1 ~count:1;
   with_tmp ".snap" (fun path ->
       match
-        Persist.save_serve_snapshot ~path ~window:4 ~version:0 ~newest:0 b
+        Persist.save_serve_snapshot ~path ~interval:10 ~window:4 ~version:0
+          ~newest:0 [ (0, tbl) ]
       with
       | exception Persist.Bin_error _ -> ()
       | () -> Alcotest.fail "saved a count sum over 2^53")
@@ -861,16 +859,95 @@ let test_serve_snapshot_row_count_overflow () =
 (* Window membership near min_int: the save and load checks must not
    compute a wrapped [newest - window]. *)
 let test_serve_snapshot_min_int_window () =
-  let b = Sample.binner ~interval:1 in
-  Sample.feed b { Sample.cpu = 0; itc = min_int; line = 1 };
-  Sample.feed b { Sample.cpu = 1; itc = min_int + 1; line = 2 };
+  let tables =
+    Tutil.bin_idx ~interval:1
+      [ { Sample.cpu = 0; itc = min_int; line = 1 };
+        { Sample.cpu = 1; itc = min_int + 1; line = 2 } ]
+  in
   with_tmp ".snap" (fun path ->
-      Persist.save_serve_snapshot ~path ~window:4 ~version:0
-        ~newest:(min_int + 1) b;
+      Persist.save_serve_snapshot ~path ~interval:1 ~window:4 ~version:0
+        ~newest:(min_int + 1) tables;
       let snap = Persist.load_serve_snapshot ~path in
       Alcotest.(check bool)
-        "binner state reproduced" true
-        (canon_binner snap.Persist.snap_binner = canon_binner b))
+        "tables reproduced" true
+        (Tutil.canon snap.Persist.snap_tables = Tutil.canon tables))
+
+(* Regression: the loader refused every interval below [min_int / interval]
+   (rounded toward zero), but at an interval length that does not divide
+   [min_int] the interval holding [min_int] is one below that, so a
+   window fed [min_int] at interval 3 wrote a snapshot it could not
+   load. The interval below it holds no itc: the writer refuses it, and
+   so does the loader. *)
+let test_serve_snapshot_min_int_interval () =
+  let interval = 3 in
+  let tables =
+    Tutil.bin_idx ~interval
+      [ { Sample.cpu = 0; itc = min_int; line = 1 };
+        { Sample.cpu = 1; itc = min_int + 1; line = 2 } ]
+  in
+  let first = Sample.floor_div min_int interval in
+  Alcotest.(check (list int))
+    "two intervals" [ first; first + 1 ] (List.map fst tables);
+  with_tmp ".snap" (fun path ->
+      Persist.save_serve_snapshot ~path ~interval ~window:4 ~version:0
+        ~newest:(first + 1) tables;
+      let valid = read_raw path in
+      let snap = Persist.load_serve_snapshot ~path in
+      Alcotest.(check bool)
+        "tables reproduced" true
+        (Tutil.canon snap.Persist.snap_tables = Tutil.canon tables);
+      let below = [ (first - 1, snd (List.hd tables)) ] in
+      (match
+         Persist.save_serve_snapshot ~path ~interval ~window:4 ~version:0
+           ~newest:(first + 1) below
+       with
+      | () -> Alcotest.fail "saved an interval that holds no itc"
+      | exception Invalid_argument _ -> ());
+      (* the first row's idx column cell, moved one interval down *)
+      let b = Bytes.of_string valid in
+      Bytes.set_int64_ne b Persist.serve_snapshot_header_size
+        (Int64.of_int (first - 1));
+      expect_snap_error "an interval below min_int's" (Bytes.to_string b))
+
+(* The writer is handed a list, which may be out of order, unlike the
+   tables the loader rebuilds; it raises before it opens a file. In a
+   directory that does not exist, opening would raise Sys_error or
+   Unix_error instead, and an existing file is left as it was. *)
+let test_serve_snapshot_unordered_rejected () =
+  let one () =
+    let tbl = Sample.empty_table () in
+    Sample.count tbl ~cpu:0 ~line:1;
+    tbl
+  in
+  let save path tables =
+    Persist.save_serve_snapshot ~path ~interval:10 ~window:4 ~version:0
+      ~newest:6 tables
+  in
+  let unordered =
+    "Persist.save_serve_snapshot: interval indices not strictly ascending"
+  in
+  with_tmp ".snap" (fun path ->
+      write_raw path "precious";
+      let nowhere = Filename.concat (path ^ ".missing") "x.snap" in
+      List.iter
+        (fun (what, tables) ->
+          List.iter
+            (fun p ->
+              Alcotest.check_raises what (Invalid_argument unordered)
+                (fun () -> save p tables))
+            [ path; nowhere ];
+          Alcotest.(check string)
+            (what ^ ": the old file is left") "precious" (read_raw path))
+        [ ("descending", [ (6, one ()); (5, one ()) ]);
+          ("repeated", [ (5, one ()); (5, one ()) ]);
+          ("out of order later", [ (3, one ()); (5, one ()); (4, one ()) ]) ];
+      Alcotest.check_raises "interval 0"
+        (Invalid_argument "Persist.save_serve_snapshot: interval <= 0")
+        (fun () ->
+          Persist.save_serve_snapshot ~path:nowhere ~interval:0 ~window:4
+            ~version:0 ~newest:6 [ (5, one ()) ]);
+      Alcotest.(check bool)
+        "no temp file left behind" true (no_stray_temps path))
 
 let suites =
   [
@@ -946,5 +1023,9 @@ let suites =
           test_serve_snapshot_row_count_overflow;
         Alcotest.test_case "window near min_int" `Quick
           test_serve_snapshot_min_int_window;
+        Alcotest.test_case "the interval holding min_int at interval 3"
+          `Quick test_serve_snapshot_min_int_interval;
+        Alcotest.test_case "unordered tables rejected before writing" `Quick
+          test_serve_snapshot_unordered_rejected;
       ] );
   ]

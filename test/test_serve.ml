@@ -1,8 +1,9 @@
 (* Tests for the always-on layout service: the sliding-window laws the
-   serve daemon rests on (the drop law, chunking invariance,
-   order-independent decay weighting), plus the Serve state machine
-   itself (admission control, drift-triggered publication, the daemon
-   domain, and snapshot/restore identity). *)
+   serve daemon rests on (the window's tables against a Hashtbl
+   reference, chunking invariance, order-independent decay weighting),
+   plus the Serve state machine itself (admission control,
+   drift-triggered publication, the daemon domain, and snapshot/restore
+   identity). *)
 
 module Sample = Slo_concurrency.Sample
 module Cc = Slo_concurrency.Code_concurrency
@@ -21,16 +22,6 @@ let check_int = Alcotest.(check int)
 let s cpu itc line = { Sample.cpu; itc; line }
 let to_samples = List.map (fun (c, t, l) -> s c t l)
 
-(* Canonical binner state: (idx, total, sorted rows) per live interval,
-   insensitive to Flat_tab capacity/insertion history (rows sort).
-   Equal canon = equal observable state. *)
-let canon b =
-  List.map
-    (fun (idx, tbl) -> (idx, Sample.total_samples tbl, Sample.rows tbl))
-    (Sample.binned_idx b)
-
-let feed_all b = List.iter (fun x -> Sample.feed b x)
-
 (* cpu in 0..3, itc spans negatives (floor_div semantics), line 1..6 *)
 let gen_stream =
   QCheck2.Gen.(
@@ -42,37 +33,125 @@ let gen_interval = QCheck2.Gen.int_range 1 30
 (* ------------------------------------------------------------------ *)
 (* Window laws (QCheck2) *)
 
-(* The drop law: dropping interval [idx] from a binner fed [xs] leaves
-   exactly the binner fed [xs] without that interval's samples — same
-   rows, totals, [fed] and [binned_idx] — and later feeds into [idx] land
-   in a fresh table, not the dropped one. [idx] is a live interval, or
-   one that holds nothing when [pick] is negative. *)
-let prop_drop_interval =
-  QCheck2.Test.make ~name:"dropping an interval = never feeding its samples"
+(* The reference semantics of the window's tables: the boxed
+   (interval, cpu, line) -> int ref Hashtbl feeder the flat
+   open-addressing tables replaced. [retire p] drops every count whose
+   interval satisfies [p]; [rows ()] lists the counts as sorted
+   (idx, cpu, line, count). *)
+let hashtbl_reference ~interval =
+  let tbl : (int * int * int, int ref) Hashtbl.t = Hashtbl.create 64 in
+  let feed ~cpu ~itc ~line =
+    let key = (Sample.floor_div itc interval, cpu, line) in
+    match Hashtbl.find_opt tbl key with
+    | Some r -> incr r
+    | None -> Hashtbl.add tbl key (ref 1)
+  in
+  let retire p =
+    Hashtbl.filter_map_inplace
+      (fun (i, _, _) r -> if p i then None else Some r)
+      tbl
+  in
+  let rows () =
+    Hashtbl.fold (fun (idx, cpu, line) r acc -> (idx, cpu, line, !r) :: acc)
+      tbl []
+    |> List.sort compare
+  in
+  (feed, retire, rows)
+
+(* The window's tables in the reference's row form. *)
+let window_rows w =
+  List.concat_map
+    (fun (idx, tbl) ->
+      let lines, cpus, counts = Sample.rows tbl in
+      List.init (Array.length lines) (fun r ->
+          (idx, cpus.(r), lines.(r), counts.(r))))
+    (Window.tables w)
+  |> List.sort compare
+
+(* A random window over a stream that mostly moves forward (each step
+   moves the itc by -100..300), so intervals retire and samples arrive
+   late. The reference applies the watermark itself: a sample at or
+   below [newest - window] is late and not counted, and one past
+   [newest] retires every interval at or below the new watermark. The
+   window's tables, sample and interval counts, retirements and late
+   samples must all agree with it. *)
+let prop_window_matches_hashtbl_reference =
+  QCheck2.Test.make
+    ~name:"window tables = (int, int ref) Hashtbl reference (feed + retirement)"
     ~count:300
-    QCheck2.Gen.(triple gen_interval gen_stream (int_range (-3) 20))
-    (fun (interval, xs, pick) ->
-      let xs = to_samples xs in
-      let a = Sample.binner ~interval in
-      feed_all a xs;
-      let idx =
-        match Sample.binned_idx a with
-        | live when pick >= 0 && live <> [] ->
-          fst (List.nth live (pick mod List.length live))
-        | _ -> 1000 * (pick - 1)
+    QCheck2.Gen.(
+      triple (int_range 1 50) (int_range 1 8)
+        (list_size (int_bound 120)
+           (triple (int_bound 7) (int_range (-100) 300) (int_range 1 9))))
+    (fun (interval, window, steps) ->
+      let ref_feed, ref_retire, ref_rows = hashtbl_reference ~interval in
+      let w = Window.create ~interval ~window () in
+      let newest = ref None and late = ref 0 and itc = ref 0 in
+      let seen = Hashtbl.create 16 in
+      let agree =
+        List.for_all
+          (fun (cpu, step, line) ->
+            itc := !itc + step;
+            let idx = Sample.floor_div !itc interval in
+            let is_late =
+              match !newest with
+              | Some n -> Sample.below_watermark ~newest:n ~window idx
+              | None -> false
+            in
+            let accepted = Window.feed w ~cpu ~itc:!itc ~line in
+            if is_late then incr late
+            else begin
+              (match !newest with
+              | Some n when idx <= n -> ()
+              | _ ->
+                newest := Some idx;
+                ref_retire (Sample.below_watermark ~newest:idx ~window));
+              Hashtbl.replace seen idx ();
+              ref_feed ~cpu ~itc:!itc ~line
+            end;
+            accepted = not is_late)
+          steps
       in
-      Sample.drop_interval a idx;
-      let b = Sample.binner ~interval in
-      feed_all b
-        (List.filter
-           (fun (x : Sample.t) -> Sample.floor_div x.Sample.itc interval <> idx)
-           xs);
-      let same () = canon a = canon b && Sample.fed a = Sample.fed b in
-      let dropped_ok = same () in
-      let again = s 0 (idx * interval) 1 in
-      Sample.feed a again;
-      Sample.feed b again;
-      dropped_ok && same ())
+      let rows = ref_rows () in
+      let live =
+        List.length (List.sort_uniq compare (List.map (fun (i, _, _, _) -> i) rows))
+      in
+      agree
+      && window_rows w = rows
+      && Window.live_samples w
+         = List.fold_left (fun acc (_, _, _, n) -> acc + n) 0 rows
+      && Window.live_intervals w = live
+      && Window.retired w = Hashtbl.length seen - live
+      && Window.late w = !late)
+
+(* The same reference at scale: 200 000 time-ordered samples from an LCG
+   over 16 cpus x 24 lines, interval 32 768, into a window long enough
+   that nothing retires — enough distinct keys per table to grow the
+   Flat_tab well past its initial size. *)
+let test_window_matches_reference_at_scale () =
+  let interval = 32_768 in
+  let ref_feed, _, ref_rows = hashtbl_reference ~interval in
+  let w = Window.create ~interval ~window:64 () in
+  let state = ref 0x243F6A8885A308D3 and itc = ref 0 in
+  for _ = 1 to 200_000 do
+    state := (!state * 2685821657736338717) + 1442695040888963407;
+    let bits = !state lsr 11 in
+    itc := !itc + 1 + (bits land 7);
+    let cpu = bits mod 16 and line = 100 + ((bits lsr 17) mod 24) in
+    if not (Window.feed w ~cpu ~itc:!itc ~line) then
+      Alcotest.fail "a time-ordered sample was late";
+    ref_feed ~cpu ~itc:!itc ~line
+  done;
+  let rows = window_rows w in
+  check_int "rows" (List.length (ref_rows ())) (List.length rows);
+  Alcotest.(check bool) "window rows = Hashtbl reference" true
+    (rows = ref_rows ());
+  check_int "nothing retired" 0 (Window.retired w);
+  check_int "live samples" 200_000 (Window.live_samples w);
+  check_int "peak interval-table entries" 384
+    (List.fold_left
+       (fun acc (_, tbl) -> max acc (Sample.entries tbl))
+       0 (Window.tables w))
 
 (* The window's live state after a (time-ordered) stream equals the
    direct binning of just the samples in the final window — however the
@@ -122,17 +201,18 @@ let prop_window_eq_direct_binning =
       in
       chunks samples chunk_sizes;
       (* direct binning of only the samples in the final window *)
-      let direct = Sample.binner ~interval in
-      (match Window.newest w1 with
-      | None -> ()
-      | Some max_idx ->
-        List.iter
-          (fun (x : Sample.t) ->
-            if Sample.floor_div x.Sample.itc interval > max_idx - window
-            then Sample.feed direct x)
-          samples);
-      canon (Window.master w1) = canon direct
-      && canon (Window.master w2) = canon direct
+      let direct =
+        Tutil.bin_idx ~interval
+          (match Window.newest w1 with
+          | None -> []
+          | Some max_idx ->
+            List.filter
+              (fun (x : Sample.t) ->
+                Sample.floor_div x.Sample.itc interval > max_idx - window)
+              samples)
+      in
+      Tutil.canon (Window.tables w1) = Tutil.canon direct
+      && Tutil.canon (Window.tables w2) = Tutil.canon direct
       && Window.retired w1 = Window.retired w2
       && Window.late w1 = 0
       && Window.late w2 = 0)
@@ -165,7 +245,7 @@ let prop_decay_weights_order_independent =
           if num > 0 then
             Cc.merge_scaled manual (Cc.of_interval tbl) ~num
               ~den:Window.weight_den)
-        (List.rev (Sample.binned_idx (Window.master w)));
+        (List.rev (Window.tables w));
       cc_canon (Window.weighted_cc w) = cc_canon manual)
 
 (* ------------------------------------------------------------------ *)
@@ -181,12 +261,12 @@ let test_window_retirement () =
   check_int "idx 0 retired" 1 (Window.retired w);
   check_int "still two live" 2 (Window.live_intervals w);
   check_int "live samples" 2 (Window.live_samples w);
-  (* a sample below the watermark is late: dropped, master untouched *)
+  (* a sample below the watermark is late: dropped, tables untouched *)
   Alcotest.(check bool)
     "late sample rejected" false
     (Window.feed w ~cpu:0 ~itc:3 ~line:1);
   check_int "late counted" 1 (Window.late w);
-  check_int "master unchanged by late" 2 (Window.live_samples w)
+  check_int "tables unchanged by late" 2 (Window.live_samples w)
 
 let test_window_late_out_of_range () =
   (* Regression: lateness was classified before the id check, so an
@@ -221,9 +301,77 @@ let test_window_near_min_int () =
       check_int "none retired" 0 (Window.retired w);
       check_int "none late" 0 (Window.late w);
       (* restore checks window membership the same way *)
-      let w' = Window.restore ~window:4 ~newest:(base + 1) (Window.master w) in
+      let w' =
+        Window.restore ~interval:1 ~window:4 ~newest:(base + 1)
+          (Window.tables w)
+      in
       check_int "restored live" 2 (Window.live_intervals w'))
     [ 0; min_int ]
+
+(* One table of [(cpu, count)] rows on line 1. *)
+let table_of rows =
+  let tbl = Sample.empty_table () in
+  List.iter (fun (cpu, count) -> Sample.count_n tbl ~cpu ~line:1 ~count) rows;
+  tbl
+
+(* [live_samples] sums the tables' totals and saturates like them: one
+   saturated table, or two whose sum passes max_int, read max_int, and
+   once the saturated interval retires the survivors' total is exact
+   again. *)
+let test_window_live_samples_saturate () =
+  let w =
+    Window.restore ~interval:10 ~window:4 ~newest:2
+      [ (0, table_of [ (0, max_int - 1); (1, 5) ]);
+        (1, table_of [ (0, max_int - 10) ]);
+        (2, table_of [ (0, 4) ]) ]
+  in
+  check_int "saturated" max_int (Window.live_samples w);
+  check_int "three live" 3 (Window.live_intervals w);
+  ignore (Window.feed w ~cpu:1 ~itc:40 ~line:2);
+  check_int "interval 0 retired" 1 (Window.retired w);
+  check_int "survivors' total" (max_int - 5) (Window.live_samples w);
+  ignore (Window.feed w ~cpu:1 ~itc:50 ~line:2);
+  check_int "interval 1 retired" 2 (Window.retired w);
+  check_int "survivors' total again" 6 (Window.live_samples w)
+
+(* [create] and [restore] check their own arguments: a positive interval,
+   and for [restore] strictly ascending indices inside the window. A
+   table with no sample is left out. *)
+let test_window_validation () =
+  let raises what msg f =
+    Alcotest.check_raises what (Invalid_argument msg) (fun () ->
+        ignore (f ()))
+  in
+  let one () = table_of [ (0, 1) ] in
+  List.iter
+    (fun interval ->
+      raises "create" "Window.create: interval <= 0" (fun () ->
+          Window.create ~interval ~window:4 ());
+      raises "restore" "Window.restore: interval <= 0" (fun () ->
+          Window.restore ~interval ~window:4 ~newest:0 []))
+    [ 0; -1; min_int ];
+  raises "descending indices"
+    "Window.restore: interval indices not strictly ascending" (fun () ->
+      Window.restore ~interval:10 ~window:4 ~newest:3
+        [ (3, one ()); (2, one ()) ]);
+  raises "repeated index"
+    "Window.restore: interval indices not strictly ascending" (fun () ->
+      Window.restore ~interval:10 ~window:4 ~newest:3
+        [ (2, one ()); (2, one ()) ]);
+  raises "outside the window"
+    "Window.restore: interval 1 outside the window of 2 intervals ending \
+     at 3"
+    (fun () ->
+      Window.restore ~interval:10 ~window:2 ~newest:3
+        [ (1, one ()); (3, one ()) ]);
+  let w =
+    Window.restore ~interval:10 ~window:4 ~newest:3
+      [ (1, Sample.empty_table ()); (3, one ()) ]
+  in
+  Alcotest.(check (list int))
+    "the empty table is left out" [ 3 ]
+    (List.map fst (Window.tables w));
+  check_int "one live sample" 1 (Window.live_samples w)
 
 let test_window_weights () =
   let w = Window.create ~decay:0.5 ~interval:10 ~window:4 () in
@@ -252,7 +400,7 @@ let test_window_weights_past_table () =
       Cc.merge_scaled manual (Cc.of_interval tbl)
         ~num:(Window.weight w ~age:(1500 - idx))
         ~den:Window.weight_den)
-    (Sample.binned_idx (Window.master w));
+    (Window.tables w);
   Alcotest.(check bool) "oldest interval weighted" true
     (Window.weight w ~age:1500 > 0);
   Alcotest.(check bool) "weighted map = direct merge" true
@@ -363,7 +511,7 @@ let prop_window_batches_match_direct =
             let num = Window.weight w ~age:(newest - idx) in
             if num > 0 then
               Cc.merge_scaled m (Cc.of_interval tbl) ~num ~den:Window.weight_den)
-          (Sample.binned_idx (Window.master w));
+          (Window.tables w);
         m
       in
       let rec go prev samples sizes =
@@ -444,7 +592,7 @@ let prop_window_slot_churn =
             let num = Window.weight w ~age:(newest - idx) in
             if num > 0 then
               Cc.merge_scaled m (Cc.of_interval tbl) ~num ~den:Window.weight_den)
-          (Sample.binned_idx (Window.master w));
+          (Window.tables w);
         m
       in
       let rec go prev = function
@@ -810,7 +958,7 @@ let test_restore_rejects_mismatch () =
 let props =
   List.map QCheck_alcotest.to_alcotest
     [
-      prop_drop_interval;
+      prop_window_matches_hashtbl_reference;
       prop_window_eq_direct_binning;
       prop_decay_weights_order_independent;
       prop_window_batches_match_direct;
@@ -829,6 +977,12 @@ let suites =
            test_window_late_out_of_range
       :: Alcotest.test_case "watermark near min_int" `Quick
            test_window_near_min_int
+      :: Alcotest.test_case "live samples saturate" `Quick
+           test_window_live_samples_saturate
+      :: Alcotest.test_case "create and restore validate" `Quick
+           test_window_validation
+      :: Alcotest.test_case "window tables = Hashtbl reference at scale"
+           `Quick test_window_matches_reference_at_scale
       :: Alcotest.test_case "fixed-point weights" `Quick test_window_weights
       :: Alcotest.test_case "weights past the table" `Quick
            test_window_weights_past_table

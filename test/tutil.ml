@@ -26,3 +26,34 @@ let graph_and_matrix names raw =
       raw
   in
   (g, m)
+
+module Sample = Slo_concurrency.Sample
+
+(* The reference binning of the tests: each sample counted with
+   [Sample.count] into its interval's table, the tables in a Hashtbl by
+   interval index, listed by ascending index. Independent of the serve
+   window's ring and of [Code_concurrency.compute]'s ordering pass. *)
+let bin_idx ~interval samples =
+  let tables = Hashtbl.create 16 in
+  List.iter
+    (fun { Sample.cpu; itc; line } ->
+      let idx = Sample.floor_div itc interval in
+      let tbl =
+        match Hashtbl.find_opt tables idx with
+        | Some tbl -> tbl
+        | None ->
+          let tbl = Sample.empty_table () in
+          Hashtbl.add tables idx tbl;
+          tbl
+      in
+      Sample.count tbl ~cpu ~line)
+    samples;
+  Hashtbl.fold (fun idx tbl acc -> (idx, tbl) :: acc) tables []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+
+(* Tables by index as (idx, total, rows): equal lists are equal counts,
+   whatever each table's capacity and insertion history. *)
+let canon tables =
+  List.map
+    (fun (idx, tbl) -> (idx, Sample.total_samples tbl, Sample.rows tbl))
+    tables
