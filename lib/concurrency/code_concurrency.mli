@@ -10,13 +10,16 @@
 
     {b Kernel.} The inner double sum over CPU pairs is
     Σ_{m,n} min(a_m, b_n) − Σ_m min(a_m, b_m), computed per line pair
-    without allocating. An interval table's rows are read once
-    ({!Sample.rows_into}, the extraction {!Sample.rows} makes) straight
-    into flat compressed-row arrays of a {!scratch} reused across
-    intervals, so an interval allocates nothing either: its entries in
-    (line, cpu) order, each line's entries (CPUs numbered densely) sorted
-    by count with {!Slo_util.Int_sort}, its counts run-length encoded
-    with prefix counts and sums, and the same entries transposed by CPU.
+    without allocating. An interval's entries, one per (line, CPU) with
+    its count, grouped by line in ascending order with the CPUs numbered
+    densely, sit in flat compressed-row arrays of a {!scratch} reused
+    across intervals, so an interval allocates nothing either: each
+    line's entries sorted by count with {!Slo_util.Int_sort}, its counts
+    run-length encoded with prefix counts and sums, and the same entries
+    transposed by CPU. {!compute}'s bucket pass writes the entries there
+    directly; rows are read from an interval table
+    ({!Sample.rows_into}, the extraction {!Sample.rows} makes) only by
+    {!interval_rows} and {!of_interval}.
     The first sum is a two-pointer merge of two lines' runs (as a's
     counts rise, the split point in b only moves right), so it costs the
     number of distinct counts, not of CPUs. The second is summed per CPU: pairing
@@ -36,9 +39,9 @@
     interval come out in ascending (l1, l2) order, each once. It hands
     them to its caller one line at a time ({!interval_rows}), through a
     row buffer of at most one entry per line kept in its {!scratch}.
-    There is one kernel loop and three consumers: {!compute}'s chunks and
-    {!of_interval} add the rows into their map in emission order, and the
-    serve window appends them to its memo of the interval.
+    There is one kernel loop and three consumers: {!compute}'s interval
+    ranges and {!of_interval} add the rows into their map in emission
+    order, and the serve window appends them to its memo of the interval.
 
     {b Representation.} The map is one flat {!Slo_util.Flat_tab} keyed by
     the packed pair [(l1 lsl 31) lor l2], [l1 <= l2]. Lines are
@@ -49,33 +52,51 @@
     {b Scaling.} {!compute} is the one way samples enter: it takes a
     columnar {!Sample_store} and reads its shared columns in place (zero
     copies). One ordering pass over the itc column finds where each
-    interval's samples start. Stores in interval order (every collection
-    run and sample file, which are in (itc, CPU) order) need nothing
-    more; a store where some sample's interval is below its
-    predecessor's has its sample indices sorted by interval once
-    ({!Slo_util.Int_sort}), and is read through that permutation. The
-    intervals are then counted and summed in fixed chunks of 32
-    consecutive intervals: a chunk counts each interval into one reused
-    table ({!Sample.count}, with its identifier check and saturating
-    add), runs the kernel on it and clears it for the next, so no table
-    or row array is made per interval. On a pool of two or more
-    domains each chunk is an independent partial map, reduced with the
-    pointwise-sum {!merge}; serially, and on a pool of one domain (which
-    runs its tasks in the caller), one kernel scratch serves every chunk
-    and the chunks add into the result directly. Intervals are
-    independent, so the result is identical for every pool size and
+    interval's samples start, dividing only where an interval begins.
+    Stores in interval order (every collection run and sample file,
+    which are in (itc, CPU) order) need nothing more; a store where some
+    sample's interval is below its predecessor's has its sample indices
+    sorted by interval once ({!Slo_util.Int_sort}), and is read through
+    that permutation. One rank pass then numbers the store's distinct
+    line ids and its distinct CPU ids in ascending order, after
+    {!Sample.check_ids} on each column's least and greatest id. A column
+    whose span (greatest − least + 1) is at most the store's length plus
+    64 finds an id's rank in a direct table over its span; any other
+    column, in a {!Slo_util.Flat_tab} from id to rank. This is the only
+    place where dense and sparse ids differ, and the column decides.
+    Each interval is then binned by a counting sort on its samples' line
+    ranks: a histogram over the lines it touches, prefix sums over those
+    lines in ascending order (the one sort is of those line ranks), and
+    a scatter of the samples' CPU ranks into line buckets. Each bucket's
+    CPUs are counted with a dense per-CPU counter, and the (line, CPU,
+    count) entries go straight into the kernel's scratch, lines
+    ascending: no hash upsert per sample and no sort of an interval's
+    entries. Memory per call is O(lines + CPUs + longest interval), plus
+    a direct table's span, never lines × CPUs. Serially, and on a pool
+    of one domain (which runs its tasks in the caller), one set of
+    bucket arrays and one scratch serve every interval, and the rows add
+    into the result directly. On a pool of two or more domains the
+    intervals are split into [Pool.size] contiguous ranges, one task
+    each: the tasks share the ranks (a task rebuilds a hashed lookup for
+    itself, as a lookup counts its probes in the table), each makes its
+    own bucket arrays, scratch and partial map, and the partial maps are
+    reduced in range order with the pointwise-sum {!merge}. Intervals
+    are independent and the saturating merge is associative and
+    commutative, so the result is identical for every pool size and
     every order of the store (test_concurrency's shard and store suites
     pin this against a definitional brute-force oracle and the
-    {!of_interval} fold over a reference binning). Lists and sample
+    {!of_interval} fold over a reference binning, with ids drawn from
+    both ends of their range so that both lookups run). Lists and sample
     producers reach it through {!Sample_store.of_samples} and
     {!Sample_store.of_iter}, text and binary files through the persist
     layer's store loaders.
 
     {b Observability.} {!compute} records counters [cc.intervals] /
-    [cc.samples], gauge [cc.table.peak_entries] and histograms
-    [cc.ingest_s] (the ordering pass, with its sort when there is one) /
-    [cc.compute_s] (counting the intervals and the kernel) into
-    {!Slo_obs.Obs.default}; write-only, so instrumented runs stay
+    [cc.samples], gauge [cc.table.peak_entries] (the largest interval's
+    entry count: its distinct (line, CPU) pairs) and histograms
+    [cc.ingest_s] (the ordering pass, with its sort when there is one,
+    and the rank pass) / [cc.compute_s] (the bucket pass and the kernel)
+    into {!Slo_obs.Obs.default}; write-only, so instrumented runs stay
     byte-identical. *)
 
 type t

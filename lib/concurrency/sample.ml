@@ -66,10 +66,6 @@ let total_samples tbl = tbl.total
 
 let empty_table () = { freqs = Flat_tab.create ~capacity:16 (); total = 0 }
 
-let clear_table tbl =
-  Flat_tab.clear tbl.freqs;
-  tbl.total <- 0
-
 (* Counts are non-negative, so a sum past [max_int] wraps negative; every
    count and table total stops at [max_int] instead, as the CC kernel
    assumes. An over-full key costs a second probe only on the step that

@@ -12,9 +12,12 @@
     holds for CPU P at line L. A table is a histogram, not a sample list;
     its size is bounded by the number of distinct (cpu, line) pairs, not
     by the profile length. Its owner picks the interval of each sample
-    and counts it in ({!count}): {!Code_concurrency.compute} one interval
-    at a time through a reused table, the serve window
-    ({!Slo_serve.Window}) one table per live interval.
+    and counts it in ({!count}): the serve window ({!Slo_serve.Window})
+    keeps one table per live interval, and its snapshot loader rebuilds
+    them with {!count_n}. {!Code_concurrency.compute} makes no table: it
+    bins a store by a counting sort over the store's line and CPU ranks.
+    The CC kernel reads a table's rows only through
+    {!Code_concurrency.interval_rows} and {!Code_concurrency.of_interval}.
 
     {b Identifier bounds.} [cpu] and [line] are identifiers in
     [0 .. ]{!max_id}[ = 2^31 - 1]: a (cpu, line) pair packs into a single
@@ -32,7 +35,9 @@ val max_id : int
 (** Upper bound (inclusive, [2^31 - 1]) on [cpu] and [line]. *)
 
 val check_ids : cpu:int -> line:int -> unit
-(** The identifier check every counting path applies.
+(** The identifier check every counting path applies;
+    {!Code_concurrency.compute} applies it to the least and the greatest
+    id of each store column.
     @raise Invalid_argument naming the field if [cpu] or [line] is
     outside [0 .. max_id]. *)
 
@@ -55,8 +60,9 @@ val rows : interval_table -> int array * int array * int array
 val rows_into :
   interval_table -> lines:int array -> cpus:int array -> counts:int array -> unit
 (** {!rows} written into the first {!entries} cells of [lines], [cpus]
-    and [counts], the same extraction without allocating: how the CC
-    kernel reads a table into its reused scratch.
+    and [counts], the same extraction without allocating: how
+    {!Code_concurrency.interval_rows} reads a table into its reused
+    scratch.
     @raise Invalid_argument if an array is shorter than {!entries}. *)
 
 val entries : interval_table -> int
@@ -67,12 +73,9 @@ val total_samples : interval_table -> int
 (** {1 Counting}
 
     A table made by {!empty_table} belongs to its caller, who counts the
-    samples of one interval into it and may clear it for the next. *)
+    samples of one interval into it. *)
 
 val empty_table : unit -> interval_table
-
-val clear_table : interval_table -> unit
-(** Drop every count of a table, keeping its storage. *)
 
 val count : interval_table -> cpu:int -> line:int -> unit
 (** Count one sample into the table, with the interval already chosen by
