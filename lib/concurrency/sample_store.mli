@@ -17,7 +17,7 @@
     This is the one in-memory form {!Code_concurrency.compute} accepts:
     lists arrive through {!of_samples}, text files through
     {!Slo_persist.Persist.store_of_samples_file} (16 bytes per sample, no
-    boxed list), binary files through
+    boxed list and no record per sample), binary files through
     {!Slo_persist.Persist.load_samples_bin}. *)
 
 type i32 = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t

@@ -246,12 +246,15 @@ let sample_line ~saw_header ln raw f =
     true
   end
 
-(* The byte scanner both the in-memory and the file paths share. The
-   input sits in [buf] from [pos] to [lim], and [eof] says that no byte
-   follows [lim]. A file is read through a buffer of [chunk_size] bytes,
-   refilled when a line runs past [lim]; a line longer than the buffer
-   doubles it. A string is scanned in place: its [eof] holds from the
-   start, so nothing ever refills — the one writer of [buf]. *)
+(* The byte scanner every sample-text reader shares: it hands each
+   record's cpu, itc and line to its consumer as three ints, so a
+   consumer that stores them (the store builder) allocates nothing per
+   record. The input sits in [buf] from [pos] to [lim], and [eof] says
+   that no byte follows [lim]. A file is read through a buffer of
+   [chunk_size] bytes, refilled when a line runs past [lim]; a line
+   longer than the buffer doubles it. A string is scanned in place: its
+   [eof] holds from the start, so nothing ever refills — the one writer
+   of [buf]. *)
 let chunk_size = 65536
 
 type scanner = {
@@ -269,9 +272,9 @@ exception Not_canonical
 exception Short  (* the buffered bytes end inside the line *)
 
 (* The byte at [i]; past the end of the input, a virtual '\n' ends the
-   last line. *)
+   last line. Unchecked: [lim] never passes the buffer's length. *)
 let peek sc i =
-  if i < sc.lim then Bytes.get sc.buf i
+  if i < sc.lim then Bytes.unsafe_get sc.buf i
   else if sc.eof then '\n'
   else raise_notrace Short
 
@@ -293,10 +296,10 @@ let expect sc i c =
   i + 1
 
 (* The canonical record at [pos], "<digits> <-?digits> <digits>", an
-   optional '\r', the end of the line, ids at most Sample.max_id: the
-   sample, with [pos] moved past its line. Such a line means the same to
-   the line parser. *)
-let canonical sc =
+   optional '\r', the end of the line, ids at most Sample.max_id: [pos]
+   moves past its line, which is taken, and [f] gets its fields. Such a
+   line means the same to the line parser. *)
+let canonical sc f =
   let i = digits sc sc.pos sc.pos 0 in
   let cpu = sc.num in
   let i = expect sc i ' ' in
@@ -312,7 +315,8 @@ let canonical sc =
   if cpu > Sample.max_id || line > Sample.max_id then
     raise_notrace Not_canonical;
   sc.pos <- Int.min i sc.lim;
-  { Sample.cpu; itc; line }
+  sc.ln <- sc.ln + 1;
+  f cpu itc line
 
 (* Keep the unread bytes, moved to the front, and read after them. *)
 let refill sc =
@@ -347,16 +351,14 @@ let fallback sc f =
   sc.saw_header <-
     sample_line ~saw_header:sc.saw_header sc.ln
       (Bytes.sub_string sc.buf sc.pos (e - sc.pos))
-      f;
+      (fun { Sample.cpu; itc; line } -> f cpu itc line);
   sc.pos <- Int.min (e + 1) sc.lim
 
 let rec scan sc f =
   if sc.pos < sc.lim || not sc.eof then begin
-    (match if sc.saw_header then canonical sc else raise_notrace Not_canonical
+    (match if sc.saw_header then canonical sc f else raise_notrace Not_canonical
      with
-    | smp ->
-      sc.ln <- sc.ln + 1;
-      f smp
+    | () -> ()
     | exception Short -> refill sc
     | exception Not_canonical -> fallback sc f);
     scan sc f
@@ -374,13 +376,16 @@ let samples_of_string s =
   let acc = ref [] in
   scan_samples ~buf:(Bytes.unsafe_of_string s) ~eof:true
     (fun _ _ _ -> 0)
-    (fun smp -> acc := smp :: !acc);
+    (fun cpu itc line -> acc := { Sample.cpu; itc; line } :: !acc);
   List.rev !acc
 
-let iter_samples_file ~path f =
+let scan_samples_file ~path f =
   In_channel.with_open_bin path (fun ic ->
       scan_samples ~buf:(Bytes.create chunk_size) ~eof:false
         (In_channel.input ic) f)
+
+let iter_samples_file ~path f =
+  scan_samples_file ~path (fun cpu itc line -> f { Sample.cpu; itc; line })
 
 (* ------------------------------------------------------------------ *)
 (* Binary columnar samples: "slo-samples-bin 1".
@@ -538,7 +543,11 @@ let load_samples_bin ~path =
         with Invalid_argument m -> bin_fail "%s: %s" path m
       end)
 
-let store_of_samples_file ~path = Sample_store.of_iter (iter_samples_file ~path)
+let store_of_samples_file ~path =
+  let b = Sample_store.builder () in
+  scan_samples_file ~path (fun cpu itc line ->
+      Sample_store.append b ~cpu ~itc ~line);
+  Sample_store.build b
 
 let save_store_text ~path store =
   atomic_write ~path (fun oc ->

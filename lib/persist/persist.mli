@@ -72,9 +72,10 @@ val samples_of_string : string -> Slo_concurrency.Sample.t list
 (** Parse a whole [slo-samples 1] text. A byte scanner parses each
     canonical record ([<digits> <-?digits> <digits>], an optional ['\r'],
     fields of at most 18 digits, ids at most
-    [Slo_concurrency.Sample.max_id]) in place, allocating only the
-    sample; every other line — the header, blank lines, other spacing,
-    signs, underscores, hex, longer numbers, errors — goes to the line
+    [Slo_concurrency.Sample.max_id]) in place and hands its cpu, itc and
+    line on as ints, so the list allocates only its samples; every other
+    line — the header, blank lines, other spacing, signs, underscores,
+    hex, longer numbers, errors — goes to the line
     parser ([String.trim], split on spaces, [int_of_string_opt]), so the
     scanner accepts exactly what that parser accepts, with the same
     samples, and fails with the same {!Parse_error}.
@@ -88,8 +89,9 @@ val iter_samples_file : path:string -> (Slo_concurrency.Sample.t -> unit) -> uni
 (** [iter_samples_file ~path f] applies [f] to every sample of a
     [slo-samples 1] file in record order, reading the file in 64 KiB
     chunks through the byte scanner {!samples_of_string} also uses (a
-    line longer than a chunk still parses). {!store_of_samples_file}
-    feeds it into {!Slo_concurrency.Sample_store.of_iter}.
+    line longer than a chunk still parses), and builds the sample record
+    [f] takes from each record's fields. {!store_of_samples_file} reads
+    through the same scanner without the record.
     @raise Parse_error on malformed input (same errors and line numbers
     as {!samples_of_string}). *)
 
@@ -122,8 +124,11 @@ val load_samples_bin : path:string -> Slo_concurrency.Sample_store.t
     parser. @raise Bin_error on any malformation. *)
 
 val store_of_samples_file : path:string -> Slo_concurrency.Sample_store.t
-(** Parse a {e text} [slo-samples 1] file straight into a columnar store
-    (streaming; the boxed sample list is never built).
+(** Parse a {e text} [slo-samples 1] file straight into a columnar store,
+    streaming: the scanner of {!iter_samples_file} appends each record's
+    three fields to a {!Slo_concurrency.Sample_store.builder}, so neither
+    a sample list nor a record per sample is built (the read buffer and
+    the builder's columns are the allocation, whatever the length).
     @raise Parse_error on malformed input. *)
 
 val save_store_text : path:string -> Slo_concurrency.Sample_store.t -> unit

@@ -541,6 +541,35 @@ let test_store_of_samples_file () =
       Alcotest.(check bool) "store = parsed list" true
         (Store.to_samples (Persist.store_of_samples_file ~path) = samples))
 
+(* Allocation budget on the text store path: the scanner hands each
+   record's fields to the store builder as three ints, so 200 000 samples
+   cost the read buffer and the builder's column blocks, about 0.05 words
+   per sample, counted minor + major - promoted. A sample record per
+   line, as the iterating reader hands out, came to 4.0 words per sample
+   on this path. *)
+let test_store_of_samples_file_alloc () =
+  let n = 200_000 in
+  let b = Store.builder ~capacity:n () in
+  for i = 0 to n - 1 do
+    Store.append b ~cpu:(i * 7 mod 64) ~itc:(4 * i) ~line:(i * 13 mod 80)
+  done;
+  with_tmp ".samples" (fun path ->
+      Persist.save_store_text ~path (Store.build b);
+      let words () =
+        let minor, promoted, major = Gc.counters () in
+        minor +. major -. promoted
+      in
+      Gc.full_major ();
+      let before = words () in
+      let st = Persist.store_of_samples_file ~path in
+      let per_sample = (words () -. before) /. float_of_int n in
+      check_int "length" n (Store.length st);
+      if per_sample >= 1.0 then
+        Alcotest.failf
+          "Persist.store_of_samples_file allocated %.2f words per sample \
+           (bound 1)"
+          per_sample)
+
 let expect_bin_error what bytes =
   with_tmp ".bin" (fun path ->
       write_raw path bytes;
@@ -980,6 +1009,8 @@ let suites =
           test_error_after_chunk_boundary;
         Alcotest.test_case "lines longer than a chunk" `Quick
           test_line_longer_than_chunk;
+        Alcotest.test_case "store_of_samples_file allocates < 1 word per sample"
+          `Quick test_store_of_samples_file_alloc;
         QCheck_alcotest.to_alcotest prop_line_ending_differential;
         QCheck_alcotest.to_alcotest prop_streamed_equals_string_parse;
         QCheck_alcotest.to_alcotest prop_samples_roundtrip;
