@@ -1,6 +1,6 @@
 (** Flat open-addressing int -> int hash table for hot paths — the
-    simulator memory kernel, the sample interval tables and the
-    CodeConcurrency map sit on it.
+    simulator memory kernel, the sample interval tables, the
+    CodeConcurrency map and its rank lookup for sparse ids sit on it.
 
     The boxed [Hashtbl] the memory system used to sit on allocates an
     [option] per [find_opt], a bucket cons per insert and (for the
