@@ -1,6 +1,4 @@
 module Ast = Slo_ir.Ast
-module Parser = Slo_ir.Parser
-module Typecheck = Slo_ir.Typecheck
 module Field = Slo_layout.Field
 module Layout = Slo_layout.Layout
 
@@ -229,25 +227,7 @@ let source =
      }\n";
   Buffer.contents buf
 
-(* The memo is read from worker domains (every parallel simulator run and
-   FLG build starts here), so it must be domain-safe: a mutex both avoids
-   duplicate parses and gives the publication ordering a plain ref lacks
-   under the OCaml 5 memory model. *)
-let program =
-  let memo = ref None in
-  let m = Mutex.create () in
-  fun () ->
-    Mutex.lock m;
-    let p =
-      match !memo with
-      | Some p -> p
-      | None ->
-        let p = Typecheck.check (Parser.parse_program ~file:"kernel.mc" source) in
-        memo := Some p;
-        p
-    in
-    Mutex.unlock m;
-    p
+let program = Source.memo ~file:"kernel.mc" source
 
 (* ----------------------------------------------------------------- *)
 (* Layouts *)

@@ -1,8 +1,6 @@
 module Machine = Slo_sim.Machine
 module Topology = Slo_sim.Topology
 module Coherence = Slo_sim.Coherence
-module Parser = Slo_ir.Parser
-module Typecheck = Slo_ir.Typecheck
 module Fmf = Slo_concurrency.Fmf
 module Field = Slo_layout.Field
 module Layout = Slo_layout.Layout
@@ -51,15 +49,7 @@ let source =
   proc "n_peek_near" "u = n->n_lro;";
   Buffer.contents buf
 
-let program_memo = ref None
-
-let program () =
-  match !program_memo with
-  | Some p -> p
-  | None ->
-    let p = Typecheck.check (Parser.parse_program ~file:"ntrap.mc" source) in
-    program_memo := Some p;
-    p
+let program = Source.memo ~file:"ntrap.mc" source
 
 let fields () =
   match Slo_ir.Ast.find_struct (program ()) struct_name with

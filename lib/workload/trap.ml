@@ -1,5 +1,3 @@
-module Parser = Slo_ir.Parser
-module Typecheck = Slo_ir.Typecheck
 module Interp = Slo_profile.Interp
 module Counts = Slo_profile.Counts
 module Machine = Slo_sim.Machine
@@ -62,15 +60,7 @@ let source =
   proc "t_pair" (sum_stmts "t_x" [ "t_y" ]);
   Buffer.contents buf
 
-let program_memo = ref None
-
-let program () =
-  match !program_memo with
-  | Some p -> p
-  | None ->
-    let p = Typecheck.check (Parser.parse_program ~file:"trap.mc" source) in
-    program_memo := Some p;
-    p
+let program = Source.memo ~file:"trap.mc" source
 
 let profile () =
   let counts = Counts.create () in
