@@ -29,6 +29,7 @@
 
 module Exp = Slo_workload.Experiments
 module Collect = Slo_workload.Collect
+module Feed = Slo_workload.Feed
 module Kernel = Slo_workload.Kernel
 module Sdet = Slo_workload.Sdet
 module Topology = Slo_sim.Topology
@@ -1201,17 +1202,14 @@ let run_serve ctx =
   let module Window = Slo_serve.Window in
   let program = Kernel.program () in
   let counts = Collect.profile () in
-  let base = Collect.samples () in
   let params = Collect.calibrated_params in
   let interval = params.Pipeline.cc_interval in
-  let itcs = List.map (fun (s : Sample.t) -> s.Sample.itc) base in
-  let lo = List.fold_left min max_int itcs in
-  let hi = List.fold_left max min_int itcs in
-  let span = (((hi - lo) / interval) + 2) * interval in
+  let clients = 4 and phases = if ctx.quick then 4 else 8 in
+  let base = Array.of_list (Collect.samples ()) in
+  let feed = Feed.create ~interval ~phases base in
   (* window = two phases of the feed, like the CLI default: every phase
      slides it, so intervals retire throughout the run *)
-  let window = max 1 (2 * span / interval) in
-  let clients = 4 and phases = if ctx.quick then 4 else 8 in
+  let window = Feed.window feed in
   (* above the window's ~11% phase-boundary oscillation, below the ~86%
      workload shift: re-search fires on the shift and only the shift *)
   let drift_threshold = 0.2 in
@@ -1221,29 +1219,9 @@ let run_serve ctx =
       selector = Optimizer.Portfolio; seed = 11;
       restarts = (if ctx.quick then 2 else 4) }
   in
-  (* Phased feed: each phase shifts the whole base stream forward by a
-     whole number of intervals; halfway through, lines rotate to a
-     different sharing pattern so the weighted CC drifts. Per-phase batch
-     construction fans out over the pool — the "many concurrent clients". *)
-  let lines =
-    List.sort_uniq compare (List.map (fun (s : Sample.t) -> s.Sample.line) base)
-  in
-  let line_arr = Array.of_list lines in
-  let nl = Array.length line_arr in
-  let line_pos = Hashtbl.create nl in
-  Array.iteri (fun i l -> Hashtbl.replace line_pos l i) line_arr;
-  let base_arr = Array.of_list base in
-  let batch_of ~phase client =
-    let rot = if 2 * phase >= phases then nl / 2 else 0 in
-    Array.map
-      (fun (s : Sample.t) ->
-        let line =
-          if rot = 0 then s.Sample.line
-          else line_arr.((Hashtbl.find line_pos s.Sample.line + rot) mod nl)
-        in
-        { s with Sample.itc = s.Sample.itc + (phase * span) + client; line })
-      base_arr
-  in
+  (* Per-phase batch construction fans out over the pool — the "many
+     concurrent clients". *)
+  let batch_of ~phase client = Feed.phase feed ~phase ~offset:client in
   let client_list = List.init clients Fun.id in
   let t = Serve.create cfg in
   let submitted = ref [] (* every batch, reverse submission order *) in
@@ -1265,7 +1243,7 @@ let run_serve ctx =
         Serve.stop t)
   in
   let n_batches = phases * clients in
-  let n_samples = n_batches * Array.length base_arr in
+  let n_samples = n_batches * Array.length base in
   let w = Serve.window t in
   let canon =
     List.map (fun (idx, tbl) ->

@@ -23,7 +23,6 @@ module Typecheck = Slo_ir.Typecheck
 module Cfg = Slo_ir.Cfg
 module Pretty = Slo_ir.Pretty
 module Interp = Slo_profile.Interp
-module Counts = Slo_profile.Counts
 module Machine = Slo_sim.Machine
 module Topology = Slo_sim.Topology
 module Coherence = Slo_sim.Coherence
@@ -35,7 +34,7 @@ module Layout = Slo_layout.Layout
 module Pipeline = Slo_core.Pipeline
 module Report = Slo_core.Report
 module Flg = Slo_core.Flg
-module Prng = Slo_util.Prng
+module Collect = Slo_workload.Collect
 module Pool = Slo_exec.Pool
 module Optimizer = Slo_search.Optimizer
 open Cmdliner
@@ -71,101 +70,6 @@ let or_die f =
   | Invalid_argument msg | Failure msg ->
     Printf.eprintf "error: %s\n" msg;
     exit 1
-
-(* Run every procedure [rounds] times through the interpreter, binding
-   struct-pointer parameters to scratch instances and integer parameters to
-   [int_arg]. *)
-let generic_profile program ~int_arg ~rounds =
-  let counts = Counts.create () in
-  let ctx = Interp.make_ctx program in
-  let prng = Prng.create ~seed:11 in
-  let scratch = Hashtbl.create 8 in
-  let instance_of name =
-    match Hashtbl.find_opt scratch name with
-    | Some i -> i
-    | None ->
-      let i = Interp.make_instance program ~struct_name:name in
-      Hashtbl.replace scratch name i;
-      i
-  in
-  List.iter
-    (fun (pd : Ast.proc_decl) ->
-      for round = 0 to rounds - 1 do
-        let args =
-          List.map
-            (fun p ->
-              match p with
-              | Ast.Pstruct { struct_name; _ } ->
-                Interp.Ainst (instance_of struct_name)
-              | Ast.Pint _ -> Interp.Aint (int_arg + round))
-            pd.Ast.pd_params
-        in
-        Interp.run ctx ~counts ~prng ~proc:pd.Ast.pd_name args
-      done)
-    program.Ast.procs;
-  counts
-
-(* Generic concurrency harness: every CPU cycles through all procedures
-   against machine-wide shared instances, with sampling every [period]
-   cycles ([None]: no sampling). [topology] defaults to the scaled
-   Superdome; [hierarchy] optionally threads a multi-level cache geometry
-   (per-CPU L1 + per-cell LLC) through to the kernel so the per-level
-   counters accumulate. [None] when the program has no procedures. *)
-let generic_run ?topology ?hierarchy program ~cpus ~period ~reps ~int_arg =
-  let topology =
-    match topology with Some t -> t | None -> Topology.superdome ~cpus ()
-  in
-  let machine =
-    Machine.create
-      { (Machine.default_config topology) with
-        Machine.sample_period = period; seed = 3; hierarchy }
-      program
-  in
-  let shared = Hashtbl.create 8 in
-  List.iter
-    (fun (sd : Ast.struct_decl) ->
-      Hashtbl.replace shared sd.Ast.sd_name
-        (Machine.alloc machine ~struct_name:sd.Ast.sd_name))
-    program.Ast.structs;
-  let procs = Array.of_list program.Ast.procs in
-  if Array.length procs = 0 then None
-  else begin
-    for cpu = 0 to cpus - 1 do
-      let work = ref [] in
-      for r = 0 to reps - 1 do
-        let pd = procs.((cpu + r) mod Array.length procs) in
-        let args =
-          List.map
-            (fun p ->
-              match p with
-              | Ast.Pstruct { struct_name; _ } ->
-                Machine.Ainst (Hashtbl.find shared struct_name)
-              | Ast.Pint _ -> Machine.Aint (int_arg + (cpu mod 8)))
-            pd.Ast.pd_params
-        in
-        work := (pd.Ast.pd_name, args) :: !work
-      done;
-      Machine.add_thread machine ~cpu ~work:!work
-    done;
-    Some (Machine.run machine)
-  end
-
-(* The harness's samples in the pipeline's representation; [on_result]
-   observes the raw machine result (stats + per-CPU samples) first. *)
-let generic_samples ?topology ?hierarchy ?on_result program ~cpus ~period ~reps
-    ~int_arg =
-  match
-    generic_run ?topology ?hierarchy program ~cpus ~period:(Some period) ~reps
-      ~int_arg
-  with
-  | None -> []
-  | Some result ->
-    Option.iter (fun f -> f result) on_result;
-    List.map
-      (fun (s : Machine.sample) ->
-        { Sample.cpu = s.Machine.s_cpu; itc = s.Machine.s_itc;
-          line = s.Machine.s_line })
-      result.Machine.samples
 
 (* ------------------------------------------------------------------ *)
 (* Arguments *)
@@ -248,6 +152,31 @@ let line_size_arg =
     value & opt int 128
     & info [ "line-size" ] ~docv:"BYTES"
         ~doc:"cache line (coherence block) size")
+
+(* The analysis options [suggest], [dot] and [serve] share: the source
+   file and its struct, the generic harness's sizes, and the pipeline
+   parameters, built here and nowhere else. *)
+type analysis = {
+  file : string;
+  struct_name : string;
+  int_arg : int;
+  rounds : int;
+  cpus : int;
+  period : int;
+  params : Pipeline.params;
+}
+
+let analysis_t =
+  let make file struct_name int_arg rounds cpus period k1 k2 cc_interval
+      line_size =
+    { file; struct_name; int_arg; rounds; cpus; period;
+      params =
+        { Pipeline.default_params with Pipeline.k1; k2; cc_interval; line_size } }
+  in
+  Term.(
+    const make $ file_arg $ struct_arg $ int_arg_t $ rounds_arg
+    $ cpus_collect_arg $ period_arg $ k1_arg $ k2_arg $ interval_arg
+    $ line_size_arg)
 
 let inline_arg =
   Arg.(
@@ -332,6 +261,17 @@ let with_jobs jobs f =
   if domains <= 1 then f ~domains None
   else Pool.with_pool ~domains (fun p -> f ~domains (Some p))
 
+(* Every command runs the generic collection harness (Collect) at this
+   seed, with [rounds * 8] work items per CPU. *)
+let harness_seed = 3
+
+let harness_samples ?topology ?hierarchy ?on_result a program =
+  let topology =
+    match topology with Some t -> t | None -> Topology.superdome ~cpus:a.cpus ()
+  in
+  Collect.generic_samples ?hierarchy ?on_result program ~topology
+    ~seed:harness_seed ~period:a.period ~reps:(a.rounds * 8) ~int_arg:a.int_arg
+
 (* ------------------------------------------------------------------ *)
 (* Commands *)
 
@@ -354,7 +294,7 @@ let affinity_cmd =
   let run file struct_name int_arg rounds inline =
     or_die (fun () ->
         let program = load_program ~inline file in
-        let counts = generic_profile program ~int_arg ~rounds in
+        let counts = Collect.generic_profile program ~int_arg ~rounds in
         let groups = Group.of_program program counts ~struct_name in
         List.iter (fun g -> Format.printf "%a@.@." Group.pp g) groups;
         let ag = Affinity_graph.build program counts ~struct_name in
@@ -375,18 +315,15 @@ let fmf_cmd =
     Term.(const run $ file_arg)
 
 let analyze ?inline ?profile_file ?samples_file ?samples_bin_file ?pool
-    ?topology ?hierarchy ?on_result file struct_name int_arg rounds cpus period
-    k1 k2 interval line_size =
-  let program = load_program ?inline file in
+    ?topology ?hierarchy ?on_result a =
+  let program = load_program ?inline a.file in
   let counts =
     match profile_file with
     | Some path -> Slo_persist.Persist.load_counts ~path
-    | None -> generic_profile program ~int_arg ~rounds
+    | None ->
+      Collect.generic_profile program ~int_arg:a.int_arg ~rounds:a.rounds
   in
-  let params =
-    { Pipeline.default_params with
-      Pipeline.k1; k2; cc_interval = interval; line_size }
-  in
+  let params = a.params in
   (* Stored samples become a columnar store — the binary file maps in
      with O(1) syscalls, the text file parses into 16 B/sample columns —
      and pool workers bin index ranges of the shared columns. *)
@@ -399,14 +336,13 @@ let analyze ?inline ?profile_file ?samples_file ?samples_bin_file ?pool
     | None, Some path ->
       stored (Slo_persist.Persist.store_of_samples_file ~path)
     | None, None ->
-      ( generic_samples ?topology ?hierarchy ?on_result program ~cpus ~period
-          ~reps:(rounds * 8) ~int_arg,
-        None )
+      (harness_samples ?topology ?hierarchy ?on_result a program, None)
   in
   let flg =
-    Pipeline.analyze ~params ?cm ~program ~counts ~samples ~struct_name ()
+    Pipeline.analyze ~params ?cm ~program ~counts ~samples
+      ~struct_name:a.struct_name ()
   in
-  (program, params, flg)
+  (program, flg)
 
 let profile_file_arg =
   Arg.(
@@ -433,28 +369,28 @@ let samples_bin_file_arg =
            over $(b,--samples).")
 
 let suggest_cmd =
-  let run file struct_name int_arg rounds cpus period k1 k2 interval line_size
-      inline profile_file samples_file samples_bin_file jobs optimizer restarts
-      seed topology stats =
+  let run a inline profile_file samples_file samples_bin_file jobs optimizer
+      restarts seed topology stats =
     or_die (fun () ->
         let selector = optimizer in
+        let struct_name = a.struct_name in
+        let { Pipeline.k1; k2; line_size; _ } as params = a.params in
         (* With --topology the collection machine switches to the requested
            shape and simulates the multi-level hierarchy, so the samples
            carry the machine's asymmetric miss costs; the raw result is
            kept for the hierarchy-aware search and --stats below. *)
-        let topo = Option.map (fun (_, mk) -> mk cpus) topology in
+        let topo = Option.map (fun (_, mk) -> mk a.cpus) topology in
         let hierarchy = Option.map (fun _ -> collect_hierarchy) topology in
         let machine_result = ref None in
-        let program, params, flg, portfolio =
+        let program, flg, portfolio =
           (* the pool only lives inside this closure, so the search stage
              (which fans its candidates across it) runs here too *)
           with_jobs jobs (fun ~domains:_ pool ->
-              let program, params, flg =
+              let program, flg =
                 analyze ~inline ?profile_file ?samples_file ?samples_bin_file
                   ?pool ?topology:topo ?hierarchy
                   ~on_result:(fun r -> machine_result := Some r)
-                  file struct_name int_arg rounds cpus period k1 k2 interval
-                  line_size
+                  a
               in
               let portfolio =
                 Option.map
@@ -462,7 +398,7 @@ let suggest_cmd =
                     Pipeline.search ~params ?pool ~seed ~restarts ~selector flg)
                   selector
               in
-              (program, params, flg, portfolio))
+              (program, flg, portfolio))
         in
         (match topo with
          | Some t ->
@@ -604,9 +540,7 @@ let suggest_cmd =
   Cmd.v
     (Cmd.info "suggest" ~doc:"run the full pipeline and print the layout report")
     Term.(
-      const run $ file_arg $ struct_arg $ int_arg_t $ rounds_arg
-      $ cpus_collect_arg $ period_arg $ k1_arg $ k2_arg $ interval_arg
-      $ line_size_arg $ inline_arg $ profile_file_arg $ samples_file_arg
+      const run $ analysis_t $ inline_arg $ profile_file_arg $ samples_file_arg
       $ samples_bin_file_arg $ jobs_arg $ optimizer_arg $ restarts_arg
       $ seed_arg $ topology_arg $ stats_arg)
 
@@ -614,9 +548,11 @@ let collect_cmd =
   let run file int_arg rounds cpus period out_prefix =
     or_die (fun () ->
         let program = load_program file in
-        let counts = generic_profile program ~int_arg ~rounds in
+        let counts = Collect.generic_profile program ~int_arg ~rounds in
         let samples =
-          generic_samples program ~cpus ~period ~reps:(rounds * 8) ~int_arg
+          Collect.generic_samples program
+            ~topology:(Topology.superdome ~cpus ())
+            ~seed:harness_seed ~period ~reps:(rounds * 8) ~int_arg
         in
         let prof_path = out_prefix ^ ".prof" in
         let samples_path = out_prefix ^ ".samples" in
@@ -697,20 +633,10 @@ let convert_cmd =
     Term.(const run $ src_arg $ dst_arg)
 
 let dot_cmd =
-  let run file struct_name int_arg rounds cpus period k1 k2 interval line_size =
-    or_die (fun () ->
-        let _, _, flg =
-          analyze file struct_name int_arg rounds cpus period k1 k2 interval
-            line_size
-        in
-        print_string (Flg.to_dot flg))
-  in
+  let run a = or_die (fun () -> print_string (Flg.to_dot (snd (analyze a)))) in
   Cmd.v
     (Cmd.info "dot" ~doc:"emit the FLG as Graphviz")
-    Term.(
-      const run $ file_arg $ struct_arg $ int_arg_t $ rounds_arg
-      $ cpus_collect_arg $ period_arg $ k1_arg $ k2_arg $ interval_arg
-      $ line_size_arg)
+    Term.(const run $ analysis_t)
 
 let simulate_cmd =
   let run file cpus period int_arg rounds =
@@ -719,11 +645,11 @@ let simulate_cmd =
         let topology = Topology.superdome ~cpus () in
         let r =
           match
-            generic_run ~topology program ~cpus
-              ~period:(if period = 0 then None else Some period)
-              ~reps:(rounds * 8) ~int_arg
+            Collect.generic_machine program ~topology
+              ?period:(if period = 0 then None else Some period)
+              ~seed:harness_seed ~reps:(rounds * 8) ~int_arg
           with
-          | Some r -> r
+          | Some m -> Machine.run m
           | None -> failwith "no procedures to run"
         in
         Printf.printf "machine: %s\n" (Topology.describe topology);
@@ -876,7 +802,7 @@ let codelayout_cmd =
           match file with
           | Some f ->
             let p = load_program f in
-            (p, generic_profile p ~int_arg ~rounds, false)
+            (p, Collect.generic_profile p ~int_arg ~rounds, false)
           | None -> (Ctrap.program (), Ctrap.profile (), true)
         in
         let prob = Codelayout.of_program ~capacity program counts in
@@ -1037,50 +963,40 @@ let verify_cmd =
 
 let serve_cmd =
   let module Serve = Slo_serve.Serve in
+  let module Feed = Slo_workload.Feed in
   let module Obs = Slo_obs.Obs in
-  let run file struct_name int_arg rounds cpus period k1 k2 interval line_size
-      inline jobs window decay drift_threshold min_samples capacity clients
-      phases seed restarts snapshot_path restore_path =
+  let run a inline jobs window decay drift_threshold min_samples capacity
+      clients phases seed restarts snapshot_path restore_path =
     or_die (fun () ->
-        let program = load_program ~inline file in
+        let program = load_program ~inline a.file in
+        let struct_name = a.struct_name in
         if Ast.find_struct program struct_name = None then begin
           Printf.eprintf "error: no struct named %s\n" struct_name;
           exit 1
         end;
-        let counts = generic_profile program ~int_arg ~rounds in
-        let base =
-          generic_samples program ~cpus ~period ~reps:(rounds * 8) ~int_arg
+        let counts =
+          Collect.generic_profile program ~int_arg:a.int_arg ~rounds:a.rounds
         in
-        if base = [] then begin
+        let base = Array.of_list (harness_samples a program) in
+        if Array.length base = 0 then begin
           Printf.eprintf
             "error: the generic harness produced no samples (try a smaller \
              --period)\n";
           exit 1
         end;
-        let params =
-          { Pipeline.default_params with
-            Pipeline.k1; k2; line_size; cc_interval = interval }
-        in
-        let lo =
-          List.fold_left (fun a (s : Sample.t) -> min a s.Sample.itc) max_int
-            base
-        in
-        let hi =
-          List.fold_left (fun a (s : Sample.t) -> max a s.Sample.itc) min_int
-            base
-        in
-        let span = (((hi - lo) / interval) + 2) * interval in
+        let interval = a.params.Pipeline.cc_interval in
+        let feed = Feed.create ~interval ~phases base in
         (* Default the window to two phases of the feed, so each phase
            slides it and consecutive clients land inside it; the
            computation is deterministic, so --restore with the same
            arguments reproduces the same window length. *)
         let window =
-          match window with Some w -> w | None -> max 1 (2 * span / interval)
+          match window with Some w -> w | None -> Feed.window feed
         in
         let cfg =
           { Serve.interval; window; decay; drift_threshold; min_samples;
-            queue_capacity = capacity; params; program; counts; struct_name;
-            selector = Optimizer.Portfolio; seed; restarts }
+            queue_capacity = capacity; params = a.params; program; counts;
+            struct_name; selector = Optimizer.Portfolio; seed; restarts }
         in
         let t =
           match restore_path with
@@ -1099,42 +1015,19 @@ let serve_cmd =
         let itc_off =
           match Slo_serve.Window.newest (Serve.window t) with
           | Some n ->
-            let need = ((n + 1) * interval) - lo in
+            let span = Feed.span feed in
+            let need = ((n + 1) * interval) - Feed.lo feed in
             if need <= 0 then 0 else ((need + span - 1) / span) * span
           | None -> 0
         in
-        (* Each phase shifts the whole base stream forward by a whole
-           number of intervals, so the window keeps sliding; halfway
-           through, lines are rotated to a different layout-relevant
-           pattern, so the weighted CC drifts and a re-search fires. *)
-        let lines =
-          List.sort_uniq compare
-            (List.map (fun (s : Sample.t) -> s.Sample.line) base)
-        in
-        let line_arr = Array.of_list lines in
-        let nl = Array.length line_arr in
-        let line_pos = Hashtbl.create nl in
-        Array.iteri (fun i l -> Hashtbl.replace line_pos l i) line_arr;
-        let base_arr = Array.of_list base in
         let batch_of ~phase ~client =
-          let rot = if 2 * phase >= phases then nl / 2 else 0 in
-          Array.map
-            (fun (s : Sample.t) ->
-              let line =
-                if rot = 0 then s.Sample.line
-                else
-                  line_arr.((Hashtbl.find line_pos s.Sample.line + rot) mod nl)
-              in
-              { s with
-                Sample.itc = s.Sample.itc + itc_off + (phase * span) + client;
-                line })
-            base_arr
+          Feed.phase feed ~phase ~offset:(itc_off + client)
         in
         let clients_l = List.init clients (fun c -> c) in
         Printf.printf
           "serve: %d clients x %d phases, %d samples/batch, interval %d, \
            window %d, decay %.3f, drift threshold %.3f\n%!"
-          clients phases (Array.length base_arr) interval window decay
+          clients phases (Array.length base) interval window decay
           drift_threshold;
         Serve.run t;
         with_jobs jobs (fun ~domains:_ pool ->
@@ -1263,9 +1156,7 @@ let serve_cmd =
        ~doc:
          "run the always-on layout service against simulated client feeds")
     Term.(
-      const run $ file_arg $ struct_arg $ int_arg_t $ rounds_arg
-      $ cpus_collect_arg $ period_arg $ k1_arg $ k2_arg $ interval_arg
-      $ line_size_arg $ inline_arg $ jobs_arg $ window_arg $ decay_arg
+      const run $ analysis_t $ inline_arg $ jobs_arg $ window_arg $ decay_arg
       $ drift_arg $ min_samples_arg $ capacity_arg $ clients_arg $ phases_arg
       $ seed_arg $ restarts_arg $ snapshot_arg $ restore_arg)
 

@@ -19,7 +19,7 @@ module Counts = Slo_profile.Counts
 module Machine = Slo_sim.Machine
 module Topology = Slo_sim.Topology
 module Sim_stats = Slo_sim.Sim_stats
-module Sample = Slo_concurrency.Sample
+module Collect = Slo_workload.Collect
 module Layout = Slo_layout.Layout
 module Field = Slo_layout.Field
 module Pipeline = Slo_core.Pipeline
@@ -119,12 +119,7 @@ let () =
              ("work", [ Machine.Ainst shared; Machine.Aint cpu; Machine.Aint 10 ])))
   done;
   let result = Machine.run machine in
-  let samples =
-    List.map
-      (fun (s : Machine.sample) ->
-        { Sample.cpu = s.Machine.s_cpu; itc = s.Machine.s_itc; line = s.Machine.s_line })
-      result.Machine.samples
-  in
+  let samples = Collect.of_machine result.Machine.samples in
   let params = { Pipeline.default_params with Pipeline.k2 = 2.0; cc_interval = 2000 } in
   let flg = Pipeline.analyze ~params ~program ~counts ~samples ~struct_name:"acct" () in
   let auto = Pipeline.automatic_layout ~params flg in

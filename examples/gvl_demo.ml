@@ -14,7 +14,7 @@ module Interp = Slo_profile.Interp
 module Counts = Slo_profile.Counts
 module Machine = Slo_sim.Machine
 module Topology = Slo_sim.Topology
-module Sample = Slo_concurrency.Sample
+module Collect = Slo_workload.Collect
 module Layout = Slo_layout.Layout
 module Gvl = Slo_core.Gvl
 module Pipeline = Slo_core.Pipeline
@@ -66,12 +66,7 @@ let () =
     Machine.run m
   in
   let r = run () in
-  let samples =
-    List.map
-      (fun (s : Machine.sample) ->
-        { Sample.cpu = s.Machine.s_cpu; itc = s.Machine.s_itc; line = s.Machine.s_line })
-      r.Machine.samples
-  in
+  let samples = Collect.of_machine r.Machine.samples in
   let params = { Pipeline.default_params with Pipeline.k2 = 2.0; cc_interval = 2000 } in
   let flg = Gvl.analyze ~params ~program ~counts ~samples () in
   let auto = Gvl.automatic_layout ~params flg in

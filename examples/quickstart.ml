@@ -12,7 +12,7 @@ module Interp = Slo_profile.Interp
 module Counts = Slo_profile.Counts
 module Machine = Slo_sim.Machine
 module Topology = Slo_sim.Topology
-module Sample = Slo_concurrency.Sample
+module Collect = Slo_workload.Collect
 module Pipeline = Slo_core.Pipeline
 module Report = Slo_core.Report
 module Prng = Slo_util.Prng
@@ -76,12 +76,7 @@ let () =
       ~work:(List.init 40 (fun _ -> (proc, [ Machine.Ainst shared; Machine.Aint 8 ])))
   done;
   let result = Machine.run machine in
-  let samples =
-    List.map
-      (fun (s : Machine.sample) ->
-        { Sample.cpu = s.Machine.s_cpu; itc = s.Machine.s_itc; line = s.Machine.s_line })
-      result.Machine.samples
-  in
+  let samples = Collect.of_machine result.Machine.samples in
   (* 4. Build the FLG and ask for layouts. *)
   let params = { Pipeline.default_params with Pipeline.k2 = 2.0; cc_interval = 4000 } in
   let flg =

@@ -1,3 +1,4 @@
+module Ast = Slo_ir.Ast
 module Interp = Slo_profile.Interp
 module Counts = Slo_profile.Counts
 module Prng = Slo_util.Prng
@@ -46,15 +47,17 @@ let profile ?(iters = 32) () =
 let default_collection_config () =
   { (Sdet.default_config (Topology.superdome ~cpus:16 ())) with Sdet.reps = 90 }
 
+let of_machine samples =
+  List.map
+    (fun (s : Machine.sample) ->
+      { Sample.cpu = s.Machine.s_cpu; itc = s.Machine.s_itc; line = s.Machine.s_line })
+    samples
+
 let samples ?config ?(period = 400) () =
   let cfg =
     match config with Some c -> c | None -> default_collection_config ()
   in
-  let result = Sdet.run_once { cfg with sample_period = Some period } in
-  List.map
-    (fun (s : Machine.sample) ->
-      { Sample.cpu = s.Machine.s_cpu; itc = s.Machine.s_itc; line = s.Machine.s_line })
-    result.Machine.samples
+  of_machine (Sdet.run_once { cfg with sample_period = Some period }).Machine.samples
 
 (* CycleGain counts are dynamic reference counts from the profile (order of
    iters = 32 per loop); CC counts are sparse sample coincidences. k2
@@ -65,3 +68,80 @@ let calibrated_params =
 let flg ?(params = calibrated_params) ?cm ~counts ~samples ~struct_name () =
   Pipeline.analyze ~params ?cm ~program:(Kernel.program ()) ~counts ~samples
     ~struct_name ()
+
+(* ------------------------------------------------------------------ *)
+(* The generic harness *)
+
+let generic_profile program ~int_arg ~rounds =
+  let counts = Counts.create () in
+  let ctx = Interp.make_ctx program in
+  let prng = Prng.create ~seed:11 in
+  let scratch = Hashtbl.create 8 in
+  let instance_of name =
+    match Hashtbl.find_opt scratch name with
+    | Some i -> i
+    | None ->
+      let i = Interp.make_instance program ~struct_name:name in
+      Hashtbl.replace scratch name i;
+      i
+  in
+  List.iter
+    (fun (pd : Ast.proc_decl) ->
+      for round = 0 to rounds - 1 do
+        let args =
+          List.map
+            (function
+              | Ast.Pstruct { struct_name; _ } -> Interp.Ainst (instance_of struct_name)
+              | Ast.Pint _ -> Interp.Aint (int_arg + round))
+            pd.Ast.pd_params
+        in
+        Interp.run ctx ~counts ~prng ~proc:pd.Ast.pd_name args
+      done)
+    program.Ast.procs;
+  counts
+
+let generic_machine ?hierarchy ?period program ~topology ~seed ~reps ~int_arg =
+  let machine =
+    Machine.create
+      { (Machine.default_config topology) with
+        Machine.sample_period = period; seed; hierarchy }
+      program
+  in
+  let shared = Hashtbl.create 8 in
+  List.iter
+    (fun (sd : Ast.struct_decl) ->
+      Hashtbl.replace shared sd.Ast.sd_name
+        (Machine.alloc machine ~struct_name:sd.Ast.sd_name))
+    program.Ast.structs;
+  let procs = Array.of_list program.Ast.procs in
+  if Array.length procs = 0 then None
+  else begin
+    for cpu = 0 to Topology.num_cpus topology - 1 do
+      let work = ref [] in
+      for r = 0 to reps - 1 do
+        let pd = procs.((cpu + r) mod Array.length procs) in
+        let args =
+          List.map
+            (function
+              | Ast.Pstruct { struct_name; _ } ->
+                Machine.Ainst (Hashtbl.find shared struct_name)
+              | Ast.Pint _ -> Machine.Aint (int_arg + (cpu mod 8)))
+            pd.Ast.pd_params
+        in
+        work := (pd.Ast.pd_name, args) :: !work
+      done;
+      Machine.add_thread machine ~cpu ~work:!work
+    done;
+    Some machine
+  end
+
+let generic_samples ?hierarchy ?on_result program ~topology ~seed ~period ~reps
+    ~int_arg =
+  match
+    generic_machine ?hierarchy ~period program ~topology ~seed ~reps ~int_arg
+  with
+  | None -> []
+  | Some machine ->
+    let result = Machine.run machine in
+    Option.iter (fun f -> f result) on_result;
+    of_machine result.Machine.samples

@@ -1,11 +1,8 @@
 module Ast = Slo_ir.Ast
-module Parser = Slo_ir.Parser
-module Typecheck = Slo_ir.Typecheck
 module Interp = Slo_profile.Interp
 module Counts = Slo_profile.Counts
 module Machine = Slo_sim.Machine
 module Topology = Slo_sim.Topology
-module Sample = Slo_concurrency.Sample
 module Layout = Slo_layout.Layout
 module Pipeline = Slo_core.Pipeline
 module Gvl = Slo_core.Gvl
@@ -90,23 +87,7 @@ void tick(int n) {
 }
 |}
 
-(* Domain-safe memo, same reasoning as [Kernel.program]: worker domains of
-   the parallel pool may race to the first parse. *)
-let program =
-  let memo = ref None in
-  let m = Mutex.create () in
-  fun () ->
-    Mutex.lock m;
-    let p =
-      match !memo with
-      | Some p -> p
-      | None ->
-        let p = Typecheck.check (Parser.parse_program ~file:"userapp.mc" source) in
-        memo := Some p;
-        p
-    in
-    Mutex.unlock m;
-    p
+let program = Source.memo ~file:"userapp.mc" source
 
 (* ------------------------------------------------------------------ *)
 (* Driver: [cpus] workers; connections are shared between one scanner and
@@ -196,15 +177,7 @@ let collect_data ~cpus:_ () =
       sample_period = Some 400;
     }
   in
-  let r = run_once collection in
-  let samples =
-    List.map
-      (fun (s : Machine.sample) ->
-        { Sample.cpu = s.Machine.s_cpu; itc = s.Machine.s_itc;
-          line = s.Machine.s_line })
-      r.Machine.samples
-  in
-  (counts, samples)
+  (counts, Collect.of_machine (run_once collection).Machine.samples)
 
 let experiment ?(runs = 5) ?(cpus = 128) ?pool () =
   let p = program () in

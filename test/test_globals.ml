@@ -172,13 +172,7 @@ let test_gvl_separates_writer () =
       ~work:(List.init 80 (fun _ -> ("watch", [ Machine.Ainst inst; Machine.Aint 10 ])))
   done;
   let r = Machine.run m in
-  let samples =
-    List.map
-      (fun (smp : Machine.sample) ->
-        { Slo_concurrency.Sample.cpu = smp.Machine.s_cpu; itc = smp.Machine.s_itc;
-          line = smp.Machine.s_line })
-      r.Machine.samples
-  in
+  let samples = Slo_workload.Collect.of_machine r.Machine.samples in
   let params =
     { Pipeline.default_params with Pipeline.k2 = 2.0; cc_interval = 1500 }
   in

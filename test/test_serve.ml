@@ -655,6 +655,7 @@ let test_window_slots_bounded () =
 let test_window_alloc_budget () =
   let module Collect = Slo_workload.Collect in
   let module Sdet = Slo_workload.Sdet in
+  let module Feed = Slo_workload.Feed in
   let interval = Collect.calibrated_params.Pipeline.cc_interval in
   let base =
     Array.of_list
@@ -668,40 +669,22 @@ let test_window_alloc_budget () =
     (fun (a : Sample.t) (b : Sample.t) -> compare a.Sample.itc b.Sample.itc)
     base;
   let n = Array.length base in
-  let span =
-    (((base.(n - 1).Sample.itc - base.(0).Sample.itc) / interval) + 2) * interval
-  in
-  let lines =
-    Array.of_list
-      (List.sort_uniq compare
-         (Array.to_list (Array.map (fun (x : Sample.t) -> x.Sample.line) base)))
-  in
-  let nl = Array.length lines in
-  let pos = Hashtbl.create nl in
-  Array.iteri (fun i l -> Hashtbl.replace pos l i) lines;
   let phases = 4 and batch = 256 in
-  let w =
-    Window.create ~decay:0.9 ~interval ~window:(max 1 (2 * span / interval)) ()
-  in
+  let feed = Feed.create ~interval ~phases base in
+  let w = Window.create ~decay:0.9 ~interval ~window:(Feed.window feed) () in
   let words () =
     let minor, promoted, major = Gc.counters () in
     minor +. major -. promoted
   in
   let per_batch = ref [] in
   for phase = 0 to phases - 1 do
-    let rot = if 2 * phase >= phases then nl / 2 else 0 in
+    let xs = Feed.phase feed ~phase ~offset:0 in
     for b = 0 to ((n + batch - 1) / batch) - 1 do
-      let xs =
-        Array.init (min batch (n - (b * batch))) (fun i ->
-            let x = base.((b * batch) + i) in
-            ( x.Sample.cpu,
-              x.Sample.itc + (phase * span),
-              lines.((Hashtbl.find pos x.Sample.line + rot) mod nl) ))
-      in
       let before = words () in
-      Array.iter
-        (fun (cpu, itc, line) -> ignore (Window.feed w ~cpu ~itc ~line))
-        xs;
+      for i = b * batch to min n ((b + 1) * batch) - 1 do
+        let x = xs.(i) in
+        ignore (Window.feed w ~cpu:x.Sample.cpu ~itc:x.Sample.itc ~line:x.Sample.line)
+      done;
       ignore (Window.weighted_view w);
       per_batch := (words () -. before) :: !per_batch
     done
