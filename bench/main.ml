@@ -458,20 +458,18 @@ let run_smoke ctx =
 
 (* ------------------------------------------------------------------ *)
 (* Columnar CC ingestion at scale: generate a store far bigger than any
-   collection run, persist it in both formats, and race the two ingestion
-   paths file -> in-memory store. The text path byte-scans every record
-   into a store builder (store_of_samples_file); the binary path is
-   load_samples_bin — mmap plus one unboxed validation scan. Neither
-   allocates per sample, so the ratio is the cost of the format itself:
-   decoding digits against checking packed columns (everything
-   downstream of the store is shared). Both paths must yield
-   the same store, and the full Code_concurrency.compute at pool sizes
-   1/2/4 must reproduce the serial of_interval fold over the reference
-   binning's tables, on the store and on a fixed shuffle of it (the path
-   that sorts the sample indices by interval; its wall time is reported,
-   not gated), and on a copy whose line ids are spread over
-   [0, Sample.max_id] (the path that ranks lines through a hash table;
-   checked, not timed). *)
+   collection run, persist it in both formats, and read each file back
+   into an in-memory store. The text path byte-scans every record into a
+   store builder (store_of_samples_file); the binary path is
+   load_samples_bin — mmap plus one unboxed validation scan. Both paths
+   must yield the same store, and the full Code_concurrency.compute at
+   pool sizes 1/2/4 must reproduce the serial of_interval fold over the
+   reference binning's tables, on the store, on a fixed shuffle of it
+   (the path that sorts the sample indices by interval), and on a copy
+   whose line ids are spread over [0, Sample.max_id] (the path that ranks
+   lines through a hash table). Nothing here is timed: bench/e2e's
+   suggest-samples workload measures both ingestion paths and compute
+   end to end. *)
 
 (* The reference binning this section and the serve section check
    against: the samples [iter] yields, each counted with Sample.count
@@ -522,12 +520,8 @@ let run_cc_scale ctx =
     Int64.to_int (In_channel.with_open_bin p In_channel.length)
   in
   let bin_bytes = file_bytes bin_path and txt_bytes = file_bytes txt_path in
-  let tstore, text_s =
-    timed (fun () -> Persist.store_of_samples_file ~path:txt_path)
-  in
-  let mstore, bin_s =
-    timed (fun () -> Persist.load_samples_bin ~path:bin_path)
-  in
+  let tstore = Persist.store_of_samples_file ~path:txt_path in
+  let mstore = Persist.load_samples_bin ~path:bin_path in
   (* Bigarray compare is the custom C one, so this is a memcmp-grade
      check, not a boxed walk. *)
   let stores_equal =
@@ -544,13 +538,6 @@ let run_cc_scale ctx =
   in
   let ref_tables = bin_tables ~interval (Sample_store.iter mstore) in
   let ref_pairs = fold_pairs ref_tables in
-  let rates wall bytes =
-    [
-      ("wall_s", Json.Float wall);
-      ("samples_per_s", Json.Float (per_s n wall));
-      ("bytes_per_s", Json.Float (per_s bytes wall));
-    ]
-  in
   let shuffled =
     let perm = Array.init n Fun.id and prng = Slo_util.Prng.create ~seed:7 in
     for i = n - 1 downto 1 do
@@ -583,19 +570,15 @@ let run_cc_scale ctx =
     fold_pairs (bin_tables ~interval (Sample_store.iter sparse))
   in
   let pool_row ?(reference = ref_pairs) ~what store jobs =
-    let compute pool =
-      timed (fun () -> Code_concurrency.compute ?pool ~interval store)
-    in
-    let cm, wall =
+    let compute pool = Code_concurrency.compute ?pool ~interval store in
+    let cm =
       if jobs <= 1 then compute None
       else Pool.with_pool ~domains:jobs (fun p -> compute (Some p))
     in
     let identical = Code_concurrency.pairs cm = reference in
     ( (Printf.sprintf "%s CC = of_interval fold at pool %d" what jobs,
        identical),
-      Json.Obj
-        ((("jobs", Json.Int jobs) :: rates wall bin_bytes)
-        @ [ ("identical", Json.Bool identical) ]) )
+      Json.Obj [ ("jobs", Json.Int jobs); ("identical", Json.Bool identical) ] )
   in
   let pool_checks, rows =
     List.split (List.map (pool_row ~what:"columnar" mstore) [ 1; 2; 4 ])
@@ -609,20 +592,11 @@ let run_cc_scale ctx =
         fst (pool_row ~reference:sparse_pairs ~what:"sparse-id" sparse jobs))
       [ 1; 2; 4 ]
   in
-  let binary_vs_text =
-    if per_s n text_s > 0.0 then per_s n bin_s /. per_s n text_s else 0.0
-  in
   report
     ~checks:
       (("text-parsed store = binary-loaded store", stores_equal)
       :: (pool_checks @ shuffled_checks @ sparse_checks))
-    ~note:
-      (Printf.sprintf
-         "%d generated samples on %d cpus x %d lines. binary_vs_text_x\n\
-          is the samples/s of the mapped columns over the byte-scanned\n\
-          text: the cost of decoding digits, as neither path allocates\n\
-          per sample. Target: at least 3x."
-         n cpus lines)
+    ~note:(Printf.sprintf "%d generated samples on %d cpus x %d lines." n cpus lines)
     [
       ( "peak_table_entries",
         Json.Int
@@ -637,9 +611,6 @@ let run_cc_scale ctx =
             ("bin_bytes", Json.Int bin_bytes);
             ("text_bytes", Json.Int txt_bytes);
             ("stores_equal", Json.Bool stores_equal);
-            ("text", Json.Obj (rates text_s txt_bytes));
-            ("binary", Json.Obj (rates bin_s bin_bytes));
-            ("binary_vs_text_x", Json.Float binary_vs_text);
             ("rows", Json.List rows);
             ("shuffled_rows", Json.List shuffled_rows);
           ] );
@@ -1226,22 +1197,19 @@ let run_serve ctx =
   let t = Serve.create cfg in
   let submitted = ref [] (* every batch, reverse submission order *) in
   Serve.run t;
-  let (), ingest_wall =
-    timed (fun () ->
-        for phase = 0 to phases - 1 do
-          let batches =
-            match ctx.pool with
-            | Some p -> Pool.map p (batch_of ~phase) client_list
-            | None -> List.map (batch_of ~phase) client_list
-          in
-          List.iter
-            (fun b ->
-              submitted := b :: !submitted;
-              ignore (Serve.submit_wait t b))
-            batches
-        done;
-        Serve.stop t)
-  in
+  for phase = 0 to phases - 1 do
+    let batches =
+      match ctx.pool with
+      | Some p -> Pool.map p (batch_of ~phase) client_list
+      | None -> List.map (batch_of ~phase) client_list
+    in
+    List.iter
+      (fun b ->
+        submitted := b :: !submitted;
+        ignore (Serve.submit_wait t b))
+      batches
+  done;
+  Serve.stop t;
   let n_batches = phases * clients in
   let n_samples = n_batches * Array.length base in
   let w = Serve.window t in
@@ -1293,13 +1261,9 @@ let run_serve ctx =
     && a.Serve.best.Optimizer.blocks = b.Serve.best.Optimizer.blocks
     && a.Serve.best.Optimizer.score = b.Serve.best.Optimizer.score
   in
-  let hist name =
-    match Obs.histogram name with
-    | Some s -> (s.Obs.count, s.Obs.p50, s.Obs.p99)
-    | None -> (0, 0.0, 0.0)
+  let research_count =
+    match Obs.histogram "serve.research_s" with Some s -> s.Obs.count | None -> 0
   in
-  let _, i_p50, i_p99 = hist "serve.ingest_s" in
-  let r_count, _, r_p99 = hist "serve.research_s" in
   report
     ~checks:
       [
@@ -1318,11 +1282,7 @@ let run_serve ctx =
       ("phases", Json.Int phases);
       ("batches", Json.Int n_batches);
       ("samples", Json.Int n_samples);
-      ("samples_per_s", Json.Float (per_s n_samples ingest_wall));
-      ("ingest_p50_s", Json.Float i_p50);
-      ("ingest_p99_s", Json.Float i_p99);
-      ("research_count", Json.Int r_count);
-      ("research_p99_s", Json.Float r_p99);
+      ("research_count", Json.Int research_count);
       ("publications", Json.Int (List.length pubs));
       ( "versions",
         Json.List
