@@ -549,22 +549,52 @@ let store_of_samples_file ~path =
       Sample_store.append b ~cpu ~itc ~line);
   Sample_store.build b
 
+(* The decimal digits of [m <= 0]'s magnitude: counted, then written
+   backwards from [i]. Working on the non-positive side covers [min_int],
+   whose magnitude has no positive int. *)
+let rec neg_digits m k = if m > -10 then k else neg_digits (m / 10) (k + 1)
+
+let rec put_neg_digits b i m =
+  Bytes.unsafe_set b i (Char.unsafe_chr (48 - (m mod 10)));
+  if m <= -10 then put_neg_digits b (i - 1) (m / 10)
+
+(* [v] in decimal at [pos] in [b], as [string_of_int] writes it, and the
+   position after it: at most 20 bytes. *)
+let put_int b pos v =
+  let pos =
+    if v < 0 then begin
+      Bytes.unsafe_set b pos '-';
+      pos + 1
+    end
+    else pos
+  in
+  let m = if v < 0 then v else -v in
+  let k = neg_digits m 1 in
+  put_neg_digits b (pos + k - 1) m;
+  pos + k
+
+(* Each record's digits go straight into one reused chunk, written out
+   when less than a record's worth of room is left: no allocation per
+   record. *)
 let save_store_text ~path store =
   atomic_write ~path (fun oc ->
       output_string oc (samples_header ^ "\n");
-      let buf = Buffer.create (1 lsl 16) in
-      let n = Sample_store.length store in
-      for i = 0 to n - 1 do
-        Buffer.add_string buf
-          (Printf.sprintf "%d %d %d\n" (Sample_store.cpu store i)
-             (Sample_store.itc store i)
-             (Sample_store.line store i));
-        if Buffer.length buf >= 1 lsl 16 then begin
-          Buffer.output_buffer oc buf;
-          Buffer.clear buf
+      let chunk = Bytes.create (1 lsl 16) in
+      let pos = ref 0 in
+      for i = 0 to Sample_store.length store - 1 do
+        let p = put_int chunk !pos (Sample_store.cpu store i) in
+        Bytes.unsafe_set chunk p ' ';
+        let p = put_int chunk (p + 1) (Sample_store.itc store i) in
+        Bytes.unsafe_set chunk p ' ';
+        let p = put_int chunk (p + 1) (Sample_store.line store i) in
+        Bytes.unsafe_set chunk p '\n';
+        pos := p + 1;
+        if !pos > Bytes.length chunk - 64 then begin
+          output oc chunk 0 !pos;
+          pos := 0
         end
       done;
-      Buffer.output_buffer oc buf)
+      output oc chunk 0 !pos)
 
 let convert_samples_to_bin ~src ~dst =
   let store = store_of_samples_file ~path:src in

@@ -570,6 +570,57 @@ let test_store_of_samples_file_alloc () =
            (bound 1)"
           per_sample)
 
+(* Allocation budget on the text writer: each record's digits go
+   straight into one reused chunk, so 200 000 samples cost the chunk and
+   the file's name and channel, counted minor + major - promoted: well
+   under a word per sample. Formatting each record with Printf.sprintf
+   came to 74.9 words per sample on this store. *)
+let test_save_store_text_alloc () =
+  let n = 200_000 in
+  let b = Store.builder ~capacity:n () in
+  for i = 0 to n - 1 do
+    Store.append b ~cpu:(i * 7 mod 64) ~itc:(4 * i) ~line:(i * 13 mod 80)
+  done;
+  let st = Store.build b in
+  with_tmp ".samples" (fun path ->
+      let words () =
+        let minor, promoted, major = Gc.counters () in
+        minor +. major -. promoted
+      in
+      Gc.full_major ();
+      let before = words () in
+      Persist.save_store_text ~path st;
+      let per_sample = (words () -. before) /. float_of_int n in
+      check_int "length" n (Store.length (Persist.store_of_samples_file ~path));
+      if per_sample >= 1.0 then
+        Alcotest.failf
+          "Persist.save_store_text allocated %.2f words per sample (bound 1)"
+          per_sample)
+
+(* The text writer at the ends of each column's range: itc [min_int]
+   (the sign and all 19 digits) and [max_int], ids 0 and Sample.max_id.
+   The file holds exactly these bytes and reads back to the same store. *)
+let test_save_store_text_extremes () =
+  let b = Store.builder () in
+  Store.append b ~cpu:0 ~itc:min_int ~line:Sample.max_id;
+  Store.append b ~cpu:Sample.max_id ~itc:max_int ~line:0;
+  Store.append b ~cpu:7 ~itc:(-1) ~line:10;
+  Store.append b ~cpu:0 ~itc:0 ~line:0;
+  let st = Store.build b in
+  with_tmp ".samples" (fun path ->
+      Persist.save_store_text ~path st;
+      Alcotest.(check string)
+        "bytes"
+        "slo-samples 1\n\
+         0 -4611686018427387904 2147483647\n\
+         2147483647 4611686018427387903 0\n\
+         7 -1 10\n\
+         0 0 0\n"
+        (read_raw path);
+      Alcotest.(check bool)
+        "reads back" true
+        (Store.columns (Persist.store_of_samples_file ~path) = Store.columns st))
+
 let expect_bin_error what bytes =
   with_tmp ".bin" (fun path ->
       write_raw path bytes;
@@ -1011,6 +1062,10 @@ let suites =
           test_line_longer_than_chunk;
         Alcotest.test_case "store_of_samples_file allocates < 1 word per sample"
           `Quick test_store_of_samples_file_alloc;
+        Alcotest.test_case "save_store_text allocates < 1 word per sample"
+          `Quick test_save_store_text_alloc;
+        Alcotest.test_case "save_store_text at the ends of the int range"
+          `Quick test_save_store_text_extremes;
         QCheck_alcotest.to_alcotest prop_line_ending_differential;
         QCheck_alcotest.to_alcotest prop_streamed_equals_string_parse;
         QCheck_alcotest.to_alcotest prop_samples_roundtrip;
