@@ -10,7 +10,7 @@ type t = {
   rw : Counts.rw array;
 }
 
-let of_groups ?(require_read = false) ~struct_name ~all_fields groups =
+let of_groups ~struct_name ~all_fields groups =
   let fields =
     match Names.make (Array.of_list all_fields) with
     | Ok names -> names
@@ -41,10 +41,7 @@ let of_groups ?(require_read = false) ~struct_name ~all_fields groups =
                  containing both fields is upper-bounded by the smaller
                  reference count. *)
               let w = min (Group.refs rw1) (Group.refs rw2) in
-              let no_gain =
-                require_read && rw1.Counts.reads = 0 && rw2.Counts.reads = 0
-              in
-              if w > 0 && not no_gain then begin
+              if w > 0 then begin
                 let v = Float.Array.get weight ((i * n) + j) +. float_of_int w in
                 Float.Array.set weight ((i * n) + j) v;
                 Float.Array.set weight ((j * n) + i) v
@@ -62,7 +59,7 @@ let of_groups ?(require_read = false) ~struct_name ~all_fields groups =
     groups;
   { struct_name; fields; weight; hotness = Array.map Group.refs rw; rw }
 
-let build ?require_read program counts ~struct_name =
+let build program counts ~struct_name =
   let all_fields =
     match Ast.find_struct program struct_name with
     | Some sd -> List.map (fun (fd : Ast.field_decl) -> fd.Ast.fd_name) sd.Ast.sd_fields
@@ -71,7 +68,7 @@ let build ?require_read program counts ~struct_name =
         (Printf.sprintf "Affinity_graph.build: unknown struct %S" struct_name)
   in
   let groups = Group.of_program program counts ~struct_name in
-  of_groups ?require_read ~struct_name ~all_fields groups
+  of_groups ~struct_name ~all_fields groups
 
 let hotness_of t f =
   match Names.find_opt t.fields f with Some i -> t.hotness.(i) | None -> 0

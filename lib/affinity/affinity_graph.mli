@@ -23,20 +23,18 @@ type t = {
 }
 
 val build :
-  ?require_read:bool ->
   Slo_ir.Ast.program ->
   Slo_profile.Counts.t ->
   struct_name:string ->
   t
 (** Build from affinity groups over the whole program. Fields never
     referenced still appear as isolated nodes (they must end up in the
-    layout). [require_read] (default [false], matching the implemented
-    Minimum Heuristic of §4.1) suppresses the affinity of pairs whose
-    references within a group are all writes — the model's rule that
-    store-store proximity yields no CycleGain (§2). *)
+    layout). As in the implemented Minimum Heuristic of §4.1, a pair whose
+    references within a group are all writes gets affinity too: the
+    model's rule that store-store proximity yields no CycleGain (§2) is
+    not applied. *)
 
 val of_groups :
-  ?require_read:bool ->
   struct_name:string ->
   all_fields:string list ->
   Group.t list ->

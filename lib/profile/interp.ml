@@ -20,8 +20,6 @@ let make_instance program ~struct_name =
       sd.Ast.sd_fields;
     { inst_struct = struct_name; values }
 
-let instance_struct i = i.inst_struct
-
 let slot_of i ~field ~index =
   match Hashtbl.find_opt i.values field with
   | None ->

@@ -17,8 +17,6 @@ val make_instance : Slo_ir.Ast.program -> struct_name:string -> instance
 (** Fresh zero-initialized instance.
     @raise Invalid_argument for unknown structs. *)
 
-val instance_struct : instance -> string
-
 val get_field : instance -> field:string -> ?index:int -> unit -> int
 (** @raise Invalid_argument for unknown fields or out-of-range indices. *)
 

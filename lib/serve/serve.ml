@@ -81,7 +81,6 @@ let create cfg =
        ())
     0
 
-let config t = t.cfg
 let window t = t.window
 let version t = t.version
 let publications t = List.rev t.pubs

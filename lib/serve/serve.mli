@@ -66,7 +66,6 @@ val create : config -> t
 (** A fresh server with an empty window, version 0, nothing queued.
     @raise Invalid_argument on out-of-range config fields. *)
 
-val config : t -> config
 val window : t -> Window.t
 
 val version : t -> int

@@ -116,7 +116,6 @@ let create ?(decay = 1.0) ~interval ~window () =
 
 let interval w = w.w_interval
 let window_length w = w.w_window
-let decay w = w.w_decay
 let newest w = if w.started then Some w.newest else None
 let live_intervals w = w.nlive
 let retired w = w.retired

@@ -68,7 +68,6 @@ val create : ?decay:float -> interval:int -> window:int -> unit -> t
 
 val interval : t -> int
 val window_length : t -> int
-val decay : t -> float
 
 val feed : t -> cpu:int -> itc:int -> line:int -> bool
 (** Ingest one sample. Returns [false] — and counts it {!late} — when the

@@ -46,7 +46,6 @@ let call_overhead = 5
 
 type instance = { i_id : int; i_struct : string; i_base : int }
 
-let instance_struct i = i.i_struct
 let instance_base i = i.i_base
 
 type arg = Aint of int | Ainst of instance

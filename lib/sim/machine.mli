@@ -65,7 +65,6 @@ type t
 type instance
 (** A struct instance placed in simulated memory. *)
 
-val instance_struct : instance -> string
 val instance_base : instance -> int
 
 type arg = Aint of int | Ainst of instance

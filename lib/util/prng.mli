@@ -39,9 +39,6 @@ val int : t -> int -> int
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 
-val bool : t -> bool
-(** Fair coin. *)
-
 val choose : t -> 'a array -> 'a
 (** Uniform element of a non-empty array.
     @raise Invalid_argument on an empty array. *)

@@ -155,8 +155,3 @@ let throughputs ?pool cfg ~runs =
   | Some pool -> Slo_exec.Pool.map pool run seeds
 
 let measure ?pool cfg ~runs = Stats.trimmed_mean (throughputs ?pool cfg ~runs)
-
-let speedup_percent ?pool cfg ~runs ~candidate =
-  let baseline = measure ?pool { cfg with overrides = [] } ~runs in
-  let measured = measure ?pool { cfg with overrides = [ candidate ] } ~runs in
-  Stats.speedup_percent ~baseline ~measured

@@ -66,12 +66,3 @@ val throughputs : ?pool:Slo_exec.Pool.t -> config -> runs:int -> float list
 
 val measure : ?pool:Slo_exec.Pool.t -> config -> runs:int -> float
 (** Outlier-trimmed mean throughput over [runs] runs. *)
-
-val speedup_percent :
-  ?pool:Slo_exec.Pool.t ->
-  config ->
-  runs:int ->
-  candidate:Slo_layout.Layout.t ->
-  float
-(** Percent throughput change when [candidate] replaces the baseline layout
-    of its struct (the paper's Figures 8-10 metric). *)

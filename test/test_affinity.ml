@@ -86,9 +86,9 @@ void f(struct S *s, int n) {
   let ag = Affinity_graph.build p counts ~struct_name:"S" in
   checkf "min(150, 50)" 50.0 (Affinity_graph.affinity ag "a" "b")
 
-let test_require_read_drops_write_write () =
-  (* Two fields only ever written in the same loop: affinity only without
-     require_read (the §2 store rule). *)
+let test_write_write_pair_has_affinity () =
+  (* Two fields only ever written in the same loop still get affinity:
+     the Minimum Heuristic of §4.1 applies no store rule (§2). *)
   let src =
     {|
 struct S { long a; long b; long c; };
@@ -101,10 +101,8 @@ void f(struct S *s, int n) {
 |}
   in
   let p, counts = profile src ~entries:1 ~loop_n:20 in
-  let lax = Affinity_graph.build ~require_read:false p counts ~struct_name:"S" in
-  let strict = Affinity_graph.build ~require_read:true p counts ~struct_name:"S" in
-  checkf "affinity without rule" 20.0 (Affinity_graph.affinity lax "a" "b");
-  checkf "no gain for store-store" 0.0 (Affinity_graph.affinity strict "a" "b")
+  let ag = Affinity_graph.build p counts ~struct_name:"S" in
+  checkf "affinity without rule" 20.0 (Affinity_graph.affinity ag "a" "b")
 
 let test_unreferenced_fields_are_isolated_nodes () =
   let p, counts = profile fig4 ~entries:1 ~loop_n:5 in
@@ -201,7 +199,7 @@ let suites =
         Alcotest.test_case "figure 5 groups" `Quick test_figure5_groups;
         Alcotest.test_case "figure 5 graph" `Quick test_figure5_graph;
         Alcotest.test_case "minimum heuristic" `Quick test_minimum_heuristic_asymmetric;
-        Alcotest.test_case "store rule" `Quick test_require_read_drops_write_write;
+        Alcotest.test_case "store rule" `Quick test_write_write_pair_has_affinity;
         Alcotest.test_case "isolated fields" `Quick test_unreferenced_fields_are_isolated_nodes;
         Alcotest.test_case "separate loops" `Quick test_groups_separate_loops;
         Alcotest.test_case "nested loops" `Quick test_nested_loop_inner_group;
