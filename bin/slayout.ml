@@ -12,9 +12,9 @@
      sdet      run the built-in SDET-like kernel benchmark
 
    For arbitrary input files the tool needs a concurrency harness: `suggest`
-   runs every procedure on every CPU against shared instances (one per
-   struct), which exposes the file's sharing behaviour without needing a
-   workload description. Point it at a real workload by writing the driver
+   runs Collect's generic harness, every procedure on every CPU against
+   shared instances (one per struct), which exposes the file's sharing
+   behaviour without needing a workload description. Point it at a real workload by writing the driver
    against the library API instead (see examples/). *)
 
 module Ast = Slo_ir.Ast
@@ -26,7 +26,6 @@ module Interp = Slo_profile.Interp
 module Machine = Slo_sim.Machine
 module Topology = Slo_sim.Topology
 module Coherence = Slo_sim.Coherence
-module Sample = Slo_concurrency.Sample
 module Fmf = Slo_concurrency.Fmf
 module Affinity_graph = Slo_affinity.Affinity_graph
 module Group = Slo_affinity.Group
@@ -261,8 +260,8 @@ let with_jobs jobs f =
   if domains <= 1 then f ~domains None
   else Pool.with_pool ~domains (fun p -> f ~domains (Some p))
 
-(* Every command runs the generic collection harness (Collect) at this
-   seed, with [rounds * 8] work items per CPU. *)
+(* slayout's runs of the generic collection harness (Collect) use this
+   seed and [rounds * 8] work items per CPU. *)
 let harness_seed = 3
 
 let harness_samples ?topology ?hierarchy ?on_result a program =
